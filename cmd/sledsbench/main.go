@@ -1,12 +1,14 @@
-// Command sledsbench regenerates the paper's evaluation: every table
-// (2, 3, 4) and figure (3, 7-15) plus the extension experiments (find
-// -latency pruning, the gmc panel, and the HSM prediction).
+// Command sledsbench regenerates the paper's evaluation — every table
+// and figure — plus the extension experiments and ablations; -list
+// prints every experiment id (the knownExps slice below is the one list
+// that -list, the -exp usage text and the unknown-id error all read).
 //
 // Usage:
 //
-//	sledsbench                  # everything, paper-scale configuration
+//	sledsbench                  # everything in "all", paper-scale configuration
 //	sledsbench -scale quick     # ~16x smaller, same shapes, seconds to run
 //	sledsbench -exp f7,f8       # selected experiments only
+//	sledsbench -list            # valid -exp ids, -faults profiles, -classes
 //	sledsbench -runs 6          # override runs per point
 //	sledsbench -workers 8       # parallel experiment points (0 = GOMAXPROCS)
 //
@@ -77,8 +79,8 @@ func startProfiles(cpu, mem string) func() {
 }
 
 // knownExps lists every selectable experiment id, plus the "all" and
-// "ablations" group selectors. Unknown ids are an error (exit 2), not a
-// silently empty run.
+// "ablations" group selectors ("all" leaves out escale, etrace and
+// efleet). Unknown ids are an error (exit 2), not a silently empty run.
 var knownExps = []string{
 	"all", "ablations",
 	"t2", "t3", "t4", "f3",
@@ -89,15 +91,22 @@ var knownExps = []string{
 	"ablation-readahead", "ablation-mmap", "ablation-zones",
 }
 
+// sortedExps returns knownExps in the order -list and the unknown-id
+// error print them.
+func sortedExps() []string {
+	valid := append([]string(nil), knownExps...)
+	sort.Strings(valid)
+	return valid
+}
+
 func main() {
 	scale := flag.String("scale", "paper", "configuration scale: paper | quick")
-	exps := flag.String("exp", "all", "comma-separated experiment ids: t2,t3,t4,f3,f7,f8,f9,f10,f11,f12,f13,f14,f15,f15x16,efind,egmc,ehsm,eremote,ehints,etreegrep,eaccuracy,econtend,eloadsled,efaults,escale,ablations")
+	exps := flag.String("exp", "all", "comma-separated experiment ids: "+strings.Join(knownExps, ","))
 	runs := flag.Int("runs", 0, "override measured runs per point (0 = configuration default)")
 	workers := flag.Int("workers", 0, "experiment points run in parallel (0 = GOMAXPROCS); output is identical at any value")
 	faultsProfile := flag.String("faults", "off", "deterministic fault-injection profile applied to every device of every machine: off | light | heavy")
 	classesFlag := flag.String("classes", "", "comma-separated workload classes for the etrace experiment (empty = all): "+strings.Join(trace.Classes(), ","))
 	fleetFlag := flag.Int("fleet", 0, "replica count for the efleet experiment (0 = default 4)")
-	sledMemo := flag.String("sledmemo", "on", "sleds-table skeleton memo on every booted machine: on | off | <files> (a positive LRU capacity); output is byte-identical at any setting")
 	csvDir := flag.String("csv", "", "also write each figure as <dir>/<id>.csv for external plotting")
 	list := flag.Bool("list", false, "print the valid experiment ids, one per line, and exit")
 	cpuprofile := flag.String("cpuprofile", "", "write a host-side CPU profile of the regeneration to this file (pprof)")
@@ -105,9 +114,7 @@ func main() {
 	flag.Parse()
 
 	if *list {
-		valid := append([]string(nil), knownExps...)
-		sort.Strings(valid)
-		for _, id := range valid {
+		for _, id := range sortedExps() {
 			fmt.Println(id)
 		}
 		// -faults profiles and -classes workload classes, prefixed so
@@ -118,10 +125,6 @@ func main() {
 		for _, c := range trace.Classes() {
 			fmt.Println("class:" + c)
 		}
-		// -sledmemo forms, same prefix convention.
-		fmt.Println("sledmemo:on")
-		fmt.Println("sledmemo:off")
-		fmt.Println("sledmemo:<files>")
 		return
 	}
 
@@ -155,11 +158,6 @@ func main() {
 	if *faultsProfile != "off" {
 		cfg.FaultProfile = *faultsProfile
 	}
-	if _, err := experiments.ParseSLEDMemo(*sledMemo); err != nil {
-		fmt.Fprintf(os.Stderr, "sledsbench: -sledmemo %q: valid values are on, off, or a positive file capacity\n", *sledMemo)
-		exit(2)
-	}
-	cfg.SLEDMemo = *sledMemo
 	// -classes is validated up front like -exp and -faults: an unknown
 	// workload class is exit 2 with the valid names, not an empty run.
 	knownClasses := map[string]bool{}
@@ -191,10 +189,8 @@ func main() {
 			continue
 		}
 		if !known[id] {
-			valid := append([]string(nil), knownExps...)
-			sort.Strings(valid)
 			fmt.Fprintf(os.Stderr, "sledsbench: unknown experiment id %q (valid: %s)\n",
-				id, strings.Join(valid, ", "))
+				id, strings.Join(sortedExps(), ", "))
 			exit(2)
 		}
 		want[id] = true
@@ -254,6 +250,18 @@ func main() {
 		fmt.Println(out)
 		hostTime(id, start)
 	}
+	// runFig is run for an experiment that yields one Figure; the figure
+	// reaches -csv only once the experiment has succeeded.
+	runFig := func(id string, fn func(experiments.Config) (experiments.Figure, error)) {
+		run(id, func() (string, error) {
+			f, err := fn(cfg)
+			if err != nil {
+				return "", err
+			}
+			writeCSV(f)
+			return f.Render(), nil
+		})
+	}
 
 	run("t2", func() (string, error) {
 		t, err := experiments.Table2(cfg)
@@ -287,16 +295,8 @@ func main() {
 		}
 		hostTime("f7+f8", start)
 	}
-	run("f9", func() (string, error) {
-		f, err := experiments.Fig9(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
-	run("f10", func() (string, error) {
-		f, err := experiments.Fig10(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
+	runFig("f9", experiments.Fig9)
+	runFig("f10", experiments.Fig10)
 	if selected("f11") || selected("f12") {
 		start := time.Now()
 		f11, f12, err := experiments.Fig11And12(cfg)
@@ -314,26 +314,10 @@ func main() {
 		}
 		hostTime("f11+f12", start)
 	}
-	run("f13", func() (string, error) {
-		f, err := experiments.Fig13(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
-	run("f14", func() (string, error) {
-		f, err := experiments.Fig14(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
-	run("f15", func() (string, error) {
-		f, err := experiments.Fig15Factor(cfg, 4)
-		writeCSV(f)
-		return f.Render(), err
-	})
-	run("f15x16", func() (string, error) {
-		f, err := experiments.Fig15Factor(cfg, 16)
-		writeCSV(f)
-		return f.Render(), err
-	})
+	runFig("f13", experiments.Fig13)
+	runFig("f14", experiments.Fig14)
+	runFig("f15", func(c experiments.Config) (experiments.Figure, error) { return experiments.Fig15Factor(c, 4) })
+	runFig("f15x16", func(c experiments.Config) (experiments.Figure, error) { return experiments.Fig15Factor(c, 16) })
 	run("efind", func() (string, error) {
 		r, err := experiments.EFind(cfg)
 		if err != nil {
@@ -374,31 +358,11 @@ func main() {
 		return fmt.Sprintf("== eremote: grep -q on a remote file, server-cached tail ==\nwithout SLEDs: %8.4g s\nwith SLEDs:    %8.4g s\nspeedup:       %8.4g x\n",
 			r.WithoutSeconds, r.WithSeconds, r.Speedup), nil
 	})
-	run("ehints", func() (string, error) {
-		f, err := experiments.EHints(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
-	run("etreegrep", func() (string, error) {
-		f, err := experiments.ETreeGrep(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
-	run("eaccuracy", func() (string, error) {
-		f, err := experiments.EAccuracy(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
-	run("econtend", func() (string, error) {
-		f, err := experiments.EContention(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
-	run("eloadsled", func() (string, error) {
-		f, err := experiments.ELoadSLED(cfg)
-		writeCSV(f)
-		return f.Render(), err
-	})
+	runFig("ehints", experiments.EHints)
+	runFig("etreegrep", experiments.ETreeGrep)
+	runFig("eaccuracy", experiments.EAccuracy)
+	runFig("econtend", experiments.EContention)
+	runFig("eloadsled", experiments.ELoadSLED)
 	run("efaults", func() (string, error) {
 		r, err := experiments.EFaults(cfg)
 		if err != nil {

@@ -3,15 +3,35 @@ package core
 import (
 	"fmt"
 
+	"sleds/internal/device"
 	"sleds/internal/vfs"
 )
 
+// deviceAt returns the entry in effect at a device byte offset, consulting
+// zones when installed: the oracle's stateless per-page lookup, where the
+// production walk uses a monotone zoneCursor.
+func (t *Table) deviceAt(id device.ID, off int64) (Entry, bool) {
+	if zs, ok := t.zones[id]; ok {
+		cur := zs[0].Entry
+		for _, z := range zs {
+			if z.FromByte > off {
+				break
+			}
+			cur = z.Entry
+		}
+		return cur, true
+	}
+	e, ok := t.devs[id]
+	return e, ok
+}
+
 // queryRef is the reference FSLEDS_GET: the original per-page scan that
-// Query replaced with the O(runs) walk. It is kept test-only as the
-// ground truth the equivalence properties and benchmarks compare against;
-// every estimate (zone lookup, load folding, health penalty, confidence)
-// is computed per page in the exact order the historical implementation
-// used, so Query must reproduce its float results bit-for-bit.
+// Query replaced with the O(runs) skeleton + overlay. It is kept test-only
+// as the sole oracle the equivalence properties and benchmarks compare
+// against; every estimate (zone lookup, load folding, health penalty,
+// confidence) is computed per page in the exact order the historical
+// implementation used, so Query must reproduce its float results
+// bit-for-bit.
 func queryRef(k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	if n.IsDir() {
 		return nil, fmt.Errorf("core: %q is a directory", n.Name())

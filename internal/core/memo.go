@@ -1,36 +1,41 @@
-// Skeleton memoization for FSLEDS_GET.
+// FSLEDS_GET as a residency skeleton plus a dynamic overlay, and the memo
+// that reuses skeletons across queries.
 //
-// Query's cost has two very different halves. The run/gap/zone
+// A query's cost has two very different halves. The run/gap/zone
 // decomposition of a file — which sections are resident, which device
-// zone backs each gap — changes only when the cache's residency or the
-// table's configuration changes. The load and health terms folded into
-// each gap's latency change on practically every query. The memo caches
-// the first half per file as a *residency skeleton* (skelSeg vector with
-// unloaded base entries) and replays queries through a *dynamic overlay*
-// that samples the backing device once and re-estimates each segment in
-// O(devices + runs), never re-walking the residency index.
+// and zone back each gap — changes only when the cache's residency, the
+// table's configuration or a stager's migration state changes. The load
+// and health terms folded into each gap's latency change on practically
+// every query. buildSkeleton derives the first half as a *residency
+// skeleton* (skelSeg vector with unloaded base entries, each naming its
+// backing device); sampleDevices and overlay fold in the second, sampling
+// each backing device once and estimating each segment in
+// O(devices + runs). Every query runs exactly this pair; the memo keeps
+// skeletons per file so that most queries skip the build.
 //
-// Invalidation is by epoch comparison, not notification: a lookup is
-// valid iff the file's residency epoch (cache splice counter), the
-// table's config epoch (SetMemory/SetDevice/SetDeviceZones/SetLoad
-// counter) and the inode geometry (size, extent, device) all match the
-// values captured at build time. Everything else that can change a SLED
-// vector — queue depth, in-flight time, fault penalties and their decay,
-// half-life changes, health resets — is sampled fresh by the overlay on
-// every query, exactly as the direct walk samples it, so it needs no
-// epoch (the mutator-audit tests pin this). Staged (HSM) devices bypass
-// the memo entirely: a stager scatters pages across levels per its own
-// migration state, which no epoch covers.
+// Reuse is decided by epoch comparison, not notification: a cached
+// skeleton is valid iff the file's residency epoch (cache splice
+// counter), the table's config epoch (SetMemory/SetDevice/SetDeviceZones/
+// SetLoad counter) and the inode geometry (size, extent, device) all
+// match the values captured at build time. Everything else that can
+// change a SLED vector — queue depth, in-flight time, fault penalties and
+// their decay, half-life changes, health resets — is sampled fresh on
+// every query, so it needs no epoch (the mutator-audit tests pin this).
+// Files on staged (HSM, remote mount) devices are never cached: a stager
+// scatters pages across levels per its own migration state, which no
+// epoch covers, so their skeleton is rebuilt per query into the table's
+// scratch entry — as is every skeleton when the memo is disabled.
 //
-// Bit-identity with the direct walk is load-bearing and relies on three
-// facts. First, the overlay calls sampleDevice at exactly the instants
-// the direct walk would — once per query, only when the file has
-// on-device gaps — so the lazy health decay (which is stateful and not
-// step-composable in floating point) advances identically on both paths.
-// Second, estimate() is a deterministic map from (base, sample) to
-// (entry, confidence): equal inputs give equal bits. Third, coalescing
-// is associative, so pre-merging adjacent skeleton segments with equal
-// base entries commutes with the direct walk's emit-time coalescing.
+// Bit-identity with the per-page reference scan (queryRef) is
+// load-bearing and relies on three facts. First, devices are sampled in
+// order of first appearance in the file, stopping at the first one with
+// no table entry — the devices and the order in which the per-page scan
+// first consults them — so the lazy health decay (which is stateful and
+// not step-composable in floating point) advances identically. Second,
+// estimate() is a deterministic map from (base, sample) to (entry,
+// confidence): equal inputs give equal bits. Third, coalescing is
+// associative, so pre-merging adjacent skeleton segments with equal
+// backing commutes with the overlay's coalescing of equal estimates.
 package core
 
 import (
@@ -38,7 +43,6 @@ import (
 	"math"
 
 	"sleds/internal/device"
-	"sleds/internal/simclock"
 	"sleds/internal/vfs"
 )
 
@@ -49,26 +53,18 @@ import (
 const DefaultMemoFiles = 1024
 
 // skelSeg is one segment of a residency skeleton: a byte range of the
-// file together with the *unloaded* entry backing it. mem segments carry
-// the memory entry (confidence 1, no overlay term); device segments
-// carry the zone's base entry, to be run through the overlay's estimate.
+// file together with the *unloaded* entry backing it. Resident segments
+// carry the memory entry (confidence 1, no overlay term); device segments
+// carry the zone's base entry, to be run through the sample of the
+// device they name.
 type skelSeg struct {
 	off, end int64 // byte range [off, end), end clamped to file size
-	mem      bool
+	dev      int   // index into memoEntry.devs, or memSeg
 	base     Entry
 }
 
-// overlaySample is the dynamic state folded into one query, captured so
-// a repeat query under an identical sample can replay the previous
-// output with a copy. Comparable: all fields are value types, and the
-// floats involved are never NaN (penalties and durations are finite and
-// non-negative).
-type overlaySample struct {
-	load  bool
-	depth int
-	rem   simclock.Duration
-	pen   float64
-}
+// memSeg is the skelSeg.dev of a cache-resident segment.
+const memSeg = -1
 
 // memoKey identifies a skeleton: the kernel disambiguates tables shared
 // across machines, and inode numbers are allocated monotonically and
@@ -78,24 +74,24 @@ type memoKey struct {
 	ino vfs.Ino
 }
 
-// memoEntry is one file's cached skeleton plus the output of the most
-// recent overlay run. Buffers (segs, out) are retained across rebuilds
-// so the steady state — including the rebuild-after-epoch-bump path —
-// stays allocation-free.
+// memoEntry is one file's skeleton plus, for cached entries, the output
+// of the most recent overlay run. Buffers (segs, devs, samples, out) are
+// retained across rebuilds so the steady state — including the
+// rebuild-per-query scratch entry — stays allocation-free.
 type memoEntry struct {
 	key memoKey
 
-	ok       bool // false until a build succeeds (never cache errors)
 	resEpoch uint64
 	cfgEpoch uint64
 	size     int64
 	extent   int64
 	dev      device.ID
-	hasDev   bool // any device-backed segment (overlay must sample)
-	segs     []skelSeg
 
-	haveOut bool // out/sample hold the previous overlay run
-	sample  overlaySample
+	segs    []skelSeg
+	devs    []device.ID     // distinct backing devices, in order of first appearance
+	samples []overlaySample // per devs: the most recent query's samples
+
+	haveOut bool // out is the overlay of segs under samples
 	out     []SLED
 
 	prev, next *memoEntry // intrusive LRU list (front = most recent)
@@ -181,64 +177,69 @@ func (m *sledMemo) install(key memoKey) *memoEntry {
 	return e
 }
 
-// query is the memoized FSLEDS_GET: epoch-checked lookup, skeleton
-// (re)build on miss, dynamic overlay on every call. The caller
-// (QueryAppend) has already routed directories, staged devices and
-// disabled memos to the direct walk.
+// query is FSLEDS_GET for a cacheable file: epoch-checked lookup,
+// skeleton (re)build on miss, device samples and overlay on every call.
+// When the samples match the previous run's bit for bit, the previous
+// output is replayed with a copy (never aliased: callers own dst and
+// recycle it across files).
 //
 //sledlint:hotpath
 func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
-	if !t.haveMem {
-		return nil, fmt.Errorf("core: sleds table has no memory entry (boot fill missing?)")
-	}
-	size := n.Size()
-	if size == 0 {
-		return dst[:0], nil
-	}
 	resEpoch := k.ResidencyEpoch(n)
 	key := memoKey{k: k, ino: n.Ino()}
 	e := m.entries[key]
+	hit := e != nil && e.resEpoch == resEpoch && e.cfgEpoch == t.cfgEpoch &&
+		e.size == n.Size() && e.extent == n.Extent() && e.dev == n.Device()
 	if e != nil {
 		m.moveToFront(e)
-		if e.ok && e.resEpoch == resEpoch && e.cfgEpoch == t.cfgEpoch &&
-			e.size == size && e.extent == n.Extent() && e.dev == n.Device() {
-			m.stats.Hits++
-			return m.overlay(e, dst, t, k, n)
-		}
 	} else {
 		e = m.install(key)
 	}
-	m.stats.Misses++
-	if err := t.buildSkeleton(e, k, n); err != nil {
-		// Never cache an errored build: the error must repeat on every
-		// call exactly as the direct walk would repeat it.
-		e.ok = false
+	if hit {
+		m.stats.Hits++
+	} else {
+		m.stats.Misses++
+		t.buildSkeleton(e, k, n)
+		e.resEpoch = resEpoch
+		e.cfgEpoch = t.cfgEpoch
+		e.size = n.Size()
+		e.extent = n.Extent()
+		e.dev = n.Device()
+	}
+	same, err := t.sampleDevices(e, k, n)
+	if err != nil {
 		return nil, err
 	}
-	e.ok = true
-	e.resEpoch = resEpoch
-	e.cfgEpoch = t.cfgEpoch
-	e.size = size
-	e.extent = n.Extent()
-	e.dev = n.Device()
-	e.haveOut = false
-	return m.overlay(e, dst, t, k, n)
+	if same {
+		m.stats.FastCopies++
+		return copySLEDs(dst, e.out), nil
+	}
+	out := e.overlay(dst)
+	e.out = copySLEDs(e.out, out)
+	e.haveOut = true
+	return out, nil
 }
 
-// buildSkeleton derives n's residency skeleton into e (reusing e.segs),
-// replicating the direct walk's run/gap/zone decomposition exactly: the
-// same run clamping, the same monotone zone cursor, the same segment-end
-// arithmetic and the same defensive progress guarantee — minus the
-// load/health estimation, which the overlay owns.
+// buildSkeleton derives n's residency skeleton into e (reusing its
+// buffers): resident runs become memory segments, and each gap becomes
+// one segment per backing device and zone, found with a monotone cursor
+// over the device's zones. It consults no load or health state — the
+// overlay owns that — and never fails: a device with no table entry gets
+// zero-entry segments, and sampleDevices reports it.
 //
 //sledlint:hotpath
-func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) error {
+func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) {
 	size := n.Size()
 	ps := int64(k.PageSize())
 	pages := (size + ps - 1) / ps
 	extent := n.Extent()
 	runs := k.ResidentRuns(n)
+	// A stager scatters the file's pages across levels (a tape file's
+	// staged pages live on disk), so its gaps are classified per page.
+	staged := k.DeviceStaged(n.Device())
 
+	// Pre-size: at most one segment per run, per gap, and per zone
+	// boundary falling inside a gap (a staged scatter may append past it).
 	est := 2*len(runs) + 1
 	if zs, ok := t.zones[n.Device()]; ok {
 		est += len(zs) - 1
@@ -247,47 +248,46 @@ func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) error {
 	if cap(segs) < est {
 		segs = make([]skelSeg, 0, est)
 	}
-	hasDev := false
+	devs := e.devs[:0]
 
-	// add appends pages [from, to) backed by base, merging with the
-	// previous segment when contiguous and identically backed (safe:
-	// equal bases give equal estimates, which the direct walk's emit
-	// would coalesce anyway).
-	add := func(from, to int64, mem bool, base Entry) {
+	// add appends pages [from, to) backed by (dev, base), merging with the
+	// previous segment when contiguous and identically backed (safe: equal
+	// backing gives equal estimates, which the overlay would coalesce
+	// anyway).
+	add := func(from, to int64, dev int, base Entry) {
 		offB := from * ps
 		endB := to * ps
 		if endB > size {
 			endB = size
 		}
-		if l := len(segs) - 1; l >= 0 && segs[l].mem == mem && segs[l].base == base && segs[l].end == offB {
+		if l := len(segs) - 1; l >= 0 && segs[l].dev == dev && segs[l].base == base && segs[l].end == offB {
 			segs[l].end = endB
 			return
 		}
-		segs = append(segs, skelSeg{off: offB, end: endB, mem: mem, base: base})
+		segs = append(segs, skelSeg{off: offB, end: endB, dev: dev, base: base})
 	}
 
-	// The zone cursor over the primary device, initialized lazily on the
-	// first gap so a fully resident file on an unknown device builds a
-	// valid (all-memory) skeleton without erroring — the direct walk's
-	// behaviour.
-	var zcur querySample
-	haveZcur := false
-	gap := func(from, to int64) error {
-		if !haveZcur {
-			haveZcur = true
-			if zs, ok := t.zones[n.Device()]; ok {
-				zcur.zones, zcur.ok = zs, true
-			} else if ent, ok := t.devs[n.Device()]; ok {
-				zcur.single, zcur.ok = ent, true
-			}
-		}
-		if !zcur.ok {
-			return fmt.Errorf("core: no sleds table entry for device %d (file %q)", n.Device(), n.Name())
-		}
-		hasDev = true
+	// gap classifies the uncached pages [from, to). zc is the zone cursor
+	// of devs[zdev]; a staged file that alternates devices restarts it.
+	var zc zoneCursor
+	zdev := memSeg
+	gap := func(from, to int64) {
 		for p := from; p < to; {
-			base, until := zcur.entryAt(extent + p*ps)
-			segEnd := to
+			id, segEnd := n.Device(), to
+			if staged {
+				id, segEnd = k.DeviceForPage(n, p), p+1
+			}
+			di := 0
+			for di < len(devs) && devs[di] != id {
+				di++
+			}
+			if di == len(devs) {
+				devs = append(devs, id)
+			}
+			if di != zdev {
+				zdev, zc = di, t.zoneCursor(id)
+			}
+			base, until := zc.entryAt(extent + p*ps)
 			if until != math.MaxInt64 {
 				// First page whose start offset reaches the next zone.
 				if q := (until - extent + ps - 1) / ps; q < segEnd {
@@ -297,10 +297,9 @@ func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) error {
 			if segEnd <= p {
 				segEnd = p + 1 // defensive: guarantee progress
 			}
-			add(p, segEnd, false, base)
+			add(p, segEnd, di, base)
 			p = segEnd
 		}
-		return nil
 	}
 
 	cursor := int64(0)
@@ -316,94 +315,86 @@ func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) error {
 			continue
 		}
 		if cursor < start {
-			if err := gap(cursor, start); err != nil {
-				e.segs = segs
-				return err
-			}
+			gap(cursor, start)
 		}
-		add(start, end, true, t.mem)
+		add(start, end, memSeg, t.mem)
 		cursor = end
 	}
 	if cursor < pages {
-		if err := gap(cursor, pages); err != nil {
-			e.segs = segs
-			return err
-		}
+		gap(cursor, pages)
 	}
-	e.segs = segs
-	e.hasDev = hasDev
-	return nil
+
+	e.segs, e.devs = segs, devs
+	if cap(e.samples) < len(devs) {
+		e.samples = make([]overlaySample, len(devs))
+	}
+	e.samples = e.samples[:len(devs)]
+	e.haveOut = false
 }
 
-// overlay folds the dynamic state into e's skeleton. The device is
-// sampled iff the skeleton has device-backed segments — the exact
-// instants the direct walk's lazy primary sample fires, which keeps the
-// stateful health decay advancing identically on both paths. When the
-// sample matches the previous overlay run bit for bit, the cached output
-// is replayed with a copy (never aliased: callers own dst and recycle it
-// across files).
+// sampleDevices captures the dynamic state of e's backing devices at the
+// query instant into e.samples, in order of first appearance, failing at
+// the first device with no table entry — the devices, order and error the
+// per-page scan would reach, which keeps the stateful health decay
+// advancing identically (a fully resident file samples nothing and cannot
+// fail). It reports whether e.out is still the overlay of these samples.
 //
 //sledlint:hotpath
-func (m *sledMemo) overlay(e *memoEntry, dst []SLED, t *Table, k *vfs.Kernel, n *vfs.Inode) ([]SLED, error) {
-	var qs querySample
-	if e.hasDev {
-		qs = t.sampleDevice(e.dev, k.Clock.Now())
-		if !qs.ok {
-			// Unreachable while table entries cannot be removed (any
-			// entry change bumps cfgEpoch), but kept equivalent to the
-			// direct walk's error for defense in depth.
-			return nil, fmt.Errorf("core: no sleds table entry for device %d (file %q)", e.dev, n.Name())
+func (t *Table) sampleDevices(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) (bool, error) {
+	now := k.Clock.Now()
+	same := e.haveOut
+	for i, id := range e.devs {
+		if _, ok := t.devs[id]; !ok {
+			return false, fmt.Errorf("core: no sleds table entry for device %d (file %q)", id, n.Name())
+		}
+		var s overlaySample
+		if t.load != nil {
+			s.load = true
+			s.depth = t.load.QueueDepth(id)
+			s.rem = t.load.InFlightRemaining(id, now)
+		}
+		s.pen = t.HealthPenalty(id, now)
+		if s != e.samples[i] {
+			same = false
+			e.samples[i] = s
 		}
 	}
-	dyn := overlaySample{load: qs.load, depth: qs.depth, rem: qs.rem, pen: qs.pen}
-	if e.haveOut && dyn == e.sample {
-		m.stats.FastCopies++
-		out := dst[:0]
-		if cap(out) < len(e.out) {
-			out = make([]SLED, 0, len(e.out))
-		}
-		out = out[:len(e.out)]
-		copy(out, e.out)
-		return out, nil
-	}
+	return same, nil
+}
 
+// overlay turns e's skeleton into the SLED vector under e.samples,
+// coalescing contiguous sections whose estimates come out equal.
+//
+//sledlint:hotpath
+func (e *memoEntry) overlay(dst []SLED) []SLED {
 	out := dst[:0]
 	if cap(out) < len(e.segs) {
 		out = make([]SLED, 0, len(e.segs))
 	}
 	for i := range e.segs {
 		s := &e.segs[i]
-		if s.mem {
-			out = appendSLED(out, s.off, s.end-s.off, s.base, 1)
+		ent, conf := s.base, 1.0
+		if s.dev != memSeg {
+			ent, conf = e.samples[s.dev].estimate(s.base)
+		}
+		cur := SLED{Offset: s.off, Length: s.end - s.off, Latency: ent.Latency, Bandwidth: ent.Bandwidth, Confidence: conf}
+		if last := len(out) - 1; last >= 0 && out[last].SameEstimates(cur) && out[last].End() == cur.Offset {
+			out[last].Length += cur.Length
 		} else {
-			ent, conf := qs.estimate(s.base)
-			out = appendSLED(out, s.off, s.end-s.off, ent, conf)
+			out = append(out, cur)
 		}
 	}
-
-	// Retain this run's output for the next sample-equal query.
-	e.sample = dyn
-	saved := e.out[:0]
-	if cap(saved) < len(out) {
-		saved = make([]SLED, 0, len(out))
-	}
-	saved = saved[:len(out)]
-	copy(saved, out)
-	e.out = saved
-	e.haveOut = true
-	return out, nil
+	return out
 }
 
-// appendSLED appends one estimated section to out, coalescing with the
-// previous SLED when contiguous and estimate-equal — the same criterion
-// as the direct walk's emit.
+// copySLEDs copies src into dst's storage, growing it only when too small.
 //
 //sledlint:hotpath
-func appendSLED(out []SLED, off, length int64, e Entry, conf float64) []SLED {
-	cur := SLED{Offset: off, Length: length, Latency: e.Latency, Bandwidth: e.Bandwidth, Confidence: conf}
-	if last := len(out) - 1; last >= 0 && out[last].SameEstimates(cur) && out[last].End() == cur.Offset {
-		out[last].Length += cur.Length
-		return out
+func copySLEDs(dst, src []SLED) []SLED {
+	if cap(dst) < len(src) {
+		dst = make([]SLED, len(src))
 	}
-	return append(out, cur)
+	dst = dst[:len(src)]
+	copy(dst, src)
+	return dst
 }

@@ -8,7 +8,6 @@ import (
 
 	"sleds/internal/cache"
 	"sleds/internal/device"
-	"sleds/internal/hsm"
 	"sleds/internal/simclock"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
@@ -37,13 +36,14 @@ func memoFile(t testing.TB, k *vfs.Kernel, disk device.ID, path string, pages in
 }
 
 // TestMemoDifferentialProperty is the differential property suite the
-// tentpole's correctness bar names: randomized interleavings of reads
-// (cache inserts + evictions), page invalidations, fault observations,
-// health decay across virtual time, load changes and half-life changes,
-// over several files, with the memoized Query compared bit-for-bit
-// against the direct walk and the per-page reference after every step —
-// at memo capacities including 0 (disabled) and 1 (every file switch
-// thrashes the LRU).
+// query path's correctness bar names: randomized interleavings of reads
+// (cache inserts + evictions, and on the tape file HSM staging and
+// destaging, which move no cache or table epoch), page invalidations,
+// fault observations, health decay across virtual time, load changes and
+// half-life changes, over three disk files and one staged tape file, with
+// Query compared bit-for-bit against its uncached configuration and the
+// per-page reference after every step — at memo capacities including 0
+// (disabled) and 1 (every file switch thrashes the LRU).
 func TestMemoDifferentialProperty(t *testing.T) {
 	for _, capN := range []int{0, 1, 4, DefaultMemoFiles} {
 		capN := capN
@@ -63,13 +63,17 @@ func TestMemoDifferentialProperty(t *testing.T) {
 					depth: map[device.ID]int{},
 					rem:   map[device.ID]simclock.Duration{},
 				}
-				sizes := []int64{23, 40, 61} // pages; last page deliberately partial below
-				names := []string{"/d/a", "/d/b", "/d/c"}
+				sizes := []int64{23, 40, 61, 64} // pages; last page deliberately partial below
+				names := []string{"/d/a", "/d/b", "/d/c", "/d/staged"}
+				// The last file lives on tape behind a stager with room for
+				// half of it: reads stage blocks to disk and destage others.
+				tape := attachHSM(t, k, tab, disk, sizes[3]*testPage/2)
+				devs := []device.ID{disk, disk, disk, tape}
 				inodes := make([]*vfs.Inode, len(names))
 				handles := make([]*vfs.File, len(names))
 				for i, name := range names {
 					size := (sizes[i]-1)*testPage + testPage/2
-					n, err := k.Create(name, disk, workload.NewText(seed+uint64(i), size, testPage))
+					n, err := k.Create(name, devs[i], workload.NewText(seed+uint64(i), size, testPage))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -83,11 +87,15 @@ func TestMemoDifferentialProperty(t *testing.T) {
 				}
 				buf := make([]byte, 4*testPage)
 				for _, op := range ops {
-					fi := int(op % 3)
+					fi := int(op % 4)
 					n, fh := inodes[fi], handles[fi]
 					pages := sizes[fi]
+					// Faults and load land on the file's own device, so the
+					// staged file's skeleton sees both of its levels move:
+					// tape here, disk through the other files' ops.
+					dev := devs[fi]
 					switch (op >> 2) % 8 {
-					case 0, 1, 2: // read: inserts, evictions, recency churn
+					case 0, 1, 2: // read: inserts, evictions, recency churn, staging
 						off := (int64(op>>5) % pages) * testPage
 						ln := int64((op>>5)%4+1) * testPage
 						if _, err := fh.ReadAt(buf[:ln], off); err != nil && err != io.EOF {
@@ -96,15 +104,15 @@ func TestMemoDifferentialProperty(t *testing.T) {
 					case 3: // invalidate one page: splices a run
 						k.Cache().Invalidate(cache.Key{File: uint64(n.Ino()), Page: int64(op>>5) % pages})
 					case 4: // fault: health penalty rises
-						tab.ObserveFault(disk, simclock.Duration(op>>5%50)*simclock.Millisecond, k.Clock.Now())
+						tab.ObserveFault(dev, simclock.Duration(op>>5%50)*simclock.Millisecond, k.Clock.Now())
 					case 5: // decay: penalty shrinks lazily at next sample
 						k.Clock.Advance(simclock.Duration(op>>5%90) * simclock.Second)
 					case 6: // load flip: attach/detach + change the values
 						if (op>>5)%3 == 0 {
 							tab.SetLoad(nil)
 						} else {
-							load.depth[disk] = int(op>>5) % 5
-							load.rem[disk] = simclock.Duration(op>>5%3) * simclock.Millisecond
+							load.depth[dev] = int(op>>5) % 5
+							load.rem[dev] = simclock.Duration(op>>5%3) * simclock.Millisecond
 							tab.SetLoad(load)
 						}
 					case 7: // health shape: half-life change or full reset
@@ -123,6 +131,8 @@ func TestMemoDifferentialProperty(t *testing.T) {
 					if st := tab.MemoStats(); st != (MemoStats{}) {
 						t.Fatalf("disabled memo recorded activity: %+v", st)
 					}
+				} else if _, cached := tab.memo.entries[memoKey{k: k, ino: inodes[3].Ino()}]; cached {
+					t.Fatalf("staged file entered the memo")
 				}
 				return true
 			}
@@ -137,7 +147,7 @@ func TestMemoDifferentialProperty(t *testing.T) {
 // that can change a future SLED vector either bumps an epoch (the memo
 // rebuilds: Misses advances) or is absorbed by the per-query overlay
 // sample (the skeleton is reused: Hits advances) — and in both cases the
-// memoized result stays bit-identical to the direct walk and the
+// result stays bit-identical to the uncached configuration and the
 // per-page reference.
 func TestMemoMutatorAudit(t *testing.T) {
 	cases := []struct {
@@ -219,32 +229,13 @@ func TestMemoMutatorAudit(t *testing.T) {
 	}
 }
 
-// TestMemoStagedBypass pins the HSM contract: files on a staged device
-// never enter the memo (the stager's migration state is outside every
-// epoch), and stage/destage churn therefore cannot stale it.
-func TestMemoStagedBypass(t *testing.T) {
-	mem := device.NewMem(device.DefaultMemConfig(0))
-	k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 32, Policy: cache.LRU, MemDevice: mem})
-	k.AttachDevice(mem)
-	disk := k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
-	tape := k.AttachDevice(device.NewTapeLibrary(device.DefaultTapeLibraryConfig(2)))
-	if err := k.MkdirAll("/d"); err != nil {
-		t.Fatal(err)
-	}
-	tab := NewTable()
-	if err := tab.SetMemory(Entry{Latency: 175e-9, Bandwidth: 48 * (1 << 20)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.SetDevice(disk, Entry{Latency: 18e-3, Bandwidth: 9 * (1 << 20)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.SetDevice(tape, Entry{Latency: 40, Bandwidth: 2 * (1 << 20)}); err != nil {
-		t.Fatal(err)
-	}
+// stagedFile builds the HSM machine the staged-path tests share: a
+// 64-page tape file behind a stager with room for half of it.
+func stagedFile(t testing.TB) (*vfs.Kernel, *Table, *vfs.Inode, *vfs.File) {
+	t.Helper()
+	k, disk, tab := equivMachine(t, 32, cache.LRU)
 	size := int64(64 * testPage)
-	if _, err := hsm.New(k, hsm.Config{Tape: tape, Disk: disk, BlockSize: 8 * testPage, Capacity: size / 2}); err != nil {
-		t.Fatal(err)
-	}
+	tape := attachHSM(t, k, tab, disk, size/2)
 	n, err := k.Create("/d/f", tape, workload.NewText(9, size, testPage))
 	if err != nil {
 		t.Fatal(err)
@@ -253,11 +244,22 @@ func TestMemoStagedBypass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer fh.Close()
+	t.Cleanup(func() { fh.Close() })
+	return k, tab, n, fh
+}
+
+// TestMemoStagedBypass pins the HSM contract: files on a staged device
+// never enter the memo (the stager's migration state is outside every
+// epoch) — their skeleton is built into the scratch entry per query — so
+// stage/destage churn cannot stale it, and their queries leave no trace
+// in the memo's counters or contents.
+func TestMemoStagedBypass(t *testing.T) {
+	k, tab, n, fh := stagedFile(t)
 	buf := make([]byte, 12*testPage)
 	for i := 0; i < 4; i++ {
 		// Each read stages more blocks to disk — vector changes with zero
-		// cache/table epochs moving, which is why staged devices bypass.
+		// cache/table epochs moving, which is why staged files are never
+		// cached.
 		if _, err := fh.ReadAt(buf, int64(i)*16*testPage); err != nil {
 			t.Fatal(err)
 		}
@@ -265,6 +267,9 @@ func TestMemoStagedBypass(t *testing.T) {
 	}
 	if st := tab.MemoStats(); st != (MemoStats{}) {
 		t.Fatalf("staged-device queries must bypass the memo, got %+v", st)
+	}
+	if got := len(tab.memo.entries); got != 0 {
+		t.Fatalf("staged-device queries installed %d memo entries", got)
 	}
 }
 
@@ -398,9 +403,48 @@ func TestMemoWarmAllocsZero(t *testing.T) {
 	}
 }
 
-// BenchmarkQueryAppendCold is the memo-disabled baseline the ≥10x
-// acceptance criterion compares BenchmarkQueryAppend (warm) against, on
-// the same 1024-run paper-scale file.
+// TestUncachedAllocsZero pins the alloc contract of build-don't-cache:
+// once the scratch entry's buffers have grown, a query at capacity 0 and
+// a query on a staged file (per-page device scatter, two devices sampled)
+// allocate nothing.
+func TestUncachedAllocsZero(t *testing.T) {
+	query := func(k *vfs.Kernel, tab *Table, n *vfs.Inode) func() {
+		var scratch []SLED
+		return func() {
+			out, err := QueryAppend(scratch, k, tab, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scratch = out
+		}
+	}
+
+	k, tab, n := benchFile(t)
+	tab.SetMemoCapacity(0)
+	cold := query(k, tab, n)
+	cold() // grow buffers
+	if a := testing.AllocsPerRun(10, cold); a != 0 {
+		t.Fatalf("capacity-0 query allocates %.0f/op, want 0", a)
+	}
+
+	k, tab, n, fh := stagedFile(t)
+	if _, err := fh.ReadAt(make([]byte, 20*testPage), 30*testPage); err != nil {
+		t.Fatal(err)
+	}
+	staged := query(k, tab, n)
+	staged() // grow buffers
+	if len(tab.scratch.devs) != 2 {
+		t.Fatalf("staged file should scatter over tape and disk, got devices %v", tab.scratch.devs)
+	}
+	if a := testing.AllocsPerRun(10, staged); a != 0 {
+		t.Fatalf("staged-file query allocates %.0f/op, want 0", a)
+	}
+}
+
+// BenchmarkQueryAppendCold is the capacity-0 baseline (skeleton built
+// into the scratch entry on every query) the ≥10x acceptance criterion
+// compares BenchmarkQueryAppend (warm) against, on the same 1024-run
+// paper-scale file.
 func BenchmarkQueryAppendCold(b *testing.B) {
 	k, tab, n := benchFile(b)
 	tab.SetMemoCapacity(0)
@@ -436,9 +480,11 @@ func BenchmarkQueryAppendOverlay(b *testing.B) {
 	}
 }
 
-// BenchmarkQueryAppendRebuild measures a full skeleton rebuild per query
-// (config epoch bumped every iteration) — the worst warm-memo case,
-// still allocation-free because the entry's buffers are reused.
+// BenchmarkQueryAppendRebuild measures a memo miss per query (config
+// epoch bumped every iteration): the same build + overlay as
+// BenchmarkQueryAppendCold plus the lookup, the epoch stamp and the saved
+// output copy, still allocation-free because the entry's buffers are
+// reused.
 func BenchmarkQueryAppendRebuild(b *testing.B) {
 	k, tab, n := benchFile(b)
 	load := &fakeLoad{depth: map[device.ID]int{}, rem: map[device.ID]simclock.Duration{}}

@@ -36,31 +36,56 @@ func equivMachine(t testing.TB, cachePages int, pol cache.Policy) (*vfs.Kernel, 
 	return k, disk, tab
 }
 
-// mustMatchRef asserts Query (memoized by default), the direct walk and
-// the per-page reference produce byte-identical SLED vectors (or
-// identical errors) for the inode. Calling all three back to back at one
-// virtual instant is exact: the lazy health decay is idempotent at a
-// fixed now, so the first call brings the penalty current and the others
-// observe the same bits.
+// attachHSM turns the machine into a tape + disk hierarchy: a tape
+// library with its own table entry, and an HSM stager (8-page blocks,
+// capacity bytes of disk staging area) interposed on it. Files created on
+// the returned device are staged: their uncached pages scatter over tape
+// and disk as the stager migrates blocks.
+func attachHSM(t testing.TB, k *vfs.Kernel, tab *Table, disk device.ID, capacity int64) device.ID {
+	t.Helper()
+	tape := k.AttachDevice(device.NewTapeLibrary(device.DefaultTapeLibraryConfig(2)))
+	if err := tab.SetDevice(tape, Entry{Latency: 40, Bandwidth: 2 * (1 << 20)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := hsm.New(k, hsm.Config{Tape: tape, Disk: disk, BlockSize: 8 * testPage, Capacity: capacity}); err != nil {
+		t.Fatal(err)
+	}
+	return tape
+}
+
+// mustMatchRef asserts that Query as the table is configured (skeleton
+// reused from the memo when enabled), Query with the memo taken away
+// (skeleton built into the scratch entry and discarded — what capacity 0
+// does) and the per-page reference produce byte-identical SLED vectors
+// (or identical errors) for the inode: two configurations of the one
+// implementation against the one oracle, on the same table state. The
+// memo is set aside rather than resized so its contents and counters
+// survive for the tests that read them. Calling all three back to back
+// at one virtual instant is exact: the lazy health decay is idempotent at
+// a fixed now, so the first call brings the penalty current and the
+// others observe the same bits.
 func mustMatchRef(t *testing.T, k *vfs.Kernel, tab *Table, n *vfs.Inode) []SLED {
 	t.Helper()
 	got, gotErr := Query(k, tab, n)
-	direct, directErr := queryDirect(nil, k, tab, n)
+	memo := tab.memo
+	tab.memo = nil
+	uncached, uncachedErr := Query(k, tab, n)
+	tab.memo = memo
 	want, wantErr := queryRef(k, tab, n)
-	if (gotErr == nil) != (wantErr == nil) || (directErr == nil) != (wantErr == nil) {
-		t.Fatalf("error divergence: new=%v direct=%v ref=%v", gotErr, directErr, wantErr)
+	if (gotErr == nil) != (wantErr == nil) || (uncachedErr == nil) != (wantErr == nil) {
+		t.Fatalf("error divergence: query=%v uncached=%v ref=%v", gotErr, uncachedErr, wantErr)
 	}
 	if gotErr != nil {
-		if gotErr.Error() != wantErr.Error() || directErr.Error() != wantErr.Error() {
-			t.Fatalf("error text divergence:\nnew: %v\ndirect: %v\nref: %v", gotErr, directErr, wantErr)
+		if gotErr.Error() != wantErr.Error() || uncachedErr.Error() != wantErr.Error() {
+			t.Fatalf("error text divergence:\nquery: %v\nuncached: %v\nref: %v", gotErr, uncachedErr, wantErr)
 		}
 		return nil
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("SLED vector divergence:\nnew: %v\nref: %v", got, want)
+		t.Fatalf("SLED vector divergence:\nquery: %v\nref: %v", got, want)
 	}
-	if !reflect.DeepEqual(direct, want) {
-		t.Fatalf("SLED vector divergence:\ndirect: %v\nref: %v", direct, want)
+	if !reflect.DeepEqual(uncached, want) {
+		t.Fatalf("SLED vector divergence:\nuncached: %v\nref: %v", uncached, want)
 	}
 	if err := Validate(got, n.Size()); err != nil {
 		t.Fatal(err)
@@ -179,61 +204,62 @@ func TestQueryEquivalenceDegraded(t *testing.T) {
 
 // TestQueryEquivalenceHSM stages part of a tape file to disk and caches
 // part of the staged range in RAM, producing the three-level vector the
-// stager path must classify identically to the per-page scan.
+// per-page device scatter must classify identically to the per-page scan
+// — flat, and with both devices zoned so the zone cursor restarts every
+// time the scatter alternates between them.
 func TestQueryEquivalenceHSM(t *testing.T) {
 	for _, pol := range []cache.Policy{cache.LRU, cache.Clock, cache.FIFO} {
-		pol := pol
-		t.Run(pol.String(), func(t *testing.T) {
-			mem := device.NewMem(device.DefaultMemConfig(0))
-			k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 32, Policy: pol, MemDevice: mem})
-			k.AttachDevice(mem)
-			disk := k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
-			tape := k.AttachDevice(device.NewTapeLibrary(device.DefaultTapeLibraryConfig(2)))
-			if err := k.MkdirAll("/d"); err != nil {
-				t.Fatal(err)
+		for _, zoned := range []bool{false, true} {
+			pol, zoned := pol, zoned
+			name := pol.String()
+			if zoned {
+				name += "/zoned"
 			}
-			tab := NewTable()
-			if err := tab.SetMemory(Entry{Latency: 175e-9, Bandwidth: 48 * (1 << 20)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.SetDevice(disk, Entry{Latency: 18e-3, Bandwidth: 9 * (1 << 20)}); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.SetDevice(tape, Entry{Latency: 40, Bandwidth: 2 * (1 << 20)}); err != nil {
-				t.Fatal(err)
-			}
-			size := int64(80 * testPage)
-			if _, err := hsm.New(k, hsm.Config{Tape: tape, Disk: disk, BlockSize: 8 * testPage, Capacity: size / 2}); err != nil {
-				t.Fatal(err)
-			}
-			n, err := k.Create("/d/f", tape, workload.NewText(9, size, testPage))
-			if err != nil {
-				t.Fatal(err)
-			}
-			fh, err := k.Open("/d/f")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer fh.Close()
-			// Stage and partially cache the tail, then a bit of the middle;
-			// the tiny page cache evicts parts of what was staged, leaving
-			// staged-but-not-resident ranges.
-			buf := make([]byte, 20*testPage)
-			if _, err := fh.ReadAt(buf, size-20*testPage); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fh.ReadAt(buf[:6*testPage], 30*testPage); err != nil {
-				t.Fatal(err)
-			}
-			sleds := mustMatchRef(t, k, tab, n)
-			levels := map[float64]bool{}
-			for _, s := range sleds {
-				levels[s.Bandwidth] = true
-			}
-			if len(levels) < 3 {
-				t.Fatalf("expected RAM+disk+tape levels, got %d in %v", len(levels), sleds)
-			}
-		})
+			t.Run(name, func(t *testing.T) {
+				k, disk, tab := equivMachine(t, 32, pol)
+				size := int64(80 * testPage)
+				tape := attachHSM(t, k, tab, disk, size/2)
+				if zoned {
+					for _, dev := range []device.ID{disk, tape} {
+						base, _ := tab.Device(dev)
+						if err := tab.SetDeviceZones(dev, []ZoneEntry{
+							{FromByte: 0, Entry: base},
+							{FromByte: 27*testPage + 777, Entry: Entry{Latency: base.Latency * 1.25, Bandwidth: base.Bandwidth / 2}},
+							{FromByte: 66 * testPage, Entry: Entry{Latency: base.Latency * 1.5, Bandwidth: base.Bandwidth / 4}},
+						}); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				n, err := k.Create("/d/f", tape, workload.NewText(9, size, testPage))
+				if err != nil {
+					t.Fatal(err)
+				}
+				fh, err := k.Open("/d/f")
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer fh.Close()
+				// Stage and partially cache the tail, then a bit of the middle;
+				// the tiny page cache evicts parts of what was staged, leaving
+				// staged-but-not-resident ranges.
+				buf := make([]byte, 20*testPage)
+				if _, err := fh.ReadAt(buf, size-20*testPage); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := fh.ReadAt(buf[:6*testPage], 30*testPage); err != nil {
+					t.Fatal(err)
+				}
+				sleds := mustMatchRef(t, k, tab, n)
+				levels := map[float64]bool{}
+				for _, s := range sleds {
+					levels[s.Bandwidth] = true
+				}
+				if len(levels) < 3 {
+					t.Fatalf("expected RAM+disk+tape levels, got %d in %v", len(levels), sleds)
+				}
+			})
+		}
 	}
 }
 

@@ -128,6 +128,10 @@ type Table struct {
 	// memo caches residency skeletons per (kernel, inode); nil when
 	// memoization is disabled (SetMemoCapacity(0)).
 	memo *sledMemo
+	// scratch holds the skeleton of a query that must not be cached (memo
+	// disabled, or a staged device): built, overlaid and forgotten, with
+	// its buffers kept so the uncached steady state allocates nothing.
+	scratch memoEntry
 }
 
 // health is the per-device degradation state the fault observer feeds.
@@ -159,10 +163,12 @@ func NewTable() *Table {
 }
 
 // SetMemoCapacity bounds the skeleton memo at n files (LRU over files),
-// dropping any cached skeletons; n <= 0 disables memoization entirely,
-// restoring the direct walk for every query. Query results are
-// bit-identical at every setting — the knob exists for ablation and for
-// capping memory on machines querying very many files.
+// dropping any cached skeletons; n <= 0 disables memoization entirely:
+// every query then builds its skeleton into the table's scratch entry
+// and discards it. Capacity only decides whether a skeleton is reused —
+// the algorithm, and so every result bit, is the same at every setting.
+// The knob exists for ablation and for capping memory on machines
+// querying very many files.
 func (t *Table) SetMemoCapacity(n int) {
 	if n <= 0 {
 		t.memo = nil
@@ -352,27 +358,30 @@ func (t *Table) SetLoad(l Load) {
 	t.cfgEpoch++
 }
 
-// underLoad inflates a device entry by its current queueing state at
-// virtual time now: the first byte cannot arrive before the in-flight
-// request drains and every queued request ahead is positioned, so
+// queued is the one place the queueing term is assembled: the first byte
+// cannot arrive before the in-flight request drains and every queued
+// request ahead is positioned, so
 //
 //	latency' = latency*(1+depth) + inFlightRemaining
 //
 // using the calibrated per-request latency as the service estimate for
 // each queued request (transfer sizes of queued requests are unknown to
 // the table, exactly as they are to a real kernel's estimator). Bandwidth
-// is unchanged: once flowing, the stream runs at device speed.
+// is unchanged: once flowing, the stream runs at device speed. An idle
+// device is left bit-exact (x*1 + 0 == x for the non-negative latencies
+// the table admits).
+func queued(e Entry, depth int, rem simclock.Duration) Entry {
+	e.Latency = e.Latency*float64(1+depth) + rem.Seconds()
+	return e
+}
+
+// underLoad inflates a device entry by its current queueing state at
+// virtual time now (see queued).
 func (t *Table) underLoad(id device.ID, e Entry, now simclock.Duration) Entry {
 	if t.load == nil {
 		return e
 	}
-	depth := t.load.QueueDepth(id)
-	rem := t.load.InFlightRemaining(id, now)
-	if depth == 0 && rem == 0 {
-		return e
-	}
-	e.Latency = e.Latency*float64(1+depth) + rem.Seconds()
-	return e
+	return queued(e, t.load.QueueDepth(id), t.load.InFlightRemaining(id, now))
 }
 
 // DeviceUnderLoad returns the entry for a device with the current
@@ -386,23 +395,6 @@ func (t *Table) DeviceUnderLoad(id device.ID, now simclock.Duration) (Entry, boo
 	return t.underLoad(id, e, now), true
 }
 
-// deviceAt returns the entry in effect at a device byte offset, consulting
-// zones when installed.
-func (t *Table) deviceAt(id device.ID, off int64) (Entry, bool) {
-	if zs, ok := t.zones[id]; ok {
-		cur := zs[0].Entry
-		for _, z := range zs {
-			if z.FromByte > off {
-				break
-			}
-			cur = z.Entry
-		}
-		return cur, true
-	}
-	e, ok := t.devs[id]
-	return e, ok
-}
-
 // Devices returns the IDs with installed entries, in ascending ID
 // order so that callers iterating the result stay deterministic.
 func (t *Table) Devices() []device.ID {
@@ -414,69 +406,66 @@ func (t *Table) Devices() []device.ID {
 	return out
 }
 
-// querySample is one device's estimate state frozen at the query instant:
-// its table entry (or zone vector with a monotone cursor), its queueing
-// state, and its decayed health penalty. Sampling once per device per
-// query is exact because the reference per-page scan reads the same
-// values for every page — the load source is consulted at one virtual
-// instant, and HealthPenalty's lazy decay is idempotent at a fixed now.
-type querySample struct {
-	ok     bool
+// zoneCursor walks one device's table entries in ascending device-offset
+// order: the single flat entry, or the zone vector with a monotone index.
+// The zero value (a device with no entry) yields the zero Entry; the
+// overlay reports that device as missing when it samples it.
+type zoneCursor struct {
 	zones  []ZoneEntry // nil when the device has a single flat entry
-	zi     int         // zone cursor; offsets are queried in ascending order
+	zi     int
 	single Entry
-	load   bool
-	depth  int
-	rem    simclock.Duration
-	pen    float64
 }
 
-// sampleDevice captures a device's estimate state at virtual time now.
-func (t *Table) sampleDevice(id device.ID, now simclock.Duration) querySample {
-	var s querySample
+// zoneCursor returns a cursor positioned at the start of the device.
+func (t *Table) zoneCursor(id device.ID) zoneCursor {
 	if zs, ok := t.zones[id]; ok {
-		s.zones, s.ok = zs, true
-	} else if e, ok := t.devs[id]; ok {
-		s.single, s.ok = e, true
+		return zoneCursor{zones: zs}
 	}
-	if !s.ok {
-		return s
-	}
-	if t.load != nil {
-		s.load = true
-		s.depth = t.load.QueueDepth(id)
-		s.rem = t.load.InFlightRemaining(id, now)
-	}
-	s.pen = t.HealthPenalty(id, now)
-	return s
+	return zoneCursor{single: t.devs[id]}
 }
 
 // entryAt returns the entry in effect at device byte off and the device
 // offset at which it stops applying (math.MaxInt64 for the last zone).
 // Offsets must be presented in non-decreasing order: the cursor only
 // advances, which is what makes the zoned walk O(runs + zones).
-func (s *querySample) entryAt(off int64) (Entry, int64) {
-	if s.zones == nil {
-		return s.single, math.MaxInt64
+func (c *zoneCursor) entryAt(off int64) (Entry, int64) {
+	if c.zones == nil {
+		return c.single, math.MaxInt64
 	}
-	for s.zi+1 < len(s.zones) && s.zones[s.zi+1].FromByte <= off {
-		s.zi++
+	for c.zi+1 < len(c.zones) && c.zones[c.zi+1].FromByte <= off {
+		c.zi++
 	}
 	until := int64(math.MaxInt64)
-	if s.zi+1 < len(s.zones) {
-		until = s.zones[s.zi+1].FromByte
+	if c.zi+1 < len(c.zones) {
+		until = c.zones[c.zi+1].FromByte
 	}
-	return s.zones[s.zi].Entry, until
+	return c.zones[c.zi].Entry, until
+}
+
+// overlaySample is one device's dynamic state frozen at the query
+// instant: its queueing state and its decayed health penalty. Sampling
+// once per device per query is exact because the reference per-page scan
+// reads the same values for every page — the load source is consulted at
+// one virtual instant, and HealthPenalty's lazy decay is idempotent at a
+// fixed now. Comparable, so a repeat query under an identical sample can
+// replay the previous output: all fields are value types, and the floats
+// involved are never NaN (penalties and durations are finite and
+// non-negative).
+type overlaySample struct {
+	load  bool
+	depth int
+	rem   simclock.Duration
+	pen   float64
 }
 
 // estimate folds the sampled queueing state and health penalty into a
 // base entry, in exactly the order the per-page scan applies them: load
 // first, then the fault penalty, with confidence graded against the
 // post-load latency.
-func (s *querySample) estimate(base Entry) (Entry, float64) {
+func (s overlaySample) estimate(base Entry) (Entry, float64) {
 	e := base
-	if s.load && !(s.depth == 0 && s.rem == 0) {
-		e.Latency = e.Latency*float64(1+s.depth) + s.rem.Seconds()
+	if s.load {
+		e = queued(e, s.depth, s.rem)
 	}
 	conf := 1.0
 	if s.pen > 0 {
@@ -492,13 +481,13 @@ func (s *querySample) estimate(base Entry) (Entry, float64) {
 // queueing state and fault degradation folded in). Residency is probed
 // without perturbing replacement state.
 //
-// The walk iterates the cache's coalesced residency runs rather than
-// individual pages: each run maps to the memory entry in one step, each
-// gap is classified with a monotone cursor over the device's zones, and
-// per-device load/health state is sampled once per query, so the cost is
-// O(runs + zones) instead of O(pages). The resulting vector is provably
-// identical to the per-page scan's (see the equivalence tests against
-// queryRef).
+// The scan has two halves (memo.go): a residency skeleton built from the
+// cache's coalesced runs — each run maps to the memory entry in one step,
+// each gap is classified with a monotone cursor over the device's zones —
+// and a dynamic overlay that samples each backing device's load/health
+// state once and estimates every segment, so the cost is O(runs + zones)
+// instead of O(pages). The resulting vector is provably identical to the
+// per-page scan's (see the equivalence tests against queryRef).
 func Query(k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	return QueryAppend(nil, k, t, n)
 }
@@ -509,166 +498,39 @@ func Query(k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 // allocating per query. The result is valid until the next QueryAppend
 // reusing the same scratch.
 //
-// When the table's skeleton memo is enabled (the default), repeat queries
-// for a file whose residency and table config are unchanged skip the
-// residency walk entirely and replay the cached skeleton through the
-// dynamic overlay — O(devices + runs) with no index re-walk, bit-identical
-// to the direct walk (the differential property suite pins this). Staged
-// (HSM) devices and directories always take the direct walk: a stager
-// scatters pages across levels per its own migration state, which no
-// epoch covers.
+// Every query is skeleton + overlay; the memo only decides whether the
+// skeleton is reused. With the memo enabled (the default), a repeat query
+// for a file whose residency and table config are unchanged skips the
+// residency walk and replays the cached skeleton through the overlay.
+// With the memo disabled, and always for files on a staged (HSM, remote
+// mount) device — a stager scatters pages across levels per its own
+// migration state, which no epoch covers — the skeleton is built into
+// the table's scratch entry, overlaid, and never installed.
 //
-// The steady-state path is allocation-free (BenchmarkQueryAppend pins
-// allocs/op at zero); hotalloc enforces the same statically.
+// The steady-state path is allocation-free on both routes
+// (BenchmarkQueryAppend and BenchmarkQueryAppendCold pin allocs/op at
+// zero); hotalloc enforces the same statically.
 //
 //sledlint:hotpath
 func QueryAppend(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
-	if t.memo == nil || n.IsDir() || k.DeviceStaged(n.Device()) {
-		return queryDirect(dst, k, t, n)
-	}
-	return t.memo.query(dst, k, t, n)
-}
-
-// queryDirect is the full FSLEDS_GET walk over the residency index — the
-// memo-free implementation QueryAppend dispatches to for staged devices,
-// directories, and disabled memoization, and the oracle the memoized path
-// is property-tested bit-identical against (next to queryRef, the
-// original per-page scan).
-//
-//sledlint:hotpath
-func queryDirect(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	if n.IsDir() {
 		return nil, fmt.Errorf("core: %q is a directory", n.Name())
 	}
 	if !t.haveMem {
 		return nil, fmt.Errorf("core: sleds table has no memory entry (boot fill missing?)")
 	}
-	size := n.Size()
-	if size == 0 {
+	if n.Size() == 0 {
 		return dst[:0], nil
 	}
-	ps := int64(k.PageSize())
-	pages := (size + ps - 1) / ps
-	extent := n.Extent()
-	// The scan is one consistent snapshot: queueing state is sampled once
-	// at the query instant, like the residency bits.
-	now := k.Clock.Now()
-
-	runs := k.ResidentRuns(n)
-	staged := k.DeviceStaged(n.Device())
-
-	// Pre-size the output: at most one SLED per run, per gap, and per zone
-	// boundary falling inside a gap.
-	est := 2*len(runs) + 1
-	if zs, ok := t.zones[n.Device()]; ok {
-		est += len(zs) - 1
+	if t.memo != nil && !k.DeviceStaged(n.Device()) {
+		return t.memo.query(dst, k, t, n)
 	}
-	out := dst[:0]
-	if cap(out) < est {
-		out = make([]SLED, 0, est)
+	e := &t.scratch
+	t.buildSkeleton(e, k, n)
+	if _, err := t.sampleDevices(e, k, n); err != nil {
+		return nil, err
 	}
-
-	// emit appends pages [from, to) with the given estimates, coalescing
-	// with the previous SLED when contiguous and estimate-equal.
-	emit := func(from, to int64, e Entry, conf float64) {
-		offB := from * ps
-		endB := to * ps
-		if endB > size {
-			endB = size
-		}
-		cur := SLED{Offset: offB, Length: endB - offB, Latency: e.Latency, Bandwidth: e.Bandwidth, Confidence: conf}
-		if last := len(out) - 1; last >= 0 && out[last].SameEstimates(cur) && out[last].End() == cur.Offset {
-			out[last].Length += cur.Length
-		} else {
-			out = append(out, cur)
-		}
-	}
-
-	// Device samples: the primary (inode) device for the common case, and
-	// a lazy per-device map when a stager may scatter pages across levels.
-	var primary querySample
-	havePrimary := false
-	var samples map[device.ID]*querySample
-
-	// gap classifies the uncached pages [from, to).
-	gap := func(from, to int64) error {
-		if staged {
-			// DeviceForPage consults the stager per page: a tape file's
-			// staged pages report the disk's estimates, unstaged ones the
-			// tape's. Each distinct device is still sampled only once.
-			if samples == nil {
-				//sledlint:allow hotalloc -- staged (tape) files only, never the benchmarked steady state; bounded at one entry per device level
-				samples = make(map[device.ID]*querySample, 2)
-			}
-			for p := from; p < to; p++ {
-				dev := k.DeviceForPage(n, p)
-				s := samples[dev]
-				if s == nil {
-					sv := t.sampleDevice(dev, now)
-					s = &sv
-					samples[dev] = s
-				}
-				if !s.ok {
-					return fmt.Errorf("core: no sleds table entry for device %d (file %q)", dev, n.Name())
-				}
-				base, _ := s.entryAt(extent + p*ps)
-				e, conf := s.estimate(base)
-				emit(p, p+1, e, conf)
-			}
-			return nil
-		}
-		if !havePrimary {
-			primary = t.sampleDevice(n.Device(), now)
-			havePrimary = true
-		}
-		if !primary.ok {
-			return fmt.Errorf("core: no sleds table entry for device %d (file %q)", n.Device(), n.Name())
-		}
-		for p := from; p < to; {
-			base, until := primary.entryAt(extent + p*ps)
-			segEnd := to
-			if until != math.MaxInt64 {
-				// First page whose start offset reaches the next zone.
-				if q := (until - extent + ps - 1) / ps; q < segEnd {
-					segEnd = q
-				}
-			}
-			if segEnd <= p {
-				segEnd = p + 1 // defensive: guarantee progress
-			}
-			e, conf := primary.estimate(base)
-			emit(p, segEnd, e, conf)
-			p = segEnd
-		}
-		return nil
-	}
-
-	cursor := int64(0)
-	for _, r := range runs {
-		start, end := r.Start, r.End
-		if start < cursor {
-			start = cursor
-		}
-		if end > pages {
-			end = pages
-		}
-		if start >= end {
-			continue
-		}
-		if cursor < start {
-			if err := gap(cursor, start); err != nil {
-				return nil, err
-			}
-		}
-		emit(start, end, t.mem, 1)
-		cursor = end
-	}
-	if cursor < pages {
-		if err := gap(cursor, pages); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return e.overlay(dst), nil
 }
 
 // Validate checks the structural invariants of a SLED vector for a file of

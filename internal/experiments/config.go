@@ -12,10 +12,8 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"sleds/internal/cache"
-	"sleds/internal/core"
 	"sleds/internal/faults"
 )
 
@@ -48,46 +46,9 @@ type Config struct {
 	// (make faults-smoke).
 	FaultProfile string
 
-	// SLEDMemo controls the skeleton memo of the sleds table on every
-	// machine the experiments boot: "" or "on" keeps the default capacity
-	// (core.DefaultMemoFiles), "off" disables memoization, and a positive
-	// decimal sets the per-table file capacity. The memoized query path is
-	// bit-identical to the direct one, so every committed golden is
-	// byte-identical at any setting; the knob exists so the determinism
-	// target can prove that (sledsbench -sledmemo).
-	SLEDMemo string
-
 	// Ablation knobs (zero values reproduce the paper's setup).
 	Policy         cache.Policy // page replacement (default LRU)
 	ReadaheadPages int          // demand-fault readahead (default 0)
-}
-
-// ParseSLEDMemo maps a -sledmemo value to a core.Table memo capacity:
-// "" and "on" select core.DefaultMemoFiles, "off" selects 0 (memo
-// disabled), and a positive decimal selects itself. Anything else is an
-// error naming the valid forms.
-func ParseSLEDMemo(s string) (int, error) {
-	switch s {
-	case "", "on":
-		return core.DefaultMemoFiles, nil
-	case "off":
-		return 0, nil
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("experiments: bad SLED memo setting %q (valid: on, off, or a positive file capacity)", s)
-	}
-	return n, nil
-}
-
-// applySLEDMemo configures a freshly calibrated table per c.SLEDMemo.
-func (c Config) applySLEDMemo(tab *core.Table) error {
-	n, err := ParseSLEDMemo(c.SLEDMemo)
-	if err != nil {
-		return err
-	}
-	tab.SetMemoCapacity(n)
-	return nil
 }
 
 // PaperConfig is the full-scale configuration: 4 KiB pages, a 64 MB
@@ -151,9 +112,6 @@ func (c Config) validate() {
 		if _, ok := faults.ProfileConfig(c.FaultProfile, 0); !ok {
 			panic(fmt.Sprintf("experiments: unknown fault profile %q", c.FaultProfile))
 		}
-	}
-	if _, err := ParseSLEDMemo(c.SLEDMemo); err != nil {
-		panic(err.Error())
 	}
 }
 

@@ -276,9 +276,6 @@ func ERemote(cfg Config) (EHSMResult, error) {
 		if err != nil {
 			return 0, err
 		}
-		if err := cfg.applySLEDMemo(tab); err != nil {
-			return 0, err
-		}
 		c := workload.NewText(fileSeed(cfg, "eremote", 0), size, cfg.PageSize)
 		workload.PlantMatch(c, size-size/4, needleBase)
 		if _, err := k.Create("/net/testfile", mount.Device(), c); err != nil {

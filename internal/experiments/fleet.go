@@ -260,9 +260,6 @@ func efleetPoint(pcfg Config, scen efleetScenario, policy fleet.Policy, replicas
 	if err != nil {
 		return efleetCell{}, err
 	}
-	if err := pcfg.applySLEDMemo(tab); err != nil {
-		return efleetCell{}, err
-	}
 	fl.SetTable(tab)
 	ps := int64(pcfg.PageSize)
 	recLen := efleetRecordPages * ps

@@ -78,9 +78,6 @@ func BootMachine(cfg Config, profile Profile) (*Machine, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.applySLEDMemo(tab); err != nil {
-		return nil, err
-	}
 	m.Table = tab
 	// Every device fault the kernel's retry loop observes feeds the
 	// table's health state, degrading that device's SLED estimates.
