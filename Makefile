@@ -4,6 +4,12 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
+# BENCH_PKGS are the packages whose microbenchmarks the snapshot holds;
+# BENCH_SNAPSHOT is the committed snapshot bench-json writes and
+# bench-compare gates against.
+BENCH_PKGS = ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/vfs
+BENCH_SNAPSHOT = BENCH_13.json
+
 .PHONY: build vet fmt staticcheck lint lint-debt lint-sarif test race bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke perf-smoke ci
 
 build:
@@ -57,40 +63,44 @@ bench:
 # catches benchmarks that panic or fail setup without paying for stable
 # timings.
 bench-smoke:
-	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet
+	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' $(BENCH_PKGS)
 
-# bench-json regenerates BENCH_10.json, the committed snapshot of the
-# query/cache/iosched/trace/fleet microbenchmarks and the root figure
-# benchmarks, as a JSON map of benchmark name to ns/op, B/op, allocs/op
-# and ReportMetric figures. Timings vary by machine; the snapshot exists
-# to pin the alloc counts (which bench-compare gates) and record the
-# measured speedups at authoring time. Run it on a bench-suite change
-# and commit the result. BENCH_5.json through BENCH_8.json are the
-# frozen PR-5..PR-8 snapshots; leave them be.
+# bench-json regenerates $(BENCH_SNAPSHOT), the committed snapshot of the
+# query/cache/iosched/trace/fleet/workload/vfs microbenchmarks and the
+# root figure benchmarks, as a JSON map of benchmark name to ns/op, B/op,
+# allocs/op and ReportMetric figures. Timings vary by machine; the
+# snapshot exists to pin the alloc counts (which bench-compare gates) and
+# record the measured speedups at authoring time. Run it on a bench-suite
+# change and commit the result. BENCH_5.json through BENCH_10.json are
+# the frozen PR-5..PR-10 snapshots; leave them be.
 bench-json:
-	{ $(GO) test -bench=. -benchmem -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet; \
-	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson > BENCH_10.json
-	@echo "bench-json: wrote BENCH_10.json"
+	{ $(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS); \
+	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)
+	@echo "bench-json: wrote $(BENCH_SNAPSHOT)"
 
 # bench-compare reruns the bench-json suite and gates it against the
-# committed BENCH_10.json snapshot: every benchmark in the snapshot must
+# committed $(BENCH_SNAPSHOT) snapshot: every benchmark in the snapshot must
 # still exist, and allocs/op may not grow more than 25%. Only alloc
 # counts are gated — they are deterministic for these workloads, while
 # ns/op on shared CI runners is noise.
 bench-compare:
-	{ $(GO) test -bench=. -benchmem -run='^$$' ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet; \
-	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson -compare BENCH_10.json -tolerance 0.25
+	{ $(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS); \
+	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson -compare $(BENCH_SNAPSHOT) -tolerance 0.25
 
 # scale-smoke proves the event-heap engine at full width: the escale
 # experiment (up to 10,000 streams over 24 queued disks, fcfs and sstf)
 # must complete at quick scale and print byte-identical figures at 1 and
-# 4 workers. escale is deliberately outside "all", so this is the only
-# place it runs.
+# 4 workers, equal to the committed experiments_quick_escale.txt (generated
+# at PR 12, before escale's files became content-free: the values must
+# never depend on page content). escale is deliberately outside "all", so
+# this is the only place it runs.
 scale-smoke:
 	$(GO) run ./cmd/sledsbench -scale quick -exp escale -workers 1 > /tmp/sledsbench-escale-w1.txt
 	$(GO) run ./cmd/sledsbench -scale quick -exp escale -workers 4 > /tmp/sledsbench-escale-w4.txt
 	diff /tmp/sledsbench-escale-w1.txt /tmp/sledsbench-escale-w4.txt
 	@echo "scale-smoke: 10,000-stream escale is byte-identical at 1 and 4 workers"
+	diff experiments_quick_escale.txt /tmp/sledsbench-escale-w1.txt
+	@echo "scale-smoke: escale matches the committed golden"
 
 # determinism regenerates the quick-scale evaluation serially and with a
 # 4-worker pool and fails on any stdout byte difference, guarding the
@@ -114,9 +124,10 @@ determinism:
 # trace-smoke drives the trace subsystem end to end: sledstrace
 # generates a trace, validates its own output, and the etrace experiment
 # (every workload class × {fcfs,sstf,deadline} × SLED on/off) replays at
-# quick scale with byte-identical figures at 1 and 4 workers. etrace is
-# deliberately outside "all" (like escale), so this is the only place it
-# runs.
+# quick scale with byte-identical figures at 1 and 4 workers, equal to the
+# committed experiments_quick_etrace.txt (generated at PR 12, like the
+# escale golden). etrace is deliberately outside "all" (like escale), so
+# this is the only place it runs.
 trace-smoke:
 	$(GO) run ./cmd/sledstrace gen -class mixed -seed 7 -o /tmp/sledstrace-smoke.sledtrace
 	$(GO) run ./cmd/sledstrace validate /tmp/sledstrace-smoke.sledtrace
@@ -124,6 +135,8 @@ trace-smoke:
 	$(GO) run ./cmd/sledsbench -scale quick -exp etrace -workers 4 > /tmp/sledsbench-etrace-w4.txt
 	diff /tmp/sledsbench-etrace-w1.txt /tmp/sledsbench-etrace-w4.txt
 	@echo "trace-smoke: etrace replay is byte-identical at 1 and 4 workers"
+	diff experiments_quick_etrace.txt /tmp/sledsbench-etrace-w1.txt
+	@echo "trace-smoke: etrace matches the committed golden"
 
 # fleet-smoke drives the fleet tier end to end: the efleet experiment
 # (3 scenarios x {rr, sled, hedge} over a 4-replica fleet) must complete

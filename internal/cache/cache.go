@@ -22,7 +22,6 @@
 package cache
 
 import (
-	"container/list"
 	"fmt"
 	"sort"
 )
@@ -85,7 +84,7 @@ func (fi *fileIdx) insert(p int64) {
 	runs := fi.runs
 	// First run ending at or after p: the only candidates that contain or
 	// touch p on the left.
-	i := sort.Search(len(runs), func(i int) bool { return runs[i].End >= p })
+	i := firstEndingAfter(runs, p-1)
 	if i < len(runs) && runs[i].Start <= p && p < runs[i].End {
 		return // already resident
 	}
@@ -115,7 +114,7 @@ func (fi *fileIdx) insert(p int64) {
 // interior. A non-resident p is a no-op.
 func (fi *fileIdx) remove(p int64) {
 	runs := fi.runs
-	i := sort.Search(len(runs), func(i int) bool { return runs[i].End > p })
+	i := firstEndingAfter(runs, p)
 	if i >= len(runs) || runs[i].Start > p {
 		return // not resident
 	}
@@ -136,6 +135,23 @@ func (fi *fileIdx) remove(p int64) {
 	}
 }
 
+// firstEndingAfter returns the index of the first run whose End exceeds p
+// (len(runs) if none): sort.Search written out, because the cache's
+// mutators are on the kernel's //sledlint:hotpath and may not hand a
+// capturing closure to a callee.
+func firstEndingAfter(runs []Run, p int64) int {
+	lo, hi := 0, len(runs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if runs[mid].End > p {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
+}
+
 // pages returns the total resident page count.
 func (fi *fileIdx) pages() int64 {
 	var n int64
@@ -145,17 +161,28 @@ func (fi *fileIdx) pages() int64 {
 	return n
 }
 
-// frame is one resident page.
+// frame is one slot of the frame arena: a resident page linked into the
+// recency list, or a free slot linked into the free chain. Links are arena
+// indices, so a frame costs no allocation of its own and the arena can
+// grow by append.
 type frame struct {
-	key   Key
-	data  []byte
-	dirty bool
-	ref   bool   // CLOCK reference bit
-	stamp uint64 // recency stamp; mirrors list order (front = highest)
+	key        Key
+	data       []byte
+	stamp      uint64 // recency stamp; mirrors list order (front = highest)
+	prev, next int32  // recency list neighbours (next alone chains free slots)
+	dirty      bool
+	ref        bool // CLOCK reference bit
 }
 
-// EvictFn is called when a page leaves the cache. dirty reports whether
-// the page held unwritten data; the callee owns writing it back.
+// head is the arena index of the recency list's sentinel: its next is the
+// front (most recent) frame, its prev the back. An empty list links the
+// sentinel to itself.
+const head = 0
+
+// EvictFn is called when a page is evicted, and when a dirty page is
+// invalidated. dirty reports whether the page held unwritten data; the
+// callee owns writing it back. The callee also owns data from then on: the
+// cache keeps no reference to an evicted page's buffer.
 type EvictFn func(key Key, data []byte, dirty bool)
 
 // Stats counts cache activity since construction or the last ResetStats.
@@ -174,13 +201,24 @@ type Cache struct {
 	policy   Policy
 	onEvict  EvictFn
 
-	// order holds *frame in recency order: front = most recently used
-	// (LRU), or insertion order (FIFO/CLOCK with the hand at the back).
-	order *list.List
-	index map[Key]*list.Element
+	// frames is the arena: slot head is the recency list's sentinel, the
+	// rest are resident pages or free slots. It grows on demand to
+	// capacity+1 slots and never shrinks. The list runs in recency order:
+	// front = most recently used (LRU), or insertion order (FIFO/CLOCK with
+	// the hand at the back).
+	frames []frame
+	free   int32 // first free slot, chained through next; 0 = none
+	n      int   // resident pages
+	index  map[Key]int32
 
 	// files is the per-file residency index, kept in lockstep with index.
+	// A file's fileIdx lives while it has resident pages; emptied ones wait
+	// in spare (run capacity kept) for the next file to become resident,
+	// and new ones are cut from slab a block at a time, so a workload that
+	// cycles many small files through the cache allocates nothing per file.
 	files map[uint64]*fileIdx
+	spare []*fileIdx
+	slab  []fileIdx
 	// epochs is the per-file residency epoch: bumped on every splice of a
 	// file's run vector (a fresh page inserted, a resident page evicted or
 	// invalidated). Dirty-bit changes (MarkDirty, Flush*) do not splice
@@ -196,7 +234,11 @@ type Cache struct {
 	tick uint64
 
 	// scratch is reused by the file-scoped collect operations.
-	scratch []*list.Element
+	scratch []int32
+
+	// onDrop, when set, receives the buffer of every clean page that
+	// Invalidate/InvalidateFile drop (see SetDropFn).
+	onDrop func(data []byte)
 
 	stats Stats
 }
@@ -212,8 +254,8 @@ func New(capacity int, policy Policy, onEvict EvictFn) *Cache {
 		capacity: capacity,
 		policy:   policy,
 		onEvict:  onEvict,
-		order:    list.New(),
-		index:    make(map[Key]*list.Element, capacity),
+		frames:   make([]frame, 1),
+		index:    make(map[Key]int32, capacity),
 		files:    make(map[uint64]*fileIdx),
 		epochs:   make(map[uint64]uint64),
 	}
@@ -223,7 +265,40 @@ func New(capacity int, policy Policy, onEvict EvictFn) *Cache {
 func (c *Cache) Cap() int { return c.capacity }
 
 // Len returns the number of resident pages.
-func (c *Cache) Len() int { return c.order.Len() }
+func (c *Cache) Len() int { return c.n }
+
+// SetDropFn installs fn to receive the buffer of every clean page dropped
+// by Invalidate or InvalidateFile — the one way a page leaves the cache
+// without passing through the EvictFn. An owner that recycles page
+// buffers needs both to see every buffer come back.
+func (c *Cache) SetDropFn(fn func(data []byte)) { c.onDrop = fn }
+
+// link inserts frame i at the front of the recency list.
+func (c *Cache) link(i int32) {
+	f, h := &c.frames[i], &c.frames[head]
+	f.prev, f.next = head, h.next
+	c.frames[h.next].prev = i
+	h.next = i
+}
+
+// unlink removes frame i from the recency list.
+func (c *Cache) unlink(i int32) {
+	f := &c.frames[i]
+	c.frames[f.prev].next = f.next
+	c.frames[f.next].prev = f.prev
+}
+
+// remove takes frame i out of the list and both indexes, returns its slot
+// to the free chain, and returns what the slot held.
+func (c *Cache) remove(i int32) frame {
+	f := c.frames[i]
+	c.unlink(i)
+	c.unindex(&f)
+	c.frames[i] = frame{next: c.free}
+	c.free = i
+	c.n--
+	return f
+}
 
 // Policy returns the replacement policy.
 func (c *Cache) Policy() Policy { return c.policy }
@@ -234,34 +309,36 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the activity counters.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// touch moves e to the front and restamps it. Stamps mirror list order —
-// a frame moved or pushed to the front always carries the highest stamp —
-// so file-scoped operations can reconstruct list order by sorting.
-func (c *Cache) touch(e *list.Element) {
-	c.order.MoveToFront(e)
+// touch moves frame i to the front and restamps it. Stamps mirror list
+// order — a frame moved or pushed to the front always carries the highest
+// stamp — so file-scoped operations can reconstruct list order by sorting.
+func (c *Cache) touch(i int32) {
+	if c.frames[head].next != i {
+		c.unlink(i)
+		c.link(i)
+	}
 	c.tick++
-	e.Value.(*frame).stamp = c.tick
+	c.frames[i].stamp = c.tick
 }
 
 // Get returns the page data if resident, updating recency state. The
 // returned slice aliases the cached frame; callers must not retain it
 // across evictions (the simulated kernel copies out immediately).
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	e, ok := c.index[k]
+	i, ok := c.index[k]
 	if !ok {
 		return nil, false
 	}
-	f := e.Value.(*frame)
 	switch c.policy {
 	case LRU:
-		c.touch(e)
+		c.touch(i)
 	case Clock:
-		f.ref = true
+		c.frames[i].ref = true
 	case FIFO:
 		// insertion order is never disturbed
 	}
 	c.stats.Hits++
-	return f.data, true
+	return c.frames[i].data, true
 }
 
 // Contains reports residency WITHOUT touching recency state. This is what
@@ -281,11 +358,22 @@ func (c *Cache) RecordMiss() { c.stats.Misses++ }
 func (c *Cache) fileOf(file uint64) *fileIdx {
 	fi := c.files[file]
 	if fi == nil {
-		fi = &fileIdx{}
+		if n := len(c.spare); n > 0 {
+			fi, c.spare = c.spare[n-1], c.spare[:n-1]
+		} else {
+			if len(c.slab) == cap(c.slab) {
+				c.slab = make([]fileIdx, 0, fileIdxBlock)
+			}
+			c.slab = c.slab[:len(c.slab)+1]
+			fi = &c.slab[len(c.slab)-1]
+		}
 		c.files[file] = fi
 	}
 	return fi
 }
+
+// fileIdxBlock is how many fileIdx structs one slab allocation holds.
+const fileIdxBlock = 64
 
 // unindex removes the frame from the hash index and the residency index
 // (the caller owns removing it from the list).
@@ -302,6 +390,7 @@ func (c *Cache) unindex(f *frame) {
 	}
 	if len(fi.runs) == 0 {
 		delete(c.files, f.key.File)
+		c.spare = append(c.spare, fi)
 	}
 }
 
@@ -311,8 +400,8 @@ func (c *Cache) unindex(f *frame) {
 // CLOCK sweep always terminates — but the read path is fallible now, so
 // it is reported with context instead of panicking.
 func (c *Cache) Insert(k Key, data []byte, dirty bool) error {
-	if e, ok := c.index[k]; ok {
-		f := e.Value.(*frame)
+	if i, ok := c.index[k]; ok {
+		f := &c.frames[i]
 		f.data = data
 		if dirty && !f.dirty {
 			f.dirty = true
@@ -320,20 +409,29 @@ func (c *Cache) Insert(k Key, data []byte, dirty bool) error {
 		}
 		switch c.policy {
 		case LRU:
-			c.touch(e)
+			c.touch(i)
 		case Clock:
 			f.ref = true
 		}
 		return nil
 	}
-	for c.order.Len() >= c.capacity {
+	for c.n >= c.capacity {
 		if err := c.evictOne(); err != nil {
 			return fmt.Errorf("cache: inserting file %d page %d: %w", k.File, k.Page, err)
 		}
 	}
+	i := c.free
+	if i != 0 {
+		c.free = c.frames[i].next
+	} else {
+		c.frames = append(c.frames, frame{})
+		i = int32(len(c.frames) - 1)
+	}
 	c.tick++
-	e := c.order.PushFront(&frame{key: k, data: data, dirty: dirty, stamp: c.tick})
-	c.index[k] = e
+	c.frames[i] = frame{key: k, data: data, dirty: dirty, stamp: c.tick}
+	c.link(i)
+	c.n++
+	c.index[k] = i
 	fi := c.fileOf(k.File)
 	fi.insert(k.Page)
 	c.epochs[k.File]++
@@ -353,37 +451,36 @@ func (c *Cache) EvictOne() error { return c.evictOne() }
 
 // evictOne removes one page according to the policy.
 func (c *Cache) evictOne() error {
-	var victim *list.Element
+	var victim int32 // head = none
 	switch c.policy {
 	case LRU, FIFO:
-		victim = c.order.Back()
+		victim = c.frames[head].prev
 	case Clock:
 		// Second chance: examine the back; if referenced, clear the bit
 		// and rotate to the front, else evict. Bounded by 2n iterations.
-		for i := 0; i < 2*c.order.Len()+1; i++ {
-			e := c.order.Back()
-			f := e.Value.(*frame)
-			if f.ref {
+		for i := 0; i < 2*c.n+1 && c.n > 0; i++ {
+			b := c.frames[head].prev
+			if f := &c.frames[b]; f.ref {
 				f.ref = false
-				c.touch(e)
+				c.touch(b)
 				continue
 			}
-			victim = e
+			victim = b
 			break
 		}
 	}
-	if victim == nil {
+	if victim == head {
 		return fmt.Errorf("cache: no eviction victim found (%d resident of %d frames, policy %s)",
-			c.order.Len(), c.capacity, c.policy)
+			c.n, c.capacity, c.policy)
 	}
-	c.removeElement(victim)
+	c.evict(victim)
 	return nil
 }
 
-func (c *Cache) removeElement(e *list.Element) {
-	f := e.Value.(*frame)
-	c.order.Remove(e)
-	c.unindex(f)
+// evict removes frame i with eviction accounting and hands the page to
+// onEvict.
+func (c *Cache) evict(i int32) {
+	f := c.remove(i)
 	c.stats.Evictions++
 	if f.dirty {
 		c.stats.DirtyEvictions++
@@ -393,15 +490,22 @@ func (c *Cache) removeElement(e *list.Element) {
 	}
 }
 
+// drop removes clean frame i without eviction accounting: the
+// invalidation path, which bypasses onEvict.
+func (c *Cache) drop(i int32) {
+	if f := c.remove(i); c.onDrop != nil {
+		c.onDrop(f.data)
+	}
+}
+
 // MarkDirty flags a resident page as modified; reports whether the page
 // was resident.
 func (c *Cache) MarkDirty(k Key) bool {
-	e, ok := c.index[k]
+	i, ok := c.index[k]
 	if !ok {
 		return false
 	}
-	f := e.Value.(*frame)
-	if !f.dirty {
+	if f := &c.frames[i]; !f.dirty {
 		f.dirty = true
 		c.fileOf(k.File).dirty++
 	}
@@ -411,42 +515,45 @@ func (c *Cache) MarkDirty(k Key) bool {
 // Invalidate drops a page if resident, without calling onEvict for clean
 // pages; dirty pages still flow through onEvict so data is not lost.
 func (c *Cache) Invalidate(k Key) {
-	e, ok := c.index[k]
+	i, ok := c.index[k]
 	if !ok {
 		return
 	}
-	f := e.Value.(*frame)
-	if !f.dirty {
-		c.order.Remove(e)
-		c.unindex(f)
-		return
+	c.invalidate(i)
+}
+
+// invalidate drops frame i: silently if clean, through onEvict if dirty.
+func (c *Cache) invalidate(i int32) {
+	if c.frames[i].dirty {
+		c.evict(i)
+	} else {
+		c.drop(i)
 	}
-	c.removeElement(e)
 }
 
 // collectFile gathers the file's resident frames — just the dirty ones
 // when dirtyOnly is set — in recency order (front of list first), using
 // the residency index and the stamps instead of a whole-cache scan. The
 // result aliases c.scratch; callers consume it before the next collect.
-func (c *Cache) collectFile(file uint64, fi *fileIdx, dirtyOnly bool) []*list.Element {
+func (c *Cache) collectFile(file uint64, fi *fileIdx, dirtyOnly bool) []int32 {
 	els := c.scratch[:0]
 	for _, r := range fi.runs {
 		for p := r.Start; p < r.End; p++ {
-			e := c.index[Key{File: file, Page: p}]
-			if e == nil {
+			i, ok := c.index[Key{File: file, Page: p}]
+			if !ok {
 				continue // defensive: runs and index are kept in lockstep
 			}
-			if dirtyOnly && !e.Value.(*frame).dirty {
+			if dirtyOnly && !c.frames[i].dirty {
 				continue
 			}
-			els = append(els, e)
+			els = append(els, i)
 		}
 	}
 	// Descending stamp = list front-to-back: the exact order the historical
 	// whole-list scan visited these frames, which fixes the write-back and
 	// eviction order the simulated devices observe.
 	sort.Slice(els, func(i, j int) bool {
-		return els[i].Value.(*frame).stamp > els[j].Value.(*frame).stamp
+		return c.frames[els[i]].stamp > c.frames[els[j]].stamp
 	})
 	c.scratch = els
 	return els
@@ -459,23 +566,16 @@ func (c *Cache) InvalidateFile(file uint64) {
 	if fi == nil {
 		return
 	}
-	for _, e := range c.collectFile(file, fi, false) {
-		f := e.Value.(*frame)
-		if f.dirty {
-			c.removeElement(e)
-		} else {
-			c.order.Remove(e)
-			c.unindex(f)
-		}
+	for _, i := range c.collectFile(file, fi, false) {
+		c.invalidate(i)
 	}
 }
 
 // FlushDirty invokes write for every dirty page (front-to-back) and marks
 // them clean. It models sync/write-back without eviction.
 func (c *Cache) FlushDirty(write func(Key, []byte)) {
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
-		if f.dirty {
+	for i := c.frames[head].next; i != head; i = c.frames[i].next {
+		if f := &c.frames[i]; f.dirty {
 			if write != nil {
 				write(f.key, f.data)
 			}
@@ -495,8 +595,8 @@ func (c *Cache) FlushFile(file uint64, write func(Key, []byte)) {
 	if fi == nil || fi.dirty == 0 {
 		return
 	}
-	for _, e := range c.collectFile(file, fi, true) {
-		f := e.Value.(*frame)
+	for _, i := range c.collectFile(file, fi, true) {
+		f := &c.frames[i]
 		if write != nil {
 			write(f.key, f.data)
 		}
@@ -558,8 +658,8 @@ func (c *Cache) ResidentPages(file uint64) []Key {
 // used, to dst and returns it — RecencyTrace without the per-call
 // allocation, for harnesses that snapshot the cache repeatedly.
 func (c *Cache) AppendRecencyTrace(dst []Key) []Key {
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		dst = append(dst, e.Value.(*frame).key)
+	for i := c.frames[head].next; i != head; i = c.frames[i].next {
+		dst = append(dst, c.frames[i].key)
 	}
 	return dst
 }
@@ -567,5 +667,5 @@ func (c *Cache) AppendRecencyTrace(dst []Key) []Key {
 // RecencyTrace returns the resident keys from most to least recently used;
 // the experiment harness uses it to render the paper's Figure 3 table.
 func (c *Cache) RecencyTrace() []Key {
-	return c.AppendRecencyTrace(make([]Key, 0, c.order.Len()))
+	return c.AppendRecencyTrace(make([]Key, 0, c.n))
 }

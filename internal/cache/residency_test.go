@@ -13,11 +13,27 @@ import (
 // frames' dirty bits.
 func checkResidencyIndex(t *testing.T, c *Cache) {
 	t.Helper()
-	// Ground truth from the list (AppendRecencyTrace walks c.order).
+	// Ground truth from the recency list, whose own structure is checked
+	// on the way: links mirror each other, the list holds Len frames with
+	// descending stamps, and list plus free chain account for every slot
+	// of the arena.
 	resident := map[uint64]map[int64]bool{}
 	dirty := map[uint64]int{}
-	for e := c.order.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
+	listed := 0
+	for i, prev := c.frames[head].next, int32(head); i != head; prev, i = i, c.frames[i].next {
+		f := &c.frames[i]
+		if f.prev != prev {
+			t.Fatalf("frame %d prev = %d, reached from %d", i, f.prev, prev)
+		}
+		if prev != head && c.frames[prev].stamp <= f.stamp {
+			t.Fatalf("stamps not descending along the list: %d then %d", c.frames[prev].stamp, f.stamp)
+		}
+		if c.index[f.key] != i {
+			t.Fatalf("frame %d holds %+v but the index maps it to %d", i, f.key, c.index[f.key])
+		}
+		if listed++; listed > c.capacity {
+			t.Fatalf("recency list longer than capacity %d", c.capacity)
+		}
 		if resident[f.key.File] == nil {
 			resident[f.key.File] = map[int64]bool{}
 		}
@@ -25,6 +41,19 @@ func checkResidencyIndex(t *testing.T, c *Cache) {
 		if f.dirty {
 			dirty[f.key.File]++
 		}
+	}
+	free := 0
+	for i := c.free; i != 0; i = c.frames[i].next {
+		if c.frames[i].data != nil {
+			t.Fatalf("free slot %d still references a page buffer", i)
+		}
+		if free++; free > len(c.frames) {
+			t.Fatalf("free chain loops")
+		}
+	}
+	if listed != c.Len() || listed != len(c.index) || listed+free+1 != len(c.frames) || len(c.frames) > c.capacity+1 {
+		t.Fatalf("arena accounting: %d listed, %d free, Len %d, %d indexed, %d slots, capacity %d",
+			listed, free, c.Len(), len(c.index), len(c.frames), c.capacity)
 	}
 	if len(c.files) > len(resident) {
 		t.Fatalf("residency index tracks %d files, list holds %d", len(c.files), len(resident))

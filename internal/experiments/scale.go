@@ -39,7 +39,8 @@ const scaleFilePages = 16
 // assigned round-robin across the disks. Returns virtual seconds to the
 // last finish and the engine events processed — both pure virtual-time
 // quantities, so the rendered figure is byte-identical at any -workers.
-func scalePoint(cfg Config, n int, sched string) (sec float64, events float64, err error) {
+// gen generates the files' bytes; EScale passes nil (see below).
+func scalePoint(cfg Config, n int, sched string, gen workload.PageGen) (sec float64, events float64, err error) {
 	mem := device.NewMem(device.Table2MemConfig(0))
 	k := vfs.NewKernel(vfs.Config{
 		PageSize:       cfg.PageSize,
@@ -60,9 +61,12 @@ func scalePoint(cfg Config, n int, sched string) (sec float64, events float64, e
 	}
 	ps := int64(cfg.PageSize)
 	size := scaleFilePages * ps
-	// One shared content object: every stream greps byte-identical text,
-	// so booting 10,000 files costs one generator, not 10,000.
-	content := workload.NewText(fileSeed(cfg, "escale", n), size, cfg.PageSize)
+	// One shared content object behind all n files, content-free (nil gen)
+	// in the experiment: the streams only move bytes they never inspect, and
+	// every figure here is virtual time, which depends on which pages move
+	// and not on what is in them (TestContentIndependence runs both ways).
+	// Generating text cost more host time than the rest of the point.
+	content := workload.New(size, cfg.PageSize, gen)
 	paths := make([]string, n)
 	for i := 0; i < n; i++ {
 		paths[i] = fmt.Sprintf("/data/s%d", i)
@@ -136,7 +140,7 @@ func EScale(cfg Config) (Figure, error) {
 	results, err := RunGrid(cfg, len(scaleStreams)*cols, func(i int) (result, error) {
 		nIdx, si := i/cols, i%cols
 		pcfg := cfg.forPoint("escale", nIdx, si)
-		sec, events, err := scalePoint(pcfg, scaleStreams[nIdx], scaleSchedulers[si])
+		sec, events, err := scalePoint(pcfg, scaleStreams[nIdx], scaleSchedulers[si], nil)
 		return result{sec, events}, err
 	})
 	if err != nil {

@@ -118,7 +118,9 @@ func etraceParams(cfg Config, classIdx int, class string) (p trace.Params, warmF
 // etracePoint replays one (class, scheduler, mode) cell and reduces its
 // per-record latencies. warmFrom maps a file size to the first warmed
 // byte (negative w means "warm the first -w bytes"; nil skips warming).
-func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLEDs bool) (etraceCell, error) {
+// gen generates the files' bytes; ETrace passes nil: replay and warm-up
+// move bytes they never inspect (see scalePoint).
+func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLEDs bool, gen workload.PageGen) (etraceCell, error) {
 	m, err := BootMachine(pcfg, ProfileUnix)
 	if err != nil {
 		return etraceCell{}, err
@@ -131,10 +133,7 @@ func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLE
 	paths := make([]string, len(tr.Files))
 	for i, spec := range tr.Files {
 		paths[i] = fmt.Sprintf("/data/trace%d", i)
-		// File content derives from the base seed and the class row only,
-		// so every scheduler/mode cell of a row replays identical bytes.
-		c := workload.NewText(fileSeed(baseCfg, "etrace", classIdx*16+i), spec.Size, pcfg.PageSize)
-		if _, err := m.K.Create(paths[i], m.Disk, c); err != nil {
+		if _, err := m.K.Create(paths[i], m.Disk, workload.New(spec.Size, pcfg.PageSize, gen)); err != nil {
 			return etraceCell{}, err
 		}
 	}
@@ -235,7 +234,7 @@ func ETrace(cfg Config, selected ...string) (ETraceReport, error) {
 		si, mode := col/2, 1-col%2     // with-SLEDs column first
 		classIdx := canon[classes[ci]] // canonical index: subset-stable seeds
 		pcfg := cfg.forPoint("etrace", classIdx, si, mode)
-		return etracePoint(pcfg, cfg, classIdx, classes[ci], etraceSchedulers[si], mode == 1)
+		return etracePoint(pcfg, cfg, classIdx, classes[ci], etraceSchedulers[si], mode == 1, nil)
 	})
 	if err != nil {
 		return ETraceReport{}, err

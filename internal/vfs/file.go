@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"sleds/internal/cache"
-	"sleds/internal/device"
 )
 
 // File is an open file descriptor over a simulated inode.
@@ -115,42 +114,42 @@ func (f *File) Write(p []byte) (int, error) {
 
 // ReadAt reads len(p) bytes at offset off, short at EOF with io.EOF.
 func (f *File) ReadAt(p []byte, off int64) (int, error) {
-	return f.readAt(p, off, true)
+	n, err := mustComplete(f.ReadAtStep(p, off), "read")
+	return int(n), err
 }
 
 // ReadAtStep begins a resumable ReadAt: the returned step is either
 // complete or suspended on a queued-device request for the engine to
 // service (see resume.go).
 func (f *File) ReadAtStep(p []byte, off int64) IOStep {
-	return f.readAtStep(p, off, true, ioDone)
+	o := pageOp{k: f.k, f: f, p: p, off: off, chargeCopy: true}
+	return o.start()
 }
 
 // ReadAtMappedStep begins a resumable ReadAtMapped.
 func (f *File) ReadAtMappedStep(p []byte, off int64) IOStep {
-	return f.readAtStep(p, off, false, ioDone)
+	o := pageOp{k: f.k, f: f, p: p, off: off}
+	return o.start()
 }
 
 // ReadStep begins a resumable Read from the current position; the cursor
 // advances when the step completes.
 func (f *File) ReadStep(p []byte) IOStep {
-	return f.readAtStep(p, f.pos, true, func(n int64, err error) IOStep {
-		f.pos += n
-		return ioDone(n, err)
-	})
+	o := pageOp{k: f.k, f: f, p: p, off: f.pos, chargeCopy: true, cursor: true}
+	return o.start()
 }
 
 // WriteAtStep begins a resumable WriteAt.
 func (f *File) WriteAtStep(p []byte, off int64) IOStep {
-	return f.writeAtStep(p, off, ioDone)
+	o := pageOp{k: f.k, f: f, p: p, off: off, write: true}
+	return o.start()
 }
 
 // WriteStep begins a resumable Write at the current position; the cursor
 // advances when the step completes.
 func (f *File) WriteStep(p []byte) IOStep {
-	return f.writeAtStep(p, f.pos, func(n int64, err error) IOStep {
-		f.pos += n
-		return ioDone(n, err)
-	})
+	o := pageOp{k: f.k, f: f, p: p, off: f.pos, write: true, cursor: true}
+	return o.start()
 }
 
 // ReadAtMapped is ReadAt without the user-space copy charge: the mmap
@@ -160,121 +159,170 @@ func (f *File) WriteStep(p []byte) IOStep {
 // feasible, which should reduce the CPU penalty", §5.2). Page faults cost
 // exactly what they cost through read().
 func (f *File) ReadAtMapped(p []byte, off int64) (int, error) {
-	return f.readAt(p, off, false)
-}
-
-func (f *File) readAt(p []byte, off int64, chargeCopy bool) (int, error) {
-	n, err := mustComplete(f.readAtStep(p, off, chargeCopy, ioDone), "read")
+	n, err := mustComplete(f.ReadAtMappedStep(p, off), "read")
 	return int(n), err
 }
 
-// readAtStep is readAt in resumable form: the per-page loop is an explicit
-// continuation so a page fault suspended on a queued device resumes where
-// it left off.
-func (f *File) readAtStep(p []byte, off int64, chargeCopy bool, done func(n int64, err error) IOStep) IOStep {
-	if f.closed {
-		return done(0, ErrClosed)
-	}
-	if off < 0 {
-		return done(0, fmt.Errorf("vfs: negative read offset %d", off))
-	}
-	if off >= f.ino.size {
-		return done(0, io.EOF)
-	}
-	want := int64(len(p))
-	if off+want > f.ino.size {
-		want = f.ino.size - off
-	}
-	ps := int64(f.k.cfg.PageSize)
-	f.clusterStart, f.clusterEnd = 0, 0
-	var got int64
-	var loop func() IOStep
-	loop = func() IOStep {
-		if got >= want {
-			// Copying from the page cache to the user buffer costs memory
-			// bandwidth (the paper notes read() "copies the data to meet
-			// application alignment criteria", unlike mmap).
-			if chargeCopy {
-				f.chargeMemCopy(got)
-			}
-			f.k.stats.BytesRead += got
-			if got < int64(len(p)) {
-				return done(got, io.EOF)
-			}
-			return done(got, nil)
+// readLoop is the read: validation on entry, then one page per turn, each
+// made resident (the only place the read can suspend) and copied out.
+//
+//sledlint:hotpath
+func (o *pageOp) readLoop(resumed bool, accErr error) (blocked bool, n int64, err error) {
+	k, f := o.k, o.f
+	ps := int64(k.cfg.PageSize)
+	if !resumed {
+		if f.closed {
+			return false, 0, ErrClosed
 		}
-		cur := off + got
-		page := cur / ps
-		inPage := cur % ps
-		n := ps - inPage
-		if n > want-got {
-			n = want - got
+		if o.off < 0 {
+			return false, 0, fmt.Errorf("vfs: negative read offset %d", o.off)
 		}
-		return f.ensureResidentStep(page, want-got, func(data []byte, err error) IOStep {
-			if err != nil {
-				// Partial read up to the failed page; EIO surfaces to the app.
-				f.k.stats.BytesRead += got
-				return done(got, err)
-			}
-			copy(p[got:got+n], data[inPage:inPage+n])
-			got += n
-			return loop()
-		})
+		if o.off >= f.ino.size {
+			return false, 0, io.EOF
+		}
+		o.want = int64(len(o.p))
+		if o.off+o.want > f.ino.size {
+			o.want = f.ino.size - o.off
+		}
+		f.clusterStart, f.clusterEnd = 0, 0
 	}
-	return loop()
+	for resumed || o.got < o.want {
+		if !resumed {
+			o.setPage(ps)
+		}
+		data, blocked, err := o.ensureResident(o.want-o.got, resumed, accErr)
+		if blocked {
+			return true, 0, nil
+		}
+		if err != nil {
+			// Partial read up to the failed page; EIO surfaces to the app.
+			k.stats.BytesRead += o.got
+			return false, o.got, err
+		}
+		resumed = false
+		copy(o.p[o.got:o.got+o.n], data[o.inPage:o.inPage+o.n])
+		o.got += o.n
+	}
+	// Copying from the page cache to the user buffer costs memory
+	// bandwidth (the paper notes read() "copies the data to meet
+	// application alignment criteria", unlike mmap).
+	if o.chargeCopy {
+		f.chargeMemCopy(o.got)
+	}
+	k.stats.BytesRead += o.got
+	if o.got < int64(len(o.p)) {
+		return false, o.got, io.EOF
+	}
+	return false, o.got, nil
 }
 
-// ensureResident returns the cached data for a page, faulting it (and, if
-// the immediately following pages are part of the same request or covered
-// by configured readahead, a cluster) in from the device.
+// setPage points the loop at the page holding the next byte to transfer.
+func (o *pageOp) setPage(ps int64) {
+	cur := o.off + o.got
+	o.page, o.inPage = cur/ps, cur%ps
+	o.n = ps - o.inPage
+	if o.n > o.want-o.got {
+		o.n = o.want - o.got
+	}
+}
+
+// ensureResident returns the cached data of page o.page, faulting it (and,
+// if the immediately following pages are part of the same request or
+// covered by configured readahead, a cluster) in from the device: the
+// cluster computation is synchronous, the device read and the per-page
+// inserts (whose evictions may write back) can suspend.
 //
-// remaining is how many more bytes the current read() still needs from
+// remaining is how many more bytes the current request still needs from
 // this page onward; contiguous missing pages within that window are
 // fetched in a single device request, which is how the real kernel
 // clusters paging I/O.
 //
 // A device fault is retried per the kernel's RetryPolicy; the returned
 // error (wrapping ErrIO) means the policy gave up.
-func (f *File) ensureResident(page, remaining int64) ([]byte, error) {
-	var out []byte
-	_, err := mustComplete(f.ensureResidentStep(page, remaining, func(data []byte, err error) IOStep {
-		out = data
-		return ioDone(0, err)
-	}), "page fault")
-	return out, err
+//
+//sledlint:hotpath
+func (o *pageOp) ensureResident(remaining int64, resumed bool, accErr error) (data []byte, blocked bool, err error) {
+	k, f := o.k, o.f
+	file := uint64(f.ino.ino)
+	key := cache.Key{File: file, Page: o.page}
+	if !resumed {
+		if data, ok := k.cache.Get(key); ok {
+			// A page served by an asynchronous prefetch (possibly after
+			// waiting for it to complete) is accounted as PrefetchedPages.
+			// Pages pulled in by this very request's cluster are not cache
+			// hits in the measured sense; they were faulted moments ago.
+			if !k.waitIfPending(key) && (o.page < f.clusterStart || o.page >= f.clusterEnd) {
+				k.stats.CacheHits++
+			}
+			return data, false, nil
+		}
+		k.cache.RecordMiss()
+		o.planCluster(remaining)
+		o.phase = phFault
+		if blocked, accErr = k.runAccess(&o.acc, false, nil); blocked {
+			return nil, true, nil
+		}
+	}
+	if o.phase == phFault {
+		// The cluster's read is over, with outcome accErr.
+		if accErr != nil {
+			o.phase = phIdle
+			return nil, false, accErr
+		}
+		o.phase, o.q, resumed = phFill, o.page, false
+	}
+	for ; o.q < o.page+o.cluster; o.q++ {
+		if !resumed {
+			buf := k.takeBuf()
+			f.ino.fill(o.q, buf)
+			o.ins = insertion{key: cache.Key{File: file, Page: o.q}, data: buf}
+		}
+		blocked, err := o.insert(resumed, accErr)
+		if blocked {
+			return nil, true, nil
+		}
+		if err != nil {
+			o.phase = phIdle
+			return nil, false, err
+		}
+		resumed = false
+	}
+	o.phase = phIdle
+	// Demand-missed pages are hard faults; pure readahead beyond the
+	// requested window is accounted separately.
+	demand := o.cluster
+	if demand > o.wantPages {
+		k.stats.ReadaheadPages += demand - o.wantPages
+		demand = o.wantPages
+	}
+	k.stats.Faults += demand
+	f.clusterStart, f.clusterEnd = o.page, o.page+o.cluster
+
+	if data, ok := k.cache.Get(key); ok {
+		return data, false, nil
+	}
+	// Under CLOCK the cluster's first page can be gone already: inserting
+	// its later pages may give every older page its second chance and then
+	// evict the one unreferenced frame at the back, which is that first
+	// page. Fault it again; the pages that did survive end the new cluster
+	// early, and the second chances are spent.
+	return o.ensureResident(remaining, false, nil)
 }
 
-// ensureResidentStep is ensureResident in resumable form: the cluster
-// computation is synchronous, the device access and the per-page inserts
-// (whose evictions may suspend on write-back) are continuations.
-func (f *File) ensureResidentStep(page, remaining int64, done func(data []byte, err error) IOStep) IOStep {
-	k := f.k
-	key := cache.Key{File: uint64(f.ino.ino), Page: page}
-	if data, ok := k.cache.Get(key); ok {
-		if k.waitIfPending(key) {
-			// Served by an asynchronous prefetch (possibly after waiting
-			// for it to complete); accounted as PrefetchedPages.
-			return done(data, nil)
-		}
-		// Pages pulled in by this very request's cluster are not cache
-		// hits in the measured sense; they were faulted moments ago.
-		if page < f.clusterStart || page >= f.clusterEnd {
-			k.stats.CacheHits++
-		}
-		return done(data, nil)
-	}
-	k.cache.RecordMiss()
-
+// planCluster sizes the device request for a miss on o.page (o.cluster,
+// o.wantPages) and sets it up as o.acc.
+func (o *pageOp) planCluster(remaining int64) {
+	k, f := o.k, o.f
 	ps := int64(k.cfg.PageSize)
 	filePages := (f.ino.size + ps - 1) / ps
 
 	// Cluster: the missing pages this request needs, plus readahead,
 	// never more than the cache can hold (a larger cluster would evict
 	// its own leading pages before they are served).
-	wantPages := (remaining + ps - 1) / ps
-	cluster := wantPages + int64(k.cfg.ReadaheadPages)
-	if page+cluster > filePages {
-		cluster = filePages - page
+	o.wantPages = (remaining + ps - 1) / ps
+	cluster := o.wantPages + int64(k.cfg.ReadaheadPages)
+	if o.page+cluster > filePages {
+		cluster = filePages - o.page
 	}
 	if max := int64(k.cache.Cap()); cluster > max {
 		cluster = max
@@ -285,13 +333,13 @@ func (f *File) ensureResidentStep(page, remaining int64, done func(data []byte, 
 	// Stop the cluster at the first already-resident page: re-reading it
 	// would be wasted device work.
 	run := int64(1)
-	for run < cluster && !k.cache.Contains(cache.Key{File: uint64(f.ino.ino), Page: page + run}) {
+	for run < cluster && !k.cache.Contains(cache.Key{File: uint64(f.ino.ino), Page: o.page + run}) {
 		run++
 	}
 	// Never let one request cross a device chunk boundary (tape
 	// cartridges).
 	dev := k.Devices.Get(f.ino.dev)
-	start := f.ino.extent + page*ps
+	start := f.ino.extent + o.page*ps
 	length := run * ps
 	if cb, ok := dev.(interface{ ChunkSize() int64 }); ok {
 		chunk := cb.ChunkSize()
@@ -304,137 +352,106 @@ func (f *File) ensureResidentStep(page, remaining int64, done func(data []byte, 
 			}
 		}
 	}
-
-	var issue func() error
+	o.cluster = run
+	o.acc = access{dev: dev, off: start, length: length, charged: true}
 	if k.stager != nil && k.stagedDevs[f.ino.dev] {
-		issue = func() error { return k.stager.Fetch(f.ino, start, length) }
-	} else {
-		issue = func() error { return device.ReadErr(dev, k.Clock, start, length) }
+		o.acc.staged = f.ino
 	}
-	return k.accessStep(issue, func(err error) IOStep {
-		if err != nil {
-			return done(nil, err)
-		}
-		q := page
-		var insertLoop func() IOStep
-		insertLoop = func() IOStep {
-			if q >= page+run {
-				// Demand-missed pages are hard faults; pure readahead beyond
-				// the requested window is accounted separately.
-				demand := run
-				if demand > wantPages {
-					k.stats.ReadaheadPages += demand - wantPages
-					demand = wantPages
-				}
-				k.stats.Faults += demand
-				f.clusterStart, f.clusterEnd = page, page+run
-
-				data, ok := k.cache.Get(key)
-				if !ok {
-					panic("vfs: page vanished immediately after fault") //sledlint:allow panicpath -- cache invariant: the fault path just inserted this page
-				}
-				return done(data, nil)
-			}
-			buf := make([]byte, ps)
-			f.ino.content.ReadPage(q, buf)
-			qk := cache.Key{File: uint64(f.ino.ino), Page: q}
-			return k.insertStep(qk, buf, false, func(err error) IOStep {
-				if err != nil {
-					return done(nil, err)
-				}
-				q++
-				return insertLoop()
-			})
-		}
-		return insertLoop()
-	})
 }
 
 // WriteAt writes len(p) bytes at offset off, growing the file as needed.
 func (f *File) WriteAt(p []byte, off int64) (int, error) {
-	n, err := mustComplete(f.writeAtStep(p, off, ioDone), "write")
+	n, err := mustComplete(f.WriteAtStep(p, off), "write")
 	return int(n), err
 }
 
-// writeAtStep is WriteAt in resumable form; the suspension points are the
-// read-modify-write page fault and write-backs of pages its insertions
-// evict.
-func (f *File) writeAtStep(p []byte, off int64, done func(n int64, err error) IOStep) IOStep {
-	if f.closed {
-		return done(0, ErrClosed)
+// writeLoop is the write; its suspension points are the read-modify-write
+// page fault and write-backs of pages its insertions evict.
+//
+//sledlint:hotpath
+func (o *pageOp) writeLoop(resumed bool, accErr error) (blocked bool, n int64, err error) {
+	k, f := o.k, o.f
+	ps := int64(k.cfg.PageSize)
+	if !resumed {
+		if f.closed {
+			return false, 0, ErrClosed
+		}
+		if o.off < 0 {
+			return false, 0, fmt.Errorf("vfs: negative write offset %d", o.off)
+		}
+		dev := k.Devices.Get(f.ino.dev)
+		if ro, ok := dev.(interface{ ReadOnly() bool }); ok && ro.ReadOnly() {
+			return false, 0, fmt.Errorf("vfs: %q on %q: %w", f.ino.name, dev.Info().Name, ErrReadOnly)
+		}
+		if len(o.p) == 0 {
+			return false, 0, nil
+		}
+		o.want = int64(len(o.p))
+		if err := k.ensureExtent(f.ino, o.off+o.want); err != nil {
+			return false, 0, err
+		}
 	}
-	if off < 0 {
-		return done(0, fmt.Errorf("vfs: negative write offset %d", off))
-	}
-	dev := f.k.Devices.Get(f.ino.dev)
-	if ro, ok := dev.(interface{ ReadOnly() bool }); ok && ro.ReadOnly() {
-		return done(0, fmt.Errorf("vfs: %q on %q: %w", f.ino.name, dev.Info().Name, ErrReadOnly))
-	}
-	if len(p) == 0 {
-		return done(0, nil)
-	}
-	if err := f.k.ensureExtent(f.ino, off+int64(len(p))); err != nil {
-		return done(0, err)
-	}
-
-	ps := int64(f.k.cfg.PageSize)
-	var got int64
-	want := int64(len(p))
-	var loop func() IOStep
-	loop = func() IOStep {
-		if got >= want {
-			if off+want > f.ino.size {
-				f.ino.size = off + want
+	for resumed || o.got < o.want {
+		if !resumed {
+			o.setPage(ps)
+		}
+		key := cache.Key{File: uint64(f.ino.ino), Page: o.page}
+		if !resumed {
+			src := o.p[o.got : o.got+o.n]
+			if data, ok := k.cache.Get(key); ok {
+				// Page resident: mutate in place.
+				copy(data[o.inPage:], src)
+				k.cache.MarkDirty(key)
+				o.got += o.n
+				continue
 			}
-			f.chargeMemCopy(want)
-			f.k.stats.BytesWritten += want
-			return done(want, nil)
-		}
-		cur := off + got
-		page := cur / ps
-		inPage := cur % ps
-		n := ps - inPage
-		if n > want-got {
-			n = want - got
-		}
-
-		key := cache.Key{File: uint64(f.ino.ino), Page: page}
-		if data, ok := f.k.cache.Get(key); ok {
-			// Page resident: mutate in place.
-			copy(data[inPage:inPage+n], p[got:got+n])
-			f.k.cache.MarkDirty(key)
-			got += n
-			return loop()
-		}
-		if n == ps || cur >= f.ino.size {
-			// Full-page write, or write entirely beyond current EOF: no
-			// read needed; any EOF gap within the page is zero.
-			buf := make([]byte, ps)
-			if cur > f.ino.size && f.ino.size > page*ps {
-				// Part of this page below cur holds file data: fetch it.
-				f.ino.content.ReadPage(page, buf)
-			}
-			copy(buf[inPage:inPage+n], p[got:got+n])
-			return f.k.insertStep(key, buf, true, func(err error) IOStep {
-				if err != nil {
-					return done(got, err)
+			if cur := o.off + o.got; o.n == ps || cur >= f.ino.size {
+				// Full-page write, or write entirely beyond current EOF: no
+				// device read needed.
+				buf := k.takeBuf()
+				if o.n < ps {
+					// What the write leaves uncovered is what the file
+					// holds there: its data below EOF, zeros past it. A
+					// recycled buffer holds neither.
+					f.ino.fill(o.page, buf)
 				}
-				got += n
-				return loop()
-			})
+				copy(buf[o.inPage:], src)
+				o.ins = insertion{key: key, data: buf, dirty: true}
+				o.phase = phInsert
+			}
+		}
+		if o.phase == phInsert {
+			blocked, err := o.insert(resumed, accErr)
+			if blocked {
+				return true, 0, nil
+			}
+			o.phase = phIdle
+			if err != nil {
+				return false, o.got, err
+			}
+			resumed = false
+			o.got += o.n
+			continue
 		}
 		// Partial overwrite of a non-resident page: read-modify-write.
-		return f.ensureResidentStep(page, n, func(data []byte, err error) IOStep {
-			if err != nil {
-				return done(got, err)
-			}
-			copy(data[inPage:inPage+n], p[got:got+n])
-			f.k.cache.MarkDirty(key)
-			got += n
-			return loop()
-		})
+		data, blocked, err := o.ensureResident(o.n, resumed, accErr)
+		if blocked {
+			return true, 0, nil
+		}
+		if err != nil {
+			return false, o.got, err
+		}
+		resumed = false
+		copy(data[o.inPage:], o.p[o.got:o.got+o.n])
+		k.cache.MarkDirty(key)
+		o.got += o.n
 	}
-	return loop()
+	if o.off+o.want > f.ino.size {
+		f.ino.size = o.off + o.want
+	}
+	f.chargeMemCopy(o.want)
+	k.stats.BytesWritten += o.want
+	return false, o.want, nil
 }
 
 // chargeMemCopy accounts the user/kernel copy cost as CPU time.

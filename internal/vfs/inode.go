@@ -45,6 +45,17 @@ func (n *Inode) Device() device.ID { return n.dev }
 // Extent returns the byte offset of the file's data on its device.
 func (n *Inode) Extent() int64 { return n.extent }
 
+// fill reads the page's backing bytes into buf (one page long). A page the
+// content does not reach yet — a hole a write past EOF left behind, while
+// the written page itself is still dirty in the cache — is zeros.
+func (n *Inode) fill(page int64, buf []byte) {
+	if page < n.content.Pages() {
+		n.content.ReadPage(page, buf)
+	} else {
+		clear(buf)
+	}
+}
+
 // splitPath normalises and splits an absolute path.
 func splitPath(path string) ([]string, error) {
 	if !strings.HasPrefix(path, "/") {

@@ -147,6 +147,7 @@ type Kernel struct {
 	Devices *device.Registry
 
 	cfg    Config
+	retry  RetryPolicy // cfg.Retry with defaults filled in
 	cache  *cache.Cache
 	jitter *simclock.Jitter
 
@@ -172,8 +173,14 @@ type Kernel struct {
 	faultObs func(*device.Fault)
 
 	// wb queues dirty pages evicted by a cache mutation until the
-	// mutation's drain point writes them back (see resume.go).
-	wb []wbItem
+	// mutation's drain point writes them back; wbHead is the next to go
+	// (see resume.go).
+	wb     []wbItem
+	wbHead int
+
+	// free holds the buffers of pages that left the cache, for the next
+	// miss to fill (takeBuf/putBuf in resume.go).
+	free [][]byte
 
 	stats RunStats
 }
@@ -198,6 +205,7 @@ func NewKernel(cfg Config) *Kernel {
 		Clock:     simclock.New(),
 		Devices:   device.NewRegistry(),
 		cfg:       cfg,
+		retry:     cfg.Retry.withDefaults(),
 		inodes:    make(map[Ino]*Inode),
 		nextAlloc: make(map[device.ID]int64),
 	}
@@ -205,6 +213,7 @@ func NewKernel(cfg Config) *Kernel {
 		k.jitter = simclock.NewJitter(cfg.JitterSeed, cfg.JitterFrac)
 	}
 	k.cache = cache.New(cfg.CachePages, cfg.Policy, k.onEvict)
+	k.cache.SetDropFn(k.putBuf)
 	k.root = &Inode{ino: k.allocIno(), name: "/", isDir: true, children: map[string]*Inode{}}
 	k.inodes[k.root.ino] = k.root
 	return k
@@ -287,50 +296,26 @@ func (k *Kernel) ChargeCPUBytes(n int64, bytesPerSec float64) {
 // table's health tracking hooks in here; nil detaches.
 func (k *Kernel) SetFaultObserver(fn func(*device.Fault)) { k.faultObs = fn }
 
-// deviceAccess runs one logical device access with the kernel's retry
-// policy: device faults are counted, reported to the fault observer, and
-// retried after capped exponential backoff (in virtual time, charged to
-// the current clock); when the policy gives up the access fails with a
-// wrapped ErrIO. Non-fault errors pass through untouched. This is the
-// synchronous driver of deviceAccessStep (see resume.go).
-func (k *Kernel) deviceAccess(fn func() error) error {
-	_, err := mustComplete(k.deviceAccessStep(fn, func(err error) IOStep {
-		return ioDone(0, err)
-	}), "device access")
-	return err
-}
-
 // onEvict is the cache's eviction callback: dirty pages are queued for
-// write-back to their device. The queue is drained immediately after the
-// cache mutation that triggered the eviction (insertStep, invalidation),
-// which keeps the write at the same virtual instant as the historical
-// write-during-eviction while letting the engine suspend mid-write-back.
-// Eviction is asynchronous write-back — there is no one to return an error
-// to — so a write-back that still fails after retries is counted
-// (WritebackEIOs) and the page dropped, as a real kernel's failed async
-// write-back ends up doing.
+// write-back to their device, clean pages' buffers are recycled at once.
+// The queue is drained immediately after the cache mutation that triggered
+// the eviction (pageOp.insert, invalidation), which keeps the write at the
+// same virtual instant as the historical write-during-eviction while
+// letting the engine suspend mid-write-back. Eviction is asynchronous
+// write-back — there is no one to return an error to — so a write-back
+// that still fails after retries is counted (WritebackEIOs) and the page
+// dropped, as a real kernel's failed async write-back ends up doing.
 func (k *Kernel) onEvict(key cache.Key, data []byte, dirty bool) {
 	// An evicted page can no longer be served by its in-flight prefetch.
 	delete(k.pending, key)
-	if !dirty {
-		return
-	}
 	ino, ok := k.inodes[Ino(key.File)]
-	if !ok {
-		// File deleted with dirty pages still cached; drop them.
+	if !dirty || !ok {
+		// Clean, or the file was deleted with dirty pages still cached:
+		// nothing to write.
+		k.putBuf(data)
 		return
 	}
 	k.wb = append(k.wb, wbItem{ino: ino, page: key.Page, data: data})
-}
-
-// writePageToDevice stores page data into the inode's content and charges
-// the device write, with retries per the kernel policy — the synchronous
-// driver of writePageStep, used by sync(2)-family paths.
-func (k *Kernel) writePageToDevice(ino *Inode, page int64, data []byte) error {
-	_, err := mustComplete(k.writePageStep(ino, page, data, func(err error) IOStep {
-		return ioDone(0, err)
-	}), "page write-back")
-	return err
 }
 
 // allocExtent reserves size bytes of contiguous space on a device,
@@ -428,14 +413,17 @@ func (k *Kernel) DropCaches() {
 
 // SyncAll writes every dirty page back to its device (sync(2)). Pages
 // whose write-back still fails after retries are counted in
-// WritebackEIOs and dropped — sync(2) historically absorbs write errors
-// silently; File.Sync is the path that reports them.
+// WritebackEIOs (by wrotePage) and dropped — sync(2) historically absorbs
+// write errors silently; File.Sync is the path that reports them.
 func (k *Kernel) SyncAll() {
+	o := pageOp{k: k}
 	k.cache.FlushDirty(func(key cache.Key, data []byte) {
 		ino, ok := k.inodes[Ino(key.File)]
 		if !ok {
 			return
 		}
-		_ = k.writePageToDevice(ino, key.Page, data)
+		blocked, err := o.writePage(ino, key.Page, data)
+		mustNotBlock(blocked, "page write-back")
+		k.wrotePage(err)
 	})
 }

@@ -1,0 +1,217 @@
+package vfs
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"testing"
+
+	"sleds/internal/cache"
+	"sleds/internal/device"
+	"sleds/internal/workload"
+)
+
+// Model check of the page-fill path with recycled buffers: seeded random
+// reads, writes, syncs, invalidations and removals over two files with
+// generated (non-zero) content and a cache of a few pages, every byte the
+// kernel returns compared with a flat byte-slice model. A buffer reused
+// while something still referenced it, or handed out dirty where zeros
+// were due, shows up as a byte mismatch.
+
+const modelPage = 64
+
+// modelRNG is splitmix64: the test's own deterministic op stream.
+type modelRNG uint64
+
+func (r *modelRNG) next() uint64 {
+	*r += 0x9e3779b97f4a7c15
+	z := uint64(*r)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (r *modelRNG) intn(n int64) int64 { return int64(r.next() % uint64(n)) }
+
+// modelFile pairs an open file with the bytes it must hold.
+type modelFile struct {
+	path  string
+	f     *File
+	model []byte
+}
+
+type modelWorld struct {
+	t     *testing.T
+	k     *Kernel
+	disk  device.ID
+	files [2]*modelFile
+	rng   modelRNG
+	gens  int // files created so far: each gets content of its own
+}
+
+// patternGen generates non-zero bytes that differ by generation, page and
+// position, so a page served from the wrong buffer cannot pass.
+func patternGen(gen int) workload.PageGen {
+	return func(page int64, buf []byte) {
+		for i := range buf {
+			buf[i] = 1 + byte((int64(gen)*131+page*31+int64(i)*7)%255)
+		}
+	}
+}
+
+// create makes (or re-makes) file i with fresh generated content.
+func (w *modelWorld) create(i int, size int64) {
+	w.t.Helper()
+	w.gens++
+	c := workload.New(size, modelPage, patternGen(w.gens))
+	mf := &modelFile{path: fmt.Sprintf("/d/f%d", i), model: c.ReadAll()}
+	if _, err := w.k.Create(mf.path, w.disk, c); err != nil {
+		w.t.Fatal(err)
+	}
+	var err error
+	if mf.f, err = w.k.Open(mf.path); err != nil {
+		w.t.Fatal(err)
+	}
+	w.files[i] = mf
+}
+
+// checkRead reads [off, off+n) of mf through the kernel and compares it,
+// byte count and EOF included, with the model.
+func (w *modelWorld) checkRead(what string, mf *modelFile, off, n int64) {
+	w.t.Helper()
+	buf := bytes.Repeat([]byte{0xEE}, int(n))
+	got, err := mf.f.ReadAt(buf, off)
+	size := int64(len(mf.model))
+	want := n
+	if off >= size {
+		want = 0
+	} else if off+n > size {
+		want = size - off
+	}
+	wantErr := error(nil)
+	if want < n {
+		wantErr = io.EOF
+	}
+	if int64(got) != want || err != wantErr {
+		w.t.Fatalf("%s: ReadAt(%s, off %d, len %d) = %d, %v; want %d, %v", what, mf.path, off, n, got, err, want, wantErr)
+	}
+	for i := int64(0); i < want; i++ {
+		if buf[i] != mf.model[off+i] {
+			w.t.Fatalf("%s: %s byte %d (page %d) = %#x, model %#x", what, mf.path, off+i, (off+i)/modelPage, buf[i], mf.model[off+i])
+		}
+	}
+}
+
+// write applies p at off to the kernel and to the model (gap zero-filled).
+func (w *modelWorld) write(mf *modelFile, off int64, p []byte) {
+	w.t.Helper()
+	if n, err := mf.f.WriteAt(p, off); err != nil || n != len(p) {
+		w.t.Fatalf("WriteAt(%s, off %d, len %d) = %d, %v", mf.path, off, len(p), n, err)
+	}
+	if end := off + int64(len(p)); end > int64(len(mf.model)) {
+		mf.model = append(mf.model, make([]byte, end-int64(len(mf.model)))...)
+	}
+	copy(mf.model[off:], p)
+}
+
+// payload is n bytes that are never zero, so a stale or missing byte
+// cannot pass for a gap.
+func (w *modelWorld) payload(n int64) []byte {
+	p := make([]byte, n)
+	for i := range p {
+		p[i] = byte(w.rng.next()%255) + 1
+	}
+	return p
+}
+
+// runModel runs one trial: the trial number picks the cache size and the
+// whole op stream.
+func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int) {
+	mem := device.NewMem(device.DefaultMemConfig(0))
+	w := &modelWorld{t: t, rng: modelRNG(trial)}
+	cachePages := 3 + int(w.rng.intn(6))
+	w.k = NewKernel(Config{PageSize: modelPage, CachePages: cachePages, Policy: policy, MemDevice: mem})
+	w.k.AttachDevice(mem)
+	w.disk = w.k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
+	if err := w.k.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	w.create(0, 9*modelPage+17)
+	w.create(1, 6*modelPage)
+
+	for op := 0; op < ops; op++ {
+		mf := w.files[w.rng.intn(2)]
+		size := int64(len(mf.model))
+		what := fmt.Sprintf("policy %s trial %d cache %d op %d", policy, trial, cachePages, op)
+		switch kind := w.rng.intn(16); {
+		case kind < 5: // read anywhere, up to three pages, possibly across EOF
+			w.checkRead(what, mf, w.rng.intn(size+modelPage), 1+w.rng.intn(3*modelPage))
+		case kind < 8: // partial-page overwrite inside the file
+			off := w.rng.intn(size)
+			n := 1 + w.rng.intn(modelPage-off%modelPage)
+			if off+n > size {
+				n = size - off
+			}
+			w.write(mf, off, w.payload(n))
+		case kind < 10: // whole pages, aligned, possibly extending the file
+			w.write(mf, w.rng.intn(size/modelPage+1)*modelPage, w.payload((1+w.rng.intn(2))*modelPage))
+		case kind < 12: // at or past EOF; a gap must read as zeros
+			if size < 24*modelPage {
+				w.write(mf, size+max(w.rng.intn(3*modelPage)-modelPage, 0), w.payload(1+w.rng.intn(modelPage+modelPage/2)))
+			}
+		case kind < 13:
+			if err := mf.f.Sync(); err != nil {
+				t.Fatalf("%s: Sync: %v", what, err)
+			}
+		case kind < 15: // drop a page range, dirty pages written back first
+			w.k.InvalidateRange(mf.f.Inode(), w.rng.intn(size/modelPage+1), 1+w.rng.intn(4))
+		default: // truncate to nothing and start over: dirty pages are discarded
+			if w.rng.intn(4) == 0 {
+				i := int(w.rng.intn(2))
+				if err := w.files[i].f.Close(); err != nil {
+					t.Fatal(err)
+				}
+				if err := w.k.Remove(w.files[i].path); err != nil {
+					t.Fatal(err)
+				}
+				w.create(i, (2+w.rng.intn(8))*modelPage+w.rng.intn(modelPage))
+			}
+		}
+		if got := w.k.cache.Len(); got > cachePages || len(w.k.free) > cachePages {
+			t.Fatalf("%s: %d resident pages, %d free buffers, cache of %d", what, got, len(w.k.free), cachePages)
+		}
+		// Spot-check both files after every op; the whole-file comparison
+		// runs only now and then, because it flushes every dirty page out
+		// of a cache this small and the next op would always start clean.
+		for _, mf := range w.files {
+			size := int64(len(mf.model))
+			if op%25 == 24 || op == ops-1 {
+				w.checkRead(what+" (whole file)", mf, 0, size+1)
+			} else {
+				w.checkRead(what+" (spot)", mf, w.rng.intn(size), 1+w.rng.intn(modelPage))
+			}
+			if mf.f.Size() != size {
+				t.Fatalf("%s: %s size %d, model %d", what, mf.path, mf.f.Size(), size)
+			}
+		}
+	}
+
+	// What reached the devices' content must be the model too.
+	w.k.DropCaches()
+	for _, mf := range w.files {
+		if got := mf.f.Inode().content.ReadAll(); !bytes.Equal(got[:len(mf.model)], mf.model) {
+			t.Fatalf("policy %s trial %d: %s content after DropCaches differs from the model", policy, trial, mf.path)
+		}
+	}
+}
+
+func TestRecycledBuffersModel(t *testing.T) {
+	for _, policy := range []cache.Policy{cache.LRU, cache.FIFO, cache.Clock} {
+		policy := policy
+		t.Run(policy.String(), func(t *testing.T) {
+			for trial := uint64(1); trial <= 40; trial++ {
+				runModel(t, policy, trial, 300)
+			}
+		})
+	}
+}

@@ -96,16 +96,14 @@ func (k *Kernel) schedulePrefetch(dev device.Device, n *Inode, page, run int64) 
 	// policy (the scratch clock is installed so backoff lands on it); a
 	// prefetch that still fails is simply dropped — readahead is advisory,
 	// and the demand path will retry the pages on its own later.
+	read := access{dev: dev, off: devOff, length: length}
+	if k.stager != nil && k.stagedDevs[n.dev] {
+		// Prefetching through the HSM stager migrates on the background
+		// timeline too.
+		read.staged = n
+	}
 	var err error
-	k.withScratchClock(scratch, func() {
-		if k.stager != nil && k.stagedDevs[n.dev] {
-			// Prefetching through the HSM stager migrates on the background
-			// timeline too.
-			err = k.deviceAccess(func() error { return k.stager.Fetch(n, devOff, length) })
-		} else {
-			err = k.deviceAccess(func() error { return device.ReadErr(dev, k.Clock, devOff, length) })
-		}
-	})
+	k.withScratchClock(scratch, func() { err = k.deviceAccess(read) })
 	completion := scratch.Now()
 	if k.busyUntil == nil {
 		k.busyUntil = make(map[device.ID]simclock.Duration)
@@ -117,10 +115,10 @@ func (k *Kernel) schedulePrefetch(dev device.Device, n *Inode, page, run int64) 
 	}
 
 	for q := page; q < page+run; q++ {
-		buf := make([]byte, ps)
-		n.content.ReadPage(q, buf)
+		buf := k.takeBuf()
+		n.fill(q, buf)
 		key := cache.Key{File: uint64(n.ino), Page: q}
-		if k.insertPage(key, buf, false) != nil {
+		if k.insertPage(key, buf) != nil {
 			return
 		}
 		k.pending[key] = completion

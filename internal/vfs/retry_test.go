@@ -77,7 +77,7 @@ func flakyKernel(t *testing.T, pol RetryPolicy, failFor int) (*Kernel, *flakyDev
 func TestRetryBackoffGoldenTrace(t *testing.T) {
 	pol := RetryPolicy{MaxAttempts: 6, Backoff: 10 * simclock.Millisecond, BackoffCap: 70 * simclock.Millisecond}
 	k, fd, _ := flakyKernel(t, pol, 5)
-	err := k.deviceAccess(func() error { return device.ReadErr(fd, k.Clock, 0, testPage) })
+	err := k.deviceAccess(access{dev: fd, length: testPage})
 	if err != nil {
 		t.Fatalf("access with 5 faults under a 6-attempt policy failed: %v", err)
 	}
@@ -110,7 +110,7 @@ func TestRetryBackoffGoldenTrace(t *testing.T) {
 func TestRetryExhaustionSurfacesEIO(t *testing.T) {
 	pol := RetryPolicy{MaxAttempts: 3, Backoff: 10 * simclock.Millisecond, BackoffCap: simclock.Second}
 	k, fd, _ := flakyKernel(t, pol, 1<<30)
-	err := k.deviceAccess(func() error { return device.ReadErr(fd, k.Clock, 0, testPage) })
+	err := k.deviceAccess(access{dev: fd, length: testPage})
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("exhausted retries returned %v, want wrapped ErrIO", err)
 	}
@@ -127,7 +127,7 @@ func TestRetryExhaustionSurfacesEIO(t *testing.T) {
 // one attempt, no backoff spent.
 func TestFailFastSurfacesFirstFault(t *testing.T) {
 	k, fd, _ := flakyKernel(t, RetryPolicy{FailFast: true}, 1)
-	err := k.deviceAccess(func() error { return device.ReadErr(fd, k.Clock, 0, testPage) })
+	err := k.deviceAccess(access{dev: fd, length: testPage})
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("fail-fast returned %v, want wrapped ErrIO", err)
 	}
@@ -145,11 +145,11 @@ func TestFailFastSurfacesFirstFault(t *testing.T) {
 // default (5 attempts): 4 faults ride out, 5 do not.
 func TestZeroPolicyIsDefault(t *testing.T) {
 	k, fd, _ := flakyKernel(t, RetryPolicy{}, 4)
-	if err := k.deviceAccess(func() error { return device.ReadErr(fd, k.Clock, 0, testPage) }); err != nil {
+	if err := k.deviceAccess(access{dev: fd, length: testPage}); err != nil {
 		t.Fatalf("4 faults under the default policy failed: %v", err)
 	}
 	k2, fd2, _ := flakyKernel(t, RetryPolicy{}, 5)
-	err := k2.deviceAccess(func() error { return device.ReadErr(fd2, k2.Clock, 0, testPage) })
+	err := k2.deviceAccess(access{dev: fd2, length: testPage})
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("5 faults under the default policy returned %v, want ErrIO", err)
 	}
@@ -213,7 +213,7 @@ func TestFaultObserverSeesEveryFault(t *testing.T) {
 	k, fd, _ := flakyKernel(t, pol, 3)
 	var seen []simclock.Duration
 	k.SetFaultObserver(func(f *device.Fault) { seen = append(seen, f.Extra) })
-	if err := k.deviceAccess(func() error { return device.ReadErr(fd, k.Clock, 0, testPage) }); err != nil {
+	if err := k.deviceAccess(access{dev: fd, length: testPage}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 3 {

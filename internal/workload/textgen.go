@@ -9,8 +9,9 @@ import "fmt"
 
 // lexicon is a small pool of lowercase words; none of them contains the
 // grep experiment's needle ("xyzzy..."), so planted matches are the only
-// matches.
-var lexicon = []string{
+// matches. It is an array so its length is a compile-time constant: the
+// generator's `% len(lexicon)` compiles to a multiply, not a divide.
+var lexicon = [...]string{
 	"the", "quick", "brown", "fox", "jumps", "over", "lazy", "dog",
 	"storage", "latency", "estimation", "descriptor", "cache", "page",
 	"fault", "disk", "tape", "mount", "seek", "transfer", "bandwidth",
@@ -18,6 +19,26 @@ var lexicon = []string{
 	"system", "buffer", "linear", "pass", "reorder", "prune", "report",
 	"astronomy", "image", "histogram", "rebin", "pixel", "header", "unit",
 }
+
+// slotSize is the width of a padded word slot: longer than any lexicon
+// word, and a size the compiler copies with two register moves.
+const slotSize = 16
+
+// wordSlot is one lexicon word padded to slotSize bytes, so the
+// generator copies a whole slot instead of looping over the word's bytes.
+// The last byte holds the word's length.
+type wordSlot [slotSize]byte
+
+// slots is the lexicon in slot form, index for index.
+var slots = func() (out [len(lexicon)]wordSlot) {
+	for i, w := range lexicon {
+		if len(w) >= slotSize-1 {
+			panic("workload: lexicon word " + w + " does not fit a slot")
+		}
+		out[i][slotSize-1] = byte(copy(out[i][:], w))
+	}
+	return out
+}()
 
 // splitmix64 advances x and returns a well-mixed 64-bit value.
 func splitmix64(x *uint64) uint64 {
@@ -32,31 +53,50 @@ func splitmix64(x *uint64) uint64 {
 // the lexicon separated by single spaces, newlines roughly every 50-70
 // bytes. Page content depends only on (seed, page).
 func TextGen(seed uint64) PageGen {
-	return func(page int64, buf []byte) {
-		state := seed ^ (uint64(page)+1)*0x9e3779b97f4a7c15
-		// Warm the stream so adjacent pages decorrelate.
-		splitmix64(&state)
+	return func(page int64, buf []byte) { textPage(seed, page, buf) }
+}
 
-		lineLen := 0
-		i := 0
-		for i < len(buf) {
-			w := lexicon[splitmix64(&state)%uint64(len(lexicon))]
-			for j := 0; j < len(w) && i < len(buf); j++ {
-				buf[i] = w[j]
-				i++
-				lineLen++
-			}
-			if i >= len(buf) {
-				break
-			}
-			if lineLen >= 50+int(splitmix64(&state)%20) {
-				buf[i] = '\n'
-				lineLen = 0
-			} else {
-				buf[i] = ' '
-			}
-			i++
+// textPage fills buf with the text of one page. While a whole slot fits
+// it copies the word's slot and lets what follows overwrite the padding;
+// in the last few bytes of the buffer, where a slot would overrun, it
+// copies the word alone, cut short at the buffer's end.
+//
+//sledlint:hotpath
+func textPage(seed uint64, page int64, buf []byte) {
+	state := seed ^ (uint64(page)+1)*0x9e3779b97f4a7c15
+	// Warm the stream so adjacent pages decorrelate.
+	splitmix64(&state)
+
+	lineLen := 0
+	for len(buf) >= slotSize {
+		s := &slots[splitmix64(&state)%uint64(len(lexicon))]
+		copy(buf[:slotSize], s[:])
+		// The mask shows the compiler n < slotSize <= len(buf): no bounds
+		// checks in this loop.
+		n := int(s[slotSize-1]) & (slotSize - 1)
+		lineLen += n
+		sep := byte(' ')
+		if lineLen >= 50+int(splitmix64(&state)%20) {
+			sep = '\n'
+			lineLen = 0
 		}
+		buf[n] = sep
+		buf = buf[n+1:]
+	}
+	for len(buf) > 0 {
+		s := &slots[splitmix64(&state)%uint64(len(lexicon))]
+		n := copy(buf, s[:s[slotSize-1]])
+		lineLen += n
+		if n == len(buf) {
+			break
+		}
+		if lineLen >= 50+int(splitmix64(&state)%20) {
+			buf[n] = '\n'
+			lineLen = 0
+		} else {
+			buf[n] = ' '
+		}
+		buf = buf[n+1:]
 	}
 }
 
