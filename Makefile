@@ -10,6 +10,9 @@ STATICCHECK_VERSION ?= 2025.1
 BENCH_PKGS = ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/vfs
 BENCH_SNAPSHOT = BENCH_13.json
 
+# A literal comma, for use inside $(call ...) arguments.
+comma := ,
+
 .PHONY: build vet fmt staticcheck lint lint-debt lint-sarif test race bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke perf-smoke ci
 
 build:
@@ -87,6 +90,19 @@ bench-compare:
 	{ $(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS); \
 	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson -compare $(BENCH_SNAPSHOT) -tolerance 0.25
 
+# workers-diff is the one recipe behind determinism and the *-smoke
+# targets: run sledsbench -scale quick with the flags in $(2) at -workers 1
+# and -workers 4, fail on any stdout byte difference, and — when $(3) names
+# a committed golden — fail unless the output equals it too. $(1) tags the
+# files left in /tmp; $(4) says what was proven.
+define workers-diff
+$(GO) run ./cmd/sledsbench -scale quick $(2) -workers 1 > /tmp/sledsbench-$(1)-w1.txt
+$(GO) run ./cmd/sledsbench -scale quick $(2) -workers 4 > /tmp/sledsbench-$(1)-w4.txt
+diff /tmp/sledsbench-$(1)-w1.txt /tmp/sledsbench-$(1)-w4.txt
+$(if $(3),diff $(3) /tmp/sledsbench-$(1)-w1.txt)
+@echo "$(4): byte-identical at 1 and 4 workers$(if $(3), and equal to $(3))"
+endef
+
 # scale-smoke proves the event-heap engine at full width: the escale
 # experiment (up to 10,000 streams over 24 queued disks, fcfs and sstf)
 # must complete at quick scale and print byte-identical figures at 1 and
@@ -95,31 +111,16 @@ bench-compare:
 # never depend on page content). escale is deliberately outside "all", so
 # this is the only place it runs.
 scale-smoke:
-	$(GO) run ./cmd/sledsbench -scale quick -exp escale -workers 1 > /tmp/sledsbench-escale-w1.txt
-	$(GO) run ./cmd/sledsbench -scale quick -exp escale -workers 4 > /tmp/sledsbench-escale-w4.txt
-	diff /tmp/sledsbench-escale-w1.txt /tmp/sledsbench-escale-w4.txt
-	@echo "scale-smoke: 10,000-stream escale is byte-identical at 1 and 4 workers"
-	diff experiments_quick_escale.txt /tmp/sledsbench-escale-w1.txt
-	@echo "scale-smoke: escale matches the committed golden"
+	$(call workers-diff,escale,-exp escale,experiments_quick_escale.txt,scale-smoke: 10$(comma)000-stream escale)
 
 # determinism regenerates the quick-scale evaluation serially and with a
 # 4-worker pool and fails on any stdout byte difference, guarding the
-# per-point seed derivation and the index-ordered reduce.
+# per-point seed derivation and the index-ordered reduce; the contention
+# experiments and fault injection are then repeated on their own.
 determinism:
-	$(GO) run ./cmd/sledsbench -scale quick -workers 1 > /tmp/sledsbench-w1.txt
-	$(GO) run ./cmd/sledsbench -scale quick -workers 4 > /tmp/sledsbench-w4.txt
-	diff /tmp/sledsbench-w1.txt /tmp/sledsbench-w4.txt
-	@echo "deterministic: quick-scale output is byte-identical at 1 and 4 workers"
-	diff experiments_quick_scale.txt /tmp/sledsbench-w1.txt
-	@echo "deterministic: quick-scale output matches the committed golden"
-	$(GO) run ./cmd/sledsbench -scale quick -exp econtend,eloadsled -workers 1 > /tmp/sledsbench-contend-w1.txt
-	$(GO) run ./cmd/sledsbench -scale quick -exp econtend,eloadsled -workers 4 > /tmp/sledsbench-contend-w4.txt
-	diff /tmp/sledsbench-contend-w1.txt /tmp/sledsbench-contend-w4.txt
-	@echo "deterministic: contention experiments are byte-identical at 1 and 4 workers"
-	$(GO) run ./cmd/sledsbench -scale quick -exp efaults -runs 2 -faults heavy -workers 1 > /tmp/sledsbench-faults-w1.txt
-	$(GO) run ./cmd/sledsbench -scale quick -exp efaults -runs 2 -faults heavy -workers 4 > /tmp/sledsbench-faults-w4.txt
-	diff /tmp/sledsbench-faults-w1.txt /tmp/sledsbench-faults-w4.txt
-	@echo "deterministic: fault injection is byte-identical at 1 and 4 workers"
+	$(call workers-diff,all,,experiments_quick_scale.txt,deterministic: quick-scale output)
+	$(call workers-diff,contend,-exp econtend$(comma)eloadsled,,deterministic: contention experiments)
+	$(call workers-diff,faults,-exp efaults -runs 2 -faults heavy,,deterministic: fault injection)
 
 # trace-smoke drives the trace subsystem end to end: sledstrace
 # generates a trace, validates its own output, and the etrace experiment
@@ -131,23 +132,16 @@ determinism:
 trace-smoke:
 	$(GO) run ./cmd/sledstrace gen -class mixed -seed 7 -o /tmp/sledstrace-smoke.sledtrace
 	$(GO) run ./cmd/sledstrace validate /tmp/sledstrace-smoke.sledtrace
-	$(GO) run ./cmd/sledsbench -scale quick -exp etrace -workers 1 > /tmp/sledsbench-etrace-w1.txt
-	$(GO) run ./cmd/sledsbench -scale quick -exp etrace -workers 4 > /tmp/sledsbench-etrace-w4.txt
-	diff /tmp/sledsbench-etrace-w1.txt /tmp/sledsbench-etrace-w4.txt
-	@echo "trace-smoke: etrace replay is byte-identical at 1 and 4 workers"
-	diff experiments_quick_etrace.txt /tmp/sledsbench-etrace-w1.txt
-	@echo "trace-smoke: etrace matches the committed golden"
+	$(call workers-diff,etrace,-exp etrace,experiments_quick_etrace.txt,trace-smoke: etrace replay)
 
 # fleet-smoke drives the fleet tier end to end: the efleet experiment
 # (3 scenarios x {rr, sled, hedge} over a 4-replica fleet) must complete
-# at quick scale and print byte-identical reports at 1 and 4 workers.
-# efleet is deliberately outside "all" (like escale and etrace), so this
-# is the only place it runs.
+# at quick scale and print byte-identical reports at 1 and 4 workers, equal
+# to the committed experiments_quick_efleet.txt (generated at PR 13, before
+# the experiment registry). efleet is deliberately outside "all" (like
+# escale and etrace), so this is the only place it runs.
 fleet-smoke:
-	$(GO) run ./cmd/sledsbench -scale quick -exp efleet -workers 1 > /tmp/sledsbench-efleet-w1.txt
-	$(GO) run ./cmd/sledsbench -scale quick -exp efleet -workers 4 > /tmp/sledsbench-efleet-w4.txt
-	diff /tmp/sledsbench-efleet-w1.txt /tmp/sledsbench-efleet-w4.txt
-	@echo "fleet-smoke: efleet is byte-identical at 1 and 4 workers"
+	$(call workers-diff,efleet,-exp efleet,experiments_quick_efleet.txt,fleet-smoke: efleet)
 
 # faults-smoke drives the fault-injection path end to end: the efaults
 # experiment at quick scale with the heavy profile stacked over every

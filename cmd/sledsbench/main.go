@@ -1,7 +1,9 @@
 // Command sledsbench regenerates the paper's evaluation — every table
-// and figure — plus the extension experiments and ablations; -list
-// prints every experiment id (the knownExps slice below is the one list
-// that -list, the -exp usage text and the unknown-id error all read).
+// and figure — plus the extension experiments and ablations. It is flag
+// parsing and one loop: what an id means, what "all" and "ablations"
+// select, the print order and each sweep's renderer are declared once, in
+// the registry of internal/experiments, which -list, the -exp usage text
+// and the unknown-id error read too.
 //
 // Usage:
 //
@@ -19,13 +21,15 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -35,105 +39,85 @@ import (
 )
 
 // startProfiles starts the host-side pprof collectors selected by the
-// -cpuprofile/-memprofile flags; the returned stop function (idempotent)
-// finishes them. Profiles measure the regeneration's own host CPU and
-// heap — wall-clock diagnostics, which cmd/ is allowed to touch — and all
-// notes go to stderr so stdout stays diffable.
-func startProfiles(cpu, mem string) func() {
-	cpuStarted := false
+// -cpuprofile/-memprofile flags; the returned stop function finishes them.
+// Profiles measure the regeneration's own host CPU and heap — wall-clock
+// diagnostics, which cmd/ is allowed to touch — and all notes go to stderr
+// so stdout stays diffable.
+func startProfiles(cpu, mem string, stderr io.Writer) (stop func(), err error) {
 	if cpu != "" {
 		f, err := os.Create(cpu)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			return nil, fmt.Errorf("-cpuprofile: %v", err)
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: -cpuprofile: %v\n", err)
-			os.Exit(2)
+			return nil, fmt.Errorf("-cpuprofile: %v", err)
 		}
-		cpuStarted = true
-		fmt.Fprintf(os.Stderr, "(host CPU profile -> %s)\n", cpu)
+		fmt.Fprintf(stderr, "(host CPU profile -> %s)\n", cpu)
 	}
 	return func() {
-		if cpuStarted {
+		if cpu != "" {
 			pprof.StopCPUProfile()
-			cpuStarted = false
 		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "sledsbench: -memprofile: %v\n", err)
-				mem = ""
-				return
-			}
-			runtime.GC() // materialise the final live set
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintf(os.Stderr, "sledsbench: -memprofile: %v\n", err)
-			} else {
-				fmt.Fprintf(os.Stderr, "(host heap profile -> %s)\n", mem)
-			}
-			f.Close()
-			mem = ""
+		if mem == "" {
+			return
 		}
+		f, err := os.Create(mem)
+		if err != nil {
+			fmt.Fprintf(stderr, "sledsbench: -memprofile: %v\n", err)
+			return
+		}
+		defer f.Close()
+		runtime.GC() // materialise the final live set
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fmt.Fprintf(stderr, "sledsbench: -memprofile: %v\n", err)
+			return
+		}
+		fmt.Fprintf(stderr, "(host heap profile -> %s)\n", mem)
+	}, nil
+}
+
+// run is main with its environment passed in: the arguments after the
+// program name, the two output streams, and the exit code returned.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("sledsbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "paper", "configuration scale: paper | quick")
+	exps := fs.String("exp", experiments.SelectAll, "comma-separated experiment ids: "+strings.Join(experiments.IDs(), ","))
+	runs := fs.Int("runs", 0, "override measured runs per point (0 = configuration default)")
+	workers := fs.Int("workers", 0, "experiment points run in parallel (0 = GOMAXPROCS); output is identical at any value")
+	faultsProfile := fs.String("faults", "off", "deterministic fault-injection profile applied to every device of every machine: off | light | heavy")
+	classesFlag := fs.String("classes", "", "comma-separated workload classes for the etrace experiment (empty = all): "+strings.Join(trace.Classes(), ","))
+	fleetFlag := fs.Int("fleet", 0, "replica count for the efleet experiment (0 = default 4)")
+	csvDir := fs.String("csv", "", "also write each figure as <dir>/<id>.csv for external plotting")
+	list := fs.Bool("list", false, "print the valid experiment ids, one per line, and exit")
+	cpuprofile := fs.String("cpuprofile", "", "write a host-side CPU profile of the regeneration to this file (pprof)")
+	memprofile := fs.String("memprofile", "", "write a host-side heap profile to this file at exit (pprof)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
-}
-
-// knownExps lists every selectable experiment id, plus the "all" and
-// "ablations" group selectors ("all" leaves out escale, etrace and
-// efleet). Unknown ids are an error (exit 2), not a silently empty run.
-var knownExps = []string{
-	"all", "ablations",
-	"t2", "t3", "t4", "f3",
-	"f7", "f8", "f9", "f10", "f11", "f12", "f13", "f14", "f15", "f15x16",
-	"efind", "egmc", "ehsm", "eremote", "ehints", "etreegrep", "eaccuracy",
-	"econtend", "eloadsled", "efaults", "escale", "etrace", "efleet",
-	"ablation-policy", "ablation-pickorder", "ablation-refresh",
-	"ablation-readahead", "ablation-mmap", "ablation-zones",
-}
-
-// sortedExps returns knownExps in the order -list and the unknown-id
-// error print them.
-func sortedExps() []string {
-	valid := append([]string(nil), knownExps...)
-	sort.Strings(valid)
-	return valid
-}
-
-func main() {
-	scale := flag.String("scale", "paper", "configuration scale: paper | quick")
-	exps := flag.String("exp", "all", "comma-separated experiment ids: "+strings.Join(knownExps, ","))
-	runs := flag.Int("runs", 0, "override measured runs per point (0 = configuration default)")
-	workers := flag.Int("workers", 0, "experiment points run in parallel (0 = GOMAXPROCS); output is identical at any value")
-	faultsProfile := flag.String("faults", "off", "deterministic fault-injection profile applied to every device of every machine: off | light | heavy")
-	classesFlag := flag.String("classes", "", "comma-separated workload classes for the etrace experiment (empty = all): "+strings.Join(trace.Classes(), ","))
-	fleetFlag := flag.Int("fleet", 0, "replica count for the efleet experiment (0 = default 4)")
-	csvDir := flag.String("csv", "", "also write each figure as <dir>/<id>.csv for external plotting")
-	list := flag.Bool("list", false, "print the valid experiment ids, one per line, and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a host-side CPU profile of the regeneration to this file (pprof)")
-	memprofile := flag.String("memprofile", "", "write a host-side heap profile to this file at exit (pprof)")
-	flag.Parse()
+	fail := func(code int, format string, a ...any) int {
+		fmt.Fprintf(stderr, "sledsbench: "+format+"\n", a...)
+		return code
+	}
 
 	if *list {
-		for _, id := range sortedExps() {
-			fmt.Println(id)
+		ids := experiments.IDs()
+		slices.Sort(ids)
+		for _, id := range ids {
+			fmt.Fprintln(stdout, id)
 		}
 		// -faults profiles and -classes workload classes, prefixed so
 		// scripts can tell them from experiment ids.
 		for _, p := range faults.Profiles() {
-			fmt.Println("faults:" + p)
+			fmt.Fprintln(stdout, "faults:"+p)
 		}
 		for _, c := range trace.Classes() {
-			fmt.Println("class:" + c)
+			fmt.Fprintln(stdout, "class:"+c)
 		}
-		return
-	}
-
-	// exit flushes the profiles before terminating, so a failed run still
-	// yields usable diagnostics; os.Exit would skip them.
-	stopProfiles := startProfiles(*cpuprofile, *memprofile)
-	exit := func(code int) {
-		stopProfiles()
-		os.Exit(code)
+		return 0
 	}
 
 	var cfg experiments.Config
@@ -143,302 +127,77 @@ func main() {
 	case "quick":
 		cfg = experiments.QuickConfig()
 	default:
-		fmt.Fprintf(os.Stderr, "sledsbench: unknown scale %q\n", *scale)
-		exit(2)
+		return fail(2, "unknown scale %q", *scale)
 	}
 	if *runs > 0 {
 		cfg.Runs = *runs
 	}
 	cfg.Workers = *workers
 	if _, ok := faults.ProfileConfig(*faultsProfile, 0); !ok {
-		fmt.Fprintf(os.Stderr, "sledsbench: unknown fault profile %q (valid: %s)\n",
-			*faultsProfile, strings.Join(faults.Profiles(), ", "))
-		exit(2)
+		return fail(2, "unknown fault profile %q (valid: %s)", *faultsProfile, strings.Join(faults.Profiles(), ", "))
 	}
 	if *faultsProfile != "off" {
 		cfg.FaultProfile = *faultsProfile
 	}
 	// -classes is validated up front like -exp and -faults: an unknown
 	// workload class is exit 2 with the valid names, not an empty run.
-	knownClasses := map[string]bool{}
-	for _, c := range trace.Classes() {
-		knownClasses[c] = true
-	}
 	var traceClasses []string
 	for _, c := range strings.Split(*classesFlag, ",") {
-		c = strings.TrimSpace(c)
-		if c == "" {
+		if c = strings.TrimSpace(c); c == "" {
 			continue
 		}
-		if !knownClasses[c] {
-			fmt.Fprintf(os.Stderr, "sledsbench: unknown workload class %q (valid: %s)\n",
-				c, strings.Join(trace.Classes(), ", "))
-			exit(2)
+		if !slices.Contains(trace.Classes(), c) {
+			return fail(2, "unknown workload class %q (valid: %s)", c, strings.Join(trace.Classes(), ", "))
 		}
 		traceClasses = append(traceClasses, c)
 	}
-
-	known := map[string]bool{}
-	for _, id := range knownExps {
-		known[id] = true
+	selected, wanted, err := experiments.Select(*exps)
+	if err != nil {
+		return fail(2, "%v", err)
 	}
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		id := strings.TrimSpace(e)
-		if id == "" {
-			continue
-		}
-		if !known[id] {
-			fmt.Fprintf(os.Stderr, "sledsbench: unknown experiment id %q (valid: %s)\n",
-				id, strings.Join(sortedExps(), ", "))
-			exit(2)
-		}
-		want[id] = true
-	}
-	if len(want) == 0 {
-		fmt.Fprintln(os.Stderr, "sledsbench: no experiments selected")
-		exit(2)
-	}
-	all := want["all"]
-	selected := func(id string) bool { return all || want[id] }
-
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: creating %s: %v\n", *csvDir, err)
-			exit(1)
-		}
-	}
-	writeCSV := func(f experiments.Figure) {
-		if *csvDir == "" {
-			return
-		}
-		name := strings.Map(func(r rune) rune {
-			switch r {
-			case '(', ')':
-				return -1
-			}
-			return r
-		}, f.ID)
-		path := filepath.Join(*csvDir, name+".csv")
-		if err := os.WriteFile(path, []byte(f.CSV()), 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: writing %s: %v\n", path, err)
-			exit(1)
+			return fail(1, "creating %s: %v", *csvDir, err)
 		}
 	}
 
-	fmt.Printf("# SLEDs evaluation, scale=%s (cache %.3g MB, sizes %.3g..%.3g MB, %d runs/point)\n\n",
+	// A failed run still yields usable profiles: they stop on every return.
+	stopProfiles, err := startProfiles(*cpuprofile, *memprofile, stderr)
+	if err != nil {
+		return fail(2, "%v", err)
+	}
+	defer stopProfiles()
+
+	fmt.Fprintf(stdout, "# SLEDs evaluation, scale=%s (cache %.3g MB, sizes %.3g..%.3g MB, %d runs/point)\n\n",
 		*scale, float64(cfg.CacheBytes())/float64(experiments.MB),
 		float64(cfg.Sizes[0])/float64(experiments.MB),
 		float64(cfg.Sizes[len(cfg.Sizes)-1])/float64(experiments.MB), cfg.Runs)
 
-	// hostTime reports wall-clock per experiment on stderr: diagnostic,
-	// nondeterministic, and deliberately kept out of the diffable stdout.
-	hostTime := func(id string, start time.Time) {
-		fmt.Fprintf(os.Stderr, "(%s regenerated in %.1fs host time)\n", id, time.Since(start).Seconds())
-	}
-
-	run := func(id string, fn func() (string, error)) {
-		if !selected(id) {
-			return
-		}
+	for _, e := range selected {
 		start := time.Now()
-		out, err := fn()
+		arts, err := e.Run(cfg, traceClasses, *fleetFlag)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: %s: %v\n", id, err)
-			exit(1)
+			return fail(1, "%s: %v", strings.Join(e.IDs, "/"), err)
 		}
-		fmt.Println(out)
-		hostTime(id, start)
-	}
-	// runFig is run for an experiment that yields one Figure; the figure
-	// reaches -csv only once the experiment has succeeded.
-	runFig := func(id string, fn func(experiments.Config) (experiments.Figure, error)) {
-		run(id, func() (string, error) {
-			f, err := fn(cfg)
-			if err != nil {
-				return "", err
+		for _, a := range arts {
+			if !wanted[a.ID] {
+				continue
 			}
-			writeCSV(f)
-			return f.Render(), nil
-		})
+			// The figure reaches -csv only once its sweep has succeeded.
+			if a.Figure != nil && *csvDir != "" {
+				name := strings.NewReplacer("(", "", ")", "").Replace(a.Figure.ID)
+				path := filepath.Join(*csvDir, name+".csv")
+				if err := os.WriteFile(path, []byte(a.Figure.CSV()), 0o644); err != nil {
+					return fail(1, "writing %s: %v", path, err)
+				}
+			}
+			fmt.Fprintln(stdout, a.Text)
+		}
+		// Wall-clock per sweep goes to stderr: diagnostic, nondeterministic,
+		// and deliberately kept out of the diffable stdout.
+		fmt.Fprintf(stderr, "(%s regenerated in %.1fs host time)\n", strings.Join(e.IDs, "+"), time.Since(start).Seconds())
 	}
-
-	run("t2", func() (string, error) {
-		t, err := experiments.Table2(cfg)
-		return t.Render(), err
-	})
-	run("t3", func() (string, error) {
-		t, err := experiments.Table3(cfg)
-		return t.Render(), err
-	})
-	run("t4", func() (string, error) {
-		t, err := experiments.Table4()
-		return t.Render(), err
-	})
-	run("f3", func() (string, error) { return experiments.Fig3Trace(), nil })
-
-	// Figures 7 and 8 share one sweep; same for 11 and 12.
-	if selected("f7") || selected("f8") {
-		start := time.Now()
-		f7, f8, err := experiments.Fig7And8(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: f7/f8: %v\n", err)
-			exit(1)
-		}
-		if selected("f7") {
-			writeCSV(f7)
-			fmt.Println(f7.Render())
-		}
-		if selected("f8") {
-			writeCSV(f8)
-			fmt.Println(f8.Render())
-		}
-		hostTime("f7+f8", start)
-	}
-	runFig("f9", experiments.Fig9)
-	runFig("f10", experiments.Fig10)
-	if selected("f11") || selected("f12") {
-		start := time.Now()
-		f11, f12, err := experiments.Fig11And12(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: f11/f12: %v\n", err)
-			exit(1)
-		}
-		if selected("f11") {
-			writeCSV(f11)
-			fmt.Println(f11.Render())
-		}
-		if selected("f12") {
-			writeCSV(f12)
-			fmt.Println(f12.Render())
-		}
-		hostTime("f11+f12", start)
-	}
-	runFig("f13", experiments.Fig13)
-	runFig("f14", experiments.Fig14)
-	runFig("f15", func(c experiments.Config) (experiments.Figure, error) { return experiments.Fig15Factor(c, 4) })
-	runFig("f15x16", func(c experiments.Config) (experiments.Figure, error) { return experiments.Fig15Factor(c, 16) })
-	run("efind", func() (string, error) {
-		r, err := experiments.EFind(cfg)
-		if err != nil {
-			return "", err
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "== efind: find -latency pruning (threshold %s) ==\n", r.Threshold)
-		b.WriteString("cheap (worth reading now):\n")
-		for _, f := range r.Cheap {
-			fmt.Fprintf(&b, "  %-28s %10.4g s\n", f.Path, f.Seconds)
-		}
-		b.WriteString("expensive (pruned):\n")
-		for _, f := range r.Expensive {
-			fmt.Fprintf(&b, "  %-28s %10.4g s\n", f.Path, f.Seconds)
-		}
-		return b.String(), nil
-	})
-	run("egmc", func() (string, error) {
-		r, err := experiments.EGmc(cfg)
-		if err != nil {
-			return "", err
-		}
-		return "== egmc: gmc file-properties SLEDs panel (half-cached file) ==\n" + r.Render(), nil
-	})
-	run("ehsm", func() (string, error) {
-		r, err := experiments.EHSM(cfg)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("== ehsm: grep -q on HSM (staged tail) ==\nwithout SLEDs: %8.4g s\nwith SLEDs:    %8.4g s\nspeedup:       %8.4g x\n",
-			r.WithoutSeconds, r.WithSeconds, r.Speedup), nil
-	})
-	run("eremote", func() (string, error) {
-		r, err := experiments.ERemote(cfg)
-		if err != nil {
-			return "", err
-		}
-		return fmt.Sprintf("== eremote: grep -q on a remote file, server-cached tail ==\nwithout SLEDs: %8.4g s\nwith SLEDs:    %8.4g s\nspeedup:       %8.4g x\n",
-			r.WithoutSeconds, r.WithSeconds, r.Speedup), nil
-	})
-	runFig("ehints", experiments.EHints)
-	runFig("etreegrep", experiments.ETreeGrep)
-	runFig("eaccuracy", experiments.EAccuracy)
-	runFig("econtend", experiments.EContention)
-	runFig("eloadsled", experiments.ELoadSLED)
-	run("efaults", func() (string, error) {
-		r, err := experiments.EFaults(cfg)
-		if err != nil {
-			return "", err
-		}
-		writeCSV(r.Figure)
-		return r.Render(), nil
-	})
-	// escale measures the engine rather than the paper's claims, so it is
-	// deliberately not part of "all" (the committed golden outputs never
-	// include it); select it explicitly, as CI's scale-smoke target does.
-	if want["escale"] {
-		start := time.Now()
-		f, err := experiments.EScale(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: escale: %v\n", err)
-			exit(1)
-		}
-		writeCSV(f)
-		fmt.Println(f.Render())
-		hostTime("escale", start)
-	}
-	// etrace replays the internal/trace workload zoo over the queued-device
-	// engine. Like escale it measures the extension layer rather than the
-	// paper's claims, so it stays outside "all" (the committed goldens never
-	// include it); select it explicitly, as CI's trace-smoke target does.
-	if want["etrace"] {
-		start := time.Now()
-		r, err := experiments.ETrace(cfg, traceClasses...)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: etrace: %v\n", err)
-			exit(1)
-		}
-		fmt.Println(r.Render())
-		hostTime("etrace", start)
-	}
-	// efleet drives the fleet tier (internal/fleet): SLED-guided replica
-	// selection with hedging, failover, and degradation, against blind
-	// round-robin, under three fleet scenarios. Like escale and etrace it
-	// measures the extension layer rather than the paper's claims, so it
-	// stays outside "all" (the committed goldens never include it); select
-	// it explicitly, as CI's fleet-smoke target does.
-	if want["efleet"] {
-		start := time.Now()
-		r, err := experiments.EFleet(cfg, *fleetFlag)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: efleet: %v\n", err)
-			exit(1)
-		}
-		fmt.Println(r.Render())
-		hostTime("efleet", start)
-	}
-	for _, abl := range []struct {
-		id string
-		fn func(experiments.Config) (experiments.Figure, error)
-	}{
-		{"ablation-policy", experiments.AblationPolicy},
-		{"ablation-pickorder", experiments.AblationPickOrder},
-		{"ablation-refresh", experiments.AblationRefresh},
-		{"ablation-readahead", experiments.AblationReadahead},
-		{"ablation-mmap", experiments.AblationMmap},
-		{"ablation-zones", experiments.AblationZones},
-	} {
-		if !selected(abl.id) && !want["ablations"] {
-			continue
-		}
-		fn := abl.fn
-		start := time.Now()
-		f, err := fn(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sledsbench: %s: %v\n", abl.id, err)
-			exit(1)
-		}
-		writeCSV(f)
-		fmt.Println(f.Render())
-		hostTime(abl.id, start)
-	}
-	stopProfiles()
+	return 0
 }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

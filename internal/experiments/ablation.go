@@ -1,16 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
-	"io"
 
 	"sleds/internal/apps/wcapp"
 	"sleds/internal/cache"
 	"sleds/internal/core"
 	"sleds/internal/lmbench"
-	"sleds/internal/simclock"
 	"sleds/internal/sledlib"
+	"sleds/internal/vfs"
 )
 
 // The ablation experiments vary the design choices DESIGN.md calls out
@@ -69,13 +67,9 @@ func AblationPolicy(cfg Config) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	var names []string
-	for _, pol := range policies {
-		names = append(names, pol.String())
-	}
 	return Figure{
 		ID:     "ablation-policy",
-		Title:  fmt.Sprintf("wc warm-cache speedup at 2x cache size, by replacement policy (%v)", names),
+		Title:  fmt.Sprintf("wc warm-cache speedup at 2x cache size, by replacement policy (%v)", policies),
 		XLabel: "policy", YLabel: "speedup",
 		Series: []Series{{Name: "without/with SLEDs", Points: pts}},
 		Notes:  "x: 0=LRU 1=CLOCK 2=FIFO",
@@ -85,23 +79,11 @@ func AblationPolicy(cfg Config) (Figure, error) {
 // pickOrderScan reads a whole warm file through a picker with the given
 // order and reports elapsed seconds and faults.
 func pickOrderScan(cfg Config, order sledlib.Order) (sec float64, faults int64, err error) {
-	m, err := BootMachine(cfg, ProfileUnix)
-	if err != nil {
-		return 0, 0, err
-	}
-	size := ablationSize(cfg)
-	if _, err := textFileOn(m, "ext2", uint64(cfg.Seed), size, cfg.PageSize); err != nil {
-		return 0, 0, err
-	}
-	f, err := m.K.Open("/data/testfile")
+	m, f, err := warmTextFile(cfg, uint64(cfg.Seed), ablationSize(cfg))
 	if err != nil {
 		return 0, 0, err
 	}
 	defer f.Close()
-	if _, err := io.Copy(io.Discard, f); err != nil { // warm
-		return 0, 0, err
-	}
-
 	picker, err := sledlib.PickInit(m.K, m.Table, f, sledlib.Options{BufSize: cfg.BufSize, Order: order})
 	if err != nil {
 		return 0, 0, err
@@ -109,21 +91,14 @@ func pickOrderScan(cfg Config, order sledlib.Order) (sec float64, faults int64, 
 	defer picker.Finish()
 	m.K.ResetDeviceState()
 	m.K.ResetRunStats()
-	start := m.K.Clock.Now()
 	buf := make([]byte, cfg.BufSize)
-	for {
-		off, n, err := picker.NextRead()
-		if errors.Is(err, sledlib.ErrFinished) {
-			break
-		}
-		if err != nil {
-			return 0, 0, err
-		}
-		if _, err := f.ReadAt(buf[:n], off); err != nil && err != io.EOF {
-			return 0, 0, err
-		}
-	}
-	return float64(m.K.Clock.Now()-start) / float64(simclock.Second), m.K.RunStats().Faults, nil
+	sec, err = elapsedSeconds(m.K, func() error {
+		return scanPicks(picker, func(_ int, off, n int64) error {
+			_, err := f.ReadAt(buf[:n], off)
+			return eofOK(err)
+		})
+	})
+	return sec, m.K.RunStats().Faults, err
 }
 
 // AblationPickOrder compares the paper's lowest-latency-first schedule
@@ -131,34 +106,21 @@ func pickOrderScan(cfg Config, order sledlib.Order) (sec float64, faults int64, 
 func AblationPickOrder(cfg Config) (Figure, error) {
 	cfg.validate()
 	orders := []sledlib.Order{sledlib.OrderLatency, sledlib.OrderLinear, sledlib.OrderReverseLatency}
-	type scanPoint struct{ time, faults Point }
-	points, err := RunGrid(cfg, len(orders), func(i int) (scanPoint, error) {
-		sec, faults, err := pickOrderScan(cfg, orders[i])
-		if err != nil {
-			return scanPoint{}, err
-		}
-		return scanPoint{
-			Point{X: float64(orders[i]), Mean: sec},
-			Point{X: float64(orders[i]), Mean: float64(faults)},
-		}, nil
+	faults := Series{Name: "hard faults", Points: make([]Point, len(orders))}
+	times, err := RunGrid(cfg, len(orders), func(i int) (Point, error) {
+		sec, n, err := pickOrderScan(cfg, orders[i])
+		faults.Points[i] = Point{X: float64(orders[i]), Mean: float64(n)}
+		return Point{X: float64(orders[i]), Mean: sec}, err
 	})
 	if err != nil {
 		return Figure{}, err
-	}
-	var timePts, faultPts []Point
-	for _, p := range points {
-		timePts = append(timePts, p.time)
-		faultPts = append(faultPts, p.faults)
 	}
 	return Figure{
 		ID:     "ablation-pickorder",
 		Title:  "warm full-file scan at 2x cache size, by pick order",
 		XLabel: "order", YLabel: "seconds / faults",
-		Series: []Series{
-			{Name: "elapsed seconds", Points: timePts},
-			{Name: "hard faults", Points: faultPts},
-		},
-		Notes: "x: 0=latency-first (paper) 1=file order 2=highest-latency-first",
+		Series: []Series{{Name: "elapsed seconds", Points: times}, faults},
+		Notes:  "x: 0=latency-first (paper) 1=file order 2=highest-latency-first",
 	}, nil
 }
 
@@ -172,77 +134,48 @@ func AblationPickOrder(cfg Config) (Figure, error) {
 // reads the middle while it is still resident.
 func AblationRefresh(cfg Config) (Figure, error) {
 	cfg.validate()
-	run := func(refresh bool) (float64, error) {
-		m, err := BootMachine(cfg, ProfileUnix)
-		if err != nil {
-			return 0, err
-		}
-		third := cfg.CacheBytes()
-		size := 3 * third
-		if _, err := textFileOn(m, "ext2", uint64(cfg.Seed), size, cfg.PageSize); err != nil {
-			return 0, err
-		}
-		f, err := m.K.Open("/data/testfile")
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		// Warm pass: the tail third survives in cache.
-		io.Copy(io.Discard, f)
-
-		picker, err := sledlib.PickInit(m.K, m.Table, f, sledlib.Options{BufSize: cfg.BufSize})
-		if err != nil {
-			return 0, err
-		}
-		defer picker.Finish()
-		m.K.ResetDeviceState()
-		m.K.ResetRunStats()
-		start := m.K.Clock.Now()
-		buf := make([]byte, cfg.BufSize)
-		mid := make([]byte, third) // cooperating process's buffer, allocated outside the scan loop
-		cheapChunks := int(third / cfg.BufSize)
-		for i := 0; ; i++ {
-			if i == cheapChunks {
-				// A cooperating process pulls the middle third into the
-				// cache; its own I/O time is excluded from the window.
-				before := m.K.Clock.Now()
-				g, _ := m.K.Open("/data/testfile")
-				g.ReadAt(mid, third)
-				g.Close()
-				start += m.K.Clock.Now() - before
-				if refresh {
-					if err := picker.Refresh(); err != nil {
-						return 0, err
-					}
-				}
-			}
-			off, n, err := picker.NextRead()
-			if errors.Is(err, sledlib.ErrFinished) {
-				break
-			}
+	return twoModeFigure(cfg, "ablation-refresh",
+		"SLEDs scan with a mid-run cache change: stale vs refreshed schedule",
+		"x: 0=stale schedule (paper implementation), 1=Refresh() extension", func(mode int) (float64, error) {
+			third := cfg.CacheBytes()
+			// Warm pass: the tail third survives in cache.
+			m, f, err := warmTextFile(cfg, uint64(cfg.Seed), 3*third)
 			if err != nil {
 				return 0, err
 			}
-			if _, err := f.ReadAt(buf[:n], off); err != nil && err != io.EOF {
+			defer f.Close()
+			picker, err := sledlib.PickInit(m.K, m.Table, f, sledlib.Options{BufSize: cfg.BufSize})
+			if err != nil {
 				return 0, err
 			}
-		}
-		return float64(m.K.Clock.Now()-start) / float64(simclock.Second), nil
-	}
-	secs, err := RunGrid(cfg, 2, func(mode int) (float64, error) { return run(mode == 1) })
-	if err != nil {
-		return Figure{}, err
-	}
-	stale, fresh := secs[0], secs[1]
-	return Figure{
-		ID:     "ablation-refresh",
-		Title:  "SLEDs scan with a mid-run cache change: stale vs refreshed schedule",
-		XLabel: "mode", YLabel: "seconds",
-		Series: []Series{{Name: "elapsed", Points: []Point{
-			{X: 0, Mean: stale}, {X: 1, Mean: fresh},
-		}}},
-		Notes: "x: 0=stale schedule (paper implementation), 1=Refresh() extension",
-	}, nil
+			defer picker.Finish()
+			m.K.ResetDeviceState()
+			m.K.ResetRunStats()
+			start := m.K.Clock.Now()
+			buf := make([]byte, cfg.BufSize)
+			cheapChunks := int(third / cfg.BufSize)
+			err = scanPicks(picker, func(i int, off, n int64) error {
+				if _, err := f.ReadAt(buf[:n], off); eofOK(err) != nil {
+					return err
+				}
+				if i+1 != cheapChunks {
+					return nil
+				}
+				// The cheap tail is consumed: before the next pick, a
+				// cooperating process pulls the middle third into the
+				// cache; its own I/O time is excluded from the window.
+				before := m.K.Clock.Now()
+				if err := warmRange(m.K, "/data/testfile", third, third, (*vfs.File).ReadAt); err != nil {
+					return err
+				}
+				start += m.K.Clock.Now() - before
+				if mode == 1 {
+					return picker.Refresh()
+				}
+				return nil
+			})
+			return seconds(m.K.Clock.Now() - start), err
+		})
 }
 
 // AblationMmap measures the paper's §5.2 remark that the SLEDs CPU
@@ -252,62 +185,32 @@ func AblationRefresh(cfg Config) (Figure, error) {
 // order through read() and through the mapped (no-copy) path.
 func AblationMmap(cfg Config) (Figure, error) {
 	cfg.validate()
-	run := func(mapped bool) (float64, error) {
-		m, err := BootMachine(cfg, ProfileUnix)
-		if err != nil {
-			return 0, err
-		}
-		size := cfg.CacheBytes() / 2 // comfortably cached
-		if _, err := textFileOn(m, "ext2", uint64(cfg.Seed), size, cfg.PageSize); err != nil {
-			return 0, err
-		}
-		f, err := m.K.Open("/data/testfile")
-		if err != nil {
-			return 0, err
-		}
-		defer f.Close()
-		io.Copy(io.Discard, f) // fully cached
-
-		picker, err := sledlib.PickInit(m.K, m.Table, f, sledlib.Options{BufSize: cfg.BufSize})
-		if err != nil {
-			return 0, err
-		}
-		defer picker.Finish()
-		start := m.K.Clock.Now()
-		buf := make([]byte, cfg.BufSize)
-		for {
-			off, n, err := picker.NextRead()
-			if errors.Is(err, sledlib.ErrFinished) {
-				break
-			}
+	return twoModeFigure(cfg, "ablation-mmap",
+		"pick-order scan of a fully cached file: read() vs mmap path",
+		"x: 0=read() with user copy, 1=mapped access — the copy is the CPU penalty of §5.2", func(mode int) (float64, error) {
+			// Half the cache: comfortably resident after the warm pass.
+			m, f, err := warmTextFile(cfg, uint64(cfg.Seed), cfg.CacheBytes()/2)
 			if err != nil {
 				return 0, err
 			}
-			if mapped {
-				_, err = f.ReadAtMapped(buf[:n], off)
-			} else {
-				_, err = f.ReadAt(buf[:n], off)
-			}
-			if err != nil && err != io.EOF {
+			defer f.Close()
+			picker, err := sledlib.PickInit(m.K, m.Table, f, sledlib.Options{BufSize: cfg.BufSize})
+			if err != nil {
 				return 0, err
 			}
-		}
-		return float64(m.K.Clock.Now()-start) / float64(simclock.Second), nil
-	}
-	secs, err := RunGrid(cfg, 2, func(mode int) (float64, error) { return run(mode == 1) })
-	if err != nil {
-		return Figure{}, err
-	}
-	viaRead, viaMmap := secs[0], secs[1]
-	return Figure{
-		ID:     "ablation-mmap",
-		Title:  "pick-order scan of a fully cached file: read() vs mmap path",
-		XLabel: "mode", YLabel: "seconds",
-		Series: []Series{{Name: "elapsed", Points: []Point{
-			{X: 0, Mean: viaRead}, {X: 1, Mean: viaMmap},
-		}}},
-		Notes: "x: 0=read() with user copy, 1=mapped access — the copy is the CPU penalty of §5.2",
-	}, nil
+			defer picker.Finish()
+			read := f.ReadAt
+			if mode == 1 {
+				read = f.ReadAtMapped
+			}
+			buf := make([]byte, cfg.BufSize)
+			return elapsedSeconds(m.K, func() error {
+				return scanPicks(picker, func(_ int, off, n int64) error {
+					_, err := read(buf[:n], off)
+					return eofOK(err)
+				})
+			})
+		})
 }
 
 // AblationZones measures the single-entry-per-device limitation of §4.1
@@ -352,28 +255,7 @@ func AblationZones(cfg Config) (Figure, error) {
 		return Figure{}, err
 	}
 
-	f, err := m.K.Open("/data/testfile")
-	if err != nil {
-		return Figure{}, err
-	}
-	defer f.Close()
-	m.K.ResetDeviceState()
-	// Stream in large requests, as the estimate's model assumes; the
-	// buffer is per-run scratch, not part of the measured closure.
-	const stream = int64(256 << 10)
-	buf := make([]byte, stream)
-	actual, err := elapsedSeconds(m, func() error {
-		for off := int64(0); off < size; off += stream {
-			nn := stream
-			if off+nn > size {
-				nn = size - off
-			}
-			if _, err := f.ReadAtMapped(buf[:nn], off); err != nil && err != io.EOF {
-				return err
-			}
-		}
-		return nil
-	})
+	actual, err := streamColdRead(m, size)
 	if err != nil {
 		return Figure{}, err
 	}

@@ -7,6 +7,7 @@ import (
 	"sleds/internal/core"
 	"sleds/internal/iosched"
 	"sleds/internal/simclock"
+	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
 
@@ -53,17 +54,10 @@ func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs b
 			return 0, err
 		}
 	}
-	buf := make([]byte, tail)
 	for _, path := range paths {
-		f, err := m.K.Open(path)
-		if err != nil {
+		if err := warmRange(m.K, path, size-tail, tail, (*vfs.File).ReadAtMapped); err != nil {
 			return 0, err
 		}
-		if _, err := f.ReadAtMapped(buf, size-tail); err != nil {
-			f.Close()
-			return 0, err
-		}
-		f.Close()
 	}
 	// The warm-up positioned the disk head; start the measured contention
 	// run from power-on mechanical state, as measured() does between runs.
@@ -74,25 +68,32 @@ func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs b
 	e.Queue(m.Disk, iosched.NewScheduler(sched))
 	m.Table.SetLoad(e)
 	env := m.Env(useSLEDs, pcfg.BufSize)
+	var ids []iosched.StreamID
 	for _, path := range paths {
 		path := path
-		e.AddStreamFunc(0, func(h *iosched.Handle) error {
+		ids = append(ids, e.AddStreamFunc(0, func(h *iosched.Handle) error {
 			// needleBase never occurs and nothing is planted: the grep
 			// scans the whole file, matching nothing.
 			_, err := grepapp.Run(env, path, needleBase, grepapp.Options{})
 			return err
-		})
+		}))
 	}
 	if err := e.Run(); err != nil {
 		return 0, err
 	}
+	return makespan(e, ids), nil
+}
+
+// makespan returns the virtual seconds from the engine's base to the last
+// finish among the given streams.
+func makespan(e *iosched.Engine, ids []iosched.StreamID) float64 {
 	var last simclock.Duration
-	for i := 0; i < n; i++ {
-		if f := e.FinishTime(iosched.StreamID(i)); f > last {
+	for _, id := range ids {
+		if f := e.FinishTime(id); f > last {
 			last = f
 		}
 	}
-	return float64(last-e.Base()) / float64(simclock.Second), nil
+	return seconds(last - e.Base())
 }
 
 // EContention regenerates the contention sweep: total completion time of n
@@ -100,18 +101,13 @@ func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs b
 // without SLED-guided access ordering.
 func EContention(cfg Config) (Figure, error) {
 	cfg.validate()
-	nScheds := len(contentionSchedulers)
-	series := make([]Series, 2*nScheds)
-	for si, sched := range contentionSchedulers {
-		series[2*si] = Series{Name: sched + " with SLEDs"}
-		series[2*si+1] = Series{Name: sched + " without SLEDs"}
+	// One column per rendered cell: (scheduler, mode), with-SLEDs first.
+	var names []string
+	for _, sched := range contentionSchedulers {
+		names = append(names, sched+" with SLEDs", sched+" without SLEDs")
 	}
-	// Grid point i is (stream-count nIdx, scheduler si, mode): the column
-	// index varies fastest, one point per rendered cell.
-	cols := 2 * nScheds
-	points, err := RunGrid(cfg, len(contentionStreams)*cols, func(i int) (Point, error) {
-		nIdx, col := i/cols, i%cols
-		si, mode := col/2, 1-col%2 // with-SLEDs column first
+	series, err := gridSeries(cfg, len(contentionStreams), names, func(nIdx, col int) (Point, error) {
+		si, mode := col/2, 1-col%2
 		n := contentionStreams[nIdx]
 		pcfg := cfg.forPoint("econtend", nIdx, si, mode)
 		sec, err := contentionPoint(pcfg, cfg, nIdx, n, contentionSchedulers[si], mode == 1)
@@ -122,10 +118,6 @@ func EContention(cfg Config) (Figure, error) {
 	})
 	if err != nil {
 		return Figure{}, err
-	}
-	for i, p := range points {
-		col := i % cols
-		series[col].Points = append(series[col].Points, p)
 	}
 	return Figure{
 		ID:     "econtend",
@@ -145,17 +137,14 @@ func EContention(cfg Config) (Figure, error) {
 func ELoadSLED(cfg Config) (Figure, error) {
 	cfg.validate()
 	loads := []int{0, 1, 2, 4, 8}
-	type loadPoint struct {
-		estimated float64 // SLED latency reported under load, seconds
-		unloaded  float64 // calibrated table latency, seconds
-		depth     float64 // disk queue depth at the query instant
-	}
-	points, err := RunGrid(cfg, len(loads), func(i int) (loadPoint, error) {
+	unloaded := Series{Name: "unloaded entry", Points: make([]Point, len(loads))} // calibrated table latency
+	depth := Series{Name: "queue depth", Points: make([]Point, len(loads))}       // at the query instant
+	estimated, err := RunGrid(cfg, len(loads), func(i int) (Point, error) {
 		n := loads[i]
 		pcfg := cfg.forPoint("eloadsled", i)
 		m, err := BootMachine(pcfg, ProfileUnix)
 		if err != nil {
-			return loadPoint{}, err
+			return Point{}, err
 		}
 		ps := int64(pcfg.PageSize)
 		// The probed file: fully uncached, so every page reports the disk
@@ -163,7 +152,7 @@ func ELoadSLED(cfg Config) (Figure, error) {
 		target, err := m.K.Create("/data/target", m.Disk,
 			workload.NewText(fileSeed(cfg, "eloadsled-target", i), 16*ps, pcfg.PageSize))
 		if err != nil {
-			return loadPoint{}, err
+			return Point{}, err
 		}
 		bgSize := pcfg.CacheBytes() / 2 / ps * ps
 		var bgPaths []string
@@ -171,7 +160,7 @@ func ELoadSLED(cfg Config) (Figure, error) {
 			path := fmt.Sprintf("/data/bg%d", b)
 			c := workload.NewText(fileSeed(cfg, "eloadsled", i*16+b), bgSize, pcfg.PageSize)
 			if _, err := m.K.Create(path, m.Disk, c); err != nil {
-				return loadPoint{}, err
+				return Point{}, err
 			}
 			bgPaths = append(bgPaths, path)
 		}
@@ -186,7 +175,8 @@ func ELoadSLED(cfg Config) (Figure, error) {
 				return err
 			})
 		}
-		var pt loadPoint
+		x := float64(n)
+		est := Point{X: x} // SLED latency reported under load
 		e.AddStreamFunc(0, func(h *iosched.Handle) error {
 			// Let the background streams saturate the queue, then ask.
 			h.Sleep(20 * simclock.Millisecond)
@@ -197,38 +187,29 @@ func ELoadSLED(cfg Config) (Figure, error) {
 			if len(sleds) != 1 {
 				return fmt.Errorf("eloadsled: %d SLEDs for an uncached file, want 1", len(sleds))
 			}
-			pt.estimated = sleds[0].Latency
-			pt.depth = float64(e.QueueDepth(m.Disk))
+			est.Mean = sleds[0].Latency
+			depth.Points[i] = Point{X: x, Mean: float64(e.QueueDepth(m.Disk))}
 			return nil
 		})
 		if err := e.Run(); err != nil {
-			return loadPoint{}, err
+			return Point{}, err
 		}
 		base, ok := m.Table.Device(m.Disk)
 		if !ok {
-			return loadPoint{}, fmt.Errorf("eloadsled: no table entry for the disk")
+			return Point{}, fmt.Errorf("eloadsled: no table entry for the disk")
 		}
-		pt.unloaded = base.Latency
-		return pt, nil
+		unloaded.Points[i] = Point{X: x, Mean: base.Latency}
+		return est, nil
 	})
 	if err != nil {
 		return Figure{}, err
-	}
-	est := Series{Name: "estimated latency"}
-	unl := Series{Name: "unloaded entry"}
-	dep := Series{Name: "queue depth"}
-	for i, p := range points {
-		x := float64(loads[i])
-		est.Points = append(est.Points, Point{X: x, Mean: p.estimated})
-		unl.Points = append(unl.Points, Point{X: x, Mean: p.unloaded})
-		dep.Points = append(dep.Points, Point{X: x, Mean: p.depth})
 	}
 	return Figure{
 		ID:     "eloadsled",
 		Title:  "FSLEDS_GET latency estimate for an uncached file vs disk load",
 		XLabel: "bg streams",
 		YLabel: "seconds (depth: requests)",
-		Series: []Series{est, unl, dep},
+		Series: []Series{{Name: "estimated latency", Points: estimated}, unloaded, depth},
 		Notes:  "latency' = latency*(1+depth) + in-flight remaining; the estimate tracks the queue the probe would join",
 	}, nil
 }

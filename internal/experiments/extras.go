@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"strings"
 
+	"sleds/internal/apps/appenv"
 	"sleds/internal/apps/findapp"
 	"sleds/internal/apps/gmcapp"
 	"sleds/internal/apps/grepapp"
 	"sleds/internal/cache"
 	"sleds/internal/core"
 	"sleds/internal/hsm"
+	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
 
@@ -126,13 +128,9 @@ func EFind(cfg Config) (FindReport, error) {
 		}
 	}
 	// Warm hot.c fully into RAM.
-	hot, err := m.K.Open("/data/src/hot.c")
-	if err != nil {
+	if err := warmRange(m.K, "/data/src/hot.c", 0, size, (*vfs.File).ReadAt); err != nil {
 		return FindReport{}, err
 	}
-	buf := make([]byte, size)
-	hot.ReadAt(buf, 0)
-	hot.Close()
 
 	// Threshold: midway between the estimated delivery time of a fully
 	// cached file of this size and of a disk-resident one, so the split
@@ -167,6 +165,21 @@ func EFind(cfg Config) (FindReport, error) {
 	return FindReport{Cheap: cheap, Expensive: expensive, Threshold: threshold, Figure: fig}, nil
 }
 
+// Render draws the two sets as the text block sledsbench prints.
+func (r FindReport) Render() string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "== efind: find -latency pruning (threshold %s) ==\n", r.Threshold)
+	b.WriteString("cheap (worth reading now):\n")
+	for _, f := range r.Cheap {
+		fmt.Fprintf(&b, "  %-28s %10.4g s\n", f.Path, f.Seconds)
+	}
+	b.WriteString("expensive (pruned):\n")
+	for _, f := range r.Expensive {
+		fmt.Fprintf(&b, "  %-28s %10.4g s\n", f.Path, f.Seconds)
+	}
+	return b.String()
+}
+
 // EGmc produces the gmc properties panel for a half-cached file — the
 // report-latency use of SLEDs (§3.3, Figure 6).
 func EGmc(cfg Config) (gmcapp.Report, error) {
@@ -179,23 +192,57 @@ func EGmc(cfg Config) (gmcapp.Report, error) {
 	if _, err := textFileOn(m, "ext2", fileSeed(cfg, "egmc", 0), size, cfg.PageSize); err != nil {
 		return gmcapp.Report{}, err
 	}
-	f, err := m.K.Open("/data/testfile")
-	if err != nil {
+	// Read the second half so its pages are resident.
+	if err := warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).ReadAt); err != nil {
 		return gmcapp.Report{}, err
 	}
-	defer f.Close()
-	// Read the second half so its pages are resident.
-	buf := make([]byte, size/2)
-	f.ReadAt(buf, size/2)
 	return gmcapp.Properties(m.Env(true, cfg.BufSize), "/data/testfile")
 }
 
-// EHSMResult carries the HSM extension experiment's measurements.
+// EHSMResult carries a two-mode grep -q comparison: the HSM and the
+// remote-mount extension experiments.
 type EHSMResult struct {
 	WithoutSeconds float64
 	WithSeconds    float64
 	Speedup        float64
 	Figure         Figure
+	heading        string // Render's "== ... ==" line
+}
+
+// Render draws the comparison as the text block sledsbench prints.
+func (r EHSMResult) Render() string {
+	return fmt.Sprintf("== %s ==\nwithout SLEDs: %8.4g s\nwith SLEDs:    %8.4g s\nspeedup:       %8.4g x\n",
+		r.heading, r.WithoutSeconds, r.WithSeconds, r.Speedup)
+}
+
+// grepFirstSpeedup measures a tail-cached grep -q in both modes — boot
+// sets the scenario up for a mode and returns the application environment
+// and the file to search — and packages the pair; notes is the figure
+// note's format, taking the speedup.
+func grepFirstSpeedup(cfg Config, id, heading, title, notes string,
+	boot func(mode int) (*appenv.Env, string, error)) (EHSMResult, error) {
+	fig, err := twoModeFigure(cfg, id, title, "", func(mode int) (float64, error) {
+		env, path, err := boot(mode)
+		if err != nil {
+			return 0, err
+		}
+		env.K.ResetDeviceState()
+		return elapsedSeconds(env.K, func() error {
+			got, err := grepapp.Run(env, path, needleBase, grepapp.Options{FirstOnly: true})
+			if err == nil && len(got) != 1 {
+				err = fmt.Errorf("%s: found %d matches", id, len(got))
+			}
+			return err
+		})
+	})
+	if err != nil {
+		return EHSMResult{}, err
+	}
+	pts := fig.Series[0].Points
+	res := EHSMResult{heading: heading, WithoutSeconds: pts[0].Mean, WithSeconds: pts[1].Mean, Speedup: pts[0].Mean / pts[1].Mean}
+	fig.Notes = fmt.Sprintf(notes, res.Speedup)
+	res.Figure = fig
+	return res, nil
 }
 
 // EHSM measures the paper's prediction that SLEDs gains are much larger
@@ -206,66 +253,30 @@ type EHSMResult struct {
 func EHSM(cfg Config) (EHSMResult, error) {
 	cfg.validate()
 	size := cfg.Sizes[len(cfg.Sizes)/2-1]
-
-	run := func(mode int) (float64, error) {
-		useSLEDs := mode == 1
-		m, err := BootMachine(cfg.forPoint("ehsm", 0, mode), ProfileUnix)
-		if err != nil {
-			return 0, err
-		}
-		stageBlock := int64(cfg.PageSize) * 16
-		if _, err := hsm.New(m.K, hsm.Config{
-			Tape:      m.Tape,
-			Disk:      m.Disk,
-			BlockSize: stageBlock,
-			Capacity:  size, // stage can hold the whole file
-		}); err != nil {
-			return 0, err
-		}
-		c, err := textFileOn(m, "tape", fileSeed(cfg, "ehsm", 0), size, cfg.PageSize)
-		if err != nil {
-			return 0, err
-		}
-		// The match sits in the tail, which a previous consumer staged.
-		workload.PlantMatch(c, size-size/4, needleBase)
-		f, err := m.K.Open("/data/testfile")
-		if err != nil {
-			return 0, err
-		}
-		buf := make([]byte, size/2)
-		f.ReadAt(buf, size/2) // stage + cache the tail
-		f.Close()
-		m.K.ResetDeviceState()
-
-		env := m.Env(useSLEDs, cfg.BufSize)
-		return elapsedSeconds(m, func() error {
-			got, err := grepapp.Run(env, "/data/testfile", needleBase, grepapp.Options{FirstOnly: true})
+	return grepFirstSpeedup(cfg, "ehsm", "ehsm: grep -q on HSM (staged tail)",
+		"grep -q on a tape-resident file with a staged tail (HSM extension)",
+		"x=0 without SLEDs, x=1 with SLEDs; speedup %.0fx — the HSM regime the paper predicts",
+		func(mode int) (*appenv.Env, string, error) {
+			m, err := BootMachine(cfg.forPoint("ehsm", 0, mode), ProfileUnix)
 			if err != nil {
-				return err
+				return nil, "", err
 			}
-			if len(got) != 1 {
-				return fmt.Errorf("EHSM: found %d matches", len(got))
+			if _, err := hsm.New(m.K, hsm.Config{
+				Tape:      m.Tape,
+				Disk:      m.Disk,
+				BlockSize: int64(cfg.PageSize) * 16,
+				Capacity:  size, // stage can hold the whole file
+			}); err != nil {
+				return nil, "", err
 			}
-			return nil
+			c, err := textFileOn(m, "tape", fileSeed(cfg, "ehsm", 0), size, cfg.PageSize)
+			if err != nil {
+				return nil, "", err
+			}
+			// The match sits in the tail, which a previous consumer staged
+			// and cached.
+			workload.PlantMatch(c, size-size/4, needleBase)
+			return m.Env(mode == 1, cfg.BufSize), "/data/testfile",
+				warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).ReadAt)
 		})
-	}
-
-	secs, err := RunGrid(cfg, 2, func(mode int) (float64, error) { return run(mode) })
-	if err != nil {
-		return EHSMResult{}, err
-	}
-	without, with := secs[0], secs[1]
-	res := EHSMResult{WithoutSeconds: without, WithSeconds: with, Speedup: without / with}
-	res.Figure = Figure{
-		ID: "ehsm", Title: "grep -q on a tape-resident file with a staged tail (HSM extension)",
-		XLabel: "mode", YLabel: "seconds",
-		Series: []Series{
-			{Name: "elapsed", Points: []Point{
-				{X: 0, Mean: without},
-				{X: 1, Mean: with},
-			}},
-		},
-		Notes: fmt.Sprintf("x=0 without SLEDs, x=1 with SLEDs; speedup %.0fx — the HSM regime the paper predicts", res.Speedup),
-	}
-	return res, nil
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,7 +12,6 @@ import (
 	"sleds/internal/hints"
 	"sleds/internal/lmbench"
 	"sleds/internal/remote"
-	"sleds/internal/simclock"
 	"sleds/internal/sledlib"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
@@ -50,71 +48,58 @@ func EHints(cfg Config) (Figure, error) {
 		{"sleds+hints", true, true},
 	}
 
+	type chunk struct{ off, n int64 }
 	pts, err := RunGrid(cfg, len(strategies), func(i int) (Point, error) {
 		st := strategies[i]
-		m, err := BootMachine(cfg.forPoint("ehints", i), ProfileUnix)
+		m, f, err := warmTextFile(cfg.forPoint("ehints", i), fileSeed(cfg, "ehints", 0), size)
 		if err != nil {
 			return Point{}, err
 		}
-		if _, err := textFileOn(m, "ext2", fileSeed(cfg, "ehints", 0), size, cfg.PageSize); err != nil {
-			return Point{}, err
-		}
-		f, err := m.K.Open("/data/testfile")
-		if err != nil {
-			return Point{}, err
-		}
-		io.Copy(io.Discard, f) // warm pass
+		defer f.Close()
 		m.K.ResetDeviceState()
 		m.K.ResetRunStats()
 
 		adv := hints.New(m.K)
-		start := m.K.Clock.Now()
 		buf := make([]byte, cfg.BufSize)
-		if st.useSLEDs {
-			picker, err := sledlib.PickInit(m.K, m.Table, f, sledlib.Options{BufSize: cfg.BufSize})
-			if err != nil {
-				return Point{}, err
-			}
-			// Pre-collect the schedule so hints can run ahead of reads.
-			type adv2 struct{ off, n int64 }
-			var plan []adv2
-			for {
-				off, n, err := picker.NextRead()
-				if errors.Is(err, sledlib.ErrFinished) {
-					break
+		sec, err := elapsedSeconds(m.K, func() error {
+			// The schedule is collected up front so hints can run ahead of
+			// reads: pick order with SLEDs, file order without.
+			var plan []chunk
+			if st.useSLEDs {
+				picker, err := sledlib.PickInit(m.K, m.Table, f, sledlib.Options{BufSize: cfg.BufSize})
+				if err != nil {
+					return err
 				}
-				plan = append(plan, adv2{off, n})
+				defer picker.Finish()
+				if err := scanPicks(picker, func(_ int, off, n int64) error {
+					plan = append(plan, chunk{off, n})
+					return nil
+				}); err != nil {
+					return err
+				}
+			} else {
+				for off := int64(0); off < size; off += cfg.BufSize {
+					plan = append(plan, chunk{off, min(cfg.BufSize, size-off)})
+				}
 			}
-			picker.Finish()
 			for j, c := range plan {
-				if st.useHints {
+				switch {
+				case !st.useHints:
+				case st.useSLEDs: // disclose the upcoming picks
 					for d := 1; d <= hints.Depth && j+d < len(plan); d++ {
 						adv.WillNeed(f, plan[j+d].off, plan[j+d].n)
 					}
+				default: // disclose the next stretch of the linear scan
+					adv.WillNeed(f, c.off+cfg.BufSize, int64(hints.Depth)*cfg.BufSize)
 				}
-				if _, err := f.ReadAt(buf[:c.n], c.off); err != nil && err != io.EOF {
-					return Point{}, err
+				if _, err := f.ReadAt(buf[:c.n], c.off); eofOK(err) != nil {
+					return err
 				}
 				m.K.ChargeCPUBytes(c.n, cpuRate)
 			}
-		} else {
-			for off := int64(0); off < size; off += cfg.BufSize {
-				n := cfg.BufSize
-				if off+n > size {
-					n = size - off
-				}
-				if st.useHints {
-					adv.WillNeed(f, off+cfg.BufSize, int64(hints.Depth)*cfg.BufSize)
-				}
-				if _, err := f.ReadAt(buf[:n], off); err != nil && err != io.EOF {
-					return Point{}, err
-				}
-				m.K.ChargeCPUBytes(n, cpuRate)
-			}
-		}
-		f.Close()
-		sec := float64(m.K.Clock.Now()-start) / float64(simclock.Second)
-		return Point{X: float64(i), Mean: sec}, nil
+			return nil
+		})
+		return Point{X: float64(i), Mean: sec}, err
 	})
 	if err != nil {
 		return Figure{}, err
@@ -150,95 +135,81 @@ func ETreeGrep(cfg Config) (Figure, error) {
 	fileSize := cfg.CacheBytes() / 2
 	const numFiles = 8
 
-	run := func(strategy treeGrepStrategy) (sec float64, faults int64, err error) {
-		m, err := BootMachine(cfg.forPoint("etreegrep", int(strategy)), ProfileUnix)
+	faults := Series{Name: "hard faults", Points: make([]Point, 3)}
+	times, err := RunGrid(cfg, 3, func(i int) (Point, error) {
+		strategy := treeGrepStrategy(i)
+		m, err := BootMachine(cfg.forPoint("etreegrep", i), ProfileUnix)
 		if err != nil {
-			return 0, 0, err
+			return Point{}, err
 		}
 		if err := m.K.MkdirAll("/data/src"); err != nil {
-			return 0, 0, err
+			return Point{}, err
 		}
 		var paths []string
-		for i := 0; i < numFiles; i++ {
-			p := fmt.Sprintf("/data/src/file%02d.c", i)
+		for fi := 0; fi < numFiles; fi++ {
+			p := fmt.Sprintf("/data/src/file%02d.c", fi)
 			// File contents are strategy-independent: every strategy greps
 			// the identical tree.
-			c := workload.NewText(fileSeed(cfg, "etreegrep", i), fileSize, cfg.PageSize)
+			c := workload.NewText(fileSeed(cfg, "etreegrep", fi), fileSize, cfg.PageSize)
 			workload.PlantMatch(c, fileSize/2, needleBase)
 			if _, err := m.K.Create(p, m.Disk, c); err != nil {
-				return 0, 0, err
+				return Point{}, err
 			}
 			paths = append(paths, p)
 		}
-		// The earlier interrupted scan: last three files read fully, the
-		// one before half-read (its tail cached).
-		for i := numFiles - 3; i < numFiles; i++ {
-			f, _ := m.K.Open(paths[i])
-			io.Copy(io.Discard, f)
+		// The earlier interrupted scan: last three files read fully, front
+		// to back, the one before half-read (its tail cached).
+		for _, p := range paths[numFiles-3:] {
+			f, err := m.K.Open(p)
+			if err != nil {
+				return Point{}, err
+			}
+			_, err = io.Copy(io.Discard, f)
 			f.Close()
+			if err != nil {
+				return Point{}, fmt.Errorf("warming %s: %w", p, err)
+			}
 		}
-		f, _ := m.K.Open(paths[numFiles-4])
-		buf := make([]byte, fileSize/2)
-		f.ReadAt(buf, fileSize/2)
-		f.Close()
+		if err := warmRange(m.K, paths[numFiles-4], fileSize/2, fileSize/2, (*vfs.File).ReadAt); err != nil {
+			return Point{}, err
+		}
 		m.K.ResetDeviceState()
 		m.K.ResetRunStats()
-		start := m.K.Clock.Now()
 
-		order := append([]string(nil), paths...)
-		useSLEDs := false
-		switch strategy {
-		case treeNameOrder:
-		case treeFileSets:
-			order, _ = sledlib.FileSetOrder(m.K, m.Table, paths, core.PlanBest)
-		case treeFullSLEDs:
-			order, _ = sledlib.FileSetOrder(m.K, m.Table, paths, core.PlanBest)
-			useSLEDs = true
-		}
-		env := m.Env(useSLEDs, cfg.BufSize)
-		total := 0
-		for _, p := range order {
-			matches, err := grepapp.Run(env, p, needleBase, grepapp.Options{})
-			if err != nil {
-				return 0, 0, err
+		sec, err := elapsedSeconds(m.K, func() error {
+			order := paths
+			if strategy != treeNameOrder {
+				var err error
+				if order, err = fileSetOrder(m, paths, core.PlanBest); err != nil {
+					return err
+				}
 			}
-			total += len(matches)
-		}
-		if total != numFiles {
-			return 0, 0, fmt.Errorf("ETreeGrep: found %d matches, want %d", total, numFiles)
-		}
-		return float64(m.K.Clock.Now()-start) / float64(simclock.Second), m.K.RunStats().Faults, nil
-	}
-
-	type treePoint struct{ time, faults Point }
-	points, err := RunGrid(cfg, 3, func(i int) (treePoint, error) {
-		st := treeGrepStrategy(i)
-		sec, faults, err := run(st)
-		if err != nil {
-			return treePoint{}, err
-		}
-		return treePoint{
-			Point{X: float64(st), Mean: sec},
-			Point{X: float64(st), Mean: float64(faults)},
-		}, nil
+			env := m.Env(strategy == treeFullSLEDs, cfg.BufSize)
+			total := 0
+			for _, p := range order {
+				matches, err := grepapp.Run(env, p, needleBase, grepapp.Options{})
+				if err != nil {
+					return err
+				}
+				total += len(matches)
+			}
+			if total != numFiles {
+				return fmt.Errorf("ETreeGrep: found %d matches, want %d", total, numFiles)
+			}
+			return nil
+		})
+		faults.Points[i] = Point{X: float64(i), Mean: float64(m.K.RunStats().Faults)}
+		return Point{X: float64(i), Mean: sec}, err
 	})
 	if err != nil {
 		return Figure{}, err
-	}
-	var timePts, faultPts []Point
-	for _, p := range points {
-		timePts = append(timePts, p.time)
-		faultPts = append(faultPts, p.faults)
 	}
 	return Figure{
 		ID:     "etreegrep",
 		Title:  "grep over a partially cached source tree, by access strategy",
 		XLabel: "strategy", YLabel: "seconds / faults",
-		Series: []Series{
-			{Name: "elapsed seconds", Points: timePts},
-			{Name: "hard faults", Points: faultPts},
-		},
-		Notes: "x: 0=name order (stock find -exec grep) 1=file sets (Steere) 2=full SLEDs (inter+intra file)",
+		Series: []Series{{Name: "elapsed seconds", Points: times}, faults},
+		Notes:  "x: 0=name order (stock find -exec grep) 1=file sets (Steere) 2=full SLEDs (inter+intra file)",
 	}, nil
 }
 
@@ -251,75 +222,37 @@ func ETreeGrep(cfg Config) (Figure, error) {
 func ERemote(cfg Config) (EHSMResult, error) {
 	cfg.validate()
 	size := cfg.Sizes[len(cfg.Sizes)/2-1]
-
-	run := func(mode int) (float64, error) {
-		useSLEDs := mode == 1
-		mem := device.NewMem(device.Table2MemConfig(0))
-		k := vfs.NewKernel(vfs.Config{
-			PageSize:   cfg.PageSize,
-			CachePages: cfg.CachePages,
-			MemDevice:  mem,
-			JitterSeed: PointSeed(cfg.Seed, "eremote", 0, mode),
-			JitterFrac: cfg.JitterFrac,
+	return grepFirstSpeedup(cfg, "eremote", "eremote: grep -q on a remote file, server-cached tail",
+		"grep -q on a remote file with a server-cached tail",
+		"x=0 without SLEDs, x=1 with; speedup %.2gx — the client exploits the server's cache state",
+		func(mode int) (*appenv.Env, string, error) {
+			k, mem := newKernel(cfg.forPoint("eremote", 0, mode), device.Table2MemConfig(0))
+			rcfg := remote.DefaultConfig()
+			rcfg.ServerCachePages = int(size / int64(cfg.PageSize)) // server holds the whole file
+			mount, err := remote.NewMount(k, rcfg)
+			if err != nil {
+				return nil, "", err
+			}
+			if err := k.MkdirAll("/net"); err != nil {
+				return nil, "", err
+			}
+			tab, err := lmbench.Calibrate(k.Clock, mem, k.Devices.All())
+			if err != nil {
+				return nil, "", err
+			}
+			c := workload.NewText(fileSeed(cfg, "eremote", 0), size, cfg.PageSize)
+			workload.PlantMatch(c, size-size/4, needleBase)
+			if _, err := k.Create("/net/testfile", mount.Device(), c); err != nil {
+				return nil, "", err
+			}
+			// A previous consumer read the tail half: it is in the server's
+			// cache. The client cache is then dropped.
+			if err := warmRange(k, "/net/testfile", size/2, size/2, (*vfs.File).ReadAt); err != nil {
+				return nil, "", err
+			}
+			k.DropCaches()
+			return &appenv.Env{K: k, Table: tab, UseSLEDs: mode == 1, BufSize: cfg.BufSize}, "/net/testfile", nil
 		})
-		k.AttachDevice(mem)
-		rcfg := remote.DefaultConfig()
-		rcfg.ServerCachePages = int(size / int64(cfg.PageSize)) // server holds the whole file
-		mount, err := remote.NewMount(k, rcfg)
-		if err != nil {
-			return 0, err
-		}
-		if err := k.MkdirAll("/net"); err != nil {
-			return 0, err
-		}
-		tab, err := lmbench.Calibrate(k.Clock, mem, k.Devices.All())
-		if err != nil {
-			return 0, err
-		}
-		c := workload.NewText(fileSeed(cfg, "eremote", 0), size, cfg.PageSize)
-		workload.PlantMatch(c, size-size/4, needleBase)
-		if _, err := k.Create("/net/testfile", mount.Device(), c); err != nil {
-			return 0, err
-		}
-		// A previous consumer read the tail half: it is in the server's
-		// cache. The client cache is then dropped.
-		f, err := k.Open("/net/testfile")
-		if err != nil {
-			return 0, err
-		}
-		buf := make([]byte, size/2)
-		f.ReadAt(buf, size/2)
-		f.Close()
-		k.DropCaches()
-		k.ResetDeviceState()
-
-		env := &appenv.Env{K: k, Table: tab, UseSLEDs: useSLEDs, BufSize: cfg.BufSize}
-		start := k.Clock.Now()
-		got, err := grepapp.Run(env, "/net/testfile", needleBase, grepapp.Options{FirstOnly: true})
-		if err != nil {
-			return 0, err
-		}
-		if len(got) != 1 {
-			return 0, fmt.Errorf("ERemote: found %d matches", len(got))
-		}
-		return float64(k.Clock.Now()-start) / float64(simclock.Second), nil
-	}
-
-	secs, err := RunGrid(cfg, 2, func(mode int) (float64, error) { return run(mode) })
-	if err != nil {
-		return EHSMResult{}, err
-	}
-	without, with := secs[0], secs[1]
-	res := EHSMResult{WithoutSeconds: without, WithSeconds: with, Speedup: without / with}
-	res.Figure = Figure{
-		ID: "eremote", Title: "grep -q on a remote file with a server-cached tail",
-		XLabel: "mode", YLabel: "seconds",
-		Series: []Series{{Name: "elapsed", Points: []Point{
-			{X: 0, Mean: without}, {X: 1, Mean: with},
-		}}},
-		Notes: fmt.Sprintf("x=0 without SLEDs, x=1 with; speedup %.2gx — the client exploits the server's cache state", res.Speedup),
-	}
-	return res, nil
 }
 
 // EAccuracy measures the predictability claim of §5 ("The benefits of
@@ -361,32 +294,7 @@ func EAccuracy(cfg Config) (Figure, error) {
 		if err != nil {
 			return Point{}, err
 		}
-		f, err := m.K.Open("/data/testfile")
-		if err != nil {
-			return Point{}, err
-		}
-		m.K.ResetDeviceState()
-		// Page-in only: the estimate covers retrieval, not the
-		// user-space copy, so measure via the mapped read path,
-		// streaming in large requests as lmbench's bandwidth
-		// probe does (per-request overhead is not part of the
-		// estimate's model). The buffer is per-run scratch, not
-		// part of the measured closure.
-		const stream = int64(256 << 10)
-		buf := make([]byte, stream)
-		actual, err := elapsedSeconds(m, func() error {
-			for off := int64(0); off < size; off += stream {
-				nn := stream
-				if off+nn > size {
-					nn = size - off
-				}
-				if _, err := f.ReadAtMapped(buf[:nn], off); err != nil && err != io.EOF {
-					return err
-				}
-			}
-			return nil
-		})
-		f.Close()
+		actual, err := streamColdRead(m, size)
 		if err != nil {
 			return Point{}, err
 		}

@@ -85,33 +85,27 @@ type FaultsReport struct {
 	Kept, Pruned []string
 }
 
-// efaultsCell is one grid point's measurement.
-type efaultsCell struct {
-	seconds  float64
-	ci90     float64
-	counters FaultsCounters
-}
-
-// efaultsPoint runs one (size, health, mode) cell. Both file contents and
-// the injector's fault schedule derive from the base seed and the size
-// index only, so all four cells of a row search byte-identical files and
-// both degraded cells face the identical fault pattern.
-func efaultsPoint(pcfg, baseCfg Config, sizeIdx int, degraded, useSLEDs bool) (efaultsCell, error) {
+// efaultsPoint runs one (size, health, mode) cell and returns its plotted
+// point and the fault accounting of its last measured run. Both file
+// contents and the injector's fault schedule derive from the base seed and
+// the size index only, so all four cells of a row search byte-identical
+// files and both degraded cells face the identical fault pattern.
+func efaultsPoint(pcfg, baseCfg Config, sizeIdx int, degraded, useSLEDs bool) (Point, FaultsCounters, error) {
 	m, err := BootMachine(pcfg, ProfileUnix)
 	if err != nil {
-		return efaultsCell{}, err
+		return Point{}, FaultsCounters{}, err
 	}
 	size := efaultsSizes(baseCfg)[sizeIdx]
 	diskSize := efaultsDiskFactor * size
 
 	nfsC := workload.NewText(fileSeed(baseCfg, "efaults-nfs", sizeIdx), size, pcfg.PageSize)
 	if _, err := m.K.Create("/data/remote.log", m.NFS, nfsC); err != nil {
-		return efaultsCell{}, err
+		return Point{}, FaultsCounters{}, err
 	}
 	workload.PlantMatch(nfsC, size*efaultsNeedleFrac/100, needleBase)
 	diskC := workload.NewText(fileSeed(baseCfg, "efaults-disk", sizeIdx), diskSize, pcfg.PageSize)
 	if _, err := m.K.Create("/data/local.log", m.Disk, diskC); err != nil {
-		return efaultsCell{}, err
+		return Point{}, FaultsCounters{}, err
 	}
 	workload.PlantMatch(diskC, diskSize*efaultsNeedleFrac/100, needleBase)
 
@@ -129,13 +123,16 @@ func efaultsPoint(pcfg, baseCfg Config, sizeIdx int, degraded, useSLEDs bool) (e
 		// same burn-in, so the modes differ only in what they do with the
 		// knowledge.
 		if err := burnIn(m, "/data/remote.log", size, pcfg.BufSize); err != nil {
-			return efaultsCell{}, err
+			return Point{}, FaultsCounters{}, err
 		}
 	}
 
 	paths := []string{"/data/remote.log", "/data/local.log"}
 	env := m.Env(useSLEDs, pcfg.BufSize)
-	var cell efaultsCell
+	counters := FaultsCounters{SizeMB: mbOf(size), Mode: "blind"}
+	if useSLEDs {
+		counters.Mode = "sleds"
+	}
 	elapsed, _, err := measured(pcfg, m, func(int) error {
 		// Every run starts cache-cold: the measurement is the routing
 		// decision and its I/O consequence, not cache carryover (which
@@ -143,7 +140,10 @@ func efaultsPoint(pcfg, baseCfg Config, sizeIdx int, degraded, useSLEDs bool) (e
 		m.K.DropCaches()
 		order := paths
 		if useSLEDs {
-			order, _ = sledlib.FileSetOrder(m.K, m.Table, paths, core.PlanLinear)
+			var err error
+			if order, err = fileSetOrder(m, paths, core.PlanLinear); err != nil {
+				return err
+			}
 		}
 		found := false
 		for _, p := range order {
@@ -168,21 +168,14 @@ func efaultsPoint(pcfg, baseCfg Config, sizeIdx int, degraded, useSLEDs bool) (e
 			return fmt.Errorf("efaults: needle %q not found in %v", needleBase, order)
 		}
 		rs := m.K.RunStats()
-		cell.counters = FaultsCounters{
-			SizeMB:       mbOf(size),
-			DeviceFaults: rs.DeviceFaults,
-			Retries:      rs.Retries,
-			RetryWaitSec: rs.RetryWait.Seconds(),
-			EIOs:         rs.EIOs,
-		}
+		counters.DeviceFaults, counters.Retries = rs.DeviceFaults, rs.Retries
+		counters.RetryWaitSec, counters.EIOs = rs.RetryWait.Seconds(), rs.EIOs
 		return nil
 	})
 	if err != nil {
-		return efaultsCell{}, err
+		return Point{}, FaultsCounters{}, err
 	}
-	sum := elapsed.Summarize()
-	cell.seconds, cell.ci90 = sum.Mean, sum.CI90
-	return cell, nil
+	return pointFrom(mbOf(size), elapsed.Summarize()), counters, nil
 }
 
 // burnIn reads the whole file in bufSize chunks, the request granularity
@@ -197,11 +190,7 @@ func burnIn(m *Machine, path string, size, bufSize int64) error {
 	defer f.Close()
 	buf := make([]byte, bufSize)
 	for off := int64(0); off < size; off += bufSize {
-		n := bufSize
-		if off+n > size {
-			n = size - off
-		}
-		if _, err := f.ReadAt(buf[:n], off); err != nil {
+		if _, err := f.ReadAt(buf[:min(bufSize, size-off)], off); err != nil {
 			if errors.Is(err, vfs.ErrIO) {
 				continue // unreadable chunk; the fault is observed either way
 			}
@@ -211,22 +200,22 @@ func burnIn(m *Machine, path string, size, bufSize int64) error {
 	return nil
 }
 
-// efaultsDemo builds the serial demo: the same NFS file's SLED vector
-// before and after the server degrades, and PruneDegraded's verdict on
-// the two-file set. Run after the grid (it is one small machine).
-func efaultsDemo(cfg Config) (healthy, degraded []string, kept, pruned []string, err error) {
+// efaultsDemo fills in the report's serial demo: the same NFS file's SLED
+// vector before and after the server degrades, and PruneDegraded's verdict
+// on the two-file set. Run after the grid (it is one small machine).
+func efaultsDemo(cfg Config, r *FaultsReport) error {
 	m, err := BootMachine(cfg.forPoint("efaults-demo"), ProfileUnix)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return err
 	}
 	size := efaultsSizes(cfg)[0]
 	if _, err := m.K.Create("/data/remote.log", m.NFS,
 		workload.NewText(fileSeed(cfg, "efaults-demo-nfs", 0), size, cfg.PageSize)); err != nil {
-		return nil, nil, nil, nil, err
+		return err
 	}
 	if _, err := m.K.Create("/data/local.log", m.Disk,
 		workload.NewText(fileSeed(cfg, "efaults-demo-disk", 0), size, cfg.PageSize)); err != nil {
-		return nil, nil, nil, nil, err
+		return err
 	}
 	m.Table.SetHealthHalfLife(efaultsHalfLife)
 
@@ -245,8 +234,8 @@ func efaultsDemo(cfg Config) (healthy, degraded []string, kept, pruned []string,
 		}
 		return out, nil
 	}
-	if healthy, err = panel("/data/remote.log"); err != nil {
-		return nil, nil, nil, nil, err
+	if r.HealthyPanel, err = panel("/data/remote.log"); err != nil {
+		return err
 	}
 
 	m.InjectFaults(m.NFS, faults.Config{
@@ -255,16 +244,16 @@ func efaultsDemo(cfg Config) (healthy, degraded []string, kept, pruned []string,
 		MaxConsecutive: efaultsMaxConsecutive,
 	})
 	if err := burnIn(m, "/data/remote.log", size, cfg.BufSize); err != nil {
-		return nil, nil, nil, nil, err
+		return err
 	}
 	m.K.DropCaches()
 
-	if degraded, err = panel("/data/remote.log"); err != nil {
-		return nil, nil, nil, nil, err
+	if r.DegradedPanel, err = panel("/data/remote.log"); err != nil {
+		return err
 	}
-	kept, pruned = sledlib.PruneDegraded(m.K, m.Table,
+	r.Kept, r.Pruned = sledlib.PruneDegraded(m.K, m.Table,
 		[]string{"/data/remote.log", "/data/local.log"}, 0.5)
-	return healthy, degraded, kept, pruned, nil
+	return nil
 }
 
 // EFaults regenerates the degraded-mode sweep: grep -q time for blind and
@@ -273,43 +262,23 @@ func efaultsDemo(cfg Config) (healthy, degraded []string, kept, pruned []string,
 func EFaults(cfg Config) (FaultsReport, error) {
 	cfg.validate()
 	sizes := efaultsSizes(cfg)
-	// Grid columns per size: (healthy, degraded) x (blind, sleds).
-	const cols = 4
+	// Grid columns per size: (healthy, degraded) x (blind, sleds); the two
+	// degraded cells of a row also report their fault accounting.
 	names := []string{"healthy blind", "healthy with SLEDs", "degraded blind", "degraded with SLEDs"}
-	points, err := RunGrid(cfg, len(sizes)*cols, func(i int) (efaultsCell, error) {
-		sizeIdx, col := i/cols, i%cols
+	counters := make([]FaultsCounters, 2*len(sizes))
+	series, err := gridSeries(cfg, len(sizes), names, func(sizeIdx, col int) (Point, error) {
 		degraded, useSLEDs := col >= 2, col%2 == 1
 		pcfg := cfg.forPoint("efaults", sizeIdx, col)
-		return efaultsPoint(pcfg, cfg, sizeIdx, degraded, useSLEDs)
+		pt, c, err := efaultsPoint(pcfg, cfg, sizeIdx, degraded, useSLEDs)
+		if degraded {
+			counters[2*sizeIdx+col-2] = c
+		}
+		return pt, err
 	})
 	if err != nil {
 		return FaultsReport{}, err
 	}
-
-	series := make([]Series, cols)
-	for c := range series {
-		series[c] = Series{Name: names[c]}
-	}
-	var counters []FaultsCounters
-	for i, cell := range points {
-		sizeIdx, col := i/cols, i%cols
-		series[col].Points = append(series[col].Points,
-			Point{X: mbOf(sizes[sizeIdx]), Mean: cell.seconds, CI90: cell.ci90})
-		if col >= 2 {
-			c := cell.counters
-			c.Mode = "blind"
-			if col == 3 {
-				c.Mode = "sleds"
-			}
-			counters = append(counters, c)
-		}
-	}
-
-	healthy, degraded, kept, pruned, err := efaultsDemo(cfg)
-	if err != nil {
-		return FaultsReport{}, err
-	}
-	return FaultsReport{
+	r := FaultsReport{
 		Figure: Figure{
 			ID:     "efaults",
 			Title:  "grep -q with the needle on NFS and (16x larger) on disk, healthy vs degraded NFS",
@@ -319,12 +288,12 @@ func EFaults(cfg Config) (FaultsReport, error) {
 			Notes: "degraded NFS times out 25% of requests; blind readers go to NFS first and absorb the " +
 				"retry tail, SLED-guided readers see the fault-inflated estimates and route to the disk copy",
 		},
-		Counters:      counters,
-		HealthyPanel:  healthy,
-		DegradedPanel: degraded,
-		Kept:          kept,
-		Pruned:        pruned,
-	}, nil
+		Counters: counters,
+	}
+	if err := efaultsDemo(cfg, &r); err != nil {
+		return FaultsReport{}, err
+	}
+	return r, nil
 }
 
 // Render draws the report as the deterministic text block sledsbench

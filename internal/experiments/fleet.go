@@ -10,9 +10,7 @@ import (
 	"sleds/internal/iosched"
 	"sleds/internal/lmbench"
 	"sleds/internal/simclock"
-	"sleds/internal/stats"
 	"sleds/internal/trace"
-	"sleds/internal/vfs"
 )
 
 // The efleet experiment measures the fleet tier: N replicated file
@@ -243,15 +241,7 @@ func (s *efleetStream) Step(h *iosched.Handle, prev iosched.Result) iosched.Op {
 // scenario's precomputed per-stream record table, shared read-only by
 // the scenario's three policy cells (the paired-measurement contract).
 func efleetPoint(pcfg Config, scen efleetScenario, policy fleet.Policy, replicas int, records [][]int) (efleetCell, error) {
-	mem := device.NewMem(device.DefaultMemConfig(0))
-	k := vfs.NewKernel(vfs.Config{
-		PageSize:   pcfg.PageSize,
-		CachePages: pcfg.CachePages,
-		MemDevice:  mem,
-		JitterSeed: pcfg.Seed,
-		JitterFrac: pcfg.JitterFrac,
-	})
-	k.AttachDevice(mem)
+	k, mem := newKernel(pcfg, device.DefaultMemConfig(0))
 	fl, err := fleet.New(k, efleetFleetConfig(replicas))
 	if err != nil {
 		return efleetCell{}, err
@@ -299,13 +289,9 @@ func efleetPoint(pcfg Config, scen efleetScenario, policy fleet.Policy, replicas
 	}
 
 	var cell efleetCell
-	sample := &stats.Sample{}
 	var lats []float64
 	for _, s := range streams {
 		lats = append(lats, s.lats...)
-		for _, l := range s.lats {
-			sample.Add(l)
-		}
 		cell.faults += s.faults
 		cell.hedged += s.hedged
 		cell.errs += s.errs
@@ -313,10 +299,7 @@ func efleetPoint(pcfg Config, scen efleetScenario, policy fleet.Policy, replicas
 	for i := 0; i < fl.Replicas(); i++ {
 		cell.probes += fl.Replica(i).Probes
 	}
-	cdf := stats.NewCDF(lats)
-	cell.meanMs = sample.Mean()
-	cell.p50Ms = cdf.Quantile(0.50)
-	cell.p99Ms = cdf.Quantile(0.99)
+	cell.meanMs, cell.p50Ms, cell.p99Ms = latencySummary(lats)
 	return cell, nil
 }
 

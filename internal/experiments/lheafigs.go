@@ -22,17 +22,14 @@ func imageForSize(size int64) (fits.Image, error) {
 }
 
 // fimSweep drives one of the two LHEASOFT applications across the
-// LHEASOFT size sweep in both modes, fanning points out on the configured
-// worker pool. exp names the experiment for per-point seed derivation;
-// runApp executes the application once against /data/img.fits, writing
-// outPath.
-func fimSweep(cfg Config, exp string, runApp func(m *Machine, useSLEDs bool, outPath string) error) (without, with Series, err error) {
+// LHEASOFT size sweep in both modes and returns the [without, with]
+// elapsed-time series. exp names the experiment for per-point seed
+// derivation; runApp executes the application once against /data/img.fits,
+// writing outPath.
+func fimSweep(cfg Config, exp string, runApp func(m *Machine, useSLEDs bool, outPath string) error) ([]Series, error) {
 	cfg.validate()
-	without = Series{Name: "without SLEDs"}
-	with = Series{Name: "with SLEDs"}
 	sizes := cfg.LHEASizes()
-	points, err := RunGrid(cfg, 2*len(sizes), func(i int) (Point, error) {
-		sizeIdx, mode := i/2, i%2
+	return gridSeries(cfg, len(sizes), modeNames, func(sizeIdx, mode int) (Point, error) {
 		im, err := imageForSize(sizes[sizeIdx])
 		if err != nil {
 			return Point{}, err
@@ -64,24 +61,13 @@ func fimSweep(cfg Config, exp string, runApp func(m *Machine, useSLEDs bool, out
 		}
 		return pointFrom(mbOf(im.FileSize()), elapsed.Summarize()), nil
 	})
-	if err != nil {
-		return without, with, err
-	}
-	for i, p := range points {
-		if i%2 == 1 {
-			with.Points = append(with.Points, p)
-		} else {
-			without.Points = append(without.Points, p)
-		}
-	}
-	return without, with, nil
 }
 
 // Fig14 regenerates Figure 14: elapsed time for fimhisto on ext2, warm
 // cache, with and without SLEDs.
 func Fig14(cfg Config) (Figure, error) {
 	const bins = 64
-	without, with, err := fimSweep(cfg, "fimhisto", func(m *Machine, useSLEDs bool, outPath string) error {
+	s, err := fimSweep(cfg, "fimhisto", func(m *Machine, useSLEDs bool, outPath string) error {
 		_, err := fitsapp.Fimhisto(m.Env(useSLEDs, cfg.BufSize), "/data/img.fits", outPath, bins, m.Disk)
 		return err
 	})
@@ -91,19 +77,16 @@ func Fig14(cfg Config) (Figure, error) {
 	return Figure{
 		ID: "fig14", Title: "elapsed time for fimhisto, ext2, warm cache",
 		XLabel: "size MB", YLabel: "seconds",
-		Series: []Series{with, without},
+		Series: []Series{s[1], s[0]},
 		Notes:  "three passes + one quarter writes: gains are attenuated relative to wc/grep, as in the paper",
 	}, nil
 }
 
-// Fig15 regenerates Figure 15: elapsed time for fimgbin (4x data
-// reduction) on ext2, warm cache. The paper's text also quotes 16x
-// numbers; Fig15Factor lets the harness produce both.
-func Fig15(cfg Config) (Figure, error) { return Fig15Factor(cfg, 4) }
-
-// Fig15Factor is Fig15 with a selectable reduction factor (4 or 16).
+// Fig15Factor regenerates Figure 15: elapsed time for fimgbin on ext2,
+// warm cache, at the given data-reduction factor. The figure is the 4x
+// run; the paper's text also quotes 16x numbers.
 func Fig15Factor(cfg Config, factor int) (Figure, error) {
-	without, with, err := fimSweep(cfg, fmt.Sprintf("fimgbin-x%d", factor), func(m *Machine, useSLEDs bool, outPath string) error {
+	s, err := fimSweep(cfg, fmt.Sprintf("fimgbin-x%d", factor), func(m *Machine, useSLEDs bool, outPath string) error {
 		_, err := fitsapp.Fimgbin(m.Env(useSLEDs, cfg.BufSize), "/data/img.fits", outPath, factor, m.Disk)
 		return err
 	})
@@ -114,7 +97,7 @@ func Fig15Factor(cfg Config, factor int) (Figure, error) {
 		ID:     fmt.Sprintf("fig15(x%d)", factor),
 		Title:  fmt.Sprintf("elapsed time for fimgbin, ext2, warm cache, %dx data reduction", factor),
 		XLabel: "size MB", YLabel: "seconds",
-		Series: []Series{with, without},
+		Series: []Series{s[1], s[0]},
 		Notes:  "write traffic erodes the gain at low reduction factors (paper: ~11% at 4x, 25-35% at 16x)",
 	}, nil
 }

@@ -40,6 +40,25 @@ type Machine struct {
 	Injectors map[device.ID]*faults.Injector
 }
 
+// newKernel builds cfg's kernel over a memory device of the given shape,
+// with nothing else attached: the start of every machine an experiment
+// boots. Jitter is seeded from cfg.Seed, so pass the point's derived
+// configuration.
+func newKernel(cfg Config, memCfg device.MemConfig) (*vfs.Kernel, device.Device) {
+	mem := device.NewMem(memCfg)
+	k := vfs.NewKernel(vfs.Config{
+		PageSize:       cfg.PageSize,
+		CachePages:     cfg.CachePages,
+		Policy:         cfg.Policy,
+		ReadaheadPages: cfg.ReadaheadPages,
+		MemDevice:      mem,
+		JitterSeed:     cfg.Seed,
+		JitterFrac:     cfg.JitterFrac,
+	})
+	k.AttachDevice(mem)
+	return k, mem
+}
+
 // BootMachine builds and calibrates a machine for the given profile.
 func BootMachine(cfg Config, profile Profile) (*Machine, error) {
 	cfg.validate()
@@ -55,17 +74,7 @@ func BootMachine(cfg Config, profile Profile) (*Machine, error) {
 	default:
 		return nil, fmt.Errorf("experiments: unknown profile %d", profile)
 	}
-	mem := device.NewMem(memCfg)
-	k := vfs.NewKernel(vfs.Config{
-		PageSize:       cfg.PageSize,
-		CachePages:     cfg.CachePages,
-		Policy:         cfg.Policy,
-		ReadaheadPages: cfg.ReadaheadPages,
-		MemDevice:      mem,
-		JitterSeed:     cfg.Seed,
-		JitterFrac:     cfg.JitterFrac,
-	})
-	k.AttachDevice(mem)
+	k, mem := newKernel(cfg, memCfg)
 	m := &Machine{K: k, Mem: mem}
 	m.Disk = k.AttachDevice(device.NewDisk(diskCfg))
 	m.CDROM = k.AttachDevice(device.NewCDROM(device.DefaultCDROMConfig(2)))

@@ -41,17 +41,7 @@ const scaleFilePages = 16
 // quantities, so the rendered figure is byte-identical at any -workers.
 // gen generates the files' bytes; EScale passes nil (see below).
 func scalePoint(cfg Config, n int, sched string, gen workload.PageGen) (sec float64, events float64, err error) {
-	mem := device.NewMem(device.Table2MemConfig(0))
-	k := vfs.NewKernel(vfs.Config{
-		PageSize:       cfg.PageSize,
-		CachePages:     cfg.CachePages,
-		Policy:         cfg.Policy,
-		ReadaheadPages: cfg.ReadaheadPages,
-		MemDevice:      mem,
-		JitterSeed:     cfg.Seed,
-		JitterFrac:     cfg.JitterFrac,
-	})
-	k.AttachDevice(mem)
+	k, _ := newKernel(cfg, device.Table2MemConfig(0))
 	disks := make([]device.ID, scaleDisks)
 	for d := range disks {
 		disks[d] = k.AttachDevice(device.NewDisk(device.Table2DiskConfig(device.ID(d + 1))))
@@ -79,22 +69,17 @@ func scalePoint(cfg Config, n int, sched string, gen workload.PageGen) (sec floa
 	for _, id := range disks {
 		e.Queue(id, iosched.NewScheduler(sched))
 	}
+	ids := make([]iosched.StreamID, n)
 	for i, path := range paths {
 		// Staggered starts desynchronize the streams so the queues see a
 		// steady arrival mix instead of n simultaneous bursts.
 		start := simclock.Duration(i%97) * 50 * simclock.Microsecond
-		e.AddStream(start, scaleReadProg(k, path, cfg.PageSize))
+		ids[i] = e.AddStream(start, scaleReadProg(k, path, cfg.PageSize))
 	}
 	if err := e.Run(); err != nil {
 		return 0, 0, err
 	}
-	var last simclock.Duration
-	for i := 0; i < n; i++ {
-		if f := e.FinishTime(iosched.StreamID(i)); f > last {
-			last = f
-		}
-	}
-	return float64(last-e.Base()) / float64(simclock.Second), float64(e.Events()), nil
+	return makespan(e, ids), float64(e.Events()), nil
 }
 
 // scaleReadProg is a stream state machine that reads path front to back
@@ -129,35 +114,28 @@ func scaleReadProg(k *vfs.Kernel, path string, chunkSize int) iosched.Program {
 // event counts for 100 to 10,000 concurrent streams over 24 queued disks.
 func EScale(cfg Config) (Figure, error) {
 	cfg.validate()
-	nScheds := len(scaleSchedulers)
-	series := make([]Series, 2*nScheds)
+	var secNames []string
+	events := make([]Series, len(scaleSchedulers))
 	for si, sched := range scaleSchedulers {
-		series[si] = Series{Name: sched + " seconds"}
-		series[nScheds+si] = Series{Name: sched + " events (k)"}
+		secNames = append(secNames, sched+" seconds")
+		events[si] = Series{Name: sched + " events (k)", Points: make([]Point, len(scaleStreams))}
 	}
-	cols := nScheds
-	type result struct{ sec, events float64 }
-	results, err := RunGrid(cfg, len(scaleStreams)*cols, func(i int) (result, error) {
-		nIdx, si := i/cols, i%cols
+	series, err := gridSeries(cfg, len(scaleStreams), secNames, func(nIdx, si int) (Point, error) {
 		pcfg := cfg.forPoint("escale", nIdx, si)
-		sec, events, err := scalePoint(pcfg, scaleStreams[nIdx], scaleSchedulers[si], nil)
-		return result{sec, events}, err
+		sec, ev, err := scalePoint(pcfg, scaleStreams[nIdx], scaleSchedulers[si], nil)
+		n := float64(scaleStreams[nIdx])
+		events[si].Points[nIdx] = Point{X: n, Mean: ev / 1000}
+		return Point{X: n, Mean: sec}, err
 	})
 	if err != nil {
 		return Figure{}, err
-	}
-	for i, r := range results {
-		si := i % cols
-		n := float64(scaleStreams[i/cols])
-		series[si].Points = append(series[si].Points, Point{X: n, Mean: r.sec})
-		series[nScheds+si].Points = append(series[nScheds+si].Points, Point{X: n, Mean: r.events / 1000})
 	}
 	return Figure{
 		ID:     "escale",
 		Title:  "engine scale: n streams over 24 queued disks",
 		XLabel: "streams",
 		YLabel: "seconds to last finish (events: thousands)",
-		Series: series,
+		Series: append(series, events...),
 		Notes:  "Program streams on the flat event heap: one continuation per stream, no goroutine stacks; byte-identical at any -workers",
 	}, nil
 }

@@ -2,13 +2,14 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"sleds/internal/iosched"
 	"sleds/internal/simclock"
 	"sleds/internal/stats"
 	"sleds/internal/trace"
+	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
 
@@ -73,9 +74,11 @@ type ETraceReport struct {
 }
 
 // etraceParams builds the class's generator parameters and its cache
-// warm-up plan. Everything here is a pure function of the base config and
-// the class index — the scheduler and mode never enter.
-func etraceParams(cfg Config, classIdx int, class string) (p trace.Params, warmFrom func(size int64) int64) {
+// warm-up plan: warm maps a file's size to the byte range read before the
+// replay (nil: the class starts cold). Everything here is a pure function
+// of the base config and the class index — the scheduler and mode never
+// enter.
+func etraceParams(cfg Config, classIdx int, class string) (p trace.Params, warm func(size int64) (off, n int64)) {
 	ps := int64(cfg.PageSize)
 	p = trace.DefaultParams(fileSeed(cfg, "etrace-gen", classIdx))
 	p.Streams = etraceStreams
@@ -93,39 +96,36 @@ func etraceParams(cfg Config, classIdx int, class string) (p trace.Params, warmF
 			p.RecLen = ps
 		}
 		p.Records = int(size / p.RecLen)
-		warmFrom = func(size int64) int64 { return size / 2 }
+		warm = func(size int64) (off, n int64) { return size / 2, size - size/2 }
 	case "oltp":
 		// Half the cache across the four streams, fully resident.
 		p.FileSize = cfg.CacheBytes() / 8 / ps * ps
 		p.RecLen = ps
 		p.Records = 64
-		warmFrom = func(int64) int64 { return 0 }
+		warm = func(size int64) (off, n int64) { return 0, size }
 	case "zipf", "mixed":
 		// The Zipf hot set sits at the file front; warm the front quarter.
 		p.FileSize = cfg.CacheBytes() / 4 / ps * ps
 		p.RecLen = ps
 		p.Records = 64
-		warmFrom = func(size int64) int64 { return -(size / 4) }
+		warm = func(size int64) (off, n int64) { return 0, size / 4 }
 	case "bursty":
 		p.FileSize = cfg.CacheBytes() / 4 / ps * ps
 		p.RecLen = ps
 		p.Records = 64
-		warmFrom = nil
 	}
-	return p, warmFrom
+	return p, warm
 }
 
 // etracePoint replays one (class, scheduler, mode) cell and reduces its
-// per-record latencies. warmFrom maps a file size to the first warmed
-// byte (negative w means "warm the first -w bytes"; nil skips warming).
-// gen generates the files' bytes; ETrace passes nil: replay and warm-up
-// move bytes they never inspect (see scalePoint).
+// per-record latencies. gen generates the files' bytes; ETrace passes nil:
+// replay and warm-up move bytes they never inspect (see scalePoint).
 func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLEDs bool, gen workload.PageGen) (etraceCell, error) {
 	m, err := BootMachine(pcfg, ProfileUnix)
 	if err != nil {
 		return etraceCell{}, err
 	}
-	p, warmFrom := etraceParams(baseCfg, classIdx, class)
+	p, warm := etraceParams(baseCfg, classIdx, class)
 	tr, err := trace.Generate(class, p)
 	if err != nil {
 		return etraceCell{}, err
@@ -137,23 +137,12 @@ func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLE
 			return etraceCell{}, err
 		}
 	}
-	if warmFrom != nil {
+	if warm != nil {
 		for i, path := range paths {
-			size := tr.Files[i].Size
-			from := warmFrom(size)
-			if from < 0 {
-				from, size = 0, -from
-			}
-			f, err := m.K.Open(path)
-			if err != nil {
+			off, n := warm(tr.Files[i].Size)
+			if err := warmRange(m.K, path, off, n, (*vfs.File).ReadAtMapped); err != nil {
 				return etraceCell{}, err
 			}
-			buf := make([]byte, size-from)
-			if _, err := f.ReadAtMapped(buf, from); err != nil {
-				f.Close()
-				return etraceCell{}, err
-			}
-			f.Close()
 		}
 	}
 	// The warm-up positioned the disk head; measure from power-on
@@ -175,28 +164,24 @@ func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLE
 	if err := e.Run(); err != nil {
 		return etraceCell{}, err
 	}
-
-	var last simclock.Duration
-	for _, id := range ids {
-		if f := e.FinishTime(id); f > last {
-			last = f
-		}
-	}
 	lats := make([]float64, len(rep.Latencies()))
 	for i, l := range rep.Latencies() {
 		lats[i] = float64(l) / float64(simclock.Millisecond)
 	}
+	cell := etraceCell{makespanSec: makespan(e, ids)}
+	cell.meanMs, cell.p50Ms, cell.p99Ms = latencySummary(lats)
+	return cell, nil
+}
+
+// latencySummary reduces per-operation latencies to the mean, median and
+// 99th percentile the replay and fleet reports print.
+func latencySummary(lats []float64) (mean, p50, p99 float64) {
 	sample := &stats.Sample{}
 	for _, l := range lats {
 		sample.Add(l)
 	}
 	cdf := stats.NewCDF(lats)
-	return etraceCell{
-		meanMs:      sample.Mean(),
-		p50Ms:       cdf.Quantile(0.50),
-		p99Ms:       cdf.Quantile(0.99),
-		makespanSec: float64(last-e.Base()) / float64(simclock.Second),
-	}, nil
+	return sample.Mean(), cdf.Quantile(0.50), cdf.Quantile(0.99)
 }
 
 // ETrace regenerates the trace-replay grid: the selected workload classes
@@ -207,32 +192,28 @@ func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLE
 // sorted zoo, not its position in the selection.
 func ETrace(cfg Config, selected ...string) (ETraceReport, error) {
 	cfg.validate()
-	canon := map[string]int{}
-	for i, c := range trace.Classes() {
-		canon[c] = i
+	zoo := trace.Classes() // sorted
+	for _, c := range selected {
+		if !slices.Contains(zoo, c) {
+			return ETraceReport{}, trace.UnknownClassError(c)
+		}
 	}
-	classes := trace.Classes()
+	classes := zoo
 	if len(selected) > 0 {
-		seen := map[string]bool{}
-		classes = classes[:0:0]
-		for _, c := range selected {
-			if _, ok := canon[c]; !ok {
-				return ETraceReport{}, trace.UnknownClassError(c)
-			}
-			if !seen[c] {
-				seen[c] = true
+		classes = nil
+		for _, c := range zoo {
+			if slices.Contains(selected, c) {
 				classes = append(classes, c)
 			}
 		}
-		sort.Strings(classes)
 	}
 	nScheds := len(etraceSchedulers)
 	// Point i is (class, scheduler, mode), mode fastest.
 	cols := 2 * nScheds
 	points, err := RunGrid(cfg, len(classes)*cols, func(i int) (etraceCell, error) {
 		ci, col := i/cols, i%cols
-		si, mode := col/2, 1-col%2     // with-SLEDs column first
-		classIdx := canon[classes[ci]] // canonical index: subset-stable seeds
+		si, mode := col/2, 1-col%2                 // with-SLEDs column first
+		classIdx := slices.Index(zoo, classes[ci]) // index in the full zoo: subset-stable seeds
 		pcfg := cfg.forPoint("etrace", classIdx, si, mode)
 		return etracePoint(pcfg, cfg, classIdx, classes[ci], etraceSchedulers[si], mode == 1, nil)
 	})

@@ -7,6 +7,7 @@ import (
 	"sleds/internal/apps/wcapp"
 	"sleds/internal/simclock"
 	"sleds/internal/stats"
+	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
 
@@ -27,72 +28,54 @@ func textFileOn(m *Machine, fs string, seed uint64, size int64, pageSize int) (*
 	return c, nil
 }
 
-// wcSweep runs wc across cfg.Sizes on the named file system, in both
-// modes, returning elapsed-time and fault series. Points run on the
-// configured worker pool; point i is (size i/2, mode i%2).
-func wcSweep(cfg Config, fs string) (timeWithout, timeWith, faultsWithout, faultsWith Series, err error) {
+// wcSweep runs wc across cfg.Sizes on the named file system in both modes
+// and returns the [without, with] series of elapsed seconds or, with
+// countFaults, of hard page faults.
+func wcSweep(cfg Config, fs string, countFaults bool) ([]Series, error) {
 	cfg.validate()
-	timeWithout = Series{Name: "without SLEDs"}
-	timeWith = Series{Name: "with SLEDs"}
-	faultsWithout = Series{Name: "without SLEDs"}
-	faultsWith = Series{Name: "with SLEDs"}
-
 	exp := "wc-" + fs
-	type wcPoint struct{ time, faults Point }
-	points, err := RunGrid(cfg, 2*len(cfg.Sizes), func(i int) (wcPoint, error) {
-		sizeIdx, mode := i/2, i%2
+	return gridSeries(cfg, len(cfg.Sizes), modeNames, func(sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
 		pcfg := cfg.forPoint(exp, sizeIdx, mode)
 		m, err := BootMachine(pcfg, ProfileUnix)
 		if err != nil {
-			return wcPoint{}, err
+			return Point{}, err
 		}
 		if _, err := textFileOn(m, fs, fileSeed(cfg, exp, sizeIdx), size, cfg.PageSize); err != nil {
-			return wcPoint{}, err
+			return Point{}, err
 		}
 		env := m.Env(mode == 1, cfg.BufSize)
-		elapsed, faults, err := measured(pcfg, m, func(int) error {
+		sample, faults, err := measured(pcfg, m, func(int) error {
 			_, err := wcapp.Run(env, "/data/testfile")
 			return err
 		})
 		if err != nil {
-			return wcPoint{}, err
+			return Point{}, err
 		}
-		x := mbOf(size)
-		return wcPoint{pointFrom(x, elapsed.Summarize()), pointFrom(x, faults.Summarize())}, nil
+		if countFaults {
+			sample = faults
+		}
+		return pointFrom(mbOf(size), sample.Summarize()), nil
 	})
-	if err != nil {
-		return timeWithout, timeWith, faultsWithout, faultsWith, err
-	}
-	for i, p := range points {
-		if i%2 == 1 {
-			timeWith.Points = append(timeWith.Points, p.time)
-			faultsWith.Points = append(faultsWith.Points, p.faults)
-		} else {
-			timeWithout.Points = append(timeWithout.Points, p.time)
-			faultsWithout.Points = append(faultsWithout.Points, p.faults)
-		}
-	}
-	return timeWithout, timeWith, faultsWithout, faultsWith, nil
 }
 
 // Fig7And8 regenerates Figure 7 (wc execution time over NFS, with and
 // without SLEDs, warm cache) and Figure 8 (the speedup ratio of the two
 // curves).
 func Fig7And8(cfg Config) (Figure, Figure, error) {
-	without, with, _, _, err := wcSweep(cfg, "nfs")
+	s, err := wcSweep(cfg, "nfs", false)
 	if err != nil {
 		return Figure{}, Figure{}, err
 	}
 	f7 := Figure{
 		ID: "fig7", Title: "wc times over NFS, with and without SLEDs, warm cache",
 		XLabel: "size MB", YLabel: "seconds",
-		Series: []Series{with, without},
+		Series: []Series{s[1], s[0]},
 	}
 	f8 := Figure{
 		ID: "fig8", Title: "wc time ratio (speedup) over NFS",
 		XLabel: "size MB", YLabel: "improvement ratio",
-		Series: []Series{ratioSeries("without/with", without, with)},
+		Series: []Series{ratioSeries("without/with", s[0], s[1])},
 	}
 	return f7, f8, nil
 }
@@ -100,14 +83,14 @@ func Fig7And8(cfg Config) (Figure, Figure, error) {
 // Fig9 regenerates Figure 9: wc page faults on CD-ROM, with and without
 // SLEDs, warm cache.
 func Fig9(cfg Config) (Figure, error) {
-	_, _, faultsWithout, faultsWith, err := wcSweep(cfg, "cdrom")
+	s, err := wcSweep(cfg, "cdrom", true)
 	if err != nil {
 		return Figure{}, err
 	}
 	return Figure{
 		ID: "fig9", Title: "wc page faults on CD-ROM, with and without SLEDs, warm cache",
 		XLabel: "size MB", YLabel: "page faults",
-		Series: []Series{faultsWith, faultsWithout},
+		Series: []Series{s[1], s[0]},
 	}, nil
 }
 
@@ -116,11 +99,8 @@ func Fig9(cfg Config) (Figure, error) {
 // out of megabytes"), so output buffering stays small.
 func Fig10(cfg Config) (Figure, error) {
 	cfg.validate()
-	without := Series{Name: "without SLEDs"}
-	with := Series{Name: "with SLEDs"}
 	const exp = "grep-all-cdrom"
-	points, err := RunGrid(cfg, 2*len(cfg.Sizes), func(i int) (Point, error) {
-		sizeIdx, mode := i/2, i%2
+	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
 		m, err := BootMachine(cfg.forPoint(exp, sizeIdx, mode), ProfileUnix)
 		if err != nil {
@@ -154,17 +134,10 @@ func Fig10(cfg Config) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	for i, p := range points {
-		if i%2 == 1 {
-			with.Points = append(with.Points, p)
-		} else {
-			without.Points = append(without.Points, p)
-		}
-	}
 	return Figure{
 		ID: "fig10", Title: "grep for all matches on CD-ROM, with and without SLEDs, warm cache",
 		XLabel: "size MB", YLabel: "seconds",
-		Series: []Series{with, without},
+		Series: []Series{s[1], s[0]},
 		Notes:  "small-file region shows the SLEDs CPU overhead; large files save the cache-fill time",
 	}, nil
 }
@@ -173,12 +146,11 @@ func Fig10(cfg Config) (Figure, error) {
 // searches for a distinct needle planted at a per-run pseudo-random
 // offset, so the match position varies across runs exactly as in the
 // paper ("a single match that was placed randomly in the test file").
-// pcfg is the point's derived configuration (point-local jitter);
+// cfg is the point's derived configuration (point-local jitter);
 // baseSeed is the sweep's underived base seed. File content and needle
 // positions derive from (baseSeed, size) only — mode-independent, so a
 // with/without pair reads the same file and the same match positions.
-func grepFirstPoint(pcfg Config, baseSeed int64, fs string, size int64, useSLEDs bool, runs int) (*stats.Sample, error) {
-	cfg := pcfg
+func grepFirstPoint(cfg Config, baseSeed int64, fs string, size int64, useSLEDs bool, runs int) (*stats.Sample, error) {
 	m, err := BootMachine(cfg, ProfileUnix)
 	if err != nil {
 		return nil, err
@@ -199,10 +171,9 @@ func grepFirstPoint(pcfg Config, baseSeed int64, fs string, size int64, useSLEDs
 	}
 
 	env := m.Env(useSLEDs, cfg.BufSize)
-	elapsed := &stats.Sample{}
 	runCfg := cfg
 	runCfg.Runs = runs
-	sample, _, err := measured(runCfg, m, func(run int) error {
+	elapsed, _, err := measured(runCfg, m, func(run int) error {
 		needle := needles[run+1]
 		got, err := grepapp.Run(env, "/data/testfile", needle, grepapp.Options{FirstOnly: true})
 		if err != nil {
@@ -213,50 +184,36 @@ func grepFirstPoint(pcfg Config, baseSeed int64, fs string, size int64, useSLEDs
 		}
 		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	*elapsed = *sample
-	return elapsed, nil
+	return elapsed, err
 }
 
 // Fig11And12 regenerates Figure 11 (grep for one match on ext2, with and
 // without SLEDs) and Figure 12 (the speedup ratio).
 func Fig11And12(cfg Config) (Figure, Figure, error) {
 	cfg.validate()
-	without := Series{Name: "without SLEDs"}
-	with := Series{Name: "with SLEDs"}
 	const exp = "grepq-ext2"
-	points, err := RunGrid(cfg, 2*len(cfg.Sizes), func(i int) (Point, error) {
-		sizeIdx, mode := i/2, i%2
+	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
-		s, err := grepFirstPoint(cfg.forPoint(exp, sizeIdx, mode), cfg.Seed, "ext2", size,
+		sample, err := grepFirstPoint(cfg.forPoint(exp, sizeIdx, mode), cfg.Seed, "ext2", size,
 			mode == 1, cfg.Runs)
 		if err != nil {
 			return Point{}, err
 		}
-		return pointFrom(mbOf(size), s.Summarize()), nil
+		return pointFrom(mbOf(size), sample.Summarize()), nil
 	})
 	if err != nil {
 		return Figure{}, Figure{}, err
 	}
-	for i, p := range points {
-		if i%2 == 1 {
-			with.Points = append(with.Points, p)
-		} else {
-			without.Points = append(without.Points, p)
-		}
-	}
 	f11 := Figure{
 		ID: "fig11", Title: "grep for one match on ext2, with and without SLEDs, warm cache",
 		XLabel: "size MB", YLabel: "seconds",
-		Series: []Series{with, without},
+		Series: []Series{s[1], s[0]},
 		Notes:  "large error bars without SLEDs reflect cache-position luck, as in the paper",
 	}
 	f12 := Figure{
 		ID: "fig12", Title: "grep one-match speedup on ext2",
 		XLabel: "size MB", YLabel: "improvement ratio",
-		Series: []Series{ratioSeries("without/with", without, with)},
+		Series: []Series{ratioSeries("without/with", s[0], s[1])},
 	}
 	return f11, f12, nil
 }
@@ -273,21 +230,13 @@ func Fig13(cfg Config) (Figure, error) {
 	}
 	const exp = "grepq-cdf-nfs"
 	series, err := RunGrid(cfg, 2, func(i int) (Series, error) {
-		useSLEDs := i == 0 // with-SLEDs series renders first
-		mode := 0
-		if useSLEDs {
-			mode = 1
-		}
+		mode := 1 - i // with-SLEDs series renders first
 		s, err := grepFirstPoint(cfg.forPoint(exp, 0, mode), cfg.Seed, "nfs", size,
-			useSLEDs, runs)
+			mode == 1, runs)
 		if err != nil {
 			return Series{}, err
 		}
 		cdf := stats.NewCDF(s.Values())
-		name := "without SLEDs"
-		if useSLEDs {
-			name = "with SLEDs"
-		}
 		// Rendered as the inverse CDF: x is the fraction of runs, the
 		// value is the elapsed seconds at that quantile, so both modes
 		// share the x axis (the paper's Figure 13 plots the transpose).
@@ -295,7 +244,7 @@ func Fig13(cfg Config) (Figure, error) {
 		for _, xy := range cdf.Points() {
 			pts = append(pts, Point{X: xy[1], Mean: xy[0]})
 		}
-		return Series{Name: name, Points: pts}, nil
+		return Series{Name: modeNames[mode], Points: pts}, nil
 	})
 	if err != nil {
 		return Figure{}, err
@@ -308,11 +257,14 @@ func Fig13(cfg Config) (Figure, error) {
 	}, nil
 }
 
-// elapsedSeconds is a tiny helper for ad-hoc one-shot timings.
-func elapsedSeconds(m *Machine, fn func() error) (float64, error) {
-	start := m.K.Clock.Now()
+// seconds converts a virtual-time span to the figures' unit.
+func seconds(d simclock.Duration) float64 { return float64(d) / float64(simclock.Second) }
+
+// elapsedSeconds times fn on k's virtual clock.
+func elapsedSeconds(k *vfs.Kernel, fn func() error) (float64, error) {
+	start := k.Clock.Now()
 	if err := fn(); err != nil {
 		return 0, err
 	}
-	return float64(m.K.Clock.Now()-start) / float64(simclock.Second), nil
+	return seconds(k.Clock.Now() - start), nil
 }
