@@ -11,7 +11,8 @@ import (
 // zones when installed: the oracle's stateless per-page lookup, where the
 // production walk uses a monotone zoneCursor.
 func (t *Table) deviceAt(id device.ID, off int64) (Entry, bool) {
-	if zs, ok := t.zones[id]; ok {
+	if r := t.rec(id); r != nil && r.zones != nil {
+		zs := r.zones
 		cur := zs[0].Entry
 		for _, z := range zs {
 			if z.FromByte > off {
@@ -21,8 +22,7 @@ func (t *Table) deviceAt(id device.ID, off int64) (Entry, bool) {
 		}
 		return cur, true
 	}
-	e, ok := t.devs[id]
-	return e, ok
+	return t.Device(id)
 }
 
 // queryRef is the reference FSLEDS_GET: the original per-page scan that

@@ -105,22 +105,52 @@ type MemoStats struct {
 	Evictions  int64 // entries dropped by the LRU bound
 }
 
-// sledMemo is a bounded LRU-over-files skeleton cache. Lookups go
-// through the map; recency and eviction through the intrusive list (the
-// map is never iterated, keeping the memo deterministic).
+// sledMemo is a bounded LRU-over-files skeleton cache. Lookups are array
+// reads — a kernel numbers its inodes 1, 2, 3, …, so each kernel's entries
+// sit in a slice indexed by inode number, and a file queried over and over
+// is reached without hashing; recency and eviction go through the
+// intrusive list.
 type sledMemo struct {
-	cap     int
-	entries map[memoKey]*memoEntry
-	front   *memoEntry
-	back    *memoEntry
-	stats   MemoStats
+	cap   int
+	n     int           // cached entries, at most cap
+	files []kernelFiles // one per kernel that has queried through this table
+	front *memoEntry
+	back  *memoEntry
+	stats MemoStats
+}
+
+// kernelFiles is one kernel's cached skeletons by inode number, nil where
+// none is cached. A table serves one machine in practice, so finding the
+// kernel is a one-element scan.
+type kernelFiles struct {
+	k     *vfs.Kernel
+	byIno []*memoEntry
 }
 
 func newSledMemo(capacity int) *sledMemo {
-	return &sledMemo{
-		cap:     capacity,
-		entries: make(map[memoKey]*memoEntry, capacity),
+	return &sledMemo{cap: capacity}
+}
+
+// slot returns the index cell for key, or nil when key's kernel has no
+// cell that far yet.
+func (m *sledMemo) slot(key memoKey) **memoEntry {
+	for i := range m.files {
+		if kf := &m.files[i]; kf.k == key.k {
+			if key.ino < vfs.Ino(len(kf.byIno)) {
+				return &kf.byIno[key.ino]
+			}
+			return nil
+		}
 	}
+	return nil
+}
+
+// lookup returns key's cached entry, or nil.
+func (m *sledMemo) lookup(key memoKey) *memoEntry {
+	if s := m.slot(key); s != nil {
+		return *s
+	}
+	return nil
 }
 
 // detach unlinks e from the LRU list.
@@ -164,17 +194,42 @@ func (m *sledMemo) moveToFront(e *memoEntry) {
 // re-admission after an LRU eviction), never in the steady state the
 // alloc gates measure.
 func (m *sledMemo) install(key memoKey) *memoEntry {
-	for len(m.entries) >= m.cap && m.back != nil {
+	for m.n >= m.cap && m.back != nil {
 		victim := m.back
 		m.detach(victim)
-		delete(m.entries, victim.key)
+		*m.slot(victim.key) = nil
+		m.n--
 		m.stats.Evictions++
 	}
 	//sledlint:allow hotalloc -- first query of a file only: the entry and its buffers are allocated once and reused across every later rebuild
 	e := &memoEntry{key: key}
-	m.entries[key] = e
+	s := m.slot(key)
+	if s == nil {
+		s = m.growSlot(key)
+	}
+	*s = e
+	m.n++
 	m.pushFront(e)
 	return e
+}
+
+// growSlot extends the index to cover key — its kernel's first query, or
+// an inode number beyond any queried so far — and returns the new cell.
+func (m *sledMemo) growSlot(key memoKey) **memoEntry {
+	ki := 0
+	for ki < len(m.files) && m.files[ki].k != key.k {
+		ki++
+	}
+	if ki == len(m.files) {
+		//sledlint:allow hotalloc -- first-use growth: once per kernel
+		m.files = append(m.files, kernelFiles{k: key.k})
+	}
+	kf := &m.files[ki]
+	for vfs.Ino(len(kf.byIno)) <= key.ino {
+		//sledlint:allow hotalloc -- first-use growth: the index reaches a kernel's highest queried inode number once
+		kf.byIno = append(kf.byIno, nil)
+	}
+	return &kf.byIno[key.ino]
 }
 
 // query is FSLEDS_GET for a cacheable file: epoch-checked lookup,
@@ -187,7 +242,7 @@ func (m *sledMemo) install(key memoKey) *memoEntry {
 func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	resEpoch := k.ResidencyEpoch(n)
 	key := memoKey{k: k, ino: n.Ino()}
-	e := m.entries[key]
+	e := m.lookup(key)
 	hit := e != nil && e.resEpoch == resEpoch && e.cfgEpoch == t.cfgEpoch &&
 		e.size == n.Size() && e.extent == n.Extent() && e.dev == n.Device()
 	if e != nil {
@@ -241,8 +296,8 @@ func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) {
 	// Pre-size: at most one segment per run, per gap, and per zone
 	// boundary falling inside a gap (a staged scatter may append past it).
 	est := 2*len(runs) + 1
-	if zs, ok := t.zones[n.Device()]; ok {
-		est += len(zs) - 1
+	if r := t.rec(n.Device()); r != nil && r.zones != nil {
+		est += len(r.zones) - 1
 	}
 	segs := e.segs[:0]
 	if cap(segs) < est {
@@ -344,7 +399,7 @@ func (t *Table) sampleDevices(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) (bool, 
 	now := k.Clock.Now()
 	same := e.haveOut
 	for i, id := range e.devs {
-		if _, ok := t.devs[id]; !ok {
+		if r := t.rec(id); r == nil || !r.have {
 			return false, fmt.Errorf("core: no sleds table entry for device %d (file %q)", id, n.Name())
 		}
 		var s overlaySample

@@ -131,7 +131,7 @@ func TestMemoDifferentialProperty(t *testing.T) {
 					if st := tab.MemoStats(); st != (MemoStats{}) {
 						t.Fatalf("disabled memo recorded activity: %+v", st)
 					}
-				} else if _, cached := tab.memo.entries[memoKey{k: k, ino: inodes[3].Ino()}]; cached {
+				} else if tab.memo.lookup(memoKey{k: k, ino: inodes[3].Ino()}) != nil {
 					t.Fatalf("staged file entered the memo")
 				}
 				return true
@@ -268,7 +268,7 @@ func TestMemoStagedBypass(t *testing.T) {
 	if st := tab.MemoStats(); st != (MemoStats{}) {
 		t.Fatalf("staged-device queries must bypass the memo, got %+v", st)
 	}
-	if got := len(tab.memo.entries); got != 0 {
+	if got := tab.memo.n; got != 0 {
 		t.Fatalf("staged-device queries installed %d memo entries", got)
 	}
 }

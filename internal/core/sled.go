@@ -17,7 +17,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sleds/internal/device"
 	"sleds/internal/simclock"
@@ -110,12 +109,13 @@ type Load interface {
 // fills it from a boot script running lmbench.
 type Table struct {
 	mem     Entry
-	devs    map[device.ID]Entry
-	zones   map[device.ID][]ZoneEntry
 	haveMem bool
 	load    Load
 
-	health   map[device.ID]*health
+	// devs holds one record per device, indexed by device.ID: IDs are
+	// dense registry indexes, so the row a query needs is an array read.
+	// It grows to the highest ID the table has been told about.
+	devs     []devRecord
 	halfLife simclock.Duration
 
 	// cfgEpoch advances on every mutation that can change which entry a
@@ -134,6 +134,17 @@ type Table struct {
 	scratch memoEntry
 }
 
+// devRecord is one device's row of the table: its calibrated entry (the
+// first zone's when the zone extension is installed) and the degradation
+// state the fault observer feeds.
+type devRecord struct {
+	entry   Entry
+	have    bool        // entry installed (SetDevice or SetDeviceZones)
+	zones   []ZoneEntry // non-nil when the multi-zone extension is installed
+	health  health
+	faulted bool // health holds an observation made since the last ResetHealth
+}
+
 // health is the per-device degradation state the fault observer feeds.
 // penalty is in seconds of extra first-byte latency and decays
 // exponentially in virtual time; updated is the instant penalty was last
@@ -142,6 +153,24 @@ type health struct {
 	penalty float64
 	faults  int64
 	updated simclock.Duration
+}
+
+// rec returns id's record, or nil for an ID beyond anything the table has
+// been told about (device.None included).
+func (t *Table) rec(id device.ID) *devRecord {
+	if id < 0 || int(id) >= len(t.devs) {
+		return nil
+	}
+	return &t.devs[id]
+}
+
+// grow returns id's record, extending the table to cover it. The pointer
+// is valid until the next grow.
+func (t *Table) grow(id device.ID) *devRecord {
+	for int(id) >= len(t.devs) {
+		t.devs = append(t.devs, devRecord{})
+	}
+	return &t.devs[id]
 }
 
 // DefaultHealthHalfLife is the virtual-time half-life of a device's fault
@@ -154,9 +183,6 @@ const DefaultHealthHalfLife = 60 * simclock.Second
 // DefaultMemoFiles capacity.
 func NewTable() *Table {
 	return &Table{
-		devs:     make(map[device.ID]Entry),
-		zones:    make(map[device.ID][]ZoneEntry),
-		health:   make(map[device.ID]*health),
 		halfLife: DefaultHealthHalfLife,
 		memo:     newSledMemo(DefaultMemoFiles),
 	}
@@ -209,11 +235,17 @@ func (t *Table) SetHealthHalfLife(hl simclock.Duration) {
 // penalty decays as penalty * 2^(-dt/halfLife), so a device that stops
 // faulting gradually earns its calibrated estimates back. This is the
 // observer the kernel's retry loop feeds (vfs.Kernel.SetFaultObserver).
+// A negative id (device.None) names no device and is ignored.
 func (t *Table) ObserveFault(id device.ID, extra simclock.Duration, now simclock.Duration) {
+	if id < 0 {
+		return
+	}
 	h := t.healthAt(id, now)
 	if h == nil {
-		h = &health{updated: now}
-		t.health[id] = h
+		r := t.grow(id)
+		r.faulted = true
+		r.health = health{updated: now}
+		h = &r.health
 	}
 	h.penalty += extra.Seconds()
 	h.faults++
@@ -230,8 +262,8 @@ func (t *Table) HealthPenalty(id device.ID, now simclock.Duration) float64 {
 
 // FaultCount reports the total faults observed on a device (undecayed).
 func (t *Table) FaultCount(id device.ID) int64 {
-	if h, ok := t.health[id]; ok {
-		return h.faults
+	if r := t.rec(id); r != nil && r.faulted {
+		return r.health.faults
 	}
 	return 0
 }
@@ -244,7 +276,7 @@ func (t *Table) Confidence(id device.ID, now simclock.Duration) float64 {
 	if pen <= 0 {
 		return 1
 	}
-	e, ok := t.devs[id]
+	e, ok := t.Device(id)
 	if !ok {
 		return 1
 	}
@@ -268,10 +300,11 @@ func confidence(base, penalty float64) float64 {
 // has never faulted. Negative dt (an observation from a stream clock that
 // lags another) leaves the penalty as-is rather than inflating it.
 func (t *Table) healthAt(id device.ID, now simclock.Duration) *health {
-	h, ok := t.health[id]
-	if !ok {
+	r := t.rec(id)
+	if r == nil || !r.faulted {
 		return nil
 	}
+	h := &r.health
 	if dt := now - h.updated; dt > 0 {
 		if h.penalty > 0 {
 			h.penalty *= math.Exp2(-float64(dt) / float64(t.halfLife))
@@ -287,7 +320,9 @@ func (t *Table) healthAt(id device.ID, now simclock.Duration) *health {
 // ResetHealth clears all fault observations (used between measured runs
 // that should not inherit the previous run's degradation state).
 func (t *Table) ResetHealth() {
-	t.health = make(map[device.ID]*health)
+	for i := range t.devs {
+		t.devs[i].health, t.devs[i].faulted = health{}, false
+	}
 }
 
 // SetMemory installs the primary-memory entry.
@@ -306,11 +341,11 @@ func (t *Table) Memory() (Entry, bool) { return t.mem, t.haveMem }
 
 // SetDevice installs the single-zone entry for a device (FSLEDS_FILL).
 func (t *Table) SetDevice(id device.ID, e Entry) error {
-	if !e.valid() {
+	if !e.valid() || id < 0 {
 		return fmt.Errorf("core: invalid entry %+v for device %d", e, id)
 	}
-	t.devs[id] = e
-	delete(t.zones, id)
+	r := t.grow(id)
+	r.entry, r.have, r.zones = e, true, nil
 	t.cfgEpoch++
 	return nil
 }
@@ -318,6 +353,9 @@ func (t *Table) SetDevice(id device.ID, e Entry) error {
 // SetDeviceZones installs the multi-zone extension for a device. Zones
 // must be sorted by FromByte with the first at 0.
 func (t *Table) SetDeviceZones(id device.ID, zs []ZoneEntry) error {
+	if id < 0 {
+		return fmt.Errorf("core: zones for invalid device %d", id)
+	}
 	if len(zs) == 0 {
 		return fmt.Errorf("core: empty zone list for device %d", id)
 	}
@@ -334,18 +372,20 @@ func (t *Table) SetDeviceZones(id device.ID, zs []ZoneEntry) error {
 	}
 	cp := make([]ZoneEntry, len(zs))
 	copy(cp, zs)
-	t.zones[id] = cp
 	// Keep a representative single-zone entry too (first zone), so code
 	// that does not understand zones still works.
-	t.devs[id] = zs[0].Entry
+	r := t.grow(id)
+	r.entry, r.have, r.zones = zs[0].Entry, true, cp
 	t.cfgEpoch++
 	return nil
 }
 
 // Device returns the single-zone entry for a device.
 func (t *Table) Device(id device.ID) (Entry, bool) {
-	e, ok := t.devs[id]
-	return e, ok
+	if r := t.rec(id); r != nil && r.have {
+		return r.entry, true
+	}
+	return Entry{}, false
 }
 
 // SetLoad attaches a live queueing-state source. Subsequent queries fold
@@ -388,7 +428,7 @@ func (t *Table) underLoad(id device.ID, e Entry, now simclock.Duration) Entry {
 // queueing state folded into the latency — the estimate FSLEDS_GET
 // reports for this device's uncached pages at virtual time now.
 func (t *Table) DeviceUnderLoad(id device.ID, now simclock.Duration) (Entry, bool) {
-	e, ok := t.devs[id]
+	e, ok := t.Device(id)
 	if !ok {
 		return e, false
 	}
@@ -398,11 +438,12 @@ func (t *Table) DeviceUnderLoad(id device.ID, now simclock.Duration) (Entry, boo
 // Devices returns the IDs with installed entries, in ascending ID
 // order so that callers iterating the result stay deterministic.
 func (t *Table) Devices() []device.ID {
-	out := make([]device.ID, 0, len(t.devs))
+	var out []device.ID
 	for id := range t.devs {
-		out = append(out, id)
+		if t.devs[id].have {
+			out = append(out, device.ID(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -418,10 +459,11 @@ type zoneCursor struct {
 
 // zoneCursor returns a cursor positioned at the start of the device.
 func (t *Table) zoneCursor(id device.ID) zoneCursor {
-	if zs, ok := t.zones[id]; ok {
-		return zoneCursor{zones: zs}
+	r := t.rec(id)
+	if r == nil {
+		return zoneCursor{}
 	}
-	return zoneCursor{single: t.devs[id]}
+	return zoneCursor{zones: r.zones, single: r.entry}
 }
 
 // entryAt returns the entry in effect at device byte off and the device

@@ -183,9 +183,9 @@ type EFleetReport struct {
 	Rows     []EFleetRow
 }
 
-// efleetStream drives one stream's reads as a Program: StartRead/Step
-// per logical read, a think-time sleep between reads, latency recorded
-// per read.
+// efleetStream drives one stream's reads as a Program: BeginRead/Step
+// per logical read on the stream's one fleet.Read, a think-time sleep
+// between reads, latency recorded per read.
 type efleetStream struct {
 	f       *fleet.Fleet
 	policy  fleet.Policy
@@ -194,7 +194,8 @@ type efleetStream struct {
 	think   simclock.Duration
 
 	cur      int
-	rd       *fleet.Read
+	rd       fleet.Read // the read in flight while reading is set
+	reading  bool
 	started  simclock.Duration
 	thinking bool
 
@@ -206,7 +207,7 @@ type efleetStream struct {
 // Step implements iosched.Program.
 func (s *efleetStream) Step(h *iosched.Handle, prev iosched.Result) iosched.Op {
 	for {
-		if s.rd == nil {
+		if !s.reading {
 			if s.cur >= len(s.offs) {
 				return iosched.Exit(nil)
 			}
@@ -215,7 +216,8 @@ func (s *efleetStream) Step(h *iosched.Handle, prev iosched.Result) iosched.Op {
 				return iosched.Sleep(s.think)
 			}
 			s.thinking = false
-			s.rd = s.f.StartRead(s.policy, s.offs[s.cur], s.readLen)
+			s.f.BeginRead(&s.rd, s.policy, s.offs[s.cur], s.readLen)
+			s.reading = true
 			s.started = h.Now()
 			prev = iosched.Result{}
 		}
@@ -232,7 +234,7 @@ func (s *efleetStream) Step(h *iosched.Handle, prev iosched.Result) iosched.Op {
 			s.errs++
 		}
 		s.cur++
-		s.rd = nil
+		s.reading = false
 	}
 }
 
@@ -275,23 +277,34 @@ func efleetPoint(pcfg Config, scen efleetScenario, policy fleet.Policy, replicas
 	}
 	tab.SetLoad(e)
 	fl.ObserveLateFaults(e)
-	streams := make([]*efleetStream, len(records))
+	// The streams, their read offsets and their latency records are each
+	// one block, a stream owning its slice of it: a cell sets up thousands
+	// of streams, and three allocations per stream were most of what a
+	// cell allocated. A stream records one latency per read, so once Run
+	// returns the latency block is every stream's record back to back.
+	reads := 0
+	for _, recs := range records {
+		reads += len(recs)
+	}
+	streams := make([]efleetStream, len(records))
+	offs := make([]int64, 0, reads)
+	lats := make([]float64, reads)
 	for i, recs := range records {
-		offs := make([]int64, len(recs))
-		for j, rec := range recs {
-			offs[j] = int64(rec) * recLen
+		first := len(offs)
+		for _, rec := range recs {
+			offs = append(offs, int64(rec)*recLen)
 		}
-		streams[i] = &efleetStream{f: fl, policy: policy, offs: offs, readLen: recLen, think: scen.think}
-		e.AddStream(simclock.Duration(i)*scen.stagger, streams[i])
+		streams[i] = efleetStream{f: fl, policy: policy, offs: offs[first:], readLen: recLen, think: scen.think,
+			lats: lats[first:first:len(offs)]}
+		e.AddStream(simclock.Duration(i)*scen.stagger, &streams[i])
 	}
 	if err := e.Run(); err != nil {
 		return efleetCell{}, err
 	}
 
 	var cell efleetCell
-	var lats []float64
-	for _, s := range streams {
-		lats = append(lats, s.lats...)
+	for i := range streams {
+		s := &streams[i]
 		cell.faults += s.faults
 		cell.hedged += s.hedged
 		cell.errs += s.errs

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"sleds/internal/iosched"
@@ -142,4 +143,94 @@ func BenchmarkEngineHedgedReads(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// benchStream is one efleet-style client: reads back to back on its one
+// Read, a think-time sleep (when think > 0) between them.
+type benchStream struct {
+	f        *Fleet
+	policy   Policy
+	offs     []int64
+	think    simclock.Duration
+	cur      int
+	rd       Read
+	reading  bool
+	thinking bool
+}
+
+func (s *benchStream) Step(h *iosched.Handle, prev iosched.Result) iosched.Op {
+	for {
+		if !s.reading {
+			if s.cur == len(s.offs) {
+				return iosched.Exit(nil)
+			}
+			if s.think > 0 && s.cur > 0 && !s.thinking {
+				s.thinking = true
+				return iosched.Sleep(s.think)
+			}
+			s.thinking = false
+			s.f.BeginRead(&s.rd, s.policy, s.offs[s.cur], 4*testPage)
+			s.reading = true
+			prev = iosched.Result{}
+		}
+		op, done := s.rd.Step(h, prev)
+		if !done {
+			return op
+		}
+		if s.rd.Err != nil {
+			return iosched.Exit(s.rd.Err)
+		}
+		s.reading = false
+		s.cur++
+	}
+}
+
+// BenchmarkEFleet is one cell of the efleet experiment at the width the
+// host-time benchmark runs it (cmd/sledsperf's fleet workload): the hotspot
+// scenario under sled+hedge on 16 replicas — 2,000 streams 2 ms apart, four
+// skewed 4-page reads each over a 256-page file, 64-page server caches.
+// Only Engine.Run is timed. allocs/read is what one logical read costs the
+// host allocator: the device requests it queues, and nothing else.
+func BenchmarkEFleet(b *testing.B) {
+	const (
+		streams, readsPer = 2000, 4
+		filePages         = 256
+		records           = filePages / 4
+	)
+	cfg := DefaultConfig()
+	cfg.Replicas = 16
+	cfg.Server.ServerCachePages = 64
+	cfg.ProbeEvery = 64
+	var mallocs uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		fx := newFleet(b, cfg, filePages*testPage)
+		e := engineFor(fx)
+		g := uint64(1)
+		all := make([]benchStream, streams)
+		for s := range all {
+			offs := make([]int64, readsPer)
+			for j := range offs {
+				// The product of two uniform draws skews towards the low
+				// records: a hot head and a long tail.
+				g = g*6364136223846793005 + 1442695040888963407
+				u, v := g>>33%records, g>>13%records
+				offs[j] = int64(u*v/records) * 4 * testPage
+			}
+			all[s] = benchStream{f: fx.f, policy: PolicySLEDHedge, offs: offs, think: 5 * simclock.Millisecond}
+			e.AddStream(simclock.Duration(s)*2*simclock.Millisecond, &all[s])
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		b.StartTimer()
+		if err := e.Run(); err != nil {
+			b.Fatal(err)
+		}
+		b.StopTimer()
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+		b.StartTimer()
+	}
+	b.ReportMetric(float64(mallocs)/float64(b.N*streams*readsPer), "allocs/read")
 }

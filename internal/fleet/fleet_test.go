@@ -474,3 +474,105 @@ func TestReplicatedContentIdentical(t *testing.T) {
 func formatPath(prefix string, i int) string {
 	return prefix + ".r" + string(rune('0'+i))
 }
+
+// failFirstRead is a replica device whose first read fails fast with a
+// fault naming the device; everything after passes through.
+type failFirstRead struct {
+	device.Device
+	failed bool
+}
+
+func (d *failFirstRead) ReadErr(c *simclock.Clock, off, n int64) error {
+	if !d.failed {
+		d.failed = true
+		c.Advance(simclock.Microsecond)
+		return &device.Fault{Dev: d.Info().ID, Class: device.FaultTimeout, Extra: faults.TimeoutExtra, Seq: 1}
+	}
+	return device.ReadErr(d.Device, c, off, n)
+}
+
+func (d *failFirstRead) WriteErr(c *simclock.Clock, off, n int64) error {
+	return device.WriteErr(d.Device, c, off, n)
+}
+
+// TestHedgeWinnerFaultOnDeviceZero: device IDs start at 0, so a replica
+// can be device 0 (here the kernel's memory device is never attached, and
+// replica 0 takes the first registry slot). When that replica wins a hedge
+// race with a fault, the fault is charged to it — not to the primary, as
+// happened while ID 0 doubled as "no device".
+func TestHedgeWinnerFaultOnDeviceZero(t *testing.T) {
+	mem := device.NewMem(device.DefaultMemConfig(0))
+	k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 64, MemDevice: mem})
+	cfg := DefaultConfig()
+	cfg.Replicas = 2
+	// A deadline that expires at once: the secondary always races.
+	cfg.HedgeMult = 1e-9
+	cfg.MinHedgeDelay = simclock.Nanosecond
+	f, err := New(k, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Replica(0).Dev != 0 {
+		t.Fatalf("replica 0 is device %d, want 0", f.Replica(0).Dev)
+	}
+	tab, err := lmbench.Calibrate(k.Clock, mem, k.Devices.All())
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.SetTable(tab)
+	if err := f.CreateFile("/data", 1, 64*testPage); err != nil {
+		t.Fatal(err)
+	}
+	k.ResetDeviceState()
+	fx := &fixture{k: k, f: f, tab: tab}
+
+	// Replica 1 holds the region in its server cache, so it is the primary
+	// and replica 0 the hedge target; replica 0 fails its first read within
+	// a microsecond, long before the primary's bytes cross the wire.
+	r1 := f.Replica(1)
+	if err := r1.Server().ReadThrough(k.Clock, r1.Inode().Extent(), 4*testPage); err != nil {
+		t.Fatal(err)
+	}
+	k.Devices.Replace(0, &failFirstRead{Device: k.Devices.Get(0)})
+	e := engineFor(fx)
+	var out Read
+	e.AddStream(0, f.ReadProgram(PolicySLEDHedge, 0, 4*testPage, &out))
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if out.Err != nil || out.Failed != 1 || !out.Hedged {
+		t.Fatalf("outcome %+v, want one absorbed hedge-winner fault and a clean retry", out)
+	}
+	if f0, f1 := f.Replica(0).Faults, f.Replica(1).Faults; f0 != 1 || f1 != 0 {
+		t.Fatalf("fault charged to replicas (0: %d, 1: %d), want it on replica 0, the device that faulted", f0, f1)
+	}
+	if tab.FaultCount(0) != 1 {
+		t.Fatalf("table saw %d faults on device 0, want 1", tab.FaultCount(0))
+	}
+}
+
+// TestSteadyStateReadAllocatesNothing pins the host cost of a logical
+// read: one Read, reused in place for read after read and stepped to
+// completion against unqueued devices (every Op completes in place, as
+// under RunProgram), performs no allocation once the table's memo entries
+// and the Read's attempt buffer exist — selection, the SLED queries behind
+// it, the Op and the server-cache update included.
+func TestSteadyStateReadAllocatesNothing(t *testing.T) {
+	fx := newFleet(t, DefaultConfig(), 64*testPage)
+	st := benchStream{f: fx.f, policy: PolicySLED} // bench_test.go: reads back to back on one Read
+	for r := int64(0); r < 16; r++ {
+		st.offs = append(st.offs, r*4*testPage)
+	}
+	run := func() {
+		st.cur = 0
+		if err := iosched.RunProgram(fx.k, &st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // first use: memo entries, scratch vectors, the attempt buffer, server-cache frames
+	// RunProgram allocates the Handle it passes to Step, once per call;
+	// the sixteen reads inside it must add nothing.
+	if avg := testing.AllocsPerRun(20, run); avg > 1 {
+		t.Fatalf("%d steady-state SLED reads cost %.0f allocations; want 1, RunProgram's own Handle", len(st.offs), avg)
+	}
+}

@@ -74,17 +74,22 @@ func (f *Fleet) ObserveLateFaults(e *iosched.Engine) {
 // the table's health observer, burns the replica's per-read retry
 // budget, backs off (doubling, capped), and reselects among replicas
 // with budget remaining.
+//
+// A Read belongs to whoever drives it. StartRead allocates one; a stream
+// that issues reads back to back keeps a single Read (a field, not a
+// pointer) and hands it to BeginRead for each, which resets it in place —
+// the outcome fields stay valid until then.
 type Read struct {
 	f      *Fleet
 	policy Policy
 	off, n int64
 
 	attempts []int // per-replica attempts consumed this read
+	spent    int   // replicas whose budget (Retry.MaxAttempts) is used up
 	backoff  simclock.Duration
 	target   int  // replica index of the attempt in flight
 	hedgeTo  int  // secondary's replica index, -1 when not hedged
 	issued   bool // an attempt's Op is outstanding
-	sleeping bool // a backoff Sleep is outstanding
 
 	// Outcome, valid once Step reports done.
 	Err      error
@@ -95,14 +100,30 @@ type Read struct {
 }
 
 // StartRead begins one logical read of [off, off+n) under the policy.
-// The zero-valued read issues its first Op at the first Step call.
+// The read issues its first Op at the first Step call.
 func (f *Fleet) StartRead(policy Policy, off, n int64) *Read {
-	return &Read{
+	r := &Read{}
+	f.BeginRead(r, policy, off, n)
+	return r
+}
+
+// BeginRead is StartRead into storage the caller owns: r — the zero Read,
+// or one whose previous read is done with — becomes a fresh read of
+// [off, off+n), keeping only its per-replica attempt buffer, so a reused
+// Read costs no allocation.
+func (f *Fleet) BeginRead(r *Read, policy Policy, off, n int64) {
+	attempts := r.attempts[:0]
+	if cap(attempts) < len(f.replicas) {
+		attempts = make([]int, 0, len(f.replicas))
+	}
+	attempts = attempts[:len(f.replicas)]
+	clear(attempts)
+	*r = Read{
 		f:        f,
 		policy:   policy,
 		off:      off,
 		n:        n,
-		attempts: make([]int, len(f.replicas)),
+		attempts: attempts,
 		backoff:  f.cfg.Retry.Backoff,
 		target:   -1,
 		hedgeTo:  -1,
@@ -120,123 +141,118 @@ func (f *Fleet) replicaByDev(id device.ID) int {
 	return -1
 }
 
-// eligible reports which replicas still have retry budget this read.
-func (r *Read) eligible() (mask []bool, any bool) {
-	mask = make([]bool, len(r.attempts))
-	for i, a := range r.attempts {
-		if a < r.f.cfg.Retry.MaxAttempts {
-			mask[i] = true
-			any = true
-		}
-	}
-	return mask, any
-}
+// budgetLeft reports whether any replica still has retry budget this
+// read.
+func (r *Read) budgetLeft() bool { return r.spent < len(r.attempts) }
 
 // Step feeds the outcome of the previously returned Op (the zero Result
 // on the first call) and returns the next Op. done reports completion:
 // when true the Op is meaningless and the outcome fields are valid.
 func (r *Read) Step(h *iosched.Handle, prev iosched.Result) (op iosched.Op, done bool) {
-	if r.issued {
-		r.issued = false
-		if prev.HedgeFired {
-			r.Hedged = true
-		}
-		if prev.Err == nil {
-			r.Dev = r.winner(prev)
-			return iosched.Op{}, true
-		}
-		// A faulted completion: observe it against the replica that
-		// produced it, burn its budget, and fail over.
-		idx := r.target
-		if dev := r.winner(prev); dev != 0 {
-			if byDev := r.f.replicaByDev(dev); byDev >= 0 {
-				idx = byDev
-			}
-		}
-		r.Failed++
-		r.f.replicas[idx].Faults++
-		var fault *device.Fault
-		if r.f.tab != nil && errors.As(prev.Err, &fault) {
-			r.f.tab.ObserveFault(fault.Dev, fault.Extra, h.Now())
-		}
-		if _, any := r.eligible(); !any {
-			r.Err = fmt.Errorf("fleet: read [%d,+%d) failed on all replicas within budget: %w", r.off, r.n, prev.Err)
-			return iosched.Op{}, true
-		}
-		r.sleeping = true
-		back := r.backoff
-		if back > r.f.cfg.Retry.BackoffCap {
-			back = r.f.cfg.Retry.BackoffCap
-		}
-		r.backoff = back * 2
-		return iosched.Sleep(back), false
+	if !r.issued {
+		// The first call, or the wake from a backoff sleep.
+		return r.issue()
 	}
-	if r.sleeping {
-		r.sleeping = false
+	r.issued = false
+	if prev.HedgeFired {
+		r.Hedged = true
 	}
-	return r.issue(h)
+	dev, known := r.winner(prev)
+	if prev.Err == nil {
+		r.Dev = dev
+		return iosched.Op{}, true
+	}
+	// A faulted completion: observe it against the replica that
+	// produced it, burn its budget, and fail over.
+	idx := r.target
+	if known {
+		if byDev := r.f.replicaByDev(dev); byDev >= 0 {
+			idx = byDev
+		}
+	}
+	r.Failed++
+	r.f.replicas[idx].Faults++
+	var fault *device.Fault
+	if r.f.tab != nil && errors.As(prev.Err, &fault) {
+		r.f.tab.ObserveFault(fault.Dev, fault.Extra, h.Now())
+	}
+	if !r.budgetLeft() {
+		r.Err = fmt.Errorf("fleet: read [%d,+%d) failed on all replicas within budget: %w", r.off, r.n, prev.Err)
+		return iosched.Op{}, true
+	}
+	back := r.backoff
+	if back > r.f.cfg.Retry.BackoffCap {
+		back = r.f.cfg.Retry.BackoffCap
+	}
+	r.backoff = back * 2
+	return iosched.Sleep(back), false
 }
 
-// winner returns the device that completed the previous attempt: the
-// hedge winner when hedged, the plain target otherwise.
-func (r *Read) winner(prev iosched.Result) device.ID {
+// winner returns the device that completed the previous attempt — the
+// hedge winner when hedged, the plain target otherwise — and false when
+// no attempt has been issued. Device IDs start at 0, so no ID can stand
+// for "none".
+func (r *Read) winner(prev iosched.Result) (device.ID, bool) {
 	if r.hedgeTo >= 0 {
-		return prev.Dev
+		return prev.Dev, true
 	}
 	if r.target >= 0 {
-		return r.f.replicas[r.target].Dev
+		return r.f.replicas[r.target].Dev, true
 	}
-	return 0
+	return device.None, false
 }
 
 // issue selects a replica under the policy and returns its read Op.
-func (r *Read) issue(h *iosched.Handle) (iosched.Op, bool) {
-	mask, any := r.eligible()
-	if !any {
+func (r *Read) issue() (iosched.Op, bool) {
+	if !r.budgetLeft() {
 		r.Err = fmt.Errorf("fleet: read [%d,+%d): retry budget exhausted", r.off, r.n)
 		return iosched.Op{}, true
 	}
-	r.hedgeTo = -1
+	budget := r.f.cfg.Retry.MaxAttempts
+	secondary := -1
+	var hedgeDelay simclock.Duration
 	switch r.policy {
 	case PolicyRR:
 		// Blind rotation over replicas with budget left.
 		nr := len(r.f.replicas)
-		idx := -1
+		r.target = -1
 		for probe := 0; probe < nr; probe++ {
 			cand := (r.f.rr + probe) % nr
-			if mask[cand] {
-				idx = cand
+			if r.attempts[cand] < budget {
+				r.target = cand
 				r.f.rr = (cand + 1) % nr
 				break
 			}
 		}
-		r.target = idx
 	default:
-		sel, err := r.f.selectFrom(mask, r.off, r.n, h.Now())
+		sel, err := r.f.selectFrom(r.attempts, r.off, r.n)
 		if err != nil {
 			r.Err = err
 			return iosched.Op{}, true
 		}
 		r.target = sel.Primary
-		if r.policy == PolicySLEDHedge && sel.Secondary >= 0 {
-			r.hedgeTo = sel.Secondary
-			rep, sec := r.f.replicas[sel.Primary], r.f.replicas[sel.Secondary]
-			rep.Issued++
-			r.attempts[sel.Primary]++
-			r.Attempts++
-			r.issued = true
-			return iosched.HedgedDevReadAt(
-				rep.Dev, rep.inode.Extent()+r.off,
-				sec.Dev, sec.inode.Extent()+r.off,
-				r.n, sel.HedgeDelay), false
+		if r.policy == PolicySLEDHedge {
+			secondary = sel.Secondary
 		}
+		hedgeDelay = sel.HedgeDelay
 	}
+	r.hedgeTo = secondary
 	rep := r.f.replicas[r.target]
 	rep.Issued++
 	r.attempts[r.target]++
+	if r.attempts[r.target] == budget {
+		r.spent++
+	}
 	r.Attempts++
 	r.issued = true
-	return iosched.DevRead(rep.Dev, rep.inode.Extent()+r.off, r.n), false
+	if secondary < 0 {
+		return iosched.DevRead(rep.Dev, rep.inode.Extent()+r.off, r.n), false
+	}
+	sec := r.f.replicas[secondary]
+	return iosched.HedgedDevReadAt(
+		rep.Dev, rep.inode.Extent()+r.off,
+		sec.Dev, sec.inode.Extent()+r.off,
+		r.n, hedgeDelay), false
 }
 
 // ReadProgram wraps one read as a complete Program: useful for tests and

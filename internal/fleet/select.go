@@ -36,7 +36,9 @@ type Selection struct {
 }
 
 // estimateReplica computes the expected delivery time of reading
-// [off, off+n) of the replicated file from replica r at virtual time now.
+// [off, off+n) of the replicated file from replica r at the kernel's
+// current virtual time (the instant core.QueryAppend samples load and
+// health at).
 //
 // The base comes from the replica's SLED vector (core.QueryAppend on the
 // replica's copy of the file): first-overlap latency — with queue depth,
@@ -56,7 +58,9 @@ type Selection struct {
 // the replica's residency and the table config are unchanged (the common
 // case between faults): only the O(devices) dynamic overlay re-runs, so
 // estimating all replicas stays cheap even on heavily fragmented files.
-func (f *Fleet) estimateReplica(r *Replica, off, n int64, now simclock.Duration) (estimate, error) {
+//
+//sledlint:hotpath
+func (f *Fleet) estimateReplica(r *Replica, off, n int64) (estimate, error) {
 	sleds, err := core.QueryAppend(f.scratch, f.k, f.tab, r.inode)
 	if err != nil {
 		return estimate{}, err
@@ -108,16 +112,22 @@ func (f *Fleet) estimateReplica(r *Replica, off, n int64, now simclock.Duration)
 	return estimate{sec: sec, conf: conf, ok: true}, nil
 }
 
-// Select picks the replica(s) for one read of [off, off+n) at virtual
-// time now, consulting every replica's SLED estimate. See selectFrom for
-// the policy; Select considers all replicas eligible.
+// Select picks the replica(s) for one read of [off, off+n), consulting
+// every replica's SLED estimate. See selectFrom for the policy; Select
+// considers all replicas eligible.
+//
+// now is ignored: estimates are taken at the client kernel's clock
+// (k.Clock.Now(), the instant core.QueryAppend samples load and health
+// at), which is the calling stream's clock under an engine. The parameter
+// stays because callers outside this module are compiled against it.
 func (f *Fleet) Select(off, n int64, now simclock.Duration) (Selection, error) {
-	return f.selectFrom(nil, off, n, now)
+	return f.selectFrom(nil, off, n)
 }
 
-// selectFrom is Select restricted to replicas i with eligible[i] (nil
-// means all) — the Read driver excludes replicas whose retry budget for
-// the current read is spent.
+// selectFrom is Select restricted to replicas with retry budget left:
+// attempts[i] counts what replica i has consumed of the current read's
+// budget (nil means none has consumed any), and a replica at
+// Retry.MaxAttempts is excluded.
 //
 // Policy: replicas at or above the confidence floor compete on estimated
 // delivery; the cheapest wins, the runner-up becomes the hedge target.
@@ -131,35 +141,37 @@ func (f *Fleet) Select(off, n int64, now simclock.Duration) (Selection, error) {
 // number of selections. All tie-breaks are by ascending replica index:
 // selection is a pure function of (estimates, pick counter), so
 // schedules are deterministic.
-func (f *Fleet) selectFrom(eligible []bool, off, n int64, now simclock.Duration) (Selection, error) {
+//
+//sledlint:hotpath
+func (f *Fleet) selectFrom(attempts []int, off, n int64) (Selection, error) {
 	nr := len(f.replicas)
-	anyEligible := false
+	floor := f.cfg.ConfidenceFloor
+	// Estimate every eligible replica, counting the healthy (at or above
+	// the floor) and the demoted (eligible but below it).
+	healthyCount, demoted := 0, 0
 	for i, r := range f.replicas {
-		if eligible != nil && !eligible[i] {
+		if attempts != nil && attempts[i] >= f.cfg.Retry.MaxAttempts {
 			f.ests[i] = estimate{}
 			continue
 		}
-		est, err := f.estimateReplica(r, off, n, now)
+		est, err := f.estimateReplica(r, off, n)
 		if err != nil {
 			return Selection{}, err
 		}
 		f.ests[i] = est
-		anyEligible = true
+		if est.conf >= floor {
+			healthyCount++
+		} else {
+			demoted++
+		}
 	}
-	if !anyEligible {
+	if healthyCount+demoted == 0 {
 		return Selection{}, fmt.Errorf("fleet: no eligible replica")
 	}
-	floor := f.cfg.ConfidenceFloor
 
 	// Partition: healthy replicas compete on est; if none, everyone
 	// competes on est/conf.
 	best, second := -1, -1
-	healthyCount := 0
-	for i := 0; i < nr; i++ {
-		if f.ests[i].ok && f.ests[i].conf >= floor {
-			healthyCount++
-		}
-	}
 	degraded := healthyCount == 0
 	score := func(i int) float64 {
 		if !degraded {
@@ -193,26 +205,28 @@ func (f *Fleet) selectFrom(eligible []bool, off, n int64, now simclock.Duration)
 	sel := Selection{Primary: best, Secondary: second, Degraded: degraded}
 	f.picks++
 
-	// Probe cadence: divert this pick to a demoted replica when due.
+	// Probe cadence: divert this pick to a demoted replica when due — the
+	// (probeRR mod demoted)-th of them in index order. The cursor advances
+	// on every due pick that finds a replica outside the healthy pool,
+	// whether demoted or merely out of budget.
 	if !degraded && healthyCount < nr && f.cfg.ProbeEvery > 0 && f.picks%int64(f.cfg.ProbeEvery) == 0 {
 		k := f.probeRR
 		f.probeRR++
-		demotedIdx := -1
-		seen := 0
-		for i := 0; i < nr; i++ {
-			if f.ests[i].ok && f.ests[i].conf < floor {
-				if seen == k%countDemoted(f.ests, floor) {
-					demotedIdx = i
+		if demoted > 0 {
+			skip := k % demoted
+			for i := 0; i < nr; i++ {
+				if !f.ests[i].ok || f.ests[i].conf >= floor {
+					continue
+				}
+				if skip == 0 {
+					sel.Secondary = sel.Primary // hedge covers the probe
+					sel.Primary = i
+					sel.Probe = true
+					f.replicas[i].Probes++
 					break
 				}
-				seen++
+				skip--
 			}
-		}
-		if demotedIdx >= 0 {
-			sel.Secondary = sel.Primary // hedge covers the probe
-			sel.Primary = demotedIdx
-			sel.Probe = true
-			f.replicas[demotedIdx].Probes++
 		}
 	}
 
@@ -232,18 +246,4 @@ func (f *Fleet) selectFrom(eligible []bool, off, n int64, now simclock.Duration)
 	}
 	sel.HedgeDelay = delay
 	return sel, nil
-}
-
-// countDemoted counts eligible replicas below the floor.
-func countDemoted(ests []estimate, floor float64) int {
-	n := 0
-	for i := range ests {
-		if ests[i].ok && ests[i].conf < floor {
-			n++
-		}
-	}
-	if n == 0 {
-		return 1 // never used as a modulus when no demotions exist
-	}
-	return n
 }

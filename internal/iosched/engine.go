@@ -13,14 +13,16 @@
 //
 // The engine is a discrete-event simulator: exactly one stream executes at
 // a time, and the engine always processes the lowest-timestamped pending
-// event from a global event heap. Events at equal virtual time are ordered
-// resume-before-dispatch, then by stream ID (resumes) or device ID
-// (dispatches). Native streams are explicit state machines (Program), not
+// event: the top of a global event heap, or the next stream due to start
+// (starts are known up front and wait in a sorted list instead of the
+// heap). Events at equal virtual time are ordered resume-before-dispatch,
+// then by stream ID (resumes) or device ID (dispatches). Native streams
+// are explicit state machines (Program), not
 // goroutines: a stream that issues I/O against a queued device suspends as
 // a continuation (vfs.IOStep) holding the in-progress kernel operation,
 // and the engine resumes it with the dispatch outcome when the device
 // completes the request. Program execution is single-threaded by
-// construction, and the per-stream cost is one heap entry plus one
+// construction, and the per-stream cost is one stream record plus one
 // continuation instead of a parked goroutine stack, which is what makes
 // 10,000-stream runs practical.
 //
@@ -34,7 +36,9 @@
 package iosched
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"sleds/internal/device"
 	"sleds/internal/simclock"
@@ -61,21 +65,27 @@ const (
 // streams are blocking closures on a private goroutine bridged through
 // resume (engine → stream: granted virtual time) and Engine.bridge
 // (stream → engine: what it blocked on).
+//
+// Everything a stream needs while it runs — its Handle, its clock, the
+// state of a hedged read — is part of the record, so resuming a stream and
+// running an Op allocate nothing.
 type stream struct {
-	id     StreamID
-	clock  *simclock.Clock
-	start  simclock.Duration // virtual start offset from the engine base
-	prog   Program
-	fn     func(h *Handle) error
-	resume chan simclock.Duration // engine -> stream, fn streams only
-	state  streamState
-	wakeAt simclock.Duration // next resume time while unstarted/sleeping
-	cont   vfs.IOStep        // the suspended operation, valid when blocked
-	req    *Request          // the queued/in-flight request, valid when blocked
-	hedge  *hedgeState       // the in-progress hedged read, valid when blocked on one
-	res    Result            // outcome fed to the next Step call
-	finish simclock.Duration // clock at completion, valid when done
-	err    error
+	id      StreamID
+	h       Handle            // passed to every Step (and to fn)
+	clock   simclock.Clock    // the stream's own timeline, restarted by each Run
+	start   simclock.Duration // virtual start offset from the engine base
+	prog    Program
+	fn      func(h *Handle) error
+	resume  chan simclock.Duration // engine -> stream, fn streams only
+	state   streamState
+	wakeAt  simclock.Duration // next resume time while unstarted/sleeping
+	cont    vfs.IOStep        // the suspended operation, valid when blocked
+	req     *Request          // the queued/in-flight request, valid when blocked
+	hedging bool              // blocked on a hedged read, described by hedge
+	hedge   hedgeState
+	res     Result            // outcome fed to the next Step call
+	finish  simclock.Duration // clock at completion, valid when done
+	err     error
 }
 
 // hedgeState is a Program stream's in-progress hedged read (the HedgedDev-
@@ -127,17 +137,20 @@ type devQueue struct {
 // Engine coordinates streams and device queues over one shared kernel.
 type Engine struct {
 	k       *vfs.Kernel
-	queues  map[device.ID]*devQueue
-	order   []device.ID // queued devices in wrap order, for deterministic iteration
+	queues  []*devQueue // indexed by device.ID (dense registry indexes); nil = not queued
 	streams []*stream
 	heap    eventHeap
-	bridge  chan bridgeEvent // fn stream -> engine
-	seq     uint64
-	running bool
-	current StreamID
-	base    simclock.Duration
-	pending *Request // handoff from QueuedDevice.submit to the op loop
-	events  uint64   // events processed across all Runs, for benchmarks
+	// starts lists the streams in (start time, ID) order for the Run in
+	// progress; those before nextStart have started.
+	starts    []StreamID
+	nextStart int
+	bridge    chan bridgeEvent // fn stream -> engine
+	seq       uint64
+	running   bool
+	current   StreamID
+	base      simclock.Duration
+	pending   *Request // handoff from QueuedDevice.submit to the op loop
+	events    uint64   // events processed across all Runs, for benchmarks
 
 	// orphanObs, when set, observes cancelled hedge losers that completed
 	// with an error after losing the race (see SetOrphanObserver).
@@ -149,9 +162,17 @@ type Engine struct {
 func NewEngine(k *vfs.Kernel) *Engine {
 	return &Engine{
 		k:      k,
-		queues: make(map[device.ID]*devQueue),
 		bridge: make(chan bridgeEvent),
 	}
+}
+
+// queueOf returns the queue interposed on id, or nil when the device is not
+// queued (or is no device at all).
+func (e *Engine) queueOf(id device.ID) *devQueue {
+	if id < 0 || int(id) >= len(e.queues) {
+		return nil
+	}
+	return e.queues[id]
 }
 
 // Queue interposes a request queue with the given scheduler on the device
@@ -164,13 +185,15 @@ func (e *Engine) Queue(id device.ID, sched Scheduler) {
 	if e.running {
 		panic("iosched: Queue called while running")
 	}
-	if _, ok := e.queues[id]; ok {
+	if e.queueOf(id) != nil {
 		panic(fmt.Sprintf("iosched: device %d already queued", id))
 	}
 	raw := e.k.Devices.Get(id)
 	dq := &devQueue{id: id, dev: raw, sched: sched, clock: simclock.New()}
+	for int(id) >= len(e.queues) {
+		e.queues = append(e.queues, nil)
+	}
 	e.queues[id] = dq
-	e.order = append(e.order, id)
 	e.k.Devices.Replace(id, &QueuedDevice{e: e, dq: dq})
 }
 
@@ -187,6 +210,7 @@ func (e *Engine) AddStream(start simclock.Duration, prog Program) StreamID {
 	id := StreamID(len(e.streams))
 	e.streams = append(e.streams, &stream{
 		id:    id,
+		h:     Handle{e: e, k: e.k, id: id},
 		start: start,
 		prog:  prog,
 	})
@@ -199,7 +223,7 @@ func (e *Engine) AddStream(start simclock.Duration, prog Program) StreamID {
 // parks inside the access until the engine dispatches and completes the
 // request, so blocking application code shared with the single-process
 // paths runs unchanged. Code that can be expressed as a Program should
-// use AddStream: a Program stream costs a heap entry instead of a
+// use AddStream: a Program stream costs a stream record instead of a
 // goroutine stack.
 //
 //sledlint:allow panicpath -- setup-phase API misuse, before any simulated I/O runs
@@ -210,6 +234,7 @@ func (e *Engine) AddStreamFunc(start simclock.Duration, fn func(h *Handle) error
 	id := StreamID(len(e.streams))
 	e.streams = append(e.streams, &stream{
 		id:     id,
+		h:      Handle{e: e, k: e.k, id: id},
 		start:  start,
 		fn:     fn,
 		resume: make(chan simclock.Duration),
@@ -249,8 +274,10 @@ func (e *Engine) Run() error {
 	mainClock := e.k.Clock
 	e.base = mainClock.Now()
 	e.heap = e.heap[:0]
-	for _, id := range e.order {
-		dq := e.queues[id]
+	for _, dq := range e.queues {
+		if dq == nil {
+			continue
+		}
 		dq.clock.AdvanceTo(e.base)
 		dq.free = e.base
 		dq.busy = false
@@ -258,28 +285,41 @@ func (e *Engine) Run() error {
 		dq.dispatchUp = false
 		dq.cancelledQueued = 0
 	}
+	e.starts, e.nextStart = e.starts[:0], 0
 	for _, st := range e.streams {
-		st.clock = simclock.New()
+		st.clock = simclock.Clock{}
 		st.clock.AdvanceTo(e.base + st.start)
 		st.state = stateUnstarted
 		st.wakeAt = e.base + st.start
 		st.cont = vfs.IOStep{}
 		st.req = nil
-		st.hedge = nil
+		st.hedging = false
+		st.hedge = hedgeState{}
 		st.res = Result{}
 		st.err = nil
 		if st.fn != nil {
 			e.launch(st)
 		}
-		e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, stream: st.id})
+		e.starts = append(e.starts, st.id)
 	}
+	// A stream start is a plain resume that is known before anything runs,
+	// so starts never enter the heap: they wait in (time, ID) order — the
+	// order eventLess gives plain resumes — and the loop merges the list
+	// with the heap. The heap then holds only what running streams create,
+	// and its depth follows the streams in flight, not the streams declared.
+	slices.SortStableFunc(e.starts, func(a, b StreamID) int {
+		return cmp.Compare(e.streams[a].wakeAt, e.streams[b].wakeAt)
+	})
 
-	for len(e.heap) > 0 {
-		ev := e.heap.pop()
+	for {
+		ev, ok := e.nextEvent()
+		if !ok {
+			break
+		}
 		e.events++
 		switch ev.kind {
 		case evResume:
-			st := e.streams[ev.stream]
+			st := e.streams[ev.id]
 			if ev.req != nil {
 				// A completion event: free the device whatever happens to
 				// the stream.
@@ -293,7 +333,7 @@ func (e *Engine) Run() error {
 					}
 					continue
 				}
-				if st.hedge != nil {
+				if st.hedging {
 					e.settleHedge(st, ev.req)
 				}
 			}
@@ -303,9 +343,9 @@ func (e *Engine) Run() error {
 			}
 			e.runStream(st, ev.time)
 		case evHedge:
-			e.fireHedge(e.streams[ev.stream], ev.req, ev.time)
+			e.fireHedge(e.streams[ev.id], ev.req, ev.time)
 		case evDispatch:
-			dq := e.queues[ev.dev]
+			dq := e.queues[ev.id]
 			if !dq.dispatchUp || ev.time != dq.dispatchAt {
 				continue // superseded by an earlier-arriving submission
 			}
@@ -335,13 +375,31 @@ func (e *Engine) Run() error {
 	return nil
 }
 
+// nextEvent takes the earliest pending event: the next unstarted stream's
+// start or the top of the heap, whichever eventLess puts first. ok is false
+// when nothing is pending.
+func (e *Engine) nextEvent() (ev engineEvent, ok bool) {
+	if e.nextStart < len(e.starts) {
+		st := e.streams[e.starts[e.nextStart]]
+		start := streamEvent(st.wakeAt, evResume, st.id, nil)
+		if len(e.heap) == 0 || eventLess(&start, &e.heap[0]) {
+			e.nextStart++
+			return start, true
+		}
+	}
+	if len(e.heap) == 0 {
+		return engineEvent{}, false
+	}
+	return e.heap.pop(), true
+}
+
 // retireReq returns a completed request's device to idle and, if requests
 // are waiting there, queues the next dispatch. The next dispatch lands at
 // the same instant but after every same-instant resume, so a request
 // submitted "now" by a just-resumed stream is visible to the scheduler
 // deciding "now" — as under the goroutine engine.
 func (e *Engine) retireReq(r *Request) {
-	dq := e.queues[r.Dev]
+	dq := e.queues[r.Dev] // a request only ever exists for a queued device
 	dq.busy = false
 	dq.free = dq.inflightDone
 	dq.lastPos = r.Off + r.Length
@@ -356,7 +414,7 @@ func (e *Engine) retireReq(r *Request) {
 // request the server is servicing) — and the winner's outcome becomes the
 // stream's next Result.
 func (e *Engine) settleHedge(st *stream, winner *Request) {
-	hs := st.hedge
+	hs := &st.hedge
 	loser := hs.secondary
 	if winner != hs.primary {
 		loser = hs.primary
@@ -376,12 +434,12 @@ func (e *Engine) settleHedge(st *stream, winner *Request) {
 // the deadline instant as its arrival. A deadline whose read already
 // completed (or that already fired) is stale and ignored.
 func (e *Engine) fireHedge(st *stream, primary *Request, t simclock.Duration) {
-	hs := st.hedge
-	if hs == nil || hs.primary != primary || hs.fired {
+	hs := &st.hedge
+	if !st.hedging || hs.primary != primary || hs.fired {
 		return
 	}
-	sq, ok := e.queues[hs.secondaryDev]
-	if !ok {
+	sq := e.queueOf(hs.secondaryDev)
+	if sq == nil {
 		return // unqueued secondary: nothing to race the primary against
 	}
 	r := &Request{
@@ -418,7 +476,7 @@ func (e *Engine) maybeDispatch(dq *devQueue) {
 	}
 	dq.dispatchUp = true
 	dq.dispatchAt = t
-	e.heap.push(engineEvent{time: t, kind: evDispatch, dev: dq.id})
+	e.heap.push(engineEvent{time: t, kind: evDispatch, id: int32(dq.id)})
 }
 
 // runStream executes one stream from virtual time t until it suspends on
@@ -428,18 +486,18 @@ func (e *Engine) maybeDispatch(dq *devQueue) {
 func (e *Engine) runStream(st *stream, t simclock.Duration) {
 	st.clock.AdvanceTo(t)
 	e.current = st.id
-	e.k.SetClock(st.clock)
-	h := &Handle{e: e, k: e.k, id: st.id}
+	e.k.SetClock(&st.clock)
 
 	var step vfs.IOStep
 	haveStep := false
 	if st.state == stateBlocked {
-		if st.hedge != nil {
+		if st.hedging {
 			// A hedged read resolved: settleHedge already folded the
 			// winner's outcome into st.res, and there is no kernel
 			// continuation to resume — the hedged access is a raw device
 			// op. Fall through to the next Step call.
-			st.hedge = nil
+			st.hedging = false
+			st.hedge = hedgeState{}
 		} else {
 			devErr := st.req.Err
 			st.req = nil
@@ -472,7 +530,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			st.res = Result{N: int(step.N()), Err: step.Err()}
 		}
 		var op Op
-		if !e.protect(st, func() { op = st.prog.Step(h, st.res) }) {
+		if !e.protect(st, func() { op = st.prog.Step(&st.h, st.res) }) {
 			return
 		}
 		switch op.kind {
@@ -482,52 +540,52 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			st.err = op.err
 			return
 		case opSleep:
-			if op.sleep < 0 {
+			if op.dur < 0 {
 				st.state = stateDone
 				st.finish = st.clock.Now()
-				st.err = fmt.Errorf("iosched: stream %d panicked: iosched: negative sleep %v", st.id, op.sleep)
+				st.err = fmt.Errorf("iosched: stream %d panicked: iosched: negative sleep %v", st.id, op.dur)
 				return
 			}
 			st.state = stateSleeping
-			st.wakeAt = st.clock.Now() + op.sleep
-			e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, stream: st.id})
+			st.wakeAt = st.clock.Now() + op.dur
+			e.heap.push(streamEvent(st.wakeAt, evResume, st.id, nil))
 			return
-		case opIO:
-			if !e.protect(st, func() { step = op.start(h) }) {
-				return
-			}
-			haveStep = true
 		case opHedge:
-			hg := op.hedge
-			if hg.delay < 0 {
+			if op.dur < 0 {
 				st.state = stateDone
 				st.finish = st.clock.Now()
-				st.err = fmt.Errorf("iosched: stream %d panicked: iosched: negative hedge delay %v", st.id, hg.delay)
+				st.err = fmt.Errorf("iosched: stream %d panicked: iosched: negative hedge delay %v", st.id, op.dur)
 				return
 			}
-			dq, queued := e.queues[hg.primary]
-			if !queued {
+			dq := e.queueOf(op.dev)
+			if dq == nil {
 				// An unqueued primary completes in place (as in deviceStep
 				// outside a queue): nothing to hedge against.
-				err := device.ReadErr(e.k.Devices.Get(hg.primary), st.clock, hg.off, hg.length)
-				st.res = Result{Err: err, Dev: hg.primary}
+				err := device.ReadErr(e.k.Devices.Get(op.dev), &st.clock, op.off, op.length)
+				st.res = Result{Err: err, Dev: op.dev}
 				continue
 			}
 			r := &Request{
 				Stream:  st.id,
-				Dev:     hg.primary,
-				Off:     hg.off,
-				Length:  hg.length,
+				Dev:     op.dev,
+				Off:     op.off,
+				Length:  op.length,
 				Arrival: st.clock.Now(),
 				seq:     e.seq,
 			}
 			e.seq++
 			st.state = stateBlocked
-			st.hedge = &hedgeState{primary: r, secondaryDev: hg.secondary, secOff: hg.secOff, length: hg.length}
+			st.hedging = true
+			st.hedge = hedgeState{primary: r, secondaryDev: op.dev2, secOff: op.off2, length: op.length}
 			dq.sched.Add(r)
 			e.maybeDispatch(dq)
-			e.heap.push(engineEvent{time: st.clock.Now() + hg.delay, kind: evHedge, stream: st.id, req: r})
+			e.heap.push(streamEvent(st.clock.Now()+op.dur, evHedge, st.id, r))
 			return
+		default: // an I/O, which may suspend on a queued device
+			if !e.protect(st, func() { step = op.start(e.k) }) {
+				return
+			}
+			haveStep = true
 		}
 	}
 }
@@ -544,7 +602,7 @@ func (e *Engine) launch(st *stream) {
 					err = fmt.Errorf("iosched: stream %d panicked: %v", st.id, p)
 				}
 			}()
-			return st.fn(&Handle{e: e, k: e.k, id: st.id})
+			return st.fn(&st.h)
 		}()
 		e.bridge <- bridgeEvent{stream: st.id, finished: true, err: err}
 	}()
@@ -557,7 +615,7 @@ func (e *Engine) launch(st *stream) {
 func (e *Engine) runFuncStream(st *stream, t simclock.Duration) {
 	st.req = nil
 	e.current = st.id
-	e.k.SetClock(st.clock)
+	e.k.SetClock(&st.clock)
 	st.resume <- t
 	ev := <-e.bridge
 	if ev.stream != st.id {
@@ -571,7 +629,7 @@ func (e *Engine) runFuncStream(st *stream, t simclock.Duration) {
 	case ev.sleeping:
 		st.state = stateSleeping
 		st.wakeAt = ev.wake
-		e.heap.push(engineEvent{time: st.wakeAt, kind: evResume, stream: st.id})
+		e.heap.push(streamEvent(st.wakeAt, evResume, st.id, nil))
 	default:
 		st.state = stateBlocked
 		st.req = ev.req
@@ -635,7 +693,7 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 	dq.busy = true
 	dq.inflight = r
 	dq.inflightDone = dq.clock.Now()
-	e.heap.push(engineEvent{time: dq.inflightDone, kind: evResume, stream: r.Stream, req: r})
+	e.heap.push(streamEvent(dq.inflightDone, evResume, r.Stream, r))
 }
 
 // submit is called from inside a running stream (via a QueuedDevice) to
@@ -687,9 +745,11 @@ func (e *Engine) Base() simclock.Duration { return e.base }
 // QueueDepth implements core.Load: the number of requests waiting (not
 // yet dispatched) at the device, excluding cancelled hedge losers that
 // will be dropped, not serviced. Unqueued devices report 0.
+//
+//sledlint:hotpath
 func (e *Engine) QueueDepth(id device.ID) int {
-	dq, ok := e.queues[id]
-	if !ok {
+	dq := e.queueOf(id)
+	if dq == nil {
 		return 0
 	}
 	return dq.sched.Len() - dq.cancelledQueued
@@ -698,9 +758,11 @@ func (e *Engine) QueueDepth(id device.ID) int {
 // InFlightRemaining implements core.Load: the remaining service time of
 // the request the device is currently working on, as seen from virtual
 // time now. Idle or unqueued devices report 0.
+//
+//sledlint:hotpath
 func (e *Engine) InFlightRemaining(id device.ID, now simclock.Duration) simclock.Duration {
-	dq, ok := e.queues[id]
-	if !ok || !dq.busy {
+	dq := e.queueOf(id)
+	if dq == nil || !dq.busy {
 		return 0
 	}
 	rem := dq.inflightDone - now

@@ -9,6 +9,7 @@ package iosched
 // error is a regression in the rewrite.
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -44,6 +45,7 @@ type trialSpec struct {
 	starts  []simclock.Duration
 	streams [][]action
 	faulty  bool // stack a deterministic injector under each queue
+	runs    int  // Run calls on the one engine: the second starts where the first ended
 }
 
 func genTrial(g *lcg, sched string) trialSpec {
@@ -53,8 +55,23 @@ func genTrial(g *lcg, sched string) trialSpec {
 		spec.costs = append(spec.costs, simclock.Duration(1+g.intn(15))*simclock.Millisecond)
 	}
 	nStreams := 1 + g.intn(6)
+	// Stream starts never enter the heap engine's heap: Run sorts them once
+	// and merges the list with the heap. Every shape of start vector goes
+	// through that merge here — scattered (non-monotone in stream order,
+	// with ties), strictly decreasing (the sort reverses the stream order),
+	// and all tied at an instant other streams' wakes and completions land
+	// on — and a second Run repeats it from a non-zero base.
+	shape := g.intn(3)
+	spec.runs = 1 + g.intn(2)
 	for s := 0; s < nStreams; s++ {
-		spec.starts = append(spec.starts, simclock.Duration(g.intn(6))*simclock.Millisecond)
+		start := simclock.Duration(g.intn(6)) * simclock.Millisecond
+		switch shape {
+		case 1:
+			start = simclock.Duration(nStreams-s) * simclock.Millisecond
+		case 2:
+			start = 3 * simclock.Millisecond
+		}
+		spec.starts = append(spec.starts, start)
 		var acts []action
 		for n := 1 + g.intn(8); n > 0; n-- {
 			if g.intn(4) == 0 {
@@ -93,20 +110,38 @@ func buildWorld(t *testing.T, spec trialSpec) world {
 	return w
 }
 
-// outcome is everything a trial compares between engines.
+// outcome is everything a trial compares between engines: per device the
+// offsets in service order, and per Run every stream's finish time and the
+// Run error.
 type outcome struct {
 	served   [][]int64
 	finishes []simclock.Duration
-	err      string
+	errs     []string
 }
 
-func (w world) collect(finishes []simclock.Duration, err error) outcome {
-	o := outcome{finishes: finishes}
+// runner is the part of an engine a trial drives after set-up.
+type runner interface {
+	Run() error
+	FinishTime(StreamID) simclock.Duration
+}
+
+// play calls Run spec.runs times on e — rewind, when set, puts the streams'
+// programs back at their first action in between — and collects the
+// outcome.
+func (w world) play(spec trialSpec, e runner, rewind func()) outcome {
+	var o outcome
+	for r := 0; r < spec.runs; r++ {
+		if rewind != nil {
+			rewind()
+		}
+		err := e.Run()
+		for s := range spec.streams {
+			o.finishes = append(o.finishes, e.FinishTime(StreamID(s)))
+		}
+		o.errs = append(o.errs, fmt.Sprint(err))
+	}
 	for _, fd := range w.devs {
 		o.served = append(o.served, fd.served)
-	}
-	if err != nil {
-		o.err = err.Error()
 	}
 	return o
 }
@@ -134,12 +169,7 @@ func runRef(t *testing.T, spec trialSpec) outcome {
 			return nil
 		})
 	}
-	err := e.Run()
-	fin := make([]simclock.Duration, len(spec.streams))
-	for s := range spec.streams {
-		fin[s] = e.FinishTime(StreamID(s))
-	}
-	return w.collect(fin, err)
+	return w.play(spec, e, nil)
 }
 
 // runProg replays the spec on the heap engine with Program streams.
@@ -149,30 +179,25 @@ func runProg(t *testing.T, spec trialSpec) outcome {
 	for _, id := range w.ids {
 		e.Queue(id, NewScheduler(spec.sched))
 	}
+	next := make([]int, len(spec.streams)) // per stream: its next action
 	for s, acts := range spec.streams {
-		acts := acts
-		i := 0
+		acts, i := acts, &next[s]
 		e.AddStream(spec.starts[s], ProgramFunc(func(h *Handle, prev Result) Op {
 			if prev.Err != nil {
 				return Exit(prev.Err)
 			}
-			if i >= len(acts) {
+			if *i >= len(acts) {
 				return Exit(nil)
 			}
-			a := acts[i]
-			i++
+			a := acts[*i]
+			*i++
 			if a.sleep > 0 {
 				return Sleep(a.sleep)
 			}
 			return DevRead(w.ids[a.dev], a.off, 4096)
 		}))
 	}
-	err := e.Run()
-	fin := make([]simclock.Duration, len(spec.streams))
-	for s := range spec.streams {
-		fin[s] = e.FinishTime(StreamID(s))
-	}
-	return w.collect(fin, err)
+	return w.play(spec, e, func() { clear(next) })
 }
 
 // runFunc replays the spec on the heap engine with bridged blocking
@@ -199,12 +224,7 @@ func runFunc(t *testing.T, spec trialSpec) outcome {
 			return nil
 		})
 	}
-	err := e.Run()
-	fin := make([]simclock.Duration, len(spec.streams))
-	for s := range spec.streams {
-		fin[s] = e.FinishTime(StreamID(s))
-	}
-	return w.collect(fin, err)
+	return w.play(spec, e, nil)
 }
 
 func TestEngineEquivalence(t *testing.T) {

@@ -1,9 +1,6 @@
 package iosched
 
-import (
-	"sleds/internal/device"
-	"sleds/internal/simclock"
-)
+import "sleds/internal/simclock"
 
 // engineEvent is one schedulable occurrence: a stream resume (start, sleep
 // wake, or request completion), a hedge deadline, or a device dispatch.
@@ -12,12 +9,18 @@ import (
 // cancelled loser without touching its stream; hedge events carry the
 // primary request they guard, which is how a deadline that outlived its
 // read is recognised as stale.
+//
+// The heap moves and compares events constantly, so one is kept to 32
+// bytes and carries everything eventLess reads: id is the stream (resumes,
+// hedges) or the device (dispatches), and seq orders events of one stream
+// at one instant — 0 for a plain resume, the carried request's submission
+// seq plus one otherwise.
 type engineEvent struct {
-	time   simclock.Duration
-	kind   int // evResume before evHedge before evDispatch at equal times
-	stream StreamID
-	dev    device.ID
-	req    *Request
+	time simclock.Duration
+	seq  uint64
+	req  *Request
+	id   int32
+	kind uint8 // evResume before evHedge before evDispatch at equal times
 }
 
 const (
@@ -25,6 +28,16 @@ const (
 	evHedge    = 1 // a hedged read's deadline expires; the secondary fires
 	evDispatch = 2 // an idle device begins servicing a queued request
 )
+
+// streamEvent builds a resume or hedge event for a stream; req is the
+// request it carries, nil for a start or a sleep wake.
+func streamEvent(t simclock.Duration, kind uint8, id StreamID, req *Request) engineEvent {
+	ev := engineEvent{time: t, kind: kind, id: int32(id), req: req}
+	if req != nil {
+		ev.seq = req.seq + 1
+	}
+	return ev
+}
 
 // eventLess is the engine's total event order: time, then resumes before
 // hedge deadlines before dispatches, then stream ID (resumes and hedges)
@@ -34,35 +47,26 @@ const (
 // without hedged reads are unchanged. The seq suffix only matters when one
 // stream has several events at one instant — a hedged pair completing
 // together, or an abandoned loser's completion landing on a sleep wake —
-// and makes the earlier-submitted request win deterministically.
-func eventLess(a, b engineEvent) bool {
+// and makes the plain resume go first, then the earlier-submitted request.
+func eventLess(a, b *engineEvent) bool {
 	if a.time != b.time {
 		return a.time < b.time
 	}
 	if a.kind != b.kind {
 		return a.kind < b.kind
 	}
-	if a.kind == evDispatch {
-		return a.dev < b.dev
+	if a.id != b.id {
+		return a.id < b.id
 	}
-	if a.stream != b.stream {
-		return a.stream < b.stream
-	}
-	return eventSeq(a) < eventSeq(b)
+	return a.seq < b.seq
 }
 
-// eventSeq orders same-stream same-instant events: plain resumes (no
-// request) first, then completions by submission order.
-func eventSeq(e engineEvent) uint64 {
-	if e.req == nil {
-		return 0
-	}
-	return e.req.seq + 1
-}
-
-// eventHeap is a binary min-heap of pending events under eventLess. Stream
-// resumes without a request are unique per stream and always live (a
-// stream waits on at most one timer, at a fixed time). Dispatch events can
+// eventHeap is a binary min-heap of pending events under eventLess: what
+// running streams and devices have scheduled — sleep wakes, completions,
+// hedge deadlines, dispatches. Stream starts are not in it (Run merges them
+// in from a list sorted once), so its depth follows the streams in flight.
+// Stream resumes without a request are unique per stream and always live
+// (a stream waits on at most one timer, at a fixed time). Dispatch events can
 // be superseded: a submission carrying an earlier arrival than the pending
 // dispatch's min-arrival pulls the dispatch instant forward, pushing a
 // second event and leaving the stale one to be dropped on pop
@@ -70,13 +74,15 @@ func eventSeq(e engineEvent) uint64 {
 // their read completes first; the pop checks the stream's hedge state.
 type eventHeap []engineEvent
 
+//sledlint:hotpath
 func (h *eventHeap) push(ev engineEvent) {
+	//sledlint:allow hotalloc -- first-use growth: the engine keeps the heap's storage across events and Runs, so it grows only to the deepest the run gets
 	*h = append(*h, ev)
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !eventLess(s[i], s[parent]) {
+		if !eventLess(&s[i], &s[parent]) {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -84,6 +90,7 @@ func (h *eventHeap) push(ev engineEvent) {
 	}
 }
 
+//sledlint:hotpath
 func (h *eventHeap) pop() engineEvent {
 	s := *h
 	top := s[0]
@@ -96,10 +103,10 @@ func (h *eventHeap) pop() engineEvent {
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < len(s) && eventLess(s[l], s[smallest]) {
+		if l < len(s) && eventLess(&s[l], &s[smallest]) {
 			smallest = l
 		}
-		if r < len(s) && eventLess(s[r], s[smallest]) {
+		if r < len(s) && eventLess(&s[r], &s[smallest]) {
 			smallest = r
 		}
 		if smallest == i {

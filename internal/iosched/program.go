@@ -86,29 +86,37 @@ type opKind int
 const (
 	opExit opKind = iota
 	opSleep
-	opIO
 	opHedge
+	// The I/O ops, each of which may suspend on a queued device.
+	opRead
+	opReadAt
+	opReadAtMapped
+	opWrite
+	opWriteAt
+	opDevRead
+	opDevWrite
 )
 
 // Op is one operation a Program asks its driver to run: finish the stream,
 // sleep in virtual time, perform a (possibly suspending) I/O, or race a
-// hedged read across two devices.
+// hedged read across two devices. An Op is plain data — what to do and its
+// arguments — so building and returning one allocates nothing.
 type Op struct {
-	kind  opKind
-	sleep simclock.Duration
-	err   error
-	start func(h *Handle) vfs.IOStep
-	hedge *hedgeSpec
-}
+	kind opKind
+	err  error             // opExit
+	dur  simclock.Duration // opSleep: how long; opHedge: the hedge deadline
 
-// hedgeSpec parameterises a HedgedDevRead: off is the primary's device
-// offset, secOff the secondary's (they differ when the two devices hold
-// replicas of the same data at different extents).
-type hedgeSpec struct {
-	primary, secondary device.ID
-	off, secOff        int64
-	length             int64
-	delay              simclock.Duration
+	// File I/O: the file, the caller's buffer, and (the *At forms) the
+	// file offset in off.
+	f *vfs.File
+	p []byte
+
+	// Raw device I/O: dev and the device extent [off, off+length). A hedge
+	// adds the secondary device and its own offset (they differ when the
+	// two devices hold replicas of the same data at different extents).
+	dev, dev2 device.ID
+	off, off2 int64
+	length    int64
 }
 
 // Exit ends the stream with the given error (nil for success).
@@ -116,47 +124,39 @@ func Exit(err error) Op { return Op{kind: opExit, err: err} }
 
 // Sleep suspends the stream for d of virtual time; other streams run
 // meanwhile.
-func Sleep(d simclock.Duration) Op { return Op{kind: opSleep, sleep: d} }
+func Sleep(d simclock.Duration) Op { return Op{kind: opSleep, dur: d} }
 
 // ReadAt reads len(p) bytes from f at offset off (File.ReadAt as an Op).
 func ReadAt(f *vfs.File, p []byte, off int64) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.ReadAtStep(p, off) }}
+	return Op{kind: opReadAt, f: f, p: p, off: off}
 }
 
 // ReadAtMapped is File.ReadAtMapped as an Op: no per-byte copy charge.
 func ReadAtMapped(f *vfs.File, p []byte, off int64) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.ReadAtMappedStep(p, off) }}
+	return Op{kind: opReadAtMapped, f: f, p: p, off: off}
 }
 
 // Read reads from f's cursor (File.Read as an Op).
-func Read(f *vfs.File, p []byte) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.ReadStep(p) }}
-}
+func Read(f *vfs.File, p []byte) Op { return Op{kind: opRead, f: f, p: p} }
 
 // WriteAt writes p to f at offset off (File.WriteAt as an Op).
 func WriteAt(f *vfs.File, p []byte, off int64) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.WriteAtStep(p, off) }}
+	return Op{kind: opWriteAt, f: f, p: p, off: off}
 }
 
 // Write writes p at f's cursor (File.Write as an Op).
-func Write(f *vfs.File, p []byte) Op {
-	return Op{kind: opIO, start: func(*Handle) vfs.IOStep { return f.WriteStep(p) }}
-}
+func Write(f *vfs.File, p []byte) Op { return Op{kind: opWrite, f: f, p: p} }
 
 // DevRead accesses the device registered under id directly, below the VFS:
 // the raw dispatch outcome (a fault injected under the queue, untouched by
 // the kernel retry policy) comes back in Result.Err.
 func DevRead(id device.ID, off, length int64) Op {
-	return Op{kind: opIO, start: func(h *Handle) vfs.IOStep {
-		return deviceStep(h.k, id, off, length, false)
-	}}
+	return Op{kind: opDevRead, dev: id, off: off, length: length}
 }
 
 // DevWrite is the write counterpart of DevRead.
 func DevWrite(id device.ID, off, length int64) Op {
-	return Op{kind: opIO, start: func(h *Handle) vfs.IOStep {
-		return deviceStep(h.k, id, off, length, true)
-	}}
+	return Op{kind: opDevWrite, dev: id, off: off, length: length}
 }
 
 // HedgedDevRead is DevRead with a deterministic tail-latency hedge: the
@@ -189,14 +189,31 @@ func HedgedDevRead(primary, secondary device.ID, off, length int64, delay simclo
 // two targets — the replicated-data case, where each device holds its own
 // copy of the logical bytes at its own extent.
 func HedgedDevReadAt(primary device.ID, off int64, secondary device.ID, secOff, length int64, delay simclock.Duration) Op {
-	return Op{kind: opHedge, hedge: &hedgeSpec{
-		primary:   primary,
-		secondary: secondary,
-		off:       off,
-		secOff:    secOff,
-		length:    length,
-		delay:     delay,
-	}}
+	return Op{kind: opHedge, dev: primary, off: off, dev2: secondary, off2: secOff, length: length, dur: delay}
+}
+
+// start begins an I/O op against the kernel (on whatever clock the kernel
+// currently runs): the file operation's resumable step, or a raw device
+// access wrapped as one.
+//
+//sledlint:allow panicpath -- the drivers dispatch exit, sleep and hedge themselves; reaching here with one is an engine bug
+func (op *Op) start(k *vfs.Kernel) vfs.IOStep {
+	switch op.kind {
+	case opRead:
+		return op.f.ReadStep(op.p)
+	case opReadAt:
+		return op.f.ReadAtStep(op.p, op.off)
+	case opReadAtMapped:
+		return op.f.ReadAtMappedStep(op.p, op.off)
+	case opWrite:
+		return op.f.WriteStep(op.p)
+	case opWriteAt:
+		return op.f.WriteAtStep(op.p, op.off)
+	case opDevRead, opDevWrite:
+		return deviceStep(k, op.dev, op.off, op.length, op.kind == opDevWrite)
+	default:
+		panic(fmt.Sprintf("iosched: op kind %d is not an I/O", op.kind))
+	}
 }
 
 // deviceStep wraps one raw device access as an IOStep, so queued devices
@@ -231,29 +248,28 @@ func RunProgram(k *vfs.Kernel, prog Program) error {
 		case opExit:
 			return op.err
 		case opSleep:
-			if op.sleep < 0 {
-				panic(fmt.Sprintf("iosched: negative sleep %v", op.sleep))
+			if op.dur < 0 {
+				panic(fmt.Sprintf("iosched: negative sleep %v", op.dur))
 			}
-			k.Clock.Advance(op.sleep)
+			k.Clock.Advance(op.dur)
 			res = Result{}
-		case opIO:
-			step := op.start(h)
+		case opHedge:
+			// With no engine there is no queue to suspend on: the primary
+			// read completes in place and the hedge never fires.
+			if op.dur < 0 {
+				panic(fmt.Sprintf("iosched: negative hedge delay %v", op.dur))
+			}
+			err := device.ReadErr(k.Devices.Get(op.dev), k.Clock, op.off, op.length)
+			if errors.Is(err, vfs.ErrBlocked) {
+				panic("iosched: program suspended outside an engine run")
+			}
+			res = Result{Err: err, Dev: op.dev}
+		default:
+			step := op.start(k)
 			if step.Blocked() {
 				panic("iosched: program suspended outside an engine run")
 			}
 			res = Result{N: int(step.N()), Err: step.Err()}
-		case opHedge:
-			// With no engine there is no queue to suspend on: the primary
-			// read completes in place and the hedge never fires.
-			hg := op.hedge
-			if hg.delay < 0 {
-				panic(fmt.Sprintf("iosched: negative hedge delay %v", hg.delay))
-			}
-			err := device.ReadErr(k.Devices.Get(hg.primary), k.Clock, hg.off, hg.length)
-			if errors.Is(err, vfs.ErrBlocked) {
-				panic("iosched: program suspended outside an engine run")
-			}
-			res = Result{Err: err, Dev: hg.primary}
 		}
 	}
 }
