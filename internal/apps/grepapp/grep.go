@@ -23,8 +23,10 @@ import (
 	"sort"
 
 	"sleds/internal/apps/appenv"
+	"sleds/internal/iosched"
 	"sleds/internal/simclock"
 	"sleds/internal/sledlib"
+	"sleds/internal/vfs"
 )
 
 // Modelled CPU costs: grep's line scan is heavier than wc's byte loop, and
@@ -66,89 +68,169 @@ type Options struct {
 	LineNumbers bool
 }
 
-// Run searches the file at path for the literal pattern.
+// Run searches the file at path for the literal pattern: the synchronous
+// driver of a Scan, every read completing in place on the kernel's clock.
 func Run(env *appenv.Env, path, pattern string, opts Options) ([]Match, error) {
-	if pattern == "" {
-		return nil, fmt.Errorf("grepapp: empty pattern")
-	}
-	if env.UseSLEDs {
-		return runSLEDs(env, path, pattern, opts)
-	}
-	return runLinear(env, path, pattern, opts)
-}
-
-// runLinear is stock grep: a sequential scan maintaining one partial line.
-// In -q mode it stops reading as soon as a match is seen.
-func runLinear(env *appenv.Env, path, pattern string, opts Options) ([]Match, error) {
-	f, err := env.K.Open(path)
-	if err != nil {
+	s := NewScan(env, path, pattern, opts)
+	if err := iosched.RunProgram(env.K, s); err != nil {
 		return nil, err
 	}
-	defer f.Close()
+	return s.Matches(), nil
+}
 
-	bufSize := env.BufSize
-	if bufSize <= 0 {
-		bufSize = defaultBufSize
-	}
-	buf := make([]byte, bufSize)
-	pat := []byte(pattern)
+// Scan is one grep run written as a state machine (an iosched.Program):
+// each Step takes the outcome of the read it asked for last, scans the
+// chunk, charges the scan's CPU to the kernel's clock and says which read
+// it wants next. It never performs a read itself, so the same machine runs
+// to completion in place under Run and suspends on queued devices as one
+// stream of an iosched.Engine (AddStream).
+//
+// The one I/O it does issue directly is sledlib.PickInit's record-boundary
+// adjustment, inside the first Step. That reads only the cheap side of
+// each SLED boundary — client-cached pages, which complete in place; were
+// it ever to reach a queued device, vfs's must-not-block panic would
+// surface as this stream's error, not as a wrong schedule.
+type Scan struct {
+	env  *appenv.Env
+	path string
+	pat  []byte
+	opts Options
 
-	var matches []Match
-	var partial []byte
-	var lineStart int64
-	var pos int64
-	var lineNo int64 = 1
-	record := func(line []byte) {
-		m := Match{Offset: lineStart, Line: string(line)}
-		if opts.LineNumbers {
-			m.LineNo = lineNo
-		}
-		matches = append(matches, m)
+	f       *vfs.File // nil until the first Step opens it
+	buf     []byte    // the outstanding read's buffer, held across reads
+	matches []Match
+
+	// Linear scan: the open line carried between chunks and where it starts.
+	partial   []byte
+	pos       int64
+	lineStart int64
+	lineNo    int64
+
+	// SLEDs scan: the pick schedule, the chunk [off, off+n) being read, the
+	// out-of-order reassembly, and per chunk its newline count (-n only).
+	picker    *sledlib.Picker
+	off, n    int64
+	m         *merger
+	chunkRecs []chunkRec
+	stopped   bool // -q: a match was seen
+}
+
+// chunkRec records one chunk's extent and newline count so -n can build
+// global prefix sums once every chunk has been seen.
+type chunkRec struct {
+	off, end, newlines int64
+}
+
+// NewScan prepares a grep of the file at path for the literal pattern; the
+// file is opened by the first Step.
+func NewScan(env *appenv.Env, path, pattern string, opts Options) *Scan {
+	return &Scan{env: env, path: path, pat: []byte(pattern), opts: opts}
+}
+
+// Matches returns what the scan found, in file order; valid once the scan
+// has exited without error.
+func (s *Scan) Matches() []Match { return s.matches }
+
+// Step implements iosched.Program.
+func (s *Scan) Step(_ *iosched.Handle, prev iosched.Result) iosched.Op {
+	switch {
+	case s.f == nil:
+		return s.open()
+	case s.env.UseSLEDs:
+		return s.runSLEDs(prev)
+	default:
+		return s.runLinear(prev)
 	}
-	for {
-		n, err := f.Read(buf)
-		chunk := buf[:n]
-		env.ChargeCPUBytes(int64(n), scanRate)
-		for len(chunk) > 0 {
-			i := bytes.IndexByte(chunk, '\n')
-			if i < 0 {
-				partial = append(partial, chunk...)
-				pos += int64(len(chunk))
-				break
-			}
-			line := chunk[:i]
-			if len(partial) > 0 {
-				line = append(partial, line...)
-				partial = nil
-			}
-			if bytes.Contains(line, pat) {
-				record(line)
-				if opts.FirstOnly {
-					return matches[:1], nil
-				}
-			}
-			pos += int64(i) + 1
-			lineStart = pos
-			lineNo++
-			chunk = chunk[i+1:]
+}
+
+// open validates the run, opens the file and asks for the first read.
+func (s *Scan) open() iosched.Op {
+	if len(s.pat) == 0 {
+		return iosched.Exit(fmt.Errorf("grepapp: empty pattern"))
+	}
+	f, err := s.env.K.Open(s.path)
+	if err != nil {
+		return iosched.Exit(err)
+	}
+	s.f = f
+	if !s.env.UseSLEDs {
+		bufSize := s.env.BufSize
+		if bufSize <= 0 {
+			bufSize = defaultBufSize
 		}
-		if err == io.EOF {
+		s.buf = make([]byte, bufSize)
+		s.lineNo = 1
+		return iosched.Read(s.f, s.buf)
+	}
+	s.picker, err = sledlib.PickInit(s.env.K, s.env.Table, f, sledlib.Options{
+		BufSize:    s.env.BufSize,
+		RecordMode: true,
+		RecordSep:  '\n',
+	})
+	if err != nil {
+		return s.exit(err)
+	}
+	s.m = newMerger(s.emit)
+	return s.nextPick()
+}
+
+// exit releases the file and ends the stream.
+func (s *Scan) exit(err error) iosched.Op {
+	if s.picker != nil {
+		s.picker.Finish()
+	}
+	s.f.Close()
+	return iosched.Exit(err)
+}
+
+// runLinear is stock grep: a sequential scan maintaining one partial line,
+// one cursor read per step. In -q mode it stops reading as soon as a match
+// is seen.
+func (s *Scan) runLinear(prev iosched.Result) iosched.Op {
+	chunk := s.buf[:prev.N]
+	s.env.ChargeCPUBytes(int64(prev.N), scanRate)
+	for len(chunk) > 0 {
+		i := bytes.IndexByte(chunk, '\n')
+		if i < 0 {
+			s.partial = append(s.partial, chunk...)
+			s.pos += int64(len(chunk))
 			break
 		}
-		if err != nil {
-			return nil, err
+		line := chunk[:i]
+		if len(s.partial) > 0 {
+			s.partial = append(s.partial, line...)
+			line, s.partial = s.partial, s.partial[:0]
 		}
-	}
-	if len(partial) > 0 && bytes.Contains(partial, pat) {
-		record(partial)
-		if opts.FirstOnly {
-			return matches[:1], nil
+		if bytes.Contains(line, s.pat) {
+			s.record(line)
+			if s.opts.FirstOnly {
+				return s.exit(nil)
+			}
 		}
+		s.pos += int64(i) + 1
+		s.lineStart = s.pos
+		s.lineNo++
+		chunk = chunk[i+1:]
 	}
-	if opts.FirstOnly {
-		return nil, nil
+	if prev.Err == nil {
+		return iosched.Read(s.f, s.buf)
 	}
-	return matches, nil
+	if prev.Err != io.EOF {
+		return s.exit(prev.Err)
+	}
+	if len(s.partial) > 0 && bytes.Contains(s.partial, s.pat) {
+		s.record(s.partial)
+	}
+	return s.exit(nil)
+}
+
+// record keeps the linear scan's current line as a match.
+func (s *Scan) record(line []byte) {
+	m := Match{Offset: s.lineStart, Line: string(line)}
+	if s.opts.LineNumbers {
+		m.LineNo = s.lineNo
+	}
+	s.matches = append(s.matches, m)
 }
 
 // segment is a contiguous stretch of the file whose interior lines have
@@ -303,117 +385,102 @@ func (m *merger) finish(fileSize int64) {
 	}
 }
 
-// runSLEDs is the SLEDs-aware grep.
-func runSLEDs(env *appenv.Env, path, pattern string, opts Options) ([]Match, error) {
-	f, err := env.K.Open(path)
+// runSLEDs is the SLEDs-aware grep: one read per step at the offset the
+// pick library advised, the chunk handed to the merger whatever order it
+// arrived in.
+func (s *Scan) runSLEDs(prev iosched.Result) iosched.Op {
+	if prev.Err != nil && prev.Err != io.EOF {
+		return s.exit(prev.Err)
+	}
+	data := s.buf[:s.n]
+	s.env.ChargeCPUBytes(s.n, sledsScanRate)
+	s.env.ChargeCPU(chunkOverhead)
+	if s.opts.LineNumbers {
+		s.chunkRecs = append(s.chunkRecs, chunkRec{
+			off: s.off, end: s.off + s.n,
+			newlines: int64(bytes.Count(data, []byte{'\n'})),
+		})
+	}
+	if !s.m.add(s.off, data) {
+		return s.finishSLEDs()
+	}
+	return s.nextPick()
+}
+
+// nextPick asks for the read the pick library advises next, or finishes
+// the scan when the schedule is exhausted.
+func (s *Scan) nextPick() iosched.Op {
+	off, n, err := s.picker.NextRead()
+	if errors.Is(err, sledlib.ErrFinished) {
+		return s.finishSLEDs()
+	}
 	if err != nil {
-		return nil, err
+		return s.exit(err)
 	}
-	defer f.Close()
+	if int64(len(s.buf)) < n {
+		s.buf = make([]byte, n)
+	}
+	s.off, s.n = off, n
+	return iosched.ReadAt(s.f, s.buf[:n], off)
+}
 
-	picker, err := sledlib.PickInit(env.K, env.Table, f, sledlib.Options{
-		BufSize:    env.BufSize,
-		RecordMode: true,
-		RecordSep:  '\n',
-	})
-	if err != nil {
-		return nil, err
+// emit is the merger's callback: it keeps a complete line that matches,
+// with the anchor its line number resolves against.
+func (s *Scan) emit(lineStart, anchorOff, anchorDelta int64, line []byte) bool {
+	if bytes.Contains(line, s.pat) {
+		s.matches = append(s.matches, Match{
+			Offset:      lineStart,
+			Line:        string(line),
+			anchorOff:   anchorOff,
+			anchorDelta: anchorDelta,
+		})
+		if s.opts.FirstOnly {
+			s.stopped = true
+			return false
+		}
 	}
-	defer picker.Finish()
+	return true
+}
 
-	pat := []byte(pattern)
-	var matches []Match
-	stopped := false
-	emit := func(lineStart, anchorOff, anchorDelta int64, line []byte) bool {
-		if bytes.Contains(line, pat) {
-			matches = append(matches, Match{
-				Offset:      lineStart,
-				Line:        string(line),
-				anchorOff:   anchorOff,
-				anchorDelta: anchorDelta,
-			})
-			if opts.FirstOnly {
-				stopped = true
-				return false
-			}
-		}
-		return true
-	}
-	m := newMerger(emit)
-
-	// chunkNewlines records (chunk offset, newline count) so -n can build
-	// global prefix sums once every chunk has been seen.
-	type chunkRec struct {
-		off, end, newlines int64
-	}
-	var chunkRecs []chunkRec
-
-	var buf []byte
-	fileSize := f.Size()
-	for !stopped {
-		off, n, err := picker.NextRead()
-		if errors.Is(err, sledlib.ErrFinished) {
-			break
-		}
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(buf)) < n {
-			buf = make([]byte, n)
-		}
-		if _, err := f.ReadAt(buf[:n], off); err != nil && err != io.EOF {
-			return nil, err
-		}
-		env.ChargeCPUBytes(n, sledsScanRate)
-		env.ChargeCPU(chunkOverhead)
-		if opts.LineNumbers {
-			chunkRecs = append(chunkRecs, chunkRec{
-				off: off, end: off + n,
-				newlines: int64(bytes.Count(buf[:n], []byte{'\n'})),
-			})
-		}
-		if !m.add(off, buf[:n]) {
-			break
-		}
-	}
-	if !stopped {
-		m.finish(fileSize)
+// finishSLEDs runs once the last chunk is in (or -q stopped the scan):
+// the lines still open at the file's edges, line numbers, and the sort
+// into file order.
+func (s *Scan) finishSLEDs() iosched.Op {
+	if !s.stopped {
+		s.m.finish(s.f.Size())
 	}
 
-	if opts.LineNumbers && !stopped {
+	if s.opts.LineNumbers && !s.stopped {
 		// Resolve line numbers: prefix newline counts at every chunk
 		// boundary, then lineNo = prefix(anchor) + delta + 1.
-		sort.Slice(chunkRecs, func(i, j int) bool { return chunkRecs[i].off < chunkRecs[j].off })
-		prefix := make(map[int64]int64, len(chunkRecs)+1)
+		recs := s.chunkRecs
+		sort.Slice(recs, func(i, j int) bool { return recs[i].off < recs[j].off })
+		prefix := make(map[int64]int64, len(recs)+1)
 		var cum int64
-		for _, r := range chunkRecs {
+		for _, r := range recs {
 			prefix[r.off] = cum
 			cum += r.newlines
 			prefix[r.end] = cum
 		}
-		for i := range matches {
-			base, ok := prefix[matches[i].anchorOff]
+		for i := range s.matches {
+			base, ok := prefix[s.matches[i].anchorOff]
 			if !ok {
-				return nil, fmt.Errorf("grepapp: line-number anchor %d is not a chunk boundary", matches[i].anchorOff)
+				return s.exit(fmt.Errorf("grepapp: line-number anchor %d is not a chunk boundary", s.matches[i].anchorOff))
 			}
-			matches[i].LineNo = base + matches[i].anchorDelta + 1
+			s.matches[i].LineNo = base + s.matches[i].anchorDelta + 1
 		}
-		env.ChargeCPU(simclock.Duration(len(chunkRecs)) * simclock.Microsecond)
+		s.env.ChargeCPU(simclock.Duration(len(recs)) * simclock.Microsecond)
 	}
 
 	// The anchors were bookkeeping; clear them so Match values compare
 	// cleanly for callers.
-	for i := range matches {
-		matches[i].anchorOff, matches[i].anchorDelta = 0, 0
+	for i := range s.matches {
+		s.matches[i].anchorOff, s.matches[i].anchorDelta = 0, 0
 	}
-	if opts.FirstOnly {
-		if len(matches) > 0 {
-			return matches[:1], nil
-		}
-		return nil, nil
+	if !s.opts.FirstOnly { // -q holds at most the one match that stopped it
+		// Sort the buffered matches into file order before "output".
+		sort.Slice(s.matches, func(i, j int) bool { return s.matches[i].Offset < s.matches[j].Offset })
+		s.env.ChargeCPU(simclock.Duration(len(s.matches)) * 2 * simclock.Microsecond)
 	}
-	// Sort the buffered matches into file order before "output".
-	sort.Slice(matches, func(i, j int) bool { return matches[i].Offset < matches[j].Offset })
-	env.ChargeCPU(simclock.Duration(len(matches)) * 2 * simclock.Microsecond)
-	return matches, nil
+	return s.exit(nil)
 }

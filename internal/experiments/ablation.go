@@ -224,6 +224,11 @@ func AblationZones(cfg Config) (Figure, error) {
 		return Figure{}, err
 	}
 	disk := m.K.Devices.Get(m.Disk)
+	if inj := m.Injectors[m.Disk]; inj != nil {
+		// Zone probes measure the healthy device (Machine.InjectFaults);
+		// the cold read below still goes through the injector.
+		disk = inj.Underlying()
+	}
 	// Push the test file deep into the device by reserving (not
 	// touching) most of the space before it: reservation is free.
 	filler := disk.Info().Size * 8 / 10

@@ -38,3 +38,22 @@ func TestAblationZones(t *testing.T) {
 		t.Fatalf("single-entry error only %.1f%% — the inner-cylinder placement did not bite", single)
 	}
 }
+
+// TestAblationZonesUnderGlobalFaultProfile is the regression test for the
+// panic `sledsbench -exp ablation-zones -faults heavy` hit: the zone probes
+// ran bare device.Read calls against the injected disk. They must measure
+// the healthy device under the injector, and the figure must still come
+// out — the cold read goes through the injector and the kernel's retries.
+func TestAblationZonesUnderGlobalFaultProfile(t *testing.T) {
+	for _, profile := range []string{"light", "heavy"} {
+		cfg := tinyConfig()
+		cfg.FaultProfile = profile
+		f, err := AblationZones(cfg)
+		if err != nil {
+			t.Fatalf("AblationZones under -faults %s: %v", profile, err)
+		}
+		if len(f.Series) != 1 || len(f.Series[0].Points) != 2 {
+			t.Fatalf("-faults %s: malformed figure %+v", profile, f)
+		}
+	}
+}

@@ -70,13 +70,9 @@ func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs b
 	env := m.Env(useSLEDs, pcfg.BufSize)
 	var ids []iosched.StreamID
 	for _, path := range paths {
-		path := path
-		ids = append(ids, e.AddStreamFunc(0, func(h *iosched.Handle) error {
-			// needleBase never occurs and nothing is planted: the grep
-			// scans the whole file, matching nothing.
-			_, err := grepapp.Run(env, path, needleBase, grepapp.Options{})
-			return err
-		}))
+		// needleBase never occurs and nothing is planted: the grep scans
+		// the whole file, matching nothing.
+		ids = append(ids, e.AddStream(0, grepapp.NewScan(env, path, needleBase, grepapp.Options{})))
 	}
 	if err := e.Run(); err != nil {
 		return 0, err
@@ -169,28 +165,28 @@ func ELoadSLED(cfg Config) (Figure, error) {
 		m.Table.SetLoad(e)
 		env := m.Env(false, pcfg.BufSize)
 		for _, path := range bgPaths {
-			path := path
-			e.AddStreamFunc(0, func(h *iosched.Handle) error {
-				_, err := grepapp.Run(env, path, needleBase, grepapp.Options{})
-				return err
-			})
+			e.AddStream(0, grepapp.NewScan(env, path, needleBase, grepapp.Options{}))
 		}
 		x := float64(n)
 		est := Point{X: x} // SLED latency reported under load
-		e.AddStreamFunc(0, func(h *iosched.Handle) error {
-			// Let the background streams saturate the queue, then ask.
-			h.Sleep(20 * simclock.Millisecond)
+		asked := false
+		e.AddStream(0, iosched.ProgramFunc(func(h *iosched.Handle, _ iosched.Result) iosched.Op {
+			if !asked {
+				// Let the background streams saturate the queue, then ask.
+				asked = true
+				return iosched.Sleep(20 * simclock.Millisecond)
+			}
 			sleds, err := core.Query(m.K, m.Table, target)
 			if err != nil {
-				return err
+				return iosched.Exit(err)
 			}
 			if len(sleds) != 1 {
-				return fmt.Errorf("eloadsled: %d SLEDs for an uncached file, want 1", len(sleds))
+				return iosched.Exit(fmt.Errorf("eloadsled: %d SLEDs for an uncached file, want 1", len(sleds)))
 			}
 			est.Mean = sleds[0].Latency
 			depth.Points[i] = Point{X: x, Mean: float64(e.QueueDepth(m.Disk))}
-			return nil
-		})
+			return iosched.Exit(nil)
+		}))
 		if err := e.Run(); err != nil {
 			return Point{}, err
 		}

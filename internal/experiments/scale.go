@@ -83,8 +83,8 @@ func scalePoint(cfg Config, n int, sched string, gen workload.PageGen) (sec floa
 }
 
 // scaleReadProg is a stream state machine that reads path front to back
-// in chunkSize reads: the Program-stream analogue of the blocking readers
-// the contention experiments run.
+// in chunkSize reads and looks at none of the bytes: the contention
+// experiments' linear grep without the application.
 func scaleReadProg(k *vfs.Kernel, path string, chunkSize int) iosched.Program {
 	var f *vfs.File
 	var buf []byte

@@ -139,7 +139,7 @@ func (t CodeTable) Render() string {
 // the code that exists only because of the SLEDs port.
 var sledsDecls = map[string][]string{
 	"wcapp":   {"runSLEDs", "boundaryInfo", "sledsChunkOverhead"},
-	"grepapp": {"runSLEDs", "merger", "segment", "newMerger", "sledsScanRate", "chunkOverhead"},
+	"grepapp": {"runSLEDs", "nextPick", "emit", "finishSLEDs", "chunkRec", "merger", "segment", "newMerger", "sledsScanRate", "chunkOverhead"},
 	"findapp": {"LatencyPred", "ParseLatencyPredicate", "Op", "OpLess", "OpExactly", "OpMore"},
 	"gmcapp":  {"Report", "Properties", "CachedFraction"},
 	"fitsapp": {"forEachChunk", "chunkOverhead"},

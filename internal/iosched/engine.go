@@ -16,23 +16,16 @@
 // event: the top of a global event heap, or the next stream due to start
 // (starts are known up front and wait in a sorted list instead of the
 // heap). Events at equal virtual time are ordered resume-before-dispatch,
-// then by stream ID (resumes) or device ID (dispatches). Native streams
-// are explicit state machines (Program), not
-// goroutines: a stream that issues I/O against a queued device suspends as
-// a continuation (vfs.IOStep) holding the in-progress kernel operation,
-// and the engine resumes it with the dispatch outcome when the device
-// completes the request. Program execution is single-threaded by
-// construction, and the per-stream cost is one stream record plus one
-// continuation instead of a parked goroutine stack, which is what makes
-// 10,000-stream runs practical.
-//
-// Blocking stream code that predates the Program model (application code
-// shared with the single-process paths) rides the same heap through
-// AddStreamFunc: each such stream runs on a private goroutine with a
-// strict cooperative handoff — the engine hands control to one goroutine
-// and waits for it to block or finish before touching any state. Either
-// way execution is sequential, race-free, and byte-identical on every run
-// at any GOMAXPROCS.
+// then by stream ID (resumes) or device ID (dispatches). Every stream is an
+// explicit state machine (Program), not a goroutine: a stream that issues
+// I/O against a queued device suspends as a continuation (vfs.IOStep)
+// holding the in-progress kernel operation, and the engine resumes it with
+// the dispatch outcome when the device completes the request. A stream
+// costs one stream record plus one continuation instead of a parked
+// goroutine stack, which is what makes 10,000-stream runs practical. The
+// package starts no goroutine and owns no channel, so execution is
+// sequential, race-free, and byte-identical on every run at any GOMAXPROCS
+// by construction.
 package iosched
 
 import (
@@ -60,23 +53,17 @@ const (
 
 // stream is the engine-side record of one simulated process: its program,
 // its clock, and — while blocked — the suspended kernel operation and the
-// request whose completion resumes it. Exactly one of prog and fn is set:
-// prog streams are state machines driven by the engine's op loop, fn
-// streams are blocking closures on a private goroutine bridged through
-// resume (engine → stream: granted virtual time) and Engine.bridge
-// (stream → engine: what it blocked on).
+// request whose completion resumes it.
 //
 // Everything a stream needs while it runs — its Handle, its clock, the
 // state of a hedged read — is part of the record, so resuming a stream and
 // running an Op allocate nothing.
 type stream struct {
 	id      StreamID
-	h       Handle            // passed to every Step (and to fn)
+	h       Handle            // passed to every Step
 	clock   simclock.Clock    // the stream's own timeline, restarted by each Run
 	start   simclock.Duration // virtual start offset from the engine base
 	prog    Program
-	fn      func(h *Handle) error
-	resume  chan simclock.Duration // engine -> stream, fn streams only
 	state   streamState
 	wakeAt  simclock.Duration // next resume time while unstarted/sleeping
 	cont    vfs.IOStep        // the suspended operation, valid when blocked
@@ -88,7 +75,7 @@ type stream struct {
 	err     error
 }
 
-// hedgeState is a Program stream's in-progress hedged read (the HedgedDev-
+// hedgeState is a stream's in-progress hedged read (the HedgedDev-
 // Read op): the primary request, the standby secondary target, and — once
 // the virtual-time deadline fires — the secondary request racing the
 // primary. The first completion wins; settleHedge cancels the loser.
@@ -99,17 +86,6 @@ type hedgeState struct {
 	length       int64
 	secondary    *Request // non-nil once the deadline fired
 	fired        bool
-}
-
-// bridgeEvent is what a running fn stream reports back to the engine when
-// it stops executing: it submitted a request, went to sleep, or finished.
-type bridgeEvent struct {
-	stream   StreamID
-	req      *Request          // non-nil: submitted and blocked
-	wake     simclock.Duration // valid when sleeping
-	sleeping bool
-	finished bool
-	err      error
 }
 
 // devQueue is the engine-side state of one queued device.
@@ -144,7 +120,6 @@ type Engine struct {
 	// progress; those before nextStart have started.
 	starts    []StreamID
 	nextStart int
-	bridge    chan bridgeEvent // fn stream -> engine
 	seq       uint64
 	running   bool
 	current   StreamID
@@ -158,13 +133,8 @@ type Engine struct {
 }
 
 // NewEngine returns an engine over the kernel's devices. Wrap devices with
-// Queue, add streams with AddStream or AddStreamFunc, then call Run.
-func NewEngine(k *vfs.Kernel) *Engine {
-	return &Engine{
-		k:      k,
-		bridge: make(chan bridgeEvent),
-	}
-}
+// Queue, add streams with AddStream, then call Run.
+func NewEngine(k *vfs.Kernel) *Engine { return &Engine{k: k} }
 
 // queueOf returns the queue interposed on id, or nil when the device is not
 // queued (or is no device at all).
@@ -210,34 +180,9 @@ func (e *Engine) AddStream(start simclock.Duration, prog Program) StreamID {
 	id := StreamID(len(e.streams))
 	e.streams = append(e.streams, &stream{
 		id:    id,
-		h:     Handle{e: e, k: e.k, id: id},
+		h:     Handle{k: e.k, id: id},
 		start: start,
 		prog:  prog,
-	})
-	return id
-}
-
-// AddStreamFunc registers a simulated process written as a blocking
-// closure. The closure runs on a private goroutine under a strict
-// cooperative handoff: when it touches a queued device the goroutine
-// parks inside the access until the engine dispatches and completes the
-// request, so blocking application code shared with the single-process
-// paths runs unchanged. Code that can be expressed as a Program should
-// use AddStream: a Program stream costs a stream record instead of a
-// goroutine stack.
-//
-//sledlint:allow panicpath -- setup-phase API misuse, before any simulated I/O runs
-func (e *Engine) AddStreamFunc(start simclock.Duration, fn func(h *Handle) error) StreamID {
-	if e.running {
-		panic("iosched: AddStreamFunc called while running")
-	}
-	id := StreamID(len(e.streams))
-	e.streams = append(e.streams, &stream{
-		id:     id,
-		h:      Handle{e: e, k: e.k, id: id},
-		start:  start,
-		fn:     fn,
-		resume: make(chan simclock.Duration),
 	})
 	return id
 }
@@ -297,9 +242,6 @@ func (e *Engine) Run() error {
 		st.hedge = hedgeState{}
 		st.res = Result{}
 		st.err = nil
-		if st.fn != nil {
-			e.launch(st)
-		}
 		e.starts = append(e.starts, st.id)
 	}
 	// A stream start is a plain resume that is known before anything runs,
@@ -336,10 +278,6 @@ func (e *Engine) Run() error {
 				if st.hedging {
 					e.settleHedge(st, ev.req)
 				}
-			}
-			if st.fn != nil {
-				e.runFuncStream(st, ev.time)
-				continue
 			}
 			e.runStream(st, ev.time)
 		case evHedge:
@@ -397,7 +335,7 @@ func (e *Engine) nextEvent() (ev engineEvent, ok bool) {
 // are waiting there, queues the next dispatch. The next dispatch lands at
 // the same instant but after every same-instant resume, so a request
 // submitted "now" by a just-resumed stream is visible to the scheduler
-// deciding "now" — as under the goroutine engine.
+// deciding "now".
 func (e *Engine) retireReq(r *Request) {
 	dq := e.queues[r.Dev] // a request only ever exists for a queued device
 	dq.busy = false
@@ -590,55 +528,6 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 	}
 }
 
-// launch starts an fn stream's goroutine. It parks immediately on the
-// resume channel; the engine releases it (and every later wake) from
-// runFuncStream, so at most one stream executes at any moment.
-func (e *Engine) launch(st *stream) {
-	go func() {
-		<-st.resume
-		err := func() (err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = fmt.Errorf("iosched: stream %d panicked: %v", st.id, p)
-				}
-			}()
-			return st.fn(&st.h)
-		}()
-		e.bridge <- bridgeEvent{stream: st.id, finished: true, err: err}
-	}()
-}
-
-// runFuncStream hands control to one fn stream at virtual time t and
-// blocks until it submits a request, sleeps, or finishes — the same
-// cooperative handoff the goroutine engine used, with the outcome folded
-// back into heap events.
-func (e *Engine) runFuncStream(st *stream, t simclock.Duration) {
-	st.req = nil
-	e.current = st.id
-	e.k.SetClock(&st.clock)
-	st.resume <- t
-	ev := <-e.bridge
-	if ev.stream != st.id {
-		panic("iosched: event from a stream that was not running") //sledlint:allow panicpath -- cooperative-handoff invariant
-	}
-	switch {
-	case ev.finished:
-		st.state = stateDone
-		st.finish = st.clock.Now()
-		st.err = ev.err
-	case ev.sleeping:
-		st.state = stateSleeping
-		st.wakeAt = ev.wake
-		e.heap.push(streamEvent(st.wakeAt, evResume, st.id, nil))
-	default:
-		st.state = stateBlocked
-		st.req = ev.req
-		dq := e.queues[ev.req.Dev]
-		dq.sched.Add(ev.req)
-		e.maybeDispatch(dq)
-	}
-}
-
 // protect runs one slice of stream code, converting a panic into stream
 // failure so one broken stream cannot take down the engine. Reports
 // whether fn completed normally.
@@ -697,16 +586,16 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 }
 
 // submit is called from inside a running stream (via a QueuedDevice) to
-// register a request with the engine. For a Program stream the access does
-// not complete here: the caller gets vfs.ErrBlocked, the resumable layer
-// captures the operation as a continuation, and the engine feeds the
-// dispatch outcome back in at completion time. For an fn stream the
-// calling goroutine parks until the request completes and the real
-// outcome is returned, so blocking code never sees vfs.ErrBlocked.
+// register a request with the engine. The access does not complete here:
+// the caller gets vfs.ErrBlocked, the resumable layer captures the
+// operation as a continuation, and the engine feeds the dispatch outcome
+// back in at completion time.
 func (e *Engine) submit(c *simclock.Clock, dev device.ID, off, length int64, write bool) error {
-	st := e.streams[e.current]
-	r := &Request{
-		Stream:  st.id,
+	if e.pending != nil {
+		panic("iosched: overlapping queued submissions in one op step") //sledlint:allow panicpath -- resumable-layer invariant: one suspension per step
+	}
+	e.pending = &Request{
+		Stream:  e.current,
 		Dev:     dev,
 		Off:     off,
 		Length:  length,
@@ -715,16 +604,6 @@ func (e *Engine) submit(c *simclock.Clock, dev device.ID, off, length int64, wri
 		seq:     e.seq,
 	}
 	e.seq++
-	if st.fn != nil {
-		e.bridge <- bridgeEvent{stream: st.id, req: r}
-		granted := <-st.resume
-		c.AdvanceTo(granted)
-		return r.Err
-	}
-	if e.pending != nil {
-		panic("iosched: overlapping queued submissions in one op step") //sledlint:allow panicpath -- resumable-layer invariant: one suspension per step
-	}
-	e.pending = r
 	return vfs.ErrBlocked
 }
 

@@ -1,103 +1,18 @@
 package iosched
 
-// Scale-oriented checks on the flat event-heap engine: the bridged
-// blocking streams must leave no goroutines behind however Run ends, and
+// Scale-oriented benchmarks of the flat event-heap engine:
 // BenchmarkEngineEvents tracks events/sec at up to 10,000 streams (the
-// committed BENCH_*.json baselines gate regressions in CI).
+// committed BENCH_*.json baselines gate regressions in CI), and
+// BenchmarkRefEngineEvents sizes it against the goroutine reference.
 
 import (
-	"errors"
 	"fmt"
-	"runtime"
 	"testing"
-	"time"
 
 	"sleds/internal/device"
 	"sleds/internal/simclock"
 	"sleds/internal/vfs"
 )
-
-// waitGoroutines polls until the process goroutine count drops back to
-// base. AddStreamFunc goroutines exit just after their final bridge send,
-// so the count can lag Run's return by a scheduler beat.
-//
-//sledlint:allow wallclock -- leak detector for real goroutines: runtime.NumGoroutine settles on the host scheduler's clock, which no virtual clock can poll
-func waitGoroutines(t *testing.T, base int) {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := runtime.NumGoroutine()
-		if n <= base {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("goroutines leaked: %d running, %d before Run", n, base)
-		}
-		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestNoGoroutineLeakAfterRun pins the bridge's lifecycle contract: every
-// AddStreamFunc goroutine has exited once Run returns — whether streams
-// finish cleanly, return errors, or panic.
-func TestNoGoroutineLeakAfterRun(t *testing.T) {
-	cases := []struct {
-		name    string
-		fn      func(i int) func(h *Handle) error
-		wantErr bool
-	}{
-		{"success", func(i int) func(h *Handle) error {
-			return func(h *Handle) error {
-				h.Sleep(simclock.Duration(i%5) * simclock.Millisecond)
-				return nil
-			}
-		}, false},
-		{"error", func(i int) func(h *Handle) error {
-			return func(h *Handle) error {
-				h.Sleep(simclock.Millisecond)
-				if i%2 == 0 {
-					return errors.New("stream failed")
-				}
-				return nil
-			}
-		}, true},
-		{"panic", func(i int) func(h *Handle) error {
-			return func(h *Handle) error {
-				if i == 7 {
-					panic("stream blew up")
-				}
-				h.Sleep(simclock.Millisecond)
-				return nil
-			}
-		}, true},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := runtime.NumGoroutine()
-			k, _, id := testKernel(t, simclock.Millisecond)
-			e := NewEngine(k)
-			e.Queue(id, NewScheduler("fcfs"))
-			for i := 0; i < 50; i++ {
-				i := i
-				fn := tc.fn(i)
-				e.AddStreamFunc(0, func(h *Handle) error {
-					if err := device.ReadErr(k.Devices.Get(id), k.Clock, int64(i)*4096, 4096); err != nil {
-						return err
-					}
-					return fn(h)
-				})
-			}
-			err := e.Run()
-			if tc.wantErr && err == nil {
-				t.Fatal("Run returned nil, want a stream error")
-			}
-			if !tc.wantErr && err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			waitGoroutines(t, base)
-		})
-	}
-}
 
 // benchWorld boots a kernel with nDevs queued fake devices for benchmark
 // runs; devices are cheap so the measurement is engine overhead, not

@@ -2,11 +2,10 @@ package iosched
 
 // Differential tests pinning the flat event-heap engine bit-identical to
 // the goroutine reference engine (refengine_test.go) across schedulers,
-// workload shapes, fault stacking orders and both stream flavours
-// (Program state machines and bridged blocking closures). Each trial
-// builds three identical worlds and replays one pseudo-random workload:
-// any difference in service order, per-stream finish times, or the Run
-// error is a regression in the rewrite.
+// workload shapes and fault stacking orders. Each trial builds two
+// identical worlds and replays one pseudo-random workload: any difference
+// in service order, per-stream finish times, or the Run error is a
+// regression in the heap engine.
 
 import (
 	"fmt"
@@ -200,33 +199,6 @@ func runProg(t *testing.T, spec trialSpec) outcome {
 	return w.play(spec, e, func() { clear(next) })
 }
 
-// runFunc replays the spec on the heap engine with bridged blocking
-// closures (AddStreamFunc).
-func runFunc(t *testing.T, spec trialSpec) outcome {
-	w := buildWorld(t, spec)
-	e := NewEngine(w.k)
-	for _, id := range w.ids {
-		e.Queue(id, NewScheduler(spec.sched))
-	}
-	for s, acts := range spec.streams {
-		acts := acts
-		e.AddStreamFunc(spec.starts[s], func(h *Handle) error {
-			for _, a := range acts {
-				if a.sleep > 0 {
-					h.Sleep(a.sleep)
-					continue
-				}
-				id := w.ids[a.dev]
-				if err := device.ReadErr(w.k.Devices.Get(id), w.k.Clock, a.off, 4096); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-	}
-	return w.play(spec, e, nil)
-}
-
 func TestEngineEquivalence(t *testing.T) {
 	for _, sched := range []string{"fcfs", "sstf", "deadline"} {
 		sched := sched
@@ -239,11 +211,6 @@ func TestEngineEquivalence(t *testing.T) {
 				if !reflect.DeepEqual(ref, prog) {
 					t.Fatalf("seed %d: Program streams diverged from reference\nspec: %+v\nref:  %+v\nheap: %+v",
 						seed, spec, ref, prog)
-				}
-				fn := runFunc(t, spec)
-				if !reflect.DeepEqual(ref, fn) {
-					t.Fatalf("seed %d: fn streams diverged from reference\nspec: %+v\nref:  %+v\nheap: %+v",
-						seed, spec, ref, fn)
 				}
 			}
 		})

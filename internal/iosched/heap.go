@@ -42,12 +42,13 @@ func streamEvent(t simclock.Duration, kind uint8, id StreamID, req *Request) eng
 // eventLess is the engine's total event order: time, then resumes before
 // hedge deadlines before dispatches, then stream ID (resumes and hedges)
 // or device ID (dispatches), then the carried request's submission seq.
-// The (time, resume-before-dispatch, stream/device) prefix is the same
-// tie-break the goroutine engine's linear scan applied, so schedules
-// without hedged reads are unchanged. The seq suffix only matters when one
-// stream has several events at one instant — a hedged pair completing
-// together, or an abandoned loser's completion landing on a sleep wake —
-// and makes the plain resume go first, then the earlier-submitted request.
+// The (time, resume-before-dispatch, stream/device) prefix is the tie-break
+// the reference engine's linear scan applies (refengine_test.go), so the
+// two agree on every schedule without hedged reads. The seq suffix only
+// matters when one stream has several events at one instant — a hedged pair
+// completing together, or an abandoned loser's completion landing on a
+// sleep wake — and makes the plain resume go first, then the
+// earlier-submitted request.
 func eventLess(a, b *engineEvent) bool {
 	if a.time != b.time {
 		return a.time < b.time

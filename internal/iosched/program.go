@@ -46,7 +46,6 @@ func (f ProgramFunc) Step(h *Handle, prev Result) Op { return f(h, prev) }
 // Step call. Under an Engine it reports the stream's identity and virtual
 // time; under RunProgram it reflects the kernel's clock directly.
 type Handle struct {
-	e  *Engine // nil under RunProgram
 	k  *vfs.Kernel
 	id StreamID
 }
@@ -57,28 +56,6 @@ func (h *Handle) ID() StreamID { return h.id }
 // Now reports the stream's current virtual time. While a stream executes,
 // the kernel's clock is the stream's own clock.
 func (h *Handle) Now() simclock.Duration { return h.k.Clock.Now() }
-
-// Sleep suspends an fn stream (AddStreamFunc) for d of virtual time; other
-// streams run meanwhile. Program streams sleep with the Sleep Op instead —
-// a Step has no goroutine to park.
-//
-//sledlint:allow panicpath -- misuse of the blocking API from a Program, not a simulation outcome
-func (h *Handle) Sleep(d simclock.Duration) {
-	if d < 0 {
-		panic(fmt.Sprintf("iosched: negative sleep %v", d))
-	}
-	if h.e == nil {
-		h.k.Clock.Advance(d)
-		return
-	}
-	st := h.e.streams[h.id]
-	if st.fn == nil {
-		panic("iosched: Handle.Sleep from a Program stream; return the Sleep op instead")
-	}
-	h.e.bridge <- bridgeEvent{stream: h.id, sleeping: true, wake: st.clock.Now() + d}
-	granted := <-st.resume
-	st.clock.AdvanceTo(granted)
-}
 
 // opKind discriminates Op variants.
 type opKind int
