@@ -32,6 +32,7 @@ const (
 	binRate        = 16 * float64(1<<20)
 	chunkOverhead  = 30 * simclock.Microsecond
 	defaultBufSize = 64 << 10
+	elementSize    = 2 // bytes per 16-bit pixel: no read may split one
 )
 
 // Histogram is fimhisto's product.
@@ -49,34 +50,37 @@ func (h Histogram) Total() int64 {
 	return t
 }
 
-// forEachChunk drives either the sequential or the SLEDs read loop,
-// invoking fn with each chunk's file offset and bytes. The SLEDs path uses
-// element mode so chunks are pixel-aligned.
-func forEachChunk(env *appenv.Env, f *vfs.File, elementSize int64, fn func(off int64, data []byte) error) error {
+// readBuffer allocates the read buffer one application run shares among
+// its passes: env.BufSize (or the default) rounded down to whole elements,
+// at least one, so neither read order splits a pixel.
+func readBuffer(env *appenv.Env) []byte {
 	bufSize := env.BufSize
 	if bufSize <= 0 {
 		bufSize = defaultBufSize
 	}
+	return make([]byte, max(bufSize-bufSize%elementSize, elementSize))
+}
+
+// forEachChunk drives either the sequential or the SLEDs read loop over
+// buf, invoking fn with each chunk's file offset and bytes. The SLEDs path
+// uses element mode so chunks are pixel-aligned.
+func forEachChunk(env *appenv.Env, f *vfs.File, buf []byte, fn func(off int64, data []byte) error) error {
 	if env.UseSLEDs {
 		picker, err := sledlib.PickInit(env.K, env.Table, f, sledlib.Options{
-			BufSize:     bufSize,
+			BufSize:     int64(len(buf)),
 			ElementSize: elementSize,
 		})
 		if err != nil {
 			return err
 		}
 		defer picker.Finish()
-		var buf []byte
 		for {
-			off, n, err := picker.NextRead()
+			off, n, err := picker.NextRead() // n <= BufSize
 			if errors.Is(err, sledlib.ErrFinished) {
 				return nil
 			}
 			if err != nil {
 				return err
-			}
-			if int64(len(buf)) < n {
-				buf = make([]byte, n)
 			}
 			if _, err := f.ReadAt(buf[:n], off); err != nil && err != io.EOF {
 				return err
@@ -87,7 +91,6 @@ func forEachChunk(env *appenv.Env, f *vfs.File, elementSize int64, fn func(off i
 			}
 		}
 	}
-	buf := make([]byte, bufSize)
 	var off int64
 	for {
 		n, err := f.ReadAt(buf, off)
@@ -106,21 +109,41 @@ func forEachChunk(env *appenv.Env, f *vfs.File, elementSize int64, fn func(off i
 	}
 }
 
-// pixelRange returns the overlap of chunk [off, off+len) with the data
-// unit, element-aligned.
-func pixelRange(im fits.Image, off int64, data []byte) (lo, hi int64) {
-	lo = off
-	hi = off + int64(len(data))
-	if lo < im.DataOffset {
-		lo = im.DataOffset
-	}
-	if end := im.DataOffset + im.DataBytes; hi > end {
-		hi = end
-	}
+// pixels returns the part of chunk [off, off+len(data)) that lies in the
+// data unit, and the index of its first pixel; nil for a chunk wholly in
+// the header or the padding.
+func pixels(im fits.Image, off int64, data []byte) (px []byte, idx int64) {
+	lo := max(off, im.DataOffset)
+	hi := min(off+int64(len(data)), im.DataOffset+im.DataBytes)
 	if lo >= hi {
-		return 0, 0
+		return nil, 0
 	}
-	return lo, hi
+	return data[lo-off : hi-off], (lo - im.DataOffset) / elementSize
+}
+
+// pixel16 is fits.Pixel16 on two bytes already in hand: the per-pixel loops
+// build no slice.
+func pixel16(hi, lo byte) int16 { return int16(uint16(hi)<<8 | uint16(lo)) }
+
+// binTable maps value-min to its bin for every value in [min, max], so
+// that binning a pixel is a lookup instead of a division.
+func binTable(min, max int16, bins int) []int {
+	span := int64(max) - int64(min) + 1
+	table := make([]int, span)
+	for d := range table {
+		table[d] = int(int64(d) * int64(bins) / span)
+	}
+	return table
+}
+
+// binPixels counts the pixels of px into counts through table.
+//
+//sledlint:hotpath
+func binPixels(counts []int64, table []int, min int16, px []byte) {
+	for i := 0; i+1 < len(px); i += 2 {
+		v := pixel16(px[i], px[i+1])
+		counts[table[int(v)-int(min)]]++
+	}
 }
 
 // Fimhisto copies the image at inPath to outPath and appends a histogram
@@ -152,7 +175,8 @@ func Fimhisto(env *appenv.Env, inPath, outPath string, bins int, outDev device.I
 	defer out.Close()
 
 	// Pass 1: copy the main data unit (header + pixels) verbatim.
-	err = forEachChunk(env, in, 2, func(off int64, data []byte) error {
+	buf := readBuffer(env)
+	err = forEachChunk(env, in, buf, func(off int64, data []byte) error {
 		env.ChargeCPUBytes(int64(len(data)), copyRate)
 		_, werr := out.WriteAt(data, off)
 		return werr
@@ -164,11 +188,11 @@ func Fimhisto(env *appenv.Env, inPath, outPath string, bins int, outDev device.I
 	// Pass 2: find the pixel value range (with int16 -> float conversion,
 	// charged at the conversion rate).
 	min, max := int16(32767), int16(-32768)
-	err = forEachChunk(env, in, 2, func(off int64, data []byte) error {
-		lo, hi := pixelRange(im, off, data)
-		env.ChargeCPUBytes(hi-lo, convertRate)
-		for p := lo; p < hi; p += 2 {
-			v := fits.Pixel16(data[p-off : p-off+2])
+	err = forEachChunk(env, in, buf, func(off int64, data []byte) error {
+		px, _ := pixels(im, off, data)
+		env.ChargeCPUBytes(int64(len(px)), convertRate)
+		for i := 0; i+1 < len(px); i += 2 {
+			v := pixel16(px[i], px[i+1])
 			if v < min {
 				min = v
 			}
@@ -187,15 +211,11 @@ func Fimhisto(env *appenv.Env, inPath, outPath string, bins int, outDev device.I
 
 	// Pass 3: bin the pixel values.
 	h := Histogram{Min: min, Max: max, Bins: make([]int64, bins)}
-	span := int64(max) - int64(min) + 1
-	err = forEachChunk(env, in, 2, func(off int64, data []byte) error {
-		lo, hi := pixelRange(im, off, data)
-		env.ChargeCPUBytes(hi-lo, binRate)
-		for p := lo; p < hi; p += 2 {
-			v := fits.Pixel16(data[p-off : p-off+2])
-			bin := (int64(v) - int64(min)) * int64(bins) / span
-			h.Bins[bin]++
-		}
+	table := binTable(min, max, bins)
+	err = forEachChunk(env, in, buf, func(off int64, data []byte) error {
+		px, _ := pixels(im, off, data)
+		env.ChargeCPUBytes(int64(len(px)), binRate)
+		binPixels(h.Bins, table, min, px)
 		return nil
 	})
 	if err != nil {

@@ -47,26 +47,39 @@ func isSpace(c byte) bool {
 	return false
 }
 
+// nonSpace and newline classify a byte without a branch: nonSpace[c] is 1
+// unless c is a word separator, newline[c] is 1 for '\n' alone.
+var nonSpace, newline = func() (ns, nl [256]uint8) {
+	for c := range ns {
+		if !isSpace(byte(c)) {
+			ns[c] = 1
+		}
+	}
+	nl['\n'] = 1
+	return
+}()
+
+// count is wc's classification loop, written once for both read orders.
+// inWord is nonSpace of the byte before p (0 at the start of a file or of
+// a chunk counted in isolation) and last is nonSpace of p's final byte:
+// a word starts at every byte that is non-space after one that was not.
+//
+//sledlint:hotpath
+func count(p []byte, inWord uint8) (lines, words int64, last uint8) {
+	for _, c := range p {
+		ns := nonSpace[c]
+		lines += int64(newline[c])
+		words += int64(ns &^ inWord)
+		inWord = ns
+	}
+	return lines, words, inWord
+}
+
 // countChunk counts a chunk in isolation: words are space->nonspace
 // transitions with the chunk treated as if preceded by a space.
 func countChunk(p []byte) (lines, words int64, startsNonSpace, endsNonSpace bool) {
-	inWord := false
-	for _, c := range p {
-		if c == '\n' {
-			lines++
-		}
-		if isSpace(c) {
-			inWord = false
-		} else if !inWord {
-			inWord = true
-			words++
-		}
-	}
-	if len(p) > 0 {
-		startsNonSpace = !isSpace(p[0])
-		endsNonSpace = !isSpace(p[len(p)-1])
-	}
-	return
+	lines, words, last := count(p, 0)
+	return lines, words, len(p) > 0 && nonSpace[p[0]] == 1, last == 1
 }
 
 // Run counts the file at path under env.
@@ -91,20 +104,13 @@ func runLinear(env *appenv.Env, path string) (Result, error) {
 	}
 	buf := make([]byte, bufSize)
 	var res Result
-	inWord := false
+	var inWord uint8
 	for {
 		n, err := f.Read(buf)
-		for _, c := range buf[:n] {
-			if c == '\n' {
-				res.Lines++
-			}
-			if isSpace(c) {
-				inWord = false
-			} else if !inWord {
-				inWord = true
-				res.Words++
-			}
-		}
+		lines, words, last := count(buf[:n], inWord)
+		inWord = last
+		res.Lines += lines
+		res.Words += words
 		res.Bytes += int64(n)
 		env.ChargeCPUBytes(int64(n), scanRate)
 		if err == io.EOF {

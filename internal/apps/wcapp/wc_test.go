@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"sleds/internal/apps/apptest"
+	"sleds/internal/trace"
 	"sleds/internal/workload"
 )
 
@@ -211,5 +212,67 @@ func TestAgreementProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkCount compares the table-driven kernel with refCount (the old
+// byte-at-a-time loop) on data as a whole and split at every point, the
+// second half carrying the first half's inWord.
+func checkCount(t *testing.T, data []byte) {
+	t.Helper()
+	want := refCount(data)
+	for split := 0; split <= len(data); split++ {
+		l1, w1, in := count(data[:split], 0)
+		l2, w2, _ := count(data[split:], in)
+		if l1+l2 != want.Lines || w1+w2 != want.Words {
+			t.Fatalf("count(%q) split at %d = %d lines %d words, want %d %d",
+				data, split, l1+l2, w1+w2, want.Lines, want.Words)
+		}
+	}
+}
+
+func TestCountMatchesReference(t *testing.T) {
+	// Every byte value, alone, after a word and after a space.
+	for c := 0; c < 256; c++ {
+		checkCount(t, []byte{byte(c)})
+		checkCount(t, []byte{'a', byte(c), 'b'})
+		checkCount(t, []byte{' ', byte(c), ' '})
+		if got := nonSpace[c] == 0; got != isSpace(byte(c)) {
+			t.Errorf("nonSpace[%#x] disagrees with isSpace", c)
+		}
+	}
+	// Random buffers, dense in separators so words are short.
+	rng := trace.NewRNG(18)
+	alphabet := []byte(" \t\n\v\f\r\x00ab\xff")
+	for trial := 0; trial < 200; trial++ {
+		data := make([]byte, rng.Int64n(96))
+		for i := range data {
+			if trial%2 == 0 {
+				data[i] = alphabet[rng.Int64n(int64(len(alphabet)))]
+			} else {
+				data[i] = byte(rng.Uint64())
+			}
+		}
+		checkCount(t, data)
+		l, w, s, e := countChunk(data)
+		want := refCount(data)
+		if l != want.Lines || w != want.Words ||
+			s != (len(data) > 0 && !isSpace(data[0])) || e != (len(data) > 0 && !isSpace(data[len(data)-1])) {
+			t.Fatalf("countChunk(%q) = %d,%d,%v,%v", data, l, w, s, e)
+		}
+	}
+}
+
+var countSink int64
+
+func BenchmarkCount(b *testing.B) {
+	page := make([]byte, apptest.PageSize)
+	workload.TextGen(7)(3, page)
+	b.SetBytes(int64(len(page)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l, w, _ := count(page, 0)
+		countSink += l + w
 	}
 }

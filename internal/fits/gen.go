@@ -9,15 +9,15 @@ import (
 // PixelValue is the deterministic synthetic pixel function: a smooth
 // gradient (astronomical flat-field) plus hash noise and occasional bright
 // "stars", all derived from (seed, pixel index). Values stay within a
-// 12-bit range like real instrument data.
+// 12-bit range like real instrument data. idx must not be negative.
 func PixelValue(seed uint64, idx int64) int16 {
 	h := seed ^ uint64(idx)*0x9e3779b97f4a7c15
 	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
 	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
 	h ^= h >> 31
-	base := int64(200) + (idx/64)%512 // slow gradient
-	noise := int64(h % 128)
-	v := base + noise
+	// Slow gradient (idx/64 mod 512) plus noise (h mod 128), as shifts
+	// and masks: both operands are unsigned.
+	v := 200 + (uint64(idx)>>6)&511 + h&127
 	if h%997 == 0 { // sparse bright sources
 		v += 2048
 	}
@@ -42,29 +42,32 @@ func Gen(im Image, seed uint64, pageSize int) workload.PageGen {
 		panic(fmt.Sprintf("fits: odd data offset %d", im.DataOffset))
 	}
 	header := EncodeHeader(HeaderFor(im.Width, im.Height, im.BitPix))
+	dataEnd := im.DataOffset + im.DataBytes
 	return func(page int64, buf []byte) {
-		pageStart := page * int64(pageSize)
-		for i := range buf {
-			buf[i] = 0
-		}
-		// Header portion.
-		if pageStart < int64(len(header)) {
-			copy(buf, header[pageStart:])
-		}
-		// Pixel portion.
-		dataEnd := im.DataOffset + im.DataBytes
-		start := pageStart
-		if start < im.DataOffset {
-			start = im.DataOffset
-		}
-		end := pageStart + int64(pageSize)
-		if end > dataEnd {
-			end = dataEnd
-		}
-		for off := start; off < end; off += 2 {
-			idx := (off - im.DataOffset) / 2
-			PutPixel16(buf[off-pageStart:off-pageStart+2], PixelValue(seed, idx))
-		}
+		genPage(buf, page*int64(pageSize), header, im.DataOffset, dataEnd, seed)
+	}
+}
+
+// genPage fills buf with the file's bytes from pageStart on: header bytes,
+// zeros up to dataOffset, pixels up to dataEnd, zero padding after. Only
+// the part outside the pixels is cleared; every pixel byte is written.
+//
+//sledlint:hotpath
+func genPage(buf []byte, pageStart int64, header []byte, dataOffset, dataEnd int64, seed uint64) {
+	n := int64(len(buf))
+	lo := min(max(dataOffset-pageStart, 0), n)
+	hi := min(max(dataEnd-pageStart, lo), n)
+	clear(buf[:lo])
+	clear(buf[hi:])
+	if pageStart < int64(len(header)) {
+		copy(buf, header[pageStart:])
+	}
+	px := buf[lo:hi]
+	idx := (pageStart + lo - dataOffset) / 2
+	for i := 0; i+1 < len(px); i += 2 {
+		v := PixelValue(seed, idx)
+		px[i], px[i+1] = byte(v>>8), byte(v)
+		idx++
 	}
 }
 

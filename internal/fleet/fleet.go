@@ -122,6 +122,7 @@ type Fleet struct {
 
 	replicas []*Replica
 	pageSize int64
+	rttSec   float64 // cfg.Server.RTT in seconds, for every estimate
 
 	picks   int64 // total selections, drives the probe cadence
 	probeRR int   // round-robin cursor over demoted replicas
@@ -150,6 +151,7 @@ func New(k *vfs.Kernel, cfg Config) (*Fleet, error) {
 		k:        k,
 		cfg:      cfg,
 		pageSize: int64(k.PageSize()),
+		rttSec:   cfg.Server.RTT.Seconds(),
 		replicas: make([]*Replica, cfg.Replicas),
 		ests:     make([]estimate, cfg.Replicas),
 	}

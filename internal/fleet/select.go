@@ -100,11 +100,10 @@ func (f *Fleet) estimateReplica(r *Replica, off, n int64) (estimate, error) {
 	// the disk's unloaded service latency, paying only the wire RTT.
 	if cached := r.srv.CachedBytes(r.inode.Extent()+off, n); cached > 0 {
 		if e, ok := f.tab.Device(r.Dev); ok {
-			rttSec := f.cfg.Server.RTT.Seconds()
-			if save := e.Latency - rttSec; save > 0 {
+			if save := e.Latency - f.rttSec; save > 0 {
 				sec -= float64(cached) / float64(n) * save
-				if sec < rttSec {
-					sec = rttSec
+				if sec < f.rttSec {
+					sec = f.rttSec
 				}
 			}
 		}

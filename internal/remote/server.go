@@ -100,15 +100,15 @@ func (s *Server) CachedPages() int { return len(s.frames) - 1 }
 //
 //sledlint:hotpath
 func (s *Server) CachedBytes(off, n int64) int64 {
+	if s.CachedPages() == 0 {
+		return 0
+	}
 	var cached int64
 	end := off + n
-	for cur := off; cur < end; {
-		page := cur / s.pageSize
-		pageEnd := (page + 1) * s.pageSize
-		stop := end
-		if stop > pageEnd {
-			stop = pageEnd
-		}
+	page := off / s.pageSize
+	pageEnd := (page + 1) * s.pageSize
+	for cur := off; cur < end; page, pageEnd = page+1, pageEnd+s.pageSize {
+		stop := min(end, pageEnd)
 		if s.has(page, false) {
 			cached += stop - cur
 		}
