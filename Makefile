@@ -7,8 +7,8 @@ STATICCHECK_VERSION ?= 2025.1
 # BENCH_PKGS are the packages whose microbenchmarks the snapshot holds;
 # BENCH_SNAPSHOT is the committed snapshot bench-json writes and
 # bench-compare gates against.
-BENCH_PKGS = ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/vfs ./internal/apps/wcapp ./internal/apps/fitsapp ./internal/fits
-BENCH_SNAPSHOT = BENCH_18.json
+BENCH_PKGS = ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/vfs ./internal/experiments ./internal/apps/wcapp ./internal/apps/fitsapp ./internal/fits
+BENCH_SNAPSHOT = BENCH_19.json
 
 # A literal comma, for use inside $(call ...) arguments.
 comma := ,
@@ -69,14 +69,14 @@ bench-smoke:
 	$(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' $(BENCH_PKGS)
 
 # bench-json regenerates $(BENCH_SNAPSHOT), the committed snapshot of the
-# query/cache/iosched/trace/fleet/workload/vfs/app-kernel microbenchmarks
+# query/cache/iosched/trace/fleet/workload/vfs/arena/app-kernel microbenchmarks
 # and the root figure benchmarks, as a JSON map of benchmark name to ns/op, B/op,
 # allocs/op and ReportMetric figures. Timings vary by machine; the
 # snapshot exists to pin the alloc counts (which bench-compare gates) and
 # record the measured speedups at authoring time. Run it on a bench-suite
 # change and commit the result. BENCH_5.json through BENCH_10.json are
-# the frozen PR-5..PR-10 snapshots, BENCH_13.json and BENCH_15.json the
-# PR-13 and PR-15 ones; leave them be.
+# the frozen PR-5..PR-10 snapshots, BENCH_13.json, BENCH_15.json and
+# BENCH_18.json the PR-13, PR-15 and PR-18 ones; leave them be.
 bench-json:
 	{ $(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS); \
 	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)

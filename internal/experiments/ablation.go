@@ -24,7 +24,7 @@ func ablationSize(cfg Config) int64 { return 2 * cfg.CacheBytes() }
 // unlike the figure sweeps they deliberately share cfg.Seed unchanged, so
 // the paired comparison sees identical jitter streams.
 func wcWarmSpeedup(cfg Config, size int64) (speedup float64, err error) {
-	sec, err := RunGrid(cfg, 2, func(mode int) (float64, error) {
+	sec, err := RunGrid(cfg, 2, func(cfg Config, mode int) (float64, error) {
 		m, err := BootMachine(cfg, ProfileUnix)
 		if err != nil {
 			return 0, err
@@ -55,7 +55,7 @@ func AblationPolicy(cfg Config) (Figure, error) {
 	cfg.validate()
 	size := ablationSize(cfg)
 	policies := []cache.Policy{cache.LRU, cache.Clock, cache.FIFO}
-	pts, err := RunGrid(cfg, len(policies), func(i int) (Point, error) {
+	pts, err := RunGrid(cfg, len(policies), func(cfg Config, i int) (Point, error) {
 		c := cfg
 		c.Policy = policies[i]
 		sp, err := wcWarmSpeedup(c, size)
@@ -107,7 +107,7 @@ func AblationPickOrder(cfg Config) (Figure, error) {
 	cfg.validate()
 	orders := []sledlib.Order{sledlib.OrderLatency, sledlib.OrderLinear, sledlib.OrderReverseLatency}
 	faults := Series{Name: "hard faults", Points: make([]Point, len(orders))}
-	times, err := RunGrid(cfg, len(orders), func(i int) (Point, error) {
+	times, err := RunGrid(cfg, len(orders), func(cfg Config, i int) (Point, error) {
 		sec, n, err := pickOrderScan(cfg, orders[i])
 		faults.Points[i] = Point{X: float64(orders[i]), Mean: float64(n)}
 		return Point{X: float64(orders[i]), Mean: sec}, err
@@ -136,7 +136,7 @@ func AblationRefresh(cfg Config) (Figure, error) {
 	cfg.validate()
 	return twoModeFigure(cfg, "ablation-refresh",
 		"SLEDs scan with a mid-run cache change: stale vs refreshed schedule",
-		"x: 0=stale schedule (paper implementation), 1=Refresh() extension", func(mode int) (float64, error) {
+		"x: 0=stale schedule (paper implementation), 1=Refresh() extension", func(cfg Config, mode int) (float64, error) {
 			third := cfg.CacheBytes()
 			// Warm pass: the tail third survives in cache.
 			m, f, err := warmTextFile(cfg, uint64(cfg.Seed), 3*third)
@@ -187,7 +187,7 @@ func AblationMmap(cfg Config) (Figure, error) {
 	cfg.validate()
 	return twoModeFigure(cfg, "ablation-mmap",
 		"pick-order scan of a fully cached file: read() vs mmap path",
-		"x: 0=read() with user copy, 1=mapped access — the copy is the CPU penalty of §5.2", func(mode int) (float64, error) {
+		"x: 0=read() with user copy, 1=mapped access — the copy is the CPU penalty of §5.2", func(cfg Config, mode int) (float64, error) {
 			// Half the cache: comfortably resident after the warm pass.
 			m, f, err := warmTextFile(cfg, uint64(cfg.Seed), cfg.CacheBytes()/2)
 			if err != nil {
@@ -283,7 +283,7 @@ func AblationZones(cfg Config) (Figure, error) {
 func AblationReadahead(cfg Config) (Figure, error) {
 	cfg.validate()
 	settings := []int{0, 8}
-	pts, err := RunGrid(cfg, len(settings), func(i int) (Point, error) {
+	pts, err := RunGrid(cfg, len(settings), func(cfg Config, i int) (Point, error) {
 		c := cfg
 		c.ReadaheadPages = settings[i]
 		sp, err := wcWarmSpeedup(c, ablationSize(cfg))

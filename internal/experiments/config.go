@@ -15,6 +15,7 @@ import (
 
 	"sleds/internal/cache"
 	"sleds/internal/faults"
+	"sleds/internal/vfs"
 )
 
 // MB is 2^20 bytes.
@@ -49,6 +50,8 @@ type Config struct {
 	// Ablation knobs (zero values reproduce the paper's setup).
 	Policy         cache.Policy // page replacement (default LRU)
 	ReadaheadPages int          // demand-fault readahead (default 0)
+	// mem is the worker's arena, set by RunGrid for one point; nil elsewhere.
+	mem *vfs.HostMem
 }
 
 // PaperConfig is the full-scale configuration: 4 KiB pages, a 64 MB

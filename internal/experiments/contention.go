@@ -102,7 +102,7 @@ func EContention(cfg Config) (Figure, error) {
 	for _, sched := range contentionSchedulers {
 		names = append(names, sched+" with SLEDs", sched+" without SLEDs")
 	}
-	series, err := gridSeries(cfg, len(contentionStreams), names, func(nIdx, col int) (Point, error) {
+	series, err := gridSeries(cfg, len(contentionStreams), names, func(cfg Config, nIdx, col int) (Point, error) {
 		si, mode := col/2, 1-col%2
 		n := contentionStreams[nIdx]
 		pcfg := cfg.forPoint("econtend", nIdx, si, mode)
@@ -135,7 +135,7 @@ func ELoadSLED(cfg Config) (Figure, error) {
 	loads := []int{0, 1, 2, 4, 8}
 	unloaded := Series{Name: "unloaded entry", Points: make([]Point, len(loads))} // calibrated table latency
 	depth := Series{Name: "queue depth", Points: make([]Point, len(loads))}       // at the query instant
-	estimated, err := RunGrid(cfg, len(loads), func(i int) (Point, error) {
+	estimated, err := RunGrid(cfg, len(loads), func(cfg Config, i int) (Point, error) {
 		n := loads[i]
 		pcfg := cfg.forPoint("eloadsled", i)
 		m, err := BootMachine(pcfg, ProfileUnix)

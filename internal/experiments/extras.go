@@ -220,9 +220,9 @@ func (r EHSMResult) Render() string {
 // and the file to search — and packages the pair; notes is the figure
 // note's format, taking the speedup.
 func grepFirstSpeedup(cfg Config, id, heading, title, notes string,
-	boot func(mode int) (*appenv.Env, string, error)) (EHSMResult, error) {
-	fig, err := twoModeFigure(cfg, id, title, "", func(mode int) (float64, error) {
-		env, path, err := boot(mode)
+	boot func(cfg Config, mode int) (*appenv.Env, string, error)) (EHSMResult, error) {
+	fig, err := twoModeFigure(cfg, id, title, "", func(cfg Config, mode int) (float64, error) {
+		env, path, err := boot(cfg, mode)
 		if err != nil {
 			return 0, err
 		}
@@ -256,7 +256,7 @@ func EHSM(cfg Config) (EHSMResult, error) {
 	return grepFirstSpeedup(cfg, "ehsm", "ehsm: grep -q on HSM (staged tail)",
 		"grep -q on a tape-resident file with a staged tail (HSM extension)",
 		"x=0 without SLEDs, x=1 with SLEDs; speedup %.0fx — the HSM regime the paper predicts",
-		func(mode int) (*appenv.Env, string, error) {
+		func(cfg Config, mode int) (*appenv.Env, string, error) {
 			m, err := BootMachine(cfg.forPoint("ehsm", 0, mode), ProfileUnix)
 			if err != nil {
 				return nil, "", err

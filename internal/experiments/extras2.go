@@ -49,7 +49,7 @@ func EHints(cfg Config) (Figure, error) {
 	}
 
 	type chunk struct{ off, n int64 }
-	pts, err := RunGrid(cfg, len(strategies), func(i int) (Point, error) {
+	pts, err := RunGrid(cfg, len(strategies), func(cfg Config, i int) (Point, error) {
 		st := strategies[i]
 		m, f, err := warmTextFile(cfg.forPoint("ehints", i), fileSeed(cfg, "ehints", 0), size)
 		if err != nil {
@@ -136,7 +136,7 @@ func ETreeGrep(cfg Config) (Figure, error) {
 	const numFiles = 8
 
 	faults := Series{Name: "hard faults", Points: make([]Point, 3)}
-	times, err := RunGrid(cfg, 3, func(i int) (Point, error) {
+	times, err := RunGrid(cfg, 3, func(cfg Config, i int) (Point, error) {
 		strategy := treeGrepStrategy(i)
 		m, err := BootMachine(cfg.forPoint("etreegrep", i), ProfileUnix)
 		if err != nil {
@@ -225,7 +225,7 @@ func ERemote(cfg Config) (EHSMResult, error) {
 	return grepFirstSpeedup(cfg, "eremote", "eremote: grep -q on a remote file, server-cached tail",
 		"grep -q on a remote file with a server-cached tail",
 		"x=0 without SLEDs, x=1 with; speedup %.2gx — the client exploits the server's cache state",
-		func(mode int) (*appenv.Env, string, error) {
+		func(cfg Config, mode int) (*appenv.Env, string, error) {
 			k, mem := newKernel(cfg.forPoint("eremote", 0, mode), device.Table2MemConfig(0))
 			rcfg := remote.DefaultConfig()
 			rcfg.ServerCachePages = int(size / int64(cfg.PageSize)) // server holds the whole file
@@ -263,7 +263,7 @@ func ERemote(cfg Config) (EHSMResult, error) {
 func EAccuracy(cfg Config) (Figure, error) {
 	cfg.validate()
 	fss := []string{"ext2", "cdrom", "nfs"}
-	points, err := RunGrid(cfg, len(fss)*len(cfg.Sizes), func(i int) (Point, error) {
+	points, err := RunGrid(cfg, len(fss)*len(cfg.Sizes), func(cfg Config, i int) (Point, error) {
 		fs := fss[i/len(cfg.Sizes)]
 		sizeIdx := i % len(cfg.Sizes)
 		size := cfg.Sizes[sizeIdx]

@@ -266,7 +266,7 @@ func EFaults(cfg Config) (FaultsReport, error) {
 	// degraded cells of a row also report their fault accounting.
 	names := []string{"healthy blind", "healthy with SLEDs", "degraded blind", "degraded with SLEDs"}
 	counters := make([]FaultsCounters, 2*len(sizes))
-	series, err := gridSeries(cfg, len(sizes), names, func(sizeIdx, col int) (Point, error) {
+	series, err := gridSeries(cfg, len(sizes), names, func(cfg Config, sizeIdx, col int) (Point, error) {
 		degraded, useSLEDs := col >= 2, col%2 == 1
 		pcfg := cfg.forPoint("efaults", sizeIdx, col)
 		pt, c, err := efaultsPoint(pcfg, cfg, sizeIdx, degraded, useSLEDs)

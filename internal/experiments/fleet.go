@@ -335,7 +335,7 @@ func EFleet(cfg Config, replicas int) (EFleetReport, error) {
 		scen := efleetScenarioSpec(name, pcfg)
 		schedules[si] = scen.records(trace.NewRNG(fileSeed(cfg, "efleet-sched", si)), streams)
 	}
-	points, err := RunGrid(cfg, len(efleetScenarios)*nPol, func(i int) (efleetCell, error) {
+	points, err := RunGrid(cfg, len(efleetScenarios)*nPol, func(cfg Config, i int) (efleetCell, error) {
 		si, pi := i/nPol, i%nPol
 		pcfg := cfg.forPoint("efleet", si)
 		return efleetPoint(pcfg, efleetScenarioSpec(efleetScenarios[si], pcfg), efleetPolicies[pi], replicas, schedules[si])

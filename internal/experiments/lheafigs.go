@@ -29,7 +29,7 @@ func imageForSize(size int64) (fits.Image, error) {
 func fimSweep(cfg Config, exp string, runApp func(m *Machine, useSLEDs bool, outPath string) error) ([]Series, error) {
 	cfg.validate()
 	sizes := cfg.LHEASizes()
-	return gridSeries(cfg, len(sizes), modeNames, func(sizeIdx, mode int) (Point, error) {
+	return gridSeries(cfg, len(sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
 		im, err := imageForSize(sizes[sizeIdx])
 		if err != nil {
 			return Point{}, err

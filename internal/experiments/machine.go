@@ -54,6 +54,7 @@ func newKernel(cfg Config, memCfg device.MemConfig) (*vfs.Kernel, device.Device)
 		MemDevice:      mem,
 		JitterSeed:     cfg.Seed,
 		JitterFrac:     cfg.JitterFrac,
+		HostMem:        cfg.mem,
 	})
 	k.AttachDevice(mem)
 	return k, mem

@@ -25,6 +25,8 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+
+	"sleds/internal/vfs"
 )
 
 // Runner fans independent experiment points out to a fixed pool of
@@ -52,13 +54,15 @@ func (r Runner) poolSize(n int) int {
 	return w
 }
 
-// Run executes point(i) for every i in [0, n) on the worker pool and
+// Run executes point(i, mem) for every i in [0, n) on the worker pool and
 // returns the error of the lowest-indexed failing point (so the reported
-// failure does not depend on scheduling). A panicking point is captured
-// and surfaced as that point's error rather than crashing or hanging the
-// sweep. All points are attempted even after a failure; they are
-// independent and cheap relative to debugging a half-run grid.
-func (r Runner) Run(n int, point func(i int) error) error {
+// failure does not depend on scheduling). mem is the worker goroutine's
+// arena, Reset before every point: the one thing a worker's points share,
+// and no byte of it is read across a Reset (vfs.HostMem). A panicking point
+// is captured and surfaced as that point's error rather than crashing or
+// hanging the sweep. All points are attempted even after a failure; they
+// are independent and cheap relative to debugging a half-run grid.
+func (r Runner) Run(n int, point func(i int, mem *vfs.HostMem) error) error {
 	if n <= 0 {
 		return nil
 	}
@@ -69,8 +73,10 @@ func (r Runner) Run(n int, point func(i int) error) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			mem := new(vfs.HostMem)
 			for i := range idx {
-				errs[i] = runPoint(i, point)
+				mem.Reset()
+				errs[i] = runPoint(i, mem, point)
 			}
 		}()
 	}
@@ -87,25 +93,27 @@ func (r Runner) Run(n int, point func(i int) error) error {
 	return nil
 }
 
-// runPoint invokes point(i), converting a panic into an error so one bad
-// point fails the sweep instead of killing the process mid-grid.
-func runPoint(i int, point func(int) error) (err error) {
+// runPoint invokes point(i, mem), converting a panic into an error so one
+// bad point fails the sweep instead of killing the process mid-grid.
+func runPoint(i int, mem *vfs.HostMem, point func(int, *vfs.HostMem) error) (err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("experiments: point %d panicked: %v", i, p)
 		}
 	}()
-	return point(i)
+	return point(i, mem)
 }
 
 // RunGrid runs point over [0, n) on cfg's worker pool and collects the
 // results in index order, which is what keeps parallel output identical
 // to serial output: workers may finish in any order, but slot i always
-// holds point i.
-func RunGrid[T any](cfg Config, n int, point func(i int) (T, error)) ([]T, error) {
+// holds point i. A point's cfg is the sweep's on its worker's arena.
+func RunGrid[T any](cfg Config, n int, point func(cfg Config, i int) (T, error)) ([]T, error) {
 	out := make([]T, n)
-	err := cfg.runner().Run(n, func(i int) error {
-		v, err := point(i)
+	err := cfg.runner().Run(n, func(i int, mem *vfs.HostMem) error {
+		pcfg := cfg
+		pcfg.mem = mem
+		v, err := point(pcfg, i)
 		if err != nil {
 			return err
 		}

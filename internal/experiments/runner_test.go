@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"sleds/internal/vfs"
 )
 
 // microConfig is the smallest grid that still exercises a real sweep:
@@ -21,7 +23,7 @@ func microConfig() Config {
 
 func TestRunnerIndexOrder(t *testing.T) {
 	for _, workers := range []int{0, 1, 3, 16} {
-		out, err := RunGrid(Config{Workers: workers}, 9, func(i int) (int, error) {
+		out, err := RunGrid(Config{Workers: workers}, 9, func(_ Config, i int) (int, error) {
 			return i * i, nil
 		})
 		if err != nil {
@@ -37,7 +39,7 @@ func TestRunnerIndexOrder(t *testing.T) {
 
 func TestRunnerEmptyGrid(t *testing.T) {
 	called := false
-	if err := (Runner{Workers: 4}).Run(0, func(int) error { called = true; return nil }); err != nil {
+	if err := (Runner{Workers: 4}).Run(0, func(int, *vfs.HostMem) error { called = true; return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if called {
@@ -47,7 +49,7 @@ func TestRunnerEmptyGrid(t *testing.T) {
 
 func TestRunnerLowestIndexedErrorWins(t *testing.T) {
 	boom3 := errors.New("boom3")
-	err := Runner{Workers: 4}.Run(8, func(i int) error {
+	err := Runner{Workers: 4}.Run(8, func(i int, _ *vfs.HostMem) error {
 		if i >= 3 {
 			return fmt.Errorf("boom%d: %w", i, boom3)
 		}
@@ -63,7 +65,7 @@ func TestRunnerLowestIndexedErrorWins(t *testing.T) {
 // hanging its worker's siblings; the healthy points still run.
 func TestRunnerPanicSurfaces(t *testing.T) {
 	var ran atomic.Int64
-	err := Runner{Workers: 4}.Run(8, func(i int) error {
+	err := Runner{Workers: 4}.Run(8, func(i int, _ *vfs.HostMem) error {
 		if i == 2 {
 			panic("kaboom")
 		}

@@ -120,7 +120,7 @@ func EScale(cfg Config) (Figure, error) {
 		secNames = append(secNames, sched+" seconds")
 		events[si] = Series{Name: sched + " events (k)", Points: make([]Point, len(scaleStreams))}
 	}
-	series, err := gridSeries(cfg, len(scaleStreams), secNames, func(nIdx, si int) (Point, error) {
+	series, err := gridSeries(cfg, len(scaleStreams), secNames, func(cfg Config, nIdx, si int) (Point, error) {
 		pcfg := cfg.forPoint("escale", nIdx, si)
 		sec, ev, err := scalePoint(pcfg, scaleStreams[nIdx], scaleSchedulers[si], nil)
 		n := float64(scaleStreams[nIdx])

@@ -23,12 +23,12 @@ var modeNames = []string{"without SLEDs", "with SLEDs"}
 // gridSeries runs point over a rows x len(names) grid on cfg's worker
 // pool — grid index i is (row i/cols, column i%cols), column fastest — and
 // returns one Series per column, named names[col], holding that column's
-// points in row order. A cell with a second product writes it to its own
-// (row, col) slot of a slice the caller owns, the discipline RunGrid
-// itself follows: distinct slots, read only after the grid returns.
-func gridSeries(cfg Config, rows int, names []string, point func(row, col int) (Point, error)) ([]Series, error) {
+// points in row order (cfg as under RunGrid). A cell with a second product
+// writes it to its own (row, col) slot of a slice the caller owns, as
+// RunGrid itself does: distinct slots, read only after the grid returns.
+func gridSeries(cfg Config, rows int, names []string, point func(cfg Config, row, col int) (Point, error)) ([]Series, error) {
 	cols := len(names)
-	points, err := RunGrid(cfg, rows*cols, func(i int) (Point, error) { return point(i/cols, i%cols) })
+	points, err := RunGrid(cfg, rows*cols, func(cfg Config, i int) (Point, error) { return point(cfg, i/cols, i%cols) })
 	if err != nil {
 		return nil, err
 	}
@@ -44,7 +44,7 @@ func gridSeries(cfg Config, rows int, names []string, point func(row, col int) (
 
 // twoModeFigure runs run(0) and run(1) as a two-point grid and plots the
 // two elapsed times against the mode; notes says what the modes are.
-func twoModeFigure(cfg Config, id, title, notes string, run func(mode int) (float64, error)) (Figure, error) {
+func twoModeFigure(cfg Config, id, title, notes string, run func(cfg Config, mode int) (float64, error)) (Figure, error) {
 	secs, err := RunGrid(cfg, 2, run)
 	if err != nil {
 		return Figure{}, err
@@ -76,7 +76,7 @@ func warmRange(k *vfs.Kernel, path string, off, n int64, read func(*vfs.File, []
 		return err
 	}
 	defer f.Close()
-	if _, err := read(f, make([]byte, n), off); eofOK(err) != nil {
+	if _, err := read(f, k.Scratch(int(n)), off); eofOK(err) != nil {
 		return fmt.Errorf("warming %s [%d,+%d): %w", path, off, n, err)
 	}
 	return nil
@@ -133,10 +133,9 @@ func streamColdRead(m *Machine, size int64) (float64, error) {
 	}
 	defer f.Close()
 	m.K.ResetDeviceState()
-	buf := make([]byte, stream) // per-run scratch, outside the timed closure
 	return elapsedSeconds(m.K, func() error {
 		for off := int64(0); off < size; off += stream {
-			if _, err := f.ReadAtMapped(buf[:min(stream, size-off)], off); eofOK(err) != nil {
+			if _, err := f.ReadAtMapped(m.K.Scratch(int(min(stream, size-off))), off); eofOK(err) != nil {
 				return err
 			}
 		}

@@ -17,7 +17,7 @@ func TestGridSeriesLayout(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		cfg := microConfig()
 		cfg.Workers = workers
-		series, err := gridSeries(cfg, 4, names, func(row, col int) (Point, error) {
+		series, err := gridSeries(cfg, 4, names, func(_ Config, row, col int) (Point, error) {
 			return Point{X: float64(row), Mean: float64(col)}, nil
 		})
 		if err != nil {
@@ -34,7 +34,7 @@ func TestGridSeriesLayout(t *testing.T) {
 			}
 		}
 	}
-	_, err := gridSeries(microConfig(), 2, names, func(row, col int) (Point, error) {
+	_, err := gridSeries(microConfig(), 2, names, func(_ Config, row, col int) (Point, error) {
 		return Point{}, fmt.Errorf("cell %d,%d", row, col)
 	})
 	if err == nil || err.Error() != "cell 0,0" {

@@ -210,7 +210,7 @@ func ETrace(cfg Config, selected ...string) (ETraceReport, error) {
 	nScheds := len(etraceSchedulers)
 	// Point i is (class, scheduler, mode), mode fastest.
 	cols := 2 * nScheds
-	points, err := RunGrid(cfg, len(classes)*cols, func(i int) (etraceCell, error) {
+	points, err := RunGrid(cfg, len(classes)*cols, func(cfg Config, i int) (etraceCell, error) {
 		ci, col := i/cols, i%cols
 		si, mode := col/2, 1-col%2                 // with-SLEDs column first
 		classIdx := slices.Index(zoo, classes[ci]) // index in the full zoo: subset-stable seeds

@@ -34,7 +34,7 @@ func textFileOn(m *Machine, fs string, seed uint64, size int64, pageSize int) (*
 func wcSweep(cfg Config, fs string, countFaults bool) ([]Series, error) {
 	cfg.validate()
 	exp := "wc-" + fs
-	return gridSeries(cfg, len(cfg.Sizes), modeNames, func(sizeIdx, mode int) (Point, error) {
+	return gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
 		pcfg := cfg.forPoint(exp, sizeIdx, mode)
 		m, err := BootMachine(pcfg, ProfileUnix)
@@ -100,7 +100,7 @@ func Fig9(cfg Config) (Figure, error) {
 func Fig10(cfg Config) (Figure, error) {
 	cfg.validate()
 	const exp = "grep-all-cdrom"
-	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(sizeIdx, mode int) (Point, error) {
+	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
 		m, err := BootMachine(cfg.forPoint(exp, sizeIdx, mode), ProfileUnix)
 		if err != nil {
@@ -192,7 +192,7 @@ func grepFirstPoint(cfg Config, baseSeed int64, fs string, size int64, useSLEDs 
 func Fig11And12(cfg Config) (Figure, Figure, error) {
 	cfg.validate()
 	const exp = "grepq-ext2"
-	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(sizeIdx, mode int) (Point, error) {
+	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
 		sample, err := grepFirstPoint(cfg.forPoint(exp, sizeIdx, mode), cfg.Seed, "ext2", size,
 			mode == 1, cfg.Runs)
@@ -229,7 +229,7 @@ func Fig13(cfg Config) (Figure, error) {
 		runs = cfg.Runs
 	}
 	const exp = "grepq-cdf-nfs"
-	series, err := RunGrid(cfg, 2, func(i int) (Series, error) {
+	series, err := RunGrid(cfg, 2, func(cfg Config, i int) (Series, error) {
 		mode := 1 - i // with-SLEDs series renders first
 		s, err := grepFirstPoint(cfg.forPoint(exp, 0, mode), cfg.Seed, "nfs", size,
 			mode == 1, runs)

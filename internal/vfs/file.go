@@ -273,7 +273,7 @@ func (o *pageOp) ensureResident(remaining int64, resumed bool, accErr error) (da
 	}
 	for ; o.q < o.page+o.cluster; o.q++ {
 		if !resumed {
-			buf := k.takeBuf()
+			buf := k.hostMem().take()
 			f.ino.fill(o.q, buf)
 			o.ins = insertion{key: cache.Key{File: file, Page: o.q}, data: buf}
 		}
@@ -408,7 +408,7 @@ func (o *pageOp) writeLoop(resumed bool, accErr error) (blocked bool, n int64, e
 			if cur := o.off + o.got; o.n == ps || cur >= f.ino.size {
 				// Full-page write, or write entirely beyond current EOF: no
 				// device read needed.
-				buf := k.takeBuf()
+				buf := k.hostMem().take()
 				if o.n < ps {
 					// What the write leaves uncovered is what the file
 					// holds there: its data below EOF, zeros past it. A

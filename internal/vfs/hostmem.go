@@ -1,0 +1,70 @@
+package vfs
+
+import "sleds/internal/workload"
+
+// HostMem is the host memory a kernel works in that is worth more than the
+// kernel (DESIGN.md, "What a grid point costs the host twice"): the page
+// buffers its cache fills, the store its files keep generated pages in, a
+// scratch for reads nobody looks at. A sweep hands one arena to the machines
+// of successive grid points (Config.HostMem), Reset between them; the zero
+// value is empty. Nothing in it carries meaning across Reset, and a kernel
+// booted before one (its cache holds buffers the next kernel is filling)
+// panics on its next I/O. One goroutine; kernels alive together share it.
+type HostMem struct {
+	pageSize   int
+	bufs, free [][]byte // every page buffer made; those in no cache
+	store      workload.Store
+	scratch    []byte
+	epoch      uint64 // Resets so far
+}
+
+// Reset reclaims everything handed out; kernels booted before it are dead.
+func (m *HostMem) Reset() {
+	m.free = append(m.free[:0], m.bufs...)
+	m.store.Reset()
+	m.epoch++
+}
+
+// Held reports the page buffers, store bytes and scratch bytes the arena holds.
+func (m *HostMem) Held() (int, int, int) { return len(m.bufs), m.store.Held(), cap(m.scratch) }
+
+// hostMem returns the kernel's arena, which must not have been Reset since boot.
+//
+//sledlint:allow panicpath -- using a kernel past its arena's Reset is a caller bug, not a simulation outcome
+func (k *Kernel) hostMem() *HostMem {
+	if k.mem.epoch != k.memEpoch {
+		panic("vfs: kernel used after its HostMem was Reset: a kernel does not outlive the grid point that booted it")
+	}
+	return k.mem
+}
+
+// take returns a page buffer with unspecified contents, the caller's until
+// the cache has it; it comes back by onEvict, the drop hook or the drain.
+func (m *HostMem) take() []byte {
+	var buf []byte
+	if n := len(m.free); n > 0 {
+		buf, m.free = m.free[n-1], m.free[:n-1]
+	}
+	if cap(buf) < m.pageSize {
+		buf = make([]byte, m.pageSize)
+		m.bufs = append(m.bufs, buf)
+	}
+	return buf
+}
+
+// put recycles the buffer of a page that has left the cache; nothing may
+// reference it afterwards. A foreign-sized one is left to the collector.
+func (m *HostMem) put(buf []byte) {
+	if len(buf) == m.pageSize {
+		m.free = append(m.free, buf)
+	}
+}
+
+// Scratch returns n bytes nobody will look at (a cache warm-up's), valid until the next call.
+func (k *Kernel) Scratch(n int) []byte {
+	m := k.hostMem()
+	if cap(m.scratch) < n {
+		m.scratch = make([]byte, n)
+	}
+	return m.scratch[:n]
+}

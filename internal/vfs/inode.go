@@ -176,6 +176,7 @@ func (k *Kernel) Create(path string, dev device.ID, content *workload.Content) (
 	}
 	k.inodes[n.ino] = n
 	parent.children[name] = n
+	content.KeepIn(&k.hostMem().store)
 	return n, nil
 }
 

@@ -113,6 +113,8 @@ type Config struct {
 	// Retry governs fault handling on the fallible device path; the zero
 	// value selects DefaultRetryPolicy.
 	Retry RetryPolicy
+	// HostMem is the arena host memory comes from; nil: the kernel's own.
+	HostMem *HostMem
 }
 
 // RunStats counts the activity of one measured run (between ResetRunStats
@@ -178,9 +180,9 @@ type Kernel struct {
 	wb     []wbItem
 	wbHead int
 
-	// free holds the buffers of pages that left the cache, for the next
-	// miss to fill (takeBuf/putBuf in resume.go).
-	free [][]byte
+	// mem is the arena (hostmem.go), memEpoch its epoch at boot.
+	mem      *HostMem
+	memEpoch uint64
 
 	stats RunStats
 }
@@ -201,6 +203,13 @@ func NewKernel(cfg Config) *Kernel {
 	if cfg.MemDevice == nil {
 		panic("vfs: MemDevice is required")
 	}
+	mem := cfg.HostMem
+	if mem == nil {
+		mem = new(HostMem)
+	}
+	if mem.pageSize != cfg.PageSize { // buffers of another size are no use
+		mem.pageSize, mem.bufs, mem.free = cfg.PageSize, nil, nil
+	}
 	k := &Kernel{
 		Clock:     simclock.New(),
 		Devices:   device.NewRegistry(),
@@ -208,12 +217,14 @@ func NewKernel(cfg Config) *Kernel {
 		retry:     cfg.Retry.withDefaults(),
 		inodes:    make(map[Ino]*Inode),
 		nextAlloc: make(map[device.ID]int64),
+		mem:       mem,
+		memEpoch:  mem.epoch,
 	}
 	if cfg.JitterFrac > 0 {
 		k.jitter = simclock.NewJitter(cfg.JitterSeed, cfg.JitterFrac)
 	}
 	k.cache = cache.New(cfg.CachePages, cfg.Policy, k.onEvict)
-	k.cache.SetDropFn(k.putBuf)
+	k.cache.SetDropFn(func(buf []byte) { k.hostMem().put(buf) })
 	k.root = &Inode{ino: k.allocIno(), name: "/", isDir: true, children: map[string]*Inode{}}
 	k.inodes[k.root.ino] = k.root
 	return k
@@ -312,7 +323,7 @@ func (k *Kernel) onEvict(key cache.Key, data []byte, dirty bool) {
 	if !dirty || !ok {
 		// Clean, or the file was deleted with dirty pages still cached:
 		// nothing to write.
-		k.putBuf(data)
+		k.hostMem().put(data)
 		return
 	}
 	k.wb = append(k.wb, wbItem{ino: ino, page: key.Page, data: data})

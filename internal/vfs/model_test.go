@@ -125,16 +125,27 @@ func (w *modelWorld) payload(n int64) []byte {
 }
 
 // runModel runs one trial: the trial number picks the cache size and the
-// whole op stream.
-func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int) {
+// whole op stream. The kernel boots on hm (nil: an arena of its own). With
+// keep >= 0 a ballast file first leases all of the generated-page store but
+// keep pages, so the model's files straddle the boundary between pages the
+// store holds and pages generated on every miss.
+func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int, hm *HostMem, keep int64) {
 	mem := device.NewMem(device.DefaultMemConfig(0))
 	w := &modelWorld{t: t, rng: modelRNG(trial)}
 	cachePages := 3 + int(w.rng.intn(6))
-	w.k = NewKernel(Config{PageSize: modelPage, CachePages: cachePages, Policy: policy, MemDevice: mem})
+	w.k = NewKernel(Config{PageSize: modelPage, CachePages: cachePages, Policy: policy, MemDevice: mem, HostMem: hm})
 	w.k.AttachDevice(mem)
 	w.disk = w.k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
 	if err := w.k.MkdirAll("/d"); err != nil {
 		t.Fatal(err)
+	}
+	mostBufs := max(cachePages+1, len(w.k.mem.bufs)) // a reused arena comes with what earlier trials made
+	if keep >= 0 {
+		ballast := workload.New(workload.StoreBudget-keep*modelPage, modelPage, patternGen(0))
+		if _, err := w.k.Create("/d/ballast", w.disk, ballast); err != nil {
+			t.Fatal(err)
+		}
+		ballast.ReadPage(0, make([]byte, modelPage)) // the first read takes the lease
 	}
 	w.create(0, 9*modelPage+17)
 	w.create(1, 6*modelPage)
@@ -177,8 +188,11 @@ func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int) {
 				w.create(i, (2+w.rng.intn(8))*modelPage+w.rng.intn(modelPage))
 			}
 		}
-		if got := w.k.cache.Len(); got > cachePages || len(w.k.free) > cachePages {
-			t.Fatalf("%s: %d resident pages, %d free buffers, cache of %d", what, got, len(w.k.free), cachePages)
+		// Between ops nothing is in flight: every buffer the arena made is
+		// in the cache or on the free list, and it never made more than the
+		// cache's frames plus the one page on its way in.
+		if res, free, made := w.k.cache.Len(), len(w.k.mem.free), len(w.k.mem.bufs); res > cachePages || made > mostBufs || res+free != made {
+			t.Fatalf("%s: %d resident pages + %d free buffers, %d made, cache of %d", what, res, free, made, cachePages)
 		}
 		// Spot-check both files after every op; the whole-file comparison
 		// runs only now and then, because it flushes every dirty page out
@@ -210,8 +224,24 @@ func TestRecycledBuffersModel(t *testing.T) {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
 			for trial := uint64(1); trial <= 40; trial++ {
-				runModel(t, policy, trial, 300)
+				runModel(t, policy, trial, 300, nil, -1)
 			}
 		})
+	}
+}
+
+// TestStoreBoundaryModel is the same model with three pages of store left
+// to the files, on one arena Reset between trials: file 0 keeps its first
+// three pages and generates the rest, whatever is created later keeps
+// nothing, and every trial starts on buffers and slots the trial before
+// left dirty.
+func TestStoreBoundaryModel(t *testing.T) {
+	hm := new(HostMem)
+	for trial := uint64(1); trial <= 40; trial++ {
+		hm.Reset()
+		runModel(t, cache.LRU, trial, 300, hm, 3)
+	}
+	if _, store, _ := hm.Held(); store != workload.StoreBudget {
+		t.Fatalf("store holds %d bytes after the ballast leased all but three pages, want the %d-byte budget", store, workload.StoreBudget)
 	}
 }

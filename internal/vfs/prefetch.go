@@ -115,7 +115,7 @@ func (k *Kernel) schedulePrefetch(dev device.Device, n *Inode, page, run int64) 
 	}
 
 	for q := page; q < page+run; q++ {
-		buf := k.takeBuf()
+		buf := k.hostMem().take()
 		n.fill(q, buf)
 		key := cache.Key{File: uint64(n.ino), Page: q}
 		if k.insertPage(key, buf) != nil {

@@ -221,32 +221,6 @@ func (k *Kernel) popWriteback() (wbItem, bool) {
 	return item, true
 }
 
-// takeBuf returns a page buffer with unspecified contents: a recycled one
-// if any, else a fresh one. The caller owns it until it hands it to the
-// cache; buffers come back through onEvict, the cache's drop hook, and the
-// write-back drain.
-func (k *Kernel) takeBuf() []byte {
-	var buf []byte
-	if n := len(k.free); n > 0 {
-		buf, k.free[n-1] = k.free[n-1], nil
-		k.free = k.free[:n-1]
-	}
-	if cap(buf) < k.cfg.PageSize {
-		buf = make([]byte, k.cfg.PageSize)
-	}
-	return buf
-}
-
-// putBuf recycles the buffer of a page that has left the cache. Nothing
-// may reference it afterwards. The list never holds more buffers than the
-// cache has frames; anything else (or a buffer of foreign size, inserted
-// behind the kernel's back through Cache()) is left to the collector.
-func (k *Kernel) putBuf(buf []byte) {
-	if len(buf) == k.cfg.PageSize && len(k.free) < k.cfg.CachePages {
-		k.free = append(k.free, buf)
-	}
-}
-
 // insertion is a page on its way into the cache.
 type insertion struct {
 	key   cache.Key
@@ -294,6 +268,7 @@ type pageOp struct {
 // start runs a fresh operation from its caller's stack; only an operation
 // that suspends is copied to the heap.
 func (o *pageOp) start() IOStep {
+	o.k.hostMem() // a kernel whose arena was Reset serves nothing, hits included
 	blocked, n, err := o.run(false, nil)
 	if blocked {
 		parked := *o
@@ -386,7 +361,7 @@ func (o *pageOp) drain(resumed bool, accErr error) (blocked bool) {
 				return false
 			}
 			blocked, accErr = o.writePage(item.ino, item.page, item.data)
-			k.putBuf(item.data)
+			k.hostMem().put(item.data)
 			if blocked {
 				return true
 			}
