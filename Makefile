@@ -13,7 +13,7 @@ BENCH_SNAPSHOT = BENCH_19.json
 # A literal comma, for use inside $(call ...) arguments.
 comma := ,
 
-.PHONY: build vet fmt staticcheck lint lint-debt lint-sarif test race bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke perf-smoke ci
+.PHONY: build vet fmt staticcheck lint lint-debt test race bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke perf-smoke ci
 
 build:
 	$(GO) build ./...
@@ -36,22 +36,17 @@ staticcheck:
 # lint runs sledlint, the in-repo determinism and dataflow linter
 # (cmd/sledlint): the syntactic rules (wallclock, rngsource, mapiter,
 # panicpath, simtime) plus the inter-procedural ones (seedflow,
-# errflow, hotalloc), over the whole module with test files included,
-# gated against the committed baseline (lint-baseline.json; currently
-# empty — no accepted debt). Suppressions need
-# //sledlint:allow <rule> -- <reason>; `make lint-debt` lists them.
+# errflow, hotalloc), over the whole module with test files included.
+# Any finding fails; the one way to accept one is
+# //sledlint:allow <rule> -- <reason> at the site, and `make lint-debt`
+# lists them all.
 lint:
-	$(GO) run ./cmd/sledlint -tests -baseline lint-baseline.json ./...
+	$(GO) run ./cmd/sledlint -tests ./...
 
 # lint-debt inventories every //sledlint:allow directive with its
 # reason — the full cost of the suppression mechanism, in one page.
 lint-debt:
 	$(GO) run ./cmd/sledlint -debt ./...
-
-# lint-sarif renders the same run as SARIF 2.1.0 for code-scanning
-# UIs. Informational (never fails): the gate is `make lint`.
-lint-sarif:
-	$(GO) run ./cmd/sledlint -tests -sarif ./... > sledlint.sarif; true
 
 test:
 	$(GO) test ./...

@@ -5,21 +5,17 @@
 //
 // Usage:
 //
-//	sledlint [-json|-sarif] [-tests] [-baseline file [-write-baseline]] [-debt] [packages...]
+//	sledlint [-tests] [-debt] [packages...]
 //
 // With no packages it checks ./... . Exit status is 0 when the tree
-// is clean, 1 when any rule fired, 2 on load or usage errors. The
-// -json flag emits an array of {file, line, col, analyzer, message}
-// objects for tooling; -sarif emits a SARIF 2.1.0 log for code
-// scanning UIs; the default output is one finding per line in
-// file:line:col: message (analyzer) form.
+// is clean, 1 when any rule fired, 2 on load or usage errors. Output is
+// one finding per line in file:line:col: message (analyzer) form.
 //
 // -tests widens the load to _test.go files for the analyzers that opt
 // in (wallclock, rngsource, seedflow) — test helpers seed RNGs and
-// read clocks too. -baseline subtracts a committed inventory of
-// accepted findings so CI gates only on regressions; -write-baseline
-// rewrites it. -debt prints every //sledlint:allow directive with its
-// reason and exits clean.
+// read clocks too. -debt prints every //sledlint:allow directive with
+// its reason and exits clean; the directive is the only way to accept a
+// finding.
 //
 // Syntactic rules (each honors //sledlint:allow <rule> -- <reason>):
 //
@@ -70,14 +66,10 @@ var Analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	jsonOut := flag.Bool("json", false, "emit machine-readable JSON diagnostics")
-	sarifOut := flag.Bool("sarif", false, "emit a SARIF 2.1.0 log")
 	tests := flag.Bool("tests", false, "also check _test.go files (analyzers opt in)")
-	baseline := flag.String("baseline", "", "subtract accepted findings from this JSON baseline file")
-	writeBaseline := flag.Bool("write-baseline", false, "rewrite the -baseline file from current findings and exit clean")
 	debt := flag.Bool("debt", false, "report every //sledlint:allow directive and exit clean")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sledlint [-json|-sarif] [-tests] [-baseline file [-write-baseline]] [-debt] [packages...]\n\nrules:\n")
+		fmt.Fprintf(os.Stderr, "usage: sledlint [-tests] [-debt] [packages...]\n\nrules:\n")
 		for _, a := range Analyzers {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
@@ -87,12 +79,5 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(driver.Run(Analyzers, patterns, os.Stdout, driver.Options{
-		JSON:          *jsonOut,
-		SARIF:         *sarifOut,
-		Tests:         *tests,
-		Baseline:      *baseline,
-		WriteBaseline: *writeBaseline,
-		Debt:          *debt,
-	}))
+	os.Exit(driver.Run(Analyzers, patterns, os.Stdout, driver.Options{Tests: *tests, Debt: *debt}))
 }

@@ -17,7 +17,7 @@
 // maximally coalesced runs, plus a dirty-page count. The index is updated
 // incrementally on every insert, eviction and invalidation, so FSLEDS_GET
 // reads a file's residency in O(runs) (ResidentRuns) and the file-scoped
-// operations (FlushFile, InvalidateFile, ResidentPages) touch only that
+// operations (FlushFile, InvalidateFile) touch only that
 // file's frames instead of scanning the whole cache list.
 package cache
 
@@ -150,15 +150,6 @@ func firstEndingAfter(runs []Run, p int64) int {
 		}
 	}
 	return lo
-}
-
-// pages returns the total resident page count.
-func (fi *fileIdx) pages() int64 {
-	var n int64
-	for _, r := range fi.runs {
-		n += r.Pages()
-	}
-	return n
 }
 
 // frame is one slot of the frame arena: a resident page linked into the
@@ -635,23 +626,6 @@ func (c *Cache) DirtyPages(file uint64) int {
 		return 0
 	}
 	return fi.dirty
-}
-
-// ResidentPages returns the keys of all resident pages of the given file
-// in ascending page order (a residency snapshot for SLED construction),
-// visiting only the file's own frames.
-func (c *Cache) ResidentPages(file uint64) []Key {
-	fi := c.files[file]
-	if fi == nil {
-		return nil
-	}
-	out := make([]Key, 0, fi.pages())
-	for _, r := range fi.runs {
-		for p := r.Start; p < r.End; p++ {
-			out = append(out, Key{File: file, Page: p})
-		}
-	}
-	return out
 }
 
 // AppendRecencyTrace appends the resident keys, most to least recently

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -223,19 +224,8 @@ func TestResidentPages(t *testing.T) {
 	c.Insert(Key{File: 1, Page: 3}, page(1), false)
 	c.Insert(Key{File: 1, Page: 5}, page(2), false)
 	c.Insert(Key{File: 2, Page: 0}, page(3), false)
-	pages := c.ResidentPages(1)
-	if len(pages) != 2 {
-		t.Fatalf("ResidentPages(1) = %v", pages)
-	}
-	seen := map[int64]bool{}
-	for _, k := range pages {
-		if k.File != 1 {
-			t.Fatalf("wrong file in ResidentPages: %v", k)
-		}
-		seen[k.Page] = true
-	}
-	if !seen[3] || !seen[5] {
-		t.Fatalf("missing pages: %v", pages)
+	if got, want := c.ResidentRuns(1), []Run{{3, 4}, {5, 6}}; !slices.Equal(got, want) {
+		t.Fatalf("ResidentRuns(1) = %v, want %v: pages 3 and 5 of file 1 only", got, want)
 	}
 }
 
@@ -397,13 +387,13 @@ func TestManyFilesInterleaved(t *testing.T) {
 	}
 	// Files 1-4 fully evicted by 5-8.
 	for f := uint64(1); f <= 4; f++ {
-		if got := len(c.ResidentPages(f)); got != 0 {
-			t.Fatalf("file %d has %d resident pages, want 0", f, got)
+		if got := c.ResidentRuns(f); len(got) != 0 {
+			t.Fatalf("file %d has resident runs %v, want none", f, got)
 		}
 	}
 	for f := uint64(5); f <= 8; f++ {
-		if got := len(c.ResidentPages(f)); got != 16 {
-			t.Fatalf("file %d has %d resident pages, want 16", f, got)
+		if got, want := c.ResidentRuns(f), []Run{{0, 16}}; !slices.Equal(got, want) {
+			t.Fatalf("file %d has resident runs %v, want %v", f, got, want)
 		}
 	}
 }

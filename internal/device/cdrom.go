@@ -67,7 +67,7 @@ func NewCDROM(cfg CDROMConfig) *CDROM {
 
 // Info implements Device.
 func (d *CDROM) Info() Info {
-	return Info{ID: d.cfg.ID, Name: d.cfg.Name, Level: LevelCDROM, Size: d.cfg.Size}
+	return Info{ID: d.cfg.ID, Name: d.cfg.Name, Level: LevelCDROM, Size: d.cfg.Size, ReadOnly: true}
 }
 
 // seekTime interpolates the seek curve over normalized distance using the
@@ -119,13 +119,14 @@ func (d *CDROM) Read(c *simclock.Clock, off, length int64) {
 	d.lastEnd = off + length
 }
 
-// ReadOnly reports that CD-ROM media cannot be written; the VFS checks
-// this before accepting writes.
+// ReadOnly reports that CD-ROM media cannot be written. The VFS reads
+// Info().ReadOnly; this method stays only because cmd/sledsperf's frozen
+// TestTimedDeviceKeepsMarkers asserts it.
 func (d *CDROM) ReadOnly() bool { return true }
 
 // Write implements Device. CD-ROMs are read-only media.
 //
-//sledlint:allow panicpath -- the VFS checks ReadOnly before writing; reaching here is a caller bug, not a fault
+//sledlint:allow panicpath -- the VFS checks Info().ReadOnly before writing; reaching here is a caller bug, not a fault
 func (d *CDROM) Write(c *simclock.Clock, off, length int64) {
 	panic(fmt.Sprintf("device: write to read-only CD-ROM %q", d.cfg.Name))
 }

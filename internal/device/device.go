@@ -32,7 +32,6 @@ const (
 	LevelCDROM
 	LevelNFS
 	LevelTape
-	numLevels
 )
 
 // String returns the level name used in reports and tables.
@@ -53,9 +52,6 @@ func (l Level) String() string {
 	}
 }
 
-// NumLevels reports how many distinct storage levels exist.
-func NumLevels() int { return int(numLevels) }
-
 // ID names a concrete device instance within a System.
 type ID int
 
@@ -69,6 +65,11 @@ type Info struct {
 	Level Level
 	// Size is the device capacity in bytes (0 = unbounded, e.g. memory).
 	Size int64
+	// ChunkSize is the span no file extent or request may cross (a tape
+	// cartridge); 0 = none.
+	ChunkSize int64
+	// ReadOnly media (CD-ROM) reject writes; the VFS checks before writing.
+	ReadOnly bool
 }
 
 // Device is a storage device simulated in virtual time.
@@ -209,14 +210,8 @@ func (r *Registry) Attach(d Device) ID {
 // whatever Get reported when it was built) as its underlying device, so
 // Injector-over-QueuedDevice and QueuedDevice-over-Injector both compose —
 // the outer wrapper's Read drives the inner wrapper's, which drives the
-// raw device. Two contract points make stacking safe:
-//
-//  1. A wrapper's Reset MUST forward to its underlying device (after
-//     clearing its own state), so Registry.ResetAll reaches the innermost
-//     raw device through any depth of wrapping.
-//  2. A wrapper that can fail should implement FallibleDevice and forward
-//     errors from a wrapped FallibleDevice, so faults injected below
-//     survive interposition above.
+// raw device. What a wrapper must forward for that to be safe (Info
+// verbatim, Reset, fallible errors) is DESIGN.md, "Wrapping a device".
 //
 //sledlint:allow panicpath -- interposition-wiring consistency check, not a runtime fault
 func (r *Registry) Replace(id ID, d Device) Device {

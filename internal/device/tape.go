@@ -79,15 +79,17 @@ func NewTapeLibrary(cfg TapeLibraryConfig) *TapeLibrary {
 // Info implements Device.
 func (t *TapeLibrary) Info() Info {
 	return Info{
-		ID:    t.cfg.ID,
-		Name:  t.cfg.Name,
-		Level: LevelTape,
-		Size:  int64(t.cfg.NumCartridges) * t.cfg.CartridgeSize,
+		ID:        t.cfg.ID,
+		Name:      t.cfg.Name,
+		Level:     LevelTape,
+		Size:      int64(t.cfg.NumCartridges) * t.cfg.CartridgeSize,
+		ChunkSize: t.cfg.CartridgeSize,
 	}
 }
 
-// ChunkSize reports the cartridge size; allocators must not place a file
-// across a cartridge boundary.
+// ChunkSize reports the cartridge size. The VFS reads Info().ChunkSize;
+// this method stays only because cmd/sledsperf's frozen
+// TestTimedDeviceKeepsMarkers asserts it.
 func (t *TapeLibrary) ChunkSize() int64 { return t.cfg.CartridgeSize }
 
 // MountedCartridges returns the cartridge indices currently mounted, one

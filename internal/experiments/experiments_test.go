@@ -313,17 +313,6 @@ func TestTables2And3(t *testing.T) {
 	}
 }
 
-func TestTableTape(t *testing.T) {
-	tt, err := TableTape(tinyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tape := tt.Rows[2]
-	if tape.Latency < 10 {
-		t.Errorf("tape latency %v s, want tens of seconds", tape.Latency)
-	}
-}
-
 func TestTable4(t *testing.T) {
 	t4, err := Table4()
 	if err != nil {

@@ -100,14 +100,6 @@ func Table3(cfg Config) (DeviceTable, error) {
 		[]string{"memory", "hard disk"})
 }
 
-// Tape reports the HSM extension row (not in the paper's tables, measured
-// here because the E-HSM experiment uses it).
-func TableTape(cfg Config) (DeviceTable, error) {
-	return deviceTable(cfg, ProfileUnix, "table-tape",
-		"tape library level (HSM extension)",
-		[]string{"memory", "hard disk", "tape"})
-}
-
 // CodeRow is one application of Table 4.
 type CodeRow struct {
 	App   string

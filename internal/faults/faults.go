@@ -106,9 +106,8 @@ type Stats struct {
 }
 
 // Injector wraps a device and injects faults on its fallible path. It
-// satisfies device.Device and device.FallibleDevice; use Wrap (not the
-// zero value) so the ChunkSize/ReadOnly markers of the underlying device
-// survive the interposition.
+// satisfies device.Device and device.FallibleDevice; build one with Wrap.
+// The wrapper contract is DESIGN.md, "Wrapping a device".
 type Injector struct {
 	dev   device.Device
 	cfg   Config
@@ -130,28 +129,12 @@ type Injector struct {
 	stats Stats
 }
 
-// Wrap builds an injector over d and returns the device to register in
-// its place — a thin variant that forwards the optional ChunkSize()/
-// ReadOnly() markers only when d itself has them, so type assertions by
-// the VFS behave exactly as they would on the raw device — plus the
-// *Injector for stats inspection.
+// Wrap builds an injector over d and returns it twice: as the device to
+// register in d's place, and as the *Injector for stats inspection.
 func Wrap(d device.Device, cfg Config) (device.Device, *Injector) {
 	inj := &Injector{dev: d, cfg: cfg, class: classFor(d.Info().Level)}
 	inj.reseed()
-	type chunked interface{ ChunkSize() int64 }
-	type readOnly interface{ ReadOnly() bool }
-	cb, hasChunk := d.(chunked)
-	ro, hasRO := d.(readOnly)
-	switch {
-	case hasChunk && hasRO:
-		return &chunkedROInjector{chunkedInjector{Injector: inj, cb: cb}, ro}, inj
-	case hasChunk:
-		return &chunkedInjector{Injector: inj, cb: cb}, inj
-	case hasRO:
-		return &roInjector{Injector: inj, ro: ro}, inj
-	default:
-		return inj, inj
-	}
+	return inj, inj
 }
 
 // classFor maps a storage level to the fault class it produces.
@@ -307,30 +290,3 @@ func (i *Injector) fail(c *simclock.Clock) error {
 	i.stats.Faults++
 	return &device.Fault{Dev: i.dev.Info().ID, Class: i.class, Extra: extra, Seq: i.stats.Faults}
 }
-
-// chunkedInjector forwards the ChunkSize marker of chunked media (tape).
-type chunkedInjector struct {
-	*Injector
-	cb interface{ ChunkSize() int64 }
-}
-
-// ChunkSize forwards to the underlying device.
-func (i *chunkedInjector) ChunkSize() int64 { return i.cb.ChunkSize() }
-
-// roInjector forwards the ReadOnly marker (CD-ROM).
-type roInjector struct {
-	*Injector
-	ro interface{ ReadOnly() bool }
-}
-
-// ReadOnly forwards to the underlying device.
-func (i *roInjector) ReadOnly() bool { return i.ro.ReadOnly() }
-
-// chunkedROInjector forwards both markers.
-type chunkedROInjector struct {
-	chunkedInjector
-	ro interface{ ReadOnly() bool }
-}
-
-// ReadOnly forwards to the underlying device.
-func (i *chunkedROInjector) ReadOnly() bool { return i.ro.ReadOnly() }

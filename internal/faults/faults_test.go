@@ -174,39 +174,24 @@ func TestFaultClassAndCostPerLevel(t *testing.T) {
 	}
 }
 
-// TestWrapForwardsMarkers checks that interposition preserves the
-// optional ChunkSize/ReadOnly markers exactly: present (and equal) when
-// the underlying device has them, absent when it does not.
+// TestWrapForwardsMarkers checks that interposition forwards Info
+// verbatim — the ChunkSize and ReadOnly capabilities the VFS enforces ride
+// in it — and exposes the fallible path.
 func TestWrapForwardsMarkers(t *testing.T) {
-	type chunked interface{ ChunkSize() int64 }
-	type readOnly interface{ ReadOnly() bool }
 	cfg := Config{Seed: 1, PFault: 0.1, MaxConsecutive: 1}
-
-	disk, _ := newInjected(mkDisk, cfg)
-	if _, ok := disk.(chunked); ok {
-		t.Error("wrapped disk grew a ChunkSize marker")
+	for _, mk := range []func(device.ID) device.Device{mkDisk, mkCD, mkTape} {
+		raw := mk(0)
+		w, _ := Wrap(raw, cfg)
+		if got, want := w.Info(), raw.Info(); got != want {
+			t.Errorf("wrapped Info = %+v, raw device's is %+v", got, want)
+		}
+		if _, ok := w.(device.FallibleDevice); !ok {
+			t.Errorf("wrapped %s does not expose the fallible path", raw.Info().Name)
+		}
 	}
-	if _, ok := disk.(readOnly); ok {
-		t.Error("wrapped disk grew a ReadOnly marker")
-	}
-
-	cd, _ := newInjected(mkCD, cfg)
-	ro, ok := cd.(readOnly)
-	if !ok || !ro.ReadOnly() {
-		t.Error("wrapped CD-ROM lost its ReadOnly marker")
-	}
-
-	rawTape := mkTape(0)
-	tape, _ := Wrap(rawTape, cfg)
-	cb, ok := tape.(chunked)
-	if !ok {
-		t.Fatal("wrapped tape lost its ChunkSize marker")
-	}
-	if want := rawTape.(chunked).ChunkSize(); cb.ChunkSize() != want {
-		t.Errorf("wrapped tape ChunkSize %d, want %d", cb.ChunkSize(), want)
-	}
-	if _, ok := tape.(device.FallibleDevice); !ok {
-		t.Error("wrapped tape does not expose the fallible path")
+	cd, tape, disk := mkCD(0).Info(), mkTape(0).Info(), mkDisk(0).Info()
+	if !cd.ReadOnly || tape.ChunkSize <= 0 || disk.ReadOnly || disk.ChunkSize != 0 {
+		t.Error("raw devices report the wrong capabilities: CD-ROM must be read-only, tape chunked, disk neither")
 	}
 }
 

@@ -163,9 +163,7 @@ func New(k *vfs.Kernel, cfg Config) (*Fleet, error) {
 		if err != nil {
 			return nil, err
 		}
-		rd := &replicaDev{srv: srv, id: srvCfg.ServerDisk.ID, name: srvCfg.ServerDisk.Name, size: srvCfg.ServerDisk.Size}
-		id := k.AttachDevice(rd)
-		f.replicas[i] = &Replica{Dev: id, srv: srv}
+		f.replicas[i] = &Replica{Dev: k.AttachDevice(remote.NewServerDevice(srv)), srv: srv}
 	}
 	return f, nil
 }
@@ -197,48 +195,3 @@ func (f *Fleet) CreateFile(path string, seed uint64, size int64) error {
 	}
 	return nil
 }
-
-// replicaDev is the registered characterization device of one replica.
-// The infallible Read is the calibration cost model (RTT + server disk +
-// wire, never warming the server cache — the lmbench contract); the
-// fallible ReadErr is the data path (the server's cache-aware
-// read-through). Client reads issued through an iosched queue dispatch
-// via ReadErr, so they feel the server cache; calibration via Read does
-// not. Writes go synchronously to the server disk either way.
-type replicaDev struct {
-	srv  *remote.Server
-	id   device.ID
-	name string
-	size int64
-}
-
-func (d *replicaDev) Info() device.Info {
-	return device.Info{ID: d.id, Name: d.name, Level: device.LevelNFS, Size: d.size}
-}
-
-// Read charges the calibration cost model without touching the cache.
-func (d *replicaDev) Read(c *simclock.Clock, off, n int64) {
-	//sledlint:allow errflow -- infallible device.Device path: it charges time but has no error channel; faults surface through ReadErr
-	_ = d.srv.ReadFresh(c, off, n)
-}
-
-// ReadErr is the data path: the server's cache-aware read-through, with
-// the package remote abort-cost contract on a server-disk fault.
-func (d *replicaDev) ReadErr(c *simclock.Clock, off, n int64) error {
-	return d.srv.ReadThrough(c, off, n)
-}
-
-// Write charges a synchronous remote write through the infallible path.
-func (d *replicaDev) Write(c *simclock.Clock, off, n int64) {
-	//sledlint:allow errflow -- infallible device.Device path: it charges time but has no error channel; faults surface through WriteErr
-	_ = d.srv.WriteThrough(c, off, n)
-}
-
-// WriteErr implements device.FallibleDevice for writes.
-func (d *replicaDev) WriteErr(c *simclock.Clock, off, n int64) error {
-	return d.srv.WriteThrough(c, off, n)
-}
-
-// Reset discards the server disk's mechanical state (between-trials
-// contract; the server cache, like the client cache, survives Reset).
-func (d *replicaDev) Reset() { d.srv.ResetDisk() }

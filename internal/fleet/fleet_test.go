@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"sleds/internal/faults"
 	"sleds/internal/iosched"
 	"sleds/internal/lmbench"
+	"sleds/internal/remote"
 	"sleds/internal/simclock"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
@@ -194,6 +196,32 @@ func engineFor(fx *fixture) *iosched.Engine {
 	fx.tab.SetLoad(e)
 	fx.f.ObserveLateFaults(e)
 	return e
+}
+
+// TestReplicaDevicesKeepInfoWhenWrapped: every replica registers a
+// remote.ServerDevice named and sized as its server disk, and the Info is
+// the same under an injector and a queue (DESIGN.md, "Wrapping a device").
+func TestReplicaDevicesKeepInfoWhenWrapped(t *testing.T) {
+	fx := newFleet(t, DefaultConfig(), 4*testPage)
+	want := make([]device.Info, fx.f.Replicas())
+	for i := range want {
+		id := fx.f.Replica(i).Dev
+		raw := fx.k.Devices.Get(id)
+		if _, ok := raw.(*remote.ServerDevice); !ok {
+			t.Fatalf("replica %d registered a %T, want *remote.ServerDevice", i, raw)
+		}
+		want[i] = device.Info{ID: id, Name: fmt.Sprintf("fleet/r%d", i), Level: device.LevelNFS, Size: DefaultConfig().Server.ServerDisk.Size}
+		if got := raw.Info(); got != want[i] {
+			t.Fatalf("replica %d Info = %+v, want %+v", i, got, want[i])
+		}
+		injectReplica(fx, i, faults.Config{Seed: 1})
+	}
+	engineFor(fx)
+	for i := range want {
+		if got := fx.k.Devices.Get(fx.f.Replica(i).Dev).Info(); got != want[i] {
+			t.Fatalf("replica %d Info under injector and queue = %+v, want %+v", i, got, want[i])
+		}
+	}
 }
 
 // TestHedgeLoserFaultFeedsHealth: a faulted primary masked by the winning
@@ -432,18 +460,6 @@ func TestFleetDeterminism(t *testing.T) {
 	t2, c2 := run()
 	if !reflect.DeepEqual(t1, t2) || !reflect.DeepEqual(c1, c2) {
 		t.Fatalf("identical fleet runs diverged:\n%v\n%v\n%v\n%v", t1, t2, c1, c2)
-	}
-}
-
-func TestPolicyStringRoundTrip(t *testing.T) {
-	for _, p := range []Policy{PolicyRR, PolicySLED, PolicySLEDHedge} {
-		got, ok := ParsePolicy(p.String())
-		if !ok || got != p {
-			t.Fatalf("policy %v does not round-trip", p)
-		}
-	}
-	if _, ok := ParsePolicy("bogus"); ok {
-		t.Fatal("bogus policy parsed")
 	}
 }
 

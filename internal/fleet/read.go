@@ -39,20 +39,6 @@ func (p Policy) String() string {
 	}
 }
 
-// ParsePolicy maps a policy name to its Policy.
-func ParsePolicy(s string) (Policy, bool) {
-	switch s {
-	case "rr":
-		return PolicyRR, true
-	case "sled":
-		return PolicySLED, true
-	case "hedge":
-		return PolicySLEDHedge, true
-	default:
-		return 0, false
-	}
-}
-
 // ObserveLateFaults wires the engine's orphan observer to the fleet's
 // health table: a hedge loser that faults after losing the race never
 // surfaces its error to any stream, but the failure is real — without

@@ -655,11 +655,8 @@ func (e *Engine) InFlightRemaining(id device.ID, now simclock.Duration) simclock
 // satisfies device.Device and device.FallibleDevice, so internal/vfs and
 // internal/cache use it unchanged: during Run a fallible access registers
 // a request and suspends the issuing operation (vfs.ErrBlocked); outside
-// Run the wrapper is transparent. Stacking composes both ways — an
-// Injector wrapped over a QueuedDevice faults at submission time (before
-// queueing), a QueuedDevice over an Injector faults at dispatch time (the
-// request occupies the device) — and errors propagate through either
-// order.
+// Run the wrapper is transparent. How it stacks with other wrappers is
+// DESIGN.md, "Wrapping a device".
 type QueuedDevice struct {
 	e  *Engine
 	dq *devQueue

@@ -71,7 +71,6 @@ const (
 	opWrite
 	opWriteAt
 	opDevRead
-	opDevWrite
 )
 
 // Op is one operation a Program asks its driver to run: finish the stream,
@@ -131,11 +130,6 @@ func DevRead(id device.ID, off, length int64) Op {
 	return Op{kind: opDevRead, dev: id, off: off, length: length}
 }
 
-// DevWrite is the write counterpart of DevRead.
-func DevWrite(id device.ID, off, length int64) Op {
-	return Op{kind: opDevWrite, dev: id, off: off, length: length}
-}
-
 // HedgedDevRead is DevRead with a deterministic tail-latency hedge: the
 // read is submitted to the primary device and a virtual-time deadline of
 // delay is armed. If the read has not completed when the deadline expires,
@@ -186,23 +180,17 @@ func (op *Op) start(k *vfs.Kernel) vfs.IOStep {
 		return op.f.WriteStep(op.p)
 	case opWriteAt:
 		return op.f.WriteAtStep(op.p, op.off)
-	case opDevRead, opDevWrite:
-		return deviceStep(k, op.dev, op.off, op.length, op.kind == opDevWrite)
+	case opDevRead:
+		return deviceStep(k, op.dev, op.off, op.length)
 	default:
 		panic(fmt.Sprintf("iosched: op kind %d is not an I/O", op.kind))
 	}
 }
 
-// deviceStep wraps one raw device access as an IOStep, so queued devices
+// deviceStep wraps one raw device read as an IOStep, so queued devices
 // can suspend it like any kernel I/O.
-func deviceStep(k *vfs.Kernel, id device.ID, off, length int64, write bool) vfs.IOStep {
-	dev := k.Devices.Get(id)
-	var err error
-	if write {
-		err = device.WriteErr(dev, k.Clock, off, length)
-	} else {
-		err = device.ReadErr(dev, k.Clock, off, length)
-	}
+func deviceStep(k *vfs.Kernel, id device.ID, off, length int64) vfs.IOStep {
+	err := device.ReadErr(k.Devices.Get(id), k.Clock, off, length)
 	if errors.Is(err, vfs.ErrBlocked) {
 		return vfs.BlockedStep(func(devErr error) vfs.IOStep { return vfs.DoneStep(0, devErr) })
 	}

@@ -1,13 +1,9 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 )
 
 // Facts are per-object summaries an analyzer computes in one package
@@ -21,13 +17,12 @@ import (
 // one FileSet (see internal/lint/load), a function object in package A
 // is the *same* *types.Func when package B imports A, so the in-memory
 // store keys facts by object identity and no export-data plumbing is
-// needed: the driver simply analyzes packages in dependency order.
-// EncodePackage/DecodePackage provide a serialized form (object-path +
-// gob) so the store can round-trip across processes; the
-// cross-package round-trip test pins it.
+// needed: the driver simply analyzes packages in dependency order, every
+// package in one process over one FactSet, so facts have no serialized
+// form.
 
 // Fact is a marker interface for analyzer fact types. Implementations
-// must be pointers to structs and must be gob-encodable.
+// must be pointers to structs.
 type Fact interface{ AFact() }
 
 type factKey struct {
@@ -74,139 +69,4 @@ func (s *FactSet) ImportObjectFact(obj types.Object, ptr Fact) bool {
 	}
 	v.Elem().Set(reflect.ValueOf(got).Elem())
 	return true
-}
-
-// ObjectFact is one (object, fact) pair in deterministic listings.
-type ObjectFact struct {
-	Object types.Object
-	Fact   Fact
-}
-
-// AllObjectFacts returns every stored fact, ordered by object path
-// then fact type name — a deterministic listing for tests and the
-// serialized form.
-func (s *FactSet) AllObjectFacts() []ObjectFact {
-	out := make([]ObjectFact, 0, len(s.m))
-	for k, f := range s.m {
-		out = append(out, ObjectFact{Object: k.obj, Fact: f})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := factSortKey(out[i]), factSortKey(out[j])
-		return a < b
-	})
-	return out
-}
-
-func factSortKey(of ObjectFact) string {
-	pkg := ""
-	if of.Object.Pkg() != nil {
-		pkg = of.Object.Pkg().Path()
-	}
-	return pkg + "\x00" + ObjectPath(of.Object) + "\x00" + reflect.TypeOf(of.Fact).String()
-}
-
-// encodedFact is the wire form of one fact: the object's path within
-// its package plus the gob-encoded fact value. Fact types cross the
-// wire via gob's interface mechanism, so they must be registered with
-// RegisterFact.
-type encodedFact struct {
-	Object string
-	Fact   Fact
-}
-
-// RegisterFact registers a fact type for serialization (a thin wrapper
-// over gob.Register, kept so analyzers need not import encoding/gob).
-func RegisterFact(f Fact) { gob.Register(f) }
-
-// ObjectPath names a package-level object, or a method of a
-// package-level named type, relative to its package: "PointSeed",
-// "RNG.Uint64". It returns "" for objects the simplified path scheme
-// cannot address (locals, parameters, fields) — the sledlint analyzers
-// only attach facts to declared functions and methods, which it always
-// covers.
-func ObjectPath(obj types.Object) string {
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		if obj.Parent() == obj.Pkg().Scope() {
-			return obj.Name()
-		}
-		return ""
-	}
-	sig := fn.Type().(*types.Signature)
-	recv := sig.Recv()
-	if recv == nil {
-		return fn.Name()
-	}
-	t := recv.Type()
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	return named.Obj().Name() + "." + fn.Name()
-}
-
-// objectFor resolves an ObjectPath within pkg.
-func objectFor(pkg *types.Package, path string) (types.Object, error) {
-	name, method, isMethod := strings.Cut(path, ".")
-	obj := pkg.Scope().Lookup(name)
-	if obj == nil {
-		return nil, fmt.Errorf("analysis: no object %q in %s", name, pkg.Path())
-	}
-	if !isMethod {
-		return obj, nil
-	}
-	tn, ok := obj.(*types.TypeName)
-	if !ok {
-		return nil, fmt.Errorf("analysis: %q in %s is not a type", name, pkg.Path())
-	}
-	// Methods with pointer receivers live on *T's method set.
-	for _, t := range []types.Type{tn.Type(), types.NewPointer(tn.Type())} {
-		ms := types.NewMethodSet(t)
-		for i := 0; i < ms.Len(); i++ {
-			if m := ms.At(i).Obj(); m.Name() == method {
-				return m, nil
-			}
-		}
-	}
-	return nil, fmt.Errorf("analysis: no method %q on %s.%s", method, pkg.Path(), name)
-}
-
-// EncodePackage serializes every fact attached to pkg's objects.
-func (s *FactSet) EncodePackage(pkg *types.Package) ([]byte, error) {
-	var facts []encodedFact
-	for _, of := range s.AllObjectFacts() {
-		if of.Object.Pkg() != pkg {
-			continue
-		}
-		path := ObjectPath(of.Object)
-		if path == "" {
-			return nil, fmt.Errorf("analysis: fact %T on unaddressable object %v", of.Fact, of.Object)
-		}
-		facts = append(facts, encodedFact{Object: path, Fact: of.Fact})
-	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(facts); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// DecodePackage merges serialized facts back into the store, resolving
-// object paths against pkg.
-func (s *FactSet) DecodePackage(pkg *types.Package, data []byte) error {
-	var facts []encodedFact
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&facts); err != nil {
-		return err
-	}
-	for _, ef := range facts {
-		obj, err := objectFor(pkg, ef.Object)
-		if err != nil {
-			return err
-		}
-		s.ExportObjectFact(obj, ef.Fact)
-	}
-	return nil
 }

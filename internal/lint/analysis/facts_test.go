@@ -8,12 +8,10 @@ import (
 	"testing"
 )
 
-// markFact is the test fact type: a payload the round-trip can compare.
+// markFact is the test fact type: a payload the tests can compare.
 type markFact struct{ N int }
 
 func (*markFact) AFact() {}
-
-func init() { RegisterFact(&markFact{}) }
 
 const factSrcA = `package a
 
@@ -77,112 +75,44 @@ func methodM(t *testing.T, pkg *types.Package) types.Object {
 	return nil
 }
 
-// TestCrossPackageFactRoundTrip pins the serialized fact form: facts
-// exported on one type-checked build of a package must decode onto a
-// *separate* build (fresh FileSet, fresh types.Objects) purely via
-// object paths — the property that would let the store cross process
-// boundaries the way x/tools export data does.
+// TestCrossPackageFactRoundTrip pins what lets the store do without a
+// serialized form: with one importer, a function of package a is the same
+// object when package b imports a, so a fact exported while analyzing a
+// is found from b's side.
 func TestCrossPackageFactRoundTrip(t *testing.T) {
-	fset1 := token.NewFileSet()
-	a1 := checkSrc(t, fset1, "fixture/a", factSrcA, nil)
-	b1 := checkSrc(t, fset1, "fixture/b", factSrcB, mapImporter{"fixture/a": a1})
+	fset := token.NewFileSet()
+	a := checkSrc(t, fset, "fixture/a", factSrcA, nil)
+	b := checkSrc(t, fset, "fixture/b", factSrcB, mapImporter{"fixture/a": a})
 
 	facts := NewFactSet()
-	facts.ExportObjectFact(a1.Scope().Lookup("Seed"), &markFact{N: 7})
-	facts.ExportObjectFact(methodM(t, a1), &markFact{N: 9})
+	facts.ExportObjectFact(a.Scope().Lookup("Seed"), &markFact{N: 7})
+	facts.ExportObjectFact(methodM(t, a), &markFact{N: 9})
 
-	// Downstream package b sees the facts directly: one importer means
-	// a.Seed is the same object from both sides.
 	var got markFact
-	if !facts.ImportObjectFact(b1.Imports()[0].Scope().Lookup("Seed"), &got) || got.N != 7 {
-		t.Fatalf("in-memory cross-package import failed: %+v", got)
-	}
-
-	data, err := facts.EncodePackage(a1)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// A fresh type-check of the same source produces distinct objects;
-	// only the path-based wire form can bridge them.
-	fset2 := token.NewFileSet()
-	a2 := checkSrc(t, fset2, "fixture/a", factSrcA, nil)
-	if a2.Scope().Lookup("Seed") == a1.Scope().Lookup("Seed") {
-		t.Fatal("fixture broken: both builds share object identity")
-	}
-	fresh := NewFactSet()
-	if err := fresh.DecodePackage(a2, data); err != nil {
-		t.Fatal(err)
+	if !facts.ImportObjectFact(b.Imports()[0].Scope().Lookup("Seed"), &got) || got.N != 7 {
+		t.Fatalf("cross-package import of Seed's fact = %+v, want N=7", got)
 	}
 	got = markFact{}
-	if !fresh.ImportObjectFact(a2.Scope().Lookup("Seed"), &got) || got.N != 7 {
-		t.Fatalf("decoded Seed fact = %+v, want N=7", got)
+	if !facts.ImportObjectFact(methodM(t, b.Imports()[0]), &got) || got.N != 9 {
+		t.Fatalf("cross-package import of T.M's fact = %+v, want N=9", got)
 	}
-	got = markFact{}
-	if !fresh.ImportObjectFact(methodM(t, a2), &got) || got.N != 9 {
-		t.Fatalf("decoded T.M fact = %+v, want N=9", got)
-	}
-}
-
-func TestDecodeUnknownPathFails(t *testing.T) {
-	fset := token.NewFileSet()
-	a := checkSrc(t, fset, "fixture/a", factSrcA, nil)
-	facts := NewFactSet()
-	facts.ExportObjectFact(a.Scope().Lookup("Seed"), &markFact{N: 1})
-	data, err := facts.EncodePackage(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Decoding against a package that lacks the object must error, not
-	// silently drop the fact.
-	other := checkSrc(t, token.NewFileSet(), "fixture/b", `package b; func Other() {}`, nil)
-	if err := NewFactSet().DecodePackage(other, data); err == nil {
-		t.Fatal("decode against wrong package succeeded")
+	if facts.ImportObjectFact(a.Scope().Lookup("V"), &got) {
+		t.Fatal("an object with no exported fact reported one")
 	}
 }
 
-func TestObjectPath(t *testing.T) {
-	fset := token.NewFileSet()
-	a := checkSrc(t, fset, "fixture/a", factSrcA, nil)
-	if got := ObjectPath(a.Scope().Lookup("Seed")); got != "Seed" {
-		t.Fatalf("ObjectPath(Seed) = %q", got)
-	}
-	if got := ObjectPath(methodM(t, a)); got != "T.M" {
-		t.Fatalf("ObjectPath(T.M) = %q", got)
-	}
-	if got := ObjectPath(a.Scope().Lookup("V")); got != "V" {
-		t.Fatalf("ObjectPath(V) = %q", got)
-	}
-}
+// TestExportOverwrites pins the FactSet behavior the fixpoint analyzers
+// rely on: re-export replaces (the monotone passes re-export until
+// stable).
+func TestExportOverwrites(t *testing.T) {
+	a := checkSrc(t, token.NewFileSet(), "fixture/a", factSrcA, nil)
+	seed := a.Scope().Lookup("Seed")
 
-// TestExportOverwritesAndListingIsSorted pins the two FactSet
-// behaviors the fixpoint analyzers rely on: re-export replaces (the
-// monotone passes re-export until stable), and AllObjectFacts orders
-// identically regardless of insertion order.
-func TestExportOverwritesAndListingIsSorted(t *testing.T) {
-	fset := token.NewFileSet()
-	a := checkSrc(t, fset, "fixture/a", factSrcA, nil)
-	seed, m := a.Scope().Lookup("Seed"), methodM(t, a)
-
-	s1 := NewFactSet()
-	s1.ExportObjectFact(seed, &markFact{N: 1})
-	s1.ExportObjectFact(seed, &markFact{N: 2})
+	s := NewFactSet()
+	s.ExportObjectFact(seed, &markFact{N: 1})
+	s.ExportObjectFact(seed, &markFact{N: 2})
 	var got markFact
-	if !s1.ImportObjectFact(seed, &got) || got.N != 2 {
+	if !s.ImportObjectFact(seed, &got) || got.N != 2 {
 		t.Fatalf("overwrite failed: %+v", got)
-	}
-
-	s1.ExportObjectFact(m, &markFact{N: 3})
-	s2 := NewFactSet()
-	s2.ExportObjectFact(m, &markFact{N: 3})
-	s2.ExportObjectFact(seed, &markFact{N: 2})
-	l1, l2 := s1.AllObjectFacts(), s2.AllObjectFacts()
-	if len(l1) != 2 || len(l2) != 2 {
-		t.Fatalf("listing lengths %d, %d", len(l1), len(l2))
-	}
-	for i := range l1 {
-		if l1[i].Object != l2[i].Object {
-			t.Fatalf("listing order differs at %d: %v vs %v", i, l1[i].Object, l2[i].Object)
-		}
 	}
 }

@@ -1,23 +1,20 @@
 // Package driver runs a set of sledlint analyzers over go-list
 // package patterns and renders the findings — the multichecker core
 // behind cmd/sledlint, kept importable so tests can exercise exit
-// codes and the output encodings without building the binary.
+// codes and the report format without building the binary.
 //
 // The driver provides the inter-procedural substrate: it analyzes the
 // module-local dependency closure of the matched packages in
 // topological order, sharing one fact store and one call graph, so an
 // analyzer checking package P can import facts exported while its
 // dependencies were analyzed (dependency packages run with their
-// diagnostics discarded — only matched packages report). Output comes
-// in three shapes — the file:line:col text form, -json, and -sarif
-// (SARIF 2.1.0 for code-scanning UIs) — and two side reports: a
-// committed baseline (-baseline) subtracts known findings so CI gates
-// only on regressions, and -debt enumerates every //sledlint:allow
+// diagnostics discarded — only matched packages report). Output is one
+// file:line:col line per finding. The one way to accept a finding is a
+// //sledlint:allow directive next to the code; -debt enumerates every
 // directive with its reason.
 package driver
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
@@ -41,21 +38,7 @@ const (
 // Options configures one run.
 type Options struct {
 	Dir   string // working directory for go list; "" = process cwd
-	JSON  bool   // machine-readable output
-	SARIF bool   // SARIF 2.1.0 output (takes precedence over JSON)
 	Tests bool   // also load _test.go files; analyzers opt in via Tests
-
-	// Baseline names a committed JSON file of accepted findings;
-	// matching findings (same file, analyzer, message) are subtracted
-	// before reporting, so the exit code gates only on regressions.
-	// Stale entries — baseline lines nothing matched — are reported as
-	// warnings in text mode but never affect the exit code.
-	Baseline string
-
-	// WriteBaseline rewrites the Baseline file from the current
-	// findings and exits clean: the way debt is declared, all at once,
-	// never silently.
-	WriteBaseline bool
 
 	// Debt switches the run to the directive report: every well-formed
 	// //sledlint:allow in the matched packages, with its rule list and
@@ -63,20 +46,19 @@ type Options struct {
 	Debt bool
 }
 
-// JSONDiagnostic is the wire form emitted by `sledlint -json`: one
-// object per finding, stable field names, sorted by file/line/col.
-type JSONDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
+// finding is one diagnostic resolved to a repo-relative position, the
+// form the report sorts and prints.
+type finding struct {
+	File     string
+	Line     int
+	Col      int
+	Analyzer string
+	Message  string
 }
 
 // Run applies every analyzer to every package matching patterns,
 // filters findings through the shared //sledlint:allow suppression
-// pass and the optional baseline, writes the report to w, and returns
-// the exit code.
+// pass, writes the report to w, and returns the exit code.
 func Run(analyzers []*analysis.Analyzer, patterns []string, w io.Writer, opts Options) int {
 	pkgs, fset, err := load.PackagesMode(opts.Dir, load.Mode{Tests: opts.Tests}, patterns...)
 	if err != nil {
@@ -145,47 +127,8 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, w io.Writer, opts Op
 	}
 
 	out := renderable(fset, all, baseDir(opts))
-	if opts.WriteBaseline {
-		if opts.Baseline == "" {
-			fmt.Fprintln(w, "sledlint: -write-baseline requires -baseline <file>")
-			return ExitError
-		}
-		if err := writeBaseline(opts.Baseline, out); err != nil {
-			fmt.Fprintf(w, "sledlint: %v\n", err)
-			return ExitError
-		}
-		fmt.Fprintf(w, "sledlint: wrote %d finding(s) to %s\n", len(out), opts.Baseline)
-		return ExitClean
-	}
-
-	var stale []baselineEntry
-	if opts.Baseline != "" {
-		base, err := readBaseline(opts.Baseline)
-		if err != nil {
-			fmt.Fprintf(w, "sledlint: %v\n", err)
-			return ExitError
-		}
-		out, stale = subtractBaseline(out, base)
-	}
-
-	switch {
-	case opts.SARIF:
-		if err := writeSARIF(w, analyzers, out); err != nil {
-			return ExitError
-		}
-	case opts.JSON:
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return ExitError
-		}
-	default:
-		for _, d := range out {
-			fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
-		}
-		for _, e := range stale {
-			fmt.Fprintf(w, "sledlint: stale baseline entry (no such finding): %s: %s (%s)\n", e.File, e.Message, e.Analyzer)
-		}
+	for _, d := range out {
+		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
 	}
 	if len(out) > 0 {
 		return ExitFindings
@@ -205,10 +148,10 @@ func baseDir(opts Options) string {
 	return wd
 }
 
-// renderable converts diagnostics to the sorted, repo-relative wire
-// form shared by every output shape.
-func renderable(fset *token.FileSet, all []analysis.Diagnostic, base string) []JSONDiagnostic {
-	out := make([]JSONDiagnostic, 0, len(all))
+// renderable converts diagnostics to the sorted, repo-relative form
+// the report prints.
+func renderable(fset *token.FileSet, all []analysis.Diagnostic, base string) []finding {
+	out := make([]finding, 0, len(all))
 	for _, d := range all {
 		p := fset.Position(d.Pos)
 		file := p.Filename
@@ -217,7 +160,7 @@ func renderable(fset *token.FileSet, all []analysis.Diagnostic, base string) []J
 				file = rel
 			}
 		}
-		out = append(out, JSONDiagnostic{
+		out = append(out, finding{
 			File:     file,
 			Line:     p.Line,
 			Col:      p.Column,

@@ -2,9 +2,9 @@
 // site, across function boundaries.
 //
 // PR 3 made every injected fault an error that must reach RunStats
-// accounting or surface as EIO; PR 8 fixed, by hand, a helper
-// (remote.slowPath.Write) that silently swallowed one. errflow closes
-// that bug class statically. The roots are the fallible device calls —
+// accounting or surface as EIO; PR 8 fixed, by hand, a helper (what is
+// now remote.ServerDevice.Write) that silently swallowed one. errflow
+// closes that bug class statically. The roots are the fallible device calls —
 // any function or method named ReadErr/WriteErr whose last result is
 // an error (internal/device, faults.Injector, iosched.QueuedDevice,
 // remote, fleet all follow the convention). A function that returns
@@ -43,8 +43,6 @@ var Analyzer = &analysis.Analyzer{
 type isFallible struct{}
 
 func (*isFallible) AFact() {}
-
-func init() { analysis.RegisterFact(&isFallible{}) }
 
 // errorType is the universe error interface.
 var errorType = types.Universe.Lookup("error").Type()

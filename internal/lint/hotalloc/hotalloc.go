@@ -73,11 +73,6 @@ type isHotpath struct{}
 
 func (*isHotpath) AFact() {}
 
-func init() {
-	analysis.RegisterFact(&allocSummary{})
-	analysis.RegisterFact(&isHotpath{})
-}
-
 type hotFunc struct {
 	decl *ast.FuncDecl
 	fn   *types.Func

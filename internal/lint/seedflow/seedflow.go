@@ -68,12 +68,6 @@ type usesEntropy struct{ Source string }
 
 func (*usesEntropy) AFact() {}
 
-func init() {
-	analysis.RegisterFact(&isSeedSource{})
-	analysis.RegisterFact(&seedParams{})
-	analysis.RegisterFact(&usesEntropy{})
-}
-
 // seedParamName reports whether an integer parameter's name declares
 // it a seed sink.
 func seedParamName(name string) bool {

@@ -42,7 +42,7 @@ func injectUnderServer(fx *fixture, cfg faults.Config) *faults.Injector {
 }
 
 // TestWriteBackFaultSurfaces is the regression for the infallible
-// slowPath.Write: a fault injected on the server disk during dirty
+// ServerDevice.Write: a fault injected on the server disk during dirty
 // write-back must surface as an error through File.Sync, not be silently
 // absorbed (or panic in the injector's infallible path).
 func TestWriteBackFaultSurfaces(t *testing.T) {
@@ -189,6 +189,26 @@ func TestInjectorOverRegisteredSlowPath(t *testing.T) {
 	}
 }
 
+// TestMountRegistersServerDevice: the mount's home device is the server's
+// ServerDevice, named and sized as the server disk, and an injector
+// stacked over it reports the same Info.
+func TestMountRegistersServerDevice(t *testing.T) {
+	fx := newFixture(t, 8, 64)
+	id := fx.mount.Device()
+	raw := fx.k.Devices.Get(id)
+	if _, ok := raw.(*ServerDevice); !ok {
+		t.Fatalf("mount registered a %T, want *ServerDevice", raw)
+	}
+	want := device.Info{ID: id, Name: "remote/slow", Level: device.LevelNFS, Size: DefaultConfig().ServerDisk.Size}
+	if got := raw.Info(); got != want {
+		t.Fatalf("Info = %+v, want %+v", got, want)
+	}
+	wrapped, _ := faults.Wrap(raw, faults.Config{Seed: 1, PFault: 1})
+	if got := wrapped.Info(); got != want {
+		t.Fatalf("Info under an injector = %+v, want %+v", got, want)
+	}
+}
+
 // TestInjectorUnderServerRiddenOutByRetry: with the injector under the
 // server and a generous kernel retry policy, demand reads succeed — the
 // retry loop rides the episode out — and the kernel's fault accounting
@@ -222,24 +242,25 @@ func TestInjectorUnderServerRiddenOutByRetry(t *testing.T) {
 	}
 }
 
-// slowSchedule issues n fresh one-page reads on the registered
-// remote/slow device and records which faulted, optionally retrying each
-// faulted offset to completion (mirroring internal/faults' schedule).
+// slowSchedule issues n one-page reads that bypass the server cache
+// (Server.ReadFresh, so a repeat after a reset reaches the disk again) and
+// records which faulted, optionally retrying each faulted offset to
+// completion (mirroring internal/faults' schedule).
 func slowSchedule(t *testing.T, fx *fixture, n int, retry bool) []bool {
 	t.Helper()
-	d := fx.k.Devices.Get(fx.mount.Device())
+	srv := fx.mount.Server()
 	c := fx.k.Clock
 	out := make([]bool, n)
 	for i := 0; i < n; i++ {
 		off := int64(i) * testPage
-		err := device.ReadErr(d, c, off, testPage)
+		err := srv.ReadFresh(c, off, testPage)
 		out[i] = err != nil
 		if retry {
 			for attempt := 0; err != nil; attempt++ {
 				if attempt > 100 {
 					t.Fatalf("offset %d: still failing after %d retries", off, attempt)
 				}
-				err = device.ReadErr(d, c, off, testPage)
+				err = srv.ReadFresh(c, off, testPage)
 			}
 		}
 	}

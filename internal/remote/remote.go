@@ -108,8 +108,7 @@ func NewMount(k *vfs.Kernel, cfg Config) (*Mount, error) {
 		return nil, err
 	}
 	m.srv = srv
-	slow := &slowPath{m: m, id: diskCfg.ID}
-	m.slowID = k.AttachDevice(slow)
+	m.slowID = k.AttachDevice(NewServerDevice(srv))
 	m.homeID = m.slowID
 
 	k.SetStager(m, m.homeID)
@@ -162,50 +161,3 @@ func (f *fastPath) Read(c *simclock.Clock, off, n int64) {
 
 func (f *fastPath) Write(c *simclock.Clock, off, n int64) { f.Read(c, off, n) }
 func (f *fastPath) Reset()                                {}
-
-// slowPath is the characterization device for server-disk reads and the
-// home device of remote files. Its reads are only invoked by lmbench
-// calibration and its writes by dirty write-back; demand reads go through
-// Fetch. It implements device.FallibleDevice so a fault injector stacked
-// under the server (Server.ReplaceDisk) or over this registered device
-// (Registry.Replace) surfaces injected faults to the kernel's retry
-// policy instead of absorbing them.
-type slowPath struct {
-	m  *Mount
-	id device.ID
-}
-
-func (s *slowPath) Info() device.Info {
-	return device.Info{ID: s.id, Name: "remote/slow", Level: device.LevelNFS, Size: s.m.cfg.ServerDisk.Size}
-}
-
-// Read charges the slow-path cost model WITHOUT populating the server
-// cache: calibration probes must not warm it. The infallible path is what
-// lmbench drives; a server-disk fault during it still costs the time the
-// fallible path would have charged.
-func (s *slowPath) Read(c *simclock.Clock, off, n int64) {
-	//sledlint:allow errflow -- infallible device.Device path: lmbench drives it with no error channel; a fault still charges the fallible path's time
-	_ = s.m.srv.ReadFresh(c, off, n)
-}
-
-// Write charges a synchronous remote write through the infallible path.
-func (s *slowPath) Write(c *simclock.Clock, off, n int64) {
-	//sledlint:allow errflow -- infallible device.Device path: lmbench drives it with no error channel; a fault still charges the fallible path's time
-	_ = s.m.srv.WriteThrough(c, off, n)
-}
-
-// ReadErr implements device.FallibleDevice with the abort-cost contract
-// documented in the package comment.
-func (s *slowPath) ReadErr(c *simclock.Clock, off, n int64) error {
-	return s.m.srv.ReadFresh(c, off, n)
-}
-
-// WriteErr implements device.FallibleDevice: a server-disk fault aborts
-// the write before the wire charge and surfaces to the caller — this is
-// the path dirty write-back takes, so injected server faults are counted
-// by the kernel instead of vanishing.
-func (s *slowPath) WriteErr(c *simclock.Clock, off, n int64) error {
-	return s.m.srv.WriteThrough(c, off, n)
-}
-
-func (s *slowPath) Reset() { s.m.srv.ResetDisk() }

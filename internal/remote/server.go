@@ -280,3 +280,58 @@ func (s *Server) FastRead(c *simclock.Clock, off, n int64) {
 
 // ResetDisk discards the server disk's mechanical state (not its cache).
 func (s *Server) ResetDisk() { s.disk.Reset() }
+
+// ServerDevice is a Server registered with a client kernel as a
+// device.Device: the mount's home device, or one replica of a fleet. Its
+// two read paths are different models on purpose (DESIGN.md, "Wrapping a
+// device"): the infallible Read is the calibration path — RTT + server
+// disk + wire, never consulting or warming the server cache, what lmbench
+// measures to fill the table entry — and the fallible ReadErr is the data
+// path, the server's cache-aware read-through, which is what a queued
+// client read dispatches. Calibrating through ReadErr would warm the
+// server and move every estimate taken afterwards. Writes go
+// synchronously to the server disk either way, and a server-disk fault
+// reaches the kernel's retry policy through the fallible methods with the
+// package's abort-cost contract.
+type ServerDevice struct {
+	srv  *Server
+	info device.Info
+}
+
+// NewServerDevice returns the device to register for srv: an NFS-level
+// device with the ID, name and size of the server's configured disk.
+func NewServerDevice(srv *Server) *ServerDevice {
+	d := srv.cfg.ServerDisk
+	return &ServerDevice{srv: srv, info: device.Info{ID: d.ID, Name: d.Name, Level: device.LevelNFS, Size: d.Size}}
+}
+
+// Info implements device.Device.
+func (d *ServerDevice) Info() device.Info { return d.info }
+
+// Read is the calibration path; it has no error channel, and a fault
+// during it still costs the time the fallible path would have charged.
+func (d *ServerDevice) Read(c *simclock.Clock, off, n int64) {
+	//sledlint:allow errflow -- infallible device.Device path: lmbench drives it with no error channel; a fault still charges the fallible path's time
+	_ = d.srv.ReadFresh(c, off, n)
+}
+
+// ReadErr is the data path.
+func (d *ServerDevice) ReadErr(c *simclock.Clock, off, n int64) error {
+	return d.srv.ReadThrough(c, off, n)
+}
+
+// Write charges a synchronous remote write through the infallible path.
+func (d *ServerDevice) Write(c *simclock.Clock, off, n int64) {
+	//sledlint:allow errflow -- infallible device.Device path: it charges time but has no error channel; faults surface through WriteErr
+	_ = d.srv.WriteThrough(c, off, n)
+}
+
+// WriteErr is the path dirty write-back takes, so injected server faults
+// are counted by the kernel instead of vanishing.
+func (d *ServerDevice) WriteErr(c *simclock.Clock, off, n int64) error {
+	return d.srv.WriteThrough(c, off, n)
+}
+
+// Reset discards the server disk's mechanical state (the between-trials
+// contract; the server cache, like the client cache, survives it).
+func (d *ServerDevice) Reset() { d.srv.ResetDisk() }

@@ -40,12 +40,10 @@ type Options struct {
 	UseSLEDs bool
 	// BatchWindow is the gather window for SLED-guided batching: records
 	// of one stream whose arrivals fall within this window of the batch
-	// head form one reorderable batch. Zero selects the 4ms default.
-	BatchWindow simclock.Duration
-	// MaxBatch caps records per batch; 0 is unbounded (a burst of
+	// head form one reorderable batch, however many (a burst of
 	// simultaneous arrivals becomes one batch, as a scan job submitted at
-	// once should).
-	MaxBatch int
+	// once should). Zero selects the 4ms default.
+	BatchWindow simclock.Duration
 }
 
 // defaultBatchWindow is the gather window when Options leaves it zero.
@@ -226,7 +224,7 @@ func (s *streamReplay) Step(h *iosched.Handle, prev iosched.Result) iosched.Op {
 
 // formBatch gathers the next batch: one record when blind, otherwise the
 // run of records whose arrivals fall within the gather window of the
-// batch head (capped by MaxBatch when set).
+// batch head.
 func (s *streamReplay) formBatch() {
 	s.batch = s.batch[:0]
 	s.bi = 0
@@ -239,9 +237,6 @@ func (s *streamReplay) formBatch() {
 				break
 			}
 			if s.r.t.Records[ri].VTime > head+s.r.opts.BatchWindow {
-				break
-			}
-			if s.r.opts.MaxBatch > 0 && len(s.batch) >= s.r.opts.MaxBatch {
 				break
 			}
 		}

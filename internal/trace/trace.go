@@ -206,49 +206,6 @@ func (x *StreamIndex) Streams() []int { return x.ids }
 //sledlint:hotpath
 func (x *StreamIndex) Records(i int) []int { return x.recs[i] }
 
-// Merge combines validated traces into one: file tables concatenate (each
-// input's file indices shift by the files merged before it) and record
-// sequences merge under the canonical order. Stream ID sets must be
-// disjoint across inputs — a stream is one simulated process, and the same
-// process cannot appear in two traces — so overlapping stream IDs are an
-// error; renumber with ShiftStreams first.
-func Merge(traces ...*Trace) (*Trace, error) {
-	out := &Trace{}
-	seen := make(map[int]int) // stream id -> input index that owns it
-	fileBase := 0
-	for ti, t := range traces {
-		if err := t.Validate(); err != nil {
-			return nil, fmt.Errorf("trace: merge input %d: %w", ti, err)
-		}
-		for _, id := range t.Streams() {
-			if prev, ok := seen[id]; ok {
-				return nil, fmt.Errorf("trace: merge inputs %d and %d both use stream %d; renumber with ShiftStreams", prev, ti, id)
-			}
-			seen[id] = ti
-		}
-		out.Files = append(out.Files, t.Files...)
-		for _, r := range t.Records {
-			r.File += fileBase
-			out.Records = append(out.Records, r)
-		}
-		fileBase += len(t.Files)
-	}
-	out.Sort()
-	return out, nil
-}
-
-// ShiftStreams returns a copy of the trace with every stream ID increased
-// by delta (for making stream sets disjoint before Merge).
-func (t *Trace) ShiftStreams(delta int) *Trace {
-	out := &Trace{Files: append([]FileSpec(nil), t.Files...)}
-	out.Records = make([]Record, len(t.Records))
-	for i, r := range t.Records {
-		r.Stream += delta
-		out.Records[i] = r
-	}
-	return out
-}
-
 // Span returns the virtual-time extent of the trace: the first and last
 // record arrival times (both zero for an empty trace).
 func (t *Trace) Span() (first, last simclock.Duration) {

@@ -96,37 +96,6 @@ func TestStreamsAndIndex(t *testing.T) {
 	}
 }
 
-func TestMergeShiftsFilesAndRejectsOverlap(t *testing.T) {
-	a := tinyTrace()
-	b := tinyTrace()
-	if _, err := Merge(a, b); err == nil {
-		t.Fatal("merge of traces with overlapping stream ids succeeded")
-	} else if !strings.Contains(err.Error(), "stream") {
-		t.Fatalf("overlap error %q does not mention streams", err)
-	}
-
-	shifted := b.ShiftStreams(10)
-	m, err := Merge(a, shifted)
-	if err != nil {
-		t.Fatalf("merge of disjoint traces: %v", err)
-	}
-	if err := m.Validate(); err != nil {
-		t.Fatalf("merged trace invalid: %v", err)
-	}
-	if got, want := len(m.Files), len(a.Files)+len(b.Files); got != want {
-		t.Fatalf("merged file table has %d entries, want %d", got, want)
-	}
-	if got, want := m.Streams(), []int{0, 1, 2, 10, 11, 12}; !reflect.DeepEqual(got, want) {
-		t.Fatalf("merged streams = %v, want %v", got, want)
-	}
-	// Records of the second input must point at the shifted file entries.
-	for _, r := range m.Records {
-		if r.Stream >= 10 && r.File < len(a.Files) {
-			t.Fatalf("shifted stream %d still names unshifted file %d", r.Stream, r.File)
-		}
-	}
-}
-
 func TestSpan(t *testing.T) {
 	tr := tinyTrace()
 	first, last := tr.Span()

@@ -341,8 +341,7 @@ func (o *pageOp) planCluster(remaining int64) {
 	dev := k.Devices.Get(f.ino.dev)
 	start := f.ino.extent + o.page*ps
 	length := run * ps
-	if cb, ok := dev.(interface{ ChunkSize() int64 }); ok {
-		chunk := cb.ChunkSize()
+	if chunk := dev.Info().ChunkSize; chunk > 0 {
 		if end := start + length; start/chunk != (end-1)/chunk {
 			length = (start/chunk+1)*chunk - start
 			run = length / ps
@@ -379,9 +378,8 @@ func (o *pageOp) writeLoop(resumed bool, accErr error) (blocked bool, n int64, e
 		if o.off < 0 {
 			return false, 0, fmt.Errorf("vfs: negative write offset %d", o.off)
 		}
-		dev := k.Devices.Get(f.ino.dev)
-		if ro, ok := dev.(interface{ ReadOnly() bool }); ok && ro.ReadOnly() {
-			return false, 0, fmt.Errorf("vfs: %q on %q: %w", f.ino.name, dev.Info().Name, ErrReadOnly)
+		if info := k.Devices.Get(f.ino.dev).Info(); info.ReadOnly {
+			return false, 0, fmt.Errorf("vfs: %q on %q: %w", f.ino.name, info.Name, ErrReadOnly)
 		}
 		if len(o.p) == 0 {
 			return false, 0, nil
@@ -474,15 +472,12 @@ func (k *Kernel) ensureExtent(n *Inode, size int64) error {
 	if k.nextAlloc[n.dev] == n.extent+have {
 		// The file is the device's most recent allocation: extend in
 		// place (the common case: output files are created last).
-		d := k.Devices.Get(n.dev)
-		if cb, ok := d.(interface{ ChunkSize() int64 }); ok {
-			chunk := cb.ChunkSize()
-			if n.extent/chunk != (n.extent+need-1)/chunk {
-				return fmt.Errorf("vfs: growing %q across a cartridge: %w", n.name, ErrNoSpace)
-			}
+		info := k.Devices.Get(n.dev).Info()
+		if chunk := info.ChunkSize; chunk > 0 && n.extent/chunk != (n.extent+need-1)/chunk {
+			return fmt.Errorf("vfs: growing %q across a cartridge: %w", n.name, ErrNoSpace)
 		}
-		if devSize := d.Info().Size; devSize > 0 && n.extent+need > devSize {
-			return fmt.Errorf("vfs: device %q full: %w", d.Info().Name, ErrNoSpace)
+		if info.Size > 0 && n.extent+need > info.Size {
+			return fmt.Errorf("vfs: device %q full: %w", info.Name, ErrNoSpace)
 		}
 		k.nextAlloc[n.dev] += grow
 		n.reserved = need

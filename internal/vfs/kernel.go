@@ -333,25 +333,24 @@ func (k *Kernel) onEvict(key cache.Key, data []byte, dirty bool) {
 // page-aligned, respecting chunk boundaries for chunked media (tape
 // cartridges).
 func (k *Kernel) allocExtent(id device.ID, size int64) (int64, error) {
-	d := k.Devices.Get(id)
+	info := k.Devices.Get(id).Info()
 	ps := int64(k.cfg.PageSize)
 	next := k.nextAlloc[id]
 	// Round up to a page boundary.
 	next = (next + ps - 1) / ps * ps
 
-	if cb, ok := d.(interface{ ChunkSize() int64 }); ok {
-		chunk := cb.ChunkSize()
+	if chunk := info.ChunkSize; chunk > 0 {
 		if size > chunk {
 			return 0, fmt.Errorf("vfs: file of %d bytes exceeds %q chunk size %d: %w",
-				size, d.Info().Name, chunk, ErrNoSpace)
+				size, info.Name, chunk, ErrNoSpace)
 		}
 		// Avoid spanning a chunk (cartridge) boundary.
 		if next/chunk != (next+size-1)/chunk {
 			next = (next/chunk + 1) * chunk
 		}
 	}
-	if devSize := d.Info().Size; devSize > 0 && next+size > devSize {
-		return 0, fmt.Errorf("vfs: device %q full: %w", d.Info().Name, ErrNoSpace)
+	if info.Size > 0 && next+size > info.Size {
+		return 0, fmt.Errorf("vfs: device %q full: %w", info.Name, ErrNoSpace)
 	}
 	k.nextAlloc[id] = next + size
 	return next, nil

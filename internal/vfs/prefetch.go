@@ -84,9 +84,8 @@ func (k *Kernel) schedulePrefetch(dev device.Device, n *Inode, page, run int64) 
 	scratch.AdvanceTo(start)
 	devOff := n.extent + page*ps
 	length := run * ps
-	if cb, ok := dev.(interface{ ChunkSize() int64 }); ok {
+	if chunk := dev.Info().ChunkSize; chunk > 0 {
 		// Clamp at chunk boundaries as the demand path does.
-		chunk := cb.ChunkSize()
 		if end := devOff + length; devOff/chunk != (end-1)/chunk {
 			length = (devOff/chunk+1)*chunk - devOff
 			run = length / ps
