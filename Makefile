@@ -7,8 +7,8 @@ STATICCHECK_VERSION ?= 2025.1
 # BENCH_PKGS are the packages whose microbenchmarks the snapshot holds;
 # BENCH_SNAPSHOT is the committed snapshot bench-json writes and
 # bench-compare gates against.
-BENCH_PKGS = ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/vfs ./internal/experiments ./internal/apps/wcapp ./internal/apps/fitsapp ./internal/fits
-BENCH_SNAPSHOT = BENCH_19.json
+BENCH_PKGS = ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/vfs ./internal/experiments ./internal/apps/wcapp ./internal/apps/grepapp ./internal/apps/fitsapp ./internal/fits
+BENCH_SNAPSHOT = BENCH_23.json
 
 # A literal comma, for use inside $(call ...) arguments.
 comma := ,
@@ -70,8 +70,9 @@ bench-smoke:
 # snapshot exists to pin the alloc counts (which bench-compare gates) and
 # record the measured speedups at authoring time. Run it on a bench-suite
 # change and commit the result. BENCH_5.json through BENCH_10.json are
-# the frozen PR-5..PR-10 snapshots, BENCH_13.json, BENCH_15.json and
-# BENCH_18.json the PR-13, PR-15 and PR-18 ones; leave them be.
+# the frozen PR-5..PR-10 snapshots, BENCH_13.json, BENCH_15.json,
+# BENCH_18.json and BENCH_19.json the PR-13, PR-15, PR-18 and PR-19 ones;
+# leave them be.
 bench-json:
 	{ $(GO) test -bench=. -benchmem -run='^$$' $(BENCH_PKGS); \
 	  $(GO) test -bench=. -benchmem -benchtime=1x -run='^$$' .; } | $(GO) run ./cmd/benchjson > $(BENCH_SNAPSHOT)

@@ -41,6 +41,8 @@ const (
 	defaultBufSize = 64 << 10
 )
 
+var newline = []byte{'\n'}
+
 // Match is one matching line.
 type Match struct {
 	Offset int64 // byte offset of the line start in the file
@@ -100,11 +102,11 @@ type Scan struct {
 	buf     []byte    // the outstanding read's buffer, held across reads
 	matches []Match
 
-	// Linear scan: the open line carried between chunks and where it starts.
-	partial   []byte
-	pos       int64
-	lineStart int64
-	lineNo    int64
+	// Linear scan: the next chunk's offset, and the open line carried between
+	// chunks (it ends at pos) with, kept under -n only, its number.
+	pos     int64
+	partial []byte
+	lineNo  int64
 
 	// SLEDs scan: the pick schedule, the chunk [off, off+n) being read, the
 	// out-of-order reassembly, and per chunk its newline count (-n only).
@@ -170,7 +172,7 @@ func (s *Scan) open() iosched.Op {
 	if err != nil {
 		return s.exit(err)
 	}
-	s.m = newMerger(s.emit)
+	s.m = newMerger(s.pat, s.emit)
 	return s.nextPick()
 }
 
@@ -183,35 +185,68 @@ func (s *Scan) exit(err error) iosched.Op {
 	return iosched.Exit(err)
 }
 
-// runLinear is stock grep: a sequential scan maintaining one partial line,
-// one cursor read per step. In -q mode it stops reading as soon as a match
-// is seen.
+// matchingLines calls visit for every line of body that contains pat, in
+// order, with the line's index in body, the newlines of body before it and
+// its bytes; it reports false as soon as visit does. body is whole lines,
+// each closed by its '\n'. It searches first and splits second: bytes.Index
+// over the rest of body, the hit's enclosing line, then on from that line's
+// newline — so a line with two hits is visited once and the lines between
+// hits are counted, never split. No line holds a pattern with a '\n' in it.
+//
+//sledlint:hotpath
+func matchingLines(body, pat []byte, visit func(start int, before int64, line []byte) bool) bool {
+	if bytes.IndexByte(pat, '\n') >= 0 {
+		return true
+	}
+	var before int64
+	for from := 0; ; {
+		i := bytes.Index(body[from:], pat)
+		if i < 0 {
+			return true
+		}
+		hit := from + i
+		start := from + bytes.LastIndexByte(body[from:hit], '\n') + 1
+		end := hit + bytes.IndexByte(body[hit:], '\n')
+		before += int64(bytes.Count(body[from:start], newline))
+		if !visit(start, before, body[start:end]) {
+			return false
+		}
+		from = end + 1
+		before++ // the visited line's own newline
+	}
+}
+
+// runLinear is stock grep: one cursor read per step. A chunk's first fragment
+// closes the carried line, its whole lines are searched as one body, its last
+// fragment is carried on. In -q mode it stops reading at the first match.
 func (s *Scan) runLinear(prev iosched.Result) iosched.Op {
 	chunk := s.buf[:prev.N]
 	s.env.ChargeCPUBytes(int64(prev.N), scanRate)
-	for len(chunk) > 0 {
-		i := bytes.IndexByte(chunk, '\n')
-		if i < 0 {
-			s.partial = append(s.partial, chunk...)
-			s.pos += int64(len(chunk))
-			break
-		}
-		line := chunk[:i]
-		if len(s.partial) > 0 {
-			s.partial = append(s.partial, line...)
-			line, s.partial = s.partial, s.partial[:0]
-		}
-		if bytes.Contains(line, s.pat) {
-			s.record(line)
-			if s.opts.FirstOnly {
+	if len(s.partial) > 0 {
+		if i := bytes.IndexByte(chunk, '\n'); i >= 0 {
+			lineStart := s.pos - int64(len(s.partial))
+			s.partial = append(s.partial, chunk[:i]...)
+			if bytes.Contains(s.partial, s.pat) && !s.record(lineStart, s.lineNo, s.partial) {
 				return s.exit(nil)
 			}
+			s.partial = s.partial[:0]
+			s.lineNo++
+			s.pos += int64(i) + 1
+			chunk = chunk[i+1:]
 		}
-		s.pos += int64(i) + 1
-		s.lineStart = s.pos
-		s.lineNo++
-		chunk = chunk[i+1:]
 	}
+	// Now no line is open and pos is a line start, or body is empty.
+	body := chunk[:bytes.LastIndexByte(chunk, '\n')+1]
+	if !matchingLines(body, s.pat, func(start int, before int64, line []byte) bool {
+		return s.record(s.pos+int64(start), s.lineNo+before, line)
+	}) {
+		return s.exit(nil)
+	}
+	if s.opts.LineNumbers {
+		s.lineNo += int64(bytes.Count(body, newline))
+	}
+	s.partial = append(s.partial, chunk[len(body):]...)
+	s.pos += int64(len(chunk))
 	if prev.Err == nil {
 		return iosched.Read(s.f, s.buf)
 	}
@@ -219,18 +254,19 @@ func (s *Scan) runLinear(prev iosched.Result) iosched.Op {
 		return s.exit(prev.Err)
 	}
 	if len(s.partial) > 0 && bytes.Contains(s.partial, s.pat) {
-		s.record(s.partial)
+		s.record(s.pos-int64(len(s.partial)), s.lineNo, s.partial)
 	}
 	return s.exit(nil)
 }
 
-// record keeps the linear scan's current line as a match.
-func (s *Scan) record(line []byte) {
-	m := Match{Offset: s.lineStart, Line: string(line)}
+// record keeps a linear-scan line as a match; false ends the scan (-q).
+func (s *Scan) record(lineStart, lineNo int64, line []byte) bool {
+	m := Match{Offset: lineStart, Line: string(line)}
 	if s.opts.LineNumbers {
-		m.LineNo = s.lineNo
+		m.LineNo = lineNo
 	}
 	s.matches = append(s.matches, m)
+	return !s.opts.FirstOnly
 }
 
 // segment is a contiguous stretch of the file whose interior lines have
@@ -250,19 +286,21 @@ type segment struct {
 }
 
 // merger reassembles out-of-order chunks into segments and emits every
-// complete line exactly once.
+// complete line that can hold pat exactly once.
 type merger struct {
 	byStart map[int64]*segment
 	byEnd   map[int64]*segment
-	// emit receives each complete line: its absolute start offset, the
-	// anchor (a chunk-boundary offset) and delta (newlines between the
-	// anchor and the line start within the anchor's chunk), and the
-	// bytes. Returning false stops the scan.
+	pat     []byte
+	// emit receives a chunk's interior lines that hold pat and every line
+	// closed across a chunk edge (it does its own matching): the line's
+	// offset, the anchor (a chunk boundary) and delta (newlines from the
+	// anchor to the line within the anchor's chunk), and the bytes.
+	// Returning false stops the scan.
 	emit func(lineStart, anchorOff, anchorDelta int64, line []byte) bool
 }
 
-func newMerger(emit func(lineStart, anchorOff, anchorDelta int64, line []byte) bool) *merger {
-	return &merger{byStart: map[int64]*segment{}, byEnd: map[int64]*segment{}, emit: emit}
+func newMerger(pat []byte, emit func(lineStart, anchorOff, anchorDelta int64, line []byte) bool) *merger {
+	return &merger{byStart: map[int64]*segment{}, byEnd: map[int64]*segment{}, pat: pat, emit: emit}
 }
 
 // add processes chunk data covering [off, off+len(data)) and merges it
@@ -277,24 +315,14 @@ func (m *merger) add(off int64, data []byte) bool {
 		seg.head = append([]byte(nil), data[:first]...)
 		last := bytes.LastIndexByte(data, '\n')
 		seg.tail = append([]byte(nil), data[last+1:]...)
-		// The open tail starts after this chunk's last newline, so the
-		// chunk's end boundary has no newlines between it and... rather:
-		// every newline of this chunk precedes the tail's start, so the
-		// chunk END is a valid anchor with delta 0.
+		// Every newline of the chunk precedes the open tail, so the chunk's
+		// end is a valid anchor with delta 0.
 		seg.tailAnchor = seg.end
-		// Interior complete lines between first and last separator.
-		interior := data[first+1 : last+1]
-		lineStart := off + int64(first) + 1
-		newlinesBefore := int64(1) // the first separator precedes line 1
-		for len(interior) > 0 {
-			i := bytes.IndexByte(interior, '\n')
-			line := interior[:i]
-			if !m.emit(lineStart, off, newlinesBefore, line) {
-				return false
-			}
-			lineStart += int64(i) + 1
-			newlinesBefore++
-			interior = interior[i+1:]
+		// Interior complete lines; the first separator precedes them all.
+		if !matchingLines(data[first+1:last+1], m.pat, func(start int, before int64, line []byte) bool {
+			return m.emit(off+int64(first+1+start), off, 1+before, line)
+		}) {
+			return false
 		}
 	}
 	return m.insert(seg)
@@ -326,32 +354,22 @@ func (m *merger) insert(seg *segment) bool {
 }
 
 // mergePair merges adjacent segments a (left) and b (right), emitting the
-// line that straddles their boundary if it is now complete.
+// line that straddles their boundary if it is now complete. Both are spent
+// (insert unlinked them), so a's open line grows in its own buffer: a run of
+// ascending newline-free chunks costs amortised appends, not a recopy each.
 func (m *merger) mergePair(a, b *segment) (*segment, bool) {
-	out := &segment{start: a.start, end: b.end}
-	boundaryStart := a.end - int64(len(a.tailBytes()))
+	out := &segment{start: a.start, end: b.end, hasSep: a.hasSep || b.hasSep,
+		head: a.head, tail: b.tail, tailAnchor: b.tailAnchor}
+	joined := append(a.tailBytes(), b.head...)
 	switch {
 	case a.hasSep && b.hasSep:
-		line := append(append([]byte(nil), a.tailBytes()...), b.head...)
-		if !m.emit(boundaryStart, a.tailAnchor, 0, line) {
+		if !m.emit(a.end-int64(len(a.tail)), a.tailAnchor, 0, joined) {
 			return out, false
 		}
-		out.hasSep = true
-		out.head = a.head
-		out.tail = b.tail
-		out.tailAnchor = b.tailAnchor
-	case a.hasSep && !b.hasSep:
-		out.hasSep = true
-		out.head = a.head
-		out.tail = append(append([]byte(nil), a.tailBytes()...), b.head...)
-		out.tailAnchor = a.tailAnchor
-	case !a.hasSep && b.hasSep:
-		out.hasSep = true
-		out.head = append(append([]byte(nil), a.head...), b.head...)
-		out.tail = b.tail
-		out.tailAnchor = b.tailAnchor
-	default:
-		out.head = append(append([]byte(nil), a.head...), b.head...)
+	case a.hasSep:
+		out.tail, out.tailAnchor = joined, a.tailAnchor
+	default: // a is all open line: b's tail (none if b has no separator) stands
+		out.head = joined
 	}
 	return out, true
 }
@@ -398,7 +416,7 @@ func (s *Scan) runSLEDs(prev iosched.Result) iosched.Op {
 	if s.opts.LineNumbers {
 		s.chunkRecs = append(s.chunkRecs, chunkRec{
 			off: s.off, end: s.off + s.n,
-			newlines: int64(bytes.Count(data, []byte{'\n'})),
+			newlines: int64(bytes.Count(data, newline)),
 		})
 	}
 	if !s.m.add(s.off, data) {

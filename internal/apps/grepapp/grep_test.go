@@ -2,11 +2,14 @@ package grepapp
 
 import (
 	"bytes"
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"sleds/internal/apps/apptest"
+	"sleds/internal/trace"
 	"sleds/internal/workload"
 )
 
@@ -43,6 +46,25 @@ func sameMatches(a, b []Match) bool {
 		if a[i] != b[i] {
 			return false
 		}
+	}
+	return true
+}
+
+// refScanLines is the oracle for matchingLines: the loop both read orders
+// ran before grep searched first — split off every line with IndexByte,
+// then search it with Contains.
+func refScanLines(body, pat []byte, visit func(start int, before int64, line []byte) bool) bool {
+	start := 0
+	newlinesBefore := int64(0)
+	for interior := body; len(interior) > 0; {
+		i := bytes.IndexByte(interior, '\n')
+		line := interior[:i]
+		if bytes.Contains(line, pat) && !visit(start, newlinesBefore, line) {
+			return false
+		}
+		start += i + 1
+		newlinesBefore++
+		interior = interior[i+1:]
 	}
 	return true
 }
@@ -258,10 +280,13 @@ func TestSmallFileCPUOverhead(t *testing.T) {
 }
 
 func TestMergerReassemblesArbitraryOrder(t *testing.T) {
-	text := "alpha\nbravo\ncharlie\ndelta\necho\nfoxtrot\n"
+	// Every line holds the token, so "the lines that can hold the pattern"
+	// is every line: interior lines reach emit through the search, the rest
+	// across chunk edges, and each must arrive exactly once.
+	text := "alpha-k\nbravo-k\ncharlie-k\ndelta-k\necho-k\nfoxtrot-k\n-k\n"
 	// Feed the merger 7-byte chunks in a scrambled order.
 	var lines []string
-	m := newMerger(func(off, _, _ int64, line []byte) bool {
+	m := newMerger([]byte("-k"), func(off, _, _ int64, line []byte) bool {
 		lines = append(lines, string(line))
 		return true
 	})
@@ -269,7 +294,10 @@ func TestMergerReassemblesArbitraryOrder(t *testing.T) {
 	for off := int64(0); off < int64(len(text)); off += 7 {
 		chunks = append(chunks, off)
 	}
-	order := []int{3, 0, 5, 1, 4, 2}
+	order := []int{3, 0, 5, 1, 7, 4, 2, 6}
+	if len(order) != len(chunks) {
+		t.Fatalf("%d chunks, order names %d", len(chunks), len(order))
+	}
 	for _, i := range order {
 		off := chunks[i]
 		end := off + 7
@@ -281,7 +309,7 @@ func TestMergerReassemblesArbitraryOrder(t *testing.T) {
 		}
 	}
 	m.finish(int64(len(text)))
-	want := []string{"alpha", "bravo", "charlie", "delta", "echo", "foxtrot"}
+	want := []string{"alpha-k", "bravo-k", "charlie-k", "delta-k", "echo-k", "foxtrot-k", "-k"}
 	if len(lines) != len(want) {
 		t.Fatalf("merger emitted %v, want %v", lines, want)
 	}
@@ -298,7 +326,7 @@ func TestMergerReassemblesArbitraryOrder(t *testing.T) {
 
 func TestMergerSingleLineNoSeparator(t *testing.T) {
 	var lines []string
-	m := newMerger(func(off, _, _ int64, line []byte) bool {
+	m := newMerger([]byte("cd"), func(off, _, _ int64, line []byte) bool {
 		lines = append(lines, string(line))
 		return true
 	})
@@ -362,6 +390,56 @@ func TestLongLinesAcrossManyChunks(t *testing.T) {
 	}
 	if got[0].Offset != 6 {
 		t.Fatalf("long-line match offset %d, want 6", got[0].Offset)
+	}
+}
+
+// A file that is one 4 MiB line: every chunk extends the open line, and the
+// merger must extend it in place. What the merge allocates is bounded by a
+// multiple of the file size (append's growth series), where recopying the
+// line per chunk would allocate chunks/2 times the file size — 128x here.
+func TestLongLineMergeIsLinear(t *testing.T) {
+	const size, chunk = 4 << 20, 16 << 10
+	data := bytes.Repeat([]byte{'z'}, size)
+	copy(data[size/2:], needle)
+
+	var lines int
+	m := newMerger([]byte(needle), func(lineStart, _, _ int64, line []byte) bool {
+		if lineStart != 0 || !bytes.Equal(line, data) {
+			t.Errorf("emitted line at %d, %d bytes; want the whole file at 0", lineStart, len(line))
+		}
+		lines++
+		return true
+	})
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for off := 0; off < size; off += chunk {
+		if !m.add(int64(off), data[off:off+chunk]) {
+			t.Fatal("merger stopped")
+		}
+	}
+	m.finish(size)
+	runtime.ReadMemStats(&after)
+	if lines != 1 {
+		t.Fatalf("one-line file emitted %d lines", lines)
+	}
+	if copied := after.TotalAlloc - before.TotalAlloc; copied > 8*size {
+		t.Fatalf("merging a %d-byte line in %d-byte chunks allocated %d bytes (%.1fx the file): not linear",
+			size, chunk, copied, float64(copied)/size)
+	}
+
+	// End to end, both read orders.
+	mach := apptest.New(t, 8)
+	if _, err := mach.K.Create("/data/oneline", mach.Disk, workload.NewBytes(data, apptest.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	for _, sleds := range []bool{false, true} {
+		got, err := Run(mach.Env(sleds), "/data/oneline", needle, Options{LineNumbers: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0].Offset != 0 || got[0].LineNo != 1 || len(got[0].Line) != size {
+			t.Fatalf("sleds=%v: one-line file matched %d times", sleds, len(got))
+		}
 	}
 }
 
@@ -449,5 +527,198 @@ func TestLineNumbersAgreementProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// checkBothOrders greps data for pattern in both read orders — linear, and
+// SLEDs with the file's tail cache-warm so chunks arrive out of order — at
+// the given buffer size, with and without -n and under -q, against refGrep
+// and refGrepN.
+func checkBothOrders(t *testing.T, m *apptest.Machine, path string, data []byte, pattern string, bufSize int64) {
+	t.Helper()
+	if _, err := m.K.Create(path, m.Disk, workload.NewBytes(data, apptest.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	m.WarmFile(t, path)
+	want := refGrepN(data, pattern)
+	plain := refGrep(data, pattern)
+	for _, sleds := range []bool{false, true} {
+		env := m.Env(sleds)
+		env.BufSize = bufSize
+		got, err := Run(env, path, pattern, Options{LineNumbers: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMatches(got, want) {
+			t.Fatalf("%q for %q, sleds=%v buf=%d, -n:\n got %v\nwant %v", data, pattern, sleds, bufSize, got, want)
+		}
+		got, err = Run(env, path, pattern, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameMatches(got, plain) {
+			t.Fatalf("%q for %q, sleds=%v buf=%d:\n got %v\nwant %v", data, pattern, sleds, bufSize, got, plain)
+		}
+		got, err = Run(env, path, pattern, Options{FirstOnly: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch {
+		case len(plain) == 0 && len(got) != 0:
+			t.Fatalf("%q for %q, sleds=%v buf=%d: -q found %v", data, pattern, sleds, bufSize, got)
+		case len(plain) == 0:
+		case len(got) != 1:
+			t.Fatalf("%q for %q, sleds=%v buf=%d: -q returned %d matches", data, pattern, sleds, bufSize, len(got))
+		case !sleds && got[0] != plain[0]:
+			// Linear -q stops at the first match in file order.
+			t.Fatalf("%q for %q, buf=%d: linear -q stopped at %v, want %v", data, pattern, bufSize, got[0], plain[0])
+		case sleds:
+			// SLEDs -q stops at the first in arrival order: one of them.
+			found := false
+			for _, w := range plain {
+				found = found || got[0] == w
+			}
+			if !found {
+				t.Fatalf("%q for %q, buf=%d: SLEDs -q stopped at %v, not a reference match", data, pattern, bufSize, got[0])
+			}
+		}
+	}
+}
+
+// TestSearchFirstEdges pins what searching a chunk before splitting it
+// could get wrong: a pattern that only exists across a line break, two hits
+// on one line, and hits on the first and last line of a chunk's body and on
+// the line the next chunk's first fragment closes — at buffer sizes that
+// put those lines everywhere, down to every line being a carried partial.
+func TestSearchFirstEdges(t *testing.T) {
+	m := apptest.New(t, 4)
+	text := []byte("abab first\nplain\nabab twice abab\nplain again\n\nlast of body abab\ncarried over ab" +
+		"ab tail\nb\nabab")
+	n := 0
+	for _, pattern := range []string{"abab", "ab\nab", "\n", "n\np", "abab\n", "b"} {
+		for _, buf := range []int64{1, 7, int64(len(pattern)) - 1, 16, 64 << 10} {
+			if buf <= 0 {
+				continue
+			}
+			n++
+			checkBothOrders(t, m, fmt.Sprintf("/data/edge%d", n), text, pattern, buf)
+		}
+	}
+	// Chunk bodies that start and end on a matching line, and a chunk edge
+	// inside a match: 16-byte lines, buffers around a line and a half.
+	var grid []byte
+	for i := 0; i < 40; i++ {
+		if i%3 == 0 {
+			grid = append(grid, "...needle-xy...\n"...)
+		} else {
+			grid = append(grid, "...............\n"...)
+		}
+	}
+	for _, buf := range []int64{15, 16, 17, 23, 24, 32, 48} {
+		n++
+		checkBothOrders(t, m, fmt.Sprintf("/data/edge%d", n), grid, "needle-xy", buf)
+	}
+}
+
+// TestMatchingLinesMatchesOracle compares the search-first walk with the
+// split-first loop it replaced over a two-letter alphabet plus '\n', so
+// most lines match, many twice, and the newline count is exercised on every
+// visit; then the same texts through both read orders.
+func TestMatchingLinesMatchesOracle(t *testing.T) {
+	type visit struct {
+		start  int
+		before int64
+		line   string
+	}
+	collect := func(walk func(body, pat []byte, visit func(int, int64, []byte) bool) bool, body, pat []byte, stopAt int) ([]visit, bool) {
+		var out []visit
+		done := walk(body, pat, func(start int, before int64, line []byte) bool {
+			out = append(out, visit{start, before, string(line)})
+			return len(out) != stopAt
+		})
+		return out, done
+	}
+	rng := trace.NewRNG(23)
+	alphabet := []byte("ab\n")
+	patterns := []string{"a", "ab", "ba", "aab", "abab", "a\nb", "\n"}
+	m := apptest.New(t, 4)
+	for trial := 0; trial < 300; trial++ {
+		data := make([]byte, rng.Int64n(120))
+		for i := range data {
+			data[i] = alphabet[rng.Int64n(int64(len(alphabet)))]
+		}
+		body := data[:bytes.LastIndexByte(data, '\n')+1]
+		pat := []byte(patterns[trial%len(patterns)])
+		for _, stopAt := range []int{0, 1, 2} {
+			got, gotDone := collect(matchingLines, body, pat, stopAt)
+			want, wantDone := collect(refScanLines, body, pat, stopAt)
+			if gotDone != wantDone || len(got) != len(want) {
+				t.Fatalf("matchingLines(%q, %q) stop at %d: %v %v, oracle %v %v", body, pat, stopAt, got, gotDone, want, wantDone)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("matchingLines(%q, %q) visit %d = %+v, oracle %+v", body, pat, i, got[i], want[i])
+				}
+			}
+		}
+		if trial%5 == 0 && len(data) > 0 {
+			checkBothOrders(t, m, fmt.Sprintf("/data/dense%d", trial), data, string(pat), rng.Int64n(12)+1)
+		}
+	}
+}
+
+func TestMatchingLinesAllocsZero(t *testing.T) {
+	body := scanLinesInput(100)
+	pat := []byte(needle)
+	var visits int
+	if n := testing.AllocsPerRun(20, func() {
+		matchingLines(body, pat, func(int, int64, []byte) bool { visits++; return true })
+	}); n != 0 {
+		t.Fatalf("matchingLines allocates %v times per body, want 0", n)
+	}
+	if visits == 0 {
+		t.Fatal("no line visited")
+	}
+}
+
+// scanLinesInput is 64 KiB of TextGen text cut back to whole lines, with
+// the needle spliced into every nth line (n = 0: absent).
+func scanLinesInput(nth int) []byte {
+	buf := workload.NewText(7, 64<<10, apptest.PageSize).ReadAll()
+	body := buf[:bytes.LastIndexByte(buf, '\n')+1]
+	line := 0
+	for start := 0; start < len(body); line++ {
+		end := start + bytes.IndexByte(body[start:], '\n')
+		if nth > 0 && line%nth == 0 && end-start > len(needle) {
+			copy(body[start+(end-start-len(needle))/2:], needle)
+		}
+		start = end + 1
+	}
+	return body
+}
+
+var scanLinesSink int
+
+func BenchmarkScanLines(b *testing.B) {
+	for _, in := range []struct {
+		name string
+		nth  int
+	}{{"absent", 0}, {"every100th", 100}} {
+		body, pat := scanLinesInput(in.nth), []byte(needle)
+		for _, impl := range []struct {
+			name string
+			walk func(body, pat []byte, visit func(int, int64, []byte) bool) bool
+		}{{"kernel", matchingLines}, {"oracle", refScanLines}} {
+			b.Run(impl.name+"/"+in.name, func(b *testing.B) {
+				b.SetBytes(int64(len(body)))
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					impl.walk(body, pat, func(start int, _ int64, _ []byte) bool {
+						scanLinesSink += start
+						return true
+					})
+				}
+			})
+		}
 	}
 }

@@ -11,8 +11,11 @@
 package wcapp
 
 import (
+	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math/bits"
 	"sort"
 
 	"sleds/internal/apps/appenv"
@@ -47,28 +50,50 @@ func isSpace(c byte) bool {
 	return false
 }
 
-// nonSpace and newline classify a byte without a branch: nonSpace[c] is 1
-// unless c is a word separator, newline[c] is 1 for '\n' alone.
-var nonSpace, newline = func() (ns, nl [256]uint8) {
+// nonSpace classifies a byte without a branch: nonSpace[c] is 1 unless c
+// is a word separator.
+var nonSpace = func() (ns [256]uint8) {
 	for c := range ns {
 		if !isSpace(byte(c)) {
 			ns[c] = 1
 		}
 	}
-	nl['\n'] = 1
 	return
 }()
+
+// lanes repeats a byte value in every lane of a uint64.
+const lanes = 0x0101010101010101
+
+var newline = []byte{'\n'}
 
 // count is wc's classification loop, written once for both read orders.
 // inWord is nonSpace of the byte before p (0 at the start of a file or of
 // a chunk counted in isolation) and last is nonSpace of p's final byte:
 // a word starts at every byte that is non-space after one that was not.
 //
+// Eight bytes are classified per step, one per lane of a little-endian
+// load. x7 is each lane's low seven bits, so a lane sum never carries into
+// the next lane and its top bit answers one comparison: a byte is non-space
+// iff it is not ' ', not 0 and not in [9,13] (x7+0x77 tops out from 9,
+// x7+0x72 from 14) — or is 0x80 and above, whatever its low bits look
+// like. Word starts are the lanes set in ns and not in ns moved up a lane,
+// the previous word's last lane carried in. The table loop takes the tail.
+//
 //sledlint:hotpath
 func count(p []byte, inWord uint8) (lines, words int64, last uint8) {
-	for _, c := range p {
+	lines = int64(bytes.Count(p, newline))
+	carry := uint64(inWord) << 7
+	i := 0
+	for ; i+8 <= len(p); i += 8 {
+		x := binary.LittleEndian.Uint64(p[i:])
+		x7 := x & (0x7f * lanes)
+		ns := (((x7^0x20*lanes)+0x7f*lanes)&(x7+0x7f*lanes)&(^(x7+0x77*lanes)|(x7+0x72*lanes)) | x) & (0x80 * lanes)
+		words += int64(bits.OnesCount64(ns &^ (ns<<8 | carry)))
+		carry = ns >> 56
+	}
+	inWord = uint8(carry >> 7)
+	for _, c := range p[i:] {
 		ns := nonSpace[c]
-		lines += int64(newline[c])
 		words += int64(ns &^ inWord)
 		inWord = ns
 	}

@@ -215,9 +215,9 @@ func TestAgreementProperty(t *testing.T) {
 	}
 }
 
-// checkCount compares the table-driven kernel with refCount (the old
-// byte-at-a-time loop) on data as a whole and split at every point, the
-// second half carrying the first half's inWord.
+// checkCount compares the kernel with refCount (the byte-at-a-time loop)
+// on data as a whole and split at every point, the second half carrying
+// the first half's inWord.
 func checkCount(t *testing.T, data []byte) {
 	t.Helper()
 	want := refCount(data)
@@ -263,16 +263,76 @@ func TestCountMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCountLanes drives the eight-at-a-time classifier through every
+// length 0..40 at every start offset 0..15 of one backing array — unaligned
+// loads, every tail length, the carry across every 8-byte seam — over the
+// alphabets a lane formula gets wrong first: nothing but separators, high
+// bytes whose low seven bits look like separators, and the control bytes
+// either side of each separator range. Then every split of a 64-byte buffer.
+func TestCountLanes(t *testing.T) {
+	alphabets := []string{
+		" \t\n\v\f\r\x00",
+		"\x80\x89\x8a\x8d\xa0\xff\x20\x0a",
+		"\x01\x08\x0e\x1f\x21\x7f\x80",
+	}
+	rng := trace.NewRNG(23)
+	backing := make([]byte, 15+40)
+	for _, alphabet := range alphabets {
+		for round := 0; round < 8; round++ {
+			for i := range backing {
+				backing[i] = alphabet[rng.Int64n(int64(len(alphabet)))]
+				if round%2 == 1 && rng.Int64n(4) == 0 {
+					backing[i] = ' ' // mixed in, so words start and end
+				}
+			}
+			for start := 0; start <= 15; start++ {
+				for n := 0; n <= 40; n++ {
+					data := backing[start : start+n]
+					want := refCount(data)
+					for _, inWord := range []uint8{0, 1} {
+						wantWords := want.Words
+						if inWord == 1 && n > 0 && !isSpace(data[0]) {
+							wantWords-- // the first word began before data
+						}
+						wantLast := inWord
+						if n > 0 {
+							wantLast = nonSpace[data[n-1]]
+						}
+						l, w, last := count(data, inWord)
+						if l != want.Lines || w != wantWords || last != wantLast {
+							t.Fatalf("count(%q at +%d, %d) = %d lines %d words last %d, want %d %d %d",
+								data, start, inWord, l, w, last, want.Lines, wantWords, wantLast)
+						}
+					}
+				}
+			}
+		}
+		buf := make([]byte, 64)
+		for i := range buf {
+			buf[i] = alphabet[rng.Int64n(int64(len(alphabet)))]
+		}
+		checkCount(t, buf)
+	}
+}
+
 var countSink int64
 
 func BenchmarkCount(b *testing.B) {
 	page := make([]byte, apptest.PageSize)
 	workload.TextGen(7)(3, page)
-	b.SetBytes(int64(len(page)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		l, w, _ := count(page, 0)
-		countSink += l + w
+	for _, impl := range []struct {
+		name  string
+		count func([]byte) int64
+	}{
+		{"kernel", func(p []byte) int64 { l, w, _ := count(p, 0); return l + w }},
+		{"oracle", func(p []byte) int64 { r := refCount(p); return r.Lines + r.Words }},
+	} {
+		b.Run(impl.name, func(b *testing.B) {
+			b.SetBytes(int64(len(page)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				countSink += impl.count(page)
+			}
+		})
 	}
 }

@@ -40,9 +40,12 @@ var slots = func() (out [len(lexicon)]wordSlot) {
 	return out
 }()
 
+// gamma is splitmix64's state increment.
+const gamma = 0x9e3779b97f4a7c15
+
 // splitmix64 advances x and returns a well-mixed 64-bit value.
 func splitmix64(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
+	*x += gamma
 	z := *x
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -56,6 +59,17 @@ func TextGen(seed uint64) PageGen {
 	return func(page int64, buf []byte) { textPage(seed, page, buf) }
 }
 
+// breakLine spends the stream's next draw on whether a line of lineLen
+// bytes ends here: at 50 bytes plus the draw mod 20. Below 50 the answer is
+// no whatever the draw, so the stream is stepped and the draw never mixed.
+func breakLine(lineLen int, state *uint64) bool {
+	if lineLen < 50 {
+		*state += gamma
+		return false
+	}
+	return lineLen >= 50+int(splitmix64(state)%20)
+}
+
 // textPage fills buf with the text of one page. While a whole slot fits
 // it copies the word's slot and lets what follows overwrite the padding;
 // in the last few bytes of the buffer, where a slot would overrun, it
@@ -63,7 +77,7 @@ func TextGen(seed uint64) PageGen {
 //
 //sledlint:hotpath
 func textPage(seed uint64, page int64, buf []byte) {
-	state := seed ^ (uint64(page)+1)*0x9e3779b97f4a7c15
+	state := seed ^ (uint64(page)+1)*gamma
 	// Warm the stream so adjacent pages decorrelate.
 	splitmix64(&state)
 
@@ -76,7 +90,7 @@ func textPage(seed uint64, page int64, buf []byte) {
 		n := int(s[slotSize-1]) & (slotSize - 1)
 		lineLen += n
 		sep := byte(' ')
-		if lineLen >= 50+int(splitmix64(&state)%20) {
+		if breakLine(lineLen, &state) {
 			sep = '\n'
 			lineLen = 0
 		}
@@ -90,7 +104,7 @@ func textPage(seed uint64, page int64, buf []byte) {
 		if n == len(buf) {
 			break
 		}
-		if lineLen >= 50+int(splitmix64(&state)%20) {
+		if breakLine(lineLen, &state) {
 			buf[n] = '\n'
 			lineLen = 0
 		} else {
