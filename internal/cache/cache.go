@@ -12,13 +12,15 @@
 // approximation), CLOCK (second chance), and FIFO. The ablation benches
 // compare the SLEDs gain across them.
 //
-// Besides the (file, page) hash index, the cache maintains a per-file
-// residency index: each file's resident pages as a sorted vector of
-// maximally coalesced runs, plus a dirty-page count. The index is updated
-// incrementally on every insert, eviction and invalidation, so FSLEDS_GET
-// reads a file's residency in O(runs) (ResidentRuns) and the file-scoped
-// operations (FlushFile, InvalidateFile) touch only that
-// file's frames instead of scanning the whole cache list.
+// The index is per file, as Linux 2.6 indexes its page cache where 2.2
+// hashed: a slice indexed by file id, and in it each resident file's page
+// table (page → frame), its resident pages as a sorted vector of maximally
+// coalesced runs, its dirty-page count and residency epoch, all updated
+// incrementally on every insert, eviction and invalidation. A lookup is
+// two loads, FSLEDS_GET reads a file's residency in O(runs)
+// (ResidentRuns), and FlushFile and InvalidateFile touch only that file's
+// frames. DESIGN.md, "What a page costs the kernel on the host", has the
+// layout and its recycling rule.
 package cache
 
 import (
@@ -51,7 +53,7 @@ func (p Policy) String() string {
 }
 
 // Key identifies a cached page: a file identity plus a page index within
-// the file.
+// the file. File ids are dense (inode numbers); pages are never negative.
 type Key struct {
 	File uint64
 	Page int64
@@ -69,16 +71,31 @@ type Run struct {
 // Pages returns the number of pages in the run.
 func (r Run) Pages() int64 { return r.End - r.Start }
 
-// fileIdx is one file's residency index: resident pages as coalesced runs
-// plus a count of dirty pages, maintained incrementally so file-level
-// operations need not consult any other file's frames.
+// fileIdx is one file's slot in the index: its page table (page → arena
+// index of the frame holding it; 0, the recency sentinel's slot, for
+// absent), resident runs, dirty-page count and residency epoch.
 type fileIdx struct {
+	pages []int32 // len == cap; entries past the highest resident page are 0
 	runs  []Run
 	dirty int
+	epoch uint64
 }
 
+// slot returns page p's table entry, growing the table to reach it.
+func (fi *fileIdx) slot(p int64) *int32 {
+	if int64(cap(fi.pages)) <= p {
+		grown := make([]int32, max(p+1, 2*int64(len(fi.pages)), minTable))
+		copy(grown, fi.pages)
+		fi.pages = grown
+	}
+	return &fi.pages[p]
+}
+
+// minTable is the fewest pages a fresh page table holds.
+const minTable = 64
+
 // insert adds page p to the run vector, coalescing with neighbours. The
-// caller guarantees p is not already resident (the hash index is checked
+// caller guarantees p is not already resident (the page table is checked
 // first); a resident p is tolerated as a no-op for safety.
 func (fi *fileIdx) insert(p int64) {
 	runs := fi.runs
@@ -200,25 +217,16 @@ type Cache struct {
 	frames []frame
 	free   int32 // first free slot, chained through next; 0 = none
 	n      int   // resident pages
-	index  map[Key]int32
 
-	// files is the per-file residency index, kept in lockstep with index.
-	// A file's fileIdx lives while it has resident pages; emptied ones wait
-	// in spare (run capacity kept) for the next file to become resident,
-	// and new ones are cut from slab a block at a time, so a workload that
-	// cycles many small files through the cache allocates nothing per file.
-	files map[uint64]*fileIdx
-	spare []*fileIdx
-	slab  []fileIdx
-	// epochs is the per-file residency epoch: bumped on every splice of a
-	// file's run vector (a fresh page inserted, a resident page evicted or
-	// invalidated). Dirty-bit changes (MarkDirty, Flush*) do not splice
-	// runs and do not bump. Entries outlive the file's fileIdx — the
-	// epoch is monotone for the lifetime of the cache, never reset when
-	// the last frame leaves — so FSLEDS_GET can memoize residency
-	// skeletons against it without ever seeing an epoch value repeat with
-	// different residency behind it.
-	epochs map[uint64]uint64
+	// files is the index, one fileIdx per file id ever inserted: file ids
+	// are inode numbers, dense and never reused. A file holds a page table
+	// and a run vector only while it has resident pages; when its last page
+	// leaves, both (the table all zeros again) wait in spare for the next
+	// file to become resident, so a workload that cycles many files through
+	// the cache allocates nothing per file. The fileIdx itself, and with it
+	// the epoch, stays.
+	files []fileIdx
+	spare []fileIdx // pages and runs only
 	// tick stamps every move-to-front/insertion so that a file's frames
 	// can be replayed in list order (descending stamp) without scanning
 	// the list.
@@ -246,9 +254,6 @@ func New(capacity int, policy Policy, onEvict EvictFn) *Cache {
 		policy:   policy,
 		onEvict:  onEvict,
 		frames:   make([]frame, 1),
-		index:    make(map[Key]int32, capacity),
-		files:    make(map[uint64]*fileIdx),
-		epochs:   make(map[uint64]uint64),
 	}
 }
 
@@ -279,7 +284,7 @@ func (c *Cache) unlink(i int32) {
 	c.frames[f.next].prev = f.prev
 }
 
-// remove takes frame i out of the list and both indexes, returns its slot
+// remove takes frame i out of the list and the index, returns its slot
 // to the free chain, and returns what the slot held.
 func (c *Cache) remove(i int32) frame {
 	f := c.frames[i]
@@ -312,12 +317,20 @@ func (c *Cache) touch(i int32) {
 	c.frames[i].stamp = c.tick
 }
 
+// lookup returns the arena index of k's frame, head if k is not resident.
+func (c *Cache) lookup(k Key) int32 {
+	if k.File < uint64(len(c.files)) && k.Page >= 0 && k.Page < int64(len(c.files[k.File].pages)) {
+		return c.files[k.File].pages[k.Page]
+	}
+	return head
+}
+
 // Get returns the page data if resident, updating recency state. The
 // returned slice aliases the cached frame; callers must not retain it
 // across evictions (the simulated kernel copies out immediately).
 func (c *Cache) Get(k Key) ([]byte, bool) {
-	i, ok := c.index[k]
-	if !ok {
+	i := c.lookup(k)
+	if i == head {
 		return nil, false
 	}
 	switch c.policy {
@@ -337,66 +350,73 @@ func (c *Cache) Get(k Key) ([]byte, bool) {
 // itself reorder the cache (a probe effect the paper's implementation
 // avoids by reading kernel page tables directly).
 func (c *Cache) Contains(k Key) bool {
-	_, ok := c.index[k]
-	return ok
+	return c.lookup(k) != head
 }
 
 // RecordMiss notes that a lookup missed; kept separate from Get so that
 // pure residency probes don't inflate miss counts.
 func (c *Cache) RecordMiss() { c.stats.Misses++ }
 
-// fileOf returns the file's residency index, creating it if absent.
-func (c *Cache) fileOf(file uint64) *fileIdx {
-	fi := c.files[file]
-	if fi == nil {
-		if n := len(c.spare); n > 0 {
-			fi, c.spare = c.spare[n-1], c.spare[:n-1]
-		} else {
-			if len(c.slab) == cap(c.slab) {
-				c.slab = make([]fileIdx, 0, fileIdxBlock)
-			}
-			c.slab = c.slab[:len(c.slab)+1]
-			fi = &c.slab[len(c.slab)-1]
-		}
-		c.files[file] = fi
+// file returns the file's index entry, nil if the file was never inserted.
+func (c *Cache) file(file uint64) *fileIdx {
+	if file >= uint64(len(c.files)) {
+		return nil
 	}
-	return fi
+	return &c.files[file]
 }
 
-// fileIdxBlock is how many fileIdx structs one slab allocation holds.
-const fileIdxBlock = 64
-
-// unindex removes the frame from the hash index and the residency index
-// (the caller owns removing it from the list).
-func (c *Cache) unindex(f *frame) {
-	delete(c.index, f.key)
-	fi := c.files[f.key.File]
-	if fi == nil {
-		return
+// index enters frame i into its file's page table and runs (the caller
+// owns linking it into the list), giving the file a spare table and run
+// vector if it had none.
+func (c *Cache) index(i int32) {
+	f := &c.frames[i]
+	for uint64(len(c.files)) <= f.key.File {
+		c.files = append(c.files, fileIdx{})
 	}
+	fi := &c.files[f.key.File]
+	if n := len(c.spare); fi.pages == nil && n > 0 {
+		fi.pages, fi.runs = c.spare[n-1].pages, c.spare[n-1].runs
+		c.spare = c.spare[:n-1]
+	}
+	*fi.slot(f.key.Page) = i
+	fi.insert(f.key.Page)
+	fi.epoch++
+	if f.dirty {
+		fi.dirty++
+	}
+}
+
+// unindex removes the frame from its file's page table and runs (the
+// caller owns removing it from the list). A file left with no resident
+// page hands its table, all zeros again, and its run vector to spare.
+func (c *Cache) unindex(f *frame) {
+	fi := &c.files[f.key.File]
+	fi.pages[f.key.Page] = head
 	fi.remove(f.key.Page)
-	c.epochs[f.key.File]++
+	fi.epoch++
 	if f.dirty {
 		fi.dirty--
 	}
 	if len(fi.runs) == 0 {
-		delete(c.files, f.key.File)
-		c.spare = append(c.spare, fi)
+		c.spare = append(c.spare, fileIdx{pages: fi.pages, runs: fi.runs})
+		fi.pages, fi.runs = nil, nil
 	}
 }
 
 // Insert adds a page, evicting as needed. Inserting a key that is already
-// resident replaces its data and dirty bit (and refreshes recency). The
-// error (failure to find an eviction victim) is defensive — the bounded
-// CLOCK sweep always terminates — but the read path is fallible now, so
-// it is reported with context instead of panicking.
+// resident replaces its data and dirty bit (and refreshes recency). A
+// negative page is an error, and so, defensively, is finding no eviction
+// victim (the bounded CLOCK sweep always terminates).
 func (c *Cache) Insert(k Key, data []byte, dirty bool) error {
-	if i, ok := c.index[k]; ok {
+	if k.Page < 0 {
+		return fmt.Errorf("cache: inserting file %d page %d: negative page", k.File, k.Page)
+	}
+	if i := c.lookup(k); i != head {
 		f := &c.frames[i]
 		f.data = data
 		if dirty && !f.dirty {
 			f.dirty = true
-			c.fileOf(k.File).dirty++
+			c.files[k.File].dirty++
 		}
 		switch c.policy {
 		case LRU:
@@ -422,13 +442,7 @@ func (c *Cache) Insert(k Key, data []byte, dirty bool) error {
 	c.frames[i] = frame{key: k, data: data, dirty: dirty, stamp: c.tick}
 	c.link(i)
 	c.n++
-	c.index[k] = i
-	fi := c.fileOf(k.File)
-	fi.insert(k.Page)
-	c.epochs[k.File]++
-	if dirty {
-		fi.dirty++
-	}
+	c.index(i)
 	c.stats.Inserts++
 	return nil
 }
@@ -492,13 +506,13 @@ func (c *Cache) drop(i int32) {
 // MarkDirty flags a resident page as modified; reports whether the page
 // was resident.
 func (c *Cache) MarkDirty(k Key) bool {
-	i, ok := c.index[k]
-	if !ok {
+	i := c.lookup(k)
+	if i == head {
 		return false
 	}
 	if f := &c.frames[i]; !f.dirty {
 		f.dirty = true
-		c.fileOf(k.File).dirty++
+		c.files[k.File].dirty++
 	}
 	return true
 }
@@ -506,11 +520,9 @@ func (c *Cache) MarkDirty(k Key) bool {
 // Invalidate drops a page if resident, without calling onEvict for clean
 // pages; dirty pages still flow through onEvict so data is not lost.
 func (c *Cache) Invalidate(k Key) {
-	i, ok := c.index[k]
-	if !ok {
-		return
+	if i := c.lookup(k); i != head {
+		c.invalidate(i)
 	}
-	c.invalidate(i)
 }
 
 // invalidate drops frame i: silently if clean, through onEvict if dirty.
@@ -524,16 +536,13 @@ func (c *Cache) invalidate(i int32) {
 
 // collectFile gathers the file's resident frames — just the dirty ones
 // when dirtyOnly is set — in recency order (front of list first), using
-// the residency index and the stamps instead of a whole-cache scan. The
-// result aliases c.scratch; callers consume it before the next collect.
-func (c *Cache) collectFile(file uint64, fi *fileIdx, dirtyOnly bool) []int32 {
+// the file's runs, page table and the stamps instead of a whole-cache
+// scan. The result aliases c.scratch; callers consume it before the next
+// collect.
+func (c *Cache) collectFile(fi *fileIdx, dirtyOnly bool) []int32 {
 	els := c.scratch[:0]
 	for _, r := range fi.runs {
-		for p := r.Start; p < r.End; p++ {
-			i, ok := c.index[Key{File: file, Page: p}]
-			if !ok {
-				continue // defensive: runs and index are kept in lockstep
-			}
+		for _, i := range fi.pages[r.Start:r.End] {
 			if dirtyOnly && !c.frames[i].dirty {
 				continue
 			}
@@ -553,11 +562,11 @@ func (c *Cache) collectFile(file uint64, fi *fileIdx, dirtyOnly bool) []int32 {
 // InvalidateFile drops every page of the given file (used when a simulated
 // file is deleted), touching only that file's frames.
 func (c *Cache) InvalidateFile(file uint64) {
-	fi := c.files[file]
+	fi := c.file(file)
 	if fi == nil {
 		return
 	}
-	for _, i := range c.collectFile(file, fi, false) {
+	for _, i := range c.collectFile(fi, false) {
 		c.invalidate(i)
 	}
 }
@@ -571,22 +580,20 @@ func (c *Cache) FlushDirty(write func(Key, []byte)) {
 				write(f.key, f.data)
 			}
 			f.dirty = false
-			if fi := c.files[f.key.File]; fi != nil {
-				fi.dirty--
-			}
+			c.files[f.key.File].dirty--
 		}
 	}
 }
 
 // FlushFile invokes write for every dirty page of one file and marks them
 // clean (fsync(2) for the simulated world). Only the file's own frames
-// are visited — a file with no dirty pages costs one map lookup.
+// are visited — a file with no dirty pages costs one index load.
 func (c *Cache) FlushFile(file uint64, write func(Key, []byte)) {
-	fi := c.files[file]
+	fi := c.file(file)
 	if fi == nil || fi.dirty == 0 {
 		return
 	}
-	for _, i := range c.collectFile(file, fi, true) {
+	for _, i := range c.collectFile(fi, true) {
 		f := &c.frames[i]
 		if write != nil {
 			write(f.key, f.data)
@@ -602,11 +609,10 @@ func (c *Cache) FlushFile(file uint64, write func(Key, []byte)) {
 // aliases the index; callers must not modify it and should consume it
 // before the next cache mutation.
 func (c *Cache) ResidentRuns(file uint64) []Run {
-	fi := c.files[file]
-	if fi == nil {
-		return nil
+	if fi := c.file(file); fi != nil {
+		return fi.runs
 	}
-	return fi.runs
+	return nil
 }
 
 // ResidencyEpoch returns the file's residency epoch: a counter that
@@ -614,18 +620,21 @@ func (c *Cache) ResidentRuns(file uint64) []Run {
 // moves backward or resets. Two calls returning the same value bracket a
 // window in which ResidentRuns was unchanged — the invalidation signal
 // core's skeleton memo keys on. Re-inserting a resident page (which only
-// refreshes recency or the dirty bit) does not advance it.
+// refreshes recency or the dirty bit), MarkDirty and the flushes do not
+// advance it.
 func (c *Cache) ResidencyEpoch(file uint64) uint64 {
-	return c.epochs[file]
+	if fi := c.file(file); fi != nil {
+		return fi.epoch
+	}
+	return 0
 }
 
 // DirtyPages reports how many of the file's resident pages are dirty.
 func (c *Cache) DirtyPages(file uint64) int {
-	fi := c.files[file]
-	if fi == nil {
-		return 0
+	if fi := c.file(file); fi != nil {
+		return fi.dirty
 	}
-	return fi.dirty
+	return 0
 }
 
 // AppendRecencyTrace appends the resident keys, most to least recently

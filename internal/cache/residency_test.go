@@ -6,12 +6,15 @@ import (
 	"testing/quick"
 )
 
-// checkResidencyIndex asserts the structural invariants of the per-file
-// residency index against the ground truth of the recency list: for every
-// file, the runs are sorted, disjoint, maximally coalesced, cover exactly
-// the resident pages the hash index holds, and the dirty counts match the
-// frames' dirty bits.
-func checkResidencyIndex(t *testing.T, c *Cache) {
+// checkResidencyIndex asserts the structural invariants of the index
+// against the ground truth of the recency list: every nonzero page-table
+// entry names a listed frame holding that key, every listed frame is
+// reached from its file's table, every spare table is all zeros, and for
+// every file the runs are sorted, disjoint, maximally coalesced, cover
+// exactly the resident pages, and the dirty count matches the frames'
+// dirty bits. epochs holds each file's epoch at the previous check and is
+// updated: an epoch may never decrease, across a recycle included.
+func checkResidencyIndex(t *testing.T, c *Cache, epochs map[uint64]uint64) {
 	t.Helper()
 	// Ground truth from the recency list, whose own structure is checked
 	// on the way: links mirror each other, the list holds Len frames with
@@ -28,8 +31,8 @@ func checkResidencyIndex(t *testing.T, c *Cache) {
 		if prev != head && c.frames[prev].stamp <= f.stamp {
 			t.Fatalf("stamps not descending along the list: %d then %d", c.frames[prev].stamp, f.stamp)
 		}
-		if c.index[f.key] != i {
-			t.Fatalf("frame %d holds %+v but the index maps it to %d", i, f.key, c.index[f.key])
+		if got := c.lookup(f.key); got != i {
+			t.Fatalf("frame %d holds %+v but its page table maps it to %d", i, f.key, got)
 		}
 		if listed++; listed > c.capacity {
 			t.Fatalf("recency list longer than capacity %d", c.capacity)
@@ -51,12 +54,47 @@ func checkResidencyIndex(t *testing.T, c *Cache) {
 			t.Fatalf("free chain loops")
 		}
 	}
-	if listed != c.Len() || listed != len(c.index) || listed+free+1 != len(c.frames) || len(c.frames) > c.capacity+1 {
-		t.Fatalf("arena accounting: %d listed, %d free, Len %d, %d indexed, %d slots, capacity %d",
-			listed, free, c.Len(), len(c.index), len(c.frames), c.capacity)
+	if listed != c.Len() || listed+free+1 != len(c.frames) || len(c.frames) > c.capacity+1 {
+		t.Fatalf("arena accounting: %d listed, %d free, Len %d, %d slots, capacity %d",
+			listed, free, c.Len(), len(c.frames), c.capacity)
 	}
-	if len(c.files) > len(resident) {
-		t.Fatalf("residency index tracks %d files, list holds %d", len(c.files), len(resident))
+	entries := 0
+	for file := range c.files {
+		fi := &c.files[file]
+		if len(fi.pages) != cap(fi.pages) {
+			t.Fatalf("file %d table len %d, cap %d", file, len(fi.pages), cap(fi.pages))
+		}
+		if (fi.pages == nil) != (len(resident[uint64(file)]) == 0) {
+			t.Fatalf("file %d holds a table %v with %d pages resident", file, fi.pages != nil, len(resident[uint64(file)]))
+		}
+		for p, i := range fi.pages {
+			if i == head {
+				continue
+			}
+			entries++
+			if k := (Key{File: uint64(file), Page: int64(p)}); i < 0 || int(i) >= len(c.frames) || c.frames[i].key != k || !resident[k.File][k.Page] {
+				t.Fatalf("file %d table maps page %d to frame %d, which is not a listed frame holding it", file, p, i)
+			}
+		}
+		if prev, ok := epochs[uint64(file)]; ok && fi.epoch < prev {
+			t.Fatalf("file %d epoch went back from %d to %d", file, prev, fi.epoch)
+		}
+		if epochs != nil {
+			epochs[uint64(file)] = fi.epoch
+		}
+	}
+	if entries != listed {
+		t.Fatalf("page tables hold %d entries, the list %d frames", entries, listed)
+	}
+	for s, sp := range c.spare {
+		if len(sp.runs) != 0 || sp.dirty != 0 || sp.epoch != 0 {
+			t.Fatalf("spare %d carries file state: %d runs, %d dirty, epoch %d", s, len(sp.runs), sp.dirty, sp.epoch)
+		}
+		for p, i := range sp.pages {
+			if i != head {
+				t.Fatalf("spare table %d maps page %d to frame %d", s, p, i)
+			}
+		}
 	}
 	for file, pages := range resident {
 		runs := c.ResidentRuns(file)
@@ -78,9 +116,6 @@ func checkResidencyIndex(t *testing.T, c *Cache) {
 				if !pages[p] {
 					t.Fatalf("file %d run %+v claims non-resident page %d", file, r, p)
 				}
-				if !c.Contains(Key{File: file, Page: p}) {
-					t.Fatalf("file %d page %d in runs but not in hash index", file, p)
-				}
 			}
 			covered += r.Pages()
 		}
@@ -89,12 +124,6 @@ func checkResidencyIndex(t *testing.T, c *Cache) {
 		}
 		if got := c.DirtyPages(file); got != dirty[file] {
 			t.Fatalf("file %d DirtyPages = %d, frames say %d", file, got, dirty[file])
-		}
-	}
-	// No stale per-file entries for files with nothing resident.
-	for file := range c.files {
-		if len(resident[file]) == 0 {
-			t.Fatalf("residency index retains empty file %d", file)
 		}
 	}
 }
@@ -108,6 +137,7 @@ func TestResidencyIndexProperty(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			f := func(ops []uint16) bool {
 				model := map[Key]bool{} // resident key -> dirty
+				epochs := map[uint64]uint64{}
 				c := New(12, pol, func(k Key, _ []byte, _ bool) { delete(model, k) })
 				for _, op := range ops {
 					file := uint64(op>>8) % 3
@@ -172,7 +202,7 @@ func TestResidencyIndexProperty(t *testing.T) {
 							t.Fatalf("InvalidateFile left runs %v", c.ResidentRuns(file))
 						}
 					}
-					checkResidencyIndex(t, c)
+					checkResidencyIndex(t, c, epochs)
 				}
 				// Cross-check full residency against the model.
 				for mk := range model {
@@ -397,7 +427,7 @@ func TestResidencyEpoch(t *testing.T) {
 	}
 
 	// The epoch is monotone across total eviction: file 1 has no frames
-	// (no fileIdx) yet its epoch must not reset.
+	// (its page table went to the spare list) yet its epoch must not reset.
 	if len(c.ResidentRuns(1)) != 0 {
 		t.Fatal("file 1 should be fully evicted")
 	}

@@ -165,7 +165,7 @@ func AblationRefresh(cfg Config) (Figure, error) {
 				// cooperating process pulls the middle third into the
 				// cache; its own I/O time is excluded from the window.
 				before := m.K.Clock.Now()
-				if err := warmRange(m.K, "/data/testfile", third, third, (*vfs.File).ReadAt); err != nil {
+				if err := warmRange(m.K, "/data/testfile", third, third, (*vfs.File).PageIn); err != nil {
 					return err
 				}
 				start += m.K.Clock.Now() - before

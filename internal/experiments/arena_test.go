@@ -190,7 +190,7 @@ func TestPointOnDirtyArena(t *testing.T) {
 
 // TestArenaBounded: after a sweep, each worker's arena holds no more than
 // one point ever had out at once — the cache's frames and the page in
-// flight — a store within its budget, and the one scratch.
+// flight — and a store within its budget.
 func TestArenaBounded(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Workers = 2
@@ -214,16 +214,13 @@ func TestArenaBounded(t *testing.T) {
 	points := 0
 	for hm, served := range arenas {
 		points += served
-		bufs, store, scratch := hm.Held()
+		bufs, store := hm.Held()
 		// two-kernels boots caches of CachePages and CachePages/2 frames.
 		if most := cfg.CachePages + cfg.CachePages/2 + 2; bufs > most {
 			t.Errorf("arena holds %d page buffers after %d points, want <= %d", bufs, served, most)
 		}
 		if store > workload.StoreBudget {
 			t.Errorf("arena holds %d bytes of store, budget %d", store, workload.StoreBudget)
-		}
-		if most := int(cfg.CacheBytes()); scratch > most {
-			t.Errorf("arena holds %d bytes of scratch, the longest warm-up read is under %d", scratch, most)
 		}
 	}
 	if points != n {

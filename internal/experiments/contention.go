@@ -55,7 +55,7 @@ func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs b
 		}
 	}
 	for _, path := range paths {
-		if err := warmRange(m.K, path, size-tail, tail, (*vfs.File).ReadAtMapped); err != nil {
+		if err := warmRange(m.K, path, size-tail, tail, (*vfs.File).PageInMapped); err != nil {
 			return 0, err
 		}
 	}

@@ -128,7 +128,7 @@ func EFind(cfg Config) (FindReport, error) {
 		}
 	}
 	// Warm hot.c fully into RAM.
-	if err := warmRange(m.K, "/data/src/hot.c", 0, size, (*vfs.File).ReadAt); err != nil {
+	if err := warmRange(m.K, "/data/src/hot.c", 0, size, (*vfs.File).PageIn); err != nil {
 		return FindReport{}, err
 	}
 
@@ -193,7 +193,7 @@ func EGmc(cfg Config) (gmcapp.Report, error) {
 		return gmcapp.Report{}, err
 	}
 	// Read the second half so its pages are resident.
-	if err := warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).ReadAt); err != nil {
+	if err := warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).PageIn); err != nil {
 		return gmcapp.Report{}, err
 	}
 	return gmcapp.Properties(m.Env(true, cfg.BufSize), "/data/testfile")
@@ -277,6 +277,6 @@ func EHSM(cfg Config) (EHSMResult, error) {
 			// and cached.
 			workload.PlantMatch(c, size-size/4, needleBase)
 			return m.Env(mode == 1, cfg.BufSize), "/data/testfile",
-				warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).ReadAt)
+				warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).PageIn)
 		})
 }

@@ -170,7 +170,7 @@ func ETreeGrep(cfg Config) (Figure, error) {
 				return Point{}, fmt.Errorf("warming %s: %w", p, err)
 			}
 		}
-		if err := warmRange(m.K, paths[numFiles-4], fileSize/2, fileSize/2, (*vfs.File).ReadAt); err != nil {
+		if err := warmRange(m.K, paths[numFiles-4], fileSize/2, fileSize/2, (*vfs.File).PageIn); err != nil {
 			return Point{}, err
 		}
 		m.K.ResetDeviceState()
@@ -247,7 +247,7 @@ func ERemote(cfg Config) (EHSMResult, error) {
 			}
 			// A previous consumer read the tail half: it is in the server's
 			// cache. The client cache is then dropped.
-			if err := warmRange(k, "/net/testfile", size/2, size/2, (*vfs.File).ReadAt); err != nil {
+			if err := warmRange(k, "/net/testfile", size/2, size/2, (*vfs.File).PageIn); err != nil {
 				return nil, "", err
 			}
 			k.DropCaches()

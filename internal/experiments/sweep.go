@@ -64,19 +64,20 @@ func eofOK(err error) error {
 	return err
 }
 
-// warmRange reads [off, off+n) of path in one request through read —
-// (*vfs.File).ReadAt, or ReadAtMapped where the earlier consumer being
-// modelled paged the data in without copying it — so those pages are
-// resident (and staged, on an HSM or a remote mount) before a measurement
-// starts. A warm-up the retry policy gives up on fails the point: a
-// half-warm cache is not the scenario the experiment describes.
-func warmRange(k *vfs.Kernel, path string, off, n int64, read func(*vfs.File, []byte, int64) (int, error)) error {
+// warmRange pages [off, off+n) of path in with one request through pageIn
+// — (*vfs.File).PageIn, charged as ReadAt, or PageInMapped where the
+// earlier consumer being modelled paged the data in without copying it —
+// so those pages are resident (and staged, on an HSM or a remote mount)
+// before a measurement starts. A warm-up the retry policy gives up on
+// fails the point: a half-warm cache is not the scenario the experiment
+// describes.
+func warmRange(k *vfs.Kernel, path string, off, n int64, pageIn func(f *vfs.File, off, n int64) (int64, error)) error {
 	f, err := k.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if _, err := read(f, k.Scratch(int(n)), off); eofOK(err) != nil {
+	if _, err := pageIn(f, off, n); eofOK(err) != nil {
 		return fmt.Errorf("warming %s [%d,+%d): %w", path, off, n, err)
 	}
 	return nil
@@ -135,7 +136,7 @@ func streamColdRead(m *Machine, size int64) (float64, error) {
 	m.K.ResetDeviceState()
 	return elapsedSeconds(m.K, func() error {
 		for off := int64(0); off < size; off += stream {
-			if _, err := f.ReadAtMapped(m.K.Scratch(int(min(stream, size-off))), off); eofOK(err) != nil {
+			if _, err := f.PageInMapped(off, min(stream, size-off)); eofOK(err) != nil {
 				return err
 			}
 		}

@@ -55,7 +55,7 @@ func TestWarmRangeSurfacesErrIO(t *testing.T) {
 	if _, err := textFileOn(m, "nfs", 1, size, cfg.PageSize); err != nil {
 		t.Fatal(err)
 	}
-	if err := warmRange(m.K, "/data/testfile", size/2, size, (*vfs.File).ReadAt); err != nil {
+	if err := warmRange(m.K, "/data/testfile", size/2, size, (*vfs.File).PageIn); err != nil {
 		t.Fatalf("warm-up ending in io.EOF: %v", err)
 	}
 	if m.K.RunStats().Faults == 0 {
@@ -64,7 +64,7 @@ func TestWarmRangeSurfacesErrIO(t *testing.T) {
 	m.K.DropCaches()
 	// Every request starts a fault episode far longer than the retry budget.
 	m.InjectFaults(m.NFS, faults.Config{Seed: 7, PFault: 1, MaxConsecutive: 1000})
-	if err := warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).ReadAt); !errors.Is(err, vfs.ErrIO) {
+	if err := warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).PageIn); !errors.Is(err, vfs.ErrIO) {
 		t.Fatalf("warm-up on a dead device returned %v, want ErrIO", err)
 	}
 }

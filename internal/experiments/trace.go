@@ -140,7 +140,7 @@ func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLE
 	if warm != nil {
 		for i, path := range paths {
 			off, n := warm(tr.Files[i].Size)
-			if err := warmRange(m.K, path, off, n, (*vfs.File).ReadAtMapped); err != nil {
+			if err := warmRange(m.K, path, off, n, (*vfs.File).PageInMapped); err != nil {
 				return etraceCell{}, err
 			}
 		}

@@ -122,20 +122,20 @@ func (f *File) ReadAt(p []byte, off int64) (int, error) {
 // complete or suspended on a queued-device request for the engine to
 // service (see resume.go).
 func (f *File) ReadAtStep(p []byte, off int64) IOStep {
-	o := pageOp{k: f.k, f: f, p: p, off: off, chargeCopy: true}
+	o := pageOp{k: f.k, f: f, p: p, req: int64(len(p)), off: off, chargeCopy: true}
 	return o.start()
 }
 
 // ReadAtMappedStep begins a resumable ReadAtMapped.
 func (f *File) ReadAtMappedStep(p []byte, off int64) IOStep {
-	o := pageOp{k: f.k, f: f, p: p, off: off}
+	o := pageOp{k: f.k, f: f, p: p, req: int64(len(p)), off: off}
 	return o.start()
 }
 
 // ReadStep begins a resumable Read from the current position; the cursor
 // advances when the step completes.
 func (f *File) ReadStep(p []byte) IOStep {
-	o := pageOp{k: f.k, f: f, p: p, off: f.pos, chargeCopy: true, cursor: true}
+	o := pageOp{k: f.k, f: f, p: p, req: int64(len(p)), off: f.pos, chargeCopy: true, cursor: true}
 	return o.start()
 }
 
@@ -163,8 +163,27 @@ func (f *File) ReadAtMapped(p []byte, off int64) (int, error) {
 	return int(n), err
 }
 
+// PageIn makes [off, off+n) resident exactly as ReadAt into an n-byte
+// buffer would — same device requests, faults, recency, charges (the copy
+// to user space included) and result — but delivers no bytes, so the host
+// copies nothing: the simulator's synchronous MADV_POPULATE_READ, for
+// warm-ups whose bytes nobody reads.
+func (f *File) PageIn(off, n int64) (int64, error) { return f.pageIn(off, n, true) }
+
+// PageInMapped is PageIn charged as ReadAtMapped: without the copy.
+func (f *File) PageInMapped(off, n int64) (int64, error) { return f.pageIn(off, n, false) }
+
+func (f *File) pageIn(off, n int64, chargeCopy bool) (int64, error) {
+	if n < 0 {
+		return 0, fmt.Errorf("vfs: negative page-in length %d", n)
+	}
+	o := pageOp{k: f.k, f: f, req: n, off: off, chargeCopy: chargeCopy}
+	return mustComplete(o.start(), "read")
+}
+
 // readLoop is the read: validation on entry, then one page per turn, each
-// made resident (the only place the read can suspend) and copied out.
+// made resident (the only place the read can suspend) and copied out,
+// unless the read is a page-in (p nil).
 //
 //sledlint:hotpath
 func (o *pageOp) readLoop(resumed bool, accErr error) (blocked bool, n int64, err error) {
@@ -180,7 +199,7 @@ func (o *pageOp) readLoop(resumed bool, accErr error) (blocked bool, n int64, er
 		if o.off >= f.ino.size {
 			return false, 0, io.EOF
 		}
-		o.want = int64(len(o.p))
+		o.want = o.req
 		if o.off+o.want > f.ino.size {
 			o.want = f.ino.size - o.off
 		}
@@ -200,7 +219,9 @@ func (o *pageOp) readLoop(resumed bool, accErr error) (blocked bool, n int64, er
 			return false, o.got, err
 		}
 		resumed = false
-		copy(o.p[o.got:o.got+o.n], data[o.inPage:o.inPage+o.n])
+		if o.p != nil {
+			copy(o.p[o.got:o.got+o.n], data[o.inPage:o.inPage+o.n])
+		}
 		o.got += o.n
 	}
 	// Copying from the page cache to the user buffer costs memory
@@ -210,7 +231,7 @@ func (o *pageOp) readLoop(resumed bool, accErr error) (blocked bool, n int64, er
 		f.chargeMemCopy(o.got)
 	}
 	k.stats.BytesRead += o.got
-	if o.got < int64(len(o.p)) {
+	if o.got < o.req {
 		return false, o.got, io.EOF
 	}
 	return false, o.got, nil

@@ -4,17 +4,16 @@ import "sleds/internal/workload"
 
 // HostMem is the host memory a kernel works in that is worth more than the
 // kernel (DESIGN.md, "What a grid point costs the host twice"): the page
-// buffers its cache fills, the store its files keep generated pages in, a
-// scratch for reads nobody looks at. A sweep hands one arena to the machines
-// of successive grid points (Config.HostMem), Reset between them; the zero
-// value is empty. Nothing in it carries meaning across Reset, and a kernel
-// booted before one (its cache holds buffers the next kernel is filling)
-// panics on its next I/O. One goroutine; kernels alive together share it.
+// buffers its cache fills and the store its files keep generated pages in.
+// A sweep hands one arena to the machines of successive grid points
+// (Config.HostMem), Reset between them; the zero value is empty. Nothing in
+// it carries meaning across Reset, and a kernel booted before one (its
+// cache holds buffers the next kernel is filling) panics on its next I/O.
+// One goroutine; kernels alive together share it.
 type HostMem struct {
 	pageSize   int
 	bufs, free [][]byte // every page buffer made; those in no cache
 	store      workload.Store
-	scratch    []byte
 	epoch      uint64 // Resets so far
 }
 
@@ -25,8 +24,8 @@ func (m *HostMem) Reset() {
 	m.epoch++
 }
 
-// Held reports the page buffers, store bytes and scratch bytes the arena holds.
-func (m *HostMem) Held() (int, int, int) { return len(m.bufs), m.store.Held(), cap(m.scratch) }
+// Held reports the page buffers and store bytes the arena holds.
+func (m *HostMem) Held() (int, int) { return len(m.bufs), m.store.Held() }
 
 // hostMem returns the kernel's arena, which must not have been Reset since boot.
 //
@@ -58,13 +57,4 @@ func (m *HostMem) put(buf []byte) {
 	if len(buf) == m.pageSize {
 		m.free = append(m.free, buf)
 	}
-}
-
-// Scratch returns n bytes nobody will look at (a cache warm-up's), valid until the next call.
-func (k *Kernel) Scratch(n int) []byte {
-	m := k.hostMem()
-	if cap(m.scratch) < n {
-		m.scratch = make([]byte, n)
-	}
-	return m.scratch[:n]
 }

@@ -130,7 +130,7 @@ func TestKernelsShareArena(t *testing.T) {
 			ka.DropCaches() // hands one kernel's buffers to both
 		}
 	}
-	if made, _, _ := hm.Held(); made > 3+5+2 {
+	if made, _ := hm.Held(); made > 3+5+2 {
 		t.Errorf("arena made %d page buffers for caches of 3 and 5 frames with one page in flight each", made)
 	}
 }
@@ -160,7 +160,6 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 	k, disk := arenaMachine(t, hm, 2*modelPage, 9)
 	f, want := arenaFile(t, k, disk, "/d/other", 7, 31*2*modelPage)
 	scanCheck(t, "dirtying scan", f, want, 2*modelPage, 2)
-	k.Scratch(1000)
 	hm.Reset()
 	k, disk = arenaMachine(t, hm, modelPage, 11)
 	f, want = arenaFile(t, k, disk, "/d/other", 8, 40*modelPage)
@@ -177,8 +176,8 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 }
 
 // TestArenaSteadyStateAllocatesNothing: once an arena has served one point,
-// the page buffers, store slots and scratch of the next come out of it —
-// the misses of a cold scan and a warm-up read allocate nothing.
+// the page buffers and store slots of the next come out of it — the misses
+// of a cold scan and a warm-up page-in allocate nothing.
 func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
 	const pages = 64
 	hm := new(HostMem)
@@ -200,7 +199,7 @@ func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := f.ReadAtMapped(k.Scratch(16*testPage), 0); err != nil {
+			if _, err := f.PageInMapped(0, 16*testPage); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -210,7 +209,7 @@ func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(1, scan); n != 0 {
 		t.Errorf("a scan on a reused arena allocated %v times, want 0", n)
 	}
-	if bufs, store, scratch := hm.Held(); bufs > 8+1 || store != pages*testPage || scratch != 16*testPage {
-		t.Errorf("arena holds %d page buffers, %d store bytes, %d scratch bytes; want <= 9, %d, %d", bufs, store, scratch, pages*testPage, 16*testPage)
+	if bufs, store := hm.Held(); bufs > 8+1 || store != pages*testPage {
+		t.Errorf("arena holds %d page buffers, %d store bytes; want <= 9, %d", bufs, store, pages*testPage)
 	}
 }

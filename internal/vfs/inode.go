@@ -128,8 +128,7 @@ func (k *Kernel) MkdirAll(path string) error {
 	for _, p := range parts {
 		next, ok := cur.children[p]
 		if !ok {
-			next = &Inode{ino: k.allocIno(), name: p, isDir: true, children: map[string]*Inode{}}
-			k.inodes[next.ino] = next
+			next = k.addInode(&Inode{name: p, isDir: true, children: map[string]*Inode{}})
 			cur.children[p] = next
 		} else if !next.isDir {
 			return fmt.Errorf("vfs: %q: %w", path, ErrNotDir)
@@ -165,16 +164,14 @@ func (k *Kernel) Create(path string, dev device.ID, content *workload.Content) (
 	if err != nil {
 		return nil, err
 	}
-	n := &Inode{
-		ino:      k.allocIno(),
+	n := k.addInode(&Inode{
 		name:     name,
 		dev:      dev,
 		extent:   extent,
 		reserved: reserve,
 		size:     content.Size(),
 		content:  content,
-	}
-	k.inodes[n.ino] = n
+	})
 	parent.children[name] = n
 	content.KeepIn(&k.hostMem().store)
 	return n, nil
@@ -199,7 +196,7 @@ func (k *Kernel) Remove(path string) error {
 		return fmt.Errorf("vfs: %q: directory not empty", path)
 	}
 	delete(parent.children, name)
-	delete(k.inodes, n.ino)
+	k.inodes[n.ino] = nil
 	if !n.isDir {
 		// Dropping pages of a deleted file discards dirty data too: the
 		// eviction callback checks the inode table and finds it gone.

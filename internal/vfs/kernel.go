@@ -153,9 +153,10 @@ type Kernel struct {
 	cache  *cache.Cache
 	jitter *simclock.Jitter
 
-	root    *Inode
-	inodes  map[Ino]*Inode
-	nextIno Ino
+	root *Inode
+	// inodes is the inode table, indexed by Ino: numbers are handed out in
+	// order from 1 and never reused, and a removed file's slot is nil.
+	inodes []*Inode
 
 	// stager, when set, intercepts device reads for files on the devices
 	// in stagedDevs (an HSM layer migrating tape blocks to a disk cache).
@@ -215,7 +216,7 @@ func NewKernel(cfg Config) *Kernel {
 		Devices:   device.NewRegistry(),
 		cfg:       cfg,
 		retry:     cfg.Retry.withDefaults(),
-		inodes:    make(map[Ino]*Inode),
+		inodes:    []*Inode{nil}, // Ino 0 is never handed out
 		nextAlloc: make(map[device.ID]int64),
 		mem:       mem,
 		memEpoch:  mem.epoch,
@@ -225,8 +226,7 @@ func NewKernel(cfg Config) *Kernel {
 	}
 	k.cache = cache.New(cfg.CachePages, cfg.Policy, k.onEvict)
 	k.cache.SetDropFn(func(buf []byte) { k.hostMem().put(buf) })
-	k.root = &Inode{ino: k.allocIno(), name: "/", isDir: true, children: map[string]*Inode{}}
-	k.inodes[k.root.ino] = k.root
+	k.root = k.addInode(&Inode{name: "/", isDir: true, children: map[string]*Inode{}})
 	return k
 }
 
@@ -276,9 +276,11 @@ func (k *Kernel) AttachDevice(d device.Device) device.ID {
 	return k.Devices.Attach(d)
 }
 
-func (k *Kernel) allocIno() Ino {
-	k.nextIno++
-	return k.nextIno
+// addInode numbers n and enters it in the inode table.
+func (k *Kernel) addInode(n *Inode) *Inode {
+	n.ino = Ino(len(k.inodes))
+	k.inodes = append(k.inodes, n)
+	return n
 }
 
 // ResetRunStats zeroes the per-run counters (called at the start of each
@@ -319,8 +321,8 @@ func (k *Kernel) SetFaultObserver(fn func(*device.Fault)) { k.faultObs = fn }
 func (k *Kernel) onEvict(key cache.Key, data []byte, dirty bool) {
 	// An evicted page can no longer be served by its in-flight prefetch.
 	delete(k.pending, key)
-	ino, ok := k.inodes[Ino(key.File)]
-	if !dirty || !ok {
+	ino := k.inodes[key.File]
+	if !dirty || ino == nil {
 		// Clean, or the file was deleted with dirty pages still cached:
 		// nothing to write.
 		k.hostMem().put(data)
@@ -411,10 +413,11 @@ func (k *Kernel) ResetDeviceState() {
 func (k *Kernel) DropCaches() {
 	k.SyncAll()
 	k.pending = nil
-	// Invalidate clean pages file by file. SyncAll left nothing dirty, but
-	// drain defensively in case an eviction raced a write-back failure.
+	// Invalidate clean pages file by file, in inode order. SyncAll left
+	// nothing dirty, but drain defensively in case an eviction raced a
+	// write-back failure.
 	for _, ino := range k.inodes {
-		if !ino.isDir {
+		if ino != nil && !ino.isDir {
 			k.cache.InvalidateFile(uint64(ino.ino))
 		}
 	}
@@ -428,8 +431,8 @@ func (k *Kernel) DropCaches() {
 func (k *Kernel) SyncAll() {
 	o := pageOp{k: k}
 	k.cache.FlushDirty(func(key cache.Key, data []byte) {
-		ino, ok := k.inodes[Ino(key.File)]
-		if !ok {
+		ino := k.inodes[key.File]
+		if ino == nil {
 			return
 		}
 		blocked, err := o.writePage(ino, key.Page, data)

@@ -246,7 +246,8 @@ type pageOp struct {
 	k *Kernel
 	f *File
 
-	p          []byte
+	p          []byte // nil for a page-in
+	req        int64  // read: bytes requested, len(p) but for a page-in
 	off        int64
 	want, got  int64
 	write      bool
