@@ -55,12 +55,15 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke fuzzes the page cache against its reference model
-# (FuzzCacheOps in internal/cache) for a short, fixed time. The seeded
-# corpus already runs under `test`; this explores beyond it. Each input
-# that widens coverage is minimised before fuzzing goes on, by default for
-# up to a minute, which would spend the whole run on the first one.
+# (FuzzCacheOps in internal/cache), then the trace codec's decoder
+# (FuzzDecode in internal/trace: reject, or validate and round-trip), each
+# for a short, fixed time. The seeded corpora already run under `test`;
+# this explores beyond them. Each input that widens coverage is minimised
+# before fuzzing goes on, by default for up to a minute, which would spend
+# the whole run on the first one.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCacheOps -fuzztime=15s -fuzzminimizetime=1s ./internal/cache
+	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=15s -fuzzminimizetime=1s ./internal/trace
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -23,12 +23,6 @@ type Env struct {
 	BufSize int64
 }
 
-// Timer starts a virtual stopwatch on the environment's clock, the
-// equivalent of running the application under time(1).
-func (e *Env) Timer() simclock.Stopwatch {
-	return simclock.StartWatch(e.K.Clock)
-}
-
 // ChargeCPUBytes charges modelled CPU processing cost for n bytes at rate
 // bytesPerSec.
 func (e *Env) ChargeCPUBytes(n int64, bytesPerSec float64) {

@@ -222,7 +222,9 @@ func TestMatchSpanningChunkBoundary(t *testing.T) {
 	line[0] = '\n'
 	line[63] = '\n'
 	copy(line[30:], needle) // needle at bytes 30..34 of the line
-	c.InsertAt(boundary-32, line)
+	if err := c.TryInsertAt(boundary-32, line); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := m.K.Create("/data/f", m.Disk, c); err != nil {
 		t.Fatal(err)
 	}
@@ -244,14 +246,14 @@ func TestSLEDsFasterThanLinearWarm(t *testing.T) {
 	plantedFile(t, m, "/data/f", 8, size, size/2)
 	m.WarmFile(t, "/data/f")
 
-	w := m.Env(false).Timer()
+	start := m.K.Clock.Now()
 	Run(m.Env(false), "/data/f", needle, Options{})
-	without := w.Elapsed()
+	without := m.K.Clock.Now() - start
 
 	m.WarmFile(t, "/data/f")
-	w = m.Env(true).Timer()
+	start = m.K.Clock.Now()
 	Run(m.Env(true), "/data/f", needle, Options{})
-	with := w.Elapsed()
+	with := m.K.Clock.Now() - start
 
 	if with >= without {
 		t.Fatalf("SLEDs grep (%v) not faster than linear (%v) on warm cache", with, without)
@@ -266,13 +268,13 @@ func TestSmallFileCPUOverhead(t *testing.T) {
 	plantedFile(t, m, "/data/f", 9, size, 1000)
 	m.WarmFile(t, "/data/f") // fully cached
 
-	w := m.Env(false).Timer()
+	start := m.K.Clock.Now()
 	Run(m.Env(false), "/data/f", needle, Options{})
-	without := w.Elapsed()
+	without := m.K.Clock.Now() - start
 
-	w = m.Env(true).Timer()
+	start = m.K.Clock.Now()
 	Run(m.Env(true), "/data/f", needle, Options{})
-	with := w.Elapsed()
+	with := m.K.Clock.Now() - start
 
 	if with <= without {
 		t.Fatalf("SLEDs grep (%v) unexpectedly faster than linear (%v) on a fully cached small file", with, without)

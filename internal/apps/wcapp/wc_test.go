@@ -153,14 +153,14 @@ func TestSLEDsFasterOnWarmCacheLargerThanCache(t *testing.T) {
 	m.TextFile(t, "/data/f", 3, 24*apptest.PageSize)
 	m.WarmFile(t, "/data/f")
 
-	w := m.Env(false).Timer()
+	start := m.K.Clock.Now()
 	Run(m.Env(false), "/data/f")
-	without := w.Elapsed()
+	without := m.K.Clock.Now() - start
 
 	m.WarmFile(t, "/data/f")
-	w = m.Env(true).Timer()
+	start = m.K.Clock.Now()
 	Run(m.Env(true), "/data/f")
-	with := w.Elapsed()
+	with := m.K.Clock.Now() - start
 
 	if with >= without {
 		t.Fatalf("SLEDs run (%v) not faster than linear (%v)", with, without)

@@ -193,7 +193,7 @@ const head = 0
 // cache keeps no reference to an evicted page's buffer.
 type EvictFn func(key Key, data []byte, dirty bool)
 
-// Stats counts cache activity since construction or the last ResetStats.
+// Stats counts cache activity since construction.
 type Stats struct {
 	Hits           int64
 	Misses         int64 // recorded by the caller via RecordMiss (a Get that missed)
@@ -301,9 +301,6 @@ func (c *Cache) Policy() Policy { return c.policy }
 
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats zeroes the activity counters.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // touch moves frame i to the front and restamps it. Stamps mirror list
 // order — a frame moved or pushed to the front always carries the highest
@@ -629,26 +626,12 @@ func (c *Cache) ResidencyEpoch(file uint64) uint64 {
 	return 0
 }
 
-// DirtyPages reports how many of the file's resident pages are dirty.
-func (c *Cache) DirtyPages(file uint64) int {
-	if fi := c.file(file); fi != nil {
-		return fi.dirty
-	}
-	return 0
-}
-
 // AppendRecencyTrace appends the resident keys, most to least recently
-// used, to dst and returns it — RecencyTrace without the per-call
-// allocation, for harnesses that snapshot the cache repeatedly.
+// used, to dst and returns it; the experiment harness renders the paper's
+// Figure 3 table from it, reusing dst across snapshots.
 func (c *Cache) AppendRecencyTrace(dst []Key) []Key {
 	for i := c.frames[head].next; i != head; i = c.frames[i].next {
 		dst = append(dst, c.frames[i].key)
 	}
 	return dst
-}
-
-// RecencyTrace returns the resident keys from most to least recently used;
-// the experiment harness uses it to render the paper's Figure 3 table.
-func (c *Cache) RecencyTrace() []Key {
-	return c.AppendRecencyTrace(make([]Key, 0, c.n))
 }

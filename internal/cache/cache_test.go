@@ -340,7 +340,7 @@ func TestEvictionAccountingProperty(t *testing.T) {
 				c.Get(k)
 			}
 		}
-		return inserts-evicted == c.Len() && len(c.RecencyTrace()) == c.Len()
+		return inserts-evicted == c.Len() && len(c.AppendRecencyTrace(nil)) == c.Len()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -353,7 +353,7 @@ func TestRecencyTraceOrder(t *testing.T) {
 	c.Insert(key(2), page(2), false)
 	c.Insert(key(3), page(3), false)
 	c.Get(key(1))
-	trace := c.RecencyTrace()
+	trace := c.AppendRecencyTrace(nil)
 	want := []int64{1, 3, 2}
 	for i, k := range trace {
 		if k.Page != want[i] {
@@ -398,12 +398,12 @@ func TestManyFilesInterleaved(t *testing.T) {
 	}
 }
 
-func ExampleCache_RecencyTrace() {
+func ExampleCache_AppendRecencyTrace() {
 	c := New(3, LRU, nil)
 	for p := int64(1); p <= 5; p++ { // one linear pass, 3-frame cache
 		c.Insert(Key{File: 1, Page: p}, nil, false)
 	}
-	for _, k := range c.RecencyTrace() {
+	for _, k := range c.AppendRecencyTrace(nil) {
 		fmt.Print(k.Page, " ")
 	}
 	// Output: 5 4 3

@@ -170,7 +170,7 @@ var fuzzOpNames = [8]string{"Insert", "Insert", "Get", "MarkDirty", "Invalidate"
 // FuzzCacheOps drives random Insert, Get, MarkDirty, Invalidate,
 // InvalidateFile, FlushFile and EvictOne sequences over every policy and
 // checks the cache against refCache after each operation — residency,
-// data, runs, epochs, dirty counts, RecencyTrace, Stats and the order of
+// data, runs, epochs, dirty counts, AppendRecencyTrace, Stats and the order of
 // EvictFn and drop calls — and the index invariants every fuzzCheckEvery
 // operations and at the end. The first input byte picks the policy and a
 // capacity of 1-16; each further four bytes are one operation.
@@ -249,7 +249,7 @@ func FuzzCacheOps(f *testing.F) {
 			if !slices.Equal(log, ref.log) {
 				t.Fatalf("op %d %s %v: calls %q, reference %q", n, fuzzOpNames[op[0]%8], k, log, ref.log)
 			}
-			if got := c.RecencyTrace(); !slices.Equal(got, ref.order) || c.Len() != len(ref.order) {
+			if got := c.AppendRecencyTrace(nil); !slices.Equal(got, ref.order) || c.Len() != len(ref.order) {
 				t.Fatalf("op %d %s %v: recency %v (Len %d), reference %v", n, fuzzOpNames[op[0]%8], k, got, c.Len(), ref.order)
 			}
 			if c.Stats() != ref.stats {

@@ -251,7 +251,7 @@ func TestFlushFileOrderMatchesRecency(t *testing.T) {
 				c.MarkDirty(Key{File: 1, Page: p})
 			}
 			var want []Key
-			for _, k := range c.RecencyTrace() {
+			for _, k := range c.AppendRecencyTrace(nil) {
 				if k.File == 1 && dirtySet[k.Page] {
 					want = append(want, k)
 				}
@@ -286,7 +286,7 @@ func TestInvalidateFileOrderMatchesRecency(t *testing.T) {
 				c.Get(Key{File: 1, Page: p})
 			}
 			var want []Key
-			for _, k := range c.RecencyTrace() {
+			for _, k := range c.AppendRecencyTrace(nil) {
 				if k.File == 1 && k.Page%2 == 0 {
 					want = append(want, k)
 				}

@@ -4,8 +4,36 @@ import (
 	"fmt"
 
 	"sleds/internal/device"
+	"sleds/internal/simclock"
 	"sleds/internal/vfs"
 )
+
+// ResetHealth clears all fault observations.
+func (t *Table) ResetHealth() {
+	for i := range t.devs {
+		t.devs[i].health, t.devs[i].faulted = health{}, false
+	}
+}
+
+// underLoad inflates a device entry by its current queueing state at
+// virtual time now (see queued).
+func (t *Table) underLoad(id device.ID, e Entry, now simclock.Duration) Entry {
+	if t.load == nil {
+		return e
+	}
+	return queued(e, t.load.QueueDepth(id), t.load.InFlightRemaining(id, now))
+}
+
+// DeviceUnderLoad returns the entry for a device with the current
+// queueing state folded into the latency — the estimate FSLEDS_GET
+// reports for this device's uncached pages at virtual time now.
+func (t *Table) DeviceUnderLoad(id device.ID, now simclock.Duration) (Entry, bool) {
+	e, ok := t.Device(id)
+	if !ok {
+		return e, false
+	}
+	return t.underLoad(id, e, now), true
+}
 
 // deviceAt returns the entry in effect at a device byte offset, consulting
 // zones when installed: the oracle's stateless per-page lookup, where the

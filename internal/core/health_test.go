@@ -21,9 +21,6 @@ func TestObserveFaultAccumulatesPenalty(t *testing.T) {
 	if got := tab.HealthPenalty(id, 0); math.Abs(got-0.3) > 1e-12 {
 		t.Fatalf("penalty after 100ms+200ms faults = %v, want 0.3", got)
 	}
-	if got := tab.FaultCount(id); got != 2 {
-		t.Fatalf("fault count = %d, want 2", got)
-	}
 	if got := tab.HealthPenalty(device.ID(2), 0); got != 0 {
 		t.Fatalf("other device's penalty = %v, want 0", got)
 	}
@@ -65,23 +62,16 @@ func TestHealthPenaltyVanishesEventually(t *testing.T) {
 }
 
 func TestConfidenceGrading(t *testing.T) {
-	tab := NewTable()
-	id := device.ID(1)
-	if err := tab.SetDevice(id, Entry{Latency: 0.02, Bandwidth: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	if got := tab.Confidence(id, 0); got != 1 {
+	if got := confidence(0.02, 0); got != 1 {
 		t.Fatalf("healthy confidence = %v, want 1", got)
 	}
 	// Penalty 0.18 s over base 0.02 s: confidence 0.02/0.20 = 0.1.
-	tab.ObserveFault(id, 180*simclock.Millisecond, 0)
-	if got := tab.Confidence(id, 0); math.Abs(got-0.1) > 1e-12 {
+	if got := confidence(0.02, 0.18); math.Abs(got-0.1) > 1e-12 {
 		t.Fatalf("degraded confidence = %v, want 0.1", got)
 	}
-	// A device with no table entry grades as 1 (nothing to inflate).
-	tab.ObserveFault(device.ID(9), simclock.Second, 0)
-	if got := tab.Confidence(device.ID(9), 0); got != 1 {
-		t.Fatalf("confidence of unentered device = %v, want 1", got)
+	// A penalty over a zero base leaves nothing of the estimate to trust.
+	if got := confidence(0, 1); got != 0 {
+		t.Fatalf("confidence of a penalised zero-latency entry = %v, want 0", got)
 	}
 }
 
@@ -92,9 +82,6 @@ func TestResetHealthAndHalfLifeDefault(t *testing.T) {
 	tab.ResetHealth()
 	if got := tab.HealthPenalty(id, 0); got != 0 {
 		t.Fatalf("penalty after ResetHealth = %v, want 0", got)
-	}
-	if got := tab.FaultCount(id); got != 0 {
-		t.Fatalf("fault count after ResetHealth = %d, want 0", got)
 	}
 	tab.SetHealthHalfLife(-1)
 	if tab.halfLife != DefaultHealthHalfLife {

@@ -37,9 +37,9 @@ type SLED struct {
 	// (0, 1]: 1 means the backing device has shown no recent faults and
 	// the latency is the calibrated estimate; lower values mean observed
 	// faults have inflated Latency by the device's health penalty, and
-	// the true cost is correspondingly less certain. 0 means unknown
-	// (e.g. a SLED decoded from the wire format, which does not carry
-	// the field).
+	// the true cost is correspondingly less certain. 0 means unknown: a
+	// SLED built by hand rather than by Query, which consumers such as
+	// sledlib.PruneDegraded keep rather than treat as degraded.
 	Confidence float64
 }
 
@@ -151,7 +151,6 @@ type devRecord struct {
 // brought current (decay is applied lazily).
 type health struct {
 	penalty float64
-	faults  int64
 	updated simclock.Duration
 }
 
@@ -203,14 +202,6 @@ func (t *Table) SetMemoCapacity(n int) {
 	t.memo = newSledMemo(n)
 }
 
-// MemoCapacity reports the skeleton memo's file capacity (0 = disabled).
-func (t *Table) MemoCapacity() int {
-	if t.memo == nil {
-		return 0
-	}
-	return t.memo.cap
-}
-
 // MemoStats returns a copy of the skeleton memo's activity counters
 // (zeroes when memoization is disabled).
 func (t *Table) MemoStats() MemoStats {
@@ -248,7 +239,6 @@ func (t *Table) ObserveFault(id device.ID, extra simclock.Duration, now simclock
 		h = &r.health
 	}
 	h.penalty += extra.Seconds()
-	h.faults++
 }
 
 // HealthPenalty reports the device's decayed latency penalty in seconds at
@@ -258,29 +248,6 @@ func (t *Table) HealthPenalty(id device.ID, now simclock.Duration) float64 {
 		return h.penalty
 	}
 	return 0
-}
-
-// FaultCount reports the total faults observed on a device (undecayed).
-func (t *Table) FaultCount(id device.ID) int64 {
-	if r := t.rec(id); r != nil && r.faulted {
-		return r.health.faults
-	}
-	return 0
-}
-
-// Confidence reports the degradation grade the table would stamp on a
-// SLED for the device's pages at virtual time now: base/(base+penalty)
-// where base is the calibrated latency. 1 means healthy/unknown device.
-func (t *Table) Confidence(id device.ID, now simclock.Duration) float64 {
-	pen := t.HealthPenalty(id, now)
-	if pen <= 0 {
-		return 1
-	}
-	e, ok := t.Device(id)
-	if !ok {
-		return 1
-	}
-	return confidence(e.Latency, pen)
 }
 
 // confidence grades an estimate whose base latency has been inflated by a
@@ -315,14 +282,6 @@ func (t *Table) healthAt(id device.ID, now simclock.Duration) *health {
 		h.updated = now
 	}
 	return h
-}
-
-// ResetHealth clears all fault observations (used between measured runs
-// that should not inherit the previous run's degradation state).
-func (t *Table) ResetHealth() {
-	for i := range t.devs {
-		t.devs[i].health, t.devs[i].faulted = health{}, false
-	}
 }
 
 // SetMemory installs the primary-memory entry.
@@ -413,26 +372,6 @@ func (t *Table) SetLoad(l Load) {
 func queued(e Entry, depth int, rem simclock.Duration) Entry {
 	e.Latency = e.Latency*float64(1+depth) + rem.Seconds()
 	return e
-}
-
-// underLoad inflates a device entry by its current queueing state at
-// virtual time now (see queued).
-func (t *Table) underLoad(id device.ID, e Entry, now simclock.Duration) Entry {
-	if t.load == nil {
-		return e
-	}
-	return queued(e, t.load.QueueDepth(id), t.load.InFlightRemaining(id, now))
-}
-
-// DeviceUnderLoad returns the entry for a device with the current
-// queueing state folded into the latency — the estimate FSLEDS_GET
-// reports for this device's uncached pages at virtual time now.
-func (t *Table) DeviceUnderLoad(id device.ID, now simclock.Duration) (Entry, bool) {
-	e, ok := t.Device(id)
-	if !ok {
-		return e, false
-	}
-	return t.underLoad(id, e, now), true
 }
 
 // Devices returns the IDs with installed entries, in ascending ID
@@ -577,8 +516,8 @@ func QueryAppend(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, err
 
 // Validate checks the structural invariants of a SLED vector for a file of
 // the given size: sorted, contiguous, covering [0, size), maximally
-// coalesced, positive estimates. Returns nil if all hold. Exposed because
-// both tests and downstream consumers (the pick library) rely on them.
+// coalesced, positive estimates. Returns nil if all hold. Exported for the
+// tests of every package that builds or consumes SLED vectors.
 func Validate(sleds []SLED, size int64) error {
 	if size == 0 {
 		if len(sleds) != 0 {

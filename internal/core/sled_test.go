@@ -195,11 +195,11 @@ func TestQueryDoesNotPerturbCache(t *testing.T) {
 	f, _ := k.Open("/d/f")
 	defer f.Close()
 	io.Copy(io.Discard, f) // pages 4..7 resident (cache holds 4)
-	before := k.Cache().RecencyTrace()
+	before := k.Cache().AppendRecencyTrace(nil)
 	if _, err := Query(k, tab, n); err != nil {
 		t.Fatal(err)
 	}
-	after := k.Cache().RecencyTrace()
+	after := k.Cache().AppendRecencyTrace(nil)
 	if len(before) != len(after) {
 		t.Fatalf("query changed cache size")
 	}

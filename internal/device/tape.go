@@ -92,32 +92,9 @@ func (t *TapeLibrary) Info() Info {
 // TestTimedDeviceKeepsMarkers asserts it.
 func (t *TapeLibrary) ChunkSize() int64 { return t.cfg.CartridgeSize }
 
-// MountedCartridges returns the cartridge indices currently mounted, one
-// entry per drive (-1 for an empty drive). Used by HSM-aware policies
-// ("read data from a tape currently mounted on a drive, but ignore those
-// that would require mounting a new tape").
-func (t *TapeLibrary) MountedCartridges() []int {
-	out := make([]int, len(t.drives))
-	for i, d := range t.drives {
-		out[i] = d.cartridge
-	}
-	return out
-}
-
 // CartridgeOf maps a library-linear byte offset to its cartridge index.
 func (t *TapeLibrary) CartridgeOf(off int64) int {
 	return int(off / t.cfg.CartridgeSize)
-}
-
-// IsMounted reports whether the cartridge holding off is in a drive.
-func (t *TapeLibrary) IsMounted(off int64) bool {
-	cart := t.CartridgeOf(off)
-	for _, d := range t.drives {
-		if d.cartridge == cart {
-			return true
-		}
-	}
-	return false
 }
 
 // ensureMounted makes the cartridge available in some drive, charging

@@ -352,16 +352,6 @@ func EFleet(cfg Config, replicas int) (EFleetReport, error) {
 	return rep, nil
 }
 
-// Cell lookup for the test gates.
-func (r EFleetReport) cell(scenario, policy string) (efleetCell, bool) {
-	for _, row := range r.Rows {
-		if row.Scenario == scenario && row.Policy == policy {
-			return row.Cell, true
-		}
-	}
-	return efleetCell{}, false
-}
-
 // Render draws the report as the deterministic text block sledsbench
 // prints (and make fleet-smoke diffs across worker counts).
 func (r EFleetReport) Render() string {

@@ -26,6 +26,7 @@ import (
 	"runtime"
 	"sync"
 
+	"sleds/internal/splitmix"
 	"sleds/internal/vfs"
 )
 
@@ -126,16 +127,6 @@ func RunGrid[T any](cfg Config, n int, point func(cfg Config, i int) (T, error))
 	return out, nil
 }
 
-// mix64 is the SplitMix64 finalizer: a cheap bijective avalanche.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
 // PointSeed derives the RNG seed for one grid point from the base
 // configuration seed, the experiment id, and the point's coordinates
 // (typically size index and mode). It is a pure function — same inputs,
@@ -148,15 +139,15 @@ func mix64(x uint64) uint64 {
 //
 //sledlint:seed
 func PointSeed(base int64, exp string, idxs ...int) int64 {
-	h := mix64(uint64(base) ^ 0x9e3779b97f4a7c15)
+	h := splitmix.Mix(uint64(base) ^ splitmix.Gamma)
 	for i := 0; i < len(exp); i++ {
-		h = mix64(h ^ uint64(exp[i]))
+		h = splitmix.Mix(h ^ uint64(exp[i]))
 	}
-	h = mix64(h ^ uint64(len(exp)))
+	h = splitmix.Mix(h ^ uint64(len(exp)))
 	for _, v := range idxs {
-		h = mix64(h ^ uint64(uint32(v)))
+		h = splitmix.Mix(h ^ uint64(uint32(v)))
 	}
-	h = mix64(h ^ uint64(len(idxs)))
+	h = splitmix.Mix(h ^ uint64(len(idxs)))
 	return int64(h)
 }
 

@@ -33,6 +33,7 @@ import (
 
 	"sleds/internal/device"
 	"sleds/internal/simclock"
+	"sleds/internal/splitmix"
 )
 
 // Config parameterises one Injector.
@@ -163,22 +164,13 @@ func extraFor(class device.FaultClass) simclock.Duration {
 
 // reseed restarts the RNG stream from the configured seed.
 func (i *Injector) reseed() {
-	i.rng = uint64(i.cfg.Seed) ^ 0x9e3779b97f4a7c15
+	i.rng = uint64(i.cfg.Seed) ^ splitmix.Gamma
 	i.remaining = 0
 }
 
-// next is SplitMix64: the same generator the experiment seed derivation
-// uses, one private stream per injector.
-func (i *Injector) next() uint64 {
-	i.rng += 0x9e3779b97f4a7c15
-	z := i.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
-// rand01 draws a float in [0,1).
-func (i *Injector) rand01() float64 { return float64(i.next()>>11) / (1 << 53) }
+// rand01 draws a float in [0,1) from the injector's private SplitMix64
+// stream.
+func (i *Injector) rand01() float64 { return float64(splitmix.Next(&i.rng)>>11) / (1 << 53) }
 
 // Info implements device.Device.
 func (i *Injector) Info() device.Info { return i.dev.Info() }
@@ -263,7 +255,7 @@ func (i *Injector) perturb(c *simclock.Clock, off int64) error {
 		if max < 1 {
 			max = 1
 		}
-		i.remaining = 1 + int(i.next()%uint64(max)) // 1..max attempts fail
+		i.remaining = 1 + int(splitmix.Next(&i.rng)%uint64(max)) // 1..max attempts fail
 		i.pendingOff = off
 		i.remaining--
 		if i.remaining == 0 {

@@ -63,9 +63,6 @@ type Image struct {
 	DataBytes     int64 // unpadded pixel bytes
 }
 
-// PixelBytes returns bytes per pixel.
-func (im Image) PixelBytes() int { return im.BitPix / 8 }
-
 // Pixels returns the pixel count.
 func (im Image) Pixels() int64 { return int64(im.Width) * int64(im.Height) }
 

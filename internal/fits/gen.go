@@ -3,6 +3,7 @@ package fits
 import (
 	"fmt"
 
+	"sleds/internal/splitmix"
 	"sleds/internal/workload"
 )
 
@@ -11,10 +12,7 @@ import (
 // "stars", all derived from (seed, pixel index). Values stay within a
 // 12-bit range like real instrument data. idx must not be negative.
 func PixelValue(seed uint64, idx int64) int16 {
-	h := seed ^ uint64(idx)*0x9e3779b97f4a7c15
-	h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9
-	h = (h ^ (h >> 27)) * 0x94d049bb133111eb
-	h ^= h >> 31
+	h := splitmix.Mix(seed ^ uint64(idx)*splitmix.Gamma)
 	// Slow gradient (idx/64 mod 512) plus noise (h mod 128), as shifts
 	// and masks: both operands are unsigned.
 	v := 200 + (uint64(idx)>>6)&511 + h&127

@@ -20,7 +20,7 @@
 //
 //   - Hedged reads: a virtual-time hedge deadline derived from the SLED
 //     estimate arms a second-best replica; the first completion wins and
-//     the loser is cancelled (iosched.HedgedDevRead).
+//     the loser is cancelled (iosched.HedgedDevReadAt).
 //   - Failover: per-replica retry budgets with capped, doubling
 //     virtual-time backoff; a faulted attempt feeds ObserveFault so the
 //     next selection already routes around the replica.
@@ -106,8 +106,9 @@ type Replica struct {
 	Probes int64 // selections that were probes of this (demoted) replica
 }
 
-// Server exposes the replica's server for inspection and fault injection
-// (remote.Server.ReplaceDisk stacks an injector under the replica).
+// Server exposes the replica's server for inspection. Faults are injected
+// by replacing the replica's registered device (vfs.Kernel.Devices), which
+// wraps the whole server.
 func (r *Replica) Server() *remote.Server { return r.srv }
 
 // Inode returns the replica's copy of the replicated file (nil before

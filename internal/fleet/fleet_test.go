@@ -47,6 +47,21 @@ func newFleet(t testing.TB, cfg Config, fileSize int64) *fixture {
 	return &fixture{k: k, f: f, tab: tab}
 }
 
+// replicaConfidence is the lowest confidence FSLEDS_GET stamps on replica
+// i's copy of the file: the grade the selector compares with the floor.
+func replicaConfidence(t *testing.T, fx *fixture, i int) float64 {
+	t.Helper()
+	sleds, err := core.Query(fx.k, fx.tab, fx.f.Replica(i).Inode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	conf := 1.0
+	for _, s := range sleds {
+		conf = min(conf, s.Confidence)
+	}
+	return conf
+}
+
 // injectReplica stacks a fault injector over replica i's registered
 // device (under any queue interposed later), returning the raw device so
 // tests can unwrap it again.
@@ -121,7 +136,7 @@ func TestSelectRoutesAroundFaultedReplica(t *testing.T) {
 	fx := newFleet(t, DefaultConfig(), 64*testPage)
 	now := fx.k.Clock.Now()
 	fx.tab.ObserveFault(fx.f.Replica(0).Dev, faults.TimeoutExtra, now)
-	if conf := fx.tab.Confidence(fx.f.Replica(0).Dev, now); conf >= fx.f.cfg.ConfidenceFloor {
+	if conf := replicaConfidence(t, fx, 0); conf >= fx.f.cfg.ConfidenceFloor {
 		t.Fatalf("one timeout left confidence at %v, floor %v", conf, fx.f.cfg.ConfidenceFloor)
 	}
 	sel, err := fx.f.Select(0, 4*testPage, now)
@@ -229,7 +244,6 @@ func TestReplicaDevicesKeepInfoWhenWrapped(t *testing.T) {
 // demotes the replica — health accounting survives the race.
 func TestHedgeLoserFaultFeedsHealth(t *testing.T) {
 	fx := newFleet(t, DefaultConfig(), 64*testPage)
-	dev0 := fx.f.Replica(0).Dev
 	injectReplica(fx, 0, faults.Config{Seed: 4, PFault: 1, MaxConsecutive: 1})
 	e := engineFor(fx)
 	var out Read
@@ -240,7 +254,7 @@ func TestHedgeLoserFaultFeedsHealth(t *testing.T) {
 	if out.Err != nil || out.Failed != 0 {
 		t.Fatalf("masked read outcome %+v, want a clean hedged completion", out)
 	}
-	if conf := fx.tab.Confidence(dev0, fx.k.Clock.Now()); conf >= DefaultConfig().ConfidenceFloor {
+	if conf := replicaConfidence(t, fx, 0); conf >= DefaultConfig().ConfidenceFloor {
 		t.Fatalf("replica 0 confidence %v after a masked fault, want demotion below %v",
 			conf, DefaultConfig().ConfidenceFloor)
 	}
@@ -289,7 +303,7 @@ func TestReadFailoverWithinBudget(t *testing.T) {
 		t.Fatalf("replica 0 fault counter %d, want 1", fx.f.Replica(0).Faults)
 	}
 	// The observed fault demoted replica 0 for subsequent selections.
-	if conf := fx.tab.Confidence(fx.f.Replica(0).Dev, fx.k.Clock.Now()); conf >= fx.f.cfg.ConfidenceFloor {
+	if conf := replicaConfidence(t, fx, 0); conf >= fx.f.cfg.ConfidenceFloor {
 		t.Fatalf("fault not fed to the health observer: confidence %v", conf)
 	}
 }
@@ -366,7 +380,7 @@ func TestDemotionAndProbeBackRecovery(t *testing.T) {
 	if out.Err != nil || out.Failed == 0 {
 		t.Fatalf("phase 1 outcome %+v, want an absorbed fault", out)
 	}
-	if conf := fx.tab.Confidence(dev0, fx.k.Clock.Now()); conf >= cfg.ConfidenceFloor {
+	if conf := replicaConfidence(t, fx, 0); conf >= cfg.ConfidenceFloor {
 		t.Fatalf("replica 0 not demoted: confidence %v", conf)
 	}
 
@@ -562,8 +576,9 @@ func TestHedgeWinnerFaultOnDeviceZero(t *testing.T) {
 	if f0, f1 := f.Replica(0).Faults, f.Replica(1).Faults; f0 != 1 || f1 != 0 {
 		t.Fatalf("fault charged to replicas (0: %d, 1: %d), want it on replica 0, the device that faulted", f0, f1)
 	}
-	if tab.FaultCount(0) != 1 {
-		t.Fatalf("table saw %d faults on device 0, want 1", tab.FaultCount(0))
+	now := k.Clock.Now()
+	if p0, p1 := tab.HealthPenalty(0, now), tab.HealthPenalty(f.Replica(1).Dev, now); p0 <= 0 || p1 != 0 {
+		t.Fatalf("table penalties (device 0: %v, replica 1: %v), want the fault fed to device 0 alone", p0, p1)
 	}
 }
 

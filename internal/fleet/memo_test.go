@@ -18,9 +18,6 @@ func TestSelectMemoEquivalence(t *testing.T) {
 	fxOn := newFleet(t, DefaultConfig(), 64*testPage)
 	fxOff := newFleet(t, DefaultConfig(), 64*testPage)
 	fxOff.tab.SetMemoCapacity(0)
-	if fxOn.tab.MemoCapacity() == 0 {
-		t.Fatal("default table should have the memo enabled")
-	}
 
 	step := func(i int) {
 		for _, fx := range []*fixture{fxOn, fxOff} {

@@ -240,19 +240,3 @@ func (r *Read) issue() (iosched.Op, bool) {
 		sec.Dev, sec.inode.Extent()+r.off,
 		r.n, hedgeDelay), false
 }
-
-// ReadProgram wraps one read as a complete Program: useful for tests and
-// single-shot clients. The outcome lands in *out.
-func (f *Fleet) ReadProgram(policy Policy, off, n int64, out *Read) iosched.Program {
-	rd := f.StartRead(policy, off, n)
-	return iosched.ProgramFunc(func(h *iosched.Handle, prev iosched.Result) iosched.Op {
-		op, done := rd.Step(h, prev)
-		if done {
-			if out != nil {
-				*out = *rd
-			}
-			return iosched.Exit(rd.Err)
-		}
-		return op
-	})
-}

@@ -107,12 +107,6 @@ func (s *Stager) Stats() (stagedReads, tapeMigrates, evictions int64) {
 	return s.stagedReads, s.tapeMigrates, s.evictions
 }
 
-// ResetStats zeroes the counters.
-func (s *Stager) ResetStats() { s.stagedReads, s.tapeMigrates, s.evictions = 0, 0, 0 }
-
-// StagedBlocks reports how many blocks are currently resident on disk.
-func (s *Stager) StagedBlocks() int { return s.lru.Len() }
-
 // IsStaged reports whether the block containing devOff of the inode is in
 // the migration cache (without touching recency).
 func (s *Stager) IsStaged(ino *vfs.Inode, devOff int64) bool {

@@ -33,7 +33,7 @@ func hedgeOnce(primary, secondary device.ID, delay simclock.Duration, out *Resul
 			return Exit(prev.Err)
 		}
 		issued = true
-		return HedgedDevRead(primary, secondary, 0, 4096, delay)
+		return HedgedDevReadAt(primary, 0, secondary, 0, 4096, delay)
 	})
 }
 
@@ -135,7 +135,7 @@ func TestHedgeOrphanCompletionCoincidesWithWake(t *testing.T) {
 		switch phase {
 		case 0:
 			phase++
-			return HedgedDevRead(ida, idb, 0, 4096, 20*simclock.Millisecond)
+			return HedgedDevReadAt(ida, 0, idb, 0, 4096, 20*simclock.Millisecond)
 		case 1:
 			phase++
 			res = prev
@@ -179,7 +179,7 @@ func TestHedgeFaultedWinnerSurfacesError(t *testing.T) {
 			res = prev
 			return Exit(nil)
 		}
-		return HedgedDevRead(ida, idb, 0, 4096, simclock.Second)
+		return HedgedDevReadAt(ida, 0, idb, 0, 4096, simclock.Second)
 	}))
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 
 // Result is the outcome of the previous Op, passed to Program.Step. The
 // first Step call of a stream receives a zero Result. Dev and HedgeFired
-// are set only by HedgedDevRead: the device whose completion won the race
+// are set only by HedgedDevReadAt: the device whose completion won the race
 // and whether the hedge deadline expired (the secondary was issued) before
 // it resolved.
 type Result struct {
@@ -130,11 +130,13 @@ func DevRead(id device.ID, off, length int64) Op {
 	return Op{kind: opDevRead, dev: id, off: off, length: length}
 }
 
-// HedgedDevRead is DevRead with a deterministic tail-latency hedge: the
-// read is submitted to the primary device and a virtual-time deadline of
-// delay is armed. If the read has not completed when the deadline expires,
-// an identical read is submitted to the secondary device and the two race;
-// the first completion resumes the stream (Result.Dev names the winner,
+// HedgedDevReadAt is DevRead with a deterministic tail-latency hedge: the
+// read of [off, off+length) is submitted to the primary device and a
+// virtual-time deadline of delay is armed. If the read has not completed
+// when the deadline expires, the same length is read from the secondary
+// device at secOff (the two offsets differ when each device holds its own
+// copy of the data at its own extent) and the two race; the first
+// completion resumes the stream (Result.Dev names the winner,
 // Result.HedgeFired reports whether the secondary was issued) and the
 // loser is cancelled — dropped from its queue if not yet dispatched, or
 // left to finish unclaimed if the device is already servicing it, exactly
@@ -152,13 +154,6 @@ func DevRead(id device.ID, off, length int64) Op {
 // completes in place, so the op degrades to a plain primary read. The
 // deadline uses virtual time only: schedules stay byte-identical across
 // runs and worker counts.
-func HedgedDevRead(primary, secondary device.ID, off, length int64, delay simclock.Duration) Op {
-	return HedgedDevReadAt(primary, off, secondary, off, length, delay)
-}
-
-// HedgedDevReadAt is HedgedDevRead with distinct device offsets for the
-// two targets — the replicated-data case, where each device holds its own
-// copy of the logical bytes at its own extent.
 func HedgedDevReadAt(primary device.ID, off int64, secondary device.ID, secOff, length int64, delay simclock.Duration) Op {
 	return Op{kind: opHedge, dev: primary, off: off, dev2: secondary, off2: secOff, length: length, dur: delay}
 }

@@ -16,6 +16,7 @@ import (
 	"sleds/internal/core"
 	"sleds/internal/device"
 	"sleds/internal/simclock"
+	"sleds/internal/splitmix"
 )
 
 // probe parameters: enough trials to average out rotational phase without
@@ -55,7 +56,7 @@ func MeasureDevice(clock *simclock.Clock, d device.Device) (core.Entry, error) {
 	state := uint64(0x5eed) ^ uint64(info.ID)<<32
 	start := clock.Now()
 	for i := 0; i < latencyTrials; i++ {
-		off := int64(nextRand(&state) % uint64(info.Size))
+		off := int64(splitmix.Next(&state) % uint64(info.Size))
 		off -= off % 4096
 		d.Read(clock, off, 1)
 	}
@@ -141,13 +142,4 @@ func Calibrate(clock *simclock.Clock, mem device.Device, devs []device.Device) (
 		}
 	}
 	return tab, nil
-}
-
-// nextRand is a splitmix64 step.
-func nextRand(x *uint64) uint64 {
-	*x += 0x9e3779b97f4a7c15
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }

@@ -2,20 +2,24 @@ package remote
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
+	"sleds/internal/cache"
 	"sleds/internal/device"
 	"sleds/internal/simclock"
+	"sleds/internal/vfs"
 )
 
-// A model check of the server's buffer cache (index-linked frames behind an
-// open-addressed slot table) against the obvious LRU: a slice of pages,
+// A model check of the server's buffer cache (a cache.Cache holding one
+// file of server-disk pages) against the obvious LRU: a slice of pages,
 // most recent first. Seeded random ReadThrough / CachedBytes / insert
-// sequences run on both; after every operation the server's recency list
-// must equal the slice (residency and eviction order in one comparison),
-// every page must be found or not found through the slot table as the
-// slice says, and a read must charge exactly what the model's hits and
-// misses cost on a twin disk and memory.
+// sequences run on a mount's server and on the model; after every
+// operation the cache's recency list must equal the slice (residency and
+// eviction order in one comparison), CachedPages its length, and the
+// mount must route a page to its fast or slow device as the slice says. A
+// read must charge exactly what the model's hits and misses cost on a
+// twin disk and memory.
 
 // modelLRU is the reference: resident pages, MRU first.
 type modelLRU struct {
@@ -55,15 +59,6 @@ func (m *modelLRU) insert(page int64) {
 	m.pages = append([]int64{page}, m.pages...)
 }
 
-// recency walks the server's list from MRU to LRU.
-func (s *Server) recency() []int64 {
-	var out []int64
-	for f := s.frames[head].next; f != head; f = s.frames[f].next {
-		out = append(out, s.frames[f].page)
-	}
-	return out
-}
-
 // lcg is a small seeded generator, so a failure names its seed.
 type lcg uint64
 
@@ -78,47 +73,47 @@ func TestServerCacheMatchesModelLRU(t *testing.T) {
 		for seed := 0; seed < 40; seed++ {
 			cfg := DefaultConfig()
 			cfg.ServerCachePages = capacity
-			srv, err := NewServer(cfg, ps)
+			mem := device.NewMem(device.DefaultMemConfig(0))
+			k := vfs.NewKernel(vfs.Config{PageSize: ps, CachePages: 8, MemDevice: mem})
+			k.AttachDevice(mem)
+			m, err := NewMount(k, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			srv := m.Server()
 			model := &modelLRU{capacity: capacity}
-			twinDisk, twinMem := device.NewDisk(cfg.ServerDisk), device.NewMem(cfg.ServerMem)
+			twinDisk, twinMem := device.NewDisk(srv.cfg.ServerDisk), device.NewMem(cfg.ServerMem)
 			got, want := simclock.New(), simclock.New()
 			diskPages := cfg.ServerDisk.Size / ps
+			var keys []cache.Key
 
 			g := lcg(uint64(seed)*2654435761 + uint64(capacity))
-			// Pages come from a dense neighbourhood (one file's worth), from
-			// strides that are multiples of every table size in use, and
-			// from anywhere on the disk.
+			// Pages come from a dense neighbourhood (one file's worth) and
+			// from anywhere on the disk, which grows the cache's page table
+			// to the largest a server holds.
 			pick := func() int64 {
-				switch g.intn(3) {
-				case 0:
+				if g.intn(2) == 0 {
 					return int64(g.intn(3 * capacity))
-				case 1:
-					return int64(g.intn(8)) << 14
-				default:
-					return int64(g.intn(int(diskPages - 8)))
 				}
+				return int64(g.intn(int(diskPages - 8)))
 			}
 			tag := func(step int, what string) string {
 				return fmt.Sprintf("capacity %d seed %d step %d (%s)", capacity, seed, step, what)
 			}
 			for step := 0; step < 300; step++ {
 				switch g.intn(4) {
-				case 0: // a bare insert, as a write-allocate would
+				case 0: // a bare insert: refreshes a resident page, else evicts
 					p := pick()
-					srv.insert(p)
+					if err := srv.cache.Insert(cache.Key{Page: p}, nil, false); err != nil {
+						t.Fatalf("%s: %v", tag(step, "insert"), err)
+					}
 					model.insert(p)
 				case 1: // a residency probe: must not touch recency
 					p, n := pick(), 1+g.intn(5)
 					off, length := p*ps+int64(g.intn(ps)), int64(n)*ps-int64(g.intn(ps))
 					var cached int64
 					for cur := off; cur < off+length; {
-						stop := (cur/ps + 1) * ps
-						if stop > off+length {
-							stop = off + length
-						}
+						stop := min((cur/ps+1)*ps, off+length)
 						if model.find(cur/ps) >= 0 {
 							cached += stop - cur
 						}
@@ -132,10 +127,7 @@ func TestServerCacheMatchesModelLRU(t *testing.T) {
 					off, length := p*ps+int64(g.intn(ps)), int64(n)*ps-int64(g.intn(ps))
 					want.Advance(cfg.RTT)
 					for cur := off; cur < off+length; {
-						stop := (cur/ps + 1) * ps
-						if stop > off+length {
-							stop = off + length
-						}
+						stop := min((cur/ps+1)*ps, off+length)
 						if model.touch(cur / ps) {
 							twinMem.Read(want, cur, stop-cur)
 						} else {
@@ -152,19 +144,29 @@ func TestServerCacheMatchesModelLRU(t *testing.T) {
 						t.Fatalf("%s: charged %v, model %v", tag(step, "read"), got.Now(), want.Now())
 					}
 				}
-				if r := srv.recency(); fmt.Sprint(r) != fmt.Sprint(model.pages) {
-					t.Fatalf("%s: recency MRU→LRU\n got %v\nwant %v", tag(step, "order"), r, model.pages)
+				keys = srv.cache.AppendRecencyTrace(keys[:0])
+				order := make([]int64, len(keys))
+				for i, key := range keys {
+					order[i] = key.Page
+				}
+				if !slices.Equal(order, model.pages) {
+					t.Fatalf("%s: recency MRU→LRU\n got %v\nwant %v", tag(step, "order"), order, model.pages)
 				}
 				if srv.CachedPages() != len(model.pages) {
 					t.Fatalf("%s: %d pages cached, model %d", tag(step, "count"), srv.CachedPages(), len(model.pages))
 				}
 				for _, p := range model.pages {
-					if !srv.has(p, false) {
-						t.Fatalf("%s: resident page %d not reachable through the slot table", tag(step, "slots"), p)
+					if dev := m.DeviceFor(nil, p*ps); dev != m.fastID {
+						t.Fatalf("%s: resident page %d routed to device %d, not the fast path", tag(step, "route"), p, dev)
 					}
 				}
-				if p := pick(); srv.has(p, false) != (model.find(p) >= 0) {
-					t.Fatalf("%s: page %d residency disagrees with the model", tag(step, "slots"), p)
+				p := pick()
+				wantDev := m.slowID
+				if model.find(p) >= 0 {
+					wantDev = m.fastID
+				}
+				if dev := m.DeviceFor(nil, p*ps+int64(g.intn(ps))); dev != wantDev {
+					t.Fatalf("%s: page %d routed to device %d, model says %d", tag(step, "route"), p, dev, wantDev)
 				}
 			}
 		}

@@ -36,6 +36,7 @@
 package remote
 
 import (
+	"sleds/internal/cache"
 	"sleds/internal/device"
 	"sleds/internal/simclock"
 	"sleds/internal/vfs"
@@ -118,16 +119,8 @@ func NewMount(k *vfs.Kernel, cfg Config) (*Mount, error) {
 // Device returns the device ID remote files must be created on.
 func (m *Mount) Device() device.ID { return m.homeID }
 
-// FastDevice returns the characterization device for server-cached pages
-// (for inspecting table entries).
-func (m *Mount) FastDevice() device.ID { return m.fastID }
-
-// Server returns the server behind the mount, for inspection and for
-// stacking a fault injector under it with Server.ReplaceDisk.
+// Server returns the server behind the mount.
 func (m *Mount) Server() *Server { return m.srv }
-
-// ServerCachedPages reports how many pages the server currently caches.
-func (m *Mount) ServerCachedPages() int { return m.srv.CachedPages() }
 
 // Fetch implements vfs.Stager.
 func (m *Mount) Fetch(ino *vfs.Inode, devOff, length int64) error {
@@ -137,7 +130,7 @@ func (m *Mount) Fetch(ino *vfs.Inode, devOff, length int64) error {
 // DeviceFor implements vfs.Stager: server-cached pages report the fast
 // characterization device, the rest the slow one.
 func (m *Mount) DeviceFor(ino *vfs.Inode, devOff int64) device.ID {
-	if m.srv.has(devOff/m.pageSize, false) {
+	if m.srv.cache.Contains(cache.Key{Page: devOff / m.pageSize}) {
 		return m.fastID
 	}
 	return m.slowID

@@ -2,9 +2,7 @@ package remote
 
 import (
 	"io"
-	"math"
 	"testing"
-	"testing/quick"
 
 	"sleds/internal/core"
 	"sleds/internal/device"
@@ -208,61 +206,6 @@ func TestWriteBackGoesToServer(t *testing.T) {
 	}
 	if cost := fx.k.Clock.Now() - before; cost < DefaultConfig().RTT {
 		t.Fatalf("remote sync cost %v below one RTT", cost)
-	}
-}
-
-func TestWireRoundTrip(t *testing.T) {
-	in := []core.SLED{
-		{Offset: 0, Length: 4096, Latency: 175e-9, Bandwidth: 48 * (1 << 20)},
-		{Offset: 4096, Length: 1 << 30, Latency: 98.5, Bandwidth: 5 * (1 << 20)},
-	}
-	out, err := UnmarshalSLEDs(MarshalSLEDs(in))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != len(in) {
-		t.Fatalf("length changed")
-	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("entry %d: %v != %v", i, out[i], in[i])
-		}
-	}
-}
-
-func TestWireEmptyVector(t *testing.T) {
-	out, err := UnmarshalSLEDs(MarshalSLEDs(nil))
-	if err != nil || len(out) != 0 {
-		t.Fatalf("empty round trip: %v, %v", out, err)
-	}
-}
-
-func TestWireRejectsGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 2, 3},
-		{0, 0, 0, 0, 0, 0, 0, 0},     // bad magic
-		append(MarshalSLEDs(nil), 1), // trailing byte
-		MarshalSLEDs([]core.SLED{{Length: 1}})[:20], // truncated
-	}
-	for i, c := range cases {
-		if _, err := UnmarshalSLEDs(c); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-}
-
-func TestWireRoundTripProperty(t *testing.T) {
-	f := func(off, length int64, lat, bw float64) bool {
-		if math.IsNaN(lat) || math.IsNaN(bw) {
-			return true // NaN != NaN; semantics preserved but not comparable
-		}
-		in := []core.SLED{{Offset: off, Length: length, Latency: lat, Bandwidth: bw}}
-		out, err := UnmarshalSLEDs(MarshalSLEDs(in))
-		return err == nil && len(out) == 1 && out[0] == in[0]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -3,6 +3,7 @@ package remote
 import (
 	"fmt"
 
+	"sleds/internal/cache"
 	"sleds/internal/device"
 	"sleds/internal/simclock"
 )
@@ -13,11 +14,10 @@ import (
 // are charged against the caller's clock: the server owns no time of its
 // own, exactly as the characterization devices do.
 //
-// The disk starts life as the *device.Disk built from Config.ServerDisk
-// and may be swapped for a wrapper (a fault injector) with ReplaceDisk;
-// every internal access goes through the fallible device helpers, so a
-// fault injected on the server disk surfaces as an error to the client
-// rather than being silently absorbed.
+// The disk is the *device.Disk built from Config.ServerDisk, or a fault
+// injector stacked over it; every internal access goes through the
+// fallible device helpers, so a fault injected on the server disk surfaces
+// as an error to the client rather than being silently absorbed.
 type Server struct {
 	cfg      Config
 	pageSize int64
@@ -25,32 +25,11 @@ type Server struct {
 	disk device.Device // the server's disk, possibly wrapped by an injector
 	mem  *device.Mem
 
-	// The server buffer cache, keyed by server-disk page: an LRU over
-	// index-linked frames, found through an open-addressed slot table.
-	//
-	// frames[head] is the recency list's sentinel (next = MRU, prev = LRU);
-	// frames grow by append until the cache is full, after which an insert
-	// takes over the frame it evicts. slots maps a page to its frame index
-	// by linear probing from the page's hash; 0 (the sentinel, never a
-	// page's frame) marks an empty slot. The table doubles as frames are
-	// added so that it always has at least twice as many slots as there
-	// are pages cached: probes are short, an empty slot always ends one,
-	// and a large cache holding few pages probes a small table.
-	frames   []pageFrame
-	slots    []int32 // length a power of two
-	shift    uint    // 64 - log2(len(slots)): the hash keeps the product's top bits
-	capacity int
+	// cache is the server's buffer cache: the page cache every kernel
+	// uses, under LRU, holding one file (id 0) whose pages are server-disk
+	// pages. It keeps no data, only residency and recency.
+	cache *cache.Cache
 }
-
-// pageFrame is one resident server page, linked into the recency list by
-// frame index.
-type pageFrame struct {
-	page       int64
-	prev, next int32
-}
-
-// head is the frame index of the recency list's sentinel.
-const head = 0
 
 // NewServer builds a server from cfg. The caller fixes ServerDisk.ID and
 // ServerDisk.Name before calling: the disk is constructed exactly as
@@ -71,28 +50,15 @@ func NewServer(cfg Config, pageSize int64) (*Server, error) {
 		pageSize: pageSize,
 		disk:     device.NewDisk(cfg.ServerDisk),
 		mem:      device.NewMem(cfg.ServerMem),
-		frames:   make([]pageFrame, 1),
-		slots:    make([]int32, 2),
-		shift:    63,
-		capacity: cfg.ServerCachePages,
+		cache:    cache.New(cfg.ServerCachePages, cache.LRU, nil),
 	}, nil
 }
 
-// Disk returns the server's disk as currently wired (the raw disk, or
-// whatever wrapper ReplaceDisk installed).
+// Disk returns the server's disk as currently wired.
 func (s *Server) Disk() device.Device { return s.disk }
 
-// ReplaceDisk swaps the server's disk for d — the hook for stacking a
-// fault injector under the server, mirroring Registry.Replace for
-// registered devices. Returns the previous disk so callers can unwrap.
-func (s *Server) ReplaceDisk(d device.Device) device.Device {
-	old := s.disk
-	s.disk = d
-	return old
-}
-
 // CachedPages reports how many pages the server currently caches.
-func (s *Server) CachedPages() int { return len(s.frames) - 1 }
+func (s *Server) CachedPages() int { return s.cache.Len() }
 
 // CachedBytes reports how many bytes of [off, off+n) the server's cache
 // holds right now, without touching recency — the basis for a client-side
@@ -109,112 +75,12 @@ func (s *Server) CachedBytes(off, n int64) int64 {
 	pageEnd := (page + 1) * s.pageSize
 	for cur := off; cur < end; page, pageEnd = page+1, pageEnd+s.pageSize {
 		stop := min(end, pageEnd)
-		if s.has(page, false) {
+		if s.cache.Contains(cache.Key{Page: page}) {
 			cached += stop - cur
 		}
 		cur = stop
 	}
 	return cached
-}
-
-// home is the slot a page's probe sequence starts at (Fibonacci hashing:
-// consecutive pages of one file spread over the table).
-func (s *Server) home(page int64) int {
-	return int(uint64(page) * 0x9E3779B97F4A7C15 >> s.shift)
-}
-
-// slotOf returns the slot holding page, or the empty slot that ends its
-// probe sequence.
-func (s *Server) slotOf(page int64) int {
-	mask := len(s.slots) - 1
-	i := s.home(page)
-	for {
-		if f := s.slots[i]; f == 0 || s.frames[f].page == page {
-			return i
-		}
-		i = (i + 1) & mask
-	}
-}
-
-// has reports and optionally refreshes residency of a server page.
-func (s *Server) has(page int64, touch bool) bool {
-	f := s.slots[s.slotOf(page)]
-	if f != 0 && touch {
-		s.moveToFront(f)
-	}
-	return f != 0
-}
-
-// moveToFront makes frame f the most recently used.
-func (s *Server) moveToFront(f int32) {
-	if s.frames[head].next == f {
-		return
-	}
-	s.unlink(f)
-	s.pushFront(f)
-}
-
-// unlink takes frame f out of the recency list.
-func (s *Server) unlink(f int32) {
-	fr := &s.frames[f]
-	s.frames[fr.prev].next = fr.next
-	s.frames[fr.next].prev = fr.prev
-}
-
-// pushFront links an unlinked frame in as the most recently used.
-func (s *Server) pushFront(f int32) {
-	fr, h := &s.frames[f], &s.frames[head]
-	fr.prev, fr.next = head, h.next
-	s.frames[h.next].prev = f
-	h.next = f
-}
-
-// insert adds a page to the server cache, evicting LRU.
-func (s *Server) insert(page int64) {
-	if f := s.slots[s.slotOf(page)]; f != 0 {
-		s.moveToFront(f)
-		return
-	}
-	var f int32
-	if len(s.frames) <= s.capacity {
-		if 2*(len(s.frames)+1) > len(s.slots) {
-			s.growSlots()
-		}
-		f = int32(len(s.frames))
-		s.frames = append(s.frames, pageFrame{})
-	} else {
-		// Full: the LRU page leaves and its frame is taken over.
-		f = s.frames[head].prev
-		s.unlink(f)
-		s.unslot(s.slotOf(s.frames[f].page))
-	}
-	s.frames[f].page = page
-	s.slots[s.slotOf(page)] = f
-	s.pushFront(f)
-}
-
-// growSlots doubles the slot table and re-enters every cached page.
-func (s *Server) growSlots() {
-	s.slots = make([]int32, 2*len(s.slots))
-	s.shift--
-	for f := 1; f < len(s.frames); f++ {
-		s.slots[s.slotOf(s.frames[f].page)] = int32(f)
-	}
-}
-
-// unslot empties slot i and closes the hole: every entry after it in the
-// same probe run moves back if the hole lies between its home slot and
-// where it sits, so each remaining page is still reached from its hash
-// before an empty slot is.
-func (s *Server) unslot(i int) {
-	mask := len(s.slots) - 1
-	for j := (i + 1) & mask; s.slots[j] != 0; j = (j + 1) & mask {
-		if (j-s.home(s.frames[s.slots[j]].page))&mask >= (j-i)&mask {
-			s.slots[i] = s.slots[j]
-			i = j
-		}
-	}
-	s.slots[i] = 0
 }
 
 // ReadThrough charges one remote read of [off, off+n): RTT, then server
@@ -231,13 +97,15 @@ func (s *Server) ReadThrough(c *simclock.Clock, off, n int64) error {
 		if stop > pageEnd {
 			stop = pageEnd
 		}
-		if s.has(page, true) {
+		if _, ok := s.cache.Get(cache.Key{Page: page}); ok {
 			s.mem.Read(c, cur, stop-cur)
 		} else {
 			if err := device.ReadErr(s.disk, c, cur, stop-cur); err != nil {
 				return err
 			}
-			s.insert(page)
+			if err := s.cache.Insert(cache.Key{Page: page}, nil, false); err != nil {
+				return err
+			}
 		}
 		cur = stop
 	}

@@ -81,18 +81,6 @@ func TransferTime(n int64, bytesPerSec float64) Duration {
 	return Duration(sec * float64(Second))
 }
 
-// Stopwatch measures a span of virtual time on a clock.
-type Stopwatch struct {
-	clock *Clock
-	start Duration
-}
-
-// StartWatch begins timing at the clock's current instant.
-func StartWatch(c *Clock) Stopwatch { return Stopwatch{clock: c, start: c.Now()} }
-
-// Elapsed reports virtual time since the watch was started.
-func (w Stopwatch) Elapsed() Duration { return w.clock.Now() - w.start }
-
 // Jitter produces small bounded random perturbations of durations. The
 // paper's measurements include "background system activity and the somewhat
 // random nature of page replacement"; Jitter is the simulator's stand-in,
@@ -119,8 +107,3 @@ func (j *Jitter) Perturb(d Duration) Duration {
 	f := 1 + j.frac*(2*j.rng.Float64()-1)
 	return Duration(float64(d) * f)
 }
-
-// Rand exposes the underlying deterministic RNG for components that need a
-// few random decisions tied to the same seed (e.g. page-replacement tie
-// breaking).
-func (j *Jitter) Rand() *rand.Rand { return j.rng }

@@ -108,19 +108,6 @@ func TestTransferTimeProportional(t *testing.T) {
 	}
 }
 
-func TestStopwatch(t *testing.T) {
-	c := New()
-	c.Advance(time.Second)
-	w := StartWatch(c)
-	if got := w.Elapsed(); got != 0 {
-		t.Fatalf("fresh stopwatch Elapsed = %v, want 0", got)
-	}
-	c.Advance(3 * Millisecond)
-	if got := w.Elapsed(); got != 3*Millisecond {
-		t.Fatalf("Elapsed = %v, want 3ms", got)
-	}
-}
-
 func TestJitterBounds(t *testing.T) {
 	j := NewJitter(42, 0.1)
 	base := Duration(1000 * Microsecond)

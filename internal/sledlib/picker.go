@@ -155,22 +155,6 @@ func PickInit(k *vfs.Kernel, tab *core.Table, f *vfs.File, opts Options) (*Picke
 	return p, nil
 }
 
-// SLEDs returns the raw SLED vector retrieved at PickInit (pre
-// -adjustment), for reporting.
-func (p *Picker) SLEDs() []core.SLED {
-	out := make([]core.SLED, len(p.sleds))
-	copy(out, p.sleds)
-	return out
-}
-
-// Remaining reports how many advised reads are left.
-func (p *Picker) Remaining() int {
-	if p.finished {
-		return 0
-	}
-	return len(p.chunks) - p.next
-}
-
 // NextRead returns the next advised read location and size
 // (sleds_pick_next_read). io.EOF-style: ErrFinished when exhausted.
 // Called once per read in every driver loop: pinned allocation-free.
@@ -230,12 +214,6 @@ func estimateAt(sleds []core.SLED, off int64) (latency, confidence float64) {
 		i = len(sleds) - 1
 	}
 	return sleds[i].Latency, sleds[i].Confidence
-}
-
-// TotalDeliveryTime estimates time to read the whole file under the given
-// attack plan (sleds_total_delivery_time).
-func (p *Picker) TotalDeliveryTime(plan core.Plan) float64 {
-	return core.TotalDeliveryTime(p.sleds, plan)
 }
 
 // TotalDeliveryTime is the stand-alone form used by find and gmc, which

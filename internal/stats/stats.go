@@ -179,15 +179,6 @@ func NewCDF(xs []float64) *CDF {
 	return &CDF{sorted: s}
 }
 
-// At returns P(X <= x), in [0,1]. An empty CDF returns 0 everywhere.
-func (c *CDF) At(x float64) float64 {
-	if len(c.sorted) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(c.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(c.sorted))
-}
-
 // Quantile returns the smallest observation x with P(X <= x) >= p.
 // p is clamped to (0, 1].
 func (c *CDF) Quantile(p float64) float64 {

@@ -89,7 +89,10 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{Files: make([]FileSpec, 0, nFiles)}
+	// The slices grow as lines arrive: a declared count is only a claim,
+	// and sizing from it would let a short file ask for any amount of
+	// memory.
+	t := &Trace{}
 	for i := 0; i < nFiles; i++ {
 		l, err := next()
 		if err != nil {
@@ -121,7 +124,6 @@ func Decode(r io.Reader) (*Trace, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Records = make([]Record, 0, nRecords)
 	for i := 0; i < nRecords; i++ {
 		l, err := next()
 		if err != nil {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -156,4 +157,79 @@ func TestGoldenRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(dec, tr) {
 		t.Fatal("golden file decodes to a different trace than the generator produces")
 	}
+}
+
+// TestDecodeRejectsHugeCounts: a header may declare any count, and Decode
+// must not size anything from it before the lines arrive. A 40-byte file
+// declaring 2^63-1 files once panicked in makeslice, and one declaring two
+// billion records asked for about 96 GB.
+func TestDecodeRejectsHugeCounts(t *testing.T) {
+	for _, in := range []string{
+		"sledtrace/1\nfiles 9223372036854775807\n",
+		"sledtrace/1\nfiles 0\nrecords 9223372036854775807\n",
+		"sledtrace/1\nfiles 0\nrecords 2000000000\n",
+		"sledtrace/1\nfiles 1\nf 0 4096\nrecords 2000000000\nr 0 0 0 0 4096 r\nend\n",
+	} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := Decode(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("Decode(%q) accepted a count its input does not hold", in)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+			t.Fatalf("Decode(%q) allocated %d bytes for a %d-byte input", in, grew, len(in))
+		}
+	}
+}
+
+// FuzzDecode holds the codec to its contract on any input: Decode either
+// rejects it or returns a trace that validates and survives Encode then
+// Decode unchanged. The seeds are the committed golden file, a valid
+// trace with each rejection case applied, and the huge-count headers.
+func FuzzDecode(f *testing.F) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "golden_v1.sledtrace"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(golden)
+	var valid bytes.Buffer
+	if err := Encode(&valid, tinyTrace()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	for _, in := range []string{
+		"",
+		"sledtrace/1\nfiles 0\nrecords 0\nend\n",
+		"sledtrace/1\nfiles 9223372036854775807\n",
+		"sledtrace/1\nfiles 0\nrecords 2000000000\n",
+		strings.Replace(valid.String(), "records 4", "records 5", 1),
+		strings.Replace(valid.String(), "r 0 0 0 0 4096 r", "r 0 0 0 0 0 r", 1),
+		strings.Replace(valid.String(), "r 0 0 0 0 4096 r", "r 0  0 0 0 4096 r", 1),
+		strings.Replace(valid.String(), "f 1 ", "f 3 ", 1),
+		strings.TrimSuffix(valid.String(), "end\n"),
+		valid.String() + "extra\n",
+	} {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		tr, err := Decode(bytes.NewReader(in))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Decode returned a trace that does not validate: %v", err)
+		}
+		var enc bytes.Buffer
+		if err := Encode(&enc, tr); err != nil {
+			t.Fatalf("Encode refused a decoded trace: %v", err)
+		}
+		again, err := Decode(&enc)
+		if err != nil {
+			t.Fatalf("Decode rejected its own re-encoding: %v", err)
+		}
+		if !reflect.DeepEqual(again, tr) {
+			t.Fatalf("Encode then Decode changed the trace:\n got %+v\nwant %+v", again, tr)
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 
 	"sleds/internal/simclock"
+	"sleds/internal/splitmix"
 )
 
 // Params configures one generator call. The zero value is not usable;
@@ -160,7 +161,7 @@ func (p Params) files() int {
 // perturbs the records of existing ones.
 func (p Params) streamRNG(stream int) *RNG {
 	r := NewRNG(p.Seed ^ 0xb5297a4d3f84d5a7)
-	r.state += uint64(uint32(stream)) * 0x9e3779b97f4a7c15
+	r.state += uint64(uint32(stream)) * splitmix.Gamma
 	return r
 }
 

@@ -6,7 +6,11 @@ package trace
 // parameters produce identical traces on every machine, at every worker
 // count, in any call order.
 
-import "math"
+import (
+	"math"
+
+	"sleds/internal/splitmix"
+)
 
 // RNG is a splitmix64 pseudo-random stream.
 type RNG struct {
@@ -19,13 +23,7 @@ func NewRNG(seed uint64) *RNG { return &RNG{state: seed} }
 // Uint64 advances the stream and returns a well-mixed 64-bit value.
 //
 //sledlint:hotpath
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
+func (r *RNG) Uint64() uint64 { return splitmix.Next(&r.state) }
 
 // Int64n returns a uniform value in [0, n). n must be positive.
 //
@@ -80,9 +78,6 @@ func NewZipf(n int, s float64) *Zipf {
 	cum[n-1] = 1 // exact, despite rounding
 	return &Zipf{cum: cum}
 }
-
-// Ranks returns the number of ranks the sampler covers.
-func (z *Zipf) Ranks() int { return len(z.cum) }
 
 // Sample draws one rank from the stream. One binary search, zero
 // allocations — the property the generator benchmarks pin.

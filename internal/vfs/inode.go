@@ -209,23 +209,6 @@ func (k *Kernel) Remove(path string) error {
 // Stat returns the inode at path.
 func (k *Kernel) Stat(path string) (*Inode, error) { return k.lookup(path) }
 
-// ReadDir lists the names in a directory, sorted.
-func (k *Kernel) ReadDir(path string) ([]string, error) {
-	n, err := k.lookup(path)
-	if err != nil {
-		return nil, err
-	}
-	if !n.isDir {
-		return nil, fmt.Errorf("vfs: %q: %w", path, ErrNotDir)
-	}
-	names := make([]string, 0, len(n.children))
-	for name := range n.children {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names, nil
-}
-
 // Walk visits path and everything under it in depth-first sorted order,
 // calling fn with each absolute path and inode. This is the primitive
 // find(1) is built on.

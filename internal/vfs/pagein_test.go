@@ -60,7 +60,7 @@ func TestPageInMatchesRead(t *testing.T) {
 					t.Fatalf("%s: read leaves clock %d, %+v, %+v; page-in %d, %+v, %+v", what,
 						kr.Clock.Now(), kr.RunStats(), kr.Cache().Stats(), kp.Clock.Now(), kp.RunStats(), kp.Cache().Stats())
 				}
-				if r, p := kr.Cache().RecencyTrace(), kp.Cache().RecencyTrace(); !slices.Equal(r, p) {
+				if r, p := kr.Cache().AppendRecencyTrace(nil), kp.Cache().AppendRecencyTrace(nil); !slices.Equal(r, p) {
 					t.Fatalf("%s: recency after read %v, after page-in %v", what, r, p)
 				}
 			}

@@ -8,7 +8,7 @@ import (
 
 // Regression tests for the splice bounds API: TryInsertAt/TryPlantMatch
 // return descriptive errors and leave the content untouched, and the
-// panicking wrappers carry the same messages.
+// panicking PlantMatch carries the same message.
 
 func TestTryInsertAtOutOfRange(t *testing.T) {
 	c := New(100, 64, nil)
@@ -53,20 +53,6 @@ func TestTryInsertAtOverlap(t *testing.T) {
 	if err := c.TryInsertAt(14, []byte("zz")); err != nil {
 		t.Fatalf("adjacent splice rejected: %v", err)
 	}
-}
-
-func TestInsertAtPanicsWithTryError(t *testing.T) {
-	c := New(100, 64, nil)
-	defer func() {
-		p := recover()
-		if p == nil {
-			t.Fatal("out-of-range InsertAt did not panic")
-		}
-		if !strings.Contains(p.(string), "outside") {
-			t.Fatalf("panic %v does not carry the bounds error", p)
-		}
-	}()
-	c.InsertAt(99, []byte("abcd"))
 }
 
 func TestTryPlantMatchTooSmall(t *testing.T) {

@@ -1,15 +1,22 @@
-package workload_test
+package workload
 
 import (
 	"bytes"
 	"fmt"
 	"testing"
 
-	"sleds/internal/trace"
-	"sleds/internal/workload"
+	"sleds/internal/splitmix"
 )
 
 const storePage = 64
+
+// testRNG is a SplitMix64 stream for the seeded operation sequences.
+type testRNG uint64
+
+func (r *testRNG) Uint64() uint64 { return splitmix.Next((*uint64)(r)) }
+
+// Int64n returns a value in [0, n); n must be positive.
+func (r *testRNG) Int64n(n int64) int64 { return int64(r.Uint64() % uint64(n)) }
 
 // countingGen is content that differs by file, page and position, and
 // counts how often each page is generated.
@@ -29,8 +36,8 @@ func (g *countingGen) gen(page int64, buf []byte) {
 
 // leaveBudget leases all of the store's budget but keep pages to a ballast
 // content, which is how a test gets a small store without a knob.
-func leaveBudget(s *workload.Store, keep int64) {
-	ballast := workload.New(workload.StoreBudget-keep*storePage, storePage, newCountingGen(0).gen)
+func leaveBudget(s *Store, keep int64) {
+	ballast := New(StoreBudget-keep*storePage, storePage, newCountingGen(0).gen)
 	ballast.KeepIn(s)
 	ballast.ReadPage(0, make([]byte, storePage))
 }
@@ -44,7 +51,7 @@ func TestStoreDifferential(t *testing.T) {
 	for _, keep := range []int64{0, 3, -1} {
 		keep := keep
 		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
-			store := new(workload.Store)
+			store := new(Store)
 			for seed := uint64(1); seed <= 60; seed++ {
 				store.Reset()
 				if keep >= 0 {
@@ -57,11 +64,11 @@ func TestStoreDifferential(t *testing.T) {
 	}
 }
 
-func runStoreTrial(t *testing.T, store *workload.Store, seed uint64) {
-	rng := trace.NewRNG(seed)
+func runStoreTrial(t *testing.T, store *Store, seed uint64) {
+	rng := testRNG(seed)
 	size := (2+rng.Int64n(9))*storePage + rng.Int64n(storePage)
-	plain := workload.New(size, storePage, newCountingGen(int64(seed)).gen)
-	kept := workload.New(size, storePage, newCountingGen(int64(seed)).gen)
+	plain := New(size, storePage, newCountingGen(int64(seed)).gen)
+	kept := New(size, storePage, newCountingGen(int64(seed)).gen)
 	kept.KeepIn(store)
 
 	a, b := make([]byte, storePage), make([]byte, storePage)
@@ -136,11 +143,11 @@ func runStoreTrial(t *testing.T, store *workload.Store, seed uint64) {
 // shows.
 func TestStoreGeneratesOnce(t *testing.T) {
 	const pages = 8
-	store := new(workload.Store)
+	store := new(Store)
 	leaveBudget(store, 3)
 	g := newCountingGen(1)
-	c := workload.New(pages*storePage, storePage, g.gen)
-	want := workload.New(pages*storePage, storePage, newCountingGen(1).gen)
+	c := New(pages*storePage, storePage, g.gen)
+	want := New(pages*storePage, storePage, newCountingGen(1).gen)
 	c.KeepIn(store)
 
 	buf := make([]byte, storePage)
@@ -150,8 +157,12 @@ func TestStoreGeneratesOnce(t *testing.T) {
 		}
 		if pass == 0 {
 			frag := []byte("planted after the first read")
-			c.InsertAt(storePage+5, frag)
-			want.InsertAt(storePage+5, frag)
+			if err := c.TryInsertAt(storePage+5, frag); err != nil {
+				t.Fatal(err)
+			}
+			if err := want.TryInsertAt(storePage+5, frag); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	for p := int64(0); p < pages; p++ {
@@ -169,16 +180,16 @@ func TestStoreGeneratesOnce(t *testing.T) {
 // and a content that was never read before the Reset takes no lease after.
 func TestStoreLeaseEndsAtReset(t *testing.T) {
 	const pages = 6
-	store := new(workload.Store)
+	store := new(Store)
 	old, unread := newCountingGen(1), newCountingGen(2)
-	c := workload.New(pages*storePage, storePage, old.gen)
-	u := workload.New(pages*storePage, storePage, unread.gen)
+	c := New(pages*storePage, storePage, old.gen)
+	u := New(pages*storePage, storePage, unread.gen)
 	c.KeepIn(store)
 	u.KeepIn(store)
 	want := c.ReadAll() // fills every slot
 
 	store.Reset()
-	next := workload.New(pages*storePage, storePage, newCountingGen(3).gen)
+	next := New(pages*storePage, storePage, newCountingGen(3).gen)
 	next.KeepIn(store)
 	nextWant := next.ReadAll() // the same slots, other bytes
 
@@ -204,14 +215,14 @@ func TestStoreLeaseEndsAtReset(t *testing.T) {
 // read, content without a generator never takes any, and the slab stops at
 // the budget however much is read through it.
 func TestStoreIsLazyAndBounded(t *testing.T) {
-	store := new(workload.Store)
+	store := new(Store)
 	buf := make([]byte, storePage)
-	c := workload.New(4*storePage, storePage, newCountingGen(1).gen)
+	c := New(4*storePage, storePage, newCountingGen(1).gen)
 	c.KeepIn(store)
-	zero := workload.New(4*storePage, storePage, nil)
+	zero := New(4*storePage, storePage, nil)
 	zero.KeepIn(store)
 	zero.ReadPage(0, buf)
-	lit := workload.NewBytes([]byte("literal bytes"), storePage)
+	lit := NewBytes([]byte("literal bytes"), storePage)
 	lit.KeepIn(store)
 	lit.ReadPage(0, buf)
 	if store.Held() != 0 {
@@ -222,27 +233,27 @@ func TestStoreIsLazyAndBounded(t *testing.T) {
 		t.Fatalf("store holds %d bytes after a 4-page file was first read, want %d", got, 4*storePage)
 	}
 	for i := 0; i < 3; i++ {
-		big := workload.New(workload.StoreBudget, storePage, newCountingGen(2).gen)
+		big := New(StoreBudget, storePage, newCountingGen(2).gen)
 		big.KeepIn(store)
 		big.ReadPage(big.Pages()-1, buf)
 		big.ReadPage(0, buf)
 	}
-	if got := store.Held(); got != workload.StoreBudget {
-		t.Fatalf("store holds %d bytes after three budget-sized files, want exactly the %d-byte budget", got, workload.StoreBudget)
+	if got := store.Held(); got != StoreBudget {
+		t.Fatalf("store holds %d bytes after three budget-sized files, want exactly the %d-byte budget", got, StoreBudget)
 	}
 }
 
 // TestStoreGrowthKeepsLeases: the slab grows under a point's second and third
 // files without disturbing what the first already keeps there.
 func TestStoreGrowthKeepsLeases(t *testing.T) {
-	store := new(workload.Store)
+	store := new(Store)
 	var gens []*countingGen
-	var files []*workload.Content
+	var files []*Content
 	var want [][]byte
 	for i, pages := range []int64{3, 20, 200} {
 		g := newCountingGen(int64(i + 1))
-		c := workload.New(pages*storePage, storePage, g.gen)
-		want = append(want, workload.New(pages*storePage, storePage, newCountingGen(int64(i+1)).gen).ReadAll())
+		c := New(pages*storePage, storePage, g.gen)
+		want = append(want, New(pages*storePage, storePage, newCountingGen(int64(i+1)).gen).ReadAll())
 		c.KeepIn(store)
 		c.ReadAll() // leases, growing the slab past the files before it
 		gens, files = append(gens, g), append(files, c)
@@ -265,8 +276,8 @@ var storedSink byte
 // BenchmarkTextGen/fast is a generation. 0 allocs/op.
 func BenchmarkReadPageStored(b *testing.B) {
 	const ps, pages = 4096, 256
-	store := new(workload.Store)
-	c := workload.NewText(7, pages*ps, ps)
+	store := new(Store)
+	c := NewText(7, pages*ps, ps)
 	c.KeepIn(store)
 	buf := make([]byte, ps)
 	for p := int64(0); p < pages; p++ {

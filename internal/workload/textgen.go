@@ -1,6 +1,10 @@
 package workload
 
-import "fmt"
+import (
+	"fmt"
+
+	"sleds/internal/splitmix"
+)
 
 // Deterministic pseudo-text generation. Each page is generated
 // independently from (seed, page) with a splitmix64 stream, so any page
@@ -40,18 +44,6 @@ var slots = func() (out [len(lexicon)]wordSlot) {
 	return out
 }()
 
-// gamma is splitmix64's state increment.
-const gamma = 0x9e3779b97f4a7c15
-
-// splitmix64 advances x and returns a well-mixed 64-bit value.
-func splitmix64(x *uint64) uint64 {
-	*x += gamma
-	z := *x
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // TextGen returns a PageGen producing line-oriented pseudo-text: words from
 // the lexicon separated by single spaces, newlines roughly every 50-70
 // bytes. Page content depends only on (seed, page).
@@ -64,10 +56,10 @@ func TextGen(seed uint64) PageGen {
 // no whatever the draw, so the stream is stepped and the draw never mixed.
 func breakLine(lineLen int, state *uint64) bool {
 	if lineLen < 50 {
-		*state += gamma
+		*state += splitmix.Gamma
 		return false
 	}
-	return lineLen >= 50+int(splitmix64(state)%20)
+	return lineLen >= 50+int(splitmix.Next(state)%20)
 }
 
 // textPage fills buf with the text of one page. While a whole slot fits
@@ -77,13 +69,13 @@ func breakLine(lineLen int, state *uint64) bool {
 //
 //sledlint:hotpath
 func textPage(seed uint64, page int64, buf []byte) {
-	state := seed ^ (uint64(page)+1)*gamma
+	state := seed ^ (uint64(page)+1)*splitmix.Gamma
 	// Warm the stream so adjacent pages decorrelate.
-	splitmix64(&state)
+	splitmix.Next(&state)
 
 	lineLen := 0
 	for len(buf) >= slotSize {
-		s := &slots[splitmix64(&state)%uint64(len(lexicon))]
+		s := &slots[splitmix.Next(&state)%uint64(len(lexicon))]
 		copy(buf[:slotSize], s[:])
 		// The mask shows the compiler n < slotSize <= len(buf): no bounds
 		// checks in this loop.
@@ -98,7 +90,7 @@ func textPage(seed uint64, page int64, buf []byte) {
 		buf = buf[n+1:]
 	}
 	for len(buf) > 0 {
-		s := &slots[splitmix64(&state)%uint64(len(lexicon))]
+		s := &slots[splitmix.Next(&state)%uint64(len(lexicon))]
 		n := copy(buf, s[:s[slotSize-1]])
 		lineLen += n
 		if n == len(buf) {

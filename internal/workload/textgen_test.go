@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// splitmix64 is the generator step as the oracle was written against,
+// spelled out so the oracle does not share internal/splitmix with the
+// code it checks.
+func splitmix64(x *uint64) uint64 {
+	*x += 0x9e3779b97f4a7c15
+	z := *x
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // textGenOracle is the TextGen body as it stood before the slot fast
 // path, kept verbatim: the byte-for-byte reference the production
 // generator is compared against.

