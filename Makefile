@@ -99,14 +99,15 @@ bench-compare:
 # workers-diff is the one recipe behind determinism and the *-smoke
 # targets: run sledsbench -scale quick with the flags in $(2) at -workers 1
 # and -workers 4, fail on any stdout byte difference, and — when $(3) names
-# a committed golden — fail unless the output equals it too. $(1) tags the
-# files left in /tmp; $(4) says what was proven.
+# a committed golden — fail unless the output equals it too. $(1) names the
+# check; $(4) says what was proven. The outputs go to a fresh mktemp -d
+# directory, named in the last line, so two checkouts can run at once.
 define workers-diff
-$(GO) run ./cmd/sledsbench -scale quick $(2) -workers 1 > /tmp/sledsbench-$(1)-w1.txt
-$(GO) run ./cmd/sledsbench -scale quick $(2) -workers 4 > /tmp/sledsbench-$(1)-w4.txt
-diff /tmp/sledsbench-$(1)-w1.txt /tmp/sledsbench-$(1)-w4.txt
-$(if $(3),diff $(3) /tmp/sledsbench-$(1)-w1.txt)
-@echo "$(4): byte-identical at 1 and 4 workers$(if $(3), and equal to $(3))"
+d=$$(mktemp -d -t sledsbench-$(1).XXXXXX) && \
+$(GO) run ./cmd/sledsbench -scale quick $(2) -workers 1 > $$d/w1.txt && \
+$(GO) run ./cmd/sledsbench -scale quick $(2) -workers 4 > $$d/w4.txt && \
+diff $$d/w1.txt $$d/w4.txt$(if $(3), && diff $(3) $$d/w1.txt) && \
+echo "$(4): byte-identical at 1 and 4 workers$(if $(3), and equal to $(3)) (outputs in $$d)"
 endef
 
 # scale-smoke proves the event-heap engine at full width: the escale
@@ -136,8 +137,9 @@ determinism:
 # escale golden). etrace is deliberately outside "all" (like escale), so
 # this is the only place it runs.
 trace-smoke:
-	$(GO) run ./cmd/sledstrace gen -class mixed -seed 7 -o /tmp/sledstrace-smoke.sledtrace
-	$(GO) run ./cmd/sledstrace validate /tmp/sledstrace-smoke.sledtrace
+	d=$$(mktemp -d -t sledstrace-smoke.XXXXXX) && \
+	$(GO) run ./cmd/sledstrace gen -class mixed -seed 7 -o $$d/smoke.sledtrace && \
+	$(GO) run ./cmd/sledstrace validate $$d/smoke.sledtrace
 	$(call workers-diff,etrace,-exp etrace,experiments_quick_etrace.txt,trace-smoke: etrace replay)
 
 # fleet-smoke drives the fleet tier end to end: the efleet experiment

@@ -296,9 +296,6 @@ func (c *Cache) remove(i int32) frame {
 	return f
 }
 
-// Policy returns the replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
-
 // Stats returns a copy of the activity counters.
 func (c *Cache) Stats() Stats { return c.stats }
 

@@ -37,7 +37,7 @@ func equivMachine(t testing.TB, cachePages int, pol cache.Policy) (*vfs.Kernel, 
 }
 
 // attachHSM turns the machine into a tape + disk hierarchy: a tape
-// library with its own table entry, and an HSM stager (8-page blocks,
+// library with its own table entry, and an HSM stager (16-page blocks,
 // capacity bytes of disk staging area) interposed on it. Files created on
 // the returned device are staged: their uncached pages scatter over tape
 // and disk as the stager migrates blocks.
@@ -47,7 +47,7 @@ func attachHSM(t testing.TB, k *vfs.Kernel, tab *Table, disk device.ID, capacity
 	if err := tab.SetDevice(tape, Entry{Latency: 40, Bandwidth: 2 * (1 << 20)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hsm.New(k, hsm.Config{Tape: tape, Disk: disk, BlockSize: 8 * testPage, Capacity: capacity}); err != nil {
+	if _, err := hsm.New(k, hsm.Config{Tape: tape, Disk: disk, Capacity: capacity}); err != nil {
 		t.Fatal(err)
 	}
 	return tape

@@ -374,18 +374,6 @@ func queued(e Entry, depth int, rem simclock.Duration) Entry {
 	return e
 }
 
-// Devices returns the IDs with installed entries, in ascending ID
-// order so that callers iterating the result stay deterministic.
-func (t *Table) Devices() []device.ID {
-	var out []device.ID
-	for id := range t.devs {
-		if t.devs[id].have {
-			out = append(out, device.ID(id))
-		}
-	}
-	return out
-}
-
 // zoneCursor walks one device's table entries in ascending device-offset
 // order: the single flat entry, or the zone vector with a monotone index.
 // The zero value (a device with no entry) yields the zero Entry; the

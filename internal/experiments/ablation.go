@@ -248,7 +248,7 @@ func AblationZones(cfg Config) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	zones, err := lmbench.MeasureDeviceZones(m.K.Clock, disk, 8)
+	zones, err := lmbench.MeasureDeviceZones(m.K.Clock, disk)
 	if err != nil {
 		return Figure{}, err
 	}

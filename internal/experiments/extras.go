@@ -262,10 +262,9 @@ func EHSM(cfg Config) (EHSMResult, error) {
 				return nil, "", err
 			}
 			if _, err := hsm.New(m.K, hsm.Config{
-				Tape:      m.Tape,
-				Disk:      m.Disk,
-				BlockSize: int64(cfg.PageSize) * 16,
-				Capacity:  size, // stage can hold the whole file
+				Tape:     m.Tape,
+				Disk:     m.Disk,
+				Capacity: size, // stage can hold the whole file
 			}); err != nil {
 				return nil, "", err
 			}

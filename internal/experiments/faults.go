@@ -33,8 +33,8 @@ const (
 	efaultsDiskFactor = 16
 	// efaultsPFault / efaultsMaxConsecutive parameterise the degraded NFS
 	// injector: a quarter of fresh requests start a fault episode of at
-	// most 3 failed attempts — strictly under the default RetryPolicy's 5
-	// attempts, so the experiment completes without EIO by construction.
+	// most 3 failed attempts — strictly under the kernel's 5 attempts per
+	// request, so the experiment completes without EIO by construction.
 	efaultsPFault         = 0.25
 	efaultsMaxConsecutive = 3
 	// efaultsHalfLife stretches the health-penalty decay for this

@@ -24,8 +24,9 @@
 // A fault episode fails 1..MaxConsecutive consecutive attempts at the
 // same offset, then clears: the next request at that offset succeeds
 // unconditionally, modelling transient conditions that retries ride out.
-// A kernel RetryPolicy with MaxAttempts > MaxConsecutive therefore never
-// surfaces EIO from this injector; a tighter policy (or FailFast) does.
+// The kernel makes five attempts per request, so an injector with
+// MaxConsecutive < 5 never surfaces EIO through it, and one with
+// MaxConsecutive >= 5 can.
 package faults
 
 import (
@@ -122,8 +123,8 @@ type Injector struct {
 	// clearedOff remembers the offset whose episode just drained: the
 	// next request there succeeds unconditionally (and consumes no
 	// randomness), so consecutive failures at one offset never exceed
-	// MaxConsecutive — a retry policy with MaxAttempts > MaxConsecutive
-	// is guaranteed to ride every episode out.
+	// MaxConsecutive — a caller that makes more attempts than that is
+	// guaranteed to ride every episode out.
 	clearedOff   int64
 	clearedValid bool
 

@@ -78,8 +78,8 @@ func TestSameSeedSameSchedule(t *testing.T) {
 }
 
 // TestScheduleIndependentOfRetryPolicy is the determinism contract that
-// makes fault schedules identical at any -workers value and under any
-// kernel RetryPolicy: retries consume no randomness, so whether the
+// makes fault schedules identical at any -workers value and however the
+// caller retries: retries consume no randomness, so whether the
 // caller retries to completion or abandons after the first failure, the
 // same fresh requests fault.
 func TestScheduleIndependentOfRetryPolicy(t *testing.T) {
@@ -97,8 +97,8 @@ func TestScheduleIndependentOfRetryPolicy(t *testing.T) {
 
 // TestEpisodeBounded checks the episode contract: at one offset, at most
 // MaxConsecutive consecutive attempts fail, and the attempt that finds
-// the episode drained always succeeds — so a retry policy with
-// MaxAttempts > MaxConsecutive can never see EIO from a single injector.
+// the episode drained always succeeds — so a caller making more than
+// MaxConsecutive attempts can never see EIO from a single injector.
 func TestEpisodeBounded(t *testing.T) {
 	for _, max := range []int{1, 2, 3, 5} {
 		d, _ := newInjected(mkDisk, Config{Seed: 11, PFault: 1, MaxConsecutive: max})

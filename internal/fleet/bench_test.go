@@ -106,17 +106,20 @@ func BenchmarkSelectFragmentedColdMemo(b *testing.B) {
 }
 
 // BenchmarkReadProgram measures one complete logical read through the
-// Read state machine under RunProgram (no engine: every access completes
-// in place), per policy.
+// Read state machine, run by an engine with no queued device (every access
+// completes in place), per policy.
 func BenchmarkReadProgram(b *testing.B) {
 	for _, pol := range []Policy{PolicyRR, PolicySLED} {
 		b.Run(pol.String(), func(b *testing.B) {
 			fx := newFleet(b, DefaultConfig(), 64*testPage)
+			st := benchStream{f: fx.f, policy: pol, offs: []int64{0}}
+			e := iosched.NewEngine(fx.k)
+			e.AddStream(0, &st)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				var out Read
-				if err := iosched.RunProgram(fx.k, fx.f.ReadProgram(pol, 0, 4*testPage, &out)); err != nil {
+				st.cur = 0
+				if err := e.Run(); err != nil {
 					b.Fatal(err)
 				}
 			}

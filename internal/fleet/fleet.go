@@ -39,57 +39,28 @@ import (
 	"sleds/internal/core"
 	"sleds/internal/device"
 	"sleds/internal/remote"
-	"sleds/internal/simclock"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
-
-// RetryConfig bounds failover for one logical read: each replica may be
-// tried at most MaxAttempts times, with a doubling backoff between
-// attempts capped at BackoffCap.
-type RetryConfig struct {
-	MaxAttempts int
-	Backoff     simclock.Duration
-	BackoffCap  simclock.Duration
-}
 
 // Config parameterises a fleet.
 type Config struct {
 	// Replicas is the number of servers (>= 1).
 	Replicas int
-	// Server configures every replica's server (disk, memory, cache,
-	// RTT, wire). ServerDisk.ID and Name are overwritten per replica.
+	// Server configures every replica's server.
 	Server remote.Config
-	// ConfidenceFloor demotes a replica from the candidate set when the
-	// confidence of its estimate falls below it.
-	ConfidenceFloor float64
 	// ProbeEvery routes every ProbeEvery-th selection to a demoted
 	// replica (round-robin among them), so a recovered server is
 	// rediscovered within a bounded number of selections.
 	ProbeEvery int
-	// HedgeMult scales the primary's estimated latency into the hedge
-	// deadline; MinHedgeDelay floors it.
-	HedgeMult     float64
-	MinHedgeDelay simclock.Duration
-	// Retry bounds failover per logical read.
-	Retry RetryConfig
 }
 
-// DefaultConfig returns a four-replica fleet of DefaultConfig servers
-// with hedging at 3x the estimate and a two-attempt retry budget.
+// DefaultConfig returns a four-replica fleet of DefaultConfig servers.
 func DefaultConfig() Config {
 	return Config{
-		Replicas:        4,
-		Server:          remote.DefaultConfig(),
-		ConfidenceFloor: 0.5,
-		ProbeEvery:      16,
-		HedgeMult:       3,
-		MinHedgeDelay:   2 * simclock.Millisecond,
-		Retry: RetryConfig{
-			MaxAttempts: 2,
-			Backoff:     5 * simclock.Millisecond,
-			BackoffCap:  80 * simclock.Millisecond,
-		},
+		Replicas:   4,
+		Server:     remote.DefaultConfig(),
+		ProbeEvery: 16,
 	}
 }
 
@@ -123,7 +94,6 @@ type Fleet struct {
 
 	replicas []*Replica
 	pageSize int64
-	rttSec   float64 // cfg.Server.RTT in seconds, for every estimate
 
 	picks   int64 // total selections, drives the probe cadence
 	probeRR int   // round-robin cursor over demoted replicas
@@ -139,28 +109,15 @@ func New(k *vfs.Kernel, cfg Config) (*Fleet, error) {
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("fleet: %d replicas", cfg.Replicas)
 	}
-	if cfg.ConfidenceFloor < 0 || cfg.ConfidenceFloor > 1 {
-		return nil, fmt.Errorf("fleet: confidence floor %v outside [0,1]", cfg.ConfidenceFloor)
-	}
-	if cfg.HedgeMult <= 0 {
-		return nil, fmt.Errorf("fleet: non-positive hedge multiplier %v", cfg.HedgeMult)
-	}
-	if cfg.Retry.MaxAttempts < 1 {
-		return nil, fmt.Errorf("fleet: retry budget of %d attempts", cfg.Retry.MaxAttempts)
-	}
 	f := &Fleet{
 		k:        k,
 		cfg:      cfg,
 		pageSize: int64(k.PageSize()),
-		rttSec:   cfg.Server.RTT.Seconds(),
 		replicas: make([]*Replica, cfg.Replicas),
 		ests:     make([]estimate, cfg.Replicas),
 	}
 	for i := range f.replicas {
-		srvCfg := cfg.Server
-		srvCfg.ServerDisk.ID = device.ID(k.Devices.Len())
-		srvCfg.ServerDisk.Name = fmt.Sprintf("fleet/r%d", i)
-		srv, err := remote.NewServer(srvCfg, f.pageSize)
+		srv, err := remote.NewServer(cfg.Server, device.ID(k.Devices.Len()), fmt.Sprintf("fleet/r%d", i), f.pageSize)
 		if err != nil {
 			return nil, err
 		}
@@ -178,9 +135,6 @@ func (f *Fleet) Replica(i int) *Replica { return f.replicas[i] }
 // SetTable attaches the calibrated sleds table the selector estimates
 // from (and feeds fault observations into).
 func (f *Fleet) SetTable(tab *core.Table) { f.tab = tab }
-
-// Table returns the attached sleds table (nil before SetTable).
-func (f *Fleet) Table() *core.Table { return f.tab }
 
 // CreateFile creates one copy of the replicated file per replica —
 // path.r0, path.r1, ... on the respective replica devices, identical

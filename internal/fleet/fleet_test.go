@@ -79,9 +79,6 @@ func TestConfigValidation(t *testing.T) {
 	k.AttachDevice(mem)
 	for _, mut := range []func(*Config){
 		func(c *Config) { c.Replicas = 0 },
-		func(c *Config) { c.ConfidenceFloor = 1.5 },
-		func(c *Config) { c.HedgeMult = 0 },
-		func(c *Config) { c.Retry.MaxAttempts = 0 },
 	} {
 		cfg := DefaultConfig()
 		mut(&cfg)
@@ -136,8 +133,8 @@ func TestSelectRoutesAroundFaultedReplica(t *testing.T) {
 	fx := newFleet(t, DefaultConfig(), 64*testPage)
 	now := fx.k.Clock.Now()
 	fx.tab.ObserveFault(fx.f.Replica(0).Dev, faults.TimeoutExtra, now)
-	if conf := replicaConfidence(t, fx, 0); conf >= fx.f.cfg.ConfidenceFloor {
-		t.Fatalf("one timeout left confidence at %v, floor %v", conf, fx.f.cfg.ConfidenceFloor)
+	if conf := replicaConfidence(t, fx, 0); conf >= confidenceFloor {
+		t.Fatalf("one timeout left confidence at %v, floor %v", conf, confidenceFloor)
 	}
 	sel, err := fx.f.Select(0, 4*testPage, now)
 	if err != nil {
@@ -225,7 +222,7 @@ func TestReplicaDevicesKeepInfoWhenWrapped(t *testing.T) {
 		if _, ok := raw.(*remote.ServerDevice); !ok {
 			t.Fatalf("replica %d registered a %T, want *remote.ServerDevice", i, raw)
 		}
-		want[i] = device.Info{ID: id, Name: fmt.Sprintf("fleet/r%d", i), Level: device.LevelNFS, Size: DefaultConfig().Server.ServerDisk.Size}
+		want[i] = device.Info{ID: id, Name: fmt.Sprintf("fleet/r%d", i), Level: device.LevelNFS, Size: device.DefaultDiskConfig(0).Size}
 		if got := raw.Info(); got != want[i] {
 			t.Fatalf("replica %d Info = %+v, want %+v", i, got, want[i])
 		}
@@ -254,9 +251,9 @@ func TestHedgeLoserFaultFeedsHealth(t *testing.T) {
 	if out.Err != nil || out.Failed != 0 {
 		t.Fatalf("masked read outcome %+v, want a clean hedged completion", out)
 	}
-	if conf := replicaConfidence(t, fx, 0); conf >= DefaultConfig().ConfidenceFloor {
+	if conf := replicaConfidence(t, fx, 0); conf >= confidenceFloor {
 		t.Fatalf("replica 0 confidence %v after a masked fault, want demotion below %v",
-			conf, DefaultConfig().ConfidenceFloor)
+			conf, confidenceFloor)
 	}
 }
 
@@ -303,28 +300,28 @@ func TestReadFailoverWithinBudget(t *testing.T) {
 		t.Fatalf("replica 0 fault counter %d, want 1", fx.f.Replica(0).Faults)
 	}
 	// The observed fault demoted replica 0 for subsequent selections.
-	if conf := replicaConfidence(t, fx, 0); conf >= fx.f.cfg.ConfidenceFloor {
+	if conf := replicaConfidence(t, fx, 0); conf >= confidenceFloor {
 		t.Fatalf("fault not fed to the health observer: confidence %v", conf)
 	}
 }
 
-// TestReadBudgetExhausted: with every replica faulting, the read gives up
-// once the per-replica budgets are spent and surfaces the error.
+// TestReadBudgetExhausted: with every replica faulting for longer than its
+// budget, the read gives up once the per-replica budgets are spent and
+// surfaces the error.
 func TestReadBudgetExhausted(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
-	cfg.Retry.MaxAttempts = 1
 	fx := newFleet(t, cfg, 64*testPage)
-	injectReplica(fx, 0, faults.Config{Seed: 2, PFault: 1, MaxConsecutive: 3})
-	injectReplica(fx, 1, faults.Config{Seed: 3, PFault: 1, MaxConsecutive: 3})
+	injectReplica(fx, 0, faults.Config{Seed: 2, PFault: 1, MaxConsecutive: 1 << 20})
+	injectReplica(fx, 1, faults.Config{Seed: 3, PFault: 1, MaxConsecutive: 1 << 20})
 	e := engineFor(fx)
 	var out Read
 	e.AddStream(0, fx.f.ReadProgram(PolicySLED, 0, testPage, &out))
 	if err := e.Run(); err == nil {
 		t.Fatal("stream did not surface the exhausted-budget error")
 	}
-	if out.Err == nil || out.Attempts != 2 || out.Failed != 2 {
-		t.Fatalf("outcome %+v, want two failed attempts and an error", out)
+	if out.Err == nil || out.Attempts != 2*retryAttempts || out.Failed != 2*retryAttempts {
+		t.Fatalf("outcome %+v, want %d failed attempts and an error", out, 2*retryAttempts)
 	}
 }
 
@@ -380,7 +377,7 @@ func TestDemotionAndProbeBackRecovery(t *testing.T) {
 	if out.Err != nil || out.Failed == 0 {
 		t.Fatalf("phase 1 outcome %+v, want an absorbed fault", out)
 	}
-	if conf := replicaConfidence(t, fx, 0); conf >= cfg.ConfidenceFloor {
+	if conf := replicaConfidence(t, fx, 0); conf >= confidenceFloor {
 		t.Fatalf("replica 0 not demoted: confidence %v", conf)
 	}
 
@@ -505,6 +502,22 @@ func formatPath(prefix string, i int) string {
 	return prefix + ".r" + string(rune('0'+i))
 }
 
+// slowReads is a replica device whose every read first stalls for delay:
+// a server slower than anything its estimate says.
+type slowReads struct {
+	device.Device
+	delay simclock.Duration
+}
+
+func (d *slowReads) ReadErr(c *simclock.Clock, off, n int64) error {
+	c.Advance(d.delay)
+	return device.ReadErr(d.Device, c, off, n)
+}
+
+func (d *slowReads) WriteErr(c *simclock.Clock, off, n int64) error {
+	return device.WriteErr(d.Device, c, off, n)
+}
+
 // failFirstRead is a replica device whose first read fails fast with a
 // fault naming the device; everything after passes through.
 type failFirstRead struct {
@@ -535,9 +548,6 @@ func TestHedgeWinnerFaultOnDeviceZero(t *testing.T) {
 	k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 64, MemDevice: mem})
 	cfg := DefaultConfig()
 	cfg.Replicas = 2
-	// A deadline that expires at once: the secondary always races.
-	cfg.HedgeMult = 1e-9
-	cfg.MinHedgeDelay = simclock.Nanosecond
 	f, err := New(k, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -557,12 +567,14 @@ func TestHedgeWinnerFaultOnDeviceZero(t *testing.T) {
 	fx := &fixture{k: k, f: f, tab: tab}
 
 	// Replica 1 holds the region in its server cache, so it is the primary
-	// and replica 0 the hedge target; replica 0 fails its first read within
-	// a microsecond, long before the primary's bytes cross the wire.
+	// and replica 0 the hedge target. Replica 1 stalls for a second, so the
+	// hedge fires, and replica 0 fails its first read within a microsecond,
+	// long before the primary's bytes cross the wire.
 	r1 := f.Replica(1)
 	if err := r1.Server().ReadThrough(k.Clock, r1.Inode().Extent(), 4*testPage); err != nil {
 		t.Fatal(err)
 	}
+	k.Devices.Replace(r1.Dev, &slowReads{Device: k.Devices.Get(r1.Dev), delay: simclock.Second})
 	k.Devices.Replace(0, &failFirstRead{Device: k.Devices.Get(0)})
 	e := engineFor(fx)
 	var out Read
@@ -584,26 +596,26 @@ func TestHedgeWinnerFaultOnDeviceZero(t *testing.T) {
 
 // TestSteadyStateReadAllocatesNothing pins the host cost of a logical
 // read: one Read, reused in place for read after read and stepped to
-// completion against unqueued devices (every Op completes in place, as
-// under RunProgram), performs no allocation once the table's memo entries
-// and the Read's attempt buffer exist — selection, the SLED queries behind
-// it, the Op and the server-cache update included.
+// completion against unqueued devices (every Op completes in place) by an
+// engine that is run again and again, performs no allocation once the
+// table's memo entries and the Read's attempt buffer exist — selection,
+// the SLED queries behind it, the Op and the server-cache update included.
 func TestSteadyStateReadAllocatesNothing(t *testing.T) {
 	fx := newFleet(t, DefaultConfig(), 64*testPage)
 	st := benchStream{f: fx.f, policy: PolicySLED} // bench_test.go: reads back to back on one Read
 	for r := int64(0); r < 16; r++ {
 		st.offs = append(st.offs, r*4*testPage)
 	}
+	e := iosched.NewEngine(fx.k)
+	e.AddStream(0, &st)
 	run := func() {
 		st.cur = 0
-		if err := iosched.RunProgram(fx.k, &st); err != nil {
+		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run() // first use: memo entries, scratch vectors, the attempt buffer, server-cache frames
-	// RunProgram allocates the Handle it passes to Step, once per call;
-	// the sixteen reads inside it must add nothing.
-	if avg := testing.AllocsPerRun(20, run); avg > 1 {
-		t.Fatalf("%d steady-state SLED reads cost %.0f allocations; want 1, RunProgram's own Handle", len(st.offs), avg)
+	if avg := testing.AllocsPerRun(20, run); avg != 0 {
+		t.Fatalf("%d steady-state SLED reads cost %.0f allocations; want 0", len(st.offs), avg)
 	}
 }

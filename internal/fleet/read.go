@@ -53,6 +53,15 @@ func (f *Fleet) ObserveLateFaults(e *iosched.Engine) {
 	})
 }
 
+// Failover's budget for one logical read: each replica may be tried
+// retryAttempts times, and the read waits retryBackoff before its first
+// retry, doubled before each one after and capped at retryBackoffCap.
+const (
+	retryAttempts   = 2
+	retryBackoff    = 5 * simclock.Millisecond
+	retryBackoffCap = 80 * simclock.Millisecond
+)
+
 // Read is one logical read of the replicated file, driven as a
 // sub-state-machine inside an iosched Program: call Step with the
 // previous Result to get the next Op until it reports done, then inspect
@@ -71,7 +80,7 @@ type Read struct {
 	off, n int64
 
 	attempts []int // per-replica attempts consumed this read
-	spent    int   // replicas whose budget (Retry.MaxAttempts) is used up
+	spent    int   // replicas whose budget (retryAttempts) is used up
 	backoff  simclock.Duration
 	target   int  // replica index of the attempt in flight
 	hedgeTo  int  // secondary's replica index, -1 when not hedged
@@ -110,7 +119,7 @@ func (f *Fleet) BeginRead(r *Read, policy Policy, off, n int64) {
 		off:      off,
 		n:        n,
 		attempts: attempts,
-		backoff:  f.cfg.Retry.Backoff,
+		backoff:  retryBackoff,
 		target:   -1,
 		hedgeTo:  -1,
 	}
@@ -166,10 +175,7 @@ func (r *Read) Step(h *iosched.Handle, prev iosched.Result) (op iosched.Op, done
 		r.Err = fmt.Errorf("fleet: read [%d,+%d) failed on all replicas within budget: %w", r.off, r.n, prev.Err)
 		return iosched.Op{}, true
 	}
-	back := r.backoff
-	if back > r.f.cfg.Retry.BackoffCap {
-		back = r.f.cfg.Retry.BackoffCap
-	}
+	back := min(r.backoff, retryBackoffCap)
 	r.backoff = back * 2
 	return iosched.Sleep(back), false
 }
@@ -194,7 +200,6 @@ func (r *Read) issue() (iosched.Op, bool) {
 		r.Err = fmt.Errorf("fleet: read [%d,+%d): retry budget exhausted", r.off, r.n)
 		return iosched.Op{}, true
 	}
-	budget := r.f.cfg.Retry.MaxAttempts
 	secondary := -1
 	var hedgeDelay simclock.Duration
 	switch r.policy {
@@ -204,7 +209,7 @@ func (r *Read) issue() (iosched.Op, bool) {
 		r.target = -1
 		for probe := 0; probe < nr; probe++ {
 			cand := (r.f.rr + probe) % nr
-			if r.attempts[cand] < budget {
+			if r.attempts[cand] < retryAttempts {
 				r.target = cand
 				r.f.rr = (cand + 1) % nr
 				break
@@ -226,7 +231,7 @@ func (r *Read) issue() (iosched.Op, bool) {
 	rep := r.f.replicas[r.target]
 	rep.Issued++
 	r.attempts[r.target]++
-	if r.attempts[r.target] == budget {
+	if r.attempts[r.target] == retryAttempts {
 		r.spent++
 	}
 	r.Attempts++

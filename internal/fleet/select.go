@@ -4,7 +4,18 @@ import (
 	"fmt"
 
 	"sleds/internal/core"
+	"sleds/internal/remote"
 	"sleds/internal/simclock"
+)
+
+// Selection policy. A replica whose estimate carries confidence below
+// confidenceFloor is demoted out of the candidate set. The hedge deadline
+// is hedgeMult times the baseline candidate's estimated delivery, and no
+// less than minHedgeDelay.
+const (
+	confidenceFloor = 0.5
+	hedgeMult       = 3
+	minHedgeDelay   = 2 * simclock.Millisecond
 )
 
 // estimate is one replica's candidacy for a read: the expected delivery
@@ -21,8 +32,8 @@ type Selection struct {
 	// is the hedge target (-1 when no second candidate exists).
 	Primary, Secondary int
 	// HedgeDelay is the virtual-time hedge deadline derived from the
-	// SLED estimate: HedgeMult x the expected delivery of the baseline
-	// candidate, floored at MinHedgeDelay.
+	// SLED estimate: hedgeMult x the expected delivery of the baseline
+	// candidate, floored at minHedgeDelay.
 	HedgeDelay simclock.Duration
 	// Probe marks a selection that deliberately routed to a demoted
 	// replica to rediscover it.
@@ -100,10 +111,11 @@ func (f *Fleet) estimateReplica(r *Replica, off, n int64) (estimate, error) {
 	// the disk's unloaded service latency, paying only the wire RTT.
 	if cached := r.srv.CachedBytes(r.inode.Extent()+off, n); cached > 0 {
 		if e, ok := f.tab.Device(r.Dev); ok {
-			if save := e.Latency - f.rttSec; save > 0 {
+			rtt := remote.RTT.Seconds()
+			if save := e.Latency - rtt; save > 0 {
 				sec -= float64(cached) / float64(n) * save
-				if sec < f.rttSec {
-					sec = f.rttSec
+				if sec < rtt {
+					sec = rtt
 				}
 			}
 		}
@@ -126,7 +138,7 @@ func (f *Fleet) Select(off, n int64, now simclock.Duration) (Selection, error) {
 // selectFrom is Select restricted to replicas with retry budget left:
 // attempts[i] counts what replica i has consumed of the current read's
 // budget (nil means none has consumed any), and a replica at
-// Retry.MaxAttempts is excluded.
+// retryAttempts is excluded.
 //
 // Policy: replicas at or above the confidence floor compete on estimated
 // delivery; the cheapest wins, the runner-up becomes the hedge target.
@@ -144,12 +156,11 @@ func (f *Fleet) Select(off, n int64, now simclock.Duration) (Selection, error) {
 //sledlint:hotpath
 func (f *Fleet) selectFrom(attempts []int, off, n int64) (Selection, error) {
 	nr := len(f.replicas)
-	floor := f.cfg.ConfidenceFloor
 	// Estimate every eligible replica, counting the healthy (at or above
 	// the floor) and the demoted (eligible but below it).
 	healthyCount, demoted := 0, 0
 	for i, r := range f.replicas {
-		if attempts != nil && attempts[i] >= f.cfg.Retry.MaxAttempts {
+		if attempts != nil && attempts[i] >= retryAttempts {
 			f.ests[i] = estimate{}
 			continue
 		}
@@ -158,7 +169,7 @@ func (f *Fleet) selectFrom(attempts []int, off, n int64) (Selection, error) {
 			return Selection{}, err
 		}
 		f.ests[i] = est
-		if est.conf >= floor {
+		if est.conf >= confidenceFloor {
 			healthyCount++
 		} else {
 			demoted++
@@ -186,7 +197,7 @@ func (f *Fleet) selectFrom(attempts []int, off, n int64) (Selection, error) {
 		if !f.ests[i].ok {
 			return false
 		}
-		return degraded || f.ests[i].conf >= floor
+		return degraded || f.ests[i].conf >= confidenceFloor
 	}
 	for i := 0; i < nr; i++ {
 		if !inPool(i) {
@@ -214,7 +225,7 @@ func (f *Fleet) selectFrom(attempts []int, off, n int64) (Selection, error) {
 		if demoted > 0 {
 			skip := k % demoted
 			for i := 0; i < nr; i++ {
-				if !f.ests[i].ok || f.ests[i].conf >= floor {
+				if !f.ests[i].ok || f.ests[i].conf >= confidenceFloor {
 					continue
 				}
 				if skip == 0 {
@@ -239,10 +250,6 @@ func (f *Fleet) selectFrom(attempts []int, off, n int64) (Selection, error) {
 	if sel.Probe && sel.Secondary >= 0 {
 		base = f.ests[sel.Secondary].sec
 	}
-	delay := simclock.Duration(f.cfg.HedgeMult * base * float64(simclock.Second))
-	if delay < f.cfg.MinHedgeDelay {
-		delay = f.cfg.MinHedgeDelay
-	}
-	sel.HedgeDelay = delay
+	sel.HedgeDelay = max(simclock.Duration(hedgeMult*base*float64(simclock.Second)), minHedgeDelay)
 	return sel, nil
 }

@@ -27,6 +27,10 @@ import (
 	"sleds/internal/vfs"
 )
 
+// blockPages is the migration granularity in VM pages: 64 KiB of 4 KiB
+// pages.
+const blockPages = 16
+
 // Config parameterises the stager.
 type Config struct {
 	// Tape is the backing tape library; files managed by the stager live
@@ -34,9 +38,6 @@ type Config struct {
 	Tape device.ID
 	// Disk is the device holding the migration cache.
 	Disk device.ID
-	// BlockSize is the migration granularity (whole multiples of the VM
-	// page size; 1 MiB is typical).
-	BlockSize int64
 	// Capacity is the total bytes of disk given to the migration cache.
 	Capacity int64
 }
@@ -44,7 +45,7 @@ type Config struct {
 // blockKey identifies one staged block of one file.
 type blockKey struct {
 	ino   vfs.Ino
-	block int64 // index of BlockSize units within the file's tape extent
+	block int64 // index of blockSize units within the file's tape extent
 }
 
 // stagedBlock is a resident migration-cache block.
@@ -55,8 +56,9 @@ type stagedBlock struct {
 
 // Stager is the migrating HSM layer.
 type Stager struct {
-	k   *vfs.Kernel
-	cfg Config
+	k         *vfs.Kernel
+	cfg       Config
+	blockSize int64 // blockPages pages
 
 	areaStart int64 // disk offset of the migration area
 	slots     int   // total block slots
@@ -74,28 +76,26 @@ type Stager struct {
 // New reserves the migration area on the disk and returns the stager,
 // already registered with the kernel for files on cfg.Tape.
 func New(k *vfs.Kernel, cfg Config) (*Stager, error) {
-	ps := int64(k.PageSize())
-	if cfg.BlockSize <= 0 || cfg.BlockSize%ps != 0 {
-		return nil, fmt.Errorf("hsm: block size %d not a positive multiple of the page size", cfg.BlockSize)
-	}
-	if cfg.Capacity < cfg.BlockSize {
+	blockSize := blockPages * int64(k.PageSize())
+	if cfg.Capacity < blockSize {
 		return nil, fmt.Errorf("hsm: capacity %d below one block", cfg.Capacity)
 	}
-	slots := int(cfg.Capacity / cfg.BlockSize)
-	area, err := k.ReserveExtent(cfg.Disk, int64(slots)*cfg.BlockSize)
+	slots := int(cfg.Capacity / blockSize)
+	area, err := k.ReserveExtent(cfg.Disk, int64(slots)*blockSize)
 	if err != nil {
 		return nil, fmt.Errorf("hsm: reserving migration area: %w", err)
 	}
 	s := &Stager{
 		k:         k,
 		cfg:       cfg,
+		blockSize: blockSize,
 		areaStart: area,
 		slots:     slots,
 		lru:       list.New(),
 		index:     make(map[blockKey]*list.Element),
 	}
 	for i := 0; i < slots; i++ {
-		s.freeSlots = append(s.freeSlots, area+int64(i)*cfg.BlockSize)
+		s.freeSlots = append(s.freeSlots, area+int64(i)*blockSize)
 	}
 	k.SetStager(s, cfg.Tape)
 	return s, nil
@@ -115,7 +115,7 @@ func (s *Stager) IsStaged(ino *vfs.Inode, devOff int64) bool {
 }
 
 func (s *Stager) keyFor(ino *vfs.Inode, devOff int64) blockKey {
-	return blockKey{ino: ino.Ino(), block: (devOff - ino.Extent()) / s.cfg.BlockSize}
+	return blockKey{ino: ino.Ino(), block: (devOff - ino.Extent()) / s.blockSize}
 }
 
 // DeviceFor implements vfs.Stager.
@@ -141,8 +141,8 @@ func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 	end := devOff + length
 	for off := devOff; off < end; {
 		key := s.keyFor(ino, off)
-		blockStart := ino.Extent() + key.block*s.cfg.BlockSize
-		blockEnd := blockStart + s.cfg.BlockSize
+		blockStart := ino.Extent() + key.block*s.blockSize
+		blockEnd := blockStart + s.blockSize
 		// Clamp the block to the file's tape extent end is unnecessary:
 		// reads never extend past the file, and staging a ragged tail
 		// block just stages fewer meaningful bytes.
@@ -167,7 +167,7 @@ func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 			if err != nil {
 				return err
 			}
-			migrateLen := s.cfg.BlockSize
+			migrateLen := s.blockSize
 			if blockEnd > ino.Extent()+ino.Size() {
 				// Ragged final block: only the file's bytes exist.
 				migrateLen = ino.Extent() + ino.Size() - blockStart

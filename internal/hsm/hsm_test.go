@@ -32,8 +32,8 @@ func newFixture(t testing.TB, capacityBlocks int) *fixture {
 	if err := k.MkdirAll("/hsm"); err != nil {
 		t.Fatal(err)
 	}
-	const block = 64 * 1024
-	s, err := New(k, Config{Tape: tape, Disk: disk, BlockSize: block, Capacity: int64(capacityBlocks) * block})
+	const block = blockPages * testPage
+	s, err := New(k, Config{Tape: tape, Disk: disk, Capacity: int64(capacityBlocks) * block})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,10 +59,7 @@ func TestConfigValidation(t *testing.T) {
 	k.AttachDevice(mem)
 	disk := k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
 	tape := k.AttachDevice(device.NewTapeLibrary(device.DefaultTapeLibraryConfig(2)))
-	if _, err := New(k, Config{Tape: tape, Disk: disk, BlockSize: 1000, Capacity: 1 << 20}); err == nil {
-		t.Fatalf("unaligned block size accepted")
-	}
-	if _, err := New(k, Config{Tape: tape, Disk: disk, BlockSize: 64 << 10, Capacity: 1000}); err == nil {
+	if _, err := New(k, Config{Tape: tape, Disk: disk, Capacity: 1000}); err == nil {
 		t.Fatalf("tiny capacity accepted")
 	}
 }

@@ -180,7 +180,7 @@ func (e *Engine) AddStream(start simclock.Duration, prog Program) StreamID {
 	id := StreamID(len(e.streams))
 	e.streams = append(e.streams, &stream{
 		id:    id,
-		h:     Handle{k: e.k, id: id},
+		h:     Handle{k: e.k},
 		start: start,
 		prog:  prog,
 	})
@@ -708,9 +708,6 @@ func (q *QueuedDevice) WriteErr(c *simclock.Clock, off, length int64) error {
 	}
 	return q.e.submit(c, q.dq.id, off, length, true)
 }
-
-// Underlying returns the wrapped raw device.
-func (q *QueuedDevice) Underlying() device.Device { return q.dq.dev }
 
 // Reset implements device.Device: the underlying device's mechanical
 // state and the queue position history are cleared. Resetting mid-run is

@@ -114,14 +114,16 @@ func TestSSTFOrderIsNearestFirst(t *testing.T) {
 
 func TestDeadlineBoundsStarvation(t *testing.T) {
 	// Stream A asks for a far offset; stream B keeps the head busy near
-	// zero. Under SSTF, A waits for B to run dry; under deadline, A is
-	// served as soon as its expiry passes.
+	// zero, one 10 ms request after another. Under SSTF, A waits for B to
+	// run dry; under deadline, A is served as soon as its expiry passes,
+	// after the requests B had served by then.
+	const service = 10 * simclock.Millisecond
 	run := func(sched Scheduler) []int64 {
-		k, fd, id := testKernel(t, 10*simclock.Millisecond)
+		k, fd, id := testKernel(t, service)
 		e := NewEngine(k)
 		e.Queue(id, sched)
 		e.AddStream(0, devReadProg(id, 1<<30))
-		near := make([]int64, 5)
+		near := make([]int64, 2*deadlineQuantum/service)
 		for i := range near {
 			near[i] = int64(i) * 8192
 		}
@@ -135,9 +137,9 @@ func TestDeadlineBoundsStarvation(t *testing.T) {
 	if sstf[len(sstf)-1] != 1<<30 {
 		t.Fatalf("SSTF should starve the far request to last, served %v", sstf)
 	}
-	dl := run(NewDeadline(1 * simclock.Millisecond))
-	if dl[1] != 1<<30 {
-		t.Fatalf("deadline should serve the expired far request second, served %v", dl)
+	dl := run(NewDeadline())
+	if at := int(deadlineQuantum / service); dl[at] != 1<<30 {
+		t.Fatalf("deadline should serve the far request once it expires, at position %d, served %v", at, dl)
 	}
 }
 
@@ -191,6 +193,12 @@ func TestStreamErrorAndPanicSurface(t *testing.T) {
 	err := e.Run()
 	if err == nil {
 		t.Fatal("want error from panicking stream")
+	}
+	// RunProgram is the same engine: a negative sleep fails the program.
+	if err := RunProgram(k, ProgramFunc(func(h *Handle, prev Result) Op {
+		return Sleep(-simclock.Millisecond)
+	})); err == nil {
+		t.Fatal("want error from a negative sleep under RunProgram")
 	}
 }
 

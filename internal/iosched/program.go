@@ -43,15 +43,10 @@ type ProgramFunc func(h *Handle, prev Result) Op
 func (f ProgramFunc) Step(h *Handle, prev Result) Op { return f(h, prev) }
 
 // Handle is a stream's interface to its execution context, passed to every
-// Step call. Under an Engine it reports the stream's identity and virtual
-// time; under RunProgram it reflects the kernel's clock directly.
+// Step call.
 type Handle struct {
-	k  *vfs.Kernel
-	id StreamID
+	k *vfs.Kernel
 }
-
-// ID returns the stream's identity (0 under RunProgram).
-func (h *Handle) ID() StreamID { return h.id }
 
 // Now reports the stream's current virtual time. While a stream executes,
 // the kernel's clock is the stream's own clock.
@@ -67,8 +62,6 @@ const (
 	// The I/O ops, each of which may suspend on a queued device.
 	opRead
 	opReadAt
-	opReadAtMapped
-	opWrite
 	opWriteAt
 	opDevRead
 )
@@ -107,11 +100,6 @@ func ReadAt(f *vfs.File, p []byte, off int64) Op {
 	return Op{kind: opReadAt, f: f, p: p, off: off}
 }
 
-// ReadAtMapped is File.ReadAtMapped as an Op: no per-byte copy charge.
-func ReadAtMapped(f *vfs.File, p []byte, off int64) Op {
-	return Op{kind: opReadAtMapped, f: f, p: p, off: off}
-}
-
 // Read reads from f's cursor (File.Read as an Op).
 func Read(f *vfs.File, p []byte) Op { return Op{kind: opRead, f: f, p: p} }
 
@@ -119,9 +107,6 @@ func Read(f *vfs.File, p []byte) Op { return Op{kind: opRead, f: f, p: p} }
 func WriteAt(f *vfs.File, p []byte, off int64) Op {
 	return Op{kind: opWriteAt, f: f, p: p, off: off}
 }
-
-// Write writes p at f's cursor (File.Write as an Op).
-func Write(f *vfs.File, p []byte) Op { return Op{kind: opWrite, f: f, p: p} }
 
 // DevRead accesses the device registered under id directly, below the VFS:
 // the raw dispatch outcome (a fault injected under the queue, untouched by
@@ -150,10 +135,8 @@ func DevRead(id device.ID, off, length int64) Op {
 // operation: it races the device queues themselves, so wrappers stacked
 // over a queue (an injector Replaced after Queue) are bypassed — faults
 // must be injected under the queue to perturb it, where they surface at
-// dispatch time in the completion. Under RunProgram every access
-// completes in place, so the op degrades to a plain primary read. The
-// deadline uses virtual time only: schedules stay byte-identical across
-// runs and worker counts.
+// dispatch time in the completion. The deadline uses virtual time only:
+// schedules stay byte-identical across runs and worker counts.
 func HedgedDevReadAt(primary device.ID, off int64, secondary device.ID, secOff, length int64, delay simclock.Duration) Op {
 	return Op{kind: opHedge, dev: primary, off: off, dev2: secondary, off2: secOff, length: length, dur: delay}
 }
@@ -162,17 +145,13 @@ func HedgedDevReadAt(primary device.ID, off int64, secondary device.ID, secOff, 
 // currently runs): the file operation's resumable step, or a raw device
 // access wrapped as one.
 //
-//sledlint:allow panicpath -- the drivers dispatch exit, sleep and hedge themselves; reaching here with one is an engine bug
+//sledlint:allow panicpath -- the engine dispatches exit, sleep and hedge itself; reaching here with one is an engine bug
 func (op *Op) start(k *vfs.Kernel) vfs.IOStep {
 	switch op.kind {
 	case opRead:
 		return op.f.ReadStep(op.p)
 	case opReadAt:
 		return op.f.ReadAtStep(op.p, op.off)
-	case opReadAtMapped:
-		return op.f.ReadAtMappedStep(op.p, op.off)
-	case opWrite:
-		return op.f.WriteStep(op.p)
 	case opWriteAt:
 		return op.f.WriteAtStep(op.p, op.off)
 	case opDevRead:
@@ -192,44 +171,12 @@ func deviceStep(k *vfs.Kernel, id device.ID, off, length int64) vfs.IOStep {
 	return vfs.DoneStep(0, err)
 }
 
-// RunProgram executes a Program synchronously on the kernel's clock, with
-// no engine: every Op completes in place (there are no queued devices to
-// suspend on), so the program's schedule is identical to calling the
-// kernel's blocking API directly. It is the single-process driver of the
-// same state machines the Engine interleaves.
-//
-//sledlint:allow panicpath -- suspension and negative sleep are API misuse outside an engine run, not simulation outcomes
+// RunProgram runs a Program to completion as the one stream of a fresh
+// Engine, starting at the kernel's current virtual time. With no queued
+// device every Op completes in place, so the program's schedule is the one
+// calling the kernel's blocking API directly would give.
 func RunProgram(k *vfs.Kernel, prog Program) error {
-	h := &Handle{k: k}
-	var res Result
-	for {
-		op := prog.Step(h, res)
-		switch op.kind {
-		case opExit:
-			return op.err
-		case opSleep:
-			if op.dur < 0 {
-				panic(fmt.Sprintf("iosched: negative sleep %v", op.dur))
-			}
-			k.Clock.Advance(op.dur)
-			res = Result{}
-		case opHedge:
-			// With no engine there is no queue to suspend on: the primary
-			// read completes in place and the hedge never fires.
-			if op.dur < 0 {
-				panic(fmt.Sprintf("iosched: negative hedge delay %v", op.dur))
-			}
-			err := device.ReadErr(k.Devices.Get(op.dev), k.Clock, op.off, op.length)
-			if errors.Is(err, vfs.ErrBlocked) {
-				panic("iosched: program suspended outside an engine run")
-			}
-			res = Result{Err: err, Dev: op.dev}
-		default:
-			step := op.start(k)
-			if step.Blocked() {
-				panic("iosched: program suspended outside an engine run")
-			}
-			res = Result{N: int(step.N()), Err: step.Err()}
-		}
-	}
+	e := NewEngine(k)
+	e.AddStream(0, prog)
+	return e.Run()
 }

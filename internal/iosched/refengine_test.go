@@ -400,9 +400,6 @@ func (q *refQueuedDevice) WriteErr(c *simclock.Clock, off, length int64) error {
 	return q.e.submit(c, q.dq.id, off, length, true)
 }
 
-// Underlying returns the wrapped raw device.
-func (q *refQueuedDevice) Underlying() device.Device { return q.dq.dev }
-
 // Reset implements device.Device.
 func (q *refQueuedDevice) Reset() {
 	if q.e.running {
@@ -503,21 +500,13 @@ func (s *refSSTF) Pick(now simclock.Duration, pos int64) *Request {
 // refDeadline is the Linux-deadline-style hybrid.
 type refDeadline struct {
 	refQueue
-	quantum simclock.Duration
-}
-
-func newRefDeadline(quantum simclock.Duration) *refDeadline {
-	if quantum <= 0 {
-		quantum = DefaultDeadlineQuantum
-	}
-	return &refDeadline{quantum: quantum}
 }
 
 func (s *refDeadline) Name() string { return "deadline" }
 
 // Add implements Scheduler, stamping the expiry.
 func (s *refDeadline) Add(r *Request) {
-	r.Deadline = r.Arrival + s.quantum
+	r.Deadline = r.Arrival + deadlineQuantum
 	s.refQueue.Add(r)
 }
 
@@ -567,7 +556,7 @@ func newRefScheduler(name string) Scheduler {
 	case "sstf":
 		return newRefSSTF()
 	case "deadline":
-		return newRefDeadline(0)
+		return &refDeadline{}
 	default:
 		panic(fmt.Sprintf("iosched: unknown scheduler %q", name))
 	}

@@ -70,15 +70,18 @@ type Scheduler interface {
 	MinArrival() (t simclock.Duration, ok bool)
 }
 
-// The engine dispatches only at instants no earlier than every queued
-// arrival (event times are non-decreasing), so in engine use every queued
-// request is eligible at Pick time and the indexed fast paths below always
-// apply. The schedulers still honour the general contract — a Pick at an
-// instant that predates some arrivals falls back to the same linear scans
-// the policies were first written as, preserving their exact tie-breaks.
+// The indexed fast paths below answer a Pick only when every queued
+// request has arrived (maxArrival <= now). Under the engine that does not
+// always hold: a device dispatches at the earliest queued arrival, and
+// streams submit requests stamped with their own clocks, which can run
+// ahead of the event being processed, so a Pick can find requests still
+// in the future. Then the schedulers fall back
+// to the linear scans the policies were first written as, preserving their
+// exact tie-breaks. The fallback is not rare: SSTF's nearestEligible shows
+// in CPU profiles of escale's 10,000-stream runs.
 
 // arrivalLess is the (Arrival, seq) order shared by FCFS service order,
-// MinArrival, and deadline expiry (Deadline = Arrival + constant quantum
+// MinArrival, and deadline expiry (Deadline = Arrival + deadlineQuantum
 // preserves it).
 func arrivalLess(a, b *Request) bool {
 	return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.seq < b.seq)
@@ -335,29 +338,22 @@ type Deadline struct {
 	x          offIndex
 	n          int
 	maxArrival simclock.Duration
-	quantum    simclock.Duration
 }
 
-// DefaultDeadlineQuantum bounds request sojourn under the deadline policy;
-// it is of the order of a few disk service times, like the Linux deadline
+// deadlineQuantum bounds request sojourn under the deadline policy; it is
+// of the order of a few disk service times, like the Linux deadline
 // scheduler's read expiry.
-const DefaultDeadlineQuantum = 100 * simclock.Millisecond
+const deadlineQuantum = 100 * simclock.Millisecond
 
-// NewDeadline returns a deadline scheduler. quantum <= 0 selects
-// DefaultDeadlineQuantum.
-func NewDeadline(quantum simclock.Duration) *Deadline {
-	if quantum <= 0 {
-		quantum = DefaultDeadlineQuantum
-	}
-	return &Deadline{quantum: quantum}
-}
+// NewDeadline returns a deadline scheduler.
+func NewDeadline() *Deadline { return &Deadline{} }
 
 // Name implements Scheduler.
 func (s *Deadline) Name() string { return "deadline" }
 
 // Add implements Scheduler, stamping the expiry.
 func (s *Deadline) Add(r *Request) {
-	r.Deadline = r.Arrival + s.quantum
+	r.Deadline = r.Arrival + deadlineQuantum
 	s.h.push(r)
 	s.x.insert(r)
 	s.n++
@@ -436,7 +432,7 @@ func NewScheduler(name string) Scheduler {
 	case "sstf":
 		return NewSSTF()
 	case "deadline":
-		return NewDeadline(0)
+		return NewDeadline()
 	default:
 		panic(fmt.Sprintf("iosched: unknown scheduler %q", name))
 	}

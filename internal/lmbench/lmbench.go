@@ -85,21 +85,21 @@ func MeasureDevice(clock *simclock.Clock, d device.Device) (core.Entry, error) {
 	return core.Entry{Latency: lat, Bandwidth: bw}, nil
 }
 
+// zones is how many table zones MeasureDeviceZones probes.
+const zones = 8
+
 // MeasureDeviceZones probes sequential bandwidth in zones evenly spaced
 // across the device, returning the multi-zone table entries (the paper's
 // future-work extension, cf. [Van97]). Latency is measured once and shared
 // across zones.
-func MeasureDeviceZones(clock *simclock.Clock, d device.Device, zones int) ([]core.ZoneEntry, error) {
-	if zones < 1 {
-		return nil, fmt.Errorf("lmbench: need at least one zone, got %d", zones)
-	}
+func MeasureDeviceZones(clock *simclock.Clock, d device.Device) ([]core.ZoneEntry, error) {
 	base, err := MeasureDevice(clock, d)
 	if err != nil {
 		return nil, err
 	}
 	info := d.Info()
 	out := make([]core.ZoneEntry, 0, zones)
-	zoneSize := info.Size / int64(zones)
+	zoneSize := info.Size / zones
 	for z := 0; z < zones; z++ {
 		start := int64(z) * zoneSize
 		probeAt := start + zoneSize/2

@@ -98,28 +98,21 @@ func TestMeasureDeviceResetsState(t *testing.T) {
 
 func TestMeasureDeviceZones(t *testing.T) {
 	d := device.NewDisk(device.DefaultDiskConfig(1))
-	zones, err := MeasureDeviceZones(simclock.New(), d, 4)
+	got, err := MeasureDeviceZones(simclock.New(), d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(zones) != 4 {
-		t.Fatalf("got %d zones", len(zones))
+	if len(got) != zones {
+		t.Fatalf("got %d zones, want %d", len(got), zones)
 	}
-	if zones[0].FromByte != 0 {
-		t.Fatalf("first zone at %d", zones[0].FromByte)
+	if got[0].FromByte != 0 {
+		t.Fatalf("first zone at %d", got[0].FromByte)
 	}
-	for i := 1; i < len(zones); i++ {
-		if zones[i].Bandwidth >= zones[i-1].Bandwidth {
+	for i := 1; i < len(got); i++ {
+		if got[i].Bandwidth >= got[i-1].Bandwidth {
 			t.Fatalf("zone %d bandwidth %v not below zone %d's %v (outer zones are faster)",
-				i, zones[i].Bandwidth, i-1, zones[i-1].Bandwidth)
+				i, got[i].Bandwidth, i-1, got[i-1].Bandwidth)
 		}
-	}
-}
-
-func TestMeasureDeviceZonesBadCount(t *testing.T) {
-	d := device.NewDisk(device.DefaultDiskConfig(1))
-	if _, err := MeasureDeviceZones(simclock.New(), d, 0); err == nil {
-		t.Fatalf("zero zones accepted")
 	}
 }
 

@@ -82,9 +82,10 @@ func TestServerCacheMatchesModelLRU(t *testing.T) {
 			}
 			srv := m.Server()
 			model := &modelLRU{capacity: capacity}
-			twinDisk, twinMem := device.NewDisk(srv.cfg.ServerDisk), device.NewMem(cfg.ServerMem)
+			diskCfg := device.DefaultDiskConfig(m.Device())
+			twinDisk, twinMem := device.NewDisk(diskCfg), device.NewMem(device.DefaultMemConfig(0))
 			got, want := simclock.New(), simclock.New()
-			diskPages := cfg.ServerDisk.Size / ps
+			diskPages := diskCfg.Size / ps
 			var keys []cache.Key
 
 			g := lcg(uint64(seed)*2654435761 + uint64(capacity))
@@ -125,7 +126,7 @@ func TestServerCacheMatchesModelLRU(t *testing.T) {
 				default: // a read: hits refresh, misses go to disk and are cached
 					p, n := pick(), 1+g.intn(5)
 					off, length := p*ps+int64(g.intn(ps)), int64(n)*ps-int64(g.intn(ps))
-					want.Advance(cfg.RTT)
+					want.Advance(RTT)
 					for cur := off; cur < off+length; {
 						stop := min((cur/ps+1)*ps, off+length)
 						if model.touch(cur / ps) {
@@ -136,7 +137,7 @@ func TestServerCacheMatchesModelLRU(t *testing.T) {
 						}
 						cur = stop
 					}
-					want.Advance(simclock.TransferTime(length, cfg.WireBandwidth))
+					want.Advance(simclock.TransferTime(length, wireBandwidth))
 					if err := srv.ReadThrough(got, off, length); err != nil {
 						t.Fatalf("%s: %v", tag(step, "read"), err)
 					}

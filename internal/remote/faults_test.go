@@ -7,30 +7,13 @@ import (
 
 	"sleds/internal/device"
 	"sleds/internal/faults"
-	"sleds/internal/lmbench"
 	"sleds/internal/vfs"
 )
 
-// newRetryFixture is newFixture with an explicit kernel retry policy, for
-// tests that need faults to surface (FailFast) or to be ridden out.
-func newRetryFixture(t testing.TB, pol vfs.RetryPolicy) *fixture {
-	t.Helper()
-	mem := device.NewMem(device.DefaultMemConfig(0))
-	k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 64, MemDevice: mem, Retry: pol})
-	k.AttachDevice(mem)
-	m, err := NewMount(k, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k.MkdirAll("/net"); err != nil {
-		t.Fatal(err)
-	}
-	tab, err := lmbench.Calibrate(k.Clock, mem, k.Devices.All())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &fixture{k: k, mount: m, tab: tab}
-}
+// surfacing is an injector episode bound far above the kernel's five
+// attempts per request, so a fault it injects almost surely surfaces as
+// EIO; the schedule is seeded, so whether it does is fixed per test.
+const surfacing = 1 << 20
 
 // injectUnderServer stacks a fault injector under the mount's server —
 // on the server disk itself, below the characterization devices — so
@@ -46,7 +29,7 @@ func injectUnderServer(fx *fixture, cfg faults.Config) *faults.Injector {
 // write-back must surface as an error through File.Sync, not be silently
 // absorbed (or panic in the injector's infallible path).
 func TestWriteBackFaultSurfaces(t *testing.T) {
-	fx := newRetryFixture(t, vfs.RetryPolicy{FailFast: true})
+	fx := newFixture(t, 64, DefaultConfig().ServerCachePages)
 	if _, err := fx.k.CreateEmpty("/net/out", fx.mount.Device()); err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +41,7 @@ func TestWriteBackFaultSurfaces(t *testing.T) {
 	if _, err := f.WriteAt(make([]byte, 2*testPage), 0); err != nil {
 		t.Fatal(err)
 	}
-	inj := injectUnderServer(fx, faults.Config{Seed: 1, PFault: 1, MaxConsecutive: 3})
+	inj := injectUnderServer(fx, faults.Config{Seed: 1, PFault: 1, MaxConsecutive: surfacing})
 	if err := f.Sync(); err == nil {
 		t.Fatal("sync over a faulting server disk reported success")
 	}
@@ -73,7 +56,7 @@ func TestWriteBackFaultSurfaces(t *testing.T) {
 // TestSyncAllCountsWritebackEIOs pins the asynchronous flavour: SyncAll
 // absorbs the failure (as sync(2) does) but counts the dropped page.
 func TestSyncAllCountsWritebackEIOs(t *testing.T) {
-	fx := newRetryFixture(t, vfs.RetryPolicy{FailFast: true})
+	fx := newFixture(t, 64, DefaultConfig().ServerCachePages)
 	if _, err := fx.k.CreateEmpty("/net/out", fx.mount.Device()); err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +68,7 @@ func TestSyncAllCountsWritebackEIOs(t *testing.T) {
 	if _, err := f.WriteAt(make([]byte, testPage), 0); err != nil {
 		t.Fatal(err)
 	}
-	injectUnderServer(fx, faults.Config{Seed: 2, PFault: 1, MaxConsecutive: 3})
+	injectUnderServer(fx, faults.Config{Seed: 2, PFault: 1, MaxConsecutive: surfacing})
 	fx.k.SyncAll()
 	if st := fx.k.RunStats(); st.WritebackEIOs == 0 {
 		t.Fatalf("failed write-back not counted: %+v", st)
@@ -111,7 +94,7 @@ func TestAbortCostPinsRTTNotWire(t *testing.T) {
 	// The server disk is a LevelDisk device, so the injector charges the
 	// transient class cost. Exact equality is the pin: any wire or disk
 	// time charged on the aborted request would show up here.
-	if got, want := c.Now()-before, DefaultConfig().RTT+faults.TransientExtra; got != want {
+	if got, want := c.Now()-before, RTT+faults.TransientExtra; got != want {
 		t.Fatalf("aborted read cost %v, want exactly RTT+TransientExtra = %v", got, want)
 	}
 
@@ -121,7 +104,7 @@ func TestAbortCostPinsRTTNotWire(t *testing.T) {
 	if err := device.ReadErr(slow, c, 0, testPage); err != nil {
 		t.Fatalf("retry after drained episode failed: %v", err)
 	}
-	if cost := c.Now() - before; cost <= DefaultConfig().RTT {
+	if cost := c.Now() - before; cost <= RTT {
 		t.Fatalf("healthy retry cost %v did not include disk and wire time", cost)
 	}
 }
@@ -136,7 +119,7 @@ func TestReadThroughAbortLeavesCacheCold(t *testing.T) {
 	if err := srv.ReadThrough(fx.k.Clock, 0, 2*testPage); err == nil {
 		t.Fatal("read-through over a faulting disk reported success")
 	}
-	if got, want := fx.k.Clock.Now()-before, DefaultConfig().RTT+faults.TransientExtra; got != want {
+	if got, want := fx.k.Clock.Now()-before, RTT+faults.TransientExtra; got != want {
 		t.Fatalf("aborted read-through cost %v, want exactly %v", got, want)
 	}
 	if srv.CachedPages() != 0 {
@@ -150,7 +133,7 @@ func TestReadThroughAbortLeavesCacheCold(t *testing.T) {
 // the registry) feels it, while demand fetches (which go through the
 // stager straight to the server) bypass it.
 func TestInjectorOverRegisteredSlowPath(t *testing.T) {
-	fx := newRetryFixture(t, vfs.RetryPolicy{FailFast: true})
+	fx := newFixture(t, 64, DefaultConfig().ServerCachePages)
 	fx.remoteFile(t, "/net/f", 9, 4*testPage)
 	f, err := fx.k.Open("/net/f")
 	if err != nil {
@@ -159,7 +142,7 @@ func TestInjectorOverRegisteredSlowPath(t *testing.T) {
 	defer f.Close()
 
 	slowID := fx.mount.Device()
-	wrapped, inj := faults.Wrap(fx.k.Devices.Get(slowID), faults.Config{Seed: 5, PFault: 1, MaxConsecutive: 1})
+	wrapped, inj := faults.Wrap(fx.k.Devices.Get(slowID), faults.Config{Seed: 5, PFault: 1, MaxConsecutive: surfacing})
 	fx.k.Devices.Replace(slowID, wrapped)
 
 	// Demand fetches bypass the over-wrapper entirely.
@@ -199,7 +182,7 @@ func TestMountRegistersServerDevice(t *testing.T) {
 	if _, ok := raw.(*ServerDevice); !ok {
 		t.Fatalf("mount registered a %T, want *ServerDevice", raw)
 	}
-	want := device.Info{ID: id, Name: "remote/slow", Level: device.LevelNFS, Size: DefaultConfig().ServerDisk.Size}
+	want := device.Info{ID: id, Name: "remote/slow", Level: device.LevelNFS, Size: device.DefaultDiskConfig(0).Size}
 	if got := raw.Info(); got != want {
 		t.Fatalf("Info = %+v, want %+v", got, want)
 	}
@@ -210,11 +193,12 @@ func TestMountRegistersServerDevice(t *testing.T) {
 }
 
 // TestInjectorUnderServerRiddenOutByRetry: with the injector under the
-// server and a generous kernel retry policy, demand reads succeed — the
+// server and episodes shorter than the kernel's five attempts, demand
+// reads succeed — the
 // retry loop rides the episode out — and the kernel's fault accounting
 // sees the transient-class faults of the raw server disk.
 func TestInjectorUnderServerRiddenOutByRetry(t *testing.T) {
-	fx := newFixture(t, 8, 64) // default policy: 5 attempts
+	fx := newFixture(t, 8, 64)
 	fx.remoteFile(t, "/net/f", 10, 4*testPage)
 	f, err := fx.k.Open("/net/f")
 	if err != nil {
@@ -345,7 +329,7 @@ func TestInjectorOverFastPathOffDataPath(t *testing.T) {
 // errorsIsEIO is a compile-time guard that the surfaced write-back error
 // wraps vfs.ErrIO, the contract callers branch on.
 func TestSurfacedErrorWrapsEIO(t *testing.T) {
-	fx := newRetryFixture(t, vfs.RetryPolicy{FailFast: true})
+	fx := newFixture(t, 64, DefaultConfig().ServerCachePages)
 	if _, err := fx.k.CreateEmpty("/net/out", fx.mount.Device()); err != nil {
 		t.Fatal(err)
 	}
@@ -357,7 +341,7 @@ func TestSurfacedErrorWrapsEIO(t *testing.T) {
 	if _, err := f.WriteAt(make([]byte, testPage), 0); err != nil {
 		t.Fatal(err)
 	}
-	injectUnderServer(fx, faults.Config{Seed: 12, PFault: 1, MaxConsecutive: 3})
+	injectUnderServer(fx, faults.Config{Seed: 12, PFault: 1, MaxConsecutive: surfacing})
 	if err := f.Sync(); !errors.Is(err, vfs.ErrIO) {
 		t.Fatalf("sync error %v does not wrap vfs.ErrIO", err)
 	}

@@ -42,44 +42,37 @@ import (
 	"sleds/internal/vfs"
 )
 
+// The server and its link: a department file server on switched 100 Mbit
+// ethernet, with a Table 2-class disk (device.DefaultDiskConfig) and
+// memory (device.DefaultMemConfig). RTT is the request round trip,
+// protocol and wire latency together; wireBandwidth is the transfer rate
+// in bytes/sec. With these numbers the server-cached level sits two
+// orders of magnitude below the server-disk level for small reads — the
+// distinction the flat NFS table entry cannot express.
+const (
+	RTT           = 400 * simclock.Microsecond
+	wireBandwidth = 8 * float64(1<<20)
+)
+
 // Config parameterises the mount.
 type Config struct {
-	// RTT is the request round-trip time (protocol + wire latency).
-	RTT simclock.Duration
-	// WireBandwidth is the network transfer rate in bytes/sec.
-	WireBandwidth float64
-	// ServerDisk configures the server's disk. ID is overwritten.
-	ServerDisk device.DiskConfig
-	// ServerMem configures the server's memory. ID is overwritten.
-	ServerMem device.MemConfig
 	// ServerCachePages is the size of the server's buffer cache.
 	ServerCachePages int
 }
 
-// DefaultConfig returns a department file server on switched 100 Mbit
-// ethernet: 400 us request RTT, ~8 MB/s wire, a Table 2-class disk and a
-// generous cache. With these numbers the server-cached level sits two
-// orders of magnitude below the server-disk level for small reads — the
-// distinction the flat NFS table entry cannot express.
+// DefaultConfig returns a server with a generous cache (16 MiB of 4 KiB
+// pages).
 func DefaultConfig() Config {
-	return Config{
-		RTT:              400 * simclock.Microsecond,
-		WireBandwidth:    8 * float64(1<<20),
-		ServerDisk:       device.DefaultDiskConfig(0),
-		ServerMem:        device.DefaultMemConfig(0),
-		ServerCachePages: 16 << 20 / 4096,
-	}
+	return Config{ServerCachePages: 16 << 20 / 4096}
 }
 
 // Mount is the client's view of the remote server.
 type Mount struct {
 	k   *vfs.Kernel
-	cfg Config
 	srv *Server
 
 	fastID device.ID // characterization device: server-cached reads
-	slowID device.ID // characterization device: server-disk reads
-	homeID device.ID // the device remote files are created on (== slowID)
+	slowID device.ID // characterization device: server-disk reads; remote files live on it
 
 	pageSize int64
 }
@@ -90,34 +83,22 @@ type Mount struct {
 func NewMount(k *vfs.Kernel, cfg Config) (*Mount, error) {
 	m := &Mount{
 		k:        k,
-		cfg:      cfg,
 		pageSize: int64(k.PageSize()),
 	}
-	memCfg := cfg.ServerMem
-	memCfg.ID = device.ID(k.Devices.Len())
-	memCfg.Name = "remote/fast"
-	fast := &fastPath{m: m, id: memCfg.ID}
-	m.fastID = k.AttachDevice(fast)
-
-	diskCfg := cfg.ServerDisk
-	diskCfg.ID = device.ID(k.Devices.Len())
-	diskCfg.Name = "remote/slow"
-	srvCfg := cfg
-	srvCfg.ServerDisk = diskCfg
-	srv, err := NewServer(srvCfg, m.pageSize)
+	srv, err := NewServer(cfg, device.ID(k.Devices.Len()+1), "remote/slow", m.pageSize)
 	if err != nil {
 		return nil, err
 	}
 	m.srv = srv
+	m.fastID = k.AttachDevice(&fastPath{m: m, id: device.ID(k.Devices.Len())})
 	m.slowID = k.AttachDevice(NewServerDevice(srv))
-	m.homeID = m.slowID
 
-	k.SetStager(m, m.homeID)
+	k.SetStager(m, m.slowID)
 	return m, nil
 }
 
 // Device returns the device ID remote files must be created on.
-func (m *Mount) Device() device.ID { return m.homeID }
+func (m *Mount) Device() device.ID { return m.slowID }
 
 // Server returns the server behind the mount.
 func (m *Mount) Server() *Server { return m.srv }
@@ -144,7 +125,7 @@ type fastPath struct {
 }
 
 func (f *fastPath) Info() device.Info {
-	return device.Info{ID: f.id, Name: "remote/fast", Level: device.LevelNFS, Size: f.m.cfg.ServerDisk.Size}
+	return device.Info{ID: f.id, Name: "remote/fast", Level: device.LevelNFS, Size: f.m.srv.disk.Info().Size}
 }
 
 // Read charges the fast-path cost model: RTT + server memory + wire.

@@ -54,11 +54,6 @@ func TestConfigValidation(t *testing.T) {
 	k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 8, MemDevice: mem})
 	k.AttachDevice(mem)
 	bad := DefaultConfig()
-	bad.WireBandwidth = 0
-	if _, err := NewMount(k, bad); err == nil {
-		t.Fatal("zero bandwidth accepted")
-	}
-	bad = DefaultConfig()
 	bad.ServerCachePages = 0
 	if _, err := NewMount(k, bad); err == nil {
 		t.Fatal("zero server cache accepted")
@@ -204,7 +199,7 @@ func TestWriteBackGoesToServer(t *testing.T) {
 	if err := f.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	if cost := fx.k.Clock.Now() - before; cost < DefaultConfig().RTT {
+	if cost := fx.k.Clock.Now() - before; cost < RTT {
 		t.Fatalf("remote sync cost %v below one RTT", cost)
 	}
 }

@@ -14,12 +14,11 @@ import (
 // are charged against the caller's clock: the server owns no time of its
 // own, exactly as the characterization devices do.
 //
-// The disk is the *device.Disk built from Config.ServerDisk, or a fault
-// injector stacked over it; every internal access goes through the
-// fallible device helpers, so a fault injected on the server disk surfaces
-// as an error to the client rather than being silently absorbed.
+// The disk is a *device.Disk, or a fault injector stacked over it; every
+// internal access goes through the fallible device helpers, so a fault
+// injected on the server disk surfaces as an error to the client rather
+// than being silently absorbed.
 type Server struct {
-	cfg      Config
 	pageSize int64
 
 	disk device.Device // the server's disk, possibly wrapped by an injector
@@ -31,25 +30,22 @@ type Server struct {
 	cache *cache.Cache
 }
 
-// NewServer builds a server from cfg. The caller fixes ServerDisk.ID and
-// ServerDisk.Name before calling: the disk is constructed exactly as
-// configured, so a registered characterization device and the server's
-// own disk agree on identity (faults report the right device).
-func NewServer(cfg Config, pageSize int64) (*Server, error) {
-	if cfg.WireBandwidth <= 0 {
-		return nil, fmt.Errorf("remote: non-positive wire bandwidth")
-	}
+// NewServer builds a server from cfg whose disk has the given ID and name:
+// a registered characterization device and the server's own disk must
+// agree on identity, so that faults report the right device.
+func NewServer(cfg Config, disk device.ID, name string, pageSize int64) (*Server, error) {
 	if cfg.ServerCachePages <= 0 {
 		return nil, fmt.Errorf("remote: server cache of %d pages", cfg.ServerCachePages)
 	}
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("remote: non-positive page size %d", pageSize)
 	}
+	diskCfg := device.DefaultDiskConfig(disk)
+	diskCfg.Name = name
 	return &Server{
-		cfg:      cfg,
 		pageSize: pageSize,
-		disk:     device.NewDisk(cfg.ServerDisk),
-		mem:      device.NewMem(cfg.ServerMem),
+		disk:     device.NewDisk(diskCfg),
+		mem:      device.NewMem(device.DefaultMemConfig(0)),
 		cache:    cache.New(cfg.ServerCachePages, cache.LRU, nil),
 	}, nil
 }
@@ -88,7 +84,7 @@ func (s *Server) CachedBytes(off, n int64) int64 {
 // its disk returns. See the package comment for the abort-cost contract
 // when the server disk faults mid-read.
 func (s *Server) ReadThrough(c *simclock.Clock, off, n int64) error {
-	c.Advance(s.cfg.RTT)
+	c.Advance(RTT)
 	end := off + n
 	for cur := off; cur < end; {
 		page := cur / s.pageSize
@@ -109,7 +105,7 @@ func (s *Server) ReadThrough(c *simclock.Clock, off, n int64) error {
 		}
 		cur = stop
 	}
-	c.Advance(simclock.TransferTime(n, s.cfg.WireBandwidth))
+	c.Advance(simclock.TransferTime(n, wireBandwidth))
 	return nil
 }
 
@@ -118,11 +114,11 @@ func (s *Server) ReadThrough(c *simclock.Clock, off, n int64) error {
 // read lmbench calibrates against, which must not warm the server. The
 // same abort-cost contract as ReadThrough applies on a disk fault.
 func (s *Server) ReadFresh(c *simclock.Clock, off, n int64) error {
-	c.Advance(s.cfg.RTT)
+	c.Advance(RTT)
 	if err := device.ReadErr(s.disk, c, off, n); err != nil {
 		return err
 	}
-	c.Advance(simclock.TransferTime(n, s.cfg.WireBandwidth))
+	c.Advance(simclock.TransferTime(n, wireBandwidth))
 	return nil
 }
 
@@ -130,20 +126,20 @@ func (s *Server) ReadFresh(c *simclock.Clock, off, n int64) error {
 // wire. A fault on the server disk aborts before the wire charge and
 // surfaces as an error — the write did not happen.
 func (s *Server) WriteThrough(c *simclock.Clock, off, n int64) error {
-	c.Advance(s.cfg.RTT)
+	c.Advance(RTT)
 	if err := device.WriteErr(s.disk, c, off, n); err != nil {
 		return err
 	}
-	c.Advance(simclock.TransferTime(n, s.cfg.WireBandwidth))
+	c.Advance(simclock.TransferTime(n, wireBandwidth))
 	return nil
 }
 
 // FastRead charges the fast-path cost model: RTT + server memory + wire —
 // what a read satisfied entirely from the server's cache costs.
 func (s *Server) FastRead(c *simclock.Clock, off, n int64) {
-	c.Advance(s.cfg.RTT)
+	c.Advance(RTT)
 	s.mem.Read(c, off, n)
-	c.Advance(simclock.TransferTime(n, s.cfg.WireBandwidth))
+	c.Advance(simclock.TransferTime(n, wireBandwidth))
 }
 
 // ResetDisk discards the server disk's mechanical state (not its cache).
@@ -167,10 +163,11 @@ type ServerDevice struct {
 }
 
 // NewServerDevice returns the device to register for srv: an NFS-level
-// device with the ID, name and size of the server's configured disk.
+// device with the ID, name and size of the server's disk.
 func NewServerDevice(srv *Server) *ServerDevice {
-	d := srv.cfg.ServerDisk
-	return &ServerDevice{srv: srv, info: device.Info{ID: d.ID, Name: d.Name, Level: device.LevelNFS, Size: d.Size}}
+	info := srv.disk.Info()
+	info.Level = device.LevelNFS
+	return &ServerDevice{srv: srv, info: info}
 }
 
 // Info implements device.Device.

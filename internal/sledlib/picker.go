@@ -74,9 +74,6 @@ type Options struct {
 	ElementSize int64
 	// Order overrides the scheduling policy (default OrderLatency).
 	Order Order
-	// MaxRecordScan bounds how far the record-boundary adjustment will
-	// read looking for a separator. Default 8 KiB.
-	MaxRecordScan int64
 }
 
 // ErrFinished is returned by NextRead after every chunk has been handed
@@ -116,9 +113,6 @@ func PickInit(k *vfs.Kernel, tab *core.Table, f *vfs.File, opts Options) (*Picke
 	if opts.BufSize <= 0 {
 		opts.BufSize = 64 << 10
 	}
-	if opts.MaxRecordScan <= 0 {
-		opts.MaxRecordScan = 8 << 10
-	}
 	if opts.RecordMode && opts.ElementSize > 1 {
 		return nil, errors.New("sledlib: record mode and element mode are mutually exclusive")
 	}
@@ -142,7 +136,7 @@ func PickInit(k *vfs.Kernel, tab *core.Table, f *vfs.File, opts Options) (*Picke
 
 	adjusted := sleds
 	if opts.RecordMode && len(sleds) > 1 {
-		adjusted, err = adjustToRecords(f, sleds, opts.RecordSep, opts.MaxRecordScan)
+		adjusted, err = adjustToRecords(f, sleds, opts.RecordSep)
 		if err != nil {
 			return nil, err
 		}
@@ -277,7 +271,7 @@ func scheduleChunks(chunks []chunk, order Order) {
 // to a record boundary and the leading/trailing fragment is pushed to the
 // expensive neighbour. Scanning for separators reads only the cheap side,
 // so the adjustment itself does no expensive I/O.
-func adjustToRecords(f *vfs.File, sleds []core.SLED, sep byte, maxScan int64) ([]core.SLED, error) {
+func adjustToRecords(f *vfs.File, sleds []core.SLED, sep byte) ([]core.SLED, error) {
 	adj := make([]core.SLED, len(sleds))
 	copy(adj, sleds)
 
@@ -287,7 +281,7 @@ func adjustToRecords(f *vfs.File, sleds []core.SLED, sep byte, maxScan int64) ([
 		case adj[i].Latency < adj[i+1].Latency:
 			// Cheap side before the boundary: find the last separator in
 			// it and give the trailing fragment to the expensive side.
-			pos, err := lastSepBefore(f, adj[i].Offset, b, sep, maxScan)
+			pos, err := lastSepBefore(f, adj[i].Offset, b, sep)
 			if err != nil {
 				return nil, err
 			}
@@ -300,7 +294,7 @@ func adjustToRecords(f *vfs.File, sleds []core.SLED, sep byte, maxScan int64) ([
 		case adj[i].Latency > adj[i+1].Latency:
 			// Cheap side after the boundary: find the first separator in
 			// it and give the leading fragment to the expensive side.
-			pos, err := firstSepAfter(f, b, adj[i+1].End(), sep, maxScan)
+			pos, err := firstSepAfter(f, b, adj[i+1].End(), sep)
 			if err != nil {
 				return nil, err
 			}
@@ -322,10 +316,15 @@ func adjustToRecords(f *vfs.File, sleds []core.SLED, sep byte, maxScan int64) ([
 	return out, nil
 }
 
-// lastSepBefore scans backward from end (exclusive) to at most maxScan
-// bytes, not before lo, returning the offset of the last separator, or -1.
-func lastSepBefore(f *vfs.File, lo, end int64, sep byte, maxScan int64) (int64, error) {
-	start := end - maxScan
+// maxRecordScan bounds how far the record-boundary adjustment reads
+// looking for a separator; a longer record keeps its page boundary.
+const maxRecordScan = 8 << 10
+
+// lastSepBefore scans backward from end (exclusive) to at most
+// maxRecordScan bytes, not before lo, returning the offset of the last
+// separator, or -1.
+func lastSepBefore(f *vfs.File, lo, end int64, sep byte) (int64, error) {
+	start := end - maxRecordScan
 	if start < lo {
 		start = lo
 	}
@@ -344,10 +343,10 @@ func lastSepBefore(f *vfs.File, lo, end int64, sep byte, maxScan int64) (int64, 
 	return -1, nil
 }
 
-// firstSepAfter scans forward from start up to maxScan bytes, not past hi,
-// returning the offset of the first separator, or -1.
-func firstSepAfter(f *vfs.File, start, hi int64, sep byte, maxScan int64) (int64, error) {
-	end := start + maxScan
+// firstSepAfter scans forward from start up to maxRecordScan bytes, not
+// past hi, returning the offset of the first separator, or -1.
+func firstSepAfter(f *vfs.File, start, hi int64, sep byte) (int64, error) {
+	end := start + maxRecordScan
 	if end > hi {
 		end = hi
 	}

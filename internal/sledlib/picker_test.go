@@ -542,17 +542,17 @@ func workloadBytes(data []byte) *workload.Content {
 }
 
 func TestRecordScanCapLeavesBoundary(t *testing.T) {
-	// A "record" longer than MaxRecordScan: the adjustment gives up and
+	// A "record" longer than maxRecordScan: the adjustment gives up and
 	// keeps the page-aligned boundary; exactly-once still holds.
 	m := newMachine(t, 4)
-	data := bytes.Repeat([]byte{'x'}, 8*testPage) // no separators at all
+	data := bytes.Repeat([]byte{'x'}, 4*maxRecordScan) // no separators at all
 	if _, err := m.k.Create("/d/x", m.disk, workloadBytes(data)); err != nil {
 		t.Fatal(err)
 	}
 	f, _ := m.k.Open("/d/x")
 	defer f.Close()
 	warmTail(t, f, 0)
-	p, err := PickInit(m.k, m.tab, f, Options{BufSize: testPage, RecordMode: true, RecordSep: '\n', MaxRecordScan: 512})
+	p, err := PickInit(m.k, m.tab, f, Options{BufSize: testPage, RecordMode: true, RecordSep: '\n'})
 	if err != nil {
 		t.Fatal(err)
 	}

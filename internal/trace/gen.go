@@ -18,25 +18,29 @@ import (
 )
 
 // Params configures one generator call. The zero value is not usable;
-// start from DefaultParams and override.
+// start from DefaultParams and override. Stream s reads and writes file s,
+// and records arrive from virtual time 0.
 type Params struct {
 	Seed    uint64
-	Streams int // concurrent simulated processes
+	Streams int // concurrent simulated processes, one file each
 	Records int // records per stream
-	Files   int // file-table size; streams map to files round-robin (default: one per stream)
 
 	FileSize int64 // bytes per file
 	RecLen   int64 // bytes per op
 	PageSize int64 // offset alignment for point ops
 
-	Start        simclock.Duration // arrival time of the earliest records
 	Interarrival simclock.Duration // mean interarrival within a stream (point-read classes)
 
-	ZipfS     float64           // hot-set skew (class zipf, mixed)
 	WriteFrac float64           // fraction of writes (class mixed)
-	BurstLen  int               // records per burst (class bursty)
 	BurstGap  simclock.Duration // mean gap between bursts (class bursty)
 }
+
+// The shape constants of the classes: zipfS is the hot-set skew of zipf
+// and mixed, burstLen the records per burst of bursty.
+const (
+	zipfS    = 1.1
+	burstLen = 16
+)
 
 // DefaultParams returns the baseline parameter set the CLI and the etrace
 // experiment start from.
@@ -49,9 +53,7 @@ func DefaultParams(seed uint64) Params {
 		RecLen:       4096,
 		PageSize:     4096,
 		Interarrival: simclock.Millisecond,
-		ZipfS:        1.1,
 		WriteFrac:    0.3,
-		BurstLen:     16,
 		BurstGap:     20 * simclock.Millisecond,
 	}
 }
@@ -107,7 +109,7 @@ func Generate(class string, p Params) (*Trace, error) {
 	default:
 		return nil, UnknownClassError(class)
 	}
-	t := &Trace{Files: make([]FileSpec, p.files())}
+	t := &Trace{Files: make([]FileSpec, p.Streams)}
 	for i := range t.Files {
 		t.Files[i] = FileSpec{Size: p.FileSize}
 	}
@@ -126,34 +128,20 @@ func (p Params) check() error {
 		return fmt.Errorf("trace: Streams must be positive, got %d", p.Streams)
 	case p.Records <= 0:
 		return fmt.Errorf("trace: Records must be positive, got %d", p.Records)
-	case p.Files < 0:
-		return fmt.Errorf("trace: Files must be non-negative, got %d", p.Files)
 	case p.RecLen <= 0:
 		return fmt.Errorf("trace: RecLen must be positive, got %d", p.RecLen)
 	case p.PageSize <= 0:
 		return fmt.Errorf("trace: PageSize must be positive, got %d", p.PageSize)
 	case p.FileSize < p.RecLen:
 		return fmt.Errorf("trace: FileSize %d smaller than RecLen %d", p.FileSize, p.RecLen)
-	case p.Start < 0:
-		return fmt.Errorf("trace: negative Start %v", p.Start)
 	case p.Interarrival < 0:
 		return fmt.Errorf("trace: negative Interarrival %v", p.Interarrival)
 	case p.WriteFrac < 0 || p.WriteFrac > 1:
 		return fmt.Errorf("trace: WriteFrac %g outside [0,1]", p.WriteFrac)
-	case p.BurstLen <= 0:
-		return fmt.Errorf("trace: BurstLen must be positive, got %d", p.BurstLen)
 	case p.BurstGap < 0:
 		return fmt.Errorf("trace: negative BurstGap %v", p.BurstGap)
 	}
 	return nil
-}
-
-// files returns the effective file-table size (default one per stream).
-func (p Params) files() int {
-	if p.Files > 0 {
-		return p.Files
-	}
-	return p.Streams
 }
 
 // streamRNG derives an independent splitmix64 stream for one generator
@@ -178,13 +166,13 @@ func alignedOff(p Params, r *RNG) int64 {
 func genOLTP(p Params, t *Trace) {
 	for s := 0; s < p.Streams; s++ {
 		r := p.streamRNG(s)
-		at := p.Start
+		var at simclock.Duration
 		for i := 0; i < p.Records; i++ {
 			at += simclock.Duration(r.Exp(float64(p.Interarrival)))
 			t.Records = append(t.Records, Record{
 				VTime:  at,
 				Stream: s,
-				File:   s % p.files(),
+				File:   s,
 				Off:    alignedOff(p, r),
 				Len:    p.RecLen,
 				Op:     OpRead,
@@ -194,7 +182,7 @@ func genOLTP(p Params, t *Trace) {
 }
 
 // genOLAP emits sequential range scans: each stream submits its whole scan
-// at Start (one burst per query job) and covers its file front to back in
+// at time 0 (one burst per query job) and covers its file front to back in
 // RecLen chunks, wrapping if Records exceeds the file. The simultaneous
 // arrivals mean a SLED-guided replayer may reorder the entire scan.
 func genOLAP(p Params, t *Trace) {
@@ -208,9 +196,8 @@ func genOLAP(p Params, t *Trace) {
 				n = p.FileSize - off
 			}
 			t.Records = append(t.Records, Record{
-				VTime:  p.Start,
 				Stream: s,
-				File:   s % p.files(),
+				File:   s,
 				Off:    off,
 				Len:    n,
 				Op:     OpRead,
@@ -227,16 +214,16 @@ func genZipf(p Params, t *Trace) {
 	if pages < 1 {
 		pages = 1
 	}
-	z := NewZipf(pages, p.ZipfS)
+	z := NewZipf(pages, zipfS)
 	for s := 0; s < p.Streams; s++ {
 		r := p.streamRNG(s)
-		at := p.Start
+		var at simclock.Duration
 		for i := 0; i < p.Records; i++ {
 			at += simclock.Duration(r.Exp(float64(p.Interarrival)))
 			t.Records = append(t.Records, Record{
 				VTime:  at,
 				Stream: s,
-				File:   s % p.files(),
+				File:   s,
 				Off:    int64(z.Sample(r)) * p.PageSize,
 				Len:    p.RecLen,
 				Op:     OpRead,
@@ -245,18 +232,18 @@ func genZipf(p Params, t *Trace) {
 	}
 }
 
-// genBursty emits uniform point reads in bursts: BurstLen simultaneous
+// genBursty emits uniform point reads in bursts: burstLen simultaneous
 // arrivals, then a gap. Gaps are modulated by a slow sinusoid — a
 // compressed diurnal cycle, busy and quiet periods alternating over the
 // trace.
 func genBursty(p Params, t *Trace) {
 	for s := 0; s < p.Streams; s++ {
 		r := p.streamRNG(s)
-		at := p.Start
-		nBursts := (p.Records + p.BurstLen - 1) / p.BurstLen
+		var at simclock.Duration
+		nBursts := (p.Records + burstLen - 1) / burstLen
 		emitted := 0
 		for b := 0; b < nBursts; b++ {
-			n := p.BurstLen
+			n := burstLen
 			if emitted+n > p.Records {
 				n = p.Records - emitted
 			}
@@ -264,7 +251,7 @@ func genBursty(p Params, t *Trace) {
 				t.Records = append(t.Records, Record{
 					VTime:  at,
 					Stream: s,
-					File:   s % p.files(),
+					File:   s,
 					Off:    alignedOff(p, r),
 					Len:    p.RecLen,
 					Op:     OpRead,
@@ -287,10 +274,10 @@ func genMixed(p Params, t *Trace) {
 	if pages < 1 {
 		pages = 1
 	}
-	z := NewZipf(pages, p.ZipfS)
+	z := NewZipf(pages, zipfS)
 	for s := 0; s < p.Streams; s++ {
 		r := p.streamRNG(s)
-		at := p.Start
+		var at simclock.Duration
 		for i := 0; i < p.Records; i++ {
 			at += simclock.Duration(r.Exp(float64(p.Interarrival)))
 			op := OpRead
@@ -300,7 +287,7 @@ func genMixed(p Params, t *Trace) {
 			t.Records = append(t.Records, Record{
 				VTime:  at,
 				Stream: s,
-				File:   s % p.files(),
+				File:   s,
 				Off:    int64(z.Sample(r)) * p.PageSize,
 				Len:    p.RecLen,
 				Op:     op,

@@ -3,8 +3,6 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"sleds/internal/simclock"
 )
 
 func TestGenerateDeterministic(t *testing.T) {
@@ -60,8 +58,8 @@ func TestOLAPIsBurstSubmittedScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range tr.Records {
-		if r.VTime != p.Start {
-			t.Fatalf("olap record %d arrives at %v, want every arrival at Start", i, r.VTime)
+		if r.VTime != 0 {
+			t.Fatalf("olap record %d arrives at %v, want every arrival at 0", i, r.VTime)
 		}
 		if r.Op != OpRead {
 			t.Fatalf("olap record %d is a write", i)
@@ -119,7 +117,7 @@ func TestMixedWriteFraction(t *testing.T) {
 
 func TestBurstyHasSimultaneousArrivals(t *testing.T) {
 	p := DefaultParams(3)
-	p.Streams, p.Records, p.BurstLen = 1, 64, 16
+	p.Streams, p.Records = 1, 4*burstLen
 	tr, err := Generate("bursty", p)
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +130,8 @@ func TestBurstyHasSimultaneousArrivals(t *testing.T) {
 		t.Fatalf("bursty trace has %d distinct arrival instants, want %d bursts", got, want)
 	}
 	for at, n := range byTime {
-		if n != p.BurstLen {
-			t.Fatalf("burst at %d has %d records, want %d", at, n, p.BurstLen)
+		if n != burstLen {
+			t.Fatalf("burst at %d has %d records, want %d", at, n, burstLen)
 		}
 	}
 }
@@ -154,9 +152,7 @@ func TestGenerateRejectsBadParamsAndClasses(t *testing.T) {
 		func(p *Params) { p.RecLen = 0 },
 		func(p *Params) { p.PageSize = 0 },
 		func(p *Params) { p.FileSize = 1 },
-		func(p *Params) { p.Start = -simclock.Nanosecond },
 		func(p *Params) { p.WriteFrac = 1.5 },
-		func(p *Params) { p.BurstLen = 0 },
 	}
 	for i, mut := range bad {
 		p := DefaultParams(1)

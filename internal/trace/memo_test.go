@@ -18,11 +18,12 @@ import (
 func TestGuidedReplayMemoEquivalence(t *testing.T) {
 	const size = 64 * 4096
 	p := DefaultParams(7)
-	p.Streams, p.Records, p.Files, p.FileSize, p.RecLen = 4, 96, 2, size, 8192
+	p.Streams, p.Records, p.FileSize, p.RecLen = 4, 96, size, 8192
 	tr, err := Generate("mixed", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shareFiles(tr, 2)
 	var lats [2][]simclock.Duration
 	for run, memo := range []bool{true, false} {
 		k, tab, disk := replayMachine(t, 128)

@@ -75,13 +75,23 @@ func runReplay(t *testing.T, k *vfs.Kernel, tab *core.Table, disk device.ID,
 	return r, e
 }
 
+// shareFiles folds a generated trace's streams onto its first n files,
+// stream s onto file s mod n, so streams contend for one file's pages.
+func shareFiles(tr *Trace, n int) {
+	tr.Files = tr.Files[:n]
+	for i := range tr.Records {
+		tr.Records[i].File %= n
+	}
+}
+
 func TestBlindReplayDeterministic(t *testing.T) {
 	p := DefaultParams(11)
-	p.Streams, p.Records, p.Files, p.FileSize = 2, 16, 1, 256<<10
+	p.Streams, p.Records, p.FileSize = 2, 16, 256<<10
 	tr, err := Generate("oltp", p)
 	if err != nil {
 		t.Fatal(err)
 	}
+	shareFiles(tr, 1)
 	var lats [2][]simclock.Duration
 	for run := range lats {
 		k, tab, disk := replayMachine(t, 256)

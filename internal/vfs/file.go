@@ -126,12 +126,6 @@ func (f *File) ReadAtStep(p []byte, off int64) IOStep {
 	return o.start()
 }
 
-// ReadAtMappedStep begins a resumable ReadAtMapped.
-func (f *File) ReadAtMappedStep(p []byte, off int64) IOStep {
-	o := pageOp{k: f.k, f: f, p: p, req: int64(len(p)), off: off}
-	return o.start()
-}
-
 // ReadStep begins a resumable Read from the current position; the cursor
 // advances when the step completes.
 func (f *File) ReadStep(p []byte) IOStep {
@@ -145,13 +139,6 @@ func (f *File) WriteAtStep(p []byte, off int64) IOStep {
 	return o.start()
 }
 
-// WriteStep begins a resumable Write at the current position; the cursor
-// advances when the step completes.
-func (f *File) WriteStep(p []byte) IOStep {
-	o := pageOp{k: f.k, f: f, p: p, off: f.pos, write: true, cursor: true}
-	return o.start()
-}
-
 // ReadAtMapped is ReadAt without the user-space copy charge: the mmap
 // access path the paper points at for reducing the SLEDs CPU penalty ("We
 // used read(), rather than mmap(), which does not copy the data to meet
@@ -159,7 +146,8 @@ func (f *File) WriteStep(p []byte) IOStep {
 // feasible, which should reduce the CPU penalty", §5.2). Page faults cost
 // exactly what they cost through read().
 func (f *File) ReadAtMapped(p []byte, off int64) (int, error) {
-	n, err := mustComplete(f.ReadAtMappedStep(p, off), "read")
+	o := pageOp{k: f.k, f: f, p: p, req: int64(len(p)), off: off}
+	n, err := mustComplete(o.start(), "read")
 	return int(n), err
 }
 
@@ -258,7 +246,7 @@ func (o *pageOp) setPage(ps int64) {
 // fetched in a single device request, which is how the real kernel
 // clusters paging I/O.
 //
-// A device fault is retried per the kernel's RetryPolicy; the returned
+// A device fault is retried per the kernel's retry policy; the returned
 // error (wrapping ErrIO) means the policy gave up.
 //
 //sledlint:hotpath

@@ -35,59 +35,6 @@ var (
 	ErrIO = errors.New("input/output error")
 )
 
-// RetryPolicy governs how the kernel responds to device faults on the
-// fallible I/O path (device.FallibleDevice): how many attempts one
-// request gets, and the capped exponential backoff between them, all in
-// virtual time.
-type RetryPolicy struct {
-	// MaxAttempts is the total attempts per request (first try included);
-	// <= 0 selects the default (5).
-	MaxAttempts int
-	// Backoff is the delay before the second attempt; each further retry
-	// doubles it. <= 0 selects the default (10 ms).
-	Backoff simclock.Duration
-	// BackoffCap caps the exponential schedule. <= 0 selects the default
-	// (1 s).
-	BackoffCap simclock.Duration
-	// FailFast surfaces the first fault as EIO immediately instead of
-	// retrying (fail-fast vs the default fail-safe behaviour).
-	FailFast bool
-}
-
-// DefaultRetryPolicy returns the fail-safe default: 5 attempts, 10 ms
-// initial backoff doubling to a 1 s cap.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{MaxAttempts: 5, Backoff: 10 * simclock.Millisecond, BackoffCap: simclock.Second}
-}
-
-// withDefaults fills unset fields from DefaultRetryPolicy.
-func (p RetryPolicy) withDefaults() RetryPolicy {
-	d := DefaultRetryPolicy()
-	if p.MaxAttempts <= 0 {
-		p.MaxAttempts = d.MaxAttempts
-	}
-	if p.Backoff <= 0 {
-		p.Backoff = d.Backoff
-	}
-	if p.BackoffCap <= 0 {
-		p.BackoffCap = d.BackoffCap
-	}
-	return p
-}
-
-// backoffBefore returns the delay before attempt number next (>= 2):
-// Backoff doubled per prior retry, capped at BackoffCap.
-func (p RetryPolicy) backoffBefore(next int) simclock.Duration {
-	b := p.Backoff
-	for i := 2; i < next && b < p.BackoffCap; i++ {
-		b *= 2
-	}
-	if b > p.BackoffCap {
-		b = p.BackoffCap
-	}
-	return b
-}
-
 // Ino is a kernel-wide unique inode number.
 type Ino uint64
 
@@ -110,9 +57,6 @@ type Config struct {
 	// activity; frac 0 disables.
 	JitterSeed int64
 	JitterFrac float64
-	// Retry governs fault handling on the fallible device path; the zero
-	// value selects DefaultRetryPolicy.
-	Retry RetryPolicy
 	// HostMem is the arena host memory comes from; nil: the kernel's own.
 	HostMem *HostMem
 }
@@ -149,7 +93,6 @@ type Kernel struct {
 	Devices *device.Registry
 
 	cfg    Config
-	retry  RetryPolicy // cfg.Retry with defaults filled in
 	cache  *cache.Cache
 	jitter *simclock.Jitter
 
@@ -215,7 +158,6 @@ func NewKernel(cfg Config) *Kernel {
 		Clock:     simclock.New(),
 		Devices:   device.NewRegistry(),
 		cfg:       cfg,
-		retry:     cfg.Retry.withDefaults(),
 		inodes:    []*Inode{nil}, // Ino 0 is never handed out
 		nextAlloc: make(map[device.ID]int64),
 		mem:       mem,

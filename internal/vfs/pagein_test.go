@@ -13,16 +13,16 @@ import (
 
 // pageInTwin boots a kernel with readahead, a cache of a few pages and a
 // generated file on a disk — behind a fault injector whose episodes can
-// outlast a two-attempt retry policy when faulty — and returns it with the
+// outlast the kernel's five attempts when faulty — and returns it with the
 // file open.
 func pageInTwin(t *testing.T, faulty bool, size int64) (*Kernel, *File) {
 	t.Helper()
 	mem := device.NewMem(device.DefaultMemConfig(0))
-	k := NewKernel(Config{PageSize: modelPage, CachePages: 12, ReadaheadPages: 2, MemDevice: mem, Retry: RetryPolicy{MaxAttempts: 2}})
+	k := NewKernel(Config{PageSize: modelPage, CachePages: 12, ReadaheadPages: 2, MemDevice: mem})
 	k.AttachDevice(mem)
 	disk := k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
 	if faulty {
-		wrapped, _ := faults.Wrap(k.Devices.Get(disk), faults.Config{Seed: 3, PFault: 0.3, MaxConsecutive: 3})
+		wrapped, _ := faults.Wrap(k.Devices.Get(disk), faults.Config{Seed: 3, PFault: 0.3, MaxConsecutive: 6})
 		k.Devices.Replace(disk, wrapped)
 	}
 	if err := k.MkdirAll("/d"); err != nil {

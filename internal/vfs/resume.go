@@ -111,6 +111,18 @@ func mustNotBlock(blocked bool, what string) {
 	}
 }
 
+// The kernel's retry policy on the fallible device path, in virtual time:
+// a request gets retryAttempts attempts, the first included, and waits
+// retryBackoff before the second, doubled before each one after. The
+// longest wait is 80 ms. A faults.Injector episode is at most
+// MaxConsecutive faults long, so one with MaxConsecutive < retryAttempts
+// is always ridden out, and one with MaxConsecutive >= retryAttempts can
+// surface EIO.
+const (
+	retryAttempts = 5
+	retryBackoff  = 10 * simclock.Millisecond
+)
+
 // access is one logical device access under the kernel's retry policy:
 // what to issue, and how far the policy has got.
 type access struct {
@@ -129,7 +141,7 @@ type access struct {
 
 // runAccess runs the access until it completes or suspends: each attempt
 // is issued (ErrBlocked from a queued device suspends it), faults are
-// counted, observed and retried after capped exponential backoff, and when
+// counted, observed and retried after exponential backoff, and when
 // the policy gives up the access fails with a wrapped ErrIO. Non-fault
 // errors pass through untouched. Resumed, err is the outcome of the
 // attempt that suspended.
@@ -167,12 +179,12 @@ func (k *Kernel) runAccess(a *access, resumed bool, err error) (blocked bool, _ 
 		if k.faultObs != nil {
 			k.faultObs(f)
 		}
-		if k.retry.FailFast || a.attempt >= k.retry.MaxAttempts {
+		if a.attempt >= retryAttempts {
 			k.stats.EIOs++
 			err = fmt.Errorf("vfs: device %d (%s fault, %d attempt(s)): %w", f.Dev, f.Class, a.attempt, ErrIO)
 			break
 		}
-		back := k.retry.backoffBefore(a.attempt + 1)
+		back := retryBackoff << (a.attempt - 1)
 		k.Clock.Advance(back)
 		k.stats.Retries++
 		k.stats.RetryWait += back

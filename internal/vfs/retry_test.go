@@ -57,10 +57,10 @@ func (f *flakyDev) Write(c *simclock.Clock, off, length int64) {
 func (f *flakyDev) Reset() {}
 
 // flakyKernel boots a kernel whose only data device is a flakyDev.
-func flakyKernel(t *testing.T, pol RetryPolicy, failFor int) (*Kernel, *flakyDev, device.ID) {
+func flakyKernel(t *testing.T, failFor int) (*Kernel, *flakyDev, device.ID) {
 	t.Helper()
 	mem := device.NewMem(device.DefaultMemConfig(0))
-	k := NewKernel(Config{PageSize: testPage, CachePages: 64, MemDevice: mem, Retry: pol})
+	k := NewKernel(Config{PageSize: testPage, CachePages: 64, MemDevice: mem})
 	k.AttachDevice(mem)
 	fd := &flakyDev{id: 1, failFor: failFor, extra: 5 * simclock.Millisecond, cost: simclock.Millisecond}
 	id := k.AttachDevice(fd)
@@ -71,17 +71,16 @@ func flakyKernel(t *testing.T, pol RetryPolicy, failFor int) (*Kernel, *flakyDev
 }
 
 // TestRetryBackoffGoldenTrace pins the exact virtual-time schedule of a
-// retried access: attempt k starts after the failed attempts' costs plus
-// the capped exponential backoff 10, 20, 40, 70, 70 ms (Backoff doubled
-// per retry, clamped at BackoffCap).
+// retried access: four faults, the most a request rides out, and attempt
+// k starts after the failed attempts' costs plus the exponential backoff
+// 10, 20, 40, 80 ms.
 func TestRetryBackoffGoldenTrace(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 6, Backoff: 10 * simclock.Millisecond, BackoffCap: 70 * simclock.Millisecond}
-	k, fd, _ := flakyKernel(t, pol, 5)
+	k, fd, _ := flakyKernel(t, 4)
 	err := k.deviceAccess(access{dev: fd, length: testPage})
 	if err != nil {
-		t.Fatalf("access with 5 faults under a 6-attempt policy failed: %v", err)
+		t.Fatalf("access with 4 faults failed: %v", err)
 	}
-	want := []simclock.Duration{0, 15, 40, 85, 160, 235}
+	want := []simclock.Duration{0, 15, 40, 85, 170}
 	for i := range want {
 		want[i] *= simclock.Millisecond
 	}
@@ -93,65 +92,32 @@ func TestRetryBackoffGoldenTrace(t *testing.T) {
 			t.Errorf("attempt %d at %v, want %v", i+1, at, want[i])
 		}
 	}
-	if got := k.Clock.Now(); got != 236*simclock.Millisecond {
-		t.Errorf("final clock %v, want 236ms", got)
+	if got := k.Clock.Now(); got != 171*simclock.Millisecond {
+		t.Errorf("final clock %v, want 171ms", got)
 	}
 	st := k.RunStats()
-	if st.DeviceFaults != 5 || st.Retries != 5 || st.EIOs != 0 {
-		t.Errorf("stats faults=%d retries=%d EIOs=%d, want 5/5/0", st.DeviceFaults, st.Retries, st.EIOs)
+	if st.DeviceFaults != 4 || st.Retries != 4 || st.EIOs != 0 {
+		t.Errorf("stats faults=%d retries=%d EIOs=%d, want 4/4/0", st.DeviceFaults, st.Retries, st.EIOs)
 	}
-	if want := 210 * simclock.Millisecond; st.RetryWait != want {
+	if want := 150 * simclock.Millisecond; st.RetryWait != want {
 		t.Errorf("retry wait %v, want %v", st.RetryWait, want)
 	}
 }
 
 // TestRetryExhaustionSurfacesEIO: when the device out-fails the policy,
-// the access ends in a wrapped ErrIO after exactly MaxAttempts attempts.
+// the access ends in a wrapped ErrIO after exactly five attempts.
 func TestRetryExhaustionSurfacesEIO(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 3, Backoff: 10 * simclock.Millisecond, BackoffCap: simclock.Second}
-	k, fd, _ := flakyKernel(t, pol, 1<<30)
+	k, fd, _ := flakyKernel(t, 5)
 	err := k.deviceAccess(access{dev: fd, length: testPage})
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("exhausted retries returned %v, want wrapped ErrIO", err)
 	}
-	if len(fd.attempts) != 3 {
-		t.Fatalf("made %d attempts, want 3", len(fd.attempts))
+	if len(fd.attempts) != 5 {
+		t.Fatalf("made %d attempts, want 5", len(fd.attempts))
 	}
 	st := k.RunStats()
-	if st.DeviceFaults != 3 || st.Retries != 2 || st.EIOs != 1 {
-		t.Errorf("stats faults=%d retries=%d EIOs=%d, want 3/2/1", st.DeviceFaults, st.Retries, st.EIOs)
-	}
-}
-
-// TestFailFastSurfacesFirstFault: FailFast gives up on the first fault —
-// one attempt, no backoff spent.
-func TestFailFastSurfacesFirstFault(t *testing.T) {
-	k, fd, _ := flakyKernel(t, RetryPolicy{FailFast: true}, 1)
-	err := k.deviceAccess(access{dev: fd, length: testPage})
-	if !errors.Is(err, ErrIO) {
-		t.Fatalf("fail-fast returned %v, want wrapped ErrIO", err)
-	}
-	if len(fd.attempts) != 1 {
-		t.Fatalf("fail-fast made %d attempts, want 1", len(fd.attempts))
-	}
-	st := k.RunStats()
-	if st.DeviceFaults != 1 || st.Retries != 0 || st.RetryWait != 0 || st.EIOs != 1 {
-		t.Errorf("stats faults=%d retries=%d wait=%v EIOs=%d, want 1/0/0/1",
-			st.DeviceFaults, st.Retries, st.RetryWait, st.EIOs)
-	}
-}
-
-// TestZeroPolicyIsDefault: the zero RetryPolicy behaves as the documented
-// default (5 attempts): 4 faults ride out, 5 do not.
-func TestZeroPolicyIsDefault(t *testing.T) {
-	k, fd, _ := flakyKernel(t, RetryPolicy{}, 4)
-	if err := k.deviceAccess(access{dev: fd, length: testPage}); err != nil {
-		t.Fatalf("4 faults under the default policy failed: %v", err)
-	}
-	k2, fd2, _ := flakyKernel(t, RetryPolicy{}, 5)
-	err := k2.deviceAccess(access{dev: fd2, length: testPage})
-	if !errors.Is(err, ErrIO) {
-		t.Fatalf("5 faults under the default policy returned %v, want ErrIO", err)
+	if st.DeviceFaults != 5 || st.Retries != 4 || st.EIOs != 1 {
+		t.Errorf("stats faults=%d retries=%d EIOs=%d, want 5/4/1", st.DeviceFaults, st.Retries, st.EIOs)
 	}
 }
 
@@ -159,8 +125,7 @@ func TestZeroPolicyIsDefault(t *testing.T) {
 // page-in on a persistently failing device reaches the application as a
 // wrapped ErrIO from File.Read, not a panic.
 func TestReadSurfacesEIOToApplication(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 2, Backoff: simclock.Millisecond}
-	k, _, id := flakyKernel(t, pol, 1<<30)
+	k, _, id := flakyKernel(t, 1<<30)
 	if _, err := k.Create("/data/f", id, workload.NewText(1, 4*testPage, testPage)); err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +147,7 @@ func TestReadSurfacesEIOToApplication(t *testing.T) {
 // TestWritebackEIOCounted: a failed write-back is counted, not surfaced —
 // there is no caller to return it to.
 func TestWritebackEIOCounted(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 2, Backoff: simclock.Millisecond}
-	k, fd, id := flakyKernel(t, pol, 0) // healthy while writing to cache
+	k, fd, id := flakyKernel(t, 0) // healthy while writing to cache
 	if _, err := k.CreateEmpty("/data/out", id); err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +173,7 @@ func TestWritebackEIOCounted(t *testing.T) {
 // attempt with the fault's own Extra, which is what feeds the sleds
 // health state.
 func TestFaultObserverSeesEveryFault(t *testing.T) {
-	pol := RetryPolicy{MaxAttempts: 4, Backoff: simclock.Millisecond}
-	k, fd, _ := flakyKernel(t, pol, 3)
+	k, fd, _ := flakyKernel(t, 3)
 	var seen []simclock.Duration
 	k.SetFaultObserver(func(f *device.Fault) { seen = append(seen, f.Extra) })
 	if err := k.deviceAccess(access{dev: fd, length: testPage}); err != nil {

@@ -1,0 +1,149 @@
+package sleds_test
+
+import (
+	"fmt"
+	"go/ast"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"sleds/internal/lint/load"
+)
+
+// TestEveryExportedFunctionIsReferenced fails on an exported function or
+// method of the simulator (sleds.go and internal/, internal/lint aside)
+// that nothing references: no code, test, example or command of the
+// module, and not the benchmark harness. Such a name is API nobody calls,
+// and it is cheaper to delete than to keep correct.
+//
+// A reference is a type-checked use of the function's object, so a call
+// through an interface does not reach the concrete method; methods are
+// exempt when an interface in the module or the harness, error or
+// fmt.Stringer names them. cmd/sledsperf is a module of its own, outside
+// ./..., so its files are type-checked here against the loaded packages.
+func TestEveryExportedFunctionIsReferenced(t *testing.T) {
+	pkgs, fset, err := load.PackagesMode(".", load.Mode{Tests: true}, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	used := make(map[string]bool)
+	ifaceMethods := map[string]bool{"Error": true, "String": true}
+	refs := func(files []*ast.File, info *types.Info) {
+		for _, obj := range info.Uses {
+			if fn, ok := obj.(*types.Func); ok {
+				used[fn.Origin().FullName()] = true
+			}
+		}
+		for _, f := range files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if it, ok := n.(*ast.InterfaceType); ok {
+					iface := info.TypeOf(it).Underlying().(*types.Interface)
+					for i := 0; i < iface.NumMethods(); i++ {
+						ifaceMethods[iface.Method(i).Name()] = true
+					}
+				}
+				return true
+			})
+		}
+	}
+	for _, p := range pkgs {
+		refs(p.Files, p.Info)
+	}
+	files, info, err := checkHarness(pkgs, fset, filepath.Join("cmd", "sledsperf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs(files, info)
+
+	declared := 0
+	for _, p := range pkgs {
+		if !isSimulator(p.Path) {
+			continue
+		}
+		for _, f := range p.Files {
+			if strings.HasSuffix(fset.Position(f.Pos()).Filename, "_test.go") {
+				continue
+			}
+			for _, d := range f.Decls {
+				fd, ok := d.(*ast.FuncDecl)
+				if !ok || !fd.Name.IsExported() {
+					continue
+				}
+				declared++
+				if fd.Recv != nil && ifaceMethods[fd.Name.Name] {
+					continue
+				}
+				if fn := p.Info.Defs[fd.Name].(*types.Func); !used[fn.FullName()] {
+					t.Errorf("%s: %s is referenced nowhere", fset.Position(fd.Pos()), fn.FullName())
+				}
+			}
+		}
+	}
+	if declared < 100 {
+		t.Fatalf("found only %d exported simulator functions: the scan is not looking at the simulator", declared)
+	}
+}
+
+// isSimulator reports whether an import path is simulator code in the
+// ROADMAP's sense: the root package and internal/, except the linter.
+func isSimulator(path string) bool {
+	switch {
+	case path == "sleds":
+		return true
+	case strings.HasSuffix(path, "_test"):
+		return false
+	}
+	return strings.HasPrefix(path, "sleds/internal/") && !strings.HasPrefix(path, "sleds/internal/lint/")
+}
+
+// checkHarness type-checks the one package in dir, test files included,
+// importing the builds the loaded packages import (what an importer sees,
+// never a test-augmented variant) and, for anything none of them imports,
+// the standard library from source.
+func checkHarness(pkgs []*load.Package, fset *token.FileSet, dir string) ([]*ast.File, *types.Info, error) {
+	imports := make(map[string]*types.Package)
+	var add func(*types.Package)
+	add = func(tp *types.Package) {
+		for _, dep := range tp.Imports() {
+			if imports[dep.Path()] == nil {
+				imports[dep.Path()] = dep
+				add(dep)
+			}
+		}
+	}
+	for _, p := range pkgs {
+		add(p.Types)
+	}
+	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, nil, err
+	}
+	var files []*ast.File
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, nil, err
+		}
+		files = append(files, f)
+	}
+	std := importer.ForCompiler(fset, "source", nil)
+	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
+		if tp := imports[path]; tp != nil {
+			return tp, nil
+		}
+		return std.Import(path)
+	})}
+	info := &types.Info{Uses: make(map[*ast.Ident]types.Object), Types: make(map[ast.Expr]types.TypeAndValue)}
+	if _, err := conf.Check(dir, fset, files, info); err != nil {
+		return nil, nil, fmt.Errorf("type-checking %s: %w", dir, err)
+	}
+	return files, info, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }

@@ -176,10 +176,9 @@ func NewSystem(cfg Config) (*System, error) {
 	}
 	if cfg.HSMStageBytes > 0 {
 		stager, err := hsm.New(k, hsm.Config{
-			Tape:      s.ids[OnTape],
-			Disk:      s.ids[OnDisk],
-			BlockSize: 16 * int64(cfg.PageSize),
-			Capacity:  cfg.HSMStageBytes,
+			Tape:     s.ids[OnTape],
+			Disk:     s.ids[OnDisk],
+			Capacity: cfg.HSMStageBytes,
 		})
 		if err != nil {
 			return nil, err
