@@ -68,9 +68,6 @@ type Run struct {
 	End   int64 // one past the last resident page
 }
 
-// Pages returns the number of pages in the run.
-func (r Run) Pages() int64 { return r.End - r.Start }
-
 // fileIdx is one file's slot in the index: its page table (page → arena
 // index of the frame holding it; 0, the recency sentinel's slot, for
 // absent), resident runs, dirty-page count and residency epoch.

@@ -66,21 +66,12 @@ type skelSeg struct {
 // memSeg is the skelSeg.dev of a cache-resident segment.
 const memSeg = -1
 
-// memoKey identifies a skeleton: the kernel disambiguates tables shared
-// across machines, and inode numbers are allocated monotonically and
-// never reused, so a key can never silently come to mean another file.
-type memoKey struct {
-	k   *vfs.Kernel
-	ino vfs.Ino
-}
-
 // memoEntry is one file's skeleton plus, for cached entries, the output
 // of the most recent overlay run. Buffers (segs, devs, samples, out) are
 // retained across rebuilds so the steady state — including the
 // rebuild-per-query scratch entry — stays allocation-free.
 type memoEntry struct {
-	key memoKey
-
+	k        *vfs.Kernel // the kernel the skeleton was built on
 	resEpoch uint64
 	cfgEpoch uint64
 	size     int64
@@ -93,143 +84,54 @@ type memoEntry struct {
 
 	haveOut bool // out is the overlay of segs under samples
 	out     []SLED
-
-	prev, next *memoEntry // intrusive LRU list (front = most recent)
 }
 
 // MemoStats counts skeleton-memo activity since table construction.
 type MemoStats struct {
 	Hits       int64 // valid skeleton found (overlay only)
-	Misses     int64 // no entry, stale epoch, or changed geometry (rebuild)
+	Misses     int64 // no entry, other kernel, stale epoch, or changed geometry (rebuild)
 	FastCopies int64 // hits whose sample matched: output replayed by copy
-	Evictions  int64 // entries dropped by the LRU bound
+	Evictions  int64 // entries dropped to keep the capacity bound
 }
 
-// sledMemo is a bounded LRU-over-files skeleton cache. Lookups are array
-// reads — a kernel numbers its inodes 1, 2, 3, …, so each kernel's entries
-// sit in a slice indexed by inode number, and a file queried over and over
-// is reached without hashing; recency and eviction go through the
-// intrusive list.
+// sledMemo caches skeletons by inode number: a kernel numbers its inodes
+// 1, 2, 3, …, so a file queried over and over is an array read. A table
+// serves one machine in practice; an entry built on another kernel is a
+// miss that rebuilds it in place. The capacity bound is kept by emptying
+// the memo when a file past it arrives.
 type sledMemo struct {
 	cap   int
-	n     int           // cached entries, at most cap
-	files []kernelFiles // one per kernel that has queried through this table
-	front *memoEntry
-	back  *memoEntry
+	n     int          // cached entries, at most cap
+	byIno []*memoEntry // nil where none is cached
 	stats MemoStats
-}
-
-// kernelFiles is one kernel's cached skeletons by inode number, nil where
-// none is cached. A table serves one machine in practice, so finding the
-// kernel is a one-element scan.
-type kernelFiles struct {
-	k     *vfs.Kernel
-	byIno []*memoEntry
 }
 
 func newSledMemo(capacity int) *sledMemo {
 	return &sledMemo{cap: capacity}
 }
 
-// slot returns the index cell for key, or nil when key's kernel has no
-// cell that far yet.
-func (m *sledMemo) slot(key memoKey) **memoEntry {
-	for i := range m.files {
-		if kf := &m.files[i]; kf.k == key.k {
-			if key.ino < vfs.Ino(len(kf.byIno)) {
-				return &kf.byIno[key.ino]
-			}
-			return nil
-		}
+// entry returns ino's entry, creating it on the file's first query. This
+// is the one allocating path of the memo: it runs once per file (plus
+// once per re-admission after the memo was emptied), never in the steady
+// state the alloc gates measure.
+func (m *sledMemo) entry(ino vfs.Ino) *memoEntry {
+	if ino < vfs.Ino(len(m.byIno)) && m.byIno[ino] != nil {
+		return m.byIno[ino]
 	}
-	return nil
-}
-
-// lookup returns key's cached entry, or nil.
-func (m *sledMemo) lookup(key memoKey) *memoEntry {
-	if s := m.slot(key); s != nil {
-		return *s
+	if m.n >= m.cap {
+		clear(m.byIno)
+		m.stats.Evictions += int64(m.n)
+		m.n = 0
 	}
-	return nil
-}
-
-// detach unlinks e from the LRU list.
-func (m *sledMemo) detach(e *memoEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if m.front == e {
-		m.front = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if m.back == e {
-		m.back = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront links e as the most recently used entry.
-func (m *sledMemo) pushFront(e *memoEntry) {
-	e.next = m.front
-	if m.front != nil {
-		m.front.prev = e
-	}
-	m.front = e
-	if m.back == nil {
-		m.back = e
-	}
-}
-
-// moveToFront refreshes e's recency.
-func (m *sledMemo) moveToFront(e *memoEntry) {
-	if m.front == e {
-		return
-	}
-	m.detach(e)
-	m.pushFront(e)
-}
-
-// install makes room and creates a fresh entry for key. This is the one
-// allocating path of the memo: it runs once per file (plus once per
-// re-admission after an LRU eviction), never in the steady state the
-// alloc gates measure.
-func (m *sledMemo) install(key memoKey) *memoEntry {
-	for m.n >= m.cap && m.back != nil {
-		victim := m.back
-		m.detach(victim)
-		*m.slot(victim.key) = nil
-		m.n--
-		m.stats.Evictions++
+	for vfs.Ino(len(m.byIno)) <= ino {
+		//sledlint:allow hotalloc -- first-use growth: the index reaches the highest queried inode number once
+		m.byIno = append(m.byIno, nil)
 	}
 	//sledlint:allow hotalloc -- first query of a file only: the entry and its buffers are allocated once and reused across every later rebuild
-	e := &memoEntry{key: key}
-	s := m.slot(key)
-	if s == nil {
-		s = m.growSlot(key)
-	}
-	*s = e
+	e := &memoEntry{}
+	m.byIno[ino] = e
 	m.n++
-	m.pushFront(e)
 	return e
-}
-
-// growSlot extends the index to cover key — its kernel's first query, or
-// an inode number beyond any queried so far — and returns the new cell.
-func (m *sledMemo) growSlot(key memoKey) **memoEntry {
-	ki := 0
-	for ki < len(m.files) && m.files[ki].k != key.k {
-		ki++
-	}
-	if ki == len(m.files) {
-		//sledlint:allow hotalloc -- first-use growth: once per kernel
-		m.files = append(m.files, kernelFiles{k: key.k})
-	}
-	kf := &m.files[ki]
-	for vfs.Ino(len(kf.byIno)) <= key.ino {
-		//sledlint:allow hotalloc -- first-use growth: the index reaches a kernel's highest queried inode number once
-		kf.byIno = append(kf.byIno, nil)
-	}
-	return &kf.byIno[key.ino]
 }
 
 // query is FSLEDS_GET for a cacheable file: epoch-checked lookup,
@@ -241,25 +143,15 @@ func (m *sledMemo) growSlot(key memoKey) **memoEntry {
 //sledlint:hotpath
 func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	resEpoch := k.ResidencyEpoch(n)
-	key := memoKey{k: k, ino: n.Ino()}
-	e := m.lookup(key)
-	hit := e != nil && e.resEpoch == resEpoch && e.cfgEpoch == t.cfgEpoch &&
-		e.size == n.Size() && e.extent == n.Extent() && e.dev == n.Device()
-	if e != nil {
-		m.moveToFront(e)
-	} else {
-		e = m.install(key)
-	}
-	if hit {
+	e := m.entry(n.Ino())
+	if e.k == k && e.resEpoch == resEpoch && e.cfgEpoch == t.cfgEpoch &&
+		e.size == n.Size() && e.extent == n.Extent() && e.dev == n.Device() {
 		m.stats.Hits++
 	} else {
 		m.stats.Misses++
 		t.buildSkeleton(e, k, n)
-		e.resEpoch = resEpoch
-		e.cfgEpoch = t.cfgEpoch
-		e.size = n.Size()
-		e.extent = n.Extent()
-		e.dev = n.Device()
+		e.k, e.resEpoch, e.cfgEpoch = k, resEpoch, t.cfgEpoch
+		e.size, e.extent, e.dev = n.Size(), n.Extent(), n.Device()
 	}
 	same, err := t.sampleDevices(e, k, n)
 	if err != nil {

@@ -43,7 +43,7 @@ func memoFile(t testing.TB, k *vfs.Kernel, disk device.ID, path string, pages in
 // half-life changes, over three disk files and one staged tape file, with
 // Query compared bit-for-bit against its uncached configuration and the
 // per-page reference after every step — at memo capacities including 0
-// (disabled) and 1 (every file switch thrashes the LRU).
+// (disabled) and 1 (every file switch empties the memo).
 func TestMemoDifferentialProperty(t *testing.T) {
 	for _, capN := range []int{0, 1, 4, DefaultMemoFiles} {
 		capN := capN
@@ -131,7 +131,7 @@ func TestMemoDifferentialProperty(t *testing.T) {
 					if st := tab.MemoStats(); st != (MemoStats{}) {
 						t.Fatalf("disabled memo recorded activity: %+v", st)
 					}
-				} else if tab.memo.lookup(memoKey{k: k, ino: inodes[3].Ino()}) != nil {
+				} else if ino := inodes[3].Ino(); ino < vfs.Ino(len(tab.memo.byIno)) && tab.memo.byIno[ino] != nil {
 					t.Fatalf("staged file entered the memo")
 				}
 				return true
@@ -314,25 +314,66 @@ func TestMemoGeometryInvalidation(t *testing.T) {
 }
 
 // TestMemoCapacityOneThrash alternates two files through a one-entry
-// memo: every switch evicts and rebuilds, results stay exact, and the
-// eviction counter proves the bound is enforced.
+// memo: every switch empties the memo and rebuilds, results stay exact,
+// and the eviction counter counts every entry dropped.
 func TestMemoCapacityOneThrash(t *testing.T) {
 	k, disk, tab := equivMachine(t, 96, cache.LRU)
 	tab.SetMemoCapacity(1)
 	a := memoFile(t, k, disk, "/d/a", 25, 1)
 	b := memoFile(t, k, disk, "/d/b", 31, 2)
-	for i := 0; i < 6; i++ {
+	const rounds = 6
+	for i := 0; i < rounds; i++ {
 		mustMatchRef(t, k, tab, a)
 		mustMatchRef(t, k, tab, b)
 	}
+	// mustMatchRef queries each file once per call; every query but the
+	// first finds the other file's entry and drops it, so nothing hits.
 	st := tab.MemoStats()
-	if st.Evictions == 0 {
-		t.Fatalf("capacity-1 memo with two files should evict, got %+v", st)
+	if want := (MemoStats{Misses: 2 * rounds, Evictions: 2*rounds - 1}); st != want {
+		t.Fatalf("capacity-1 alternation: got %+v, want %+v", st, want)
 	}
-	// mustMatchRef queries each file once per call; every same-file repeat
-	// is a miss here because the other file evicted it in between.
-	if st.Hits != 0 {
-		t.Fatalf("capacity-1 alternation can never hit, got %+v", st)
+	if tab.memo.n != 1 {
+		t.Fatalf("capacity-1 memo holds %d entries", tab.memo.n)
+	}
+}
+
+// TestMemoTwoKernels queries one table through two kernels whose files
+// carry the same inode numbers: each kernel's vector must match the
+// per-page reference on that kernel, so an entry built on one kernel
+// must never be served to the other.
+func TestMemoTwoKernels(t *testing.T) {
+	k1, disk1, tab := equivMachine(t, 64, cache.LRU)
+	k2, disk2, _ := equivMachine(t, 64, cache.LRU)
+	if disk1 != disk2 {
+		t.Fatalf("the kernels number their disks %d and %d; the table has one row", disk1, disk2)
+	}
+	// Same inode number, geometry and residency epoch (14 pages inserted
+	// in each), but different resident pages: everything the entry's
+	// epochs and geometry compare is equal, so only its kernel tells the
+	// two skeletons apart.
+	n1 := memoFile(t, k1, disk1, "/d/f", 30, 1)
+	n2, err := k2.Create("/d/f", disk2, workload.NewText(2, 30*testPage, testPage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fh, err := k2.Open("/d/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fh.Close()
+	if _, err := fh.ReadAt(make([]byte, 14*testPage), testPage); err != nil {
+		t.Fatal(err)
+	}
+	if n1.Ino() != n2.Ino() || n1.Extent() != n2.Extent() || k1.ResidencyEpoch(n1) != k2.ResidencyEpoch(n2) {
+		t.Fatalf("files differ in inode (%d, %d), extent (%d, %d) or epoch (%d, %d): the test needs a collision",
+			n1.Ino(), n2.Ino(), n1.Extent(), n2.Extent(), k1.ResidencyEpoch(n1), k2.ResidencyEpoch(n2))
+	}
+	for i := 0; i < 3; i++ {
+		mustMatchRef(t, k1, tab, n1)
+		mustMatchRef(t, k2, tab, n2)
+	}
+	if st := tab.MemoStats(); st.Misses != 6 || st.Hits != 0 {
+		t.Fatalf("every switch of kernel must rebuild, got %+v", st)
 	}
 }
 

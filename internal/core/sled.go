@@ -125,8 +125,8 @@ type Table struct {
 	// resets, half-life changes, load *values* behind an attached source —
 	// deliberately do not bump it; see the memo's overlay.
 	cfgEpoch uint64
-	// memo caches residency skeletons per (kernel, inode); nil when
-	// memoization is disabled (SetMemoCapacity(0)).
+	// memo caches residency skeletons per inode; nil when memoization is
+	// disabled (SetMemoCapacity(0)).
 	memo *sledMemo
 	// scratch holds the skeleton of a query that must not be cached (memo
 	// disabled, or a staged device): built, overlaid and forgotten, with
@@ -187,13 +187,13 @@ func NewTable() *Table {
 	}
 }
 
-// SetMemoCapacity bounds the skeleton memo at n files (LRU over files),
-// dropping any cached skeletons; n <= 0 disables memoization entirely:
-// every query then builds its skeleton into the table's scratch entry
-// and discards it. Capacity only decides whether a skeleton is reused —
-// the algorithm, and so every result bit, is the same at every setting.
-// The knob exists for ablation and for capping memory on machines
-// querying very many files.
+// SetMemoCapacity bounds the skeleton memo at n files (a file past the
+// bound empties it), dropping any cached skeletons; n <= 0 disables
+// memoization entirely: every query then builds its skeleton into the
+// table's scratch entry and discards it. Capacity only decides whether a
+// skeleton is reused — the algorithm, and so every result bit, is the
+// same at every setting. The knob exists for ablation and for capping
+// memory on machines querying very many files.
 func (t *Table) SetMemoCapacity(n int) {
 	if n <= 0 {
 		t.memo = nil
@@ -576,6 +576,35 @@ func TotalDeliveryTime(sleds []SLED, plan Plan) float64 {
 	default:
 		panic(fmt.Sprintf("core: unknown plan %d", plan))
 	}
+}
+
+// RangeDelivery estimates the delivery of bytes [off, off+n) from a SLED
+// vector: the first overlapped section's latency plus each overlapped
+// byte's transfer time at its section's bandwidth, and the lowest
+// confidence among the overlapped sections. ok is false when no section
+// overlaps the range.
+//
+//sledlint:hotpath
+func RangeDelivery(sleds []SLED, off, n int64) (sec, conf float64, ok bool) {
+	end := off + n
+	conf = 1
+	for i := range sleds {
+		s := &sleds[i]
+		if s.End() <= off || s.Offset >= end {
+			continue
+		}
+		if !ok {
+			sec += s.Latency
+			ok = true
+		}
+		if s.Bandwidth > 0 {
+			sec += float64(min(s.End(), end)-max(s.Offset, off)) / s.Bandwidth
+		}
+		if s.Confidence < conf {
+			conf = s.Confidence
+		}
+	}
+	return sec, conf, ok
 }
 
 // Plan is the attack_plan argument of sleds_total_delivery_time.

@@ -337,6 +337,37 @@ func TestTotalDeliveryTimePlans(t *testing.T) {
 	}
 }
 
+// TestRangeDelivery pins the range estimate the fleet selector and guided
+// replay share: the first overlapped section's latency, each overlapped
+// byte at its own section's bandwidth, the lowest confidence, and no
+// estimate for a range the vector does not reach.
+func TestRangeDelivery(t *testing.T) {
+	sleds := []SLED{
+		{Offset: 0, Length: 1000, Latency: 0.5, Bandwidth: 1000, Confidence: 1},
+		{Offset: 1000, Length: 1000, Latency: 0.001, Bandwidth: 1e6, Confidence: 0.25},
+		{Offset: 2000, Length: 1000, Latency: 0.5, Bandwidth: 1000, Confidence: 0.5},
+	}
+	cases := []struct {
+		off, n int64
+		sec    float64
+		conf   float64
+		ok     bool
+	}{
+		{0, 500, 0.5 + 0.5, 1, true},
+		{1500, 1000, 0.001 + 500/1e6 + 0.5, 0.25, true},
+		{500, 2000, 0.5 + 0.5 + 1000/1e6 + 0.5, 0.25, true},
+		{2999, 100, 0.5 + 0.001, 0.5, true}, // clamped at the end of the vector
+		{3000, 100, 0, 1, false},
+		{1000, 0, 0, 1, false},
+	}
+	for _, c := range cases {
+		sec, conf, ok := RangeDelivery(sleds, c.off, c.n)
+		if ok != c.ok || conf != c.conf || math.Abs(sec-c.sec) > 1e-12 {
+			t.Errorf("RangeDelivery(%d, %d) = %v, %v, %v; want %v, %v, %v", c.off, c.n, sec, conf, ok, c.sec, c.conf, c.ok)
+		}
+	}
+}
+
 func TestTotalDeliveryTimeBadPlanPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

@@ -52,7 +52,6 @@ func wcWarmSpeedup(cfg Config, size int64) (speedup float64, err error) {
 // The Figure 3 pathology is specific to LRU-like policies; CLOCK
 // approximates it, FIFO shares it for pure linear scans.
 func AblationPolicy(cfg Config) (Figure, error) {
-	cfg.validate()
 	size := ablationSize(cfg)
 	policies := []cache.Policy{cache.LRU, cache.Clock, cache.FIFO}
 	pts, err := RunGrid(cfg, len(policies), func(cfg Config, i int) (Point, error) {
@@ -104,7 +103,6 @@ func pickOrderScan(cfg Config, order sledlib.Order) (sec float64, faults int64, 
 // AblationPickOrder compares the paper's lowest-latency-first schedule
 // against file order and the pessimal highest-latency-first order.
 func AblationPickOrder(cfg Config) (Figure, error) {
-	cfg.validate()
 	orders := []sledlib.Order{sledlib.OrderLatency, sledlib.OrderLinear, sledlib.OrderReverseLatency}
 	faults := Series{Name: "hard faults", Points: make([]Point, len(orders))}
 	times, err := RunGrid(cfg, len(orders), func(cfg Config, i int) (Point, error) {
@@ -133,7 +131,6 @@ func AblationPickOrder(cfg Config) (Figure, error) {
 // freshly cached middle before the scan arrives; a refreshed schedule
 // reads the middle while it is still resident.
 func AblationRefresh(cfg Config) (Figure, error) {
-	cfg.validate()
 	return twoModeFigure(cfg, "ablation-refresh",
 		"SLEDs scan with a mid-run cache change: stale vs refreshed schedule",
 		"x: 0=stale schedule (paper implementation), 1=Refresh() extension", func(cfg Config, mode int) (float64, error) {
@@ -184,7 +181,6 @@ func AblationRefresh(cfg Config) (Figure, error) {
 // should reduce the CPU penalty": a fully cached file is scanned in pick
 // order through read() and through the mapped (no-copy) path.
 func AblationMmap(cfg Config) (Figure, error) {
-	cfg.validate()
 	return twoModeFigure(cfg, "ablation-mmap",
 		"pick-order scan of a fully cached file: read() vs mmap path",
 		"x: 0=read() with user copy, 1=mapped access — the copy is the CPU penalty of §5.2", func(cfg Config, mode int) (float64, error) {
@@ -218,7 +214,6 @@ func AblationMmap(cfg Config) (Figure, error) {
 // (slow) cylinders is estimated with both tables and compared to the
 // measured cold read.
 func AblationZones(cfg Config) (Figure, error) {
-	cfg.validate()
 	m, err := BootMachine(cfg, ProfileUnix)
 	if err != nil {
 		return Figure{}, err
@@ -281,7 +276,6 @@ func AblationZones(cfg Config) (Figure, error) {
 // wc modes: it narrows the SLEDs gap by cutting per-request latencies for
 // the linear reader.
 func AblationReadahead(cfg Config) (Figure, error) {
-	cfg.validate()
 	settings := []int{0, 8}
 	pts, err := RunGrid(cfg, len(settings), func(cfg Config, i int) (Point, error) {
 		c := cfg

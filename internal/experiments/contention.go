@@ -96,7 +96,6 @@ func makespan(e *iosched.Engine, ids []iosched.StreamID) float64 {
 // concurrent greps sharing one disk, for every scheduling policy, with and
 // without SLED-guided access ordering.
 func EContention(cfg Config) (Figure, error) {
-	cfg.validate()
 	// One column per rendered cell: (scheduler, mode), with-SLEDs first.
 	var names []string
 	for _, sched := range contentionSchedulers {
@@ -131,7 +130,6 @@ func EContention(cfg Config) (Figure, error) {
 // queue depth (core.Table folds Load state into the table entry); the
 // unloaded table entry is flat for reference.
 func ELoadSLED(cfg Config) (Figure, error) {
-	cfg.validate()
 	loads := []int{0, 1, 2, 4, 8}
 	unloaded := Series{Name: "unloaded entry", Points: make([]Point, len(loads))} // calibrated table latency
 	depth := Series{Name: "queue depth", Points: make([]Point, len(loads))}       // at the query instant

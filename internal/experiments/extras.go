@@ -94,7 +94,6 @@ type FindReport struct {
 // be exactly the cached file, and the expensive set must include all
 // tape-resident data.
 func EFind(cfg Config) (FindReport, error) {
-	cfg.validate()
 	m, err := BootMachine(cfg.forPoint("efind"), ProfileUnix)
 	if err != nil {
 		return FindReport{}, err
@@ -183,7 +182,6 @@ func (r FindReport) Render() string {
 // EGmc produces the gmc properties panel for a half-cached file — the
 // report-latency use of SLEDs (§3.3, Figure 6).
 func EGmc(cfg Config) (gmcapp.Report, error) {
-	cfg.validate()
 	m, err := BootMachine(cfg.forPoint("egmc"), ProfileUnix)
 	if err != nil {
 		return gmcapp.Report{}, err
@@ -251,7 +249,6 @@ func grepFirstSpeedup(cfg Config, id, heading, title, notes string,
 // search reads linearly from the tape head; with SLEDs it reads the
 // RAM/disk-staged tail first and finds the match without touching tape.
 func EHSM(cfg Config) (EHSMResult, error) {
-	cfg.validate()
 	size := cfg.Sizes[len(cfg.Sizes)/2-1]
 	return grepFirstSpeedup(cfg, "ehsm", "ehsm: grep -q on HSM (staged tail)",
 		"grep -q on a tape-resident file with a staged tail (HSM extension)",

@@ -32,7 +32,6 @@ import (
 // The workload "computes" at a fixed rate per byte, so both overlap and
 // reordering have something to win.
 func EHints(cfg Config) (Figure, error) {
-	cfg.validate()
 	size := 2 * cfg.CacheBytes()
 	const cpuRate = 20 * float64(1<<20) // bytes/sec of modelled compute
 
@@ -129,7 +128,6 @@ const (
 // warmed some of it: alphabetical order (stock find), Steere's file-set
 // order (inter-file only), and full SLEDs (inter- plus intra-file).
 func ETreeGrep(cfg Config) (Figure, error) {
-	cfg.validate()
 	// Eight files of half the cache each; a prior scan touched the last
 	// three fully and half of the fourth-from-last.
 	fileSize := cfg.CacheBytes() / 2
@@ -220,7 +218,6 @@ func ETreeGrep(cfg Config) (Figure, error) {
 // see the server's state; the SLEDs mount reports it per page, and the
 // reordering client finds its match without touching the server's disk.
 func ERemote(cfg Config) (EHSMResult, error) {
-	cfg.validate()
 	size := cfg.Sizes[len(cfg.Sizes)/2-1]
 	return grepFirstSpeedup(cfg, "eremote", "eremote: grep -q on a remote file, server-cached tail",
 		"grep -q on a remote file with a server-cached tail",
@@ -261,7 +258,6 @@ func ERemote(cfg Config) (EHSMResult, error) {
 // versus the measured time of the linear read, as a signed percentage
 // error.
 func EAccuracy(cfg Config) (Figure, error) {
-	cfg.validate()
 	fss := []string{"ext2", "cdrom", "nfs"}
 	points, err := RunGrid(cfg, len(fss)*len(cfg.Sizes), func(cfg Config, i int) (Point, error) {
 		fs := fss[i/len(cfg.Sizes)]

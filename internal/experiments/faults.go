@@ -260,7 +260,6 @@ func efaultsDemo(cfg Config, r *FaultsReport) error {
 // SLED-guided file-set orders, on a healthy machine and on one whose NFS
 // server times out a quarter of its requests.
 func EFaults(cfg Config) (FaultsReport, error) {
-	cfg.validate()
 	sizes := efaultsSizes(cfg)
 	// Grid columns per size: (healthy, degraded) x (blind, sleds); the two
 	// degraded cells of a row also report their fault accounting.

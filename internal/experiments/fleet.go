@@ -321,7 +321,6 @@ func efleetPoint(pcfg Config, scen efleetScenario, policy fleet.Policy, replicas
 // replicas overrides the fleet width (sledsbench's -fleet knob); <= 0
 // selects the default of 4.
 func EFleet(cfg Config, replicas int) (EFleetReport, error) {
-	cfg.validate()
 	if replicas <= 0 {
 		replicas = efleetReplicas
 	}

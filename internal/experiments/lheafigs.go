@@ -27,7 +27,6 @@ func imageForSize(size int64) (fits.Image, error) {
 // derivation; runApp executes the application once against /data/img.fits,
 // writing outPath.
 func fimSweep(cfg Config, exp string, runApp func(m *Machine, useSLEDs bool, outPath string) error) ([]Series, error) {
-	cfg.validate()
 	sizes := cfg.LHEASizes()
 	return gridSeries(cfg, len(sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
 		im, err := imageForSize(sizes[sizeIdx])

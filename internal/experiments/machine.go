@@ -42,9 +42,10 @@ type Machine struct {
 
 // newKernel builds cfg's kernel over a memory device of the given shape,
 // with nothing else attached: the start of every machine an experiment
-// boots. Jitter is seeded from cfg.Seed, so pass the point's derived
-// configuration.
+// boots, and so the one place cfg is validated. Jitter is seeded from
+// cfg.Seed, so pass the point's derived configuration.
 func newKernel(cfg Config, memCfg device.MemConfig) (*vfs.Kernel, device.Device) {
+	cfg.validate()
 	mem := device.NewMem(memCfg)
 	k := vfs.NewKernel(vfs.Config{
 		PageSize:       cfg.PageSize,
@@ -62,7 +63,6 @@ func newKernel(cfg Config, memCfg device.MemConfig) (*vfs.Kernel, device.Device)
 
 // BootMachine builds and calibrates a machine for the given profile.
 func BootMachine(cfg Config, profile Profile) (*Machine, error) {
-	cfg.validate()
 	var memCfg device.MemConfig
 	var diskCfg device.DiskConfig
 	switch profile {

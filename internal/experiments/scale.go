@@ -113,7 +113,6 @@ func scaleReadProg(k *vfs.Kernel, path string, chunkSize int) iosched.Program {
 // EScale regenerates the engine scale sweep: completion time and engine
 // event counts for 100 to 10,000 concurrent streams over 24 queued disks.
 func EScale(cfg Config) (Figure, error) {
-	cfg.validate()
 	var secNames []string
 	events := make([]Series, len(scaleSchedulers))
 	for si, sched := range scaleSchedulers {

@@ -191,7 +191,6 @@ func latencySummary(lats []float64) (mean, p50, p99 float64) {
 // it is selected in: seeds derive from the class's index in the full
 // sorted zoo, not its position in the selection.
 func ETrace(cfg Config, selected ...string) (ETraceReport, error) {
-	cfg.validate()
 	zoo := trace.Classes() // sorted
 	for _, c := range selected {
 		if !slices.Contains(zoo, c) {

@@ -32,7 +32,6 @@ func textFileOn(m *Machine, fs string, seed uint64, size int64, pageSize int) (*
 // and returns the [without, with] series of elapsed seconds or, with
 // countFaults, of hard page faults.
 func wcSweep(cfg Config, fs string, countFaults bool) ([]Series, error) {
-	cfg.validate()
 	exp := "wc-" + fs
 	return gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
@@ -98,7 +97,6 @@ func Fig9(cfg Config) (Figure, error) {
 // without SLEDs. Matches are sparse (one planted line per ~MB: "kilobytes
 // out of megabytes"), so output buffering stays small.
 func Fig10(cfg Config) (Figure, error) {
-	cfg.validate()
 	const exp = "grep-all-cdrom"
 	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
@@ -190,7 +188,6 @@ func grepFirstPoint(cfg Config, baseSeed int64, fs string, size int64, useSLEDs 
 // Fig11And12 regenerates Figure 11 (grep for one match on ext2, with and
 // without SLEDs) and Figure 12 (the speedup ratio).
 func Fig11And12(cfg Config) (Figure, Figure, error) {
-	cfg.validate()
 	const exp = "grepq-ext2"
 	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
 		size := cfg.Sizes[sizeIdx]
@@ -222,7 +219,6 @@ func Fig11And12(cfg Config) (Figure, Figure, error) {
 // for the mid-sweep file size (the paper's 64 MB point on the full-scale
 // sweep).
 func Fig13(cfg Config) (Figure, error) {
-	cfg.validate()
 	size := cfg.Sizes[len(cfg.Sizes)/2-1]
 	runs := cfg.CDFRuns
 	if runs <= 0 {

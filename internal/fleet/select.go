@@ -51,12 +51,11 @@ type Selection struct {
 // current virtual time (the instant core.QueryAppend samples load and
 // health at).
 //
-// The base comes from the replica's SLED vector (core.QueryAppend on the
-// replica's copy of the file): first-overlap latency — with queue depth,
-// in-flight remainder, and decayed fault penalty already folded in by the
-// table — plus the transfer time of the overlapping bytes at each
-// region's bandwidth. Confidence is the minimum over the overlapping
-// SLEDs, i.e. exactly what FSLEDS_GET reports to an application.
+// The base is core.RangeDelivery over the replica's SLED vector
+// (core.QueryAppend on the replica's copy of the file), whose latencies
+// already fold in queue depth, in-flight remainder and decayed fault
+// penalty; its confidence is exactly what FSLEDS_GET reports to an
+// application.
 //
 // On top of the SLED base the client folds in what it knows of the
 // replica's server cache: the server-cached fraction of the region skips
@@ -77,35 +76,9 @@ func (f *Fleet) estimateReplica(r *Replica, off, n int64) (estimate, error) {
 		return estimate{}, err
 	}
 	f.scratch = sleds
-	end := off + n
-	var sec, conf float64
-	conf = 1
-	first := true
-	for i := range sleds {
-		s := &sleds[i]
-		if s.End() <= off || s.Offset >= end {
-			continue
-		}
-		lo, hi := s.Offset, s.End()
-		if lo < off {
-			lo = off
-		}
-		if hi > end {
-			hi = end
-		}
-		if first {
-			sec += s.Latency
-			first = false
-		}
-		if s.Bandwidth > 0 {
-			sec += float64(hi-lo) / s.Bandwidth
-		}
-		if s.Confidence < conf {
-			conf = s.Confidence
-		}
-	}
-	if first {
-		return estimate{}, fmt.Errorf("fleet: read [%d,%d) outside the replicated file", off, end)
+	sec, conf, ok := core.RangeDelivery(sleds, off, n)
+	if !ok {
+		return estimate{}, fmt.Errorf("fleet: read [%d,%d) outside the replicated file", off, off+n)
 	}
 	// Server-cache adjustment: the cached fraction of the region avoids
 	// the disk's unloaded service latency, paying only the wire RTT.

@@ -66,11 +66,6 @@ type Stager struct {
 
 	lru   *list.List // *stagedBlock, front = most recently used
 	index map[blockKey]*list.Element
-
-	// counters for the experiments
-	stagedReads  int64
-	tapeMigrates int64
-	evictions    int64
 }
 
 // New reserves the migration area on the disk and returns the stager,
@@ -99,12 +94,6 @@ func New(k *vfs.Kernel, cfg Config) (*Stager, error) {
 	}
 	k.SetStager(s, cfg.Tape)
 	return s, nil
-}
-
-// Stats reports activity counters: blocks served from the disk stage,
-// blocks migrated from tape, and stage evictions.
-func (s *Stager) Stats() (stagedReads, tapeMigrates, evictions int64) {
-	return s.stagedReads, s.tapeMigrates, s.evictions
 }
 
 // IsStaged reports whether the block containing devOff of the inode is in
@@ -158,7 +147,6 @@ func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 				return err
 			}
 			s.lru.MoveToFront(e)
-			s.stagedReads++
 		} else {
 			// Migrate the whole block from tape, then it is in the disk
 			// cache (the migration write itself makes the bytes
@@ -182,7 +170,6 @@ func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 			}
 			e := s.lru.PushFront(&stagedBlock{key: key, diskOff: slot})
 			s.index[key] = e
-			s.tapeMigrates++
 		}
 		off = readEnd
 	}
@@ -207,6 +194,5 @@ func (s *Stager) takeSlot(ino *vfs.Inode, block int64) (int64, error) {
 	b := victim.Value.(*stagedBlock)
 	s.lru.Remove(victim)
 	delete(s.index, b.key)
-	s.evictions++
 	return b.diskOff, nil
 }

@@ -2,6 +2,12 @@ package remote
 
 import "sleds/internal/device"
 
+// Server returns the server behind the mount.
+func (m *Mount) Server() *Server { return m.srv }
+
+// Disk returns the server's disk as currently wired.
+func (s *Server) Disk() device.Device { return s.disk }
+
 // FastDevice returns the characterization device for server-cached pages
 // (for inspecting table entries).
 func (m *Mount) FastDevice() device.ID { return m.fastID }

@@ -100,9 +100,6 @@ func NewMount(k *vfs.Kernel, cfg Config) (*Mount, error) {
 // Device returns the device ID remote files must be created on.
 func (m *Mount) Device() device.ID { return m.slowID }
 
-// Server returns the server behind the mount.
-func (m *Mount) Server() *Server { return m.srv }
-
 // Fetch implements vfs.Stager.
 func (m *Mount) Fetch(ino *vfs.Inode, devOff, length int64) error {
 	return m.srv.ReadThrough(m.k.Clock, devOff, length)

@@ -50,9 +50,6 @@ func NewServer(cfg Config, disk device.ID, name string, pageSize int64) (*Server
 	}, nil
 }
 
-// Disk returns the server's disk as currently wired.
-func (s *Server) Disk() device.Device { return s.disk }
-
 // CachedPages reports how many pages the server currently caches.
 func (s *Server) CachedPages() int { return s.cache.Len() }
 

@@ -100,12 +100,10 @@ func Generate(class string, p Params) (*Trace, error) {
 		gen = genOLTP
 	case "olap":
 		gen = genOLAP
-	case "zipf":
-		gen = genZipf
+	case "zipf", "mixed":
+		gen = func(p Params, t *Trace) { genHot(p, t, class == "mixed") }
 	case "bursty":
 		gen = genBursty
-	case "mixed":
-		gen = genMixed
 	default:
 		return nil, UnknownClassError(class)
 	}
@@ -206,10 +204,13 @@ func genOLAP(p Params, t *Trace) {
 	}
 }
 
-// genZipf emits Zipfian hot-set point reads: page rank 0 is the hottest,
-// so the hot set sits at the front of each file (and can be pre-warmed by
-// an experiment that wants a populated cache).
-func genZipf(p Params, t *Trace) {
+// genHot emits Zipfian hot-set point ops with exponential arrivals: page
+// rank 0 is the hottest, so the hot set sits at the front of each file
+// (and can be pre-warmed by an experiment that wants a populated cache).
+// With writes (class mixed) a seeded fraction of the ops are writes, the
+// read/write mix every real system has; only then is the write coin
+// drawn, so zipf's reads take the same draws either way.
+func genHot(p Params, t *Trace, writes bool) {
 	pages := int((p.FileSize - p.RecLen) / p.PageSize)
 	if pages < 1 {
 		pages = 1
@@ -220,13 +221,17 @@ func genZipf(p Params, t *Trace) {
 		var at simclock.Duration
 		for i := 0; i < p.Records; i++ {
 			at += simclock.Duration(r.Exp(float64(p.Interarrival)))
+			op := OpRead
+			if writes && r.Float64() < p.WriteFrac {
+				op = OpWrite
+			}
 			t.Records = append(t.Records, Record{
 				VTime:  at,
 				Stream: s,
 				File:   s,
 				Off:    int64(z.Sample(r)) * p.PageSize,
 				Len:    p.RecLen,
-				Op:     OpRead,
+				Op:     op,
 			})
 		}
 	}
@@ -263,35 +268,6 @@ func genBursty(p Params, t *Trace) {
 			phase := 2 * math.Pi * float64(b) / 8
 			gap := float64(p.BurstGap) * (1 + 0.75*math.Sin(phase))
 			at += simclock.Duration(r.Exp(gap))
-		}
-	}
-}
-
-// genMixed emits Zipfian point ops with a seeded fraction of writes: the
-// read/write mix every real system has, over the same hot set as genZipf.
-func genMixed(p Params, t *Trace) {
-	pages := int((p.FileSize - p.RecLen) / p.PageSize)
-	if pages < 1 {
-		pages = 1
-	}
-	z := NewZipf(pages, zipfS)
-	for s := 0; s < p.Streams; s++ {
-		r := p.streamRNG(s)
-		var at simclock.Duration
-		for i := 0; i < p.Records; i++ {
-			at += simclock.Duration(r.Exp(float64(p.Interarrival)))
-			op := OpRead
-			if r.Float64() < p.WriteFrac {
-				op = OpWrite
-			}
-			t.Records = append(t.Records, Record{
-				VTime:  at,
-				Stream: s,
-				File:   s,
-				Off:    int64(z.Sample(r)) * p.PageSize,
-				Len:    p.RecLen,
-				Op:     op,
-			})
 		}
 	}
 }

@@ -274,26 +274,9 @@ func (s *streamReplay) orderBatch() {
 		for i := range s.batch {
 			rec := &s.r.t.Records[s.batch[i].rec]
 			if rec.File == fi {
-				s.batch[i].est = estimateDelivery(sleds, rec.Off, rec.Len)
+				s.batch[i].est, _, _ = core.RangeDelivery(sleds, rec.Off, rec.Len)
 			}
 		}
 	}
 	sort.SliceStable(s.batch, func(i, j int) bool { return s.batch[i].est < s.batch[j].est })
-}
-
-// estimateDelivery returns the estimated seconds to deliver [off, off+n)
-// from the SLED covering off (latency to first byte plus transfer).
-func estimateDelivery(sleds []core.SLED, off, n int64) float64 {
-	i := sort.Search(len(sleds), func(i int) bool { return sleds[i].End() > off })
-	if i >= len(sleds) {
-		if len(sleds) == 0 {
-			return 0
-		}
-		i = len(sleds) - 1
-	}
-	est := sleds[i].Latency
-	if sleds[i].Bandwidth > 0 {
-		est += float64(n) / sleds[i].Bandwidth
-	}
-	return est
 }

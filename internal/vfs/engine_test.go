@@ -7,9 +7,72 @@ import (
 
 	"sleds/internal/device"
 	"sleds/internal/iosched"
+	"sleds/internal/simclock"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
+
+// TestWriteDuringReadFillSurvives has stream 0 fault page 0 in from a
+// queued disk while stream 1, 1 µs later, overwrites the whole page. The
+// write lands while the read is in flight, so the read's fill must not
+// put the file's older bytes over the newer dirty page: the page reads
+// back as the write, from the cache and, after fsync, from the device.
+func TestWriteDuringReadFillSurvives(t *testing.T) {
+	const pageSize = 256
+	mem := device.NewMem(device.DefaultMemConfig(0))
+	k := vfs.NewKernel(vfs.Config{PageSize: pageSize, CachePages: 8, MemDevice: mem})
+	k.AttachDevice(mem)
+	disk := k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
+	if err := k.MkdirAll("/d"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := k.Create("/d/f", disk, workload.NewText(3, 4*pageSize, pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *vfs.File {
+		f, err := k.Open("/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	once := func(op iosched.Op) iosched.Program {
+		issued := false
+		return iosched.ProgramFunc(func(h *iosched.Handle, prev iosched.Result) iosched.Op {
+			if issued {
+				return iosched.Exit(prev.Err)
+			}
+			issued = true
+			return op
+		})
+	}
+	want := bytes.Repeat([]byte{'X'}, pageSize)
+	e := iosched.NewEngine(k)
+	e.Queue(disk, iosched.NewScheduler("fcfs"))
+	e.AddStream(0, once(iosched.ReadAt(open(), make([]byte, pageSize), 0)))
+	e.AddStream(simclock.Microsecond, once(iosched.WriteAt(open(), want, 0)))
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	f, got := open(), make([]byte, pageSize)
+	if _, err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("cached page 0 holds %q..., want the write's bytes", got[:8])
+	}
+	if err := f.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	k.DropCaches()
+	if _, err := f.ReadAt(got, 0); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("page 0 after fsync holds %q..., want the write's bytes", got[:8])
+	}
+}
 
 // TestRecycledBuffersUnderEngine runs writers and readers as engine streams
 // over one queued disk and a six-page cache. A writer's insert evicts a

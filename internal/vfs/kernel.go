@@ -172,9 +172,6 @@ func NewKernel(cfg Config) *Kernel {
 	return k
 }
 
-// Config returns the kernel's configuration.
-func (k *Kernel) Config() Config { return k.cfg }
-
 // SetClock installs c as the kernel's clock. The multi-stream scheduler
 // (internal/iosched) gives each simulated process its own virtual timeline
 // and installs it here while that process runs, so every charge the

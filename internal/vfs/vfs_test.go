@@ -883,7 +883,7 @@ func TestInodeAccessors(t *testing.T) {
 	if _, err := k.OpenInode(dir); err == nil {
 		t.Fatalf("OpenInode on directory accepted")
 	}
-	if k.Config().PageSize != testPage || k.PageSize() != testPage {
-		t.Fatalf("config accessors wrong")
+	if k.PageSize() != testPage {
+		t.Fatalf("PageSize = %d, want %d", k.PageSize(), testPage)
 	}
 }

@@ -14,28 +14,53 @@ import (
 	"sleds/internal/lint/load"
 )
 
+// testOnlyKept are the exported simulator functions that only tests call
+// but that stay in production code, because the tests of several packages
+// share them (Table 4 counts gmcapp's).
+var testOnlyKept = map[string]bool{
+	"sleds/internal/core.Validate":                       true,
+	"sleds/internal/workload.NewBytes":                   true,
+	"(*sleds/internal/workload.Content).ReadAll":         true,
+	"(*sleds/internal/vfs.Kernel).PageResident":          true,
+	"(*sleds/internal/vfs.HostMem).Held":                 true,
+	"sleds/internal/fits.Pixel16":                        true,
+	"(sleds/internal/fits.Image).Pixels":                 true,
+	"(sleds/internal/apps/gmcapp.Report).CachedFraction": true,
+}
+
 // TestEveryExportedFunctionIsReferenced fails on an exported function or
 // method of the simulator (sleds.go and internal/, internal/lint aside)
 // that nothing references: no code, test, example or command of the
 // module, and not the benchmark harness. Such a name is API nobody calls,
-// and it is cheaper to delete than to keep correct.
+// and it is cheaper to delete than to keep correct. It also fails on one
+// of internal/ that only _test.go files reference, unless testOnlyKept
+// names it or it belongs to the apptest fixture package: such a function
+// belongs in its package's export_test.go, or nowhere. The root package is
+// the library's API for programs outside the module, so its tests are
+// enough.
 //
 // A reference is a type-checked use of the function's object, so a call
 // through an interface does not reach the concrete method; methods are
 // exempt when an interface in the module or the harness, error or
 // fmt.Stringer names them. cmd/sledsperf is a module of its own, outside
-// ./..., so its files are type-checked here against the loaded packages.
+// ./..., so its files are type-checked here against the loaded packages;
+// every name it spells, its tests included, counts as production use.
 func TestEveryExportedFunctionIsReferenced(t *testing.T) {
 	pkgs, fset, err := load.PackagesMode(".", load.Mode{Tests: true}, "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
-	used := make(map[string]bool)
+	used := make(map[string]bool) // referenced anywhere
+	prod := make(map[string]bool) // referenced outside the module's _test.go files
 	ifaceMethods := map[string]bool{"Error": true, "String": true}
-	refs := func(files []*ast.File, info *types.Info) {
-		for _, obj := range info.Uses {
+	refs := func(files []*ast.File, info *types.Info, harness bool) {
+		for id, obj := range info.Uses {
 			if fn, ok := obj.(*types.Func); ok {
-				used[fn.Origin().FullName()] = true
+				name := fn.Origin().FullName()
+				used[name] = true
+				if harness || !strings.HasSuffix(fset.File(id.Pos()).Name(), "_test.go") {
+					prod[name] = true
+				}
 			}
 		}
 		for _, f := range files {
@@ -51,13 +76,13 @@ func TestEveryExportedFunctionIsReferenced(t *testing.T) {
 		}
 	}
 	for _, p := range pkgs {
-		refs(p.Files, p.Info)
+		refs(p.Files, p.Info, false)
 	}
 	files, info, err := checkHarness(pkgs, fset, filepath.Join("cmd", "sledsperf"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs(files, info)
+	refs(files, info, true)
 
 	declared := 0
 	for _, p := range pkgs {
@@ -77,8 +102,14 @@ func TestEveryExportedFunctionIsReferenced(t *testing.T) {
 				if fd.Recv != nil && ifaceMethods[fd.Name.Name] {
 					continue
 				}
-				if fn := p.Info.Defs[fd.Name].(*types.Func); !used[fn.FullName()] {
-					t.Errorf("%s: %s is referenced nowhere", fset.Position(fd.Pos()), fn.FullName())
+				name := p.Info.Defs[fd.Name].(*types.Func).FullName()
+				switch {
+				case !used[name]:
+					t.Errorf("%s: %s is referenced nowhere", fset.Position(fd.Pos()), name)
+				case !prod[name] && !testOnlyKept[name] && p.Path != "sleds" && !strings.HasSuffix(p.Path, "/apptest"):
+					t.Errorf("%s: %s is referenced only by tests", fset.Position(fd.Pos()), name)
+				case prod[name] && testOnlyKept[name]:
+					t.Errorf("%s: %s has production callers; drop it from testOnlyKept", fset.Position(fd.Pos()), name)
 				}
 			}
 		}
