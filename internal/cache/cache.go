@@ -508,6 +508,18 @@ func (c *Cache) MarkDirty(k Key) bool {
 	return true
 }
 
+// SetData replaces a resident page's data and nothing else: recency, the
+// dirty bit, the runs, the epoch and the counters stay as they are. Reports
+// whether the page was resident.
+func (c *Cache) SetData(k Key, data []byte) bool {
+	i := c.lookup(k)
+	if i == head {
+		return false
+	}
+	c.frames[i].data = data
+	return true
+}
+
 // Invalidate drops a page if resident, without calling onEvict for clean
 // pages; dirty pages still flow through onEvict so data is not lost.
 func (c *Cache) Invalidate(k Key) {

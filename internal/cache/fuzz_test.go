@@ -9,7 +9,8 @@ import (
 
 // refCache is the reference FuzzCacheOps checks Cache against: resident
 // pages in a map, recency as a slice (front = most recent), and the three
-// policies written out the obvious way. Epochs count splices per file.
+// policies written out the obvious way. Epochs count splices per file. A
+// page's data is one byte, or -1 for nil data.
 type refCache struct {
 	capacity int
 	policy   Policy
@@ -21,8 +22,16 @@ type refCache struct {
 }
 
 type refPage struct {
-	data       byte
+	data       int
 	dirty, ref bool
+}
+
+// dataOf is the reference's view of page data: its one byte, or -1 for nil.
+func dataOf(data []byte) int {
+	if data == nil {
+		return -1
+	}
+	return int(data[0])
 }
 
 func newRefCache(capacity int, policy Policy) *refCache {
@@ -34,7 +43,7 @@ func (r *refCache) toFront(k Key) {
 	r.order = slices.Insert(slices.Delete(r.order, i, i+1), 0, k)
 }
 
-func (r *refCache) get(k Key) (byte, bool) {
+func (r *refCache) get(k Key) (int, bool) {
 	p, ok := r.pages[k]
 	if !ok {
 		return 0, false
@@ -49,7 +58,7 @@ func (r *refCache) get(k Key) (byte, bool) {
 	return p.data, true
 }
 
-func (r *refCache) insert(k Key, data byte, dirty bool) error {
+func (r *refCache) insert(k Key, data int, dirty bool) error {
 	if k.Page < 0 {
 		return fmt.Errorf("negative page")
 	}
@@ -165,14 +174,17 @@ const (
 )
 
 // fuzzOpNames names FuzzCacheOps' operations by opcode.
-var fuzzOpNames = [8]string{"Insert", "Insert", "Get", "MarkDirty", "Invalidate", "InvalidateFile", "FlushFile", "EvictOne"}
+var fuzzOpNames = [9]string{"Insert", "Insert", "Get", "MarkDirty", "Invalidate", "InvalidateFile", "FlushFile", "EvictOne", "SetData"}
 
 // FuzzCacheOps drives random Insert, Get, MarkDirty, Invalidate,
-// InvalidateFile, FlushFile and EvictOne sequences over every policy and
-// checks the cache against refCache after each operation — residency,
-// data, runs, epochs, dirty counts, AppendRecencyTrace, Stats and the order of
-// EvictFn and drop calls — and the index invariants every fuzzCheckEvery
-// operations and at the end. The first input byte picks the policy and a
+// InvalidateFile, FlushFile, EvictOne and SetData sequences over every
+// policy and checks the cache against refCache after each operation —
+// residency, data, runs, epochs, dirty counts, AppendRecencyTrace, Stats and
+// the order of EvictFn and drop calls — and the index invariants every
+// fuzzCheckEvery operations and at the end. Inserts carry nil data now and
+// then, as the kernel's zero pages do, and SetData later replaces it: the
+// reference moves only the data, so a replacement that touched recency,
+// runs, epochs or Inserts fails. The first input byte picks the policy and a
 // capacity of 1-16; each further four bytes are one operation.
 func FuzzCacheOps(f *testing.F) {
 	for seed, capacity := range []int{1, 2, 3, 5, 8, 16} {
@@ -193,9 +205,9 @@ func FuzzCacheOps(f *testing.F) {
 		ref := newRefCache(capacity, pol)
 		var log []string
 		c := New(capacity, pol, func(k Key, data []byte, dirty bool) {
-			log = append(log, fmt.Sprintf("evict %v %d %v", k, data[0], dirty))
+			log = append(log, fmt.Sprintf("evict %v %d %v", k, dataOf(data), dirty))
 		})
-		c.SetDropFn(func(data []byte) { log = append(log, fmt.Sprintf("drop %d", data[0])) })
+		c.SetDropFn(func(data []byte) { log = append(log, fmt.Sprintf("drop %d", dataOf(data))) })
 		epochs := map[uint64]uint64{}
 		for n, op := 0, in[1:]; len(op) >= 4 && n < fuzzOps; n, op = n+1, op[4:] {
 			file := uint64(op[1] % fuzzFiles)
@@ -205,18 +217,22 @@ func FuzzCacheOps(f *testing.F) {
 				file, page = file%2, page%8
 			}
 			k := Key{File: file, Page: page}
-			switch op[0] % 8 {
+			name := fuzzOpNames[op[0]%9]
+			switch op[0] % 9 {
 			case 0, 1:
-				dirty, data := op[0]&8 != 0, byte(n)
-				err, want := c.Insert(k, []byte{data}, dirty), ref.insert(k, data, dirty)
+				dirty, data := op[0]&8 != 0, []byte{byte(n)}
+				if op[0]&16 != 0 {
+					data = nil
+				}
+				err, want := c.Insert(k, data, dirty), ref.insert(k, dataOf(data), dirty)
 				if (err != nil) != (want != nil) {
-					t.Fatalf("op %d %s %v: error %v, reference %v", n, fuzzOpNames[op[0]%8], k, err, want)
+					t.Fatalf("op %d %s %v: error %v, reference %v", n, name, k, err, want)
 				}
 			case 2:
 				data, ok := c.Get(k)
 				want, wantOK := ref.get(k)
-				if ok != wantOK || ok && data[0] != want {
-					t.Fatalf("op %d %s %v = %v, %v; reference %v, %v", n, fuzzOpNames[op[0]%8], k, data, ok, want, wantOK)
+				if ok != wantOK || ok && dataOf(data) != want {
+					t.Fatalf("op %d %s %v = %v, %v; reference %v, %v", n, name, k, data, ok, want, wantOK)
 				}
 			case 3:
 				p, want := ref.pages[k]
@@ -224,7 +240,7 @@ func FuzzCacheOps(f *testing.F) {
 					p.dirty = true
 				}
 				if got := c.MarkDirty(k); got != want {
-					t.Fatalf("op %d %s %v = %v, reference %v", n, fuzzOpNames[op[0]%8], k, got, want)
+					t.Fatalf("op %d %s %v = %v, reference %v", n, name, k, got, want)
 				}
 			case 4:
 				c.Invalidate(k)
@@ -235,7 +251,7 @@ func FuzzCacheOps(f *testing.F) {
 					ref.invalidate(fk)
 				}
 			case 6:
-				c.FlushFile(file, func(k Key, data []byte) { log = append(log, fmt.Sprintf("write %v %d", k, data[0])) })
+				c.FlushFile(file, func(k Key, data []byte) { log = append(log, fmt.Sprintf("write %v %d", k, dataOf(data))) })
 				for _, fk := range ref.fileKeys(file, true) {
 					ref.log = append(ref.log, fmt.Sprintf("write %v %d", fk, ref.pages[fk].data))
 					ref.pages[fk].dirty = false
@@ -243,27 +259,35 @@ func FuzzCacheOps(f *testing.F) {
 			case 7:
 				err, want := c.EvictOne(), ref.evictOne()
 				if (err != nil) != (want != nil) {
-					t.Fatalf("op %d %s %v: error %v, reference %v", n, fuzzOpNames[op[0]%8], k, err, want)
+					t.Fatalf("op %d %s %v: error %v, reference %v", n, name, k, err, want)
+				}
+			case 8:
+				p, want := ref.pages[k]
+				if want {
+					p.data = n % 256
+				}
+				if got := c.SetData(k, []byte{byte(n)}); got != want {
+					t.Fatalf("op %d %s %v = %v, reference %v", n, name, k, got, want)
 				}
 			}
 			if !slices.Equal(log, ref.log) {
-				t.Fatalf("op %d %s %v: calls %q, reference %q", n, fuzzOpNames[op[0]%8], k, log, ref.log)
+				t.Fatalf("op %d %s %v: calls %q, reference %q", n, name, k, log, ref.log)
 			}
 			if got := c.AppendRecencyTrace(nil); !slices.Equal(got, ref.order) || c.Len() != len(ref.order) {
-				t.Fatalf("op %d %s %v: recency %v (Len %d), reference %v", n, fuzzOpNames[op[0]%8], k, got, c.Len(), ref.order)
+				t.Fatalf("op %d %s %v: recency %v (Len %d), reference %v", n, name, k, got, c.Len(), ref.order)
 			}
 			if c.Stats() != ref.stats {
-				t.Fatalf("op %d %s %v: stats %+v, reference %+v", n, fuzzOpNames[op[0]%8], k, c.Stats(), ref.stats)
+				t.Fatalf("op %d %s %v: stats %+v, reference %+v", n, name, k, c.Stats(), ref.stats)
 			}
 			for fl := uint64(0); fl < fuzzFiles; fl++ {
 				if got, want := c.ResidentRuns(fl), ref.runs(fl); !slices.Equal(got, want) {
-					t.Fatalf("op %d %s %v: file %d runs %v, reference %v", n, fuzzOpNames[op[0]%8], k, fl, got, want)
+					t.Fatalf("op %d %s %v: file %d runs %v, reference %v", n, name, k, fl, got, want)
 				}
 				if got, want := c.ResidencyEpoch(fl), ref.epochs[fl]; got != want {
-					t.Fatalf("op %d %s %v: file %d epoch %d, reference %d", n, fuzzOpNames[op[0]%8], k, fl, got, want)
+					t.Fatalf("op %d %s %v: file %d epoch %d, reference %d", n, name, k, fl, got, want)
 				}
 				if got, want := c.DirtyPages(fl), len(ref.fileKeys(fl, true)); got != want {
-					t.Fatalf("op %d %s %v: file %d dirty %d, reference %d", n, fuzzOpNames[op[0]%8], k, fl, got, want)
+					t.Fatalf("op %d %s %v: file %d dirty %d, reference %d", n, name, k, fl, got, want)
 				}
 			}
 			if n%fuzzCheckEvery == 0 || len(op) < 8 || n == fuzzOps-1 {

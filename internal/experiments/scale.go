@@ -55,7 +55,9 @@ func scalePoint(cfg Config, n int, sched string, gen workload.PageGen) (sec floa
 	// in the experiment: the streams only move bytes they never inspect, and
 	// every figure here is virtual time, which depends on which pages move
 	// and not on what is in them (TestContentIndependence runs both ways).
-	// Generating text cost more host time than the rest of the point.
+	// Generating text cost more host time than the rest of the point; a
+	// content-free page costs none, since the kernel caches it without a
+	// buffer (workload.Content.ZeroPage).
 	content := workload.New(size, cfg.PageSize, gen)
 	paths := make([]string, n)
 	for i := 0; i < n; i++ {

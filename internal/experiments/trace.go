@@ -118,8 +118,9 @@ func etraceParams(cfg Config, classIdx int, class string) (p trace.Params, warm 
 }
 
 // etracePoint replays one (class, scheduler, mode) cell and reduces its
-// per-record latencies. gen generates the files' bytes; ETrace passes nil:
-// replay and warm-up move bytes they never inspect (see scalePoint).
+// per-record latencies. gen generates the files' bytes; ETrace passes nil,
+// so every page is a zero page the kernel caches without a buffer: replay
+// and warm-up move bytes they never inspect (see scalePoint).
 func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLEDs bool, gen workload.PageGen) (etraceCell, error) {
 	m, err := BootMachine(pcfg, ProfileUnix)
 	if err != nil {

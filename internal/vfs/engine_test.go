@@ -12,6 +12,18 @@ import (
 	"sleds/internal/workload"
 )
 
+// once is a program that issues op and exits with its error.
+func once(op iosched.Op) iosched.Program {
+	issued := false
+	return iosched.ProgramFunc(func(h *iosched.Handle, prev iosched.Result) iosched.Op {
+		if issued {
+			return iosched.Exit(prev.Err)
+		}
+		issued = true
+		return op
+	})
+}
+
 // TestWriteDuringReadFillSurvives has stream 0 fault page 0 in from a
 // queued disk while stream 1, 1 µs later, overwrites the whole page. The
 // write lands while the read is in flight, so the read's fill must not
@@ -35,16 +47,6 @@ func TestWriteDuringReadFillSurvives(t *testing.T) {
 			t.Fatal(err)
 		}
 		return f
-	}
-	once := func(op iosched.Op) iosched.Program {
-		issued := false
-		return iosched.ProgramFunc(func(h *iosched.Handle, prev iosched.Result) iosched.Op {
-			if issued {
-				return iosched.Exit(prev.Err)
-			}
-			issued = true
-			return op
-		})
 	}
 	want := bytes.Repeat([]byte{'X'}, pageSize)
 	e := iosched.NewEngine(k)
@@ -71,6 +73,81 @@ func TestWriteDuringReadFillSurvives(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatalf("page 0 after fsync holds %q..., want the write's bytes", got[:8])
+	}
+}
+
+// TestWriteDuringFillWritebackSurvives is that race one step later: stream
+// 0's read of page 0 is over, but inserting the page evicts a dirty one, and
+// stream 1 overwrites page 0 while that write-back waits on the queued
+// disk. The fill resumes to find page 0 resident and newer, and must leave
+// it: over a generated file it would put the older bytes back, over a
+// content-free one a page without a buffer where a dirty page was.
+func TestWriteDuringFillWritebackSurvives(t *testing.T) {
+	const pageSize = 256
+	for _, contentFree := range []bool{false, true} {
+		t.Run(fmt.Sprintf("content-free=%v", contentFree), func(t *testing.T) {
+			mem := device.NewMem(device.DefaultMemConfig(0))
+			k := vfs.NewKernel(vfs.Config{PageSize: pageSize, CachePages: 2, MemDevice: mem})
+			k.AttachDevice(mem)
+			disk := k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
+			if err := k.MkdirAll("/d"); err != nil {
+				t.Fatal(err)
+			}
+			content := workload.NewText(3, 4*pageSize, pageSize)
+			if contentFree {
+				content = workload.New(4*pageSize, pageSize, nil)
+			}
+			if _, err := k.Create("/d/f", disk, content); err != nil {
+				t.Fatal(err)
+			}
+			f, err := k.Open("/d/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for p := int64(2); p < 4; p++ { // the cache: two dirty pages, 2 at the back
+				if _, err := f.WriteAt(bytes.Repeat([]byte{'D'}, pageSize), p*pageSize); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want := bytes.Repeat([]byte{'X'}, pageSize)
+			e := iosched.NewEngine(k)
+			e.Queue(disk, iosched.NewScheduler("fcfs"))
+			e.AddStream(0, once(iosched.ReadAt(f, make([]byte, pageSize), 0)))
+			wrote, raced := false, false
+			e.AddStream(0, iosched.ProgramFunc(func(h *iosched.Handle, prev iosched.Result) iosched.Op {
+				switch {
+				case wrote:
+					return iosched.Exit(prev.Err)
+				case k.PageResident(f.Inode(), 2): // the read has not reached its insert
+					return iosched.Sleep(100 * simclock.Microsecond)
+				}
+				wrote, raced = true, !k.PageResident(f.Inode(), 0)
+				return iosched.WriteAt(f, want, 0)
+			}))
+			if err := e.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !raced {
+				t.Fatal("page 0 was resident before the write: the write did not land during the fill's write-back")
+			}
+			got := make([]byte, pageSize)
+			if _, err := f.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("cached page 0 holds %q..., want the write's bytes", got[:8])
+			}
+			if err := f.Sync(); err != nil {
+				t.Fatal(err)
+			}
+			k.DropCaches()
+			if _, err := f.ReadAt(got, 0); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("page 0 after fsync holds %q..., want the write's bytes", got[:8])
+			}
+		})
 	}
 }
 

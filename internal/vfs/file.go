@@ -170,8 +170,8 @@ func (f *File) pageIn(off, n int64, chargeCopy bool) (int64, error) {
 }
 
 // readLoop is the read: validation on entry, then one page per turn, each
-// made resident (the only place the read can suspend) and copied out,
-// unless the read is a page-in (p nil).
+// made resident (the only place the read can suspend) and copied out, or
+// cleared for a zero page, unless the read is a page-in (p nil).
 //
 //sledlint:hotpath
 func (o *pageOp) readLoop(resumed bool, accErr error) (blocked bool, n int64, err error) {
@@ -207,7 +207,11 @@ func (o *pageOp) readLoop(resumed bool, accErr error) (blocked bool, n int64, er
 			return false, o.got, err
 		}
 		resumed = false
-		if o.p != nil {
+		switch {
+		case o.p == nil: // a page-in delivers no bytes
+		case data == nil: // a zero page, held without a buffer
+			clear(o.p[o.got : o.got+o.n])
+		default:
 			copy(o.p[o.got:o.got+o.n], data[o.inPage:o.inPage+o.n])
 		}
 		o.got += o.n
@@ -288,9 +292,7 @@ func (o *pageOp) ensureResident(remaining int64, resumed bool, accErr error) (da
 				// flight; a write's newer bytes must not be overwritten.
 				continue
 			}
-			buf := k.hostMem().take()
-			f.ino.fill(o.q, buf)
-			o.ins = insertion{key: q, data: buf}
+			o.ins = insertion{key: q, data: k.loadPage(f.ino, o.q)}
 		}
 		blocked, err := o.insert(resumed, accErr)
 		if blocked {
@@ -413,7 +415,7 @@ func (o *pageOp) writeLoop(resumed bool, accErr error) (blocked bool, n int64, e
 			src := o.p[o.got : o.got+o.n]
 			if data, ok := k.cache.Get(key); ok {
 				// Page resident: mutate in place.
-				copy(data[o.inPage:], src)
+				copy(k.writable(key, data)[o.inPage:], src)
 				k.cache.MarkDirty(key)
 				o.got += o.n
 				continue
@@ -455,7 +457,7 @@ func (o *pageOp) writeLoop(resumed bool, accErr error) (blocked bool, n int64, e
 			return false, o.got, err
 		}
 		resumed = false
-		copy(data[o.inPage:], o.p[o.got:o.got+o.n])
+		copy(k.writable(key, data)[o.inPage:], o.p[o.got:o.got+o.n])
 		k.cache.MarkDirty(key)
 		o.got += o.n
 	}

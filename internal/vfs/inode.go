@@ -45,15 +45,38 @@ func (n *Inode) Device() device.ID { return n.dev }
 // Extent returns the byte offset of the file's data on its device.
 func (n *Inode) Extent() int64 { return n.extent }
 
-// fill reads the page's backing bytes into buf (one page long). A page the
-// content does not reach yet — a hole a write past EOF left behind, while
-// the written page itself is still dirty in the cache — is zeros.
+// fill reads the page's backing bytes into buf (one page long). A zero page
+// — content-free, or a hole a write past EOF left behind while the written
+// page itself is still dirty in the cache — is cleared.
 func (n *Inode) fill(page int64, buf []byte) {
-	if page < n.content.Pages() {
-		n.content.ReadPage(page, buf)
-	} else {
+	if n.content.ZeroPage(page) {
 		clear(buf)
+	} else {
+		n.content.ReadPage(page, buf)
 	}
+}
+
+// loadPage returns the page's backing bytes in a buffer from the arena, or
+// nil for a zero page: the cache holds that without a buffer until a write
+// gives it one (writable), and a read of it clears the destination.
+func (k *Kernel) loadPage(n *Inode, page int64) []byte {
+	if n.content.ZeroPage(page) {
+		return nil
+	}
+	buf := k.hostMem().take()
+	n.content.ReadPage(page, buf)
+	return buf
+}
+
+// writable returns the data of resident page key for a write to mutate: a
+// zero page held without a buffer first gets a cleared one.
+func (k *Kernel) writable(key cache.Key, data []byte) []byte {
+	if data == nil {
+		data = k.hostMem().take()
+		clear(data)
+		k.cache.SetData(key, data)
+	}
+	return data
 }
 
 // splitPath normalises and splits an absolute path.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"testing"
 
 	"sleds/internal/cache"
@@ -13,10 +14,11 @@ import (
 
 // Model check of the page-fill path with recycled buffers: seeded random
 // reads, writes, syncs, invalidations and removals over two files with
-// generated (non-zero) content and a cache of a few pages, every byte the
-// kernel returns compared with a flat byte-slice model. A buffer reused
-// while something still referenced it, or handed out dirty where zeros
-// were due, shows up as a byte mismatch.
+// generated (non-zero) content and one content-free file, whose pages the
+// cache holds without a buffer until they are written, and a cache of a few
+// pages, every byte the kernel returns compared with a flat byte-slice
+// model. A buffer reused while something still referenced it, or handed out
+// dirty where zeros were due, shows up as a byte mismatch.
 
 const modelPage = 64
 
@@ -44,7 +46,7 @@ type modelWorld struct {
 	t     *testing.T
 	k     *Kernel
 	disk  device.ID
-	files [2]*modelFile
+	files [3]*modelFile // the last is content-free
 	rng   modelRNG
 	gens  int // files created so far: each gets content of its own
 }
@@ -59,11 +61,16 @@ func patternGen(gen int) workload.PageGen {
 	}
 }
 
-// create makes (or re-makes) file i with fresh generated content.
+// create makes (or re-makes) file i with fresh generated content, or none
+// for the last file.
 func (w *modelWorld) create(i int, size int64) {
 	w.t.Helper()
 	w.gens++
-	c := workload.New(size, modelPage, patternGen(w.gens))
+	gen := patternGen(w.gens)
+	if i == len(w.files)-1 {
+		gen = nil
+	}
+	c := workload.New(size, modelPage, gen)
 	mf := &modelFile{path: fmt.Sprintf("/d/f%d", i), model: c.ReadAll()}
 	if _, err := w.k.Create(mf.path, w.disk, c); err != nil {
 		w.t.Fatal(err)
@@ -124,12 +131,27 @@ func (w *modelWorld) payload(n int64) []byte {
 	return p
 }
 
+// bufferedPages counts the resident pages that hold a buffer. The cache
+// has no way to read a page without touching its recency, so this reads
+// its frame arena, whose slot 0 is the list sentinel and whose free slots
+// hold no data.
+func bufferedPages(c *cache.Cache) int {
+	frames, n := reflect.ValueOf(c).Elem().FieldByName("frames"), 0
+	for i := 1; i < frames.Len(); i++ {
+		if !frames.Index(i).FieldByName("data").IsNil() {
+			n++
+		}
+	}
+	return n
+}
+
 // runModel runs one trial: the trial number picks the cache size and the
 // whole op stream. The kernel boots on hm (nil: an arena of its own). With
 // keep >= 0 a ballast file first leases all of the generated-page store but
 // keep pages, so the model's files straddle the boundary between pages the
-// store holds and pages generated on every miss.
-func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int, hm *HostMem, keep int64) {
+// store holds and pages generated on every miss. It reports how many ops
+// ended with a resident page that held no buffer.
+func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int, hm *HostMem, keep int64) (unbuffered int) {
 	mem := device.NewMem(device.DefaultMemConfig(0))
 	w := &modelWorld{t: t, rng: modelRNG(trial)}
 	cachePages := 3 + int(w.rng.intn(6))
@@ -149,9 +171,10 @@ func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int, hm *Host
 	}
 	w.create(0, 9*modelPage+17)
 	w.create(1, 6*modelPage)
+	w.create(2, 7*modelPage+40)
 
 	for op := 0; op < ops; op++ {
-		mf := w.files[w.rng.intn(2)]
+		mf := w.files[w.rng.intn(int64(len(w.files)))]
 		size := int64(len(mf.model))
 		what := fmt.Sprintf("policy %s trial %d cache %d op %d", policy, trial, cachePages, op)
 		switch kind := w.rng.intn(16); {
@@ -178,7 +201,7 @@ func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int, hm *Host
 			w.k.InvalidateRange(mf.f.Inode(), w.rng.intn(size/modelPage+1), 1+w.rng.intn(4))
 		default: // truncate to nothing and start over: dirty pages are discarded
 			if w.rng.intn(4) == 0 {
-				i := int(w.rng.intn(2))
+				i := int(w.rng.intn(int64(len(w.files))))
 				if err := w.files[i].f.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -189,10 +212,14 @@ func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int, hm *Host
 			}
 		}
 		// Between ops nothing is in flight: every buffer the arena made is
-		// in the cache or on the free list, and it never made more than the
-		// cache's frames plus the one page on its way in.
-		if res, free, made := w.k.cache.Len(), len(w.k.mem.free), len(w.k.mem.bufs); res > cachePages || made > mostBufs || res+free != made {
-			t.Fatalf("%s: %d resident pages + %d free buffers, %d made, cache of %d", what, res, free, made, cachePages)
+		// held by a resident page or on the free list, and it never made more
+		// than the cache's frames plus the one page on its way in.
+		res, buffered, free, made := w.k.cache.Len(), bufferedPages(w.k.cache), len(w.k.mem.free), len(w.k.mem.bufs)
+		if res > cachePages || made > mostBufs || buffered+free != made {
+			t.Fatalf("%s: %d resident pages, %d of them with a buffer, + %d free buffers, %d made, cache of %d", what, res, buffered, free, made, cachePages)
+		}
+		if buffered < res {
+			unbuffered++
 		}
 		// Spot-check both files after every op; the whole-file comparison
 		// runs only now and then, because it flushes every dirty page out
@@ -217,14 +244,19 @@ func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int, hm *Host
 			t.Fatalf("policy %s trial %d: %s content after DropCaches differs from the model", policy, trial, mf.path)
 		}
 	}
+	return unbuffered
 }
 
 func TestRecycledBuffersModel(t *testing.T) {
 	for _, policy := range []cache.Policy{cache.LRU, cache.FIFO, cache.Clock} {
 		policy := policy
 		t.Run(policy.String(), func(t *testing.T) {
+			unbuffered := 0
 			for trial := uint64(1); trial <= 40; trial++ {
-				runModel(t, policy, trial, 300, nil, -1)
+				unbuffered += runModel(t, policy, trial, 300, nil, -1)
+			}
+			if unbuffered == 0 {
+				t.Fatal("no op ended with a zero page resident without a buffer")
 			}
 		})
 	}

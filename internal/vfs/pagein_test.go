@@ -12,10 +12,10 @@ import (
 )
 
 // pageInTwin boots a kernel with readahead, a cache of a few pages and a
-// generated file on a disk — behind a fault injector whose episodes can
-// outlast the kernel's five attempts when faulty — and returns it with the
-// file open.
-func pageInTwin(t *testing.T, faulty bool, size int64) (*Kernel, *File) {
+// file whose bytes come from gen on a disk — behind a fault injector whose
+// episodes can outlast the kernel's five attempts when faulty — and returns
+// it with the file open.
+func pageInTwin(t *testing.T, faulty bool, gen workload.PageGen, size int64) (*Kernel, *File) {
 	t.Helper()
 	mem := device.NewMem(device.DefaultMemConfig(0))
 	k := NewKernel(Config{PageSize: modelPage, CachePages: 12, ReadaheadPages: 2, MemDevice: mem})
@@ -28,7 +28,7 @@ func pageInTwin(t *testing.T, faulty bool, size int64) (*Kernel, *File) {
 	if err := k.MkdirAll("/d"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := k.Create("/d/f", disk, workload.New(size, modelPage, patternGen(1))); err != nil {
+	if _, err := k.Create("/d/f", disk, workload.New(size, modelPage, gen)); err != nil {
 		t.Fatal(err)
 	}
 	f, err := k.Open("/d/f")
@@ -43,14 +43,26 @@ func pageInTwin(t *testing.T, faulty bool, size int64) (*Kernel, *File) {
 // and unaligned, across EOF, past it, of zero length, on a closed file and
 // at a negative offset — one kernel reading, the other paging in, on a
 // healthy disk and on one whose faults the retry policy sometimes gives up
-// on. After every request the twins agree on the count and the error, the
-// clock, RunStats, cache.Stats and the cache's recency order.
+// on, over a generated file and a content-free one, whose pages the cache
+// holds without a buffer. After every request the twins agree on the count
+// and the error, the clock, RunStats, cache.Stats and the cache's recency
+// order.
 func TestPageInMatchesRead(t *testing.T) {
 	const size = 40*modelPage + 21
-	for _, faulty := range []bool{false, true} {
-		t.Run(fmt.Sprintf("faulty=%v", faulty), func(t *testing.T) {
-			kr, fr := pageInTwin(t, faulty, size)
-			kp, fp := pageInTwin(t, faulty, size)
+	for _, tc := range []struct {
+		name   string
+		faulty bool
+		gen    workload.PageGen
+	}{
+		{"faulty=false", false, patternGen(1)},
+		{"faulty=true", true, patternGen(1)},
+		{"content-free", false, nil},
+		{"content-free,faulty", true, nil},
+	} {
+		faulty := tc.faulty
+		t.Run(tc.name, func(t *testing.T) {
+			kr, fr := pageInTwin(t, faulty, tc.gen, size)
+			kp, fp := pageInTwin(t, faulty, tc.gen, size)
 			same := func(what string, n int, err error, pn int64, perr error) {
 				t.Helper()
 				if int64(n) != pn || fmt.Sprint(err) != fmt.Sprint(perr) || errors.Is(err, ErrIO) != errors.Is(perr, ErrIO) {
@@ -118,7 +130,7 @@ func TestPageInMatchesRead(t *testing.T) {
 // TestPageInNegativeLength: a length no read buffer can have is an error,
 // and charges nothing.
 func TestPageInNegativeLength(t *testing.T) {
-	k, f := pageInTwin(t, false, 4*modelPage)
+	k, f := pageInTwin(t, false, patternGen(1), 4*modelPage)
 	for _, pageIn := range []func(*File, int64, int64) (int64, error){(*File).PageIn, (*File).PageInMapped} {
 		if n, err := pageIn(f, 0, -1); err == nil || n != 0 {
 			t.Errorf("page-in of -1 bytes = %d, %v; want an error", n, err)

@@ -114,10 +114,8 @@ func (k *Kernel) schedulePrefetch(dev device.Device, n *Inode, page, run int64) 
 	}
 
 	for q := page; q < page+run; q++ {
-		buf := k.hostMem().take()
-		n.fill(q, buf)
 		key := cache.Key{File: uint64(n.ino), Page: q}
-		if k.insertPage(key, buf) != nil {
+		if k.insertPage(key, k.loadPage(n, q)) != nil {
 			return
 		}
 		k.pending[key] = completion

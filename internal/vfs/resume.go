@@ -402,6 +402,10 @@ func (o *pageOp) insert(resumed bool, accErr error) (blocked bool, err error) {
 	k, key := o.k, o.ins.key
 	for {
 		if !resumed {
+			if !o.ins.dirty && k.cache.Contains(key) { // filled, maybe written, while this fill waited
+				k.hostMem().put(o.ins.data)
+				return false, nil
+			}
 			if k.cache.Contains(key) || k.cache.Len() < k.cache.Cap() {
 				return false, k.cache.Insert(key, o.ins.data, o.ins.dirty)
 			}
