@@ -123,11 +123,13 @@ scale-smoke:
 # determinism regenerates the quick-scale evaluation serially and with a
 # 4-worker pool and fails on any stdout byte difference, guarding the
 # per-point seed derivation and the index-ordered reduce; the contention
-# experiments and fault injection are then repeated on their own.
+# experiments and fault injection are then repeated on their own, the
+# faults leg with ehints so that prefetch's retries on the background
+# timeline run too.
 determinism:
 	$(call workers-diff,all,,experiments_quick_scale.txt,deterministic: quick-scale output)
 	$(call workers-diff,contend,-exp econtend$(comma)eloadsled,,deterministic: contention experiments)
-	$(call workers-diff,faults,-exp efaults -runs 2 -faults heavy,,deterministic: fault injection)
+	$(call workers-diff,faults,-exp efaults$(comma)ehints -runs 2 -faults heavy,,deterministic: fault injection)
 
 # trace-smoke drives the trace subsystem end to end: sledstrace
 # generates a trace, validates its own output, and the etrace experiment

@@ -9,13 +9,16 @@ import (
 	"sleds/internal/apps/grepapp"
 	"sleds/internal/core"
 	"sleds/internal/device"
-	"sleds/internal/hints"
 	"sleds/internal/lmbench"
 	"sleds/internal/remote"
 	"sleds/internal/sledlib"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
+
+// hintDepth is how many upcoming chunks EHints' hinting readers disclose
+// ahead of their current position: a conventional prefetch pipeline depth.
+const hintDepth = 8
 
 // EHints compares the two information flows of the paper's Figure 1 on
 // the canonical workload — a second linear-equivalent pass over a warm
@@ -58,7 +61,6 @@ func EHints(cfg Config) (Figure, error) {
 		m.K.ResetDeviceState()
 		m.K.ResetRunStats()
 
-		adv := hints.New(m.K)
 		buf := make([]byte, cfg.BufSize)
 		sec, err := elapsedSeconds(m.K, func() error {
 			// The schedule is collected up front so hints can run ahead of
@@ -85,11 +87,11 @@ func EHints(cfg Config) (Figure, error) {
 				switch {
 				case !st.useHints:
 				case st.useSLEDs: // disclose the upcoming picks
-					for d := 1; d <= hints.Depth && j+d < len(plan); d++ {
-						adv.WillNeed(f, plan[j+d].off, plan[j+d].n)
+					for d := 1; d <= hintDepth && j+d < len(plan); d++ {
+						f.WillNeed(plan[j+d].off, plan[j+d].n)
 					}
 				default: // disclose the next stretch of the linear scan
-					adv.WillNeed(f, c.off+cfg.BufSize, int64(hints.Depth)*cfg.BufSize)
+					f.WillNeed(c.off+cfg.BufSize, int64(hintDepth)*cfg.BufSize)
 				}
 				if _, err := f.ReadAt(buf[:c.n], c.off); eofOK(err) != nil {
 					return err

@@ -360,9 +360,12 @@ func TestKernelClockRestoredAfterRun(t *testing.T) {
 }
 
 func TestSchedulerFactory(t *testing.T) {
-	for _, name := range []string{"fcfs", "sstf", "deadline"} {
-		if got := NewScheduler(name).Name(); got != name {
-			t.Fatalf("NewScheduler(%q).Name() = %q", name, got)
+	for _, c := range []struct {
+		name string
+		want Scheduler
+	}{{"fcfs", &FCFS{}}, {"sstf", &SSTF{}}, {"deadline", &Deadline{}}} {
+		if got := NewScheduler(c.name); reflect.TypeOf(got) != reflect.TypeOf(c.want) {
+			t.Fatalf("NewScheduler(%q) is a %T, want %T", c.name, got, c.want)
 		}
 	}
 	defer func() {

@@ -445,8 +445,6 @@ type refFCFS struct{ refQueue }
 
 func newRefFCFS() *refFCFS { return &refFCFS{} }
 
-func (s *refFCFS) Name() string { return "fcfs" }
-
 // Pick implements Scheduler: earliest arrival, seq tie-break.
 func (s *refFCFS) Pick(now simclock.Duration, pos int64) *Request {
 	best := -1
@@ -469,8 +467,6 @@ func (s *refFCFS) Pick(now simclock.Duration, pos int64) *Request {
 type refSSTF struct{ refQueue }
 
 func newRefSSTF() *refSSTF { return &refSSTF{} }
-
-func (s *refSSTF) Name() string { return "sstf" }
 
 // Pick implements Scheduler: minimum |Off - pos|, ties to the lower
 // offset (ascending sweep), then seq.
@@ -501,8 +497,6 @@ func (s *refSSTF) Pick(now simclock.Duration, pos int64) *Request {
 type refDeadline struct {
 	refQueue
 }
-
-func (s *refDeadline) Name() string { return "deadline" }
 
 // Add implements Scheduler, stamping the expiry.
 func (s *refDeadline) Add(r *Request) {

@@ -50,9 +50,6 @@ type Request struct {
 // (never map order or pointer identity), so that identical submission
 // sequences produce identical service orders on every run.
 type Scheduler interface {
-	// Name identifies the policy in reports ("fcfs", "sstf", "deadline").
-	Name() string
-
 	// Add queues a request.
 	Add(r *Request)
 
@@ -237,9 +234,6 @@ type FCFS struct {
 // NewFCFS returns a first-come-first-served scheduler.
 func NewFCFS() *FCFS { return &FCFS{} }
 
-// Name implements Scheduler.
-func (s *FCFS) Name() string { return "fcfs" }
-
 // Add implements Scheduler.
 func (s *FCFS) Add(r *Request) {
 	s.h.push(r)
@@ -285,9 +279,6 @@ type SSTF struct {
 
 // NewSSTF returns a shortest-seek-time-first scheduler.
 func NewSSTF() *SSTF { return &SSTF{} }
-
-// Name implements Scheduler.
-func (s *SSTF) Name() string { return "sstf" }
 
 // Add implements Scheduler.
 func (s *SSTF) Add(r *Request) {
@@ -347,9 +338,6 @@ const deadlineQuantum = 100 * simclock.Millisecond
 
 // NewDeadline returns a deadline scheduler.
 func NewDeadline() *Deadline { return &Deadline{} }
-
-// Name implements Scheduler.
-func (s *Deadline) Name() string { return "deadline" }
 
 // Add implements Scheduler, stamping the expiry.
 func (s *Deadline) Add(r *Request) {

@@ -335,44 +335,36 @@ func (o *pageOp) planCluster(remaining int64) {
 
 	// Cluster: the missing pages this request needs, plus readahead,
 	// never more than the cache can hold (a larger cluster would evict
-	// its own leading pages before they are served).
+	// its own leading pages before they are served), stopped at the first
+	// already-resident page: re-reading it would be wasted device work.
 	o.wantPages = (remaining + ps - 1) / ps
-	cluster := o.wantPages + int64(k.cfg.ReadaheadPages)
-	if o.page+cluster > filePages {
-		cluster = filePages - o.page
-	}
-	if max := int64(k.cache.Cap()); cluster > max {
-		cluster = max
-	}
-	if cluster < 1 {
-		cluster = 1
-	}
-	// Stop the cluster at the first already-resident page: re-reading it
-	// would be wasted device work.
+	cluster := min(o.wantPages+int64(k.cfg.ReadaheadPages), filePages-o.page, int64(k.cache.Cap()))
+	o.cluster = k.absentRun(f.ino, o.page, cluster)
+	o.acc = k.readAccess(f.ino, o.page, o.cluster)
+	o.acc.charged = true
+}
+
+// absentRun counts the consecutive non-resident pages of n from page, which
+// is absent, up to limit: at least the one.
+func (k *Kernel) absentRun(n *Inode, page, limit int64) int64 {
 	run := int64(1)
-	for run < cluster && !k.cache.Contains(cache.Key{File: uint64(f.ino.ino), Page: o.page + run}) {
+	for run < limit && !k.cache.Contains(cache.Key{File: uint64(n.ino), Page: page + run}) {
 		run++
 	}
-	// Never let one request cross a device chunk boundary (tape
-	// cartridges).
-	dev := k.Devices.Get(f.ino.dev)
-	start := f.ino.extent + o.page*ps
-	length := run * ps
-	if chunk := dev.Info().ChunkSize; chunk > 0 {
-		if end := start + length; start/chunk != (end-1)/chunk {
-			length = (start/chunk+1)*chunk - start
-			run = length / ps
-			if run < 1 {
-				run = 1
-				length = ps
-			}
-		}
+	return run
+}
+
+// readAccess is the device read of pages [page, page+run) of n, through
+// the stager when one serves n's device. It never crosses a tape
+// cartridge: allocExtent and ensureExtent keep every file's reservation
+// inside one.
+func (k *Kernel) readAccess(n *Inode, page, run int64) access {
+	ps := int64(k.cfg.PageSize)
+	a := access{dev: k.Devices.Get(n.dev), off: n.extent + page*ps, length: run * ps}
+	if k.stager != nil && k.stagedDevs[n.dev] {
+		a.staged = n
 	}
-	o.cluster = run
-	o.acc = access{dev: dev, off: start, length: length, charged: true}
-	if k.stager != nil && k.stagedDevs[f.ino.dev] {
-		o.acc.staged = f.ino
-	}
+	return a
 }
 
 // WriteAt writes len(p) bytes at offset off, growing the file as needed.

@@ -160,6 +160,8 @@ func NewKernel(cfg Config) *Kernel {
 		cfg:       cfg,
 		inodes:    []*Inode{nil}, // Ino 0 is never handed out
 		nextAlloc: make(map[device.ID]int64),
+		pending:   make(prefetchPending),
+		busyUntil: make(map[device.ID]simclock.Duration),
 		mem:       mem,
 		memEpoch:  mem.epoch,
 	}
@@ -344,14 +346,14 @@ func (k *Kernel) ReserveExtent(dev device.ID, size int64) (int64, error) {
 // cache.
 func (k *Kernel) ResetDeviceState() {
 	k.Devices.ResetAll()
-	k.busyUntil = nil
+	clear(k.busyUntil)
 }
 
 // DropCaches empties the buffer cache, writing back dirty pages first —
 // the simulator's /proc/sys/vm/drop_caches.
 func (k *Kernel) DropCaches() {
 	k.SyncAll()
-	k.pending = nil
+	clear(k.pending)
 	// Invalidate clean pages file by file, in inode order. SyncAll left
 	// nothing dirty, but drain defensively in case an eviction raced a
 	// write-back failure.

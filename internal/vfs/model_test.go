@@ -198,7 +198,7 @@ func runModel(t *testing.T, policy cache.Policy, trial uint64, ops int, hm *Host
 				t.Fatalf("%s: Sync: %v", what, err)
 			}
 		case kind < 15: // drop a page range, dirty pages written back first
-			w.k.InvalidateRange(mf.f.Inode(), w.rng.intn(size/modelPage+1), 1+w.rng.intn(4))
+			mf.f.DontNeed(w.rng.intn(size/modelPage+1)*modelPage, (1+w.rng.intn(4))*modelPage)
 		default: // truncate to nothing and start over: dirty pages are discarded
 			if w.rng.intn(4) == 0 {
 				i := int(w.rng.intn(int64(len(w.files))))

@@ -2,134 +2,78 @@ package vfs
 
 import (
 	"sleds/internal/cache"
-	"sleds/internal/device"
 	"sleds/internal/simclock"
 )
 
-// Asynchronous prefetch. The simulated machine is single-threaded, but
-// devices can work in the background: each device has its own busy-until
-// timeline, and a prefetched page carries the virtual instant its I/O
-// completes. A later demand access waits only for the remaining time (or
-// not at all), which is how informed prefetching (the paper's "hints"
-// counterpart, Patterson et al.) overlaps I/O with computation.
+// Access advice, the counterpart the paper contrasts SLEDs with in Figure 1:
+// the application -> system flow of informed prefetching (Patterson et
+// al.'s TIP, §2 of the paper). Hints let the system overlap I/O with
+// computation, but — the paper's point — they "cannot be used across
+// program invocations, or take advantage of state left behind by previous
+// applications", because information only flows down the stack. SLEDs flow
+// the other way; E-HINTS measures both, separately and combined.
 //
-// Prefetched pages are inserted into the cache at schedule time — they
-// occupy frames and can evict useful data immediately, which is precisely
-// the cost side of hints that SLEDs do not have.
+// A prefetch is a demand read issued early, on the device's background
+// timeline: each device has its own busy-until instant, and a prefetched
+// page carries the instant its I/O completes, so a later demand access
+// waits only for what remains. Prefetched pages enter the cache at once and
+// can evict useful data: the cost side of hints that SLEDs do not have.
 
-// prefetchPending tracks in-flight prefetches by page.
+// prefetchPending holds the completion instant of each prefetched page not
+// yet touched. A pending page is always resident: its entry is written
+// after its insert, and eviction, DontNeed and DropCaches delete it.
 type prefetchPending map[cache.Key]simclock.Duration
 
-// Prefetch schedules an asynchronous read of up to `pages` pages of the
-// file starting at page index `page`. Already-resident and already-pending
-// pages are skipped. The caller's clock does not advance.
-func (k *Kernel) Prefetch(n *Inode, page, pages int64) {
-	if n.isDir || pages <= 0 {
-		return
-	}
+// WillNeed discloses that [off, off+n) of the file will be read soon
+// (POSIX_FADV_WILLNEED): each run of absent pages in the range, clamped to
+// the file, is prefetched. The caller's clock does not advance.
+func (f *File) WillNeed(off, n int64) {
+	k, ino := f.k, f.ino
 	ps := int64(k.cfg.PageSize)
-	filePages := (n.size + ps - 1) / ps
-	if page < 0 {
-		page = 0
-	}
-	if page+pages > filePages {
-		pages = filePages - page
-	}
-	if pages <= 0 {
+	end := (ino.size + ps - 1) / ps * ps // the file's last page, whole
+	if off < 0 || n <= 0 || off >= end {
 		return
 	}
-	if k.pending == nil {
-		k.pending = make(prefetchPending)
-	}
-	dev := k.Devices.Get(n.dev)
-
-	// Issue one device request per run of consecutive absent pages.
-	for p := page; p < page+pages; {
-		key := cache.Key{File: uint64(n.ino), Page: p}
-		if k.cache.Contains(key) {
-			p++
-			continue
+	last := (off + min(n, end-off) - 1) / ps
+	for p := off / ps; p <= last; p++ {
+		if !k.cache.Contains(cache.Key{File: uint64(ino.ino), Page: p}) {
+			run := k.absentRun(ino, p, last-p+1)
+			k.prefetch(ino, p, run)
+			p += run - 1 // page p+run is checked again: the inserts may have evicted it
 		}
-		if _, inflight := k.pending[key]; inflight {
-			p++
-			continue
-		}
-		run := int64(1)
-		for p+run < page+pages {
-			nk := cache.Key{File: uint64(n.ino), Page: p + run}
-			if k.cache.Contains(nk) {
-				break
-			}
-			if _, inflight := k.pending[nk]; inflight {
-				break
-			}
-			run++
-		}
-		k.schedulePrefetch(dev, n, p, run)
-		p += run
 	}
 }
 
-// schedulePrefetch queues one device request on the device's background
-// timeline and registers the pages as pending.
-func (k *Kernel) schedulePrefetch(dev device.Device, n *Inode, page, run int64) {
-	ps := int64(k.cfg.PageSize)
-	start := k.Clock.Now()
-	if busy := k.busyUntil[dev.Info().ID]; busy > start {
-		start = busy
-	}
-	// Run the device model on a scratch clock positioned at the start
-	// instant; the device's mechanical state advances for real.
+// prefetch reads pages [page, page+run) of n behind the device's earlier
+// prefetches and inserts them as pending. The read runs on a scratch clock,
+// so retry backoff and stager costs land on the background timeline while
+// the device's mechanical state advances for real. A read that still fails
+// is dropped: advice is advisory, and a demand read will retry the pages.
+func (k *Kernel) prefetch(n *Inode, page, run int64) {
+	read := k.readAccess(n, page, run)
+	id := read.dev.Info().ID
 	scratch := simclock.New()
-	scratch.AdvanceTo(start)
-	devOff := n.extent + page*ps
-	length := run * ps
-	if chunk := dev.Info().ChunkSize; chunk > 0 {
-		// Clamp at chunk boundaries as the demand path does.
-		if end := devOff + length; devOff/chunk != (end-1)/chunk {
-			length = (devOff/chunk+1)*chunk - devOff
-			run = length / ps
-		}
-	}
-	// Faults on the background timeline are retried there per the kernel
-	// policy (the scratch clock is installed so backoff lands on it); a
-	// prefetch that still fails is simply dropped — readahead is advisory,
-	// and the demand path will retry the pages on its own later.
-	read := access{dev: dev, off: devOff, length: length}
-	if k.stager != nil && k.stagedDevs[n.dev] {
-		// Prefetching through the HSM stager migrates on the background
-		// timeline too.
-		read.staged = n
-	}
-	var err error
-	k.withScratchClock(scratch, func() { err = k.deviceAccess(read) })
+	scratch.AdvanceTo(max(k.Clock.Now(), k.busyUntil[id]))
+	saved := k.Clock
+	k.SetClock(scratch)
+	err := k.deviceAccess(read)
+	k.SetClock(saved)
 	completion := scratch.Now()
-	if k.busyUntil == nil {
-		k.busyUntil = make(map[device.ID]simclock.Duration)
-	}
-	// The device was busy for the failed attempts either way.
-	k.busyUntil[dev.Info().ID] = completion
+	k.busyUntil[id] = completion // busy for failed attempts too
 	if err != nil {
 		return
 	}
-
+	o := pageOp{k: k}
 	for q := page; q < page+run; q++ {
-		key := cache.Key{File: uint64(n.ino), Page: q}
-		if k.insertPage(key, k.loadPage(n, q)) != nil {
+		o.ins = insertion{key: cache.Key{File: uint64(n.ino), Page: q}, data: k.loadPage(n, q)}
+		blocked, err := o.insert(false, nil)
+		mustNotBlock(blocked, "cache insert")
+		if err != nil {
 			return
 		}
-		k.pending[key] = completion
+		k.pending[o.ins.key] = completion
 	}
 	k.stats.PrefetchIssued += run
-}
-
-// withScratchClock temporarily swaps the kernel clock so stager costs land
-// on the background timeline.
-func (k *Kernel) withScratchClock(c *simclock.Clock, fn func()) {
-	saved := k.Clock
-	k.Clock = c
-	defer func() { k.Clock = saved }()
-	fn()
 }
 
 // waitIfPending blocks (advances the clock) until an in-flight prefetch of
@@ -149,12 +93,18 @@ func (k *Kernel) waitIfPending(key cache.Key) bool {
 	return true
 }
 
-// InvalidateRange drops the given page range of a file from the cache
-// (madvise(MADV_DONTNEED) / the DontNeed hint). Dirty pages are written
-// back first by the cache's eviction path.
-func (k *Kernel) InvalidateRange(n *Inode, page, pages int64) {
-	for p := page; p < page+pages; p++ {
-		key := cache.Key{File: uint64(n.ino), Page: p}
+// DontNeed discloses that [off, off+n) of the file will not be reused
+// (POSIX_FADV_DONTNEED): its pages leave the cache at once, dirty ones
+// written back first. The range is clamped to the file's reserved extent,
+// which holds every page a read or write can have made resident.
+func (f *File) DontNeed(off, n int64) {
+	k, ino := f.k, f.ino
+	if off < 0 || n <= 0 || off >= ino.reserved {
+		return
+	}
+	ps := int64(k.cfg.PageSize)
+	for p, last := off/ps, (off+min(n, ino.reserved-off)-1)/ps; p <= last; p++ {
+		key := cache.Key{File: uint64(ino.ino), Page: p}
 		k.cache.Invalidate(key)
 		k.drainWritebacksSync()
 		delete(k.pending, key)

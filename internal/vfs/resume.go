@@ -419,11 +419,3 @@ func (o *pageOp) insert(resumed bool, accErr error) (blocked bool, err error) {
 		resumed = false
 	}
 }
-
-// insertPage is the synchronous insert of a clean page (prefetch).
-func (k *Kernel) insertPage(key cache.Key, data []byte) error {
-	o := pageOp{k: k, ins: insertion{key: key, data: data}}
-	blocked, err := o.insert(false, nil)
-	mustNotBlock(blocked, "cache insert")
-	return err
-}

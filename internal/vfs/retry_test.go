@@ -144,6 +144,41 @@ func TestReadSurfacesEIOToApplication(t *testing.T) {
 	}
 }
 
+// TestFailedPrefetchIsDropped: a prefetch that out-fails the policy on the
+// background timeline inserts nothing and leaves the caller's clock alone,
+// but holds the device for its five attempts and four backoffs; a demand
+// read then faults the pages in as if no advice had been given.
+func TestFailedPrefetchIsDropped(t *testing.T) {
+	k, fd, id := flakyKernel(t, 5)
+	if _, err := k.Create("/data/f", id, workload.NewText(1, 4*testPage, testPage)); err != nil {
+		t.Fatal(err)
+	}
+	f, err := k.Open("/data/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	before := k.Clock.Now()
+	f.WillNeed(0, 4*testPage)
+	if now := k.Clock.Now(); now != before {
+		t.Fatalf("WillNeed moved the caller's clock from %v to %v", before, now)
+	}
+	st := k.RunStats()
+	if st.PrefetchIssued != 0 || st.EIOs != 1 || k.cache.Len() != 0 {
+		t.Fatalf("issued=%d EIOs=%d resident=%d, want 0/1/0", st.PrefetchIssued, st.EIOs, k.cache.Len())
+	}
+	if busy, want := k.busyUntil[fd.id], before+5*fd.extra+150*simclock.Millisecond; busy != want {
+		t.Fatalf("device busy until %v, want %v", busy, want)
+	}
+	k.ResetRunStats()
+	if _, err := f.ReadAt(make([]byte, 4*testPage), 0); err != nil {
+		t.Fatal(err)
+	}
+	if st := k.RunStats(); st.Faults != 4 || st.PrefetchedPages != 0 {
+		t.Fatalf("faults=%d prefetched=%d after a dropped prefetch, want 4/0", st.Faults, st.PrefetchedPages)
+	}
+}
+
 // TestWritebackEIOCounted: a failed write-back is counted, not surfaced —
 // there is no caller to return it to.
 func TestWritebackEIOCounted(t *testing.T) {

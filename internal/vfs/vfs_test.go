@@ -3,7 +3,9 @@ package vfs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -599,6 +601,74 @@ func TestTapeFileAllocation(t *testing.T) {
 			t.Fatalf("copy %s: %v", path, err)
 		}
 		f.Close()
+	}
+}
+
+// TestNoFileCrossesACartridge drives a tape of 16-page cartridges with
+// seeded creates, appends that grow a file in place or relocate it,
+// removes, whole-file reads and advice. After every op each file's
+// reservation lies in one cartridge, which is what keeps every read of it
+// inside one: the read path does not clamp, and the tape panics on a
+// crossing.
+func TestNoFileCrossesACartridge(t *testing.T) {
+	const cartPages = 16
+	const cart = cartPages * modelPage
+	for trial := uint64(1); trial <= 16; trial++ {
+		mem := device.NewMem(device.DefaultMemConfig(0))
+		k := NewKernel(Config{PageSize: modelPage, CachePages: 6, ReadaheadPages: 2, MemDevice: mem})
+		k.AttachDevice(mem)
+		tcfg := device.DefaultTapeLibraryConfig(1)
+		tcfg.NumCartridges, tcfg.CartridgeSize = 256, cart
+		tape := k.AttachDevice(device.NewTapeLibrary(tcfg))
+		if err := k.MkdirAll("/t"); err != nil {
+			t.Fatal(err)
+		}
+		rng := modelRNG(trial)
+		var open []*File
+		for op := 0; op < 300; op++ {
+			what := fmt.Sprintf("trial %d op %d", trial, op)
+			var f *File
+			if len(open) > 0 {
+				f = open[rng.intn(int64(len(open)))]
+			}
+			var err error
+			switch kind := rng.intn(10); {
+			case kind < 2 || f == nil: // sizes up to a page past a cartridge
+				path := fmt.Sprintf("/t/f%d", op)
+				if rng.intn(3) == 0 {
+					_, err = k.CreateEmpty(path, tape)
+				} else {
+					_, err = k.Create(path, tape, workload.New(1+rng.intn(cart+modelPage), modelPage, patternGen(op)))
+				}
+				if err == nil {
+					g, oerr := k.Open(path)
+					if oerr != nil {
+						t.Fatalf("%s: %v", what, oerr)
+					}
+					open = append(open, g)
+				}
+			case kind < 5: // append: in place if last allocated, else relocate
+				_, err = f.WriteAt(make([]byte, 1+rng.intn(5*modelPage)), f.Size())
+			case kind < 6:
+				i := slices.Index(open, f)
+				open = slices.Delete(open, i, i+1)
+				err = k.Remove("/t/" + f.Inode().Name())
+			case kind < 8:
+				_, err = io.Copy(io.Discard, io.NewSectionReader(f, 0, f.Size()))
+			case kind < 9:
+				f.WillNeed(rng.intn(f.Size()+modelPage), 1+rng.intn(2*cart))
+			default:
+				f.DontNeed(rng.intn(f.Size()+modelPage), 1+rng.intn(2*cart))
+			}
+			if err != nil && !errors.Is(err, ErrNoSpace) {
+				t.Fatalf("%s: %v", what, err)
+			}
+			for _, n := range k.inodes {
+				if n != nil && !n.isDir && n.extent/cart != (n.extent+n.reserved-1)/cart {
+					t.Fatalf("%s: %q reserves [%d,%d), across a cartridge", what, n.name, n.extent, n.extent+n.reserved)
+				}
+			}
+		}
 	}
 }
 

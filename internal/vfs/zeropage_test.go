@@ -168,13 +168,13 @@ func TestZeroPagesMatchBufferedPages(t *testing.T) {
 				case 8:
 					what, op = "fsync", func(_ *Kernel, f *File) twinResult { return twinResult{err: f.Sync()} }
 				case 9:
-					what, op = "invalidate", func(k *Kernel, f *File) twinResult {
-						k.InvalidateRange(f.Inode(), page, pages)
+					what, op = "invalidate", func(_ *Kernel, f *File) twinResult {
+						f.DontNeed(page*modelPage, pages*modelPage)
 						return twinResult{}
 					}
 				case 10:
-					what, op = "prefetch", func(k *Kernel, f *File) twinResult {
-						k.Prefetch(f.Inode(), page, pages)
+					what, op = "prefetch", func(_ *Kernel, f *File) twinResult {
+						f.WillNeed(page*modelPage, pages*modelPage)
 						return twinResult{}
 					}
 				default:

@@ -32,7 +32,6 @@ import (
 	"sleds/internal/core"
 	"sleds/internal/device"
 	"sleds/internal/fits"
-	"sleds/internal/hints"
 	"sleds/internal/hsm"
 	"sleds/internal/lmbench"
 	"sleds/internal/simclock"
@@ -300,13 +299,13 @@ func (s *System) TotalDeliveryTime(path string, plan Plan) (float64, error) {
 // background timeline (the hints flow of the paper's Figure 1, provided
 // for comparison and combination with SLEDs).
 func (s *System) WillNeed(f *File, off, length int64) {
-	hints.New(s.k).WillNeed(f, off, length)
+	f.WillNeed(off, length)
 }
 
 // DontNeed discloses that [off, off+length) will not be reused; the
 // kernel may drop those pages immediately.
 func (s *System) DontNeed(f *File, off, length int64) {
-	hints.New(s.k).DontNeed(f, off, length)
+	f.DontNeed(off, length)
 }
 
 // Env builds the application environment used by the ported utilities in

@@ -3,6 +3,7 @@ package sleds_test
 import (
 	"errors"
 	"io"
+	"math"
 	"testing"
 
 	"sleds"
@@ -206,4 +207,38 @@ func TestHintsThroughFacade(t *testing.T) {
 	if sys.Kernel().PageResident(n, 0) {
 		t.Fatalf("pages survive DontNeed")
 	}
+}
+
+// Advice whose length runs to the end of the address space acts on exactly
+// the pages from its offset to the end of the file: the length is clamped
+// before any page arithmetic, so off+length cannot overflow.
+func TestAdviceToEndOfFile(t *testing.T) {
+	sys := newSystem(t, small())
+	if err := sys.CreateTextFile("/data/f", sleds.OnDisk, 5, 8*4096); err != nil {
+		t.Fatal(err)
+	}
+	f, err := sys.Open("/data/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	resident := func(what string, want func(p int64) bool) {
+		t.Helper()
+		for p := int64(0); p < 8; p++ {
+			if got := sys.Kernel().PageResident(f.Inode(), p); got != want(p) {
+				t.Fatalf("%s: page %d resident = %v, want %v", what, p, got, want(p))
+			}
+		}
+	}
+	sys.ResetStats()
+	sys.WillNeed(f, 4096, math.MaxInt64)
+	if got := sys.Stats().PrefetchIssued; got != 7 {
+		t.Fatalf("PrefetchIssued = %d, want 7", got)
+	}
+	resident("WillNeed", func(p int64) bool { return p >= 1 })
+	if _, err := f.ReadAt(make([]byte, 4096), 0); err != nil {
+		t.Fatal(err)
+	}
+	sys.DontNeed(f, 4096, math.MaxInt64)
+	resident("DontNeed", func(p int64) bool { return p == 0 })
 }
