@@ -125,11 +125,12 @@ scale-smoke:
 # per-point seed derivation and the index-ordered reduce; the contention
 # experiments and fault injection are then repeated on their own, the
 # faults leg with ehints so that prefetch's retries on the background
-# timeline run too.
+# timeline run too, and with etrace so that trace replay's page-ins and
+# writes ride out faults under the engine's queues.
 determinism:
 	$(call workers-diff,all,,experiments_quick_scale.txt,deterministic: quick-scale output)
 	$(call workers-diff,contend,-exp econtend$(comma)eloadsled,,deterministic: contention experiments)
-	$(call workers-diff,faults,-exp efaults$(comma)ehints -runs 2 -faults heavy,,deterministic: fault injection)
+	$(call workers-diff,faults,-exp efaults$(comma)ehints$(comma)etrace -runs 2 -faults heavy,,deterministic: fault injection)
 
 # trace-smoke drives the trace subsystem end to end: sledstrace
 # generates a trace, validates its own output, and the etrace experiment

@@ -207,8 +207,8 @@ type Cache struct {
 	onEvict  EvictFn
 
 	// frames is the arena: slot head is the recency list's sentinel, the
-	// rest are resident pages or free slots. It grows on demand to
-	// capacity+1 slots and never shrinks. The list runs in recency order:
+	// rest are resident pages or free slots. It grows by append, to at most
+	// capacity+1 slots, and never shrinks. The list runs in recency order:
 	// front = most recently used (LRU), or insertion order (FIFO/CLOCK with
 	// the hand at the back).
 	frames []frame
@@ -253,6 +253,30 @@ func New(capacity int, policy Policy, onEvict EvictFn) *Cache {
 		frames:   make([]frame, 1),
 	}
 }
+
+// Recycle is New on the storage of prev, a cache nobody uses again: its frame
+// arena at the size it grew to, page tables and run vectors, all emptied.
+// prev is left empty, sharing nothing with the result; nil prev is New.
+func Recycle(prev *Cache, capacity int, policy Policy, onEvict EvictFn) *Cache {
+	c := New(capacity, policy, onEvict)
+	if prev == nil {
+		return c
+	}
+	for i := range prev.files {
+		if fi := &prev.files[i]; fi.pages != nil {
+			clear(fi.pages)
+			prev.spare = append(prev.spare, fileIdx{pages: fi.pages, runs: fi.runs[:0]})
+		}
+	}
+	clear(prev.frames)
+	c.frames, prev.frames = prev.frames[:1], c.frames
+	c.files, c.spare, c.scratch = prev.files[:0], prev.spare, prev.scratch
+	*prev = Cache{capacity: prev.capacity, policy: prev.policy, frames: prev.frames}
+	return c
+}
+
+// Frames reports how many slots the arena has room for, sentinel included.
+func (c *Cache) Frames() int { return cap(c.frames) }
 
 // Cap returns the capacity in pages.
 func (c *Cache) Cap() int { return c.capacity }
@@ -427,6 +451,7 @@ func (c *Cache) Insert(k Key, data []byte, dirty bool) error {
 		c.free = c.frames[i].next
 	} else {
 		c.frames = append(c.frames, frame{})
+		c.frames = c.frames[:len(c.frames):min(cap(c.frames), c.capacity+1)] // no slot it cannot use
 		i = int32(len(c.frames) - 1)
 	}
 	c.tick++

@@ -202,99 +202,164 @@ func FuzzCacheOps(f *testing.F) {
 			return
 		}
 		pol, capacity := Policy(in[0]%3), 1+int(in[0]/3)%16
-		ref := newRefCache(capacity, pol)
-		var log []string
-		c := New(capacity, pol, func(k Key, data []byte, dirty bool) {
-			log = append(log, fmt.Sprintf("evict %v %d %v", k, dataOf(data), dirty))
-		})
-		c.SetDropFn(func(data []byte) { log = append(log, fmt.Sprintf("drop %d", dataOf(data))) })
-		epochs := map[uint64]uint64{}
-		for n, op := 0, in[1:]; len(op) >= 4 && n < fuzzOps; n, op = n+1, op[4:] {
-			file := uint64(op[1] % fuzzFiles)
-			v := binary.LittleEndian.Uint16(op[2:])
-			page := int64(v>>1) % fuzzPages
-			if v&1 == 0 {
-				file, page = file%2, page%8
-			}
-			k := Key{File: file, Page: page}
-			name := fuzzOpNames[op[0]%9]
-			switch op[0] % 9 {
-			case 0, 1:
-				dirty, data := op[0]&8 != 0, []byte{byte(n)}
-				if op[0]&16 != 0 {
-					data = nil
-				}
-				err, want := c.Insert(k, data, dirty), ref.insert(k, dataOf(data), dirty)
-				if (err != nil) != (want != nil) {
-					t.Fatalf("op %d %s %v: error %v, reference %v", n, name, k, err, want)
-				}
-			case 2:
-				data, ok := c.Get(k)
-				want, wantOK := ref.get(k)
-				if ok != wantOK || ok && dataOf(data) != want {
-					t.Fatalf("op %d %s %v = %v, %v; reference %v, %v", n, name, k, data, ok, want, wantOK)
-				}
-			case 3:
-				p, want := ref.pages[k]
-				if want {
-					p.dirty = true
-				}
-				if got := c.MarkDirty(k); got != want {
-					t.Fatalf("op %d %s %v = %v, reference %v", n, name, k, got, want)
-				}
-			case 4:
-				c.Invalidate(k)
-				ref.invalidate(k)
-			case 5:
-				c.InvalidateFile(file)
-				for _, fk := range ref.fileKeys(file, false) {
-					ref.invalidate(fk)
-				}
-			case 6:
-				c.FlushFile(file, func(k Key, data []byte) { log = append(log, fmt.Sprintf("write %v %d", k, dataOf(data))) })
-				for _, fk := range ref.fileKeys(file, true) {
-					ref.log = append(ref.log, fmt.Sprintf("write %v %d", fk, ref.pages[fk].data))
-					ref.pages[fk].dirty = false
-				}
-			case 7:
-				err, want := c.EvictOne(), ref.evictOne()
-				if (err != nil) != (want != nil) {
-					t.Fatalf("op %d %s %v: error %v, reference %v", n, name, k, err, want)
-				}
-			case 8:
-				p, want := ref.pages[k]
-				if want {
-					p.data = n % 256
-				}
-				if got := c.SetData(k, []byte{byte(n)}); got != want {
-					t.Fatalf("op %d %s %v = %v, reference %v", n, name, k, got, want)
-				}
-			}
-			if !slices.Equal(log, ref.log) {
-				t.Fatalf("op %d %s %v: calls %q, reference %q", n, name, k, log, ref.log)
-			}
-			if got := c.AppendRecencyTrace(nil); !slices.Equal(got, ref.order) || c.Len() != len(ref.order) {
-				t.Fatalf("op %d %s %v: recency %v (Len %d), reference %v", n, name, k, got, c.Len(), ref.order)
-			}
-			if c.Stats() != ref.stats {
-				t.Fatalf("op %d %s %v: stats %+v, reference %+v", n, name, k, c.Stats(), ref.stats)
-			}
-			for fl := uint64(0); fl < fuzzFiles; fl++ {
-				if got, want := c.ResidentRuns(fl), ref.runs(fl); !slices.Equal(got, want) {
-					t.Fatalf("op %d %s %v: file %d runs %v, reference %v", n, name, k, fl, got, want)
-				}
-				if got, want := c.ResidencyEpoch(fl), ref.epochs[fl]; got != want {
-					t.Fatalf("op %d %s %v: file %d epoch %d, reference %d", n, name, k, fl, got, want)
-				}
-				if got, want := c.DirtyPages(fl), len(ref.fileKeys(fl, true)); got != want {
-					t.Fatalf("op %d %s %v: file %d dirty %d, reference %d", n, name, k, fl, got, want)
-				}
-			}
-			if n%fuzzCheckEvery == 0 || len(op) < 8 || n == fuzzOps-1 {
-				checkResidencyIndex(t, c, epochs)
-			}
+		for _, recycled := range []bool{false, true} {
+			t.Run(fmt.Sprintf("recycled=%v", recycled), func(t *testing.T) { fuzzCacheOps(t, in[1:], pol, capacity, recycled) })
 		}
 	})
+}
+
+// fuzzCacheOps is one run of FuzzCacheOps: ops on a cache from New, or on
+// one Recycled from a predecessor of another capacity and policy that holds
+// dirty and clean pages of several files, and has moved their epochs. Both
+// must match the reference, which starts empty, and the predecessor must
+// read as empty from the Recycle on.
+func fuzzCacheOps(t *testing.T, in []byte, pol Policy, capacity int, recycled bool) {
+	ref := newRefCache(capacity, pol)
+	var log []string
+	evictFn := func(k Key, data []byte, dirty bool) {
+		log = append(log, fmt.Sprintf("evict %v %d %v", k, dataOf(data), dirty))
+	}
+	var prev *Cache
+	c := New(capacity, pol, evictFn)
+	if recycled {
+		prev = predecessor(t, capacity, pol)
+		c = Recycle(prev, capacity, pol, evictFn)
+		checkEmpty(t, "the predecessor after Recycle", prev)
+	}
+	c.SetDropFn(func(data []byte) { log = append(log, fmt.Sprintf("drop %d", dataOf(data))) })
+	epochs := map[uint64]uint64{}
+	for n, op := 0, in; len(op) >= 4 && n < fuzzOps; n, op = n+1, op[4:] {
+		file := uint64(op[1] % fuzzFiles)
+		v := binary.LittleEndian.Uint16(op[2:])
+		page := int64(v>>1) % fuzzPages
+		if v&1 == 0 {
+			file, page = file%2, page%8
+		}
+		k := Key{File: file, Page: page}
+		name := fuzzOpNames[op[0]%9]
+		switch op[0] % 9 {
+		case 0, 1:
+			dirty, data := op[0]&8 != 0, []byte{byte(n)}
+			if op[0]&16 != 0 {
+				data = nil
+			}
+			err, want := c.Insert(k, data, dirty), ref.insert(k, dataOf(data), dirty)
+			if (err != nil) != (want != nil) {
+				t.Fatalf("op %d %s %v: error %v, reference %v", n, name, k, err, want)
+			}
+		case 2:
+			data, ok := c.Get(k)
+			want, wantOK := ref.get(k)
+			if ok != wantOK || ok && dataOf(data) != want {
+				t.Fatalf("op %d %s %v = %v, %v; reference %v, %v", n, name, k, data, ok, want, wantOK)
+			}
+		case 3:
+			p, want := ref.pages[k]
+			if want {
+				p.dirty = true
+			}
+			if got := c.MarkDirty(k); got != want {
+				t.Fatalf("op %d %s %v = %v, reference %v", n, name, k, got, want)
+			}
+		case 4:
+			c.Invalidate(k)
+			ref.invalidate(k)
+		case 5:
+			c.InvalidateFile(file)
+			for _, fk := range ref.fileKeys(file, false) {
+				ref.invalidate(fk)
+			}
+		case 6:
+			c.FlushFile(file, func(k Key, data []byte) { log = append(log, fmt.Sprintf("write %v %d", k, dataOf(data))) })
+			for _, fk := range ref.fileKeys(file, true) {
+				ref.log = append(ref.log, fmt.Sprintf("write %v %d", fk, ref.pages[fk].data))
+				ref.pages[fk].dirty = false
+			}
+		case 7:
+			err, want := c.EvictOne(), ref.evictOne()
+			if (err != nil) != (want != nil) {
+				t.Fatalf("op %d %s %v: error %v, reference %v", n, name, k, err, want)
+			}
+		case 8:
+			p, want := ref.pages[k]
+			if want {
+				p.data = n % 256
+			}
+			if got := c.SetData(k, []byte{byte(n)}); got != want {
+				t.Fatalf("op %d %s %v = %v, reference %v", n, name, k, got, want)
+			}
+		}
+		if !slices.Equal(log, ref.log) {
+			t.Fatalf("op %d %s %v: calls %q, reference %q", n, name, k, log, ref.log)
+		}
+		if got := c.AppendRecencyTrace(nil); !slices.Equal(got, ref.order) || c.Len() != len(ref.order) {
+			t.Fatalf("op %d %s %v: recency %v (Len %d), reference %v", n, name, k, got, c.Len(), ref.order)
+		}
+		if c.Stats() != ref.stats {
+			t.Fatalf("op %d %s %v: stats %+v, reference %+v", n, name, k, c.Stats(), ref.stats)
+		}
+		for fl := uint64(0); fl < fuzzFiles; fl++ {
+			if got, want := c.ResidentRuns(fl), ref.runs(fl); !slices.Equal(got, want) {
+				t.Fatalf("op %d %s %v: file %d runs %v, reference %v", n, name, k, fl, got, want)
+			}
+			if got, want := c.ResidencyEpoch(fl), ref.epochs[fl]; got != want {
+				t.Fatalf("op %d %s %v: file %d epoch %d, reference %d", n, name, k, fl, got, want)
+			}
+			if got, want := c.DirtyPages(fl), len(ref.fileKeys(fl, true)); got != want {
+				t.Fatalf("op %d %s %v: file %d dirty %d, reference %d", n, name, k, fl, got, want)
+			}
+		}
+		if n%fuzzCheckEvery == 0 || len(op) < 8 || n == fuzzOps-1 {
+			checkResidencyIndex(t, c, epochs)
+		}
+	}
+	if prev != nil {
+		checkEmpty(t, "the predecessor after its successor's ops", prev)
+	}
+}
+
+// predecessor returns a cache of another capacity and policy than the given
+// ones after inserts, invalidations and writes over every fuzz file: dirty
+// and clean pages in several files, tables grown far, non-zero epochs.
+func predecessor(t *testing.T, capacity int, pol Policy) *Cache {
+	prevCap := 12
+	if capacity == prevCap {
+		prevCap = 10
+	}
+	c := New(prevCap, (pol+1)%3, func(Key, []byte, bool) {})
+	for i := 0; i < 60; i++ {
+		k := Key{File: uint64(i % fuzzFiles), Page: int64(i*613) % fuzzPages}
+		if err := c.Insert(k, []byte{byte(i)}, i%3 == 0); err != nil {
+			t.Fatal(err)
+		}
+		if i%7 == 0 {
+			c.Invalidate(k)
+		}
+	}
+	c.Get(Key{File: 1, Page: 613})
+	if files := len(c.AppendRecencyTrace(nil)); files < prevCap-2 || c.ResidencyEpoch(1) == 0 {
+		t.Fatalf("predecessor holds %d pages, file 1 at epoch %d: too little to recycle", files, c.ResidencyEpoch(1))
+	}
+	return c
+}
+
+// checkEmpty fails unless c reads as a cache with nothing in it.
+func checkEmpty(t *testing.T, what string, c *Cache) {
+	t.Helper()
+	if c.Len() != 0 || len(c.AppendRecencyTrace(nil)) != 0 || c.Stats() != (Stats{}) {
+		t.Fatalf("%s: Len %d, recency %v, stats %+v; want empty", what, c.Len(), c.AppendRecencyTrace(nil), c.Stats())
+	}
+	for fl := uint64(0); fl < fuzzFiles; fl++ {
+		if c.ResidentRuns(fl) != nil || c.ResidencyEpoch(fl) != 0 || c.DirtyPages(fl) != 0 {
+			t.Fatalf("%s: file %d runs %v, epoch %d, dirty %d; want none", what, fl, c.ResidentRuns(fl), c.ResidencyEpoch(fl), c.DirtyPages(fl))
+		}
+		for p := int64(0); p < fuzzPages; p += 613 {
+			if c.Contains(Key{File: fl, Page: p}) {
+				t.Fatalf("%s: file %d page %d resident", what, fl, p)
+			}
+		}
+	}
+	checkResidencyIndex(t, c, nil)
 }
 
 // TestNegativePage: a negative page is refused by Insert and absent to

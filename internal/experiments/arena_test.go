@@ -189,8 +189,9 @@ func TestPointOnDirtyArena(t *testing.T) {
 }
 
 // TestArenaBounded: after a sweep, each worker's arena holds no more than
-// one point ever had out at once — the cache's frames and the page in
-// flight — and a store within its budget.
+// one point ever had out at once — page buffers for the caches' frames and
+// the page in flight, and frame arenas for the caches alive together — and
+// a store within its budget.
 func TestArenaBounded(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Workers = 2
@@ -214,10 +215,14 @@ func TestArenaBounded(t *testing.T) {
 	points := 0
 	for hm, served := range arenas {
 		points += served
-		bufs, store := hm.Held()
+		bufs, frames, store := hm.Held()
 		// two-kernels boots caches of CachePages and CachePages/2 frames.
 		if most := cfg.CachePages + cfg.CachePages/2 + 2; bufs > most {
 			t.Errorf("arena holds %d page buffers after %d points, want <= %d", bufs, served, most)
+		}
+		// Each cache's arena has a sentinel slot beside its frames.
+		if most := (cfg.CachePages + 1) + (cfg.CachePages/2 + 1); frames > most {
+			t.Errorf("arena holds %d cache frames after %d points, want <= %d", frames, served, most)
 		}
 		if store > workload.StoreBudget {
 			t.Errorf("arena holds %d bytes of store, budget %d", store, workload.StoreBudget)
@@ -233,8 +238,9 @@ var bootSink *Machine
 // BenchmarkBootMachineArena boots a quick-scale machine and takes the first
 // miss of a 1 MiB text file: on an arena of its own, as before, and on one
 // an earlier point already grew. What is left on the reused arena is the
-// boot itself (kernel, cache frames, devices, calibration) and the file's
-// bitmap; the page buffer and the store slab are the arena's.
+// boot itself (kernel, devices, calibration) and the file's bitmap; the page
+// buffer, the cache's frames and page table, and the store slab are the
+// arena's.
 func BenchmarkBootMachineArena(b *testing.B) {
 	cfg := QuickConfig()
 	buf := make([]byte, cfg.PageSize)

@@ -62,6 +62,7 @@ const (
 	// The I/O ops, each of which may suspend on a queued device.
 	opRead
 	opReadAt
+	opPageIn
 	opWriteAt
 	opDevRead
 )
@@ -76,7 +77,7 @@ type Op struct {
 	dur  simclock.Duration // opSleep: how long; opHedge: the hedge deadline
 
 	// File I/O: the file, the caller's buffer, and (the *At forms) the
-	// file offset in off.
+	// file offset in off; a page-in has no buffer and its length in length.
 	f *vfs.File
 	p []byte
 
@@ -99,6 +100,9 @@ func Sleep(d simclock.Duration) Op { return Op{kind: opSleep, dur: d} }
 func ReadAt(f *vfs.File, p []byte, off int64) Op {
 	return Op{kind: opReadAt, f: f, p: p, off: off}
 }
+
+// PageIn is File.PageIn as an Op: what ReadAt of n bytes costs, no bytes.
+func PageIn(f *vfs.File, off, n int64) Op { return Op{kind: opPageIn, f: f, off: off, length: n} }
 
 // Read reads from f's cursor (File.Read as an Op).
 func Read(f *vfs.File, p []byte) Op { return Op{kind: opRead, f: f, p: p} }
@@ -152,6 +156,8 @@ func (op *Op) start(k *vfs.Kernel) vfs.IOStep {
 		return op.f.ReadStep(op.p)
 	case opReadAt:
 		return op.f.ReadAtStep(op.p, op.off)
+	case opPageIn:
+		return op.f.PageInStep(op.off, op.length)
 	case opWriteAt:
 		return op.f.WriteAtStep(op.p, op.off)
 	case opDevRead:

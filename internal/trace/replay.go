@@ -3,7 +3,8 @@ package trace
 // The replay engine compiles a trace into iosched Program state machines —
 // one per stream, arrivals scheduled at record vtime via Sleep steps — and
 // runs them over the queued-device kernel, so any scheduler × SLED mode ×
-// fault profile can be measured on the identical request sequence.
+// fault profile can be measured on the identical request sequence. A read
+// is a page-in, costing what the read costs; writes write zeros.
 //
 // Two replay modes:
 //
@@ -119,8 +120,8 @@ func (r *Replay) AddStreams(e *iosched.Engine) []iosched.StreamID {
 		recs := r.idx.Records(i)
 		var maxLen int64
 		for _, ri := range recs {
-			if l := r.t.Records[ri].Len; l > maxLen {
-				maxLen = l
+			if rec := &r.t.Records[ri]; rec.Op == OpWrite && rec.Len > maxLen {
+				maxLen = rec.Len
 			}
 		}
 		ids[i] = e.AddStream(0, &streamReplay{
@@ -218,7 +219,7 @@ func (s *streamReplay) Step(h *iosched.Handle, prev iosched.Result) iosched.Op {
 		if rec.Op == OpWrite {
 			return iosched.WriteAt(s.r.files[rec.File], s.buf[:rec.Len], rec.Off)
 		}
-		return iosched.ReadAt(s.r.files[rec.File], s.buf[:rec.Len], rec.Off)
+		return iosched.PageIn(s.r.files[rec.File], rec.Off, rec.Len)
 	}
 }
 

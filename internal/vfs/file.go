@@ -156,17 +156,24 @@ func (f *File) ReadAtMapped(p []byte, off int64) (int, error) {
 // to user space included) and result — but delivers no bytes, so the host
 // copies nothing: the simulator's synchronous MADV_POPULATE_READ, for
 // warm-ups whose bytes nobody reads.
-func (f *File) PageIn(off, n int64) (int64, error) { return f.pageIn(off, n, true) }
+func (f *File) PageIn(off, n int64) (int64, error) {
+	return mustComplete(f.pageIn(off, n, true), "read")
+}
 
 // PageInMapped is PageIn charged as ReadAtMapped: without the copy.
-func (f *File) PageInMapped(off, n int64) (int64, error) { return f.pageIn(off, n, false) }
+func (f *File) PageInMapped(off, n int64) (int64, error) {
+	return mustComplete(f.pageIn(off, n, false), "read")
+}
 
-func (f *File) pageIn(off, n int64, chargeCopy bool) (int64, error) {
+// PageInStep begins a resumable PageIn, as ReadAtStep begins a ReadAt.
+func (f *File) PageInStep(off, n int64) IOStep { return f.pageIn(off, n, true) }
+
+func (f *File) pageIn(off, n int64, chargeCopy bool) IOStep {
 	if n < 0 {
-		return 0, fmt.Errorf("vfs: negative page-in length %d", n)
+		return ioDone(0, fmt.Errorf("vfs: negative page-in length %d", n))
 	}
 	o := pageOp{k: f.k, f: f, req: n, off: off, chargeCopy: chargeCopy}
-	return mustComplete(o.start(), "read")
+	return o.start()
 }
 
 // readLoop is the read: validation on entry, then one page per turn, each

@@ -1,18 +1,23 @@
 package vfs
 
-import "sleds/internal/workload"
+import (
+	"sleds/internal/cache"
+	"sleds/internal/workload"
+)
 
 // HostMem is the host memory a kernel works in that is worth more than the
 // kernel (DESIGN.md, "What a grid point costs the host twice"): the page
-// buffers its cache fills and the store its files keep generated pages in.
-// A sweep hands one arena to the machines of successive grid points
-// (Config.HostMem), Reset between them; the zero value is empty. Nothing in
-// it carries meaning across Reset, and a kernel booted before one (its
-// cache holds buffers the next kernel is filling) panics on its next I/O.
-// One goroutine; kernels alive together share it.
+// buffers its cache fills, the cache's storage, and the store its files keep
+// generated pages in. A sweep hands one arena to the machines of successive
+// grid points (Config.HostMem), Reset between them; the zero value is empty.
+// Nothing in it carries meaning across Reset, and a kernel booted before one
+// (the next kernel fills its buffers and storage) panics on its next I/O or
+// residency query. One goroutine; kernels alive together share buffers.
 type HostMem struct {
 	pageSize   int
-	bufs, free [][]byte // every page buffer made; those in no cache
+	bufs, free [][]byte       // every page buffer made; those in no cache
+	caches     []*cache.Cache // of the kernels booted, in order, since a Reset
+	live       int            // kernels booted since the last Reset
 	store      workload.Store
 	epoch      uint64 // Resets so far
 }
@@ -20,12 +25,18 @@ type HostMem struct {
 // Reset reclaims everything handed out; kernels booted before it are dead.
 func (m *HostMem) Reset() {
 	m.free = append(m.free[:0], m.bufs...)
+	m.live = 0
 	m.store.Reset()
 	m.epoch++
 }
 
-// Held reports the page buffers and store bytes the arena holds.
-func (m *HostMem) Held() (int, int) { return len(m.bufs), m.store.Held() }
+// Held reports the page buffers, cache frames and store bytes the arena holds.
+func (m *HostMem) Held() (bufs, frames, store int) {
+	for _, c := range m.caches {
+		frames += c.Frames()
+	}
+	return len(m.bufs), frames, m.store.Held()
+}
 
 // hostMem returns the kernel's arena, which must not have been Reset since boot.
 //

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -60,23 +61,36 @@ func scanCheck(t testing.TB, what string, f *File, want []byte, chunk, passes in
 
 // TestKernelAfterResetPanics: I/O through a kernel whose arena has been
 // Reset — its cache still points at buffers the next kernel owns — panics,
-// naming the cause, on a cache hit as on a miss.
+// naming the cause, on a cache hit as on a miss; so do the residency
+// queries FSLEDS_GET makes, before and after a new kernel has taken the
+// dead one's cache storage over.
 func TestKernelAfterResetPanics(t *testing.T) {
 	hm := new(HostMem)
 	k, disk := arenaMachine(t, hm, modelPage, 4)
 	f, want := arenaFile(t, k, disk, "/d/f", 1, 8*modelPage)
 	scanCheck(t, "before Reset", f, want, modelPage, 1)
-	hm.Reset()
-	for _, off := range []int64{7 * modelPage, 0} { // resident, not resident
-		func() {
-			defer func() {
-				msg := fmt.Sprint(recover())
-				if !strings.Contains(msg, "HostMem was Reset") {
-					t.Errorf("read at %d after Reset: recovered %q, want a panic naming the Reset", off, msg)
-				}
-			}()
-			f.ReadAt(make([]byte, modelPage), off)
+	if len(k.ResidentRuns(f.Inode())) == 0 || k.ResidencyEpoch(f.Inode()) == 0 {
+		t.Fatal("the scanned file shows no residency before Reset")
+	}
+	panics := func(what string, op func()) {
+		t.Helper()
+		defer func() {
+			t.Helper()
+			msg := fmt.Sprint(recover())
+			if !strings.Contains(msg, "HostMem was Reset") {
+				t.Errorf("%s after Reset: recovered %q, want a panic naming the Reset", what, msg)
+			}
 		}()
+		op()
+	}
+	hm.Reset()
+	for round := 0; round < 2; round++ {
+		for _, off := range []int64{7 * modelPage, 0} { // resident, not resident
+			panics(fmt.Sprintf("round %d: read at %d", round, off), func() { f.ReadAt(make([]byte, modelPage), off) })
+		}
+		panics(fmt.Sprintf("round %d: ResidentRuns", round), func() { k.ResidentRuns(f.Inode()) })
+		panics(fmt.Sprintf("round %d: ResidencyEpoch", round), func() { k.ResidencyEpoch(f.Inode()) })
+		arenaMachine(t, hm, modelPage, 4) // takes the dead kernel's cache storage over
 	}
 }
 
@@ -130,7 +144,7 @@ func TestKernelsShareArena(t *testing.T) {
 			ka.DropCaches() // hands one kernel's buffers to both
 		}
 	}
-	if made, _ := hm.Held(); made > 3+5+2 {
+	if made, _, _ := hm.Held(); made > 3+5+2 {
 		t.Errorf("arena made %d page buffers for caches of 3 and 5 frames with one page in flight each", made)
 	}
 }
@@ -176,8 +190,9 @@ func TestArenaReuseIsInvisible(t *testing.T) {
 }
 
 // TestArenaSteadyStateAllocatesNothing: once an arena has served one point,
-// the page buffers and store slots of the next come out of it — the misses
-// of a cold scan and a warm-up page-in allocate nothing.
+// the page buffers, store slots and cache storage of the next come out of
+// it — the misses of a cold scan that fills a new kernel's cache, and a
+// warm-up page-in, allocate nothing.
 func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
 	const pages = 64
 	hm := new(HostMem)
@@ -206,10 +221,17 @@ func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	point()() // the arena grows to what a point needs
 	scan := point()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	scan() // the first fill of this kernel's cache
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("a scan filling a new kernel's cache on a reused arena allocated %d times, want 0", n)
+	}
 	if n := testing.AllocsPerRun(1, scan); n != 0 {
 		t.Errorf("a scan on a reused arena allocated %v times, want 0", n)
 	}
-	if bufs, store := hm.Held(); bufs > 8+1 || store != pages*testPage {
-		t.Errorf("arena holds %d page buffers, %d store bytes; want <= 9, %d", bufs, store, pages*testPage)
+	if bufs, frames, store := hm.Held(); bufs > 8+1 || frames > 8+1 || store != pages*testPage {
+		t.Errorf("arena holds %d page buffers, %d frames, %d store bytes; want <= 9, <= 9, %d", bufs, frames, store, pages*testPage)
 	}
 }

@@ -168,7 +168,12 @@ func NewKernel(cfg Config) *Kernel {
 	if cfg.JitterFrac > 0 {
 		k.jitter = simclock.NewJitter(cfg.JitterSeed, cfg.JitterFrac)
 	}
-	k.cache = cache.New(cfg.CachePages, cfg.Policy, k.onEvict)
+	if mem.live == len(mem.caches) { // the i-th kernel since a Reset recycles the i-th cache
+		mem.caches = append(mem.caches, nil)
+	}
+	k.cache = cache.Recycle(mem.caches[mem.live], cfg.CachePages, cfg.Policy, k.onEvict)
+	mem.caches[mem.live] = k.cache
+	mem.live++
 	k.cache.SetDropFn(func(buf []byte) { k.hostMem().put(buf) })
 	k.root = k.addInode(&Inode{name: "/", isDir: true, children: map[string]*Inode{}})
 	return k
@@ -194,6 +199,7 @@ func (k *Kernel) Cache() *cache.Cache { return k.cache }
 // The returned slice aliases the cache's residency index; callers must
 // not modify it and should consume it before the next cache mutation.
 func (k *Kernel) ResidentRuns(n *Inode) []cache.Run {
+	k.hostMem()
 	return k.cache.ResidentRuns(uint64(n.ino))
 }
 
@@ -202,6 +208,7 @@ func (k *Kernel) ResidentRuns(n *Inode) []cache.Run {
 // Equal values from two calls guarantee ResidentRuns did not change in
 // between — the invalidation signal core's skeleton memo keys on.
 func (k *Kernel) ResidencyEpoch(n *Inode) uint64 {
+	k.hostMem()
 	return k.cache.ResidencyEpoch(uint64(n.ino))
 }
 

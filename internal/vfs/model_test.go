@@ -273,7 +273,7 @@ func TestStoreBoundaryModel(t *testing.T) {
 		hm.Reset()
 		runModel(t, cache.LRU, trial, 300, hm, 3)
 	}
-	if _, store := hm.Held(); store != workload.StoreBudget {
+	if _, _, store := hm.Held(); store != workload.StoreBudget {
 		t.Fatalf("store holds %d bytes after the ballast leased all but three pages, want the %d-byte budget", store, workload.StoreBudget)
 	}
 }

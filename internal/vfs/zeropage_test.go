@@ -127,8 +127,8 @@ func TestZeroPagesMatchBufferedPages(t *testing.T) {
 				t.Fatalf("the written zero page reads back as %x, want %x", got.data, want)
 			}
 			made := func() (int, int) {
-				z, _ := kz.mem.Held()
-				b, _ := kb.mem.Held()
+				z, _, _ := kz.mem.Held()
+				b, _, _ := kb.mem.Held()
 				return z, b
 			}
 			if z, b := made(); z >= b {
