@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # BENCH_SNAPSHOT is the committed snapshot bench-json writes and
 # bench-compare gates against.
 BENCH_PKGS = ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/vfs ./internal/experiments ./internal/apps/wcapp ./internal/apps/grepapp ./internal/apps/fitsapp ./internal/fits
-BENCH_SNAPSHOT = BENCH_32.json
+BENCH_SNAPSHOT = BENCH_35.json
 
 # A literal comma, for use inside $(call ...) arguments.
 comma := ,
@@ -55,15 +55,20 @@ race:
 	$(GO) test -race ./...
 
 # fuzz-smoke fuzzes the page cache against its reference model
-# (FuzzCacheOps in internal/cache), then the trace codec's decoder
-# (FuzzDecode in internal/trace: reject, or validate and round-trip), each
-# for a short, fixed time. The seeded corpora already run under `test`;
+# (FuzzCacheOps in internal/cache), the trace codec's decoder (FuzzDecode
+# in internal/trace: reject, or validate and round-trip), fimgbin's and
+# fimhisto's pixel kernels against their oracles (FuzzPixelKernels in
+# internal/apps/fitsapp) and the FITS header parser (FuzzParseHeader in
+# internal/fits: no panic, no overflowing geometry), each for a short,
+# fixed time. The seeded corpora already run under `test`;
 # this explores beyond them. Each input that widens coverage is minimised
 # before fuzzing goes on, by default for up to a minute, which would spend
 # the whole run on the first one.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzCacheOps -fuzztime=15s -fuzzminimizetime=1s ./internal/cache
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=15s -fuzzminimizetime=1s ./internal/trace
+	$(GO) test -run='^$$' -fuzz=FuzzPixelKernels -fuzztime=15s -fuzzminimizetime=1s ./internal/apps/fitsapp
+	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=15s -fuzzminimizetime=1s ./internal/fits
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -1,6 +1,7 @@
 package fitsapp
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"sleds/internal/apps/appenv"
@@ -21,13 +22,13 @@ import (
 // reduction factors, as the paper observes.
 func Fimgbin(env *appenv.Env, inPath, outPath string, factor int, outDev device.ID) (fits.Image, error) {
 	side := 0
-	for s := 1; s*s <= factor; s++ {
+	for s := 2; s <= maxSide && s*s <= factor; s++ {
 		if s*s == factor {
 			side = s
 		}
 	}
-	if side == 0 || factor < 4 {
-		return fits.Image{}, fmt.Errorf("fitsapp: reduction factor %d is not a square >= 4", factor)
+	if side == 0 {
+		return fits.Image{}, fmt.Errorf("fitsapp: reduction factor %d is not the square of a side in [2, %d]", factor, maxSide)
 	}
 
 	in, err := env.K.Open(inPath)
@@ -35,7 +36,7 @@ func Fimgbin(env *appenv.Env, inPath, outPath string, factor int, outDev device.
 		return fits.Image{}, err
 	}
 	defer in.Close()
-	im, err := fits.ParseHeader(in)
+	im, err := parseImage(in)
 	if err != nil {
 		return fits.Image{}, err
 	}
@@ -45,7 +46,7 @@ func Fimgbin(env *appenv.Env, inPath, outPath string, factor int, outDev device.
 	}
 
 	outW, outH := im.Width/side, im.Height/side
-	sums := make([]int64, int64(outW)*int64(outH))
+	sums := env.K.Sums(outW * outH)
 
 	// Accumulate input pixels into output cells, in whatever order the
 	// read schedule delivers them.
@@ -77,7 +78,7 @@ func Fimgbin(env *appenv.Env, inPath, outPath string, factor int, outDev device.
 	if _, err := out.WriteAt(header, 0); err != nil {
 		return fits.Image{}, err
 	}
-	cells := int64(side * side)
+	cells := int32(side * side)
 	buf := make([]byte, 64<<10)
 	bufStart := outIm.DataOffset
 	fill := 0
@@ -105,30 +106,63 @@ func Fimgbin(env *appenv.Env, inPath, outPath string, factor int, outDev device.
 	return outIm, nil
 }
 
+// maxSide is the largest boxcar side Fimgbin takes, so that its int32 sums
+// cannot overflow: a cell of 255² int16 pixels sums to at most
+// 65,025 × 32,768 = 2,130,739,200 < 2³¹ in magnitude.
+const maxSide = 255
+
 // accumulate adds the pixels of px, the first of which is pixel idx of an
 // image width wide, into the boxcar sums (width/side cells per output
 // row). It finds (x, y) once and then walks row by row, carrying the
 // output cell and the position inside it instead of dividing per pixel.
 //
 //sledlint:hotpath
-func accumulate(sums []int64, px []byte, idx int64, width, side int) {
+func accumulate(sums []int32, px []byte, idx int64, width, side int) {
 	outW := width / side
 	x, y := int(idx%int64(width)), int(idx/int64(width))
 	base, inRow := y/side*outW, y%side
 	cell, inCell := x/side, x%side
 	for len(px) >= 2 {
 		n := min(2*(width-x), len(px)) // bytes left in this image row
-		p, row := px[:n], sums[base:base+outW]
-		for i := 0; i+1 < len(p); i += 2 {
-			row[cell] += int64(pixel16(p[i], p[i+1]))
-			if inCell++; inCell == side {
-				cell, inCell = cell+1, 0
-			}
-		}
+		addRow(sums[base:base+outW], px[:n], cell, inCell, side)
 		px = px[n:]
 		x, cell, inCell = 0, 0, 0
 		if inRow++; inRow == side {
 			base, inRow = base+outW, 0
 		}
 	}
+}
+
+// addRow adds the pixels of p, which lie in one image row from pixel inCell
+// of cell on, into the cells of row. It decodes four pixels per 8-byte
+// load; only the last pixels of p, fewer than four, are loaded one at a
+// time.
+//
+//sledlint:hotpath
+func addRow(row []int32, p []byte, cell, inCell, side int) {
+	s, left := int32(0), side-inCell
+	for ; len(p) >= 8; p = p[8:] {
+		w := binary.BigEndian.Uint64(p)
+		s, cell, left = addPixel(row, s+int32(int16(w>>48)), cell, left, side)
+		s, cell, left = addPixel(row, s+int32(int16(w>>32)), cell, left, side)
+		s, cell, left = addPixel(row, s+int32(int16(w>>16)), cell, left, side)
+		s, cell, left = addPixel(row, s+int32(int16(w)), cell, left, side)
+	}
+	for ; len(p) >= 2; p = p[2:] {
+		s, cell, left = addPixel(row, s+int32(fits.Pixel16(p)), cell, left, side)
+	}
+	if left < side {
+		row[cell] += s
+	}
+}
+
+// addPixel counts one more pixel, already added to s, the sum of the cell's
+// pixels so far, of which left were missing. A complete cell is stored
+// into the row, in its one store, and the next begins.
+func addPixel(row []int32, s int32, cell, left, side int) (int32, int, int) {
+	if left--; left > 0 {
+		return s, cell, left
+	}
+	row[cell] += s
+	return 0, cell + 1, side
 }

@@ -11,6 +11,7 @@
 package fitsapp
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -121,28 +122,68 @@ func pixels(im fits.Image, off int64, data []byte) (px []byte, idx int64) {
 	return data[lo-off : hi-off], (lo - im.DataOffset) / elementSize
 }
 
-// pixel16 is fits.Pixel16 on two bytes already in hand: the per-pixel loops
-// build no slice.
-func pixel16(hi, lo byte) int16 { return int16(uint16(hi)<<8 | uint16(lo)) }
+// parseImage reads f's image header and checks that the data unit it
+// describes fits in the file, before anything is sized from it.
+func parseImage(f *vfs.File) (fits.Image, error) {
+	im, err := fits.ParseHeader(f)
+	if err == nil && im.DataOffset+im.DataBytes > f.Size() {
+		err = fmt.Errorf("fitsapp: a %dx%d image does not fit in %d bytes", im.Width, im.Height, f.Size())
+	}
+	return im, err
+}
+
+// pixelRange widens [lo, hi] to take in the pixels of px, four per 8-byte
+// load. Alternate pixels go to two pairs of accumulators, so that no
+// min or max waits on the one before.
+//
+//sledlint:hotpath
+func pixelRange(px []byte, lo, hi int16) (int16, int16) {
+	lo2, hi2 := lo, hi
+	for ; len(px) >= 8; px = px[8:] {
+		w := binary.BigEndian.Uint64(px)
+		a, b, c, d := int16(w>>48), int16(w>>32), int16(w>>16), int16(w)
+		lo, hi = min(lo, a, c), max(hi, a, c)
+		lo2, hi2 = min(lo2, b, d), max(hi2, b, d)
+	}
+	for ; len(px) >= 2; px = px[2:] {
+		lo, hi = min(lo, fits.Pixel16(px)), max(hi, fits.Pixel16(px))
+	}
+	return min(lo, lo2), max(hi, hi2)
+}
 
 // binTable maps value-min to its bin for every value in [min, max], so
 // that binning a pixel is a lookup instead of a division.
-func binTable(min, max int16, bins int) []int {
+func binTable(min, max int16, bins int) []uint16 {
 	span := int64(max) - int64(min) + 1
-	table := make([]int, span)
+	table := make([]uint16, span)
 	for d := range table {
-		table[d] = int(int64(d) * int64(bins) / span)
+		table[d] = uint16(int64(d) * int64(bins) / span)
 	}
 	return table
 }
 
-// binPixels counts the pixels of px into counts through table.
+// histLanes partial histograms take a word's four pixels, one each, so that
+// a run of pixels in one bin does not make each count wait for the last.
+const histLanes = 4
+
+// binPixels counts the pixels of px, four per 8-byte load, through table
+// into counts, histLanes partial histograms one after another. Offsets from
+// min are taken modulo 2¹⁶: exact for every value in the table's range.
 //
 //sledlint:hotpath
-func binPixels(counts []int64, table []int, min int16, px []byte) {
-	for i := 0; i+1 < len(px); i += 2 {
-		v := pixel16(px[i], px[i+1])
-		counts[table[int(v)-int(min)]]++
+func binPixels(counts []int64, table []uint16, min int16, px []byte) {
+	bins := len(counts) / histLanes
+	c0, c1, c2, c3 := counts[:bins], counts[bins:2*bins], counts[2*bins:3*bins], counts[3*bins:]
+	m := uint16(min)
+	for ; len(px) >= 8; px = px[8:] {
+		w := binary.BigEndian.Uint64(px)
+		c0[table[uint16(w>>48)-m]]++
+		c1[table[uint16(w>>32)-m]]++
+		c2[table[uint16(w>>16)-m]]++
+		c3[table[uint16(w)-m]]++
+	}
+	for ; len(px) >= 2; px = px[2:] {
+		c0[table[binary.BigEndian.Uint16(px)-m]]++
 	}
 }
 
@@ -152,7 +193,7 @@ func binPixels(counts []int64, table []int, min int16, px []byte) {
 // (2) scan with format conversion to find the value range, (3) bin the
 // values and append the histogram to the output.
 func Fimhisto(env *appenv.Env, inPath, outPath string, bins int, outDev device.ID) (Histogram, error) {
-	if bins <= 0 {
+	if bins <= 0 || bins > 1<<16 { // one per int16 value at most: binTable's bins are uint16
 		return Histogram{}, fmt.Errorf("fitsapp: bad bin count %d", bins)
 	}
 	in, err := env.K.Open(inPath)
@@ -160,7 +201,7 @@ func Fimhisto(env *appenv.Env, inPath, outPath string, bins int, outDev device.I
 		return Histogram{}, err
 	}
 	defer in.Close()
-	im, err := fits.ParseHeader(in)
+	im, err := parseImage(in)
 	if err != nil {
 		return Histogram{}, err
 	}
@@ -187,39 +228,34 @@ func Fimhisto(env *appenv.Env, inPath, outPath string, bins int, outDev device.I
 
 	// Pass 2: find the pixel value range (with int16 -> float conversion,
 	// charged at the conversion rate).
-	min, max := int16(32767), int16(-32768)
+	lo, hi := int16(32767), int16(-32768)
 	err = forEachChunk(env, in, buf, func(off int64, data []byte) error {
 		px, _ := pixels(im, off, data)
 		env.ChargeCPUBytes(int64(len(px)), convertRate)
-		for i := 0; i+1 < len(px); i += 2 {
-			v := pixel16(px[i], px[i+1])
-			if v < min {
-				min = v
-			}
-			if v > max {
-				max = v
-			}
-		}
+		lo, hi = pixelRange(px, lo, hi)
 		return nil
 	})
 	if err != nil {
 		return Histogram{}, err
 	}
-	if min > max {
+	if lo > hi {
 		return Histogram{}, fmt.Errorf("fitsapp: image %q has no pixels", inPath)
 	}
 
 	// Pass 3: bin the pixel values.
-	h := Histogram{Min: min, Max: max, Bins: make([]int64, bins)}
-	table := binTable(min, max, bins)
+	table, counts := binTable(lo, hi, bins), make([]int64, histLanes*bins)
 	err = forEachChunk(env, in, buf, func(off int64, data []byte) error {
 		px, _ := pixels(im, off, data)
 		env.ChargeCPUBytes(int64(len(px)), binRate)
-		binPixels(h.Bins, table, min, px)
+		binPixels(counts, table, lo, px)
 		return nil
 	})
 	if err != nil {
 		return Histogram{}, err
+	}
+	h := Histogram{Min: lo, Max: hi, Bins: make([]int64, bins)}
+	for i, n := range counts {
+		h.Bins[i%bins] += n
 	}
 
 	// Append the histogram as an extra block-aligned unit and flush.
@@ -249,15 +285,8 @@ func appendHistogram(out *vfs.File, im fits.Image, h Histogram) error {
 	off += int64(len(header))
 	buf := make([]byte, 8*len(h.Bins))
 	for i, b := range h.Bins {
-		putInt64(buf[i*8:], b)
+		binary.BigEndian.PutUint64(buf[i*8:], uint64(b))
 	}
 	_, err := out.WriteAt(buf, off)
 	return err
-}
-
-func putInt64(b []byte, v int64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
 }

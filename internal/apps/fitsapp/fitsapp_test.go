@@ -3,10 +3,12 @@ package fitsapp
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"testing"
 
 	"sleds/internal/apps/apptest"
 	"sleds/internal/fits"
+	"sleds/internal/workload"
 )
 
 // makeImage creates a synthetic FITS file on the machine's disk and
@@ -234,6 +236,75 @@ func TestFimgbinValidation(t *testing.T) {
 	makeImage(t, m, "/data/odd.fits", 7, 63, 16)
 	if _, err := Fimgbin(m.Env(false), "/data/odd.fits", "/data/out.fits", 4, m.Disk); err == nil {
 		t.Fatalf("indivisible geometry accepted")
+	}
+	// A side of 255 is the largest whose int32 sums cannot overflow: taken,
+	// and exact on an image it divides; 256 is refused.
+	im := makeImage(t, m, "/data/wide.fits", 7, 255, 255)
+	if _, err := Fimgbin(m.Env(false), "/data/wide.fits", "/data/out.fits", 255*255, m.Disk); err != nil {
+		t.Fatal(err)
+	}
+	if _, px := readRebinned(t, m, "/data/out.fits"); len(px) != 1 || px[0] != refRebin(7, im, 255)[0] {
+		t.Fatalf("side 255: %v, want %v", px, refRebin(7, im, 255))
+	}
+	makeImage(t, m, "/data/wider.fits", 7, 256, 256)
+	if _, err := Fimgbin(m.Env(false), "/data/wider.fits", "/data/out2.fits", 256*256, m.Disk); err == nil {
+		t.Fatalf("boxcar side 256 accepted")
+	}
+}
+
+// TestHeaderLargerThanFile: a 2,880-byte file whose header claims
+// 1,048,576 x 1,048,576 pixels is refused by both apps before either sizes
+// anything from it (fimgbin's sums would not fit in memory).
+func TestHeaderLargerThanFile(t *testing.T) {
+	m := apptest.New(t, 16)
+	hdr := fits.EncodeHeader(fits.HeaderFor(1<<20, 1<<20, 16))
+	if _, err := m.K.Create("/data/huge.fits", m.Disk, workload.NewBytes(hdr, apptest.PageSize)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Fimgbin(m.Env(false), "/data/huge.fits", "/data/out.fits", 4, m.Disk); err == nil {
+		t.Fatal("fimgbin accepted a data unit past the end of the file")
+	}
+	if _, err := Fimhisto(m.Env(true), "/data/huge.fits", "/data/out.fits", 64, m.Disk); err == nil {
+		t.Fatal("fimhisto accepted a data unit past the end of the file")
+	}
+}
+
+// TestWarmRunsAllocateLittle: once a first run has left its written pages
+// to the store (by the output's removal) and its boxcar sums to the
+// kernel's arena, a second Fimgbin or Fimhisto run allocates far less than
+// the image: neither sums nor written pages are new.
+func TestWarmRunsAllocateLittle(t *testing.T) {
+	m := apptest.New(t, 64)
+	im := makeImage(t, m, "/data/img.fits", 3, 1024, 1024) // 2 MiB of pixels
+	for _, app := range []struct {
+		name string
+		run  func() error
+	}{
+		{"fimgbin", func() error {
+			_, err := Fimgbin(m.Env(false), "/data/img.fits", "/data/out.fits", 4, m.Disk)
+			return err
+		}},
+		{"fimhisto", func() error {
+			_, err := Fimhisto(m.Env(false), "/data/img.fits", "/data/out.fits", 64, m.Disk)
+			return err
+		}},
+	} {
+		var allocs [2]uint64
+		for i := range allocs {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := app.run(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			allocs[i] = after.TotalAlloc - before.TotalAlloc
+			if err := m.K.Remove("/data/out.fits"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs[1] > uint64(im.DataBytes/8) {
+			t.Errorf("%s on a %d-byte image: first run allocated %d bytes, second %d", app.name, im.DataBytes, allocs[0], allocs[1])
+		}
 	}
 }
 

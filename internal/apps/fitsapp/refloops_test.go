@@ -1,6 +1,7 @@
 package fitsapp
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -34,6 +35,42 @@ func refBin(v, min, max int16, bins int) int64 {
 	return (int64(v) - int64(min)) * int64(bins) / (int64(max) - int64(min) + 1)
 }
 
+// pixel16 is the decoder the per-pixel loops used.
+func pixel16(hi, lo byte) int16 { return int16(uint16(hi)<<8 | uint16(lo)) }
+
+// refRange is fimhisto's pass-2 loop before pixelRange, verbatim.
+func refRange(px []byte, min, max int16) (int16, int16) {
+	for i := 0; i+1 < len(px); i += 2 {
+		v := pixel16(px[i], px[i+1])
+		if v < min {
+			min = v
+		}
+		if v > max {
+			max = v
+		}
+	}
+	return min, max
+}
+
+// sameSums reports whether the int32 sums equal the reference's int64 ones.
+func sameSums(got []int32, want []int64) bool {
+	for i := range want {
+		if int64(got[i]) != want[i] {
+			return false
+		}
+	}
+	return len(got) == len(want)
+}
+
+// mergedCounts folds binPixels' partial histograms into one.
+func mergedCounts(counts []int64, bins int) []int64 {
+	out := make([]int64, bins)
+	for i, n := range counts {
+		out[i%bins] += n
+	}
+	return out
+}
+
 // fileBytes materialises a synthetic image file.
 func fileBytes(t testing.TB, w, h int) (fits.Image, []byte) {
 	t.Helper()
@@ -59,11 +96,11 @@ func TestAccumulateMatchesReference(t *testing.T) {
 			for off := 0; off < len(file); off += 2 {
 				for _, n := range lengths {
 					data := file[off:min(off+n, len(file))]
-					got, want := make([]int64, cells), make([]int64, cells)
+					got, want := make([]int32, cells), make([]int64, cells)
 					px, idx := pixels(im, int64(off), data)
 					accumulate(got, px, idx, w, side)
 					refAccumulate(want, im, side, int64(off), data)
-					if fmt.Sprint(got) != fmt.Sprint(want) {
+					if !sameSums(got, want) {
 						t.Fatalf("side %d width %d chunk [%d,+%d): sums %v, want %v", side, w, off, n, got, want)
 					}
 				}
@@ -81,14 +118,14 @@ func TestAccumulateMatchesReference(t *testing.T) {
 							offs[i], offs[j] = offs[j], offs[i]
 						}
 					}
-					got, want := make([]int64, cells), make([]int64, cells)
+					got, want := make([]int32, cells), make([]int64, cells)
 					for _, off := range offs {
 						data := file[off:min(off+chunk, len(file))]
 						px, idx := pixels(im, int64(off), data)
 						accumulate(got, px, idx, w, side)
 						refAccumulate(want, im, side, int64(off), data)
 					}
-					if fmt.Sprint(got) != fmt.Sprint(want) {
+					if !sameSums(got, want) {
 						t.Fatalf("side %d width %d chunk size %d shuffled %v: sums differ", side, w, chunk, shuffled)
 					}
 				}
@@ -102,7 +139,7 @@ func TestBinTableMatchesReference(t *testing.T) {
 		min, max := r[0], r[1]
 		for _, bins := range []int{1, 64, 65536} {
 			table := binTable(min, max, bins)
-			counts := make([]int64, bins)
+			counts := make([]int64, histLanes*bins)
 			for v := int(min); v <= int(max); v++ {
 				want := refBin(int16(v), min, max, bins)
 				if got := int64(table[v-int(min)]); got != want {
@@ -112,6 +149,35 @@ func TestBinTableMatchesReference(t *testing.T) {
 				binPixels(counts, table, min, px)
 				if counts[want] == 0 {
 					t.Fatalf("range [%d,%d] bins %d: binPixels missed bin %d for value %d", min, max, bins, want, v)
+				}
+			}
+		}
+	}
+}
+
+// TestPixelKernelLanes puts an extreme pixel at every position of every
+// length of buffer from 0 to 19 pixels, so that it lands in each lane of a
+// word and in the per-pixel tail: pixelRange must report it, and binPixels
+// must count it in its bin, as the oracles do.
+func TestPixelKernelLanes(t *testing.T) {
+	for n := 0; n < 20; n++ {
+		for at := 0; at < n; at++ {
+			for _, v := range []int16{-32768, -1, 4095, 32767} {
+				px := bytes.Repeat([]byte{0x01, 0x00}, n) // 256 everywhere else
+				px[2*at], px[2*at+1] = byte(uint16(v)>>8), byte(v)
+				lo, hi := pixelRange(px, 32767, -32768)
+				if wl, wh := refRange(px, 32767, -32768); lo != wl || hi != wh {
+					t.Fatalf("%d pixels, %d at %d: range [%d,%d], want [%d,%d]", n, v, at, lo, hi, wl, wh)
+				}
+				const bins = 7
+				counts := make([]int64, histLanes*bins)
+				binPixels(counts, binTable(lo, hi, bins), lo, px)
+				want := make([]int64, bins)
+				for i := 0; i < n; i++ {
+					want[refBin(pixel16(px[2*i], px[2*i+1]), lo, hi, bins)]++
+				}
+				if got := mergedCounts(counts, bins); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("%d pixels, %d at %d: bins %v, want %v", n, v, at, got, want)
 				}
 			}
 		}
@@ -148,7 +214,7 @@ func TestOddBufSizeLinear(t *testing.T) {
 func BenchmarkFimgbinAccumulate(b *testing.B) {
 	im, file := fileBytes(b, 1024, 64)
 	page := file[2*apptest.PageSize : 3*apptest.PageSize]
-	sums := make([]int64, (1024/2)*(64/2))
+	sums := make([]int32, (1024/2)*(64/2))
 	px, idx := pixels(im, 2*apptest.PageSize, page)
 	b.SetBytes(int64(len(px)))
 	b.ReportAllocs()
@@ -163,11 +229,83 @@ func BenchmarkFimhistoBin(b *testing.B) {
 	page := file[2*apptest.PageSize : 3*apptest.PageSize]
 	px, _ := pixels(im, 2*apptest.PageSize, page)
 	table := binTable(200, 2886, 64)
-	counts := make([]int64, 64)
+	counts := make([]int64, histLanes*64)
 	b.SetBytes(int64(len(px)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		binPixels(counts, table, 200, px)
 	}
+}
+
+func BenchmarkFimhistoRange(b *testing.B) {
+	im, file := fileBytes(b, 1024, 64)
+	page := file[2*apptest.PageSize : 3*apptest.PageSize]
+	px, _ := pixels(im, 2*apptest.PageSize, page)
+	b.SetBytes(int64(len(px)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var lo, hi int16
+	for i := 0; i < b.N; i++ {
+		lo, hi = pixelRange(px, 32767, -32768)
+	}
+	if lo > hi {
+		b.Fatal("no range")
+	}
+}
+
+// FuzzPixelKernels checks the three pixel kernels against their oracles on
+// arbitrary pixel bytes: accumulate against refAccumulate with the file cut
+// into three chunks at even offsets, for a width and a boxcar side of 2 to
+// 5; pixelRange against refRange on the middle chunk and the whole data
+// unit; binPixels, through binTable, against refBin for 1 to 300 bins.
+func FuzzPixelKernels(f *testing.F) {
+	f.Add([]byte{0x80, 0, 0x7f, 0xff, 1, 2, 3, 4, 5, 6, 0xff, 0xfe}, uint16(2), uint16(5), uint8(3), uint8(0), uint16(63))
+	f.Add(bytes.Repeat([]byte{0x0c, 0x81, 0xf3, 0x00, 0x00, 0x07}, 41), uint16(17), uint16(90), uint8(7), uint8(1), uint16(299))
+	f.Fuzz(func(t *testing.T, data []byte, offArg, lenArg uint16, widthArg, sideArg uint8, binsArg uint16) {
+		side := 2 + int(sideArg)%4
+		w := side * (1 + int(widthArg)%8)
+		h := side * max(1, (len(data)/2+w*side-1)/(w*side))
+		im, err := fits.NewImage(w, h, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file := make([]byte, im.FileSize())
+		copy(file[im.DataOffset:im.DataOffset+im.DataBytes], data)
+		half := len(file) / 2
+		lo := 2 * (int(offArg) % half)
+		hi := min(lo+2*(1+int(lenArg)%half), len(file))
+
+		cells := (w / side) * (h / side)
+		got, want := make([]int32, cells), make([]int64, cells)
+		for _, c := range [][2]int{{lo, hi}, {0, lo}, {hi, len(file)}} {
+			px, idx := pixels(im, int64(c[0]), file[c[0]:c[1]])
+			accumulate(got, px, idx, w, side)
+			refAccumulate(want, im, side, int64(c[0]), file[c[0]:c[1]])
+			if !sameSums(got, want) {
+				t.Fatalf("width %d side %d chunk [%d,%d): sums %v, want %v", w, side, c[0], c[1], got, want)
+			}
+		}
+
+		unit := file[im.DataOffset : im.DataOffset+im.DataBytes]
+		mid, _ := pixels(im, int64(lo), file[lo:hi])
+		for _, px := range [][]byte{mid, unit} {
+			gl, gh := pixelRange(px, 32767, -32768)
+			if wl, wh := refRange(px, 32767, -32768); gl != wl || gh != wh {
+				t.Fatalf("range of %d bytes [%d,%d], want [%d,%d]", len(px), gl, gh, wl, wh)
+			}
+		}
+
+		bins := 1 + int(binsArg)%300
+		min, max := refRange(unit, 32767, -32768)
+		counts := make([]int64, histLanes*bins)
+		binPixels(counts, binTable(min, max, bins), min, unit)
+		wantBins := make([]int64, bins)
+		for i := 0; i+1 < len(unit); i += 2 {
+			wantBins[refBin(pixel16(unit[i], unit[i+1]), min, max, bins)]++
+		}
+		if got := mergedCounts(counts, bins); fmt.Sprint(got) != fmt.Sprint(wantBins) {
+			t.Fatalf("%d bins over [%d,%d]: %v, want %v", bins, min, max, got, wantBins)
+		}
+	})
 }

@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -185,6 +186,10 @@ func finishParse(im Image) (Image, error) {
 	case 8, 16, 32:
 	default:
 		return Image{}, fmt.Errorf("fits: unsupported BITPIX %d", im.BitPix)
+	}
+	// The padded data unit must end within an int64 byte offset.
+	if maxH := (math.MaxInt64 - im.DataOffset - BlockSize) / int64(im.BitPix/8) / int64(im.Width); int64(im.Height) > maxH {
+		return Image{}, fmt.Errorf("fits: %d x %d x %d-bit image overflows a file offset", im.Width, im.Height, im.BitPix)
 	}
 	im.DataBytes = int64(im.Width) * int64(im.Height) * int64(im.BitPix/8)
 	return im, nil

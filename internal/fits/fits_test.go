@@ -2,6 +2,7 @@ package fits
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
 	"testing/quick"
 )
@@ -174,4 +175,45 @@ func TestCardEncodingColumns(t *testing.T) {
 	if !bytes.Contains(enc, []byte("/ length")) {
 		t.Fatalf("comment missing: %q", enc)
 	}
+}
+
+func TestParseRejectsOverflowingGeometry(t *testing.T) {
+	for _, g := range [][3]int{{1 << 62, 4, 16}, {1 << 31, 1 << 31, 32}, {3037000500, 3037000500, 8}} {
+		if im, err := ParseHeader(bytes.NewReader(EncodeHeader(HeaderFor(g[0], g[1], g[2])))); err == nil {
+			t.Errorf("%d x %d x %d accepted: %+v", g[0], g[1], g[2], im)
+		}
+	}
+	// Large but representable: accepted, sized exactly.
+	im, err := ParseHeader(bytes.NewReader(EncodeHeader(HeaderFor(1<<20, 1<<20, 16))))
+	if err != nil || im.DataBytes != 1<<41 {
+		t.Fatalf("1M x 1M x 16: %+v, %v", im, err)
+	}
+}
+
+// FuzzParseHeader feeds ParseHeader arbitrary bytes: it must not panic, and
+// whatever it accepts must describe a data unit whose padded end, computed
+// without overflow, fits in an int64 file offset.
+func FuzzParseHeader(f *testing.F) {
+	f.Add(EncodeHeader(HeaderFor(512, 256, 16)))
+	f.Add(EncodeHeader(HeaderFor(1<<20, 1<<20, 16)))
+	f.Add(EncodeHeader(HeaderFor(1<<62, 4, 16)))
+	f.Add(EncodeHeader([]Card{{Key: "SIMPLE", Value: "T"}, {Key: "BITPIX", Value: "32"}, {Key: "NAXIS1", Value: "-3"}, {Key: "END"}}))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		im, err := ParseHeader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if im.Width <= 0 || im.Height <= 0 || (im.BitPix != 8 && im.BitPix != 16 && im.BitPix != 32) {
+			t.Fatalf("accepted %+v", im)
+		}
+		want := new(big.Int).Mul(big.NewInt(int64(im.Width)), big.NewInt(int64(im.Height)))
+		want.Mul(want, big.NewInt(int64(im.BitPix/8)))
+		if want.Cmp(big.NewInt(im.DataBytes)) != 0 {
+			t.Fatalf("%+v: DataBytes %d, want %v", im, im.DataBytes, want)
+		}
+		end := new(big.Int).Add(want, big.NewInt(im.DataOffset+BlockSize))
+		if !end.IsInt64() || im.FileSize() < im.DataOffset+im.DataBytes {
+			t.Fatalf("%+v: a data unit ending at %v overflows a file offset", im, end)
+		}
+	})
 }

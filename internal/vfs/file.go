@@ -26,18 +26,19 @@ func (k *Kernel) Open(path string) (*File, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n.isDir {
-		return nil, fmt.Errorf("vfs: %q: %w", path, ErrIsDir)
-	}
-	return &File{k: k, ino: n}, nil
+	return k.OpenInode(n)
 }
 
 // OpenInode opens an already-resolved inode (used by library code holding
-// Walk results).
+// Walk results). A removed file cannot be opened again.
 func (k *Kernel) OpenInode(n *Inode) (*File, error) {
 	if n.isDir {
 		return nil, fmt.Errorf("vfs: %q: %w", n.name, ErrIsDir)
 	}
+	if k.inodes[n.ino] != n {
+		return nil, fmt.Errorf("vfs: %q removed: %w", n.name, ErrNotExist)
+	}
+	n.opens++
 	return &File{k: k, ino: n}, nil
 }
 
@@ -48,12 +49,16 @@ func (f *File) Inode() *Inode { return f.ino }
 func (f *File) Size() int64 { return f.ino.size }
 
 // Close invalidates the descriptor. Dirty pages stay in cache (write-back
-// happens on eviction or Sync, as in the real kernel).
+// happens on eviction or Sync, as in the real kernel). The last Close of a
+// removed file releases its written pages.
 func (f *File) Close() error {
 	if f.closed {
 		return ErrClosed
 	}
 	f.closed = true
+	if f.ino.opens--; f.ino.opens == 0 && f.k.inodes[f.ino.ino] == nil {
+		f.ino.content.Release()
+	}
 	return nil
 }
 

@@ -7,19 +7,20 @@ import (
 
 // HostMem is the host memory a kernel works in that is worth more than the
 // kernel (DESIGN.md, "What a grid point costs the host twice"): the page
-// buffers its cache fills, the cache's storage, and the store its files keep
-// generated pages in. A sweep hands one arena to the machines of successive
-// grid points (Config.HostMem), Reset between them; the zero value is empty.
-// Nothing in it carries meaning across Reset, and a kernel booted before one
-// (the next kernel fills its buffers and storage) panics on its next I/O or
-// residency query. One goroutine; kernels alive together share buffers.
+// buffers its cache fills, the cache's storage, the store its files keep
+// generated and written pages in, and fimgbin's sums. A sweep hands one arena
+// to the machines of successive grid points (Config.HostMem), Reset between
+// them; the zero value is empty. Nothing in it carries meaning across Reset,
+// and a kernel booted before one (the next kernel fills its buffers) panics
+// on its next I/O or residency query. One goroutine; kernels share buffers.
 type HostMem struct {
 	pageSize   int
 	bufs, free [][]byte       // every page buffer made; those in no cache
 	caches     []*cache.Cache // of the kernels booted, in order, since a Reset
 	live       int            // kernels booted since the last Reset
 	store      workload.Store
-	epoch      uint64 // Resets so far
+	sums       []int32 // lent by Kernel.Sums
+	epoch      uint64  // Resets so far
 }
 
 // Reset reclaims everything handed out; kernels booted before it are dead.
@@ -46,6 +47,19 @@ func (k *Kernel) hostMem() *HostMem {
 		panic("vfs: kernel used after its HostMem was Reset: a kernel does not outlive the grid point that booted it")
 	}
 	return k.mem
+}
+
+// Sums lends n zeroed int32 accumulators from the kernel's arena, the
+// caller's until the next Sums on the arena or its Reset: fimgbin's boxcar
+// sums, which a sweep's runs and grid points thereby share.
+func (k *Kernel) Sums(n int) []int32 {
+	m := k.hostMem()
+	if cap(m.sums) < n { // doubling: a sweep's images grow point by point
+		m.sums = make([]int32, max(n, 2*cap(m.sums)))
+	}
+	m.sums = m.sums[:n]
+	clear(m.sums)
+	return m.sums
 }
 
 // take returns a page buffer with unspecified contents, the caller's until

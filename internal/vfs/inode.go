@@ -25,6 +25,7 @@ type Inode struct {
 	reserved int64 // bytes of device space reserved at extent
 	size     int64
 	content  *workload.Content
+	opens    int // Files open on it, not yet closed
 }
 
 // Ino returns the inode number.
@@ -206,6 +207,8 @@ func (k *Kernel) CreateEmpty(path string, dev device.ID) (*Inode, error) {
 }
 
 // Remove deletes a file or empty directory, invalidating its cached pages.
+// Once no File holds the file open, its content's written pages go back to
+// the store (workload.Content.Release).
 func (k *Kernel) Remove(path string) error {
 	parent, name, err := k.lookupDir(path)
 	if err != nil {
@@ -225,6 +228,9 @@ func (k *Kernel) Remove(path string) error {
 		// eviction callback checks the inode table and finds it gone.
 		k.cache.InvalidateFile(uint64(n.ino))
 		k.drainWritebacksSync()
+		if n.opens == 0 {
+			n.content.Release()
+		}
 	}
 	return nil
 }

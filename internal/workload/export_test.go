@@ -13,10 +13,7 @@ func (c *Content) Resize(size int64) {
 	if size < c.genSize {
 		c.genSize = size
 	}
-	lastPage := c.Pages()
-	for p := range c.written {
-		if p >= lastPage {
-			delete(c.written, p)
-		}
+	if last := c.Pages(); last < int64(len(c.written)) {
+		c.written = c.written[:last]
 	}
 }

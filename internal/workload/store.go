@@ -9,11 +9,13 @@ const StoreBudget = 16 << 20
 // leases slots at its first read for the raw generator output of its pages
 // [0, n) — a static set, since a cyclic scan defeats LRU. A lease lasts
 // until Reset, which hands the slab on uncleared: a slot means something
-// only under its Content's filled-bit, at the epoch of the lease.
+// only under its Content's filled-bit, at the epoch of the lease. Written
+// pages it lends one by one, and keeps those given back across Resets.
 type Store struct {
-	slab  []byte // grown on demand up to StoreBudget, kept across Resets
-	used  int    // bytes of slab leased since the last Reset
-	epoch uint64 // Resets so far
+	slab  []byte   // grown on demand up to StoreBudget, kept across Resets
+	used  int      // bytes of slab leased since the last Reset
+	epoch uint64   // Resets so far
+	pages [][]byte // written pages Release gave back, for the next write
 }
 
 // Reset ends every lease: Contents holding one go back to generating.
@@ -22,9 +24,11 @@ func (s *Store) Reset() { s.used, s.epoch = 0, s.epoch+1 }
 // Held returns the bytes of host memory the store holds.
 func (s *Store) Held() int { return len(s.slab) }
 
-// KeepIn makes the content keep the pages it generates in s until s is Reset.
-// Memory is taken at the first generated read: an unread file costs nothing.
+// KeepIn makes the content keep the pages it generates in s until s is Reset,
+// and take its written pages from s. Memory is taken at the first generated
+// read or the first write: an unread, unwritten file costs nothing.
 func (c *Content) KeepIn(s *Store) {
+	c.mem = s
 	if c.gen != nil {
 		c.store, c.epoch, c.filled = s, s.epoch, nil
 	}
@@ -70,4 +74,29 @@ func (c *Content) leaseSlots() bool {
 	c.base, c.slots, c.filled = int64(s.used), n, make([]uint64, (n+63)/64)
 	s.used = need
 	return true
+}
+
+// page lends a buffer of n bytes, contents unspecified, for a written page.
+func (s *Store) page(n int) (buf []byte) {
+	if s != nil && len(s.pages) > 0 {
+		buf, s.pages = s.pages[len(s.pages)-1], s.pages[:len(s.pages)-1]
+	}
+	if cap(buf) < n {
+		buf = make([]byte, n)
+	}
+	return buf[:n]
+}
+
+// Release gives the content's written pages back to its store, for the next
+// write to any file to reuse, and forgets them: the content reads as its
+// generated base from then on, so no read can see a page after its reuse.
+// The kernel calls it once the file is removed and no File holds it open.
+func (c *Content) Release() {
+	for _, buf := range c.written {
+		if buf != nil && c.mem != nil {
+			c.mem.pages = append(c.mem.pages, buf)
+		}
+	}
+	clear(c.written)
+	c.written = c.written[:0]
 }

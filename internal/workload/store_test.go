@@ -291,3 +291,41 @@ func BenchmarkReadPageStored(b *testing.B) {
 	}
 	storedSink = buf[0]
 }
+
+// TestReleaseLendsWrittenPages: the pages a released content wrote go to
+// the next content that writes through the same store, across a Reset,
+// and the released content no longer sees them: it reads its generated
+// base, a generated page and zeros past the generated extent.
+func TestReleaseLendsWrittenPages(t *testing.T) {
+	var s Store
+	old := New(storePage, storePage, newCountingGen(3).gen)
+	old.KeepIn(&s)
+	mine := bytes.Repeat([]byte{'o'}, storePage)
+	old.WritePage(0, mine)
+	old.WritePage(2, mine)
+	lent := map[*byte]bool{&old.written[0][0]: true, &old.written[2][0]: true}
+	old.Release()
+	s.Reset()
+	next := New(0, storePage, nil)
+	next.KeepIn(&s)
+	theirs := bytes.Repeat([]byte{'n'}, storePage)
+	next.WritePage(0, theirs)
+	next.WritePage(1, theirs)
+	if !lent[&next.written[0][0]] || !lent[&next.written[1][0]] {
+		t.Fatal("the next content's written pages are new, not the released ones")
+	}
+	buf := make([]byte, storePage)
+	old.ReadPage(0, buf)
+	if want := New(storePage, storePage, newCountingGen(3).gen).ReadAll(); !bytes.Equal(buf, want) {
+		t.Fatalf("released content reads %q, want its generated page", buf[:8])
+	}
+	old.ReadPage(2, buf)
+	if !bytes.Equal(buf, make([]byte, storePage)) {
+		t.Fatalf("released content reads %q past its generated extent, want zeros", buf[:8])
+	}
+	for p := int64(0); p < 2; p++ {
+		if next.ReadPage(p, buf); !bytes.Equal(buf, theirs) {
+			t.Fatalf("page %d reads %q", p, buf[:8])
+		}
+	}
+}

@@ -23,7 +23,6 @@ var testOnlyKept = map[string]bool{
 	"(*sleds/internal/workload.Content).ReadAll":         true,
 	"(*sleds/internal/vfs.Kernel).PageResident":          true,
 	"(*sleds/internal/vfs.HostMem).Held":                 true,
-	"sleds/internal/fits.Pixel16":                        true,
 	"(sleds/internal/fits.Image).Pixels":                 true,
 	"(sleds/internal/apps/gmcapp.Report).CachedFraction": true,
 }
