@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"sleds/internal/apps/wcapp"
 	"sleds/internal/cache"
@@ -19,12 +20,16 @@ import (
 // ablationSize returns the canonical ablation file size: 2x cache.
 func ablationSize(cfg Config) int64 { return 2 * cfg.CacheBytes() }
 
-// wcWarmSpeedup measures the wc speedup (without/with SLEDs) on a warm
-// file of the given size under cfg. The two modes run as parallel points;
-// unlike the figure sweeps they deliberately share cfg.Seed unchanged, so
-// the paired comparison sees identical jitter streams.
-func wcWarmSpeedup(cfg Config, size int64) (speedup float64, err error) {
-	sec, err := RunGrid(cfg, 2, func(cfg Config, mode int) (float64, error) {
+// wcWarmSpeedups measures the wc speedup (without/with SLEDs) on a warm
+// 2x-cache file under each setting: one (setting, mode) grid, where apply
+// puts a setting on a point's cfg, reduced to one point per setting at
+// x = the setting. Unlike the figure sweeps every point deliberately
+// shares cfg.Seed unchanged, so each paired comparison sees identical
+// jitter streams.
+func wcWarmSpeedups[S ~int](cfg Config, settings []S, apply func(cfg *Config, s S)) ([]Point, error) {
+	size := ablationSize(cfg)
+	sec, err := RunGrid(cfg, []int{len(settings), len(modeNames)}, func(cfg Config, at []int) (float64, error) {
+		apply(&cfg, settings[at[0]])
 		m, err := BootMachine(cfg, ProfileUnix)
 		if err != nil {
 			return 0, err
@@ -32,7 +37,7 @@ func wcWarmSpeedup(cfg Config, size int64) (speedup float64, err error) {
 		if _, err := textFileOn(m, "ext2", uint64(cfg.Seed), size, cfg.PageSize); err != nil {
 			return 0, err
 		}
-		env := m.Env(mode == 1, cfg.BufSize)
+		env := m.Env(at[1] == 1, cfg.BufSize)
 		elapsed, _, err := measured(cfg, m, func(int) error {
 			_, err := wcapp.Run(env, "/data/testfile")
 			return err
@@ -43,26 +48,21 @@ func wcWarmSpeedup(cfg Config, size int64) (speedup float64, err error) {
 		return elapsed.Mean(), nil
 	})
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	return sec[0] / sec[1], nil
+	pts := make([]Point, len(settings))
+	for i, s := range settings {
+		pts[i] = Point{X: float64(s), Mean: sec[2*i] / sec[2*i+1]}
+	}
+	return pts, nil
 }
 
 // AblationPolicy measures the SLEDs gain under each replacement policy.
 // The Figure 3 pathology is specific to LRU-like policies; CLOCK
 // approximates it, FIFO shares it for pure linear scans.
 func AblationPolicy(cfg Config) (Figure, error) {
-	size := ablationSize(cfg)
 	policies := []cache.Policy{cache.LRU, cache.Clock, cache.FIFO}
-	pts, err := RunGrid(cfg, len(policies), func(cfg Config, i int) (Point, error) {
-		c := cfg
-		c.Policy = policies[i]
-		sp, err := wcWarmSpeedup(c, size)
-		if err != nil {
-			return Point{}, err
-		}
-		return Point{X: float64(policies[i]), Mean: sp}, nil
-	})
+	pts, err := wcWarmSpeedups(cfg, policies, func(c *Config, p cache.Policy) { c.Policy = p })
 	if err != nil {
 		return Figure{}, err
 	}
@@ -104,11 +104,10 @@ func pickOrderScan(cfg Config, order sledlib.Order) (sec float64, faults int64, 
 // against file order and the pessimal highest-latency-first order.
 func AblationPickOrder(cfg Config) (Figure, error) {
 	orders := []sledlib.Order{sledlib.OrderLatency, sledlib.OrderLinear, sledlib.OrderReverseLatency}
-	faults := Series{Name: "hard faults", Points: make([]Point, len(orders))}
-	times, err := RunGrid(cfg, len(orders), func(cfg Config, i int) (Point, error) {
-		sec, n, err := pickOrderScan(cfg, orders[i])
-		faults.Points[i] = Point{X: float64(orders[i]), Mean: float64(n)}
-		return Point{X: float64(orders[i]), Mean: sec}, err
+	cells, err := RunGrid(cfg, []int{len(orders)}, func(cfg Config, at []int) ([]Point, error) {
+		x := float64(orders[at[0]])
+		sec, n, err := pickOrderScan(cfg, orders[at[0]])
+		return []Point{{X: x, Mean: sec}, {X: x, Mean: float64(n)}}, err
 	})
 	if err != nil {
 		return Figure{}, err
@@ -117,7 +116,7 @@ func AblationPickOrder(cfg Config) (Figure, error) {
 		ID:     "ablation-pickorder",
 		Title:  "warm full-file scan at 2x cache size, by pick order",
 		XLabel: "order", YLabel: "seconds / faults",
-		Series: []Series{{Name: "elapsed seconds", Points: times}, faults},
+		Series: columns(slices.Concat(cells...), []string{"elapsed seconds", "hard faults"}),
 		Notes:  "x: 0=latency-first (paper) 1=file order 2=highest-latency-first",
 	}, nil
 }
@@ -276,16 +275,7 @@ func AblationZones(cfg Config) (Figure, error) {
 // wc modes: it narrows the SLEDs gap by cutting per-request latencies for
 // the linear reader.
 func AblationReadahead(cfg Config) (Figure, error) {
-	settings := []int{0, 8}
-	pts, err := RunGrid(cfg, len(settings), func(cfg Config, i int) (Point, error) {
-		c := cfg
-		c.ReadaheadPages = settings[i]
-		sp, err := wcWarmSpeedup(c, ablationSize(cfg))
-		if err != nil {
-			return Point{}, err
-		}
-		return Point{X: float64(settings[i]), Mean: sp}, nil
-	})
+	pts, err := wcWarmSpeedups(cfg, []int{0, 8}, func(c *Config, n int) { c.ReadaheadPages = n })
 	if err != nil {
 		return Figure{}, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash"
 	"io"
+	"slices"
 	"sync"
 	"testing"
 
@@ -12,6 +13,7 @@ import (
 	"sleds/internal/apps/wcapp"
 	"sleds/internal/device"
 	"sleds/internal/fits"
+	"sleds/internal/trace"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
@@ -102,7 +104,8 @@ var arenaPoints = []struct {
 		return rec.String(), err
 	}},
 	{"etrace-mixed", func(cfg Config) (string, error) {
-		cell, err := etracePoint(cfg.forPoint("arena-trace", 0), cfg, 1, "mixed", "sstf", true, workload.TextGen(uint64(cfg.Seed)))
+		mixed := slices.Index(trace.Classes(), "mixed")
+		cell, err := etracePoint(cfg, mixed, slices.Index(etraceSchedulers, "sstf"), 1, workload.TextGen(uint64(cfg.Seed)))
 		return fmt.Sprintf("%+v", cell), err
 	}},
 	{"two-kernels", func(cfg Config) (string, error) {
@@ -198,7 +201,8 @@ func TestArenaBounded(t *testing.T) {
 	var mu sync.Mutex
 	arenas := map[*vfs.HostMem]int{}
 	n := 3 * len(arenaPoints)
-	_, err := RunGrid(cfg, n, func(cfg Config, i int) (string, error) {
+	_, err := RunGrid(cfg, []int{n}, func(cfg Config, at []int) (string, error) {
+		i := at[0]
 		mu.Lock()
 		arenas[cfg.mem]++
 		mu.Unlock()

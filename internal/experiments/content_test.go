@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"testing"
 
 	"sleds/internal/trace"
@@ -16,19 +17,17 @@ func TestContentIndependence(t *testing.T) {
 	cfg := QuickConfig()
 	text := workload.TextGen(uint64(cfg.Seed))
 
-	for _, sched := range scaleSchedulers {
-		pcfg := cfg.forPoint("escale", 0, 0)
-		zSec, zEvents, err := scalePoint(pcfg, 100, sched, nil)
+	for si, sched := range scaleSchedulers {
+		zero, err := scalePoint(cfg, 0, si, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tSec, tEvents, err := scalePoint(pcfg, 100, sched, text)
+		withText, err := scalePoint(cfg, 0, si, text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if zSec != tSec || zEvents != tEvents || zEvents == 0 {
-			t.Errorf("escale n=100 %s: zero-filled %v s / %v events, text %v s / %v events",
-				sched, zSec, zEvents, tSec, tEvents)
+		if zero != withText || zero[1].Mean == 0 {
+			t.Errorf("escale n=%d %s: zero-filled %+v, text %+v", scaleStreams[0], sched, zero, withText)
 		}
 	}
 
@@ -36,18 +35,18 @@ func TestContentIndependence(t *testing.T) {
 		if class != "olap" && class != "mixed" {
 			continue
 		}
-		for _, guided := range []bool{true, false} {
-			pcfg := cfg.forPoint("etrace", classIdx, 1, 0)
-			zero, err := etracePoint(pcfg, cfg, classIdx, class, "sstf", guided, nil)
+		for mode := range modeNames {
+			sstf := slices.Index(etraceSchedulers, "sstf")
+			zero, err := etracePoint(cfg, classIdx, sstf, mode, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			withText, err := etracePoint(pcfg, cfg, classIdx, class, "sstf", guided, text)
+			withText, err := etracePoint(cfg, classIdx, sstf, mode, text)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if zero != withText || zero.makespanSec == 0 {
-				t.Errorf("etrace %s guided=%v: zero-filled %+v, text %+v", class, guided, zero, withText)
+				t.Errorf("etrace %s mode %d: zero-filled %+v, text %+v", class, mode, zero, withText)
 			}
 		}
 	}

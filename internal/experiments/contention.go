@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"sleds/internal/apps/grepapp"
 	"sleds/internal/core"
@@ -27,21 +28,23 @@ var contentionSchedulers = []string{"fcfs", "sstf", "deadline"}
 // simulated grep processes, one file each on the shared disk, every file
 // with a cache-warm tail. Oblivious readers scan front to back, refaulting
 // tails that the other streams' insertions evict before they arrive;
-// SLED-guided readers consume the cached tails first. Returns the virtual
-// seconds from the engine base to the last stream's finish. One run per
-// point: the engine is deterministic, so there is no variance to sample.
-func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs bool) (float64, error) {
-	m, err := BootMachine(pcfg, ProfileUnix)
+// SLED-guided readers consume the cached tails first. Plots the virtual
+// seconds from the engine base to the last stream's finish against n. One
+// run per point: the engine is deterministic, so there is no variance to
+// sample.
+func contentionPoint(cfg Config, nIdx, si, mode int) (Point, error) {
+	m, err := BootMachine(cfg.forPoint("econtend", nIdx, si, mode), ProfileUnix)
 	if err != nil {
-		return 0, err
+		return Point{}, err
 	}
-	ps := int64(pcfg.PageSize)
+	n := contentionStreams[nIdx]
+	ps := int64(cfg.PageSize)
 	// Per-stream file size scales inversely with the stream count so the
 	// warmed tails (half of every file) total 3/4 of the cache at any n:
 	// they survive the warm-up, but the head insertions during the run
 	// (3/4 of the cache again) push them out long before an oblivious
 	// front-to-back reader arrives at them.
-	size := pcfg.CacheBytes() * 3 / 2 / int64(n) / ps * ps
+	size := cfg.CacheBytes() * 3 / 2 / int64(n) / ps * ps
 	tail := size / 2 / ps * ps
 	paths := make([]string, n)
 	for i := 0; i < n; i++ {
@@ -49,14 +52,14 @@ func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs b
 		// File content derives from the base seed and the point's grid row
 		// only — never the mode or the scheduler — so every policy/mode
 		// cell of a row greps byte-identical files.
-		c := workload.NewText(fileSeed(baseCfg, "econtend", nIdx*16+i), size, pcfg.PageSize)
+		c := workload.NewText(fileSeed(cfg, "econtend", nIdx*16+i), size, cfg.PageSize)
 		if _, err := m.K.Create(paths[i], m.Disk, c); err != nil {
-			return 0, err
+			return Point{}, err
 		}
 	}
 	for _, path := range paths {
 		if err := warmRange(m.K, path, size-tail, tail, (*vfs.File).PageInMapped); err != nil {
-			return 0, err
+			return Point{}, err
 		}
 	}
 	// The warm-up positioned the disk head; start the measured contention
@@ -65,9 +68,9 @@ func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs b
 	m.K.ResetRunStats()
 
 	e := iosched.NewEngine(m.K)
-	e.Queue(m.Disk, iosched.NewScheduler(sched))
+	e.Queue(m.Disk, iosched.NewScheduler(contentionSchedulers[si]))
 	m.Table.SetLoad(e)
-	env := m.Env(useSLEDs, pcfg.BufSize)
+	env := m.Env(mode == 1, cfg.BufSize)
 	var ids []iosched.StreamID
 	for _, path := range paths {
 		// needleBase never occurs and nothing is planted: the grep scans
@@ -75,9 +78,9 @@ func contentionPoint(pcfg, baseCfg Config, nIdx, n int, sched string, useSLEDs b
 		ids = append(ids, e.AddStream(0, grepapp.NewScan(env, path, needleBase, grepapp.Options{})))
 	}
 	if err := e.Run(); err != nil {
-		return 0, err
+		return Point{}, err
 	}
-	return makespan(e, ids), nil
+	return Point{X: float64(n), Mean: makespan(e, ids)}, nil
 }
 
 // makespan returns the virtual seconds from the engine's base to the last
@@ -101,16 +104,10 @@ func EContention(cfg Config) (Figure, error) {
 	for _, sched := range contentionSchedulers {
 		names = append(names, sched+" with SLEDs", sched+" without SLEDs")
 	}
-	series, err := gridSeries(cfg, len(contentionStreams), names, func(cfg Config, nIdx, col int) (Point, error) {
-		si, mode := col/2, 1-col%2
-		n := contentionStreams[nIdx]
-		pcfg := cfg.forPoint("econtend", nIdx, si, mode)
-		sec, err := contentionPoint(pcfg, cfg, nIdx, n, contentionSchedulers[si], mode == 1)
-		if err != nil {
-			return Point{}, err
-		}
-		return Point{X: float64(n), Mean: sec}, nil
-	})
+	points, err := RunGrid(cfg, []int{len(contentionStreams), len(contentionSchedulers), len(modeNames)},
+		func(cfg Config, at []int) (Point, error) {
+			return contentionPoint(cfg, at[0], at[1], 1-at[2]) // the with-SLEDs column first
+		})
 	if err != nil {
 		return Figure{}, err
 	}
@@ -119,7 +116,7 @@ func EContention(cfg Config) (Figure, error) {
 		Title:  "concurrent greps sharing one disk: total completion time by scheduler",
 		XLabel: "streams",
 		YLabel: "seconds to last finish",
-		Series: series,
+		Series: columns(points, names),
 		Notes:  "files have cache-warm tails; oblivious readers refault tails evicted under contention, SLED-guided readers consume them first",
 	}, nil
 }
@@ -131,42 +128,42 @@ func EContention(cfg Config) (Figure, error) {
 // unloaded table entry is flat for reference.
 func ELoadSLED(cfg Config) (Figure, error) {
 	loads := []int{0, 1, 2, 4, 8}
-	unloaded := Series{Name: "unloaded entry", Points: make([]Point, len(loads))} // calibrated table latency
-	depth := Series{Name: "queue depth", Points: make([]Point, len(loads))}       // at the query instant
-	estimated, err := RunGrid(cfg, len(loads), func(cfg Config, i int) (Point, error) {
+	// A point plots the SLED latency reported under load, the calibrated
+	// table latency, and the queue depth at the query instant.
+	cells, err := RunGrid(cfg, []int{len(loads)}, func(cfg Config, at []int) ([]Point, error) {
+		i := at[0]
 		n := loads[i]
-		pcfg := cfg.forPoint("eloadsled", i)
-		m, err := BootMachine(pcfg, ProfileUnix)
+		m, err := BootMachine(cfg.forPoint("eloadsled", i), ProfileUnix)
 		if err != nil {
-			return Point{}, err
+			return nil, err
 		}
-		ps := int64(pcfg.PageSize)
+		ps := int64(cfg.PageSize)
 		// The probed file: fully uncached, so every page reports the disk
 		// entry.
 		target, err := m.K.Create("/data/target", m.Disk,
-			workload.NewText(fileSeed(cfg, "eloadsled-target", i), 16*ps, pcfg.PageSize))
+			workload.NewText(fileSeed(cfg, "eloadsled-target", i), 16*ps, cfg.PageSize))
 		if err != nil {
-			return Point{}, err
+			return nil, err
 		}
-		bgSize := pcfg.CacheBytes() / 2 / ps * ps
+		bgSize := cfg.CacheBytes() / 2 / ps * ps
 		var bgPaths []string
 		for b := 0; b < n; b++ {
 			path := fmt.Sprintf("/data/bg%d", b)
-			c := workload.NewText(fileSeed(cfg, "eloadsled", i*16+b), bgSize, pcfg.PageSize)
+			c := workload.NewText(fileSeed(cfg, "eloadsled", i*16+b), bgSize, cfg.PageSize)
 			if _, err := m.K.Create(path, m.Disk, c); err != nil {
-				return Point{}, err
+				return nil, err
 			}
 			bgPaths = append(bgPaths, path)
 		}
 		e := iosched.NewEngine(m.K)
 		e.Queue(m.Disk, iosched.NewFCFS())
 		m.Table.SetLoad(e)
-		env := m.Env(false, pcfg.BufSize)
+		env := m.Env(false, cfg.BufSize)
 		for _, path := range bgPaths {
 			e.AddStream(0, grepapp.NewScan(env, path, needleBase, grepapp.Options{}))
 		}
 		x := float64(n)
-		est := Point{X: x} // SLED latency reported under load
+		est, depth := Point{X: x}, Point{X: x}
 		asked := false
 		e.AddStream(0, iosched.ProgramFunc(func(h *iosched.Handle, _ iosched.Result) iosched.Op {
 			if !asked {
@@ -182,18 +179,17 @@ func ELoadSLED(cfg Config) (Figure, error) {
 				return iosched.Exit(fmt.Errorf("eloadsled: %d SLEDs for an uncached file, want 1", len(sleds)))
 			}
 			est.Mean = sleds[0].Latency
-			depth.Points[i] = Point{X: x, Mean: float64(e.QueueDepth(m.Disk))}
+			depth.Mean = float64(e.QueueDepth(m.Disk))
 			return iosched.Exit(nil)
 		}))
 		if err := e.Run(); err != nil {
-			return Point{}, err
+			return nil, err
 		}
 		base, ok := m.Table.Device(m.Disk)
 		if !ok {
-			return Point{}, fmt.Errorf("eloadsled: no table entry for the disk")
+			return nil, fmt.Errorf("eloadsled: no table entry for the disk")
 		}
-		unloaded.Points[i] = Point{X: x, Mean: base.Latency}
-		return est, nil
+		return []Point{est, {X: x, Mean: base.Latency}, depth}, nil
 	})
 	if err != nil {
 		return Figure{}, err
@@ -203,7 +199,7 @@ func ELoadSLED(cfg Config) (Figure, error) {
 		Title:  "FSLEDS_GET latency estimate for an uncached file vs disk load",
 		XLabel: "bg streams",
 		YLabel: "seconds (depth: requests)",
-		Series: []Series{{Name: "estimated latency", Points: estimated}, unloaded, depth},
+		Series: columns(slices.Concat(cells...), []string{"estimated latency", "unloaded entry", "queue depth"}),
 		Notes:  "latency' = latency*(1+depth) + in-flight remaining; the estimate tracks the queue the probe would join",
 	}, nil
 }

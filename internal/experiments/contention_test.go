@@ -1,9 +1,6 @@
 package experiments
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestEContentionSLEDsBeatObliviousUnderContention(t *testing.T) {
 	cfg := tinyConfig()
@@ -65,23 +62,6 @@ func TestEContentionSchedulerDependent(t *testing.T) {
 	}
 }
 
-func TestEContentionDeterministicAcrossWorkers(t *testing.T) {
-	cfg := tinyConfig()
-	run := func(workers int) string {
-		c := cfg
-		c.Workers = workers
-		f, err := EContention(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f.Render()
-	}
-	a, b := run(1), run(4)
-	if a != b {
-		t.Fatalf("EContention output differs between 1 and 4 workers:\n%s\nvs\n%s", a, b)
-	}
-}
-
 func TestELoadSLEDTracksQueueDepth(t *testing.T) {
 	cfg := tinyConfig()
 	f, err := ELoadSLED(cfg)
@@ -121,21 +101,5 @@ func TestELoadSLEDTracksQueueDepth(t *testing.T) {
 	// Highest load must report a saturated queue: n-1 waiting requests.
 	if want := float64(8 - 1); dep.Points[len(dep.Points)-1].Mean != want {
 		t.Fatalf("depth at 8 streams = %v, want %v", dep.Points[len(dep.Points)-1].Mean, want)
-	}
-}
-
-func TestELoadSLEDDeterministicAcrossWorkers(t *testing.T) {
-	cfg := tinyConfig()
-	run := func(workers int) interface{} {
-		c := cfg
-		c.Workers = workers
-		f, err := ELoadSLED(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
-	}
-	if a, b := run(1), run(5); !reflect.DeepEqual(a, b) {
-		t.Fatalf("ELoadSLED differs between 1 and 5 workers")
 	}
 }

@@ -254,7 +254,7 @@ func EHSM(cfg Config) (EHSMResult, error) {
 		"grep -q on a tape-resident file with a staged tail (HSM extension)",
 		"x=0 without SLEDs, x=1 with SLEDs; speedup %.0fx — the HSM regime the paper predicts",
 		func(cfg Config, mode int) (*appenv.Env, string, error) {
-			m, err := BootMachine(cfg.forPoint("ehsm", 0, mode), ProfileUnix)
+			m, err := BootMachine(cfg.forPoint("ehsm", 0, mode), ProfileUnix) // size index 0: one size
 			if err != nil {
 				return nil, "", err
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"sleds/internal/apps/appenv"
 	"sleds/internal/apps/grepapp"
@@ -51,7 +52,8 @@ func EHints(cfg Config) (Figure, error) {
 	}
 
 	type chunk struct{ off, n int64 }
-	pts, err := RunGrid(cfg, len(strategies), func(cfg Config, i int) (Point, error) {
+	pts, err := RunGrid(cfg, []int{len(strategies)}, func(cfg Config, at []int) (Point, error) {
+		i := at[0]
 		st := strategies[i]
 		m, f, err := warmTextFile(cfg.forPoint("ehints", i), fileSeed(cfg, "ehints", 0), size)
 		if err != nil {
@@ -135,15 +137,15 @@ func ETreeGrep(cfg Config) (Figure, error) {
 	fileSize := cfg.CacheBytes() / 2
 	const numFiles = 8
 
-	faults := Series{Name: "hard faults", Points: make([]Point, 3)}
-	times, err := RunGrid(cfg, 3, func(cfg Config, i int) (Point, error) {
+	cells, err := RunGrid(cfg, []int{3}, func(cfg Config, at []int) ([]Point, error) {
+		i := at[0]
 		strategy := treeGrepStrategy(i)
 		m, err := BootMachine(cfg.forPoint("etreegrep", i), ProfileUnix)
 		if err != nil {
-			return Point{}, err
+			return nil, err
 		}
 		if err := m.K.MkdirAll("/data/src"); err != nil {
-			return Point{}, err
+			return nil, err
 		}
 		var paths []string
 		for fi := 0; fi < numFiles; fi++ {
@@ -153,7 +155,7 @@ func ETreeGrep(cfg Config) (Figure, error) {
 			c := workload.NewText(fileSeed(cfg, "etreegrep", fi), fileSize, cfg.PageSize)
 			workload.PlantMatch(c, fileSize/2, needleBase)
 			if _, err := m.K.Create(p, m.Disk, c); err != nil {
-				return Point{}, err
+				return nil, err
 			}
 			paths = append(paths, p)
 		}
@@ -162,16 +164,16 @@ func ETreeGrep(cfg Config) (Figure, error) {
 		for _, p := range paths[numFiles-3:] {
 			f, err := m.K.Open(p)
 			if err != nil {
-				return Point{}, err
+				return nil, err
 			}
 			_, err = io.Copy(io.Discard, f)
 			f.Close()
 			if err != nil {
-				return Point{}, fmt.Errorf("warming %s: %w", p, err)
+				return nil, fmt.Errorf("warming %s: %w", p, err)
 			}
 		}
 		if err := warmRange(m.K, paths[numFiles-4], fileSize/2, fileSize/2, (*vfs.File).PageIn); err != nil {
-			return Point{}, err
+			return nil, err
 		}
 		m.K.ResetDeviceState()
 		m.K.ResetRunStats()
@@ -198,8 +200,7 @@ func ETreeGrep(cfg Config) (Figure, error) {
 			}
 			return nil
 		})
-		faults.Points[i] = Point{X: float64(i), Mean: float64(m.K.RunStats().Faults)}
-		return Point{X: float64(i), Mean: sec}, err
+		return []Point{{X: float64(i), Mean: sec}, {X: float64(i), Mean: float64(m.K.RunStats().Faults)}}, err
 	})
 	if err != nil {
 		return Figure{}, err
@@ -208,7 +209,7 @@ func ETreeGrep(cfg Config) (Figure, error) {
 		ID:     "etreegrep",
 		Title:  "grep over a partially cached source tree, by access strategy",
 		XLabel: "strategy", YLabel: "seconds / faults",
-		Series: []Series{{Name: "elapsed seconds", Points: times}, faults},
+		Series: columns(slices.Concat(cells...), []string{"elapsed seconds", "hard faults"}),
 		Notes:  "x: 0=name order (stock find -exec grep) 1=file sets (Steere) 2=full SLEDs (inter+intra file)",
 	}, nil
 }
@@ -225,7 +226,7 @@ func ERemote(cfg Config) (EHSMResult, error) {
 		"grep -q on a remote file with a server-cached tail",
 		"x=0 without SLEDs, x=1 with; speedup %.2gx — the client exploits the server's cache state",
 		func(cfg Config, mode int) (*appenv.Env, string, error) {
-			k, mem := newKernel(cfg.forPoint("eremote", 0, mode), device.Table2MemConfig(0))
+			k, mem := newKernel(cfg.forPoint("eremote", 0, mode), device.Table2MemConfig(0)) // size index 0: one size
 			rcfg := remote.DefaultConfig()
 			rcfg.ServerCachePages = int(size / int64(cfg.PageSize)) // server holds the whole file
 			mount, err := remote.NewMount(k, rcfg)
@@ -261,9 +262,8 @@ func ERemote(cfg Config) (EHSMResult, error) {
 // error.
 func EAccuracy(cfg Config) (Figure, error) {
 	fss := []string{"ext2", "cdrom", "nfs"}
-	points, err := RunGrid(cfg, len(fss)*len(cfg.Sizes), func(cfg Config, i int) (Point, error) {
-		fs := fss[i/len(cfg.Sizes)]
-		sizeIdx := i % len(cfg.Sizes)
+	points, err := RunGrid(cfg, []int{len(cfg.Sizes), len(fss)}, func(cfg Config, at []int) (Point, error) {
+		sizeIdx, fs := at[0], fss[at[1]]
 		size := cfg.Sizes[sizeIdx]
 		exp := "eaccuracy-" + fs
 		m, err := BootMachine(cfg.forPoint(exp, sizeIdx), ProfileUnix)
@@ -305,18 +305,11 @@ func EAccuracy(cfg Config) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
-	var series []Series
-	for fi, fs := range fss {
-		series = append(series, Series{
-			Name:   fs,
-			Points: points[fi*len(cfg.Sizes) : (fi+1)*len(cfg.Sizes)],
-		})
-	}
 	return Figure{
 		ID:     "eaccuracy",
 		Title:  "delivery-time estimate vs measured cold linear read, signed error",
 		XLabel: "size MB", YLabel: "percent error (est-actual)/actual",
-		Series: series,
+		Series: columns(points, fss),
 		Notes:  "single-entry-per-device table (paper §4.1); zoned disks make the ext2 estimate size-dependent",
 	}, nil
 }

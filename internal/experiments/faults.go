@@ -85,34 +85,45 @@ type FaultsReport struct {
 	Kept, Pruned []string
 }
 
-// efaultsPoint runs one (size, health, mode) cell and returns its plotted
-// point and the fault accounting of its last measured run. Both file
-// contents and the injector's fault schedule derive from the base seed and
-// the size index only, so all four cells of a row search byte-identical
-// files and both degraded cells face the identical fault pattern.
-func efaultsPoint(pcfg, baseCfg Config, sizeIdx int, degraded, useSLEDs bool) (Point, FaultsCounters, error) {
-	m, err := BootMachine(pcfg, ProfileUnix)
+// efaultsNames are the columns of a size's row: (healthy, degraded) x (blind, sleds).
+var efaultsNames = []string{"healthy blind", "healthy with SLEDs", "degraded blind", "degraded with SLEDs"}
+
+// efaultsCell is one cell's plotted point and, in a degraded cell, the
+// fault accounting of its last measured run.
+type efaultsCell struct {
+	pt       Point
+	counters []FaultsCounters
+}
+
+// efaultsPoint runs the cell in column col of size sizeIdx's row. Both
+// file contents and the injector's fault schedule derive from the base
+// seed and the size index only, so all four cells of a row search
+// byte-identical files and both degraded cells face the identical fault
+// pattern.
+func efaultsPoint(cfg Config, sizeIdx, col int) (efaultsCell, error) {
+	degraded, useSLEDs := col >= 2, col%2 == 1
+	m, err := BootMachine(cfg.forPoint("efaults", sizeIdx, col), ProfileUnix)
 	if err != nil {
-		return Point{}, FaultsCounters{}, err
+		return efaultsCell{}, err
 	}
-	size := efaultsSizes(baseCfg)[sizeIdx]
+	size := efaultsSizes(cfg)[sizeIdx]
 	diskSize := efaultsDiskFactor * size
 
-	nfsC := workload.NewText(fileSeed(baseCfg, "efaults-nfs", sizeIdx), size, pcfg.PageSize)
+	nfsC := workload.NewText(fileSeed(cfg, "efaults-nfs", sizeIdx), size, cfg.PageSize)
 	if _, err := m.K.Create("/data/remote.log", m.NFS, nfsC); err != nil {
-		return Point{}, FaultsCounters{}, err
+		return efaultsCell{}, err
 	}
 	workload.PlantMatch(nfsC, size*efaultsNeedleFrac/100, needleBase)
-	diskC := workload.NewText(fileSeed(baseCfg, "efaults-disk", sizeIdx), diskSize, pcfg.PageSize)
+	diskC := workload.NewText(fileSeed(cfg, "efaults-disk", sizeIdx), diskSize, cfg.PageSize)
 	if _, err := m.K.Create("/data/local.log", m.Disk, diskC); err != nil {
-		return Point{}, FaultsCounters{}, err
+		return efaultsCell{}, err
 	}
 	workload.PlantMatch(diskC, diskSize*efaultsNeedleFrac/100, needleBase)
 
 	m.Table.SetHealthHalfLife(efaultsHalfLife)
 	if degraded {
 		m.InjectFaults(m.NFS, faults.Config{
-			Seed:           PointSeed(baseCfg.Seed, "efaults-inj", sizeIdx),
+			Seed:           PointSeed(cfg.Seed, "efaults-inj", sizeIdx),
 			PFault:         efaultsPFault,
 			MaxConsecutive: efaultsMaxConsecutive,
 		})
@@ -122,18 +133,18 @@ func efaultsPoint(pcfg, baseCfg Config, sizeIdx int, degraded, useSLEDs bool) (P
 		// penalty the SLED-guided runs then route on. Blind runs get the
 		// same burn-in, so the modes differ only in what they do with the
 		// knowledge.
-		if err := burnIn(m, "/data/remote.log", size, pcfg.BufSize); err != nil {
-			return Point{}, FaultsCounters{}, err
+		if err := burnIn(m, "/data/remote.log", size, cfg.BufSize); err != nil {
+			return efaultsCell{}, err
 		}
 	}
 
 	paths := []string{"/data/remote.log", "/data/local.log"}
-	env := m.Env(useSLEDs, pcfg.BufSize)
+	env := m.Env(useSLEDs, cfg.BufSize)
 	counters := FaultsCounters{SizeMB: mbOf(size), Mode: "blind"}
 	if useSLEDs {
 		counters.Mode = "sleds"
 	}
-	elapsed, _, err := measured(pcfg, m, func(int) error {
+	elapsed, _, err := measured(cfg, m, func(int) error {
 		// Every run starts cache-cold: the measurement is the routing
 		// decision and its I/O consequence, not cache carryover (which
 		// would let run 2+ of every mode read the needle from RAM).
@@ -173,9 +184,13 @@ func efaultsPoint(pcfg, baseCfg Config, sizeIdx int, degraded, useSLEDs bool) (P
 		return nil
 	})
 	if err != nil {
-		return Point{}, FaultsCounters{}, err
+		return efaultsCell{}, err
 	}
-	return pointFrom(mbOf(size), elapsed.Summarize()), counters, nil
+	cell := efaultsCell{pt: pointFrom(mbOf(size), elapsed.Summarize())}
+	if degraded {
+		cell.counters = []FaultsCounters{counters}
+	}
+	return cell, nil
 }
 
 // burnIn reads the whole file in bufSize chunks, the request granularity
@@ -260,22 +275,16 @@ func efaultsDemo(cfg Config, r *FaultsReport) error {
 // SLED-guided file-set orders, on a healthy machine and on one whose NFS
 // server times out a quarter of its requests.
 func EFaults(cfg Config) (FaultsReport, error) {
-	sizes := efaultsSizes(cfg)
-	// Grid columns per size: (healthy, degraded) x (blind, sleds); the two
-	// degraded cells of a row also report their fault accounting.
-	names := []string{"healthy blind", "healthy with SLEDs", "degraded blind", "degraded with SLEDs"}
-	counters := make([]FaultsCounters, 2*len(sizes))
-	series, err := gridSeries(cfg, len(sizes), names, func(cfg Config, sizeIdx, col int) (Point, error) {
-		degraded, useSLEDs := col >= 2, col%2 == 1
-		pcfg := cfg.forPoint("efaults", sizeIdx, col)
-		pt, c, err := efaultsPoint(pcfg, cfg, sizeIdx, degraded, useSLEDs)
-		if degraded {
-			counters[2*sizeIdx+col-2] = c
-		}
-		return pt, err
+	cells, err := RunGrid(cfg, []int{len(efaultsSizes(cfg)), len(efaultsNames)}, func(cfg Config, at []int) (efaultsCell, error) {
+		return efaultsPoint(cfg, at[0], at[1])
 	})
 	if err != nil {
 		return FaultsReport{}, err
+	}
+	points := make([]Point, len(cells))
+	var counters []FaultsCounters
+	for i, c := range cells {
+		points[i], counters = c.pt, append(counters, c.counters...)
 	}
 	r := FaultsReport{
 		Figure: Figure{
@@ -283,7 +292,7 @@ func EFaults(cfg Config) (FaultsReport, error) {
 			Title:  "grep -q with the needle on NFS and (16x larger) on disk, healthy vs degraded NFS",
 			XLabel: "NFS MB",
 			YLabel: "seconds",
-			Series: series,
+			Series: columns(points, efaultsNames),
 			Notes: "degraded NFS times out 25% of requests; blind readers go to NFS first and absorb the " +
 				"retry tail, SLED-guided readers see the fault-inflated estimates and route to the disk copy",
 		},

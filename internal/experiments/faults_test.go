@@ -5,23 +5,6 @@ import (
 	"testing"
 )
 
-func TestEFaultsDeterministicAcrossWorkers(t *testing.T) {
-	cfg := tinyConfig()
-	run := func(workers int) string {
-		c := cfg
-		c.Workers = workers
-		r, err := EFaults(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r.Render()
-	}
-	a, b := run(1), run(4)
-	if a != b {
-		t.Fatalf("EFaults output differs between 1 and 4 workers:\n%s\nvs\n%s", a, b)
-	}
-}
-
 func TestEFaultsRoutesAroundDegradedDevice(t *testing.T) {
 	cfg := tinyConfig()
 	r, err := EFaults(cfg)

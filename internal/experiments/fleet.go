@@ -325,27 +325,27 @@ func EFleet(cfg Config, replicas int) (EFleetReport, error) {
 		replicas = efleetReplicas
 	}
 	streams := efleetStreams(cfg)
-	nPol := len(efleetPolicies)
-	// Per-scenario read schedules, drawn once and shared across the
-	// scenario's policy cells: the cells are paired measurements.
+	// Per-scenario read schedules, drawn once before the grid and read by
+	// the scenario's policy cells: the cells are paired measurements.
 	schedules := make([][][]int, len(efleetScenarios))
 	for si, name := range efleetScenarios {
 		pcfg := cfg.forPoint("efleet", si)
 		scen := efleetScenarioSpec(name, pcfg)
 		schedules[si] = scen.records(trace.NewRNG(fileSeed(cfg, "efleet-sched", si)), streams)
 	}
-	points, err := RunGrid(cfg, len(efleetScenarios)*nPol, func(cfg Config, i int) (efleetCell, error) {
-		si, pi := i/nPol, i%nPol
-		pcfg := cfg.forPoint("efleet", si)
-		return efleetPoint(pcfg, efleetScenarioSpec(efleetScenarios[si], pcfg), efleetPolicies[pi], replicas, schedules[si])
+	points, err := RunGrid(cfg, []int{len(efleetScenarios), len(efleetPolicies)}, func(cfg Config, at []int) (efleetCell, error) {
+		si := at[0]
+		pcfg := cfg.forPoint("efleet", si) // the machine seed is the scenario's alone
+		return efleetPoint(pcfg, efleetScenarioSpec(efleetScenarios[si], pcfg), efleetPolicies[at[1]], replicas, schedules[si])
 	})
 	if err != nil {
 		return EFleetReport{}, err
 	}
 	rep := EFleetReport{Replicas: replicas, Streams: streams}
-	for si, name := range efleetScenarios {
-		for pi, pol := range efleetPolicies {
-			rep.Rows = append(rep.Rows, EFleetRow{Scenario: name, Policy: pol.String(), Cell: points[si*nPol+pi]})
+	for _, name := range efleetScenarios {
+		for _, pol := range efleetPolicies {
+			// The points are in row order.
+			rep.Rows = append(rep.Rows, EFleetRow{Scenario: name, Policy: pol.String(), Cell: points[len(rep.Rows)]})
 		}
 	}
 	return rep, nil

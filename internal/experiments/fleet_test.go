@@ -100,25 +100,3 @@ func TestEFleetRenderShape(t *testing.T) {
 		}
 	}
 }
-
-// TestEFleetDeterministicAcrossWorkers: the report is byte-identical at
-// 1 and 4 workers (the in-process half of make fleet-smoke).
-func TestEFleetDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode: skips the second grid run")
-	}
-	cfg := QuickConfig()
-	cfg.Workers = 1
-	r1, err := EFleet(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Workers = 4
-	r4, err := EFleet(cfg, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Render() != r4.Render() {
-		t.Fatalf("worker-count dependent output:\n-- workers=1 --\n%s\n-- workers=4 --\n%s", r1.Render(), r4.Render())
-	}
-}

@@ -28,7 +28,8 @@ func imageForSize(size int64) (fits.Image, error) {
 // writing outPath.
 func fimSweep(cfg Config, exp string, runApp func(m *Machine, useSLEDs bool, outPath string) error) ([]Series, error) {
 	sizes := cfg.LHEASizes()
-	return gridSeries(cfg, len(sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
+	points, err := RunGrid(cfg, []int{len(sizes), len(modeNames)}, func(cfg Config, at []int) (Point, error) {
+		sizeIdx, mode := at[0], at[1]
 		im, err := imageForSize(sizes[sizeIdx])
 		if err != nil {
 			return Point{}, err
@@ -60,6 +61,10 @@ func fimSweep(cfg Config, exp string, runApp func(m *Machine, useSLEDs bool, out
 		}
 		return pointFrom(mbOf(im.FileSize()), elapsed.Summarize()), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return columns(points, modeNames), nil
 }
 
 // Fig14 regenerates Figure 14: elapsed time for fimhisto on ext2, warm

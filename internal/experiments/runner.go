@@ -1,16 +1,18 @@
 package experiments
 
-// The experiment grids are embarrassingly parallel: every (experiment,
-// file-size, mode) point boots its own Machine with its own virtual clock
-// and its own deterministically derived seed, so points share no state and
-// can run on any number of workers without changing a single output byte.
+// Every sweep is one RunGrid over declared axes. A point is a function of
+// the sweep's Config and its coordinates alone: it boots its own Machine
+// with its own virtual clock and derived seed, and returns everything it
+// measured for the sweep to reduce. Points share no state, so they run on
+// any number of workers without changing a single output byte.
 //
 // Invariant: cross-run cache-state carryover (the paper's "the second run
 // found the buffer cache in the state that the first run had left it")
 // stays strictly serial *within* a point — `measured` runs its warm-up and
 // measured runs back to back on the point's machine. Only whole points
-// parallelize. Anything that would share a Machine, a Kernel, or a Clock
-// across goroutines is a bug: the simulator is single-threaded by design.
+// parallelize, and a point runs no grid of its own. Anything that would
+// share a Machine, a Kernel, or a Clock across goroutines is a bug: the
+// simulator is single-threaded by design.
 //
 // Determinism follows from two rules enforced here:
 //
@@ -22,6 +24,7 @@ package experiments
 //     between -workers 1 and -workers N.
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -30,54 +33,50 @@ import (
 	"sleds/internal/vfs"
 )
 
-// Runner fans independent experiment points out to a fixed pool of
-// workers. The zero value runs points serially on one worker.
-type Runner struct {
-	// Workers is the pool size; <= 0 selects GOMAXPROCS(0).
-	Workers int
+// poolSize clamps the configured worker count (<= 0 selects GOMAXPROCS)
+// to [1, n].
+func poolSize(workers, n int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, n))
 }
 
-// runner builds the Runner an experiment configuration asks for.
-func (c Config) runner() Runner { return Runner{Workers: c.Workers} }
-
-// poolSize clamps the configured worker count to [1, n].
-func (r Runner) poolSize(n int) int {
-	w := r.Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
+// RunGrid runs point at every coordinate tuple of the grid whose axis
+// lengths are dims — at[i] is the i-th coordinate, the last axis varies
+// fastest — on a pool of cfg.Workers workers, and returns the results in
+// that order: workers may finish in any order, but slot i always holds
+// point i, which is what keeps parallel output identical to serial
+// output. A point's cfg is the sweep's on its worker's arena (vfs.HostMem),
+// Reset before every point; it is the one thing a worker's points share,
+// and no byte of it is read across a Reset.
+//
+// A panicking point becomes its error, naming its coordinates, rather than
+// crashing or hanging the sweep; every point is attempted, and the error
+// returned is the lowest-indexed point's, whatever the scheduling. A point
+// may not run a grid of its own: RunGrid refuses a cfg that already
+// carries a worker's arena.
+func RunGrid[T any](cfg Config, dims []int, point func(cfg Config, at []int) (T, error)) ([]T, error) {
+	if cfg.mem != nil {
+		return nil, errors.New("experiments: RunGrid called from inside a grid point")
 	}
-	if w > n {
-		w = n
+	n := 1
+	for _, d := range dims {
+		n *= d
 	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// Run executes point(i, mem) for every i in [0, n) on the worker pool and
-// returns the error of the lowest-indexed failing point (so the reported
-// failure does not depend on scheduling). mem is the worker goroutine's
-// arena, Reset before every point: the one thing a worker's points share,
-// and no byte of it is read across a Reset (vfs.HostMem). A panicking point
-// is captured and surfaced as that point's error rather than crashing or
-// hanging the sweep. All points are attempted even after a failure; they
-// are independent and cheap relative to debugging a half-run grid.
-func (r Runner) Run(n int, point func(i int, mem *vfs.HostMem) error) error {
-	if n <= 0 {
-		return nil
-	}
+	out := make([]T, n)
 	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < r.poolSize(n); w++ {
+	for w := 0; w < poolSize(cfg.Workers, n); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			mem := new(vfs.HostMem)
+			pcfg := cfg
+			pcfg.mem = new(vfs.HostMem)
 			for i := range idx {
-				mem.Reset()
-				errs[i] = runPoint(i, mem, point)
+				pcfg.mem.Reset()
+				out[i], errs[i] = runPoint(pcfg, dims, i, point)
 			}
 		}()
 	}
@@ -88,43 +87,26 @@ func (r Runner) Run(n int, point func(i int, mem *vfs.HostMem) error) error {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return err
+			return nil, err
 		}
-	}
-	return nil
-}
-
-// runPoint invokes point(i, mem), converting a panic into an error so one
-// bad point fails the sweep instead of killing the process mid-grid.
-func runPoint(i int, mem *vfs.HostMem, point func(int, *vfs.HostMem) error) (err error) {
-	defer func() {
-		if p := recover(); p != nil {
-			err = fmt.Errorf("experiments: point %d panicked: %v", i, p)
-		}
-	}()
-	return point(i, mem)
-}
-
-// RunGrid runs point over [0, n) on cfg's worker pool and collects the
-// results in index order, which is what keeps parallel output identical
-// to serial output: workers may finish in any order, but slot i always
-// holds point i. A point's cfg is the sweep's on its worker's arena.
-func RunGrid[T any](cfg Config, n int, point func(cfg Config, i int) (T, error)) ([]T, error) {
-	out := make([]T, n)
-	err := cfg.runner().Run(n, func(i int, mem *vfs.HostMem) error {
-		pcfg := cfg
-		pcfg.mem = mem
-		v, err := point(pcfg, i)
-		if err != nil {
-			return err
-		}
-		out[i] = v
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
+}
+
+// runPoint runs the point at grid index i, converting a panic into an
+// error that names its coordinates, so one bad point fails the sweep
+// instead of killing the process mid-grid, and can be re-run by hand.
+func runPoint[T any](cfg Config, dims []int, i int, point func(Config, []int) (T, error)) (v T, err error) {
+	at := make([]int, len(dims))
+	for k := len(dims) - 1; k >= 0; k-- {
+		at[k], i = i%dims[k], i/dims[k]
+	}
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("experiments: point %v panicked: %v", at, p)
+		}
+	}()
+	return point(cfg, at)
 }
 
 // PointSeed derives the RNG seed for one grid point from the base

@@ -36,18 +36,20 @@ const scaleFilePages = 16
 
 // scalePoint runs one (stream count, scheduler) point: n Program streams,
 // each reading its own file front to back in page-sized chunks, files
-// assigned round-robin across the disks. Returns virtual seconds to the
-// last finish and the engine events processed — both pure virtual-time
-// quantities, so the rendered figure is byte-identical at any -workers.
-// gen generates the files' bytes; EScale passes nil (see below).
-func scalePoint(cfg Config, n int, sched string, gen workload.PageGen) (sec float64, events float64, err error) {
-	k, _ := newKernel(cfg, device.Table2MemConfig(0))
+// assigned round-robin across the disks. Plots virtual seconds to the
+// last finish, then thousands of engine events processed, against n —
+// both pure virtual-time quantities, so the rendered figure is
+// byte-identical at any -workers. gen generates the files' bytes; EScale
+// passes nil (see below).
+func scalePoint(cfg Config, nIdx, si int, gen workload.PageGen) ([2]Point, error) {
+	n := scaleStreams[nIdx]
+	k, _ := newKernel(cfg.forPoint("escale", nIdx, si), device.Table2MemConfig(0))
 	disks := make([]device.ID, scaleDisks)
 	for d := range disks {
 		disks[d] = k.AttachDevice(device.NewDisk(device.Table2DiskConfig(device.ID(d + 1))))
 	}
 	if err := k.MkdirAll("/data"); err != nil {
-		return 0, 0, err
+		return [2]Point{}, err
 	}
 	ps := int64(cfg.PageSize)
 	size := scaleFilePages * ps
@@ -63,13 +65,13 @@ func scalePoint(cfg Config, n int, sched string, gen workload.PageGen) (sec floa
 	for i := 0; i < n; i++ {
 		paths[i] = fmt.Sprintf("/data/s%d", i)
 		if _, err := k.Create(paths[i], disks[i%scaleDisks], content); err != nil {
-			return 0, 0, err
+			return [2]Point{}, err
 		}
 	}
 
 	e := iosched.NewEngine(k)
 	for _, id := range disks {
-		e.Queue(id, iosched.NewScheduler(sched))
+		e.Queue(id, iosched.NewScheduler(scaleSchedulers[si]))
 	}
 	ids := make([]iosched.StreamID, n)
 	for i, path := range paths {
@@ -79,9 +81,10 @@ func scalePoint(cfg Config, n int, sched string, gen workload.PageGen) (sec floa
 		ids[i] = e.AddStream(start, scaleReadProg(k, path, cfg.PageSize))
 	}
 	if err := e.Run(); err != nil {
-		return 0, 0, err
+		return [2]Point{}, err
 	}
-	return makespan(e, ids), float64(e.Events()), nil
+	x := float64(n)
+	return [2]Point{{X: x, Mean: makespan(e, ids)}, {X: x, Mean: float64(e.Events()) / 1000}}, nil
 }
 
 // scaleReadProg is a stream state machine that reads path front to back
@@ -115,28 +118,27 @@ func scaleReadProg(k *vfs.Kernel, path string, chunkSize int) iosched.Program {
 // EScale regenerates the engine scale sweep: completion time and engine
 // event counts for 100 to 10,000 concurrent streams over 24 queued disks.
 func EScale(cfg Config) (Figure, error) {
-	var secNames []string
-	events := make([]Series, len(scaleSchedulers))
-	for si, sched := range scaleSchedulers {
+	var secNames, eventNames []string
+	for _, sched := range scaleSchedulers {
 		secNames = append(secNames, sched+" seconds")
-		events[si] = Series{Name: sched + " events (k)", Points: make([]Point, len(scaleStreams))}
+		eventNames = append(eventNames, sched+" events (k)")
 	}
-	series, err := gridSeries(cfg, len(scaleStreams), secNames, func(cfg Config, nIdx, si int) (Point, error) {
-		pcfg := cfg.forPoint("escale", nIdx, si)
-		sec, ev, err := scalePoint(pcfg, scaleStreams[nIdx], scaleSchedulers[si], nil)
-		n := float64(scaleStreams[nIdx])
-		events[si].Points[nIdx] = Point{X: n, Mean: ev / 1000}
-		return Point{X: n, Mean: sec}, err
+	cells, err := RunGrid(cfg, []int{len(scaleStreams), len(scaleSchedulers)}, func(cfg Config, at []int) ([2]Point, error) {
+		return scalePoint(cfg, at[0], at[1], nil)
 	})
 	if err != nil {
 		return Figure{}, err
+	}
+	secs, events := make([]Point, len(cells)), make([]Point, len(cells))
+	for i, c := range cells {
+		secs[i], events[i] = c[0], c[1]
 	}
 	return Figure{
 		ID:     "escale",
 		Title:  "engine scale: n streams over 24 queued disks",
 		XLabel: "streams",
 		YLabel: "seconds to last finish (events: thousands)",
-		Series: append(series, events...),
+		Series: append(columns(secs, secNames), columns(events, eventNames)...),
 		Notes:  "Program streams on the flat event heap: one continuation per stream, no goroutine stacks; byte-identical at any -workers",
 	}, nil
 }

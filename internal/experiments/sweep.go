@@ -12,40 +12,35 @@ import (
 )
 
 // The sweep shapes the experiments share, one helper each. They fix the
-// order of operations, not the measurement: per-point seeds, the grid
-// index a point runs at and `measured` stay with the experiment.
+// order of operations, not the measurement: per-point seeds, the axes a
+// sweep declares and `measured` stay with the experiment.
 
 // modeNames names the two columns of a with/without sweep; the column
 // index is the mode (1 = with SLEDs), and figures render the with-SLEDs
 // series first.
 var modeNames = []string{"without SLEDs", "with SLEDs"}
 
-// gridSeries runs point over a rows x len(names) grid on cfg's worker
-// pool — grid index i is (row i/cols, column i%cols), column fastest — and
-// returns one Series per column, named names[col], holding that column's
-// points in row order (cfg as under RunGrid). A cell with a second product
-// writes it to its own (row, col) slot of a slice the caller owns, as
-// RunGrid itself does: distinct slots, read only after the grid returns.
-func gridSeries(cfg Config, rows int, names []string, point func(cfg Config, row, col int) (Point, error)) ([]Series, error) {
+// columns reduces a grid's points, whose last axis has len(names)
+// coordinates, to one Series per last-axis coordinate, named names[col]
+// and holding that column's points in grid order. A point with several
+// products returns them as a slice, and slices.Concat of the results makes
+// the products the last axis.
+func columns(points []Point, names []string) []Series {
 	cols := len(names)
-	points, err := RunGrid(cfg, rows*cols, func(cfg Config, i int) (Point, error) { return point(cfg, i/cols, i%cols) })
-	if err != nil {
-		return nil, err
-	}
 	series := make([]Series, cols)
 	for col, name := range names {
-		series[col] = Series{Name: name, Points: make([]Point, rows)}
+		series[col] = Series{Name: name, Points: make([]Point, 0, len(points)/cols)}
 	}
 	for i, p := range points {
-		series[i%cols].Points[i/cols] = p
+		series[i%cols].Points = append(series[i%cols].Points, p)
 	}
-	return series, nil
+	return series
 }
 
-// twoModeFigure runs run(0) and run(1) as a two-point grid and plots the
+// twoModeFigure runs run(0) and run(1) as a one-axis grid and plots the
 // two elapsed times against the mode; notes says what the modes are.
 func twoModeFigure(cfg Config, id, title, notes string, run func(cfg Config, mode int) (float64, error)) (Figure, error) {
-	secs, err := RunGrid(cfg, 2, run)
+	secs, err := RunGrid(cfg, []int{2}, func(cfg Config, at []int) (float64, error) { return run(cfg, at[0]) })
 	if err != nil {
 		return Figure{}, err
 	}

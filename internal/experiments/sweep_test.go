@@ -9,21 +9,21 @@ import (
 	"sleds/internal/vfs"
 )
 
-// TestGridSeriesLayout pins the helper's contract: grid index i runs as
-// (row i/cols, column i%cols), and column c's points come back in row
-// order under names[c], at any worker count.
+// TestGridSeriesLayout pins the two-axis sweep shape: RunGrid over
+// (row, column) and columns give column c's points back in row order under
+// names[c], at any worker count.
 func TestGridSeriesLayout(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	for _, workers := range []int{1, 4} {
 		cfg := microConfig()
 		cfg.Workers = workers
-		series, err := gridSeries(cfg, 4, names, func(_ Config, row, col int) (Point, error) {
-			return Point{X: float64(row), Mean: float64(col)}, nil
+		points, err := RunGrid(cfg, []int{4, len(names)}, func(_ Config, at []int) (Point, error) {
+			return Point{X: float64(at[0]), Mean: float64(at[1])}, nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for col, s := range series {
+		for col, s := range columns(points, names) {
 			if s.Name != names[col] || len(s.Points) != 4 {
 				t.Fatalf("workers=%d: series %d is %q with %d points", workers, col, s.Name, len(s.Points))
 			}
@@ -34,8 +34,8 @@ func TestGridSeriesLayout(t *testing.T) {
 			}
 		}
 	}
-	_, err := gridSeries(microConfig(), 2, names, func(_ Config, row, col int) (Point, error) {
-		return Point{}, fmt.Errorf("cell %d,%d", row, col)
+	_, err := RunGrid(microConfig(), []int{2, len(names)}, func(_ Config, at []int) (Point, error) {
+		return Point{}, fmt.Errorf("cell %d,%d", at[0], at[1])
 	})
 	if err == nil || err.Error() != "cell 0,0" {
 		t.Errorf("want the lowest-indexed cell's error, got %v", err)

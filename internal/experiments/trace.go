@@ -118,15 +118,18 @@ func etraceParams(cfg Config, classIdx int, class string) (p trace.Params, warm 
 }
 
 // etracePoint replays one (class, scheduler, mode) cell and reduces its
-// per-record latencies. gen generates the files' bytes; ETrace passes nil,
-// so every page is a zero page the kernel caches without a buffer: replay
-// and warm-up move bytes they never inspect (see scalePoint).
-func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLEDs bool, gen workload.PageGen) (etraceCell, error) {
-	m, err := BootMachine(pcfg, ProfileUnix)
+// per-record latencies. classIdx is the class's index in the full sorted
+// zoo, not in a selection, so a class's cells are the same whatever subset
+// it runs in. gen generates the files' bytes; ETrace passes nil, so every
+// page is a zero page the kernel caches without a buffer: replay and
+// warm-up move bytes they never inspect (see scalePoint).
+func etracePoint(cfg Config, classIdx, si, mode int, gen workload.PageGen) (etraceCell, error) {
+	m, err := BootMachine(cfg.forPoint("etrace", classIdx, si, mode), ProfileUnix)
 	if err != nil {
 		return etraceCell{}, err
 	}
-	p, warm := etraceParams(baseCfg, classIdx, class)
+	class := trace.Classes()[classIdx]
+	p, warm := etraceParams(cfg, classIdx, class)
 	tr, err := trace.Generate(class, p)
 	if err != nil {
 		return etraceCell{}, err
@@ -134,7 +137,7 @@ func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLE
 	paths := make([]string, len(tr.Files))
 	for i, spec := range tr.Files {
 		paths[i] = fmt.Sprintf("/data/trace%d", i)
-		if _, err := m.K.Create(paths[i], m.Disk, workload.New(spec.Size, pcfg.PageSize, gen)); err != nil {
+		if _, err := m.K.Create(paths[i], m.Disk, workload.New(spec.Size, cfg.PageSize, gen)); err != nil {
 			return etraceCell{}, err
 		}
 	}
@@ -152,14 +155,14 @@ func etracePoint(pcfg, baseCfg Config, classIdx int, class, sched string, useSLE
 	m.K.ResetRunStats()
 
 	rep, err := trace.NewReplay(m.K, m.Table, tr, paths, trace.Options{
-		UseSLEDs:    useSLEDs,
+		UseSLEDs:    mode == 1,
 		BatchWindow: etraceBatchWindow,
 	})
 	if err != nil {
 		return etraceCell{}, err
 	}
 	e := iosched.NewEngine(m.K)
-	e.Queue(m.Disk, iosched.NewScheduler(sched))
+	e.Queue(m.Disk, iosched.NewScheduler(etraceSchedulers[si]))
 	m.Table.SetLoad(e)
 	ids := rep.AddStreams(e)
 	if err := e.Run(); err != nil {
@@ -207,24 +210,17 @@ func ETrace(cfg Config, selected ...string) (ETraceReport, error) {
 			}
 		}
 	}
-	nScheds := len(etraceSchedulers)
-	// Point i is (class, scheduler, mode), mode fastest.
-	cols := 2 * nScheds
-	points, err := RunGrid(cfg, len(classes)*cols, func(cfg Config, i int) (etraceCell, error) {
-		ci, col := i/cols, i%cols
-		si, mode := col/2, 1-col%2                 // with-SLEDs column first
-		classIdx := slices.Index(zoo, classes[ci]) // index in the full zoo: subset-stable seeds
-		pcfg := cfg.forPoint("etrace", classIdx, si, mode)
-		return etracePoint(pcfg, cfg, classIdx, classes[ci], etraceSchedulers[si], mode == 1, nil)
+	points, err := RunGrid(cfg, []int{len(classes), len(etraceSchedulers), len(modeNames)}, func(cfg Config, at []int) (etraceCell, error) {
+		return etracePoint(cfg, slices.Index(zoo, classes[at[0]]), at[1], at[2], nil)
 	})
 	if err != nil {
 		return ETraceReport{}, err
 	}
 	rep := ETraceReport{Classes: classes}
-	for ci, class := range classes {
-		for si, sched := range etraceSchedulers {
-			guided := points[ci*cols+si*2]
-			blind := points[ci*cols+si*2+1]
+	for _, class := range classes {
+		for _, sched := range etraceSchedulers {
+			// The points are in row order, blind before guided.
+			blind, guided := points[2*len(rep.Rows)], points[2*len(rep.Rows)+1]
 			row := ETraceRow{Class: class, Sched: sched, Blind: blind, Guided: guided}
 			if guided.meanMs > 0 {
 				row.Speedup = blind.meanMs / guided.meanMs

@@ -49,27 +49,6 @@ func TestETraceRejectsUnknownClass(t *testing.T) {
 	}
 }
 
-// TestETraceDeterministicAcrossWorkers renders the full grid at 1 and 4
-// workers; the output must be byte-identical.
-func TestETraceDeterministicAcrossWorkers(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full etrace grid in -short mode")
-	}
-	var out [2]string
-	for i, w := range []int{1, 4} {
-		c := tinyConfig()
-		c.Workers = w
-		r, err := ETrace(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out[i] = r.Render()
-	}
-	if out[0] != out[1] {
-		t.Fatalf("ETrace output differs between 1 and 4 workers:\n%s\nvs\n%s", out[0], out[1])
-	}
-}
-
 // TestETraceSubsetStable checks that a class's cells do not depend on
 // which subset it is selected in (seeds derive from canonical indices).
 func TestETraceSubsetStable(t *testing.T) {

@@ -33,7 +33,8 @@ func textFileOn(m *Machine, fs string, seed uint64, size int64, pageSize int) (*
 // countFaults, of hard page faults.
 func wcSweep(cfg Config, fs string, countFaults bool) ([]Series, error) {
 	exp := "wc-" + fs
-	return gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
+	points, err := RunGrid(cfg, []int{len(cfg.Sizes), len(modeNames)}, func(cfg Config, at []int) (Point, error) {
+		sizeIdx, mode := at[0], at[1]
 		size := cfg.Sizes[sizeIdx]
 		pcfg := cfg.forPoint(exp, sizeIdx, mode)
 		m, err := BootMachine(pcfg, ProfileUnix)
@@ -56,6 +57,10 @@ func wcSweep(cfg Config, fs string, countFaults bool) ([]Series, error) {
 		}
 		return pointFrom(mbOf(size), sample.Summarize()), nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return columns(points, modeNames), nil
 }
 
 // Fig7And8 regenerates Figure 7 (wc execution time over NFS, with and
@@ -98,7 +103,8 @@ func Fig9(cfg Config) (Figure, error) {
 // out of megabytes"), so output buffering stays small.
 func Fig10(cfg Config) (Figure, error) {
 	const exp = "grep-all-cdrom"
-	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
+	points, err := RunGrid(cfg, []int{len(cfg.Sizes), len(modeNames)}, func(cfg Config, at []int) (Point, error) {
+		sizeIdx, mode := at[0], at[1]
 		size := cfg.Sizes[sizeIdx]
 		m, err := BootMachine(cfg.forPoint(exp, sizeIdx, mode), ProfileUnix)
 		if err != nil {
@@ -132,6 +138,7 @@ func Fig10(cfg Config) (Figure, error) {
 	if err != nil {
 		return Figure{}, err
 	}
+	s := columns(points, modeNames)
 	return Figure{
 		ID: "fig10", Title: "grep for all matches on CD-ROM, with and without SLEDs, warm cache",
 		XLabel: "size MB", YLabel: "seconds",
@@ -140,26 +147,26 @@ func Fig10(cfg Config) (Figure, error) {
 	}, nil
 }
 
-// grepFirstPoint measures grep -q at one size in one mode: each run
-// searches for a distinct needle planted at a per-run pseudo-random
+// grepFirstPoint measures grep -q on a size-byte file in one mode: each
+// run searches for a distinct needle planted at a per-run pseudo-random
 // offset, so the match position varies across runs exactly as in the
 // paper ("a single match that was placed randomly in the test file").
-// cfg is the point's derived configuration (point-local jitter);
-// baseSeed is the sweep's underived base seed. File content and needle
-// positions derive from (baseSeed, size) only — mode-independent, so a
-// with/without pair reads the same file and the same match positions.
-func grepFirstPoint(cfg Config, baseSeed int64, fs string, size int64, useSLEDs bool, runs int) (*stats.Sample, error) {
-	m, err := BootMachine(cfg, ProfileUnix)
+// The machine is seeded by (exp, sizeIdx, mode), for point-local jitter.
+// File content and needle positions derive from (cfg.Seed, size) only —
+// mode-independent, so a with/without pair reads the same file and the
+// same match positions.
+func grepFirstPoint(cfg Config, exp, fs string, sizeIdx int, size int64, mode, runs int) (*stats.Sample, error) {
+	m, err := BootMachine(cfg.forPoint(exp, sizeIdx, mode), ProfileUnix)
 	if err != nil {
 		return nil, err
 	}
-	//sledlint:allow seedflow -- content must derive from (baseSeed, size) only, never the point jitter: a with/without pair has to read identical files
-	c, err := textFileOn(m, fs, uint64(baseSeed)+uint64(size), size, cfg.PageSize)
+	//sledlint:allow seedflow -- content must derive from (sweep seed, size) only, never the point jitter: a with/without pair has to read identical files
+	c, err := textFileOn(m, fs, uint64(cfg.Seed)+uint64(size), size, cfg.PageSize)
 	if err != nil {
 		return nil, err
 	}
 	// Plant one distinct needle per run (plus one for the warm-up).
-	rng := uint64(baseSeed)*6364136223846793005 + uint64(size)
+	rng := uint64(cfg.Seed)*6364136223846793005 + uint64(size)
 	needles := make([]string, runs+1)
 	for i := range needles {
 		rng = rng*6364136223846793005 + 1442695040888963407
@@ -168,7 +175,7 @@ func grepFirstPoint(cfg Config, baseSeed int64, fs string, size int64, useSLEDs 
 		workload.PlantMatch(c, pos, needles[i])
 	}
 
-	env := m.Env(useSLEDs, cfg.BufSize)
+	env := m.Env(mode == 1, cfg.BufSize)
 	runCfg := cfg
 	runCfg.Runs = runs
 	elapsed, _, err := measured(runCfg, m, func(run int) error {
@@ -188,11 +195,9 @@ func grepFirstPoint(cfg Config, baseSeed int64, fs string, size int64, useSLEDs 
 // Fig11And12 regenerates Figure 11 (grep for one match on ext2, with and
 // without SLEDs) and Figure 12 (the speedup ratio).
 func Fig11And12(cfg Config) (Figure, Figure, error) {
-	const exp = "grepq-ext2"
-	s, err := gridSeries(cfg, len(cfg.Sizes), modeNames, func(cfg Config, sizeIdx, mode int) (Point, error) {
-		size := cfg.Sizes[sizeIdx]
-		sample, err := grepFirstPoint(cfg.forPoint(exp, sizeIdx, mode), cfg.Seed, "ext2", size,
-			mode == 1, cfg.Runs)
+	points, err := RunGrid(cfg, []int{len(cfg.Sizes), len(modeNames)}, func(cfg Config, at []int) (Point, error) {
+		size := cfg.Sizes[at[0]]
+		sample, err := grepFirstPoint(cfg, "grepq-ext2", "ext2", at[0], size, at[1], cfg.Runs)
 		if err != nil {
 			return Point{}, err
 		}
@@ -201,6 +206,7 @@ func Fig11And12(cfg Config) (Figure, Figure, error) {
 	if err != nil {
 		return Figure{}, Figure{}, err
 	}
+	s := columns(points, modeNames)
 	f11 := Figure{
 		ID: "fig11", Title: "grep for one match on ext2, with and without SLEDs, warm cache",
 		XLabel: "size MB", YLabel: "seconds",
@@ -224,11 +230,10 @@ func Fig13(cfg Config) (Figure, error) {
 	if runs <= 0 {
 		runs = cfg.Runs
 	}
-	const exp = "grepq-cdf-nfs"
-	series, err := RunGrid(cfg, 2, func(cfg Config, i int) (Series, error) {
-		mode := 1 - i // with-SLEDs series renders first
-		s, err := grepFirstPoint(cfg.forPoint(exp, 0, mode), cfg.Seed, "nfs", size,
-			mode == 1, runs)
+	series, err := RunGrid(cfg, []int{len(modeNames)}, func(cfg Config, at []int) (Series, error) {
+		mode := at[0]
+		// Seeded as size index 0: the grid has one size.
+		s, err := grepFirstPoint(cfg, "grepq-cdf-nfs", "nfs", 0, size, mode, runs)
 		if err != nil {
 			return Series{}, err
 		}
@@ -249,7 +254,7 @@ func Fig13(cfg Config) (Figure, error) {
 		ID:     "fig13",
 		Title:  fmt.Sprintf("CDF of grep -q execution time, NFS, %.4g MB file, warm cache", mbOf(size)),
 		XLabel: "fraction", YLabel: "seconds at quantile",
-		Series: series,
+		Series: []Series{series[1], series[0]},
 	}, nil
 }
 
