@@ -58,9 +58,10 @@ race:
 # (FuzzCacheOps in internal/cache), the trace codec's decoder (FuzzDecode
 # in internal/trace: reject, or validate and round-trip), fimgbin's and
 # fimhisto's pixel kernels against their oracles (FuzzPixelKernels in
-# internal/apps/fitsapp) and the FITS header parser (FuzzParseHeader in
-# internal/fits: no panic, no overflowing geometry), each for a short,
-# fixed time. The seeded corpora already run under `test`;
+# internal/apps/fitsapp), the FITS header parser (FuzzParseHeader in
+# internal/fits: no panic, no overflowing geometry) and the I/O schedulers
+# against their linear-scan oracles (FuzzSchedulers in internal/iosched),
+# each for a short, fixed time. The seeded corpora already run under `test`;
 # this explores beyond them. Each input that widens coverage is minimised
 # before fuzzing goes on, by default for up to a minute, which would spend
 # the whole run on the first one.
@@ -69,6 +70,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzDecode -fuzztime=15s -fuzzminimizetime=1s ./internal/trace
 	$(GO) test -run='^$$' -fuzz=FuzzPixelKernels -fuzztime=15s -fuzzminimizetime=1s ./internal/apps/fitsapp
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=15s -fuzzminimizetime=1s ./internal/fits
+	$(GO) test -run='^$$' -fuzz=FuzzSchedulers -fuzztime=15s -fuzzminimizetime=1s ./internal/iosched
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -59,20 +59,19 @@ const (
 // state of a hedged read — is part of the record, so resuming a stream and
 // running an Op allocate nothing.
 type stream struct {
-	id      StreamID
-	h       Handle            // passed to every Step
-	clock   simclock.Clock    // the stream's own timeline, restarted by each Run
-	start   simclock.Duration // virtual start offset from the engine base
-	prog    Program
-	state   streamState
-	wakeAt  simclock.Duration // next resume time while unstarted/sleeping
-	cont    vfs.IOStep        // the suspended operation, valid when blocked
-	req     *Request          // the queued/in-flight request, valid when blocked
-	hedging bool              // blocked on a hedged read, described by hedge
-	hedge   hedgeState
-	res     Result            // outcome fed to the next Step call
-	finish  simclock.Duration // clock at completion, valid when done
-	err     error
+	id     StreamID
+	h      Handle            // passed to every Step
+	clock  simclock.Clock    // the stream's own timeline, restarted by each Run
+	start  simclock.Duration // virtual start offset from the engine base
+	prog   Program
+	state  streamState
+	wakeAt simclock.Duration // next resume time while unstarted/sleeping
+	cont   vfs.IOStep        // the suspended operation, valid when blocked
+	req    *Request          // the queued/in-flight request, valid when blocked
+	hedge  hedgeState        // the hedged read it is blocked on, if primary is set
+	res    Result            // outcome fed to the next Step call
+	finish simclock.Duration // clock at completion, valid when done
+	err    error
 }
 
 // hedgeState is a stream's in-progress hedged read (the HedgedDev-
@@ -82,10 +81,8 @@ type stream struct {
 type hedgeState struct {
 	primary      *Request
 	secondaryDev device.ID
-	secOff       int64 // the secondary's device offset (replicas may differ)
-	length       int64
+	secOff       int64    // the secondary's device offset (replicas may differ)
 	secondary    *Request // non-nil once the deadline fired
-	fired        bool
 }
 
 // devQueue is the engine-side state of one queued device.
@@ -96,8 +93,7 @@ type devQueue struct {
 
 	clock        *simclock.Clock // the device's own service timeline
 	free         simclock.Duration
-	busy         bool
-	inflight     *Request
+	inflight     *Request // the request being serviced; nil when idle
 	inflightDone simclock.Duration
 	lastPos      int64             // offset one past the last serviced request
 	dispatchUp   bool              // a dispatch event for this device is live on the heap
@@ -225,7 +221,6 @@ func (e *Engine) Run() error {
 		}
 		dq.clock.AdvanceTo(e.base)
 		dq.free = e.base
-		dq.busy = false
 		dq.inflight = nil
 		dq.dispatchUp = false
 		dq.cancelledQueued = 0
@@ -238,7 +233,6 @@ func (e *Engine) Run() error {
 		st.wakeAt = e.base + st.start
 		st.cont = vfs.IOStep{}
 		st.req = nil
-		st.hedging = false
 		st.hedge = hedgeState{}
 		st.res = Result{}
 		st.err = nil
@@ -275,7 +269,7 @@ func (e *Engine) Run() error {
 					}
 					continue
 				}
-				if st.hedging {
+				if st.hedge.primary != nil {
 					e.settleHedge(st, ev.req)
 				}
 			}
@@ -338,7 +332,6 @@ func (e *Engine) nextEvent() (ev engineEvent, ok bool) {
 // deciding "now".
 func (e *Engine) retireReq(r *Request) {
 	dq := e.queues[r.Dev] // a request only ever exists for a queued device
-	dq.busy = false
 	dq.free = dq.inflightDone
 	dq.lastPos = r.Off + r.Length
 	dq.inflight = nil
@@ -364,7 +357,7 @@ func (e *Engine) settleHedge(st *stream, winner *Request) {
 			lq.cancelledQueued++
 		}
 	}
-	st.res = Result{Err: winner.Err, Dev: winner.Dev, HedgeFired: hs.fired}
+	st.res = Result{Err: winner.Err, Dev: winner.Dev, HedgeFired: hs.secondary != nil}
 }
 
 // fireHedge handles a hedge deadline expiring: if the guarded read is
@@ -373,26 +366,29 @@ func (e *Engine) settleHedge(st *stream, winner *Request) {
 // completed (or that already fired) is stale and ignored.
 func (e *Engine) fireHedge(st *stream, primary *Request, t simclock.Duration) {
 	hs := &st.hedge
-	if !st.hedging || hs.primary != primary || hs.fired {
+	if hs.primary != primary || hs.secondary != nil {
 		return
 	}
 	sq := e.queueOf(hs.secondaryDev)
 	if sq == nil {
 		return // unqueued secondary: nothing to race the primary against
 	}
-	r := &Request{
-		Stream:  st.id,
-		Dev:     hs.secondaryDev,
-		Off:     hs.secOff,
-		Length:  hs.length,
-		Arrival: t,
-		seq:     e.seq,
-	}
+	hs.secondary = e.newRequest(st.id, hs.secondaryDev, hs.secOff, primary.Length, false, t)
+	e.enqueue(sq, hs.secondary)
+}
+
+// newRequest builds a request stamped with the next submission seq.
+func (e *Engine) newRequest(stream StreamID, dev device.ID, off, length int64, write bool, arrival simclock.Duration) *Request {
+	r := &Request{Stream: stream, Dev: dev, Off: off, Length: length, Write: write, Arrival: arrival, seq: e.seq}
 	e.seq++
-	hs.fired = true
-	hs.secondary = r
-	sq.sched.Add(r)
-	e.maybeDispatch(sq)
+	return r
+}
+
+// enqueue queues r at its device and schedules a dispatch if the device
+// is idle.
+func (e *Engine) enqueue(dq *devQueue, r *Request) {
+	dq.sched.Add(r)
+	e.maybeDispatch(dq)
 }
 
 // maybeDispatch queues a dispatch event for an idle device with waiting
@@ -402,7 +398,7 @@ func (e *Engine) fireHedge(st *stream, primary *Request, t simclock.Duration) {
 // instant forward: the earlier event is pushed alongside the stale one,
 // dispatchAt marks which is live, and the loop drops the superseded pop.
 func (e *Engine) maybeDispatch(dq *devQueue) {
-	if dq.busy || dq.sched.Len() == 0 {
+	if dq.inflight != nil || dq.sched.Len() == 0 {
 		return
 	}
 	t, _ := dq.sched.MinArrival()
@@ -429,12 +425,11 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 	var step vfs.IOStep
 	haveStep := false
 	if st.state == stateBlocked {
-		if st.hedging {
+		if st.hedge.primary != nil {
 			// A hedged read resolved: settleHedge already folded the
 			// winner's outcome into st.res, and there is no kernel
 			// continuation to resume — the hedged access is a raw device
 			// op. Fall through to the next Step call.
-			st.hedging = false
 			st.hedge = hedgeState{}
 		} else {
 			devErr := st.req.Err
@@ -460,9 +455,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 				st.state = stateBlocked
 				st.cont = step
 				st.req = r
-				dq := e.queues[r.Dev]
-				dq.sched.Add(r)
-				e.maybeDispatch(dq)
+				e.enqueue(e.queues[r.Dev], r)
 				return
 			}
 			st.res = Result{N: int(step.N()), Err: step.Err()}
@@ -503,20 +496,10 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 				st.res = Result{Err: err, Dev: op.dev}
 				continue
 			}
-			r := &Request{
-				Stream:  st.id,
-				Dev:     op.dev,
-				Off:     op.off,
-				Length:  op.length,
-				Arrival: st.clock.Now(),
-				seq:     e.seq,
-			}
-			e.seq++
+			r := e.newRequest(st.id, op.dev, op.off, op.length, false, st.clock.Now())
 			st.state = stateBlocked
-			st.hedging = true
-			st.hedge = hedgeState{primary: r, secondaryDev: op.dev2, secOff: op.off2, length: op.length}
-			dq.sched.Add(r)
-			e.maybeDispatch(dq)
+			st.hedge = hedgeState{primary: r, secondaryDev: op.dev2, secOff: op.off2}
+			e.enqueue(dq, r)
 			e.heap.push(streamEvent(st.clock.Now()+op.dur, evHedge, st.id, r))
 			return
 		default: // an I/O, which may suspend on a queued device
@@ -579,7 +562,6 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 	} else {
 		r.Err = device.ReadErr(dq.dev, dq.clock, r.Off, r.Length)
 	}
-	dq.busy = true
 	dq.inflight = r
 	dq.inflightDone = dq.clock.Now()
 	e.heap.push(streamEvent(dq.inflightDone, evResume, r.Stream, r))
@@ -594,16 +576,7 @@ func (e *Engine) submit(c *simclock.Clock, dev device.ID, off, length int64, wri
 	if e.pending != nil {
 		panic("iosched: overlapping queued submissions in one op step") //sledlint:allow panicpath -- resumable-layer invariant: one suspension per step
 	}
-	e.pending = &Request{
-		Stream:  e.current,
-		Dev:     dev,
-		Off:     off,
-		Length:  length,
-		Write:   write,
-		Arrival: c.Now(),
-		seq:     e.seq,
-	}
-	e.seq++
+	e.pending = e.newRequest(e.current, dev, off, length, write, c.Now())
 	return vfs.ErrBlocked
 }
 
@@ -641,7 +614,7 @@ func (e *Engine) QueueDepth(id device.ID) int {
 //sledlint:hotpath
 func (e *Engine) InFlightRemaining(id device.ID, now simclock.Duration) simclock.Duration {
 	dq := e.queueOf(id)
-	if dq == nil || !dq.busy {
+	if dq == nil || dq.inflight == nil {
 		return 0
 	}
 	rem := dq.inflightDone - now
@@ -720,7 +693,6 @@ func (q *QueuedDevice) Reset() {
 	}
 	q.dq.dev.Reset()
 	q.dq.lastPos = 0
-	q.dq.busy = false
 	q.dq.inflight = nil
 	q.dq.free = 0
 	q.dq.cancelledQueued = 0

@@ -217,62 +217,168 @@ func TestEngineEquivalence(t *testing.T) {
 	}
 }
 
-// TestIndexedSchedulersMatchLinear drives each indexed scheduler and its
-// linear-scan oracle directly (no engine) through identical random
-// add/pick sequences, including picks at instants that predate some
-// arrivals — the general-contract path the engine never exercises.
+// schedOpBytes is the width of one step of a scheduler script, and
+// schedScriptSteps bounds the steps a fuzz input runs.
+const (
+	schedOpBytes     = 4
+	schedScriptSteps = 512
+)
+
+// schedulerSeeds is FuzzSchedulers' seed corpus: 300 scripts of 40 steps
+// drawn from lcg, a third of them adds. One pick in eight also jumps the
+// clock by deadlineQuantum, so that requests expire while others are still
+// in the future.
+func schedulerSeeds() [][]byte {
+	var seeds [][]byte
+	for seed := 0; seed < 300; seed++ {
+		g := lcg(uint64(seed)*40503 + 9)
+		in := make([]byte, 0, 40*schedOpBytes)
+		for step := 0; step < 40; step++ {
+			if g.intn(3) == 0 {
+				arr, page := g.intn(20), g.intn(1<<12)
+				in = append(in, 0, byte(arr), byte(page>>8), byte(page))
+			} else {
+				in = append(in, 1, byte(g.intn(10)), byte(g.intn(8)), 0)
+			}
+		}
+		seeds = append(seeds, in)
+	}
+	return seeds
+}
+
+// deadlineBranches counts, over the picks of a script that find an
+// eligible request, which way the deadline policy goes: [1][*] the oldest
+// has expired, [0][*] SSTF order; [*][1] some queued request has not
+// arrived yet, [*][0] every one has.
+type deadlineBranches [2][2]int
+
+// note classifies one pick at now over the oracle's queued requests.
+func (b *deadlineBranches) note(reqs []*Request, now simclock.Duration) {
+	var oldest *Request
+	future := 0
+	for _, r := range reqs {
+		if r.Arrival > now {
+			future = 1
+		} else if oldest == nil || arrivalLess(r, oldest) {
+			oldest = r
+		}
+	}
+	if oldest == nil {
+		return
+	}
+	expired := 0
+	if oldest.Arrival+deadlineQuantum <= now {
+		expired = 1
+	}
+	b[expired][future]++
+}
+
+// checkSchedScript drives the named scheduler and its linear-scan oracle
+// (refengine_test.go) directly, with no engine, through one script, and
+// fails on the first pick, Len or MinArrival that differs. Every four
+// bytes are one step: b[0]%3 == 0 adds a request arriving b[1]%20 - 5 ms
+// after now at page b[2:4] mod 4,096; otherwise now advances b[1]%10 ms,
+// and deadlineQuantum more when b[2]%8 == 0, and both schedulers pick.
+// Adds arriving after now make the picks that follow take the general-case
+// path the indexed fast paths guard against. Under the deadline policy it
+// adds the oracle's branch counts to branches.
+func checkSchedScript(t *testing.T, name string, in []byte, branches *deadlineBranches) {
+	t.Helper()
+	fast, slow := NewScheduler(name), newRefScheduler(name)
+	var seq uint64
+	now := simclock.Duration(0)
+	var pos int64
+	for step := 0; step < schedScriptSteps && len(in) >= schedOpBytes; step++ {
+		b := in[:schedOpBytes]
+		in = in[schedOpBytes:]
+		if b[0]%3 == 0 {
+			arr := now + simclock.Duration(int(b[1]%20)-5)*simclock.Millisecond
+			off := int64(int(b[2])<<8|int(b[3])) % (1 << 12) * 4096
+			fast.Add(&Request{Off: off, Length: 4096, Arrival: arr, seq: seq})
+			slow.Add(&Request{Off: off, Length: 4096, Arrival: arr, seq: seq})
+			seq++
+		} else {
+			now += simclock.Duration(b[1]%10) * simclock.Millisecond
+			if b[2]%8 == 0 {
+				now += deadlineQuantum
+			}
+			if d, ok := slow.(*refDeadline); ok {
+				branches.note(d.reqs, now)
+			}
+			rf, rs := fast.Pick(now, pos), slow.Pick(now, pos)
+			if (rf == nil) != (rs == nil) {
+				t.Fatalf("%s step %d: pick mismatch: fast=%v slow=%v", name, step, rf, rs)
+			}
+			if rf != nil {
+				if rf.seq != rs.seq {
+					t.Fatalf("%s step %d: fast picked seq %d, linear picked seq %d", name, step, rf.seq, rs.seq)
+				}
+				pos = rf.Off + rf.Length
+			}
+		}
+		fa, fok := fast.MinArrival()
+		sa, sok := slow.MinArrival()
+		if fok != sok || (fok && fa != sa) {
+			t.Fatalf("%s step %d: MinArrival mismatch: fast=(%v,%v) slow=(%v,%v)", name, step, fa, fok, sa, sok)
+		}
+		if fast.Len() != slow.Len() {
+			t.Fatalf("%s step %d: Len mismatch: %d vs %d", name, step, fast.Len(), slow.Len())
+		}
+	}
+}
+
+// FuzzSchedulers checks every scheduler against its linear-scan oracle on
+// add/pick scripts, including picks at instants that predate some
+// arrivals — the general-contract path the engine reaches only when a
+// stream's clock runs ahead of the event being processed.
+func FuzzSchedulers(f *testing.F) {
+	for _, in := range schedulerSeeds() {
+		f.Add(in)
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		var branches deadlineBranches
+		for _, name := range []string{"fcfs", "sstf", "deadline"} {
+			checkSchedScript(t, name, in, &branches)
+		}
+	})
+}
+
+// TestIndexedSchedulersMatchLinear runs FuzzSchedulers' seed corpus
+// through each scheduler and its linear-scan oracle, one subtest a policy.
 func TestIndexedSchedulersMatchLinear(t *testing.T) {
 	for _, name := range []string{"fcfs", "sstf", "deadline"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			for seed := 0; seed < 300; seed++ {
-				g := lcg(uint64(seed)*40503 + 9)
-				fast, slow := NewScheduler(name), newRefScheduler(name)
-				var seq uint64
-				now := simclock.Duration(0)
-				var pos int64
-				for step := 0; step < 40; step++ {
-					switch g.intn(3) {
-					case 0: // add a request, possibly arriving "in the future"
-						arr := now + simclock.Duration(g.intn(20)-5)*simclock.Millisecond
-						mk := func() *Request {
-							return &Request{
-								Off:     int64(g.intn(1<<12)) * 4096,
-								Length:  4096,
-								Arrival: arr,
-								seq:     seq,
-							}
-						}
-						save := g
-						fast.Add(mk())
-						g = save
-						slow.Add(mk())
-						seq++
-					default: // advance time and pick
-						now += simclock.Duration(g.intn(10)) * simclock.Millisecond
-						rf, rs := fast.Pick(now, pos), slow.Pick(now, pos)
-						if (rf == nil) != (rs == nil) {
-							t.Fatalf("seed %d step %d: pick mismatch: fast=%v slow=%v", seed, step, rf, rs)
-						}
-						if rf != nil {
-							if rf.seq != rs.seq {
-								t.Fatalf("seed %d step %d: fast picked seq %d, linear picked seq %d",
-									seed, step, rf.seq, rs.seq)
-							}
-							pos = rf.Off + rf.Length
-						}
-					}
-					fa, fok := fast.MinArrival()
-					sa, sok := slow.MinArrival()
-					if fok != sok || (fok && fa != sa) {
-						t.Fatalf("seed %d step %d: MinArrival mismatch: fast=(%v,%v) slow=(%v,%v)",
-							seed, step, fa, fok, sa, sok)
-					}
-					if fast.Len() != slow.Len() {
-						t.Fatalf("seed %d step %d: Len mismatch: %d vs %d", seed, step, fast.Len(), slow.Len())
-					}
+			var branches deadlineBranches
+			seed := 0
+			defer func() {
+				if t.Failed() {
+					t.Logf("failing seed %d", seed)
 				}
+			}()
+			for i, in := range schedulerSeeds() {
+				seed = i
+				checkSchedScript(t, name, in, &branches)
 			}
 		})
 	}
+}
+
+// TestSchedulerSeedsReachDeadlineBranches holds FuzzSchedulers' seed
+// corpus to what makes it a test of the deadline policy: picks that take
+// the expired oldest request and picks in SSTF order, each both with and
+// without requests still in the future.
+func TestSchedulerSeedsReachDeadlineBranches(t *testing.T) {
+	var total deadlineBranches
+	for _, in := range schedulerSeeds() {
+		checkSchedScript(t, "deadline", in, &total)
+	}
+	for i := range total {
+		for j := range total[i] {
+			if total[i][j] == 0 {
+				t.Errorf("no seed reaches expired=%v future=%v: counts [expired][future] %v", i == 1, j == 1, total)
+			}
+		}
+	}
+	t.Logf("deadline picks [expired][future]: %v", total)
 }

@@ -498,29 +498,25 @@ type refDeadline struct {
 	refQueue
 }
 
-// Add implements Scheduler, stamping the expiry.
-func (s *refDeadline) Add(r *Request) {
-	r.Deadline = r.Arrival + deadlineQuantum
-	s.refQueue.Add(r)
-}
-
-// Pick implements Scheduler: the earliest-deadline eligible request if it
-// has expired, else SSTF order.
+// Pick implements Scheduler: the earliest-expiring eligible request if it
+// has expired, else SSTF order. A request expires deadlineQuantum after it
+// arrives.
 func (s *refDeadline) Pick(now simclock.Duration, pos int64) *Request {
+	expiry := func(i int) simclock.Duration { return s.reqs[i].Arrival + deadlineQuantum }
 	oldest := -1
 	for i, r := range s.reqs {
 		if r.Arrival > now {
 			continue
 		}
-		if oldest < 0 || r.Deadline < s.reqs[oldest].Deadline ||
-			(r.Deadline == s.reqs[oldest].Deadline && r.seq < s.reqs[oldest].seq) {
+		if oldest < 0 || expiry(i) < expiry(oldest) ||
+			(expiry(i) == expiry(oldest) && r.seq < s.reqs[oldest].seq) {
 			oldest = i
 		}
 	}
 	if oldest < 0 {
 		return nil
 	}
-	if s.reqs[oldest].Deadline <= now {
+	if expiry(oldest) <= now {
 		return s.remove(oldest)
 	}
 	best := -1

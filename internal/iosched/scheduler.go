@@ -9,16 +9,14 @@ import (
 )
 
 // Request is one I/O request queued at a device: who asked, what extent,
-// and when. Arrival is the submitting stream's virtual time at submission;
-// Deadline is filled by deadline-aware schedulers.
+// and when. Arrival is the submitting stream's virtual time at submission.
 type Request struct {
-	Stream   StreamID
-	Dev      device.ID
-	Off      int64
-	Length   int64
-	Write    bool
-	Arrival  simclock.Duration
-	Deadline simclock.Duration
+	Stream  StreamID
+	Dev     device.ID
+	Off     int64
+	Length  int64
+	Write   bool
+	Arrival simclock.Duration
 
 	// Err is the outcome of servicing the request: non-nil when the
 	// underlying (fault-injected) device failed the dispatch. It travels
@@ -67,18 +65,19 @@ type Scheduler interface {
 	MinArrival() (t simclock.Duration, ok bool)
 }
 
-// The indexed fast paths below answer a Pick only when every queued
+// FCFS and Deadline's expiry check answer every Pick from the arrival
+// heap's minimum. SSTF's offset index answers one only when every queued
 // request has arrived (maxArrival <= now). Under the engine that does not
 // always hold: a device dispatches at the earliest queued arrival, and
 // streams submit requests stamped with their own clocks, which can run
 // ahead of the event being processed, so a Pick can find requests still
-// in the future. Then the schedulers fall back
-// to the linear scans the policies were first written as, preserving their
-// exact tie-breaks. The fallback is not rare: SSTF's nearestEligible shows
-// in CPU profiles of escale's 10,000-stream runs.
+// in the future. Then SSTF falls back to the linear scan the policy was
+// first written as, preserving its exact tie-breaks. It is the only
+// general-case scan left, and it is not rare: nearestEligible shows in CPU
+// profiles of escale's 10,000-stream runs.
 
 // arrivalLess is the (Arrival, seq) order shared by FCFS service order,
-// MinArrival, and deadline expiry (Deadline = Arrival + deadlineQuantum
+// MinArrival, and deadline expiry (one constant quantum after arrival
 // preserves it).
 func arrivalLess(a, b *Request) bool {
 	return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.seq < b.seq)
@@ -224,21 +223,37 @@ func (x offIndex) nearestEligible(now simclock.Duration, pos int64) *Request {
 	return best
 }
 
-// FCFS services requests strictly in arrival order (the no-scheduler
-// baseline: a single FIFO per device).
-type FCFS struct {
+// arrivals is the queue core every policy embeds: the (Arrival, seq) heap
+// and the live count, which answer Len and MinArrival for all of them.
+type arrivals struct {
 	h arrivalHeap
 	n int
 }
 
+// Add implements Scheduler.
+func (a *arrivals) Add(r *Request) {
+	a.h.push(r)
+	a.n++
+}
+
+// Len implements Scheduler.
+func (a *arrivals) Len() int { return a.n }
+
+// MinArrival implements Scheduler.
+func (a *arrivals) MinArrival() (simclock.Duration, bool) {
+	r := a.h.peek()
+	if r == nil {
+		return 0, false
+	}
+	return r.Arrival, true
+}
+
+// FCFS services requests strictly in arrival order (the no-scheduler
+// baseline: a single FIFO per device).
+type FCFS struct{ arrivals }
+
 // NewFCFS returns a first-come-first-served scheduler.
 func NewFCFS() *FCFS { return &FCFS{} }
-
-// Add implements Scheduler.
-func (s *FCFS) Add(r *Request) {
-	s.h.push(r)
-	s.n++
-}
 
 // Pick implements Scheduler: earliest arrival, seq tie-break. The global
 // (Arrival, seq) minimum is the answer whenever it is eligible, and
@@ -253,27 +268,14 @@ func (s *FCFS) Pick(now simclock.Duration, pos int64) *Request {
 	return r
 }
 
-// Len implements Scheduler.
-func (s *FCFS) Len() int { return s.n }
-
-// MinArrival implements Scheduler.
-func (s *FCFS) MinArrival() (simclock.Duration, bool) {
-	r := s.h.peek()
-	if r == nil {
-		return 0, false
-	}
-	return r.Arrival, true
-}
-
 // SSTF is shortest-seek-time-first: it services the eligible request whose
 // offset is nearest the device's current position, the classic elevator
 // family policy for seek-dominated devices (disk.go's three-term seek
 // curve makes distance-in-bytes a faithful proxy for distance-in-
 // cylinders, since cylinders are a linear slicing of the byte space).
 type SSTF struct {
-	h          arrivalHeap
+	arrivals
 	x          offIndex
-	n          int
 	maxArrival simclock.Duration // high-water arrival: gates the indexed fast path
 }
 
@@ -282,9 +284,8 @@ func NewSSTF() *SSTF { return &SSTF{} }
 
 // Add implements Scheduler.
 func (s *SSTF) Add(r *Request) {
-	s.h.push(r)
+	s.arrivals.Add(r)
 	s.x.insert(r)
-	s.n++
 	if r.Arrival > s.maxArrival {
 		s.maxArrival = r.Arrival
 	}
@@ -302,34 +303,22 @@ func (s *SSTF) Pick(now simclock.Duration, pos int64) *Request {
 	} else if r = s.x.nearestEligible(now, pos); r == nil {
 		return nil
 	}
+	return s.take(r)
+}
+
+// take removes r from the queue; the arrival heap drops it lazily.
+func (s *SSTF) take(r *Request) *Request {
 	s.x.remove(r)
 	r.picked = true
 	s.n--
 	return r
 }
 
-// Len implements Scheduler.
-func (s *SSTF) Len() int { return s.n }
-
-// MinArrival implements Scheduler.
-func (s *SSTF) MinArrival() (simclock.Duration, bool) {
-	r := s.h.peek()
-	if r == nil {
-		return 0, false
-	}
-	return r.Arrival, true
-}
-
 // Deadline is the Linux-deadline-style hybrid: requests are normally
-// serviced in SSTF order, but every request carries an expiry (arrival +
-// quantum) and an expired request preempts seek optimisation, bounding the
-// starvation SSTF inflicts on far-away offsets.
-type Deadline struct {
-	h          arrivalHeap
-	x          offIndex
-	n          int
-	maxArrival simclock.Duration
-}
+// serviced in SSTF order, but every request expires deadlineQuantum after
+// it arrives and an expired request preempts seek optimisation, bounding
+// the starvation SSTF inflicts on far-away offsets.
+type Deadline struct{ SSTF }
 
 // deadlineQuantum bounds request sojourn under the deadline policy; it is
 // of the order of a few disk service times, like the Linux deadline
@@ -339,74 +328,19 @@ const deadlineQuantum = 100 * simclock.Millisecond
 // NewDeadline returns a deadline scheduler.
 func NewDeadline() *Deadline { return &Deadline{} }
 
-// Add implements Scheduler, stamping the expiry.
-func (s *Deadline) Add(r *Request) {
-	r.Deadline = r.Arrival + deadlineQuantum
-	s.h.push(r)
-	s.x.insert(r)
-	s.n++
-	if r.Arrival > s.maxArrival {
-		s.maxArrival = r.Arrival
-	}
-}
-
-// Pick implements Scheduler: the earliest-deadline eligible request if it
-// has expired, else SSTF order. With one constant quantum, (Deadline, seq)
-// order is (Arrival, seq) order, so the arrival heap serves expiry too.
+// Pick implements Scheduler: the earliest-expiring eligible request if it
+// has expired, else SSTF order. With one constant quantum, expiry order is
+// (Arrival, seq) order, so the arrival heap's live minimum is the first
+// request to expire, and it is eligible exactly when any request is.
 func (s *Deadline) Pick(now simclock.Duration, pos int64) *Request {
-	if s.n == 0 {
+	oldest := s.h.peek()
+	if oldest == nil || oldest.Arrival > now {
 		return nil
 	}
-	var r *Request
-	if s.maxArrival <= now {
-		if oldest := s.h.peek(); oldest.Deadline <= now {
-			r = oldest
-		} else {
-			r = s.x.nearest(pos)
-		}
-	} else {
-		r = s.pickLinear(now, pos)
-		if r == nil {
-			return nil
-		}
+	if oldest.Arrival+deadlineQuantum <= now {
+		return s.take(oldest)
 	}
-	s.x.remove(r)
-	r.picked = true
-	s.n--
-	return r
-}
-
-// pickLinear is the general-case deadline scan over arrivals <= now.
-func (s *Deadline) pickLinear(now simclock.Duration, pos int64) *Request {
-	var oldest *Request
-	for _, r := range s.x {
-		if r.Arrival > now {
-			continue
-		}
-		if oldest == nil || r.Deadline < oldest.Deadline ||
-			(r.Deadline == oldest.Deadline && r.seq < oldest.seq) {
-			oldest = r
-		}
-	}
-	if oldest == nil {
-		return nil
-	}
-	if oldest.Deadline <= now {
-		return oldest
-	}
-	return s.x.nearestEligible(now, pos)
-}
-
-// Len implements Scheduler.
-func (s *Deadline) Len() int { return s.n }
-
-// MinArrival implements Scheduler.
-func (s *Deadline) MinArrival() (simclock.Duration, bool) {
-	r := s.h.peek()
-	if r == nil {
-		return 0, false
-	}
-	return r.Arrival, true
+	return s.SSTF.Pick(now, pos)
 }
 
 // NewScheduler builds a scheduler by policy name; it is the factory the
