@@ -78,7 +78,7 @@ func scalePoint(cfg Config, nIdx, si int, gen workload.PageGen) ([2]Point, error
 		// Staggered starts desynchronize the streams so the queues see a
 		// steady arrival mix instead of n simultaneous bursts.
 		start := simclock.Duration(i%97) * 50 * simclock.Microsecond
-		ids[i] = e.AddStream(start, scaleReadProg(k, path, cfg.PageSize))
+		ids[i] = e.AddStream(start, &scaleReadProg{k: k, path: path, chunk: ps})
 	}
 	if err := e.Run(); err != nil {
 		return [2]Point{}, err
@@ -88,31 +88,37 @@ func scalePoint(cfg Config, nIdx, si int, gen workload.PageGen) ([2]Point, error
 }
 
 // scaleReadProg is a stream state machine that reads path front to back
-// in chunkSize reads and looks at none of the bytes: the contention
-// experiments' linear grep without the application.
-func scaleReadProg(k *vfs.Kernel, path string, chunkSize int) iosched.Program {
-	var f *vfs.File
-	var buf []byte
-	return iosched.ProgramFunc(func(h *iosched.Handle, prev iosched.Result) iosched.Op {
-		if f == nil {
-			var err error
-			f, err = k.Open(path)
-			if err != nil {
-				return iosched.Exit(err)
-			}
-			buf = make([]byte, chunkSize)
-			return iosched.Read(f, buf)
+// in chunk-sized reads and looks at none of the bytes: the contention
+// experiments' linear grep without the application. Each read is a
+// PageIn at the offset the stream tracks, which charges what Read into a
+// chunk-sized buffer charges, so the stream needs no buffer.
+type scaleReadProg struct {
+	k     *vfs.Kernel
+	path  string
+	chunk int64
+	f     *vfs.File
+	off   int64
+}
+
+// Step implements iosched.Program.
+func (s *scaleReadProg) Step(h *iosched.Handle, prev iosched.Result) iosched.Op {
+	if s.f == nil {
+		f, err := s.k.Open(s.path)
+		if err != nil {
+			return iosched.Exit(err)
 		}
+		s.f = f
+		return iosched.PageIn(f, 0, s.chunk)
+	}
+	if prev.Err != nil {
+		s.f.Close()
 		if prev.Err == io.EOF {
-			f.Close()
 			return iosched.Exit(nil)
 		}
-		if prev.Err != nil {
-			f.Close()
-			return iosched.Exit(prev.Err)
-		}
-		return iosched.Read(f, buf)
-	})
+		return iosched.Exit(prev.Err)
+	}
+	s.off += int64(prev.N)
+	return iosched.PageIn(s.f, s.off, s.chunk)
 }
 
 // EScale regenerates the engine scale sweep: completion time and engine

@@ -111,6 +111,8 @@ type Engine struct {
 	k       *vfs.Kernel
 	queues  []*devQueue // indexed by device.ID (dense registry indexes); nil = not queued
 	streams []*stream
+	block   []stream   // unused stream records; AddStream refills it as large as streams
+	free    []*Request // released requests, for newRequest to reuse
 	heap    eventHeap
 	// starts lists the streams in (start time, ID) order for the Run in
 	// progress; those before nextStart have started.
@@ -174,12 +176,13 @@ func (e *Engine) AddStream(start simclock.Duration, prog Program) StreamID {
 		panic("iosched: AddStream called while running")
 	}
 	id := StreamID(len(e.streams))
-	e.streams = append(e.streams, &stream{
-		id:    id,
-		h:     Handle{k: e.k},
-		start: start,
-		prog:  prog,
-	})
+	if len(e.block) == 0 {
+		e.block = make([]stream, max(1, len(e.streams)))
+	}
+	st := &e.block[0]
+	e.block = e.block[1:]
+	*st = stream{id: id, h: Handle{k: e.k}, start: start, prog: prog}
+	e.streams = append(e.streams, st)
 	return id
 }
 
@@ -267,15 +270,17 @@ func (e *Engine) Run() error {
 					if ev.req.Err != nil && e.orphanObs != nil {
 						e.orphanObs(ev.req.Dev, ev.req.Err, ev.time)
 					}
+					e.release(ev.req)
 					continue
 				}
 				if st.hedge.primary != nil {
 					e.settleHedge(st, ev.req)
+					e.release(ev.req)
 				}
 			}
 			e.runStream(st, ev.time)
 		case evHedge:
-			e.fireHedge(e.streams[ev.id], ev.req, ev.time)
+			e.fireHedge(e.streams[ev.id], ev.seq, ev.time)
 		case evDispatch:
 			dq := e.queues[ev.id]
 			if !dq.dispatchUp || ev.time != dq.dispatchAt {
@@ -313,7 +318,7 @@ func (e *Engine) Run() error {
 func (e *Engine) nextEvent() (ev engineEvent, ok bool) {
 	if e.nextStart < len(e.starts) {
 		st := e.streams[e.starts[e.nextStart]]
-		start := streamEvent(st.wakeAt, evResume, st.id, nil)
+		start := resumeEvent(st.wakeAt, st.id, nil)
 		if len(e.heap) == 0 || eventLess(&start, &e.heap[0]) {
 			e.nextStart++
 			return start, true
@@ -362,27 +367,44 @@ func (e *Engine) settleHedge(st *stream, winner *Request) {
 
 // fireHedge handles a hedge deadline expiring: if the guarded read is
 // still outstanding, the secondary request is submitted to its device with
-// the deadline instant as its arrival. A deadline whose read already
-// completed (or that already fired) is stale and ignored.
-func (e *Engine) fireHedge(st *stream, primary *Request, t simclock.Duration) {
+// the deadline instant as its arrival. The deadline names its primary by
+// seq (the event's seq, one past the primary's), never by pointer: a
+// deadline whose read already completed, or that already fired, is stale
+// and ignored, even when the stream's next hedged read reuses the record.
+func (e *Engine) fireHedge(st *stream, seq uint64, t simclock.Duration) {
 	hs := &st.hedge
-	if hs.primary != primary || hs.secondary != nil {
+	if hs.primary == nil || hs.primary.seq+1 != seq || hs.secondary != nil {
 		return
 	}
 	sq := e.queueOf(hs.secondaryDev)
 	if sq == nil {
 		return // unqueued secondary: nothing to race the primary against
 	}
-	hs.secondary = e.newRequest(st.id, hs.secondaryDev, hs.secOff, primary.Length, false, t)
+	hs.secondary = e.newRequest(st.id, hs.secondaryDev, hs.secOff, hs.primary.Length, false, t)
 	e.enqueue(sq, hs.secondary)
 }
 
-// newRequest builds a request stamped with the next submission seq.
+// newRequest builds a request stamped with the next submission seq, in a
+// released record when there is one.
 func (e *Engine) newRequest(stream StreamID, dev device.ID, off, length int64, write bool, arrival simclock.Duration) *Request {
-	r := &Request{Stream: stream, Dev: dev, Off: off, Length: length, Write: write, Arrival: arrival, seq: e.seq}
+	var r *Request
+	if n := len(e.free); n > 0 {
+		r, e.free = e.free[n-1], e.free[:n-1]
+	} else {
+		r = new(Request)
+	}
+	*r = Request{Stream: stream, Dev: dev, Off: off, Length: length, Write: write, Arrival: arrival, seq: e.seq}
 	e.seq++
 	return r
 }
+
+// release hands a request no one will read again back to newRequest. That
+// is one of four points in its life: its stream has read its Err
+// (runStream), it won a hedged race (after settleHedge), it lost one and
+// completed in flight (after the orphan observer), or it lost one and was
+// dropped from its queue (dispatch). Its seq stays until reuse, so the
+// arrival heap entries it leaves behind stay dead.
+func (e *Engine) release(r *Request) { e.free = append(e.free, r) }
 
 // enqueue queues r at its device and schedules a dispatch if the device
 // is idle.
@@ -433,6 +455,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			st.hedge = hedgeState{}
 		} else {
 			devErr := st.req.Err
+			e.release(st.req)
 			st.req = nil
 			cont := st.cont
 			st.cont = vfs.IOStep{}
@@ -479,7 +502,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			}
 			st.state = stateSleeping
 			st.wakeAt = st.clock.Now() + op.dur
-			e.heap.push(streamEvent(st.wakeAt, evResume, st.id, nil))
+			e.heap.push(resumeEvent(st.wakeAt, st.id, nil))
 			return
 		case opHedge:
 			if op.dur < 0 {
@@ -500,7 +523,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			st.state = stateBlocked
 			st.hedge = hedgeState{primary: r, secondaryDev: op.dev2, secOff: op.off2}
 			e.enqueue(dq, r)
-			e.heap.push(streamEvent(st.clock.Now()+op.dur, evHedge, st.id, r))
+			e.heap.push(engineEvent{time: st.clock.Now() + op.dur, kind: evHedge, id: int32(st.id), seq: r.seq + 1})
 			return
 		default: // an I/O, which may suspend on a queued device
 			if !e.protect(st, func() { step = op.start(e.k) }) {
@@ -548,6 +571,7 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 		// remaining arrivals are in the future — let maybeDispatch requeue
 		// at the right instant.
 		dq.cancelledQueued--
+		e.release(r)
 		if dq.sched.Len() == 0 {
 			return
 		}
@@ -564,7 +588,7 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 	}
 	dq.inflight = r
 	dq.inflightDone = dq.clock.Now()
-	e.heap.push(streamEvent(dq.inflightDone, evResume, r.Stream, r))
+	e.heap.push(resumeEvent(dq.inflightDone, r.Stream, r))
 }
 
 // submit is called from inside a running stream (via a QueuedDevice) to

@@ -171,12 +171,17 @@ func runRef(t *testing.T, spec trialSpec) outcome {
 	return w.play(spec, e, nil)
 }
 
-// runProg replays the spec on the heap engine with Program streams.
-func runProg(t *testing.T, spec trialSpec) outcome {
+// runProg replays the spec on the heap engine with Program streams. wrap,
+// when set, interposes on each device's scheduler.
+func runProg(t *testing.T, spec trialSpec, wrap func(Scheduler) Scheduler) outcome {
 	w := buildWorld(t, spec)
 	e := NewEngine(w.k)
 	for _, id := range w.ids {
-		e.Queue(id, NewScheduler(spec.sched))
+		sched := NewScheduler(spec.sched)
+		if wrap != nil {
+			sched = wrap(sched)
+		}
+		e.Queue(id, sched)
 	}
 	next := make([]int, len(spec.streams)) // per stream: its next action
 	for s, acts := range spec.streams {
@@ -207,7 +212,7 @@ func TestEngineEquivalence(t *testing.T) {
 				g := lcg(uint64(seed)*2654435761 + 12345)
 				spec := genTrial(&g, sched)
 				ref := runRef(t, spec)
-				prog := runProg(t, spec)
+				prog := runProg(t, spec, nil)
 				if !reflect.DeepEqual(ref, prog) {
 					t.Fatalf("seed %d: Program streams diverged from reference\nspec: %+v\nref:  %+v\nheap: %+v",
 						seed, spec, ref, prog)
@@ -244,6 +249,11 @@ func schedulerSeeds() [][]byte {
 		seeds = append(seeds, in)
 	}
 	return seeds
+}
+
+// arrivalLess is the arrival heap's (Arrival, seq) order over requests.
+func arrivalLess(a, b *Request) bool {
+	return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.seq < b.seq)
 }
 
 // deadlineBranches counts, over the picks of a script that find an

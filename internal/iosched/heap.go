@@ -6,15 +6,16 @@ import "sleds/internal/simclock"
 // wake, or request completion), a hedge deadline, or a device dispatch.
 // Completion resumes carry the request that completed (req non-nil), so
 // the engine can tell which of a hedged pair finished and can retire a
-// cancelled loser without touching its stream; hedge events carry the
-// primary request they guard, which is how a deadline that outlived its
-// read is recognised as stale.
+// cancelled loser without touching its stream; hedge events carry only
+// the seq of the primary they guard (in seq, below), which is how a
+// deadline that outlived its read is recognised as stale even after the
+// engine has reused the primary's record.
 //
 // The heap moves and compares events constantly, so one is kept to 32
 // bytes and carries everything eventLess reads: id is the stream (resumes,
 // hedges) or the device (dispatches), and seq orders events of one stream
-// at one instant — 0 for a plain resume, the carried request's submission
-// seq plus one otherwise.
+// at one instant — 0 for a plain resume, the carried or guarded request's
+// submission seq plus one otherwise.
 type engineEvent struct {
 	time simclock.Duration
 	seq  uint64
@@ -29,10 +30,10 @@ const (
 	evDispatch = 2 // an idle device begins servicing a queued request
 )
 
-// streamEvent builds a resume or hedge event for a stream; req is the
-// request it carries, nil for a start or a sleep wake.
-func streamEvent(t simclock.Duration, kind uint8, id StreamID, req *Request) engineEvent {
-	ev := engineEvent{time: t, kind: kind, id: int32(id), req: req}
+// resumeEvent builds a resume event for a stream; req is the request it
+// carries, nil for a start or a sleep wake.
+func resumeEvent(t simclock.Duration, id StreamID, req *Request) engineEvent {
+	ev := engineEvent{time: t, kind: evResume, id: int32(id), req: req}
 	if req != nil {
 		ev.seq = req.seq + 1
 	}

@@ -27,11 +27,12 @@ type Request struct {
 	// seq is the engine-wide submission sequence number. Submission order
 	// is itself deterministic (the engine runs streams in virtual-time,
 	// stream-ID order), so seq is a stable final tie-break for schedulers.
+	// It also names this submission of a reused record: a hedge deadline
+	// and an arrival heap entry hold the seq they were made for.
 	seq uint64
 
 	// picked marks a request removed through a scheduler's offset index;
-	// the arrival heap deletes lazily, dropping marked entries when they
-	// surface.
+	// the arrival heap deletes lazily, dropping its entry when it surfaces.
 	picked bool
 
 	// cancelled marks a hedge loser: if still queued it is dropped when a
@@ -47,6 +48,12 @@ type Request struct {
 // Determinism contract: Pick must break every tie by a deterministic key
 // (never map order or pointer identity), so that identical submission
 // sequences produce identical service orders on every run.
+//
+// Ownership: a scheduler must not keep a request after Pick returns it.
+// The engine reuses the record for a later submission once the request
+// completes, so anything left behind that points at it — such as the
+// arrival heap's lazily deleted entries — must check the seq it was made
+// with before trusting it.
 type Scheduler interface {
 	// Add queues a request.
 	Add(r *Request)
@@ -76,25 +83,39 @@ type Scheduler interface {
 // general-case scan left, and it is not rare: nearestEligible shows in CPU
 // profiles of escale's 10,000-stream runs.
 
-// arrivalLess is the (Arrival, seq) order shared by FCFS service order,
-// MinArrival, and deadline expiry (one constant quantum after arrival
-// preserves it).
-func arrivalLess(a, b *Request) bool {
-	return a.Arrival < b.Arrival || (a.Arrival == b.Arrival && a.seq < b.seq)
+// arrivalEntry is one arrival heap slot: the request with its (Arrival,
+// seq) key copied inline, so a sift compares without following a pointer.
+// The engine reuses a request once it completes, so the entry is live only
+// while the request still carries the seq it was queued with and has not
+// been picked.
+type arrivalEntry struct {
+	at  simclock.Duration
+	seq uint64
+	r   *Request
 }
 
-// arrivalHeap is a binary min-heap of requests under arrivalLess, with
+// less is the (Arrival, seq) order shared by FCFS service order,
+// MinArrival, and deadline expiry (one constant quantum after arrival
+// preserves it).
+func (a *arrivalEntry) less(b *arrivalEntry) bool {
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
+}
+
+// live reports whether the entry still stands for a queued request.
+func (a *arrivalEntry) live() bool { return a.r.seq == a.seq && !a.r.picked }
+
+// arrivalHeap is a binary min-heap of requests under (Arrival, seq), with
 // lazy deletion: requests removed through an offset index stay in the
-// heap, marked picked, and are discarded when they reach the top.
-type arrivalHeap []*Request
+// heap as dead entries, discarded when they reach the top.
+type arrivalHeap []arrivalEntry
 
 func (h *arrivalHeap) push(r *Request) {
-	*h = append(*h, r)
+	*h = append(*h, arrivalEntry{at: r.Arrival, seq: r.seq, r: r})
 	s := *h
 	i := len(s) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !arrivalLess(s[i], s[parent]) {
+		if !s[i].less(&s[parent]) {
 			break
 		}
 		s[i], s[parent] = s[parent], s[i]
@@ -102,33 +123,32 @@ func (h *arrivalHeap) push(r *Request) {
 	}
 }
 
-// peek returns the live minimum, discarding picked entries; nil if empty.
+// peek returns the live minimum, discarding dead entries; nil if empty.
 func (h *arrivalHeap) peek() *Request {
 	for len(*h) > 0 {
-		if top := (*h)[0]; !top.picked {
-			return top
+		if top := &(*h)[0]; top.live() {
+			return top.r
 		}
 		h.pop()
 	}
 	return nil
 }
 
-func (h *arrivalHeap) pop() *Request {
+func (h *arrivalHeap) pop() {
 	s := *h
-	top := s[0]
 	last := len(s) - 1
 	s[0] = s[last]
-	s[last] = nil
+	s[last] = arrivalEntry{}
 	s = s[:last]
 	*h = s
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
 		smallest := i
-		if l < len(s) && arrivalLess(s[l], s[smallest]) {
+		if l < len(s) && s[l].less(&s[smallest]) {
 			smallest = l
 		}
-		if r < len(s) && arrivalLess(s[r], s[smallest]) {
+		if r < len(s) && s[r].less(&s[smallest]) {
 			smallest = r
 		}
 		if smallest == i {
@@ -137,7 +157,6 @@ func (h *arrivalHeap) pop() *Request {
 		s[i], s[smallest] = s[smallest], s[i]
 		i = smallest
 	}
-	return top
 }
 
 // offIndex keeps queued requests sorted by (Off, seq), the key seek-aware

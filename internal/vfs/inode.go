@@ -80,32 +80,39 @@ func (k *Kernel) writable(key cache.Key, data []byte) []byte {
 	return data
 }
 
-// splitPath normalises and splits an absolute path.
-func splitPath(path string) ([]string, error) {
+// checkPath rejects a path that is not absolute or that contains "..";
+// nextPart walks the components of one that passes.
+func checkPath(path string) error {
 	if !strings.HasPrefix(path, "/") {
-		return nil, fmt.Errorf("vfs: path %q not absolute", path)
+		return fmt.Errorf("vfs: path %q not absolute", path)
 	}
-	var parts []string
-	for _, p := range strings.Split(path, "/") {
-		switch p {
-		case "", ".":
-		case "..":
-			return nil, fmt.Errorf("vfs: path %q contains ..", path)
-		default:
-			parts = append(parts, p)
+	for p, rest, ok := nextPart(path); ok; p, rest, ok = nextPart(rest) {
+		if p == ".." {
+			return fmt.Errorf("vfs: path %q contains ..", path)
 		}
 	}
-	return parts, nil
+	return nil
+}
+
+// nextPart returns the first component of path that is neither empty nor
+// ".", and what follows it; ok is false when there is none.
+func nextPart(path string) (part, rest string, ok bool) {
+	for path != "" {
+		part, path, _ = strings.Cut(path, "/")
+		if part != "" && part != "." {
+			return part, path, true
+		}
+	}
+	return "", "", false
 }
 
 // lookup resolves a path to an inode.
 func (k *Kernel) lookup(path string) (*Inode, error) {
-	parts, err := splitPath(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return nil, err
 	}
 	cur := k.root
-	for _, p := range parts {
+	for p, rest, ok := nextPart(path); ok; p, rest, ok = nextPart(rest) {
 		if !cur.isDir {
 			return nil, fmt.Errorf("vfs: %q: %w", path, ErrNotDir)
 		}
@@ -121,37 +128,36 @@ func (k *Kernel) lookup(path string) (*Inode, error) {
 // lookupDir resolves the parent directory of path and returns it with the
 // final element.
 func (k *Kernel) lookupDir(path string) (*Inode, string, error) {
-	parts, err := splitPath(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return nil, "", err
 	}
-	if len(parts) == 0 {
+	name, rest, ok := nextPart(path)
+	if !ok {
 		return nil, "", fmt.Errorf("vfs: %q: %w", path, ErrExist)
 	}
 	cur := k.root
-	for _, p := range parts[:len(parts)-1] {
-		next, ok := cur.children[p]
+	for next, after, more := nextPart(rest); more; next, after, more = nextPart(after) {
+		child, ok := cur.children[name]
 		if !ok {
 			return nil, "", fmt.Errorf("vfs: %q: %w", path, ErrNotExist)
 		}
-		if !next.isDir {
+		if !child.isDir {
 			return nil, "", fmt.Errorf("vfs: %q: %w", path, ErrNotDir)
 		}
-		cur = next
+		cur, name = child, next
 	}
-	return cur, parts[len(parts)-1], nil
+	return cur, name, nil
 }
 
 // MkdirAll creates a directory and any missing parents.
 func (k *Kernel) MkdirAll(path string) error {
-	parts, err := splitPath(path)
-	if err != nil {
+	if err := checkPath(path); err != nil {
 		return err
 	}
 	cur := k.root
-	for _, p := range parts {
-		next, ok := cur.children[p]
-		if !ok {
+	for p, rest, ok := nextPart(path); ok; p, rest, ok = nextPart(rest) {
+		next, found := cur.children[p]
+		if !found {
 			next = k.addInode(&Inode{name: p, isDir: true, children: map[string]*Inode{}})
 			cur.children[p] = next
 		} else if !next.isDir {
@@ -246,16 +252,14 @@ func (k *Kernel) Walk(path string, fn func(p string, n *Inode) error) error {
 	if err != nil {
 		return err
 	}
-	clean := "/" + strings.Join(mustSplit(path), "/")
-	return k.walk(clean, n, fn)
-}
-
-func mustSplit(path string) []string {
-	parts, err := splitPath(path)
-	if err != nil {
-		return nil
+	clean := ""
+	for p, rest, ok := nextPart(path); ok; p, rest, ok = nextPart(rest) {
+		clean += "/" + p
 	}
-	return parts
+	if clean == "" {
+		clean = "/"
+	}
+	return k.walk(clean, n, fn)
 }
 
 func (k *Kernel) walk(path string, n *Inode, fn func(string, *Inode) error) error {

@@ -123,6 +123,8 @@ type Kernel struct {
 	// (see resume.go).
 	wb     []wbItem
 	wbHead int
+	// parked holds finished suspended operations for start to reuse.
+	parked []*pageOp
 
 	// mem is the arena (hostmem.go), memEpoch its epoch at boot.
 	mem      *HostMem

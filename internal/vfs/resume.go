@@ -77,6 +77,9 @@ func (s IOStep) Blocked() bool { return s.op != nil }
 // Resume feeds the completed device request's outcome (nil, a *device.Fault
 // from an injector below the queue, or any other device error) into the
 // suspended operation and runs it to its next suspension or completion.
+// A suspended step is resumed once: the kernel reuses the operation's
+// record after it completes, so the step and any copy of it are spent, and
+// a further suspension comes back as a new step.
 //
 //sledlint:allow panicpath -- resuming a completed step is an engine bug, not a simulation outcome
 func (s IOStep) Resume(devErr error) IOStep {
@@ -253,7 +256,8 @@ const (
 // pageOp is the whole state of one kernel I/O operation: a read or write
 // of p at off, or (with f nil) a kernel-internal insert, write-back drain
 // or page write that borrows the lower levels. It starts on its caller's
-// stack and moves to the heap only if it suspends.
+// stack and moves to a parked record only if it suspends; the record goes
+// back to the kernel when the operation completes.
 type pageOp struct {
 	k *Kernel
 	f *File
@@ -279,19 +283,28 @@ type pageOp struct {
 }
 
 // start runs a fresh operation from its caller's stack; only an operation
-// that suspends is copied to the heap.
+// that suspends is copied, into a parked record the kernel reuses.
 func (o *pageOp) start() IOStep {
-	o.k.hostMem() // a kernel whose arena was Reset serves nothing, hits included
+	k := o.k
+	k.hostMem() // a kernel whose arena was Reset serves nothing, hits included
 	blocked, n, err := o.run(false, nil)
-	if blocked {
-		parked := *o
-		return IOStep{op: &parked}
+	if !blocked {
+		return ioDone(n, err)
 	}
-	return ioDone(n, err)
+	var parked *pageOp
+	if last := len(k.parked) - 1; last >= 0 {
+		parked, k.parked = k.parked[last], k.parked[:last]
+	} else {
+		parked = new(pageOp)
+	}
+	*parked = *o
+	return IOStep{op: parked}
 }
 
 // resume feeds the outcome of the suspended device request to the access
-// in flight, and once the access is over re-enters the operation.
+// in flight, and once the access is over re-enters the operation. A
+// finished operation's record is zeroed, so it holds no buffer or file,
+// and returned to the kernel for the next suspension.
 //
 //sledlint:hotpath
 func (o *pageOp) resume(devErr error) IOStep {
@@ -303,6 +316,9 @@ func (o *pageOp) resume(devErr error) IOStep {
 	if blocked {
 		return IOStep{op: o}
 	}
+	k := o.k
+	*o = pageOp{}
+	k.parked = append(k.parked, o)
 	return ioDone(n, err)
 }
 
