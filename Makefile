@@ -34,14 +34,13 @@ staticcheck:
 	$(GO) run honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION) ./...
 
 # lint runs sledlint, the in-repo determinism and dataflow linter
-# (cmd/sledlint): the syntactic rules (wallclock, rngsource, mapiter,
-# panicpath, simtime) plus the inter-procedural ones (seedflow,
-# errflow, hotalloc), over the whole module with test files included.
-# Any finding fails; the one way to accept one is
-# //sledlint:allow <rule> -- <reason> at the site, and `make lint-debt`
-# lists them all.
+# (cmd/sledlint): the syntactic rules (wallclock, mapiter, simtime)
+# plus the inter-procedural ones (seedflow, errflow, hotalloc), over the
+# whole module; sledlint always loads test files. Any finding fails; the
+# one way to accept one is //sledlint:allow <rule> -- <reason> at the
+# site, and `make lint-debt` lists them all.
 lint:
-	$(GO) run ./cmd/sledlint -tests ./...
+	$(GO) run ./cmd/sledlint ./...
 
 # lint-debt inventories every //sledlint:allow directive with its
 # reason — the full cost of the suppression mechanism, in one page.

@@ -240,8 +240,6 @@ type Cache struct {
 }
 
 // New creates a cache holding at most capacity pages. onEvict may be nil.
-//
-//sledlint:allow panicpath -- constructor validates static config before any simulated I/O exists
 func New(capacity int, policy Policy, onEvict EvictFn) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: non-positive capacity %d", capacity))

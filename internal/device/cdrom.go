@@ -53,8 +53,6 @@ type CDROM struct {
 }
 
 // NewCDROM builds a CD-ROM drive from cfg.
-//
-//sledlint:allow panicpath -- constructor validates static config before any simulated I/O exists
 func NewCDROM(cfg CDROMConfig) *CDROM {
 	if cfg.Size <= 0 {
 		panic(fmt.Sprintf("device: cdrom %q needs positive size", cfg.Name))
@@ -125,8 +123,6 @@ func (d *CDROM) Read(c *simclock.Clock, off, length int64) {
 func (d *CDROM) ReadOnly() bool { return true }
 
 // Write implements Device. CD-ROMs are read-only media.
-//
-//sledlint:allow panicpath -- the VFS checks Info().ReadOnly before writing; reaching here is a caller bug, not a fault
 func (d *CDROM) Write(c *simclock.Clock, off, length int64) {
 	panic(fmt.Sprintf("device: write to read-only CD-ROM %q", d.cfg.Name))
 }

@@ -190,8 +190,6 @@ func NewRegistry() *Registry { return &Registry{} }
 // Attach adds a device and assigns it the next ID. The device's Info must
 // return the assigned ID afterwards; concrete devices in this package take
 // the ID at construction via their config, so Attach verifies consistency.
-//
-//sledlint:allow panicpath -- machine-wiring consistency check at boot, before any simulated I/O
 func (r *Registry) Attach(d Device) ID {
 	id := ID(len(r.devices))
 	if got := d.Info().ID; got != id {
@@ -212,8 +210,6 @@ func (r *Registry) Attach(d Device) ID {
 // the outer wrapper's Read drives the inner wrapper's, which drives the
 // raw device. What a wrapper must forward for that to be safe (Info
 // verbatim, Reset, fallible errors) is DESIGN.md, "Wrapping a device".
-//
-//sledlint:allow panicpath -- interposition-wiring consistency check, not a runtime fault
 func (r *Registry) Replace(id ID, d Device) Device {
 	if id < 0 || int(id) >= len(r.devices) {
 		panic(fmt.Sprintf("device: replacing unknown device ID %d", id))
@@ -227,8 +223,6 @@ func (r *Registry) Replace(id ID, d Device) Device {
 }
 
 // Get returns the device with the given ID.
-//
-//sledlint:allow panicpath -- unknown ID is a wiring bug; injected faults surface as FallibleDevice errors
 func (r *Registry) Get(id ID) Device {
 	if id < 0 || int(id) >= len(r.devices) {
 		panic(fmt.Sprintf("device: unknown device ID %d", id))
@@ -257,8 +251,6 @@ func (r *Registry) ResetAll() {
 // The VFS clamps file I/O to the mapped extent before it reaches a
 // device, so an out-of-range extent here is a kernel/layout bug —
 // distinct from injected faults, which flow through FallibleDevice.
-//
-//sledlint:allow panicpath -- extent violations are kernel bugs, never simulated fault outcomes
 func checkExtent(info Info, off, length int64) {
 	if off < 0 || length < 0 {
 		panic(fmt.Sprintf("device %q: negative extent (off=%d len=%d)", info.Name, off, length))

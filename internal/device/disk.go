@@ -77,8 +77,6 @@ type Disk struct {
 
 // NewDisk builds a disk from cfg, fitting the seek curve through the three
 // anchor points.
-//
-//sledlint:allow panicpath -- constructor validates static config before any simulated I/O exists
 func NewDisk(cfg DiskConfig) *Disk {
 	if cfg.Size <= 0 || cfg.Cylinders <= 0 {
 		panic(fmt.Sprintf("device: disk %q needs positive size and cylinders", cfg.Name))
@@ -125,7 +123,7 @@ func (d *Disk) fitSeekCurve() {
 	}
 	den := det(m)
 	if den == 0 {
-		panic(fmt.Sprintf("device: disk %q seek anchors degenerate", d.cfg.Name)) //sledlint:allow panicpath -- construction-time curve fit over static config
+		panic(fmt.Sprintf("device: disk %q seek anchors degenerate", d.cfg.Name))
 	}
 	col := func(i int, t [3]float64) [3][3]float64 {
 		r := m

@@ -29,8 +29,6 @@ type Mem struct {
 }
 
 // NewMem builds a memory device from cfg.
-//
-//sledlint:allow panicpath -- constructor validates static config before any simulated I/O exists
 func NewMem(cfg MemConfig) *Mem {
 	if cfg.Bandwidth <= 0 {
 		panic("device: memory bandwidth must be positive")

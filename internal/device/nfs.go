@@ -53,8 +53,6 @@ type NFS struct {
 }
 
 // NewNFS builds an NFS device from cfg.
-//
-//sledlint:allow panicpath -- constructor validates static config before any simulated I/O exists
 func NewNFS(cfg NFSConfig) *NFS {
 	if cfg.Bandwidth <= 0 {
 		panic(fmt.Sprintf("device: nfs %q needs positive bandwidth", cfg.Name))

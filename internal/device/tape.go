@@ -62,8 +62,6 @@ type TapeLibrary struct {
 }
 
 // NewTapeLibrary builds a library from cfg.
-//
-//sledlint:allow panicpath -- constructor validates static config before any simulated I/O exists
 func NewTapeLibrary(cfg TapeLibraryConfig) *TapeLibrary {
 	if cfg.NumDrives <= 0 || cfg.NumCartridges <= 0 || cfg.CartridgeSize <= 0 {
 		panic(fmt.Sprintf("device: tape library %q needs positive drives/cartridges/size", cfg.Name))
@@ -132,8 +130,6 @@ func (t *TapeLibrary) ensureMounted(c *simclock.Clock, cart int) int {
 // access charges mount, locate and transfer for one request. Requests must
 // not cross a cartridge boundary; the HSM layer allocates within
 // cartridges, so a crossing indicates a layout bug and panics.
-//
-//sledlint:allow panicpath -- boundary crossing is an HSM allocator bug, not a device fault
 func (t *TapeLibrary) access(c *simclock.Clock, off, length int64) {
 	checkExtent(t.Info(), off, length)
 	cart := t.CartridgeOf(off)

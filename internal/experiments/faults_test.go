@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"sleds/internal/vfs"
 )
 
 func TestEFaultsRoutesAroundDegradedDevice(t *testing.T) {
@@ -90,6 +94,44 @@ func TestEFaultsRoutesAroundDegradedDevice(t *testing.T) {
 	}
 	if len(r.Pruned) != 1 || r.Pruned[0] != "/data/remote.log" {
 		t.Errorf("pruned = %v, want [/data/remote.log]", r.Pruned)
+	}
+}
+
+// TestEveryExperimentUnderFaultProfiles holds the fault-path contract:
+// an injected fault surfaces as an error, never as a panic. Every registry
+// entry runs under the light and the heavy whole-suite profile, which
+// interposes an injector over every device of every machine, on top of
+// any injector the experiment installs itself. A run completes or ends in
+// an error wrapping vfs.ErrIO; a panic, recovered here or turned into a
+// point error by RunGrid, fails the test. The entries that must complete
+// under a profile have tests of their own:
+// TestEFaultsSurvivesGlobalFaultProfile and
+// TestAblationZonesUnderGlobalFaultProfile.
+func TestEveryExperimentUnderFaultProfiles(t *testing.T) {
+	for _, e := range registry() {
+		name := strings.Join(e.IDs, "+")
+		for _, profile := range []string{"light", "heavy"} {
+			t.Run(name+"/"+profile, func(t *testing.T) {
+				if testing.Short() && name == "escale" {
+					t.Skip("short mode: skips escale's 10,000-stream points")
+				}
+				t.Parallel()
+				cfg := microConfig()
+				cfg.FaultProfile = profile
+				err := func() (err error) {
+					defer func() {
+						if p := recover(); p != nil {
+							err = fmt.Errorf("panicked: %v", p)
+						}
+					}()
+					_, err = e.Run(cfg, nil, 0)
+					return err
+				}()
+				if err != nil && !errors.Is(err, vfs.ErrIO) {
+					t.Fatalf("%s under -faults %s: %v", name, profile, err)
+				}
+			})
+		}
 	}
 }
 

@@ -142,7 +142,7 @@ func efleetScenarioSpec(name string, pcfg Config) efleetScenario {
 			warmReplica0Records: hot,
 		}
 	default:
-		panic(fmt.Sprintf("experiments: unknown efleet scenario %q", name)) //sledlint:allow panicpath -- driver-code misuse, not a simulation outcome
+		panic(fmt.Sprintf("experiments: unknown efleet scenario %q", name))
 	}
 }
 

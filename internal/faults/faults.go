@@ -196,8 +196,6 @@ func (i *Injector) Reset() {
 // faults must use device.ReadErr; reaching this method with an injected
 // fault is a programming error (a caller skipped the fallible path), not
 // a simulation outcome, so it panics rather than losing the error.
-//
-//sledlint:allow panicpath -- documented infallible-wrapper contract; fallible callers use ReadErr
 func (i *Injector) Read(c *simclock.Clock, off, length int64) {
 	if err := i.ReadErr(c, off, length); err != nil {
 		panic(fmt.Sprintf("faults: infallible Read on a faulted device: %v", err))
@@ -205,8 +203,6 @@ func (i *Injector) Read(c *simclock.Clock, off, length int64) {
 }
 
 // Write implements the infallible device path; see Read.
-//
-//sledlint:allow panicpath -- documented infallible-wrapper contract; fallible callers use WriteErr
 func (i *Injector) Write(c *simclock.Clock, off, length int64) {
 	if err := i.WriteErr(c, off, length); err != nil {
 		panic(fmt.Sprintf("faults: infallible Write on a faulted device: %v", err))

@@ -147,8 +147,6 @@ func (e *Engine) queueOf(id device.ID) *devQueue {
 // registered under id. The wrapper satisfies device.Device, so the VFS and
 // the cache work unchanged; outside Run it passes accesses straight
 // through (boot-time calibration and setup I/O see the raw device).
-//
-//sledlint:allow panicpath -- setup-phase API misuse, before any simulated I/O runs
 func (e *Engine) Queue(id device.ID, sched Scheduler) {
 	if e.running {
 		panic("iosched: Queue called while running")
@@ -169,8 +167,6 @@ func (e *Engine) Queue(id device.ID, sched Scheduler) {
 // after the engine's base time. The program runs against the shared
 // kernel; every kernel call it makes is charged to the stream's own
 // virtual clock. Streams are resumed in (virtual time, StreamID) order.
-//
-//sledlint:allow panicpath -- setup-phase API misuse, before any simulated I/O runs
 func (e *Engine) AddStream(start simclock.Duration, prog Program) StreamID {
 	if e.running {
 		panic("iosched: AddStream called while running")
@@ -194,8 +190,6 @@ func (e *Engine) AddStream(start simclock.Duration, prog Program) StreamID {
 // always loses its races would otherwise never be demoted). The observer
 // runs at the loser's completion instant. Losers dropped while still
 // queued were never sent, so they are not reported.
-//
-//sledlint:allow panicpath -- setup-phase API misuse, before any simulated I/O runs
 func (e *Engine) SetOrphanObserver(fn func(dev device.ID, err error, at simclock.Duration)) {
 	if e.running {
 		panic("iosched: SetOrphanObserver called while running")
@@ -209,7 +203,7 @@ func (e *Engine) SetOrphanObserver(fn func(dev device.ID, err error, at simclock
 // kernel is left usable for single-stream code again.
 func (e *Engine) Run() error {
 	if e.running {
-		panic("iosched: Run re-entered") //sledlint:allow panicpath -- engine misuse, not a simulation outcome
+		panic("iosched: Run re-entered")
 	}
 	if len(e.streams) == 0 {
 		return nil
@@ -291,7 +285,7 @@ func (e *Engine) Run() error {
 	}
 	for _, st := range e.streams {
 		if st.state != stateDone {
-			panic("iosched: no runnable event with streams outstanding") //sledlint:allow panicpath -- scheduler-deadlock invariant; faults ride events as errors
+			panic("iosched: no runnable event with streams outstanding")
 		}
 	}
 
@@ -472,7 +466,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			if step.Blocked() {
 				r := e.pending
 				if r == nil {
-					panic("iosched: operation suspended without a submitted request") //sledlint:allow panicpath -- resumable-layer invariant: ErrBlocked implies a registered request
+					panic("iosched: operation suspended without a submitted request")
 				}
 				e.pending = nil
 				st.state = stateBlocked
@@ -561,7 +555,7 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 	for {
 		r = dq.sched.Pick(t, dq.lastPos)
 		if r == nil {
-			panic("iosched: dispatch with no eligible request") //sledlint:allow panicpath -- Scheduler.Pick contract: a non-idle queue must yield a request
+			panic("iosched: dispatch with no eligible request")
 		}
 		if !r.cancelled {
 			break
@@ -598,7 +592,7 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 // back in at completion time.
 func (e *Engine) submit(c *simclock.Clock, dev device.ID, off, length int64, write bool) error {
 	if e.pending != nil {
-		panic("iosched: overlapping queued submissions in one op step") //sledlint:allow panicpath -- resumable-layer invariant: one suspension per step
+		panic("iosched: overlapping queued submissions in one op step")
 	}
 	e.pending = e.newRequest(e.current, dev, off, length, write, c.Now())
 	return vfs.ErrBlocked
@@ -667,8 +661,6 @@ func (q *QueuedDevice) Info() device.Info { return q.dq.dev.Info() }
 // has no way to observe the error. During Run an infallible access cannot
 // suspend, so it is also a panic; fault-aware code uses device.ReadErr,
 // which every kernel path does.
-//
-//sledlint:allow panicpath -- documented infallible-wrapper contract; fallible callers use ReadErr
 func (q *QueuedDevice) Read(c *simclock.Clock, off, length int64) {
 	if q.e.running {
 		panic("iosched: infallible Read on a queued device during Run; use a fallible access")
@@ -679,8 +671,6 @@ func (q *QueuedDevice) Read(c *simclock.Clock, off, length int64) {
 }
 
 // Write implements the infallible device path; see Read.
-//
-//sledlint:allow panicpath -- documented infallible-wrapper contract; fallible callers use WriteErr
 func (q *QueuedDevice) Write(c *simclock.Clock, off, length int64) {
 	if q.e.running {
 		panic("iosched: infallible Write on a queued device during Run; use a fallible access")
@@ -709,8 +699,6 @@ func (q *QueuedDevice) WriteErr(c *simclock.Clock, off, length int64) error {
 // Reset implements device.Device: the underlying device's mechanical
 // state and the queue position history are cleared. Resetting mid-run is
 // a programming error.
-//
-//sledlint:allow panicpath -- mid-run Reset is engine misuse, not a fault outcome
 func (q *QueuedDevice) Reset() {
 	if q.e.running {
 		panic("iosched: Reset while running")

@@ -148,8 +148,6 @@ func HedgedDevReadAt(primary device.ID, off int64, secondary device.ID, secOff, 
 // start begins an I/O op against the kernel (on whatever clock the kernel
 // currently runs): the file operation's resumable step, or a raw device
 // access wrapped as one.
-//
-//sledlint:allow panicpath -- the engine dispatches exit, sleep and hedge itself; reaching here with one is an engine bug
 func (op *Op) start(k *vfs.Kernel) vfs.IOStep {
 	switch op.kind {
 	case opRead:

@@ -177,8 +177,6 @@ func (x *offIndex) insert(r *Request) {
 }
 
 // remove deletes r, which must be present.
-//
-//sledlint:allow panicpath -- index desync is a scheduler bug, not a simulation outcome
 func (x *offIndex) remove(r *Request) {
 	s := *x
 	i := sort.Search(len(s), func(i int) bool { return !offLess(s[i], r) })
@@ -364,8 +362,6 @@ func (s *Deadline) Pick(now simclock.Duration, pos int64) *Request {
 
 // NewScheduler builds a scheduler by policy name; it is the factory the
 // experiment sweeps select policies with.
-//
-//sledlint:allow panicpath -- policy names are validated at config parse; an unknown one here is a harness bug
 func NewScheduler(name string) Scheduler {
 	switch name {
 	case "fcfs":

@@ -6,11 +6,11 @@
 // network (the CI container is offline except for the pinned
 // staticcheck fetch), so the real x/tools module cannot be a
 // dependency. This package mirrors the x/tools API surface that the
-// sledlint analyzers need — Analyzer, Pass, Diagnostic, Reportf — so
-// that migrating to the upstream framework later is a mechanical
-// import swap, not a rewrite. Facts, dependencies between analyzers,
-// and suggested fixes are deliberately omitted: the determinism rules
-// are all single-pass syntax+types checks.
+// sledlint analyzers need — Analyzer, Pass, Diagnostic, Reportf, and
+// object facts (facts.go) for the inter-procedural rules — so that
+// migrating to the upstream framework later is a mechanical import swap,
+// not a rewrite. Dependencies between analyzers and suggested fixes are
+// omitted: no rule consumes another's result or proposes an edit.
 package analysis
 
 import (
@@ -45,8 +45,8 @@ type Analyzer struct {
 	// that extra work.
 	UsesFacts bool
 
-	// Tests opts the analyzer into _test.go files when the driver runs
-	// in -tests mode. Rules whose violations are only meaningful in
+	// Tests opts the analyzer into _test.go files, which the driver
+	// always loads. Rules whose violations are only meaningful in
 	// simulator code (simtime's duration literals, say) leave it false
 	// and keep their findings scoped to non-test files.
 	Tests bool
@@ -112,7 +112,7 @@ type Diagnostic struct {
 
 // Within reports whether pkgpath is root or any package below root.
 // Analyzers use it to scope rules to parts of the module ("everything
-// under sleds/internal", "only the device/fault path packages").
+// under sleds/internal", "nothing under sleds/cmd").
 func Within(pkgpath string, roots ...string) bool {
 	for _, root := range roots {
 		if pkgpath == root || strings.HasPrefix(pkgpath, root+"/") {

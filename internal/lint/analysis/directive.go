@@ -16,13 +16,10 @@ import (
 // suppresses anything and is itself reported as a finding, so the
 // escape hatch cannot silently decay into a blanket mute.
 //
-// A directive covers:
-//   - its own source line (trailing comment on the offending line),
-//   - the line immediately below it (standalone comment above the
-//     offending statement), and
-//   - when it appears in a func declaration's doc comment, every line
-//     of that declaration — the form used for constructor-validation
-//     panics, where one documented reason covers several panic sites.
+// A directive covers its own source line (trailing comment on the
+// offending line) and the line immediately below it (standalone comment
+// above the offending statement), so each accepted finding carries its
+// own reason.
 
 // DirectivePrefix is the comment prefix shared by all analyzers.
 const DirectivePrefix = "//sledlint:allow"
@@ -116,20 +113,6 @@ type Suppressions struct {
 func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 	s := &Suppressions{spans: make(map[string]map[string][]lineSpan)}
 	for _, f := range files {
-		// Map each doc-comment directive to the span of its decl.
-		funcDoc := make(map[*ast.Comment]lineSpan)
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if ok && fd.Doc != nil {
-				span := lineSpan{
-					from: fset.Position(fd.Pos()).Line,
-					to:   fset.Position(fd.End()).Line,
-				}
-				for _, c := range fd.Doc.List {
-					funcDoc[c] = span
-				}
-			}
-		}
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				if !strings.HasPrefix(c.Text, DirectivePrefix) {
@@ -144,12 +127,8 @@ func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 					})
 					continue
 				}
-				span, ok := funcDoc[c]
-				if !ok {
-					line := fset.Position(c.Pos()).Line
-					span = lineSpan{from: line, to: line + 1}
-				}
 				pos := fset.Position(c.Pos())
+				span := lineSpan{from: pos.Line, to: pos.Line + 1}
 				byAnalyzer := s.spans[pos.Filename]
 				if byAnalyzer == nil {
 					byAnalyzer = make(map[string][]lineSpan)

@@ -40,14 +40,6 @@ func TestParseDirective(t *testing.T) {
 
 const directiveSrc = `package p
 
-//sledlint:allow demo -- constructor-wide reason
-func Covered(x int) {
-	if x < 0 {
-		sink(x)
-	}
-	sink(x + 1)
-}
-
 func Partial(x int) {
 	sink(x) //sledlint:allow demo -- same line
 	//sledlint:allow demo -- next line
@@ -69,8 +61,8 @@ func TestSuppressionSpans(t *testing.T) {
 		t.Fatalf("unexpected malformed directives: %v", s.Malformed)
 	}
 	// Line numbers in directiveSrc (1-based).
-	covered := []int{4, 5, 6, 7, 8, 12, 13, 14}
-	uncovered := []int{10, 11, 15, 18}
+	covered := []int{4, 5, 6}
+	uncovered := []int{3, 7, 10}
 	file := fset.File(f.Pos())
 	for _, line := range covered {
 		if !s.Suppressed(fset, "demo", file.LineStart(line)) {
@@ -82,7 +74,7 @@ func TestSuppressionSpans(t *testing.T) {
 			t.Errorf("line %d: expected NOT suppressed", line)
 		}
 	}
-	if s.Suppressed(fset, "other", file.LineStart(6)) {
+	if s.Suppressed(fset, "other", file.LineStart(4)) {
 		t.Error("directive for \"demo\" must not suppress analyzer \"other\"")
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"io"
-	"path/filepath"
 	"sort"
 	"strings"
 
@@ -30,18 +29,13 @@ type debtEntry struct {
 // debtReport renders the directive inventory and always exits clean:
 // debt is information, not a failure — a new directive is reviewed in
 // the diff that adds it.
-func debtReport(pkgs []*load.Package, fset *token.FileSet, w io.Writer, opts Options) int {
-	base := baseDir(opts)
+func debtReport(pkgs []*load.Package, fset *token.FileSet, w io.Writer, base string) int {
 	var entries []debtEntry
 	for _, p := range pkgs {
 		for _, d := range analysis.CollectDirectives(fset, p.Files) {
 			pos := fset.Position(d.Pos)
-			file := pos.Filename
-			if rel, err := filepath.Rel(base, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
 			entries = append(entries, debtEntry{
-				File:      file,
+				File:      relPath(base, pos.Filename),
 				Line:      pos.Line,
 				Analyzers: d.Analyzers,
 				Reason:    d.Reason,
@@ -55,17 +49,6 @@ func debtReport(pkgs []*load.Package, fset *token.FileSet, w io.Writer, opts Opt
 		}
 		return a.Line < b.Line
 	})
-	// The test-augmented variant repeats its pristine twin's files;
-	// dedupe on file:line.
-	deduped := entries[:0]
-	for i, e := range entries {
-		if i > 0 && e.File == entries[i-1].File && e.Line == entries[i-1].Line {
-			continue
-		}
-		deduped = append(deduped, e)
-	}
-	entries = deduped
-
 	for _, e := range entries {
 		fmt.Fprintf(w, "%s:%d: allow %s -- %s\n", e.File, e.Line, strings.Join(e.Analyzers, ","), e.Reason)
 	}

@@ -1,7 +1,9 @@
 // Package driver runs a set of sledlint analyzers over go-list
-// package patterns and renders the findings — the multichecker core
-// behind cmd/sledlint, kept importable so tests can exercise exit
-// codes and the report format without building the binary.
+// package patterns, test files included, and renders the findings —
+// the multichecker core behind cmd/sledlint, kept importable so tests
+// can exercise exit codes and the report format without building the
+// binary, and so the analyzer golden tests (internal/lint/linttest) run
+// the same analysis loop through Analyze.
 //
 // The driver provides the inter-procedural substrate: it analyzes the
 // module-local dependency closure of the matched packages in
@@ -37,8 +39,7 @@ const (
 
 // Options configures one run.
 type Options struct {
-	Dir   string // working directory for go list; "" = process cwd
-	Tests bool   // also load _test.go files; analyzers opt in via Tests
+	Dir string // working directory for go list; "" = process cwd
 
 	// Debt switches the run to the directive report: every well-formed
 	// //sledlint:allow in the matched packages, with its rule list and
@@ -56,25 +57,46 @@ type finding struct {
 	Message  string
 }
 
-// Run applies every analyzer to every package matching patterns,
-// filters findings through the shared //sledlint:allow suppression
-// pass, writes the report to w, and returns the exit code.
+// Run applies every analyzer to every package matching patterns, test
+// files included, writes the report to w, and returns the exit code.
 func Run(analyzers []*analysis.Analyzer, patterns []string, w io.Writer, opts Options) int {
-	pkgs, fset, err := load.PackagesMode(opts.Dir, load.Mode{Tests: opts.Tests}, patterns...)
+	pkgs, fset, err := load.Packages(opts.Dir, patterns...)
 	if err != nil {
 		fmt.Fprintf(w, "sledlint: %v\n", err)
 		return ExitError
 	}
-
+	base := baseDir(opts)
 	if opts.Debt {
-		return debtReport(pkgs, fset, w, opts)
+		return debtReport(pkgs, fset, w, base)
 	}
+	diags, err := Analyze(analyzers, pkgs, fset)
+	if err != nil {
+		fmt.Fprintf(w, "sledlint: %v\n", err)
+		return ExitError
+	}
+	out := renderable(fset, diags, base)
+	for _, d := range out {
+		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
+	}
+	if len(out) > 0 {
+		return ExitFindings
+	}
+	return ExitClean
+}
 
-	target := make(map[*load.Package]bool, len(pkgs))
-	for _, p := range pkgs {
+// Analyze applies every analyzer to roots and returns the diagnostics
+// reported in roots that no //sledlint:allow directive covers, plus one
+// per malformed directive. The roots' module-local dependency closure is
+// analyzed first, in topological order over one fact store and one call
+// graph, with only the fact-producing analyzers run there and their
+// diagnostics discarded. A finding in a _test.go file is kept only from
+// an analyzer that opts in (Analyzer.Tests).
+func Analyze(analyzers []*analysis.Analyzer, roots []*load.Package, fset *token.FileSet) ([]analysis.Diagnostic, error) {
+	target := make(map[*load.Package]bool, len(roots))
+	for _, p := range roots {
 		target[p] = true
 	}
-	closure := load.Closure(pkgs)
+	closure := load.Closure(roots)
 
 	facts := analysis.NewFactSet()
 	graph := callgraph.New()
@@ -117,23 +139,14 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, w io.Writer, opts Op
 				Report:       report,
 			}
 			if err := a.Run(pass); err != nil {
-				fmt.Fprintf(w, "sledlint: %s on %s: %v\n", a.Name, p.Path, err)
-				return ExitError
+				return nil, fmt.Errorf("%s on %s: %v", a.Name, p.Path, err)
 			}
 		}
 		if target[p] {
 			all = append(all, sup.Filter(fset, diags)...)
 		}
 	}
-
-	out := renderable(fset, all, baseDir(opts))
-	for _, d := range out {
-		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
-	}
-	if len(out) > 0 {
-		return ExitFindings
-	}
-	return ExitClean
+	return all, nil
 }
 
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {
@@ -148,20 +161,23 @@ func baseDir(opts Options) string {
 	return wd
 }
 
+// relPath returns file relative to base when it lies under base, and
+// file unchanged otherwise.
+func relPath(base, file string) string {
+	if rel, err := filepath.Rel(base, file); err == nil && !strings.HasPrefix(rel, "..") {
+		return rel
+	}
+	return file
+}
+
 // renderable converts diagnostics to the sorted, repo-relative form
 // the report prints.
 func renderable(fset *token.FileSet, all []analysis.Diagnostic, base string) []finding {
 	out := make([]finding, 0, len(all))
 	for _, d := range all {
 		p := fset.Position(d.Pos)
-		file := p.Filename
-		if base != "" {
-			if rel, err := filepath.Rel(base, file); err == nil && !strings.HasPrefix(rel, "..") {
-				file = rel
-			}
-		}
 		out = append(out, finding{
-			File:     file,
+			File:     relPath(base, p.Filename),
 			Line:     p.Line,
 			Col:      p.Column,
 			Analyzer: d.Analyzer,

@@ -8,7 +8,7 @@ import (
 
 	"sleds/internal/lint/analysis"
 	"sleds/internal/lint/driver"
-	"sleds/internal/lint/rngsource"
+	"sleds/internal/lint/seedflow"
 	"sleds/internal/lint/simtime"
 )
 
@@ -19,7 +19,7 @@ import (
 func TestCleanTreeExitsZero(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{rngsource.Analyzer, simtime.Analyzer},
+		[]*analysis.Analyzer{seedflow.Analyzer, simtime.Analyzer},
 		[]string{"./testdata/src/clean"}, &out, driver.Options{})
 	if code != driver.ExitClean {
 		t.Fatalf("exit = %d, want %d; output:\n%s", code, driver.ExitClean, out.String())
@@ -35,7 +35,7 @@ func TestCleanTreeExitsZero(t *testing.T) {
 func TestFindingsExitOneAndTextFormat(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{rngsource.Analyzer, simtime.Analyzer},
+		[]*analysis.Analyzer{seedflow.Analyzer, simtime.Analyzer},
 		[]string{"./testdata/src/dirty"}, &out, driver.Options{})
 	if code != driver.ExitFindings {
 		t.Fatalf("exit = %d, want %d; output:\n%s", code, driver.ExitFindings, out.String())
@@ -43,9 +43,9 @@ func TestFindingsExitOneAndTextFormat(t *testing.T) {
 	// rand.Seed on line 10 precedes the simtime literal on line 11 and
 	// the rand.Int63 draw on line 12.
 	want := []string{
-		`^testdata/src/dirty/dirty\.go:10:2: rand\.Seed .+ \(rngsource\)$`,
+		`^testdata/src/dirty/dirty\.go:10:2: rand\.Seed .+ \(seedflow\)$`,
 		`^testdata/src/dirty/dirty\.go:11:28: time\.Duration\(500\) .+ \(simtime\)$`,
-		`^testdata/src/dirty/dirty\.go:12:30: rand\.Int63 .+ \(rngsource\)$`,
+		`^testdata/src/dirty/dirty\.go:12:30: rand\.Int63 .+ \(seedflow\)$`,
 	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 	if len(lines) != len(want) {
@@ -61,7 +61,7 @@ func TestFindingsExitOneAndTextFormat(t *testing.T) {
 func TestBadPatternExitsTwo(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{rngsource.Analyzer},
+		[]*analysis.Analyzer{seedflow.Analyzer},
 		[]string{"./does-not-exist"}, &out, driver.Options{})
 	if code != driver.ExitError {
 		t.Fatalf("exit = %d, want %d", code, driver.ExitError)

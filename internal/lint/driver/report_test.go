@@ -2,12 +2,13 @@ package driver_test
 
 import (
 	"bytes"
-	"strings"
+	"regexp"
 	"testing"
 
 	"sleds/internal/lint/analysis"
 	"sleds/internal/lint/driver"
-	"sleds/internal/lint/rngsource"
+	"sleds/internal/lint/seedflow"
+	"sleds/internal/lint/simtime"
 )
 
 // TestDebtReport pins the directive inventory: the suppressed package
@@ -17,7 +18,7 @@ import (
 func TestDebtReport(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{rngsource.Analyzer},
+		[]*analysis.Analyzer{seedflow.Analyzer},
 		[]string{"./testdata/src/debt"}, &out, driver.Options{})
 	if code != driver.ExitClean || out.Len() != 0 {
 		t.Fatalf("suppressed package not clean: exit %d\n%s", code, out.String())
@@ -25,44 +26,50 @@ func TestDebtReport(t *testing.T) {
 
 	out.Reset()
 	code = driver.Run(
-		[]*analysis.Analyzer{rngsource.Analyzer},
+		[]*analysis.Analyzer{seedflow.Analyzer},
 		[]string{"./testdata/src/debt"}, &out, driver.Options{Debt: true})
-	want := "testdata/src/debt/debt.go:10: allow rngsource -- fixture: the debt report test needs one reasoned entry\n" +
+	want := "testdata/src/debt/debt.go:10: allow seedflow -- fixture: the debt report test needs one reasoned entry\n" +
 		"sledlint: 1 allow directive(s)\n"
 	if code != driver.ExitClean || out.String() != want {
 		t.Fatalf("-debt: exit %d, output\n%s\nwant\n%s", code, out.String(), want)
+	}
+
+	// A directive in a _test.go file is honoured by the lint run, so the
+	// inventory lists it too.
+	out.Reset()
+	code = driver.Run(
+		[]*analysis.Analyzer{seedflow.Analyzer},
+		[]string{"./testdata/src/testy"}, &out, driver.Options{Debt: true})
+	want = "testdata/src/testy/testy_test.go:15: allow seedflow -- fixture: a directive in a test file is inventory too\n" +
+		"sledlint: 1 allow directive(s)\n"
+	if code != driver.ExitClean || out.String() != want {
+		t.Fatalf("-debt on test files: exit %d, output\n%s\nwant\n%s", code, out.String(), want)
 	}
 
 	// A package with findings and no directives: -debt reports the
 	// inventory, not the findings.
 	out.Reset()
 	code = driver.Run(
-		[]*analysis.Analyzer{rngsource.Analyzer},
+		[]*analysis.Analyzer{seedflow.Analyzer},
 		[]string{"./testdata/src/dirty"}, &out, driver.Options{Debt: true})
 	if code != driver.ExitClean || out.String() != "sledlint: 0 allow directive(s)\n" {
 		t.Fatalf("-debt on a package with findings: exit %d, %q", code, out.String())
 	}
 }
 
-// TestTestsMode: the violation in testy_test.go is invisible by
-// default and a finding under Options.Tests for analyzers that opt in.
+// TestTestsMode: test files are always loaded, and Analyzer.Tests picks
+// the rules that report there — seedflow's finding in testy_test.go is
+// kept, simtime's is not.
 func TestTestsMode(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{rngsource.Analyzer},
+		[]*analysis.Analyzer{seedflow.Analyzer, simtime.Analyzer},
 		[]string{"./testdata/src/testy"}, &out, driver.Options{})
-	if code != driver.ExitClean {
-		t.Fatalf("default load saw test files: exit %d\n%s", code, out.String())
-	}
-
-	out.Reset()
-	code = driver.Run(
-		[]*analysis.Analyzer{rngsource.Analyzer},
-		[]string{"./testdata/src/testy"}, &out, driver.Options{Tests: true})
 	if code != driver.ExitFindings {
-		t.Fatalf("-tests missed the helper violation: exit %d\n%s", code, out.String())
+		t.Fatalf("the test-file violation was missed: exit %d\n%s", code, out.String())
 	}
-	if !strings.Contains(out.String(), "testy_test.go") || !strings.Contains(out.String(), "(rngsource)") {
-		t.Fatalf("wrong finding:\n%s", out.String())
+	want := regexp.MustCompile(`^testdata/src/testy/testy_test\.go:13:2: rand\.Seed .+ \(seedflow\)\n$`)
+	if !want.MatchString(out.String()) {
+		t.Fatalf("want exactly the rand.Seed finding, got:\n%s", out.String())
 	}
 }

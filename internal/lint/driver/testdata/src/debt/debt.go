@@ -6,9 +6,7 @@ import "math/rand"
 
 // Sample draws from the global source under a reasoned directive: the
 // finding is muted, the directive is inventory.
-//
-//sledlint:allow rngsource -- fixture: the debt report test needs one reasoned entry
 func Sample() int64 {
-	rand.Seed(1)
+	//sledlint:allow seedflow -- fixture: the debt report test needs one reasoned entry
 	return rand.Int63()
 }

@@ -1,5 +1,5 @@
-// Package testy is clean on its build files; the violation lives in
-// the _test.go file next door, visible only under -tests.
+// Package testy is clean on its build files; the violations live in
+// the _test.go file next door.
 package testy
 
 // Answer is deterministic; nothing in this file should fire.

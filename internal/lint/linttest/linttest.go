@@ -21,7 +21,7 @@ import (
 	"testing"
 
 	"sleds/internal/lint/analysis"
-	"sleds/internal/lint/callgraph"
+	"sleds/internal/lint/driver"
 	"sleds/internal/lint/load"
 )
 
@@ -29,58 +29,25 @@ var wantRe = regexp.MustCompile("(?://|/\\*) want (`[^`]*`(?: `[^`]*`)*)")
 var wantExprRe = regexp.MustCompile("`([^`]*)`")
 
 // Run loads dir as a package with the given import path, applies the
-// analyzer plus the shared suppression pass, and checks the result
-// against the package's `// want` annotations. It returns the kept
-// diagnostics so callers can make extra assertions.
+// analyzer through driver.Analyze — the loop sledlint itself runs, with
+// the shared suppression pass — and checks the result against the
+// package's `// want` annotations. It returns the kept diagnostics so
+// callers can make extra assertions.
 //
-// Inter-procedural analyzers get the same substrate the driver
-// provides: the testdata package's module-local imports (which may be
-// other testdata packages, addressed by their real module paths) are
-// analyzed first in dependency order with diagnostics discarded, so
-// cross-package facts exist, and the whole closure shares one call
-// graph and fact store.
+// The testdata package's module-local imports (which may be other
+// testdata packages, addressed by their real module paths) are analyzed
+// first with diagnostics discarded, so inter-procedural analyzers see
+// the same cross-package facts they see under sledlint.
 func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) []analysis.Diagnostic {
 	t.Helper()
 	pkg, fset, err := load.Dir(dir, importPath)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-
-	facts := analysis.NewFactSet()
-	graph := callgraph.New()
-	closure := load.Closure([]*load.Package{pkg})
-	for _, p := range closure {
-		graph.AddPackage(p.Files, p.Info)
+	kept, err := driver.Analyze([]*analysis.Analyzer{a}, []*load.Package{pkg}, fset)
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	var diags []analysis.Diagnostic
-	for _, p := range closure {
-		target := p == pkg
-		pass := &analysis.Pass{
-			Analyzer:     a,
-			Fset:         fset,
-			Files:        p.Files,
-			Pkg:          p.Types,
-			PkgPath:      p.Path,
-			TypesInfo:    p.Info,
-			Facts:        facts,
-			Graph:        graph,
-			Suppressions: analysis.CollectSuppressions(fset, p.Files),
-			Report:       func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if target {
-			pass.PkgPath = importPath
-		} else if !a.UsesFacts {
-			continue
-		} else {
-			pass.Report = func(analysis.Diagnostic) {}
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s on %s: %v", a.Name, pass.PkgPath, err)
-		}
-	}
-	sup := analysis.CollectSuppressions(fset, pkg.Files)
-	kept := sup.Filter(fset, diags)
 
 	// Gather expectations: file:line -> regexps.
 	type key struct {

@@ -51,17 +51,6 @@ type Package struct {
 	Test bool
 }
 
-// Mode selects optional load behavior.
-type Mode struct {
-	// Tests also loads _test.go files (sledlint -tests): in-package
-	// test files are merged into their package's file list, and
-	// external test packages ("package foo_test") load as their own
-	// Package with the import path "<path>_test". The pristine
-	// non-test package still backs every import edge, so enabling
-	// tests never changes what dependent packages type-check against.
-	Tests bool
-}
-
 // listed mirrors the subset of `go list -json` output we consume.
 type listed struct {
 	ImportPath   string
@@ -72,18 +61,13 @@ type listed struct {
 }
 
 // Packages loads and type-checks the packages matching the go-list
-// patterns (typically "./..."), evaluated from dir. Only non-test Go
-// files are loaded: the determinism invariants are enforced on
-// simulator code, while test files are covered by the 1-vs-4-worker
-// determinism diffs (and testdata trees under lint packages hold
-// deliberate violations). PackagesMode with Mode.Tests set widens the
-// load to test files.
+// patterns (typically "./..."), evaluated from dir, test files included:
+// a package's in-package _test.go files are merged into its file list,
+// and an external test package ("package foo_test") loads as its own
+// Package with the import path "<path>_test". The pristine non-test
+// build still backs every import edge, so test files never change what
+// dependent packages type-check against.
 func Packages(dir string, patterns ...string) ([]*Package, *token.FileSet, error) {
-	return PackagesMode(dir, Mode{}, patterns...)
-}
-
-// PackagesMode is Packages with explicit load options.
-func PackagesMode(dir string, mode Mode, patterns ...string) ([]*Package, *token.FileSet, error) {
 	if dir == "" {
 		wd, err := os.Getwd()
 		if err != nil {
@@ -120,7 +104,7 @@ func PackagesMode(dir string, mode Mode, patterns ...string) ([]*Package, *token
 			if err != nil {
 				return nil, nil, err
 			}
-			if mode.Tests && len(l.TestGoFiles) > 0 {
+			if len(l.TestGoFiles) > 0 {
 				// Re-check the package with its in-package test files.
 				// The importer cache deliberately keeps the pristine
 				// build; the augmented variant exists only for analysis.
@@ -133,7 +117,7 @@ func PackagesMode(dir string, mode Mode, patterns ...string) ([]*Package, *token
 			}
 			pkgs = append(pkgs, p)
 		}
-		if mode.Tests && len(l.XTestGoFiles) > 0 {
+		if len(l.XTestGoFiles) > 0 {
 			xp, err := imp.checkFiles(l.Dir, l.ImportPath+"_test", l.XTestGoFiles)
 			if err != nil {
 				return nil, nil, err

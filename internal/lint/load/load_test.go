@@ -50,27 +50,15 @@ func TestPackagesTypechecks(t *testing.T) {
 	}
 }
 
-// TestTestsMode pins the -tests load semantics: by default _test.go
-// files are invisible; under Mode.Tests the in-package test files are
-// merged into an augmented variant that replaces the pristine package
-// in the returned roots, and the external test package loads under a
-// "_test"-suffixed path — while import edges keep resolving against
-// the pristine build.
+// TestTestsMode pins how test files load: the in-package test files
+// are merged into an augmented variant that replaces the pristine
+// package in the returned roots, and the external test package loads
+// under a "_test"-suffixed path — while import edges keep resolving
+// against the pristine build.
 func TestTestsMode(t *testing.T) {
 	const tinyPath = "sleds/internal/lint/load/testdata/src/tiny"
 
-	plain, _, err := Packages("", "./testdata/src/tiny")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain) != 1 || plain[0].Test {
-		t.Fatalf("default load: %d packages (Test=%v)", len(plain), len(plain) > 0 && plain[0].Test)
-	}
-	if plain[0].Types.Scope().Lookup("helperAnswer") != nil {
-		t.Fatal("default load leaked a test-only symbol")
-	}
-
-	pkgs, _, err := PackagesMode("", Mode{Tests: true}, "./testdata/src/tiny")
+	pkgs, _, err := Packages("", "./testdata/src/tiny")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@ package tiny
 import "testing"
 
 // helperAnswer is a test-only symbol: it exists in the augmented
-// build the Tests load mode produces and nowhere else.
+// build Packages loads and nowhere else.
 func helperAnswer() int { return Answer() }
 
 func TestAnswer(t *testing.T) {

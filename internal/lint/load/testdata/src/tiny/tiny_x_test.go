@@ -6,8 +6,8 @@ import (
 	"sleds/internal/lint/load/testdata/src/tiny"
 )
 
-// The external test package loads as its own "<path>_test" package
-// under the Tests mode, importing the pristine build.
+// The external test package loads as its own "<path>_test" package,
+// importing the pristine build.
 func TestAnswerExternal(t *testing.T) {
 	if tiny.Answer() != 42 {
 		t.Fatal("wrong answer")

@@ -1,12 +1,16 @@
 package fake
 
-import "math/rand"
+import (
+	"math/rand"
+	randv2 "math/rand/v2"
+)
 
 func bad() int {
 	rand.Seed(42)                       // want `rand\.Seed draws from the process-global RNG`
 	_ = rand.Float64()                  // want `rand\.Float64 draws from the process-global RNG`
 	rand.Shuffle(3, func(i, j int) {})  // want `rand\.Shuffle draws from the process-global RNG`
-	r := rand.New(rand.NewSource(1234)) // want `hardcodes the seed`
+	_ = randv2.IntN(3)                  // want `rand/v2\.IntN draws from the process-global RNG`
+	r := rand.New(rand.NewSource(1234)) // a constant seed is a derivation root
 	return r.Intn(10) + rand.Intn(10)   // want `rand\.Intn draws from the process-global RNG`
 }
 
@@ -17,16 +21,16 @@ func ok(seed int64) *rand.Rand {
 }
 
 func suppressed() int {
-	//sledlint:allow rngsource -- demo shuffle outside any measured sweep
+	//sledlint:allow seedflow -- demo shuffle outside any measured sweep
 	return rand.Intn(3)
 }
 
 func missingReason() {
-	//sledlint:allow rngsource // want `malformed`
+	//sledlint:allow seedflow // want `malformed`
 	rand.Seed(7) // want `rand\.Seed draws from the process-global RNG`
 }
 
 func emptyReason() {
-	/* want `empty reason` */ //sledlint:allow rngsource --
+	/* want `empty reason` */ //sledlint:allow seedflow --
 	_ = rand.Float64()        // want `rand\.Float64 draws from the process-global RNG`
 }

@@ -2,13 +2,12 @@
 //
 // Every deterministic stream in the repro is seeded from the runner's
 // per-point derivation (experiments.PointSeed and the SplitMix64
-// chains built on it). The syntactic rngsource rule catches the global
-// math/rand source and literal seeds, but it cannot see a
-// time.Now().UnixNano() laundered through two helper functions before
-// it reaches a constructor. seedflow can: it computes per-function
-// facts — "this function's result is a derived seed", "these integer
-// parameters are seed sinks" — and checks, at every call that feeds a
-// seed sink, that the argument traces back to one of:
+// chains built on it). A time.Now().UnixNano() laundered through two
+// helper functions before it reaches a constructor is as
+// non-reproducible as one passed in directly, so seedflow computes
+// per-function facts — "this function's result is a derived seed",
+// "these integer parameters are seed sinks" — and checks, at every call
+// that feeds a seed sink, that the argument traces back to one of:
 //
 //   - experiments.PointSeed or any other function carrying the
 //     //sledlint:seed marker (the declared roots of derivation chains),
@@ -26,6 +25,12 @@
 // Seed sinks are recognized structurally: a module-local function
 // parameter of integer type named "seed"/"seedX"/"…Seed", plus the
 // stdlib constructors math/rand.NewSource and math/rand/v2.NewPCG.
+//
+// The process-global math/rand source has no seed to trace: it is
+// shared mutable state whose draw order depends on every other caller.
+// Any use of its top-level functions (rand.Intn and friends) is a
+// finding in its own right, in every package of the module, cmd/ and
+// test files included.
 package seedflow
 
 import (
@@ -42,10 +47,12 @@ import (
 // Analyzer implements the seedflow rule.
 var Analyzer = &analysis.Analyzer{
 	Name:      "seedflow",
-	Doc:       "seed arguments must derive from PointSeed, a constant, or a //sledlint:seed source",
+	Doc:       "no global math/rand; seed arguments must derive from PointSeed, a constant, or a //sledlint:seed source",
 	Run:       run,
 	UsesFacts: true,
-	Tests:     true,
+	// Test helpers share the reproducibility contract: a test that
+	// draws from the global source flakes across go versions.
+	Tests: true,
 }
 
 // isSeedSource marks a function whose result is a trusted derived
@@ -97,7 +104,49 @@ type funcInfo struct {
 	litSinks map[*types.Var][]int
 }
 
+// globalFuncs are the math/rand (and math/rand/v2) top-level functions
+// backed by the shared global source.
+var globalFuncs = map[string]bool{
+	"ExpFloat64": true, "Float32": true, "Float64": true,
+	"Int": true, "Int31": true, "Int31n": true, "Int63": true, "Int63n": true,
+	"Intn": true, "NormFloat64": true, "Perm": true, "Read": true,
+	"Seed": true, "Shuffle": true, "Uint32": true, "Uint64": true,
+	// math/rand/v2 additions.
+	"IntN": true, "Int32": true, "Int32N": true, "Int64": true, "Int64N": true,
+	"N": true, "Uint": true, "UintN": true, "Uint32N": true, "Uint64N": true,
+}
+
+// checkGlobalSource reports every use of a global-source function.
+func checkGlobalSource(pass *analysis.Pass) {
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			sel, ok := n.(*ast.SelectorExpr)
+			if !ok || !globalFuncs[sel.Sel.Name] {
+				return true
+			}
+			if pn := pkgName(pass, sel); pn != nil {
+				if path := pn.Imported().Path(); path == "math/rand" || path == "math/rand/v2" {
+					pass.Reportf(sel.Pos(), "%s.%s draws from the process-global RNG; pass a *rand.Rand seeded from the runner's per-point derivation", strings.TrimPrefix(path, "math/"), sel.Sel.Name)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// pkgName returns the imported package sel selects from, or nil when
+// sel is not a package-qualified name.
+func pkgName(pass *analysis.Pass, sel *ast.SelectorExpr) *types.PkgName {
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return nil
+	}
+	pn, _ := pass.TypesInfo.Uses[id].(*types.PkgName)
+	return pn
+}
+
 func run(pass *analysis.Pass) error {
+	checkGlobalSource(pass)
 	var fns []*funcInfo
 	pkgAssigns := collectPackageAssigns(pass)
 
@@ -456,17 +505,12 @@ func entropyIn(pass *analysis.Pass, e ast.Node) string {
 		if !ok {
 			return true
 		}
-		id, ok := sel.X.(*ast.Ident)
-		if !ok {
+		pn := pkgName(pass, sel)
+		if pn == nil {
 			return true
 		}
-		pkgName, ok := pass.TypesInfo.Uses[id].(*types.PkgName)
-		if !ok {
-			return true
-		}
-		path := pkgName.Imported().Path()
-		if fns, ok := entropySources[path]; ok && fns[sel.Sel.Name] {
-			found = fmt.Sprintf("%s.%s", pkgName.Name(), sel.Sel.Name)
+		if fns, ok := entropySources[pn.Imported().Path()]; ok && fns[sel.Sel.Name] {
+			found = fmt.Sprintf("%s.%s", pn.Name(), sel.Sel.Name)
 			return false
 		}
 		return true

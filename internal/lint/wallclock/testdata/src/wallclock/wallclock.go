@@ -25,12 +25,6 @@ func suppressedLineAbove() {
 	_ = time.Now()
 }
 
-//sledlint:allow wallclock -- whole helper reports host time on stderr
-func suppressedFuncDoc() {
-	_ = time.Now()
-	time.Sleep(time.Millisecond)
-}
-
 func missingReason() {
 	//sledlint:allow wallclock // want `malformed`
 	_ = time.Now() // want `time\.Now reads the host clock`

@@ -40,8 +40,6 @@ func (m *HostMem) Held() (bufs, frames, store int) {
 }
 
 // hostMem returns the kernel's arena, which must not have been Reset since boot.
-//
-//sledlint:allow panicpath -- using a kernel past its arena's Reset is a caller bug, not a simulation outcome
 func (k *Kernel) hostMem() *HostMem {
 	if k.mem.epoch != k.memEpoch {
 		panic("vfs: kernel used after its HostMem was Reset: a kernel does not outlive the grid point that booted it")

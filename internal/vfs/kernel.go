@@ -137,8 +137,6 @@ type Kernel struct {
 // empty cache. Storage devices are attached afterwards with AttachDevice;
 // cfg.MemDevice (used to cost cache-hit copies) is charged directly and
 // does not need to be attached.
-//
-//sledlint:allow panicpath -- constructor validates static config before any simulated I/O exists
 func NewKernel(cfg Config) *Kernel {
 	if cfg.PageSize <= 0 {
 		panic(fmt.Sprintf("vfs: bad page size %d", cfg.PageSize))

@@ -80,8 +80,6 @@ func (s IOStep) Blocked() bool { return s.op != nil }
 // A suspended step is resumed once: the kernel reuses the operation's
 // record after it completes, so the step and any copy of it are spent, and
 // a further suspension comes back as a new step.
-//
-//sledlint:allow panicpath -- resuming a completed step is an engine bug, not a simulation outcome
 func (s IOStep) Resume(devErr error) IOStep {
 	if s.op == nil {
 		panic("vfs: Resume on a completed IOStep")
@@ -106,8 +104,6 @@ func mustComplete(s IOStep, what string) (int64, error) {
 // blocking I/O was issued against an engine-queued device from outside the
 // engine's op loop (for example File.Sync inside a running stream), which
 // the flat engine cannot service.
-//
-//sledlint:allow panicpath -- API misuse: synchronous I/O on an engine-queued device cannot be scheduled
 func mustNotBlock(blocked bool, what string) {
 	if blocked {
 		panic("vfs: " + what + " blocked on a queued device outside the iosched engine op loop")

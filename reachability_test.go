@@ -45,7 +45,7 @@ var testOnlyKept = map[string]bool{
 // ./..., so its files are type-checked here against the loaded packages;
 // every name it spells, its tests included, counts as production use.
 func TestEveryExportedFunctionIsReferenced(t *testing.T) {
-	pkgs, fset, err := load.PackagesMode(".", load.Mode{Tests: true}, "./...")
+	pkgs, fset, err := load.Packages(".", "./...")
 	if err != nil {
 		t.Fatal(err)
 	}
