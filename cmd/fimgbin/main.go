@@ -12,54 +12,55 @@ import (
 	"os"
 
 	"sleds"
+	"sleds/cmd/internal/demo"
+	"sleds/internal/apps/appenv"
 	"sleds/internal/apps/fitsapp"
-	"sleds/internal/simclock"
+	"sleds/internal/fits"
 )
 
-func main() {
-	width := flag.Int("width", 1024, "image width in pixels")
-	height := flag.Int("height", 24576, "image height in pixels")
-	factor := flag.Int("factor", 4, "data reduction factor (4 or 16)")
-	cacheMB := flag.Float64("cache", 44, "file cache size in MB")
-	flag.Parse()
-
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fimgbin", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	width := fs.Int("width", 1024, "image width in pixels")
+	height := fs.Int("height", 24576, "image height in pixels")
+	factor := fs.Int("factor", 4, "data reduction factor (4 or 16)")
+	cacheMB := fs.Float64("cache", 44, "file cache size in MB")
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
+	if !(*cacheMB > 0) {
+		return demo.Fail(fs, 2, fmt.Errorf("-cache %g: must be positive", *cacheMB))
+	}
 	sys, err := sleds.NewSystem(sleds.Config{
 		CacheBytes:  int64(*cacheMB * (1 << 20)),
 		LHEAProfile: true,
 	})
 	if err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
-	if err := sys.CreateFITSImage("/data/img.fits", sleds.OnDisk, 7, *width, *height); err != nil {
-		fatal(err)
+	const img = "/data/img.fits"
+	if err := sys.CreateFITSImage(img, sleds.OnDisk, 7, *width, *height); err != nil {
+		return demo.Fail(fs, 1, err)
 	}
-	n, _ := sys.Stat("/data/img.fits")
-	fmt.Printf("fimgbin on %dx%d image (%.4g MB), %dx reduction, %.4g MB cache\n\n",
+	n, err := sys.Stat(img)
+	if err != nil {
+		return demo.Fail(fs, 1, err)
+	}
+	fmt.Fprintf(stdout, "fimgbin on %dx%d image (%.4g MB), %dx reduction, %.4g MB cache\n\n",
 		*width, *height, float64(n.Size())/(1<<20), *factor, *cacheMB)
-
 	for i, useSLEDs := range []bool{false, true} {
-		f, _ := sys.Open("/data/img.fits")
-		io.Copy(io.Discard, f)
-		f.Close()
-
-		out := fmt.Sprintf("/data/out%d.fits", i)
-		sys.ResetStats()
-		start := sys.Now()
-		outIm, err := fitsapp.Fimgbin(sys.Env(useSLEDs), "/data/img.fits", out, *factor, sys.Device(sleds.OnDisk))
+		var out fits.Image
+		mode, secs, err := demo.Timed(sys, img, useSLEDs, func(env *appenv.Env) (err error) {
+			out, err = fitsapp.Fimgbin(env, img, fmt.Sprintf("/data/out%d.fits", i), *factor, sys.Device(sleds.OnDisk))
+			return err
+		})
 		if err != nil {
-			fatal(err)
+			return demo.Fail(fs, 1, err)
 		}
-		elapsed := float64(sys.Now()-start) / float64(simclock.Second)
-		mode := "without SLEDs"
-		if useSLEDs {
-			mode = "with SLEDs   "
-		}
-		fmt.Printf("%s  %8.3fs elapsed  %7d faults   (output %dx%d)\n",
-			mode, elapsed, sys.Stats().Faults, outIm.Width, outIm.Height)
+		fmt.Fprintf(stdout, "%s  %8.3fs elapsed  %7d faults   (output %dx%d)\n",
+			mode, secs, sys.Stats().Faults, out.Width, out.Height)
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fimgbin:", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

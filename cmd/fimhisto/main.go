@@ -13,55 +13,54 @@ import (
 	"os"
 
 	"sleds"
+	"sleds/cmd/internal/demo"
+	"sleds/internal/apps/appenv"
 	"sleds/internal/apps/fitsapp"
-	"sleds/internal/simclock"
 )
 
-func main() {
-	width := flag.Int("width", 1024, "image width in pixels")
-	height := flag.Int("height", 24576, "image height in pixels")
-	bins := flag.Int("bins", 64, "histogram bins")
-	cacheMB := flag.Float64("cache", 44, "file cache size in MB")
-	flag.Parse()
-
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("fimhisto", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	width := fs.Int("width", 1024, "image width in pixels")
+	height := fs.Int("height", 24576, "image height in pixels")
+	bins := fs.Int("bins", 64, "histogram bins")
+	cacheMB := fs.Float64("cache", 44, "file cache size in MB")
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
+	if !(*cacheMB > 0) {
+		return demo.Fail(fs, 2, fmt.Errorf("-cache %g: must be positive", *cacheMB))
+	}
 	sys, err := sleds.NewSystem(sleds.Config{
 		CacheBytes:  int64(*cacheMB * (1 << 20)),
 		LHEAProfile: true,
 	})
 	if err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
-	if err := sys.CreateFITSImage("/data/img.fits", sleds.OnDisk, 7, *width, *height); err != nil {
-		fatal(err)
+	const img = "/data/img.fits"
+	if err := sys.CreateFITSImage(img, sleds.OnDisk, 7, *width, *height); err != nil {
+		return demo.Fail(fs, 1, err)
 	}
-	n, _ := sys.Stat("/data/img.fits")
-	fmt.Printf("fimhisto on %dx%d image (%.4g MB), %d bins, %.4g MB cache\n\n",
+	n, err := sys.Stat(img)
+	if err != nil {
+		return demo.Fail(fs, 1, err)
+	}
+	fmt.Fprintf(stdout, "fimhisto on %dx%d image (%.4g MB), %d bins, %.4g MB cache\n\n",
 		*width, *height, float64(n.Size())/(1<<20), *bins, *cacheMB)
-
 	for i, useSLEDs := range []bool{false, true} {
-		// Warm pass.
-		f, _ := sys.Open("/data/img.fits")
-		io.Copy(io.Discard, f)
-		f.Close()
-
-		out := fmt.Sprintf("/data/out%d.fits", i)
-		sys.ResetStats()
-		start := sys.Now()
-		h, err := fitsapp.Fimhisto(sys.Env(useSLEDs), "/data/img.fits", out, *bins, sys.Device(sleds.OnDisk))
+		var h fitsapp.Histogram
+		mode, secs, err := demo.Timed(sys, img, useSLEDs, func(env *appenv.Env) (err error) {
+			h, err = fitsapp.Fimhisto(env, img, fmt.Sprintf("/data/out%d.fits", i), *bins, sys.Device(sleds.OnDisk))
+			return err
+		})
 		if err != nil {
-			fatal(err)
+			return demo.Fail(fs, 1, err)
 		}
-		elapsed := float64(sys.Now()-start) / float64(simclock.Second)
-		mode := "without SLEDs"
-		if useSLEDs {
-			mode = "with SLEDs   "
-		}
-		fmt.Printf("%s  %8.3fs elapsed  %7d faults   (range [%d,%d], %d pixels binned)\n",
-			mode, elapsed, sys.Stats().Faults, h.Min, h.Max, h.Total())
+		fmt.Fprintf(stdout, "%s  %8.3fs elapsed  %7d faults   (range [%d,%d], %d pixels binned)\n",
+			mode, secs, sys.Stats().Faults, h.Min, h.Max, h.Total())
 	}
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "fimhisto:", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

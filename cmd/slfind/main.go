@@ -15,25 +15,37 @@ import (
 	"os"
 
 	"sleds"
+	"sleds/cmd/internal/demo"
 	"sleds/internal/apps/findapp"
 	"sleds/internal/apps/grepapp"
 	"sleds/internal/core"
 	"sleds/internal/sledlib"
 )
 
-func main() {
-	latency := flag.String("latency", "", "latency predicate: [+-]?[mMuU]?n (paper syntax)")
-	name := flag.String("name", "", "glob on the base name")
-	execGrep := flag.String("exec-grep", "", "run the SLEDs grep for this pattern over each selected file, cheapest file first (the paper's find -exec grep anecdote)")
-	flag.Parse()
-
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("slfind", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	latency := fs.String("latency", "", "latency predicate: [+-]?[mMuU]?n (paper syntax)")
+	name := fs.String("name", "", "glob on the base name")
+	execGrep := fs.String("exec-grep", "", "run the SLEDs grep for this pattern over each selected file, cheapest file first (the paper's find -exec grep anecdote)")
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
+	opts := findapp.Options{NamePattern: *name, Plan: core.PlanLinear, FilesOnly: true}
+	if *latency != "" {
+		pred, err := findapp.ParseLatencyPredicate(*latency)
+		if err != nil {
+			return demo.Fail(fs, 2, err)
+		}
+		opts.Latency = &pred
+	}
 	sys, err := sleds.NewSystem(sleds.Config{CacheBytes: 8 << 20})
 	if err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
 	for _, d := range []string{"/data/src", "/data/archive"} {
 		if err := sys.MkdirAll(d); err != nil {
-			fatal(err)
+			return demo.Fail(fs, 1, err)
 		}
 	}
 	files := []struct {
@@ -49,32 +61,30 @@ func main() {
 	}
 	for i, f := range files {
 		if err := sys.CreateTextFile(f.path, f.dev, uint64(i+1), f.mb<<20); err != nil {
-			fatal(err)
+			return demo.Fail(fs, 1, err)
 		}
 	}
 	// Warm hot.c so its estimate reflects the cache.
-	f, _ := sys.Open("/data/src/hot.c")
-	io.Copy(io.Discard, f)
-	f.Close()
-
-	opts := findapp.Options{NamePattern: *name, Plan: core.PlanLinear, FilesOnly: true}
-	if *latency != "" {
-		pred, err := findapp.ParseLatencyPredicate(*latency)
-		if err != nil {
-			fatal(err)
-		}
-		opts.Latency = &pred
+	if err := demo.Warm(sys, "/data/src/hot.c", 0); err != nil {
+		return demo.Fail(fs, 1, err)
 	}
 	results, err := findapp.Run(sys.Env(true), "/data", opts)
 	if err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
-	fmt.Printf("find /data"+flagSummary(*name, *latency)+": %d file(s)\n", len(results))
+	summary := ""
+	if *name != "" {
+		summary += " -name " + *name
+	}
+	if *latency != "" {
+		summary += " -latency " + *latency
+	}
+	fmt.Fprintf(stdout, "find /data%s: %d file(s)\n", summary, len(results))
 	for _, r := range results {
 		if opts.Latency != nil {
-			fmt.Printf("  %-28s estimated %10.4g s\n", r.Path, r.Seconds)
+			fmt.Fprintf(stdout, "  %-28s estimated %10.4g s\n", r.Path, r.Seconds)
 		} else {
-			fmt.Printf("  %s\n", r.Path)
+			fmt.Fprintf(stdout, "  %s\n", r.Path)
 		}
 	}
 	if *execGrep != "" {
@@ -87,29 +97,16 @@ func main() {
 			paths = append(paths, r.Path)
 		}
 		ordered, est := sledlib.FileSetOrder(sys.Kernel(), sys.Table(), paths, core.PlanBest)
-		fmt.Printf("\nexec grep %q, cheapest first:\n", *execGrep)
+		fmt.Fprintf(stdout, "\nexec grep %q, cheapest first:\n", *execGrep)
 		for i, p := range ordered {
 			matches, err := grepapp.Run(sys.Env(true), p, *execGrep, grepapp.Options{})
 			if err != nil {
-				fatal(err)
+				return demo.Fail(fs, 1, err)
 			}
-			fmt.Printf("  %-28s (est %8.4g s) %d match(es)\n", p, est[i], len(matches))
+			fmt.Fprintf(stdout, "  %-28s (est %8.4g s) %d match(es)\n", p, est[i], len(matches))
 		}
 	}
+	return 0
 }
 
-func flagSummary(name, latency string) string {
-	s := ""
-	if name != "" {
-		s += fmt.Sprintf(" -name %s", name)
-	}
-	if latency != "" {
-		s += fmt.Sprintf(" -latency %s", latency)
-	}
-	return s
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "slfind:", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

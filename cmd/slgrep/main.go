@@ -13,86 +13,67 @@ import (
 	"os"
 
 	"sleds"
+	"sleds/cmd/internal/demo"
+	"sleds/internal/apps/appenv"
 	"sleds/internal/apps/grepapp"
-	"sleds/internal/simclock"
 )
 
-func main() {
-	fsName := flag.String("fs", "ext2", "file system: ext2 | cdrom | nfs | tape")
-	sizeMB := flag.Float64("size", 96, "file size in MB")
-	cacheMB := flag.Float64("cache", 44, "file cache size in MB")
-	at := flag.Float64("at", 0.8, "match position as a fraction of the file")
-	firstOnly := flag.Bool("q", false, "stop at the first match (grep -q)")
-	lineNumbers := flag.Bool("n", false, "report line numbers (grep -n)")
-	seed := flag.Uint64("seed", 42, "content seed")
-	flag.Parse()
-
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("slgrep", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fsName := fs.String("fs", "ext2", "file system: ext2 | cdrom | nfs | tape")
+	sizeMB := fs.Float64("size", 96, "file size in MB")
+	cacheMB := fs.Float64("cache", 44, "file cache size in MB")
+	at := fs.Float64("at", 0.8, "match position as a fraction of the file")
+	firstOnly := fs.Bool("q", false, "stop at the first match (grep -q)")
+	lineNumbers := fs.Bool("n", false, "report line numbers (grep -n)")
+	seed := fs.Uint64("seed", 42, "content seed")
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
+	dev, ok := sleds.DeviceNames[*fsName]
+	if !ok {
+		return demo.Fail(fs, 2, fmt.Errorf("unknown file system %q", *fsName))
+	}
+	if !(*cacheMB > 0) {
+		return demo.Fail(fs, 2, fmt.Errorf("-cache %g: must be positive", *cacheMB))
+	}
+	if !(*at >= 0 && *at <= 1) {
+		return demo.Fail(fs, 2, fmt.Errorf("-at %g: must be in [0, 1]", *at))
+	}
 	sys, err := sleds.NewSystem(sleds.Config{CacheBytes: int64(*cacheMB * (1 << 20))})
 	if err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
-	dev := sleds.OnDisk
-	switch *fsName {
-	case "ext2":
-	case "cdrom":
-		dev = sleds.OnCDROM
-	case "nfs":
-		dev = sleds.OnNFS
-	case "tape":
-		dev = sleds.OnTape
-	default:
-		fatal(fmt.Errorf("unknown file system %q", *fsName))
-	}
+	const path = "/data/testfile"
 	size := int64(*sizeMB * (1 << 20))
-	if err := sys.CreateTextFileWithMatches("/data/testfile", dev, cliSeed(*seed), size,
+	if err := sys.CreateTextFileWithMatches(path, dev, demo.Seed(*seed), size,
 		"xyzzy", int64(*at*float64(size))); err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
-
-	f, _ := sys.Open("/data/testfile")
-	io.Copy(io.Discard, f)
-	f.Close()
-
-	fmt.Printf("grep xyzzy on %s, %.4g MB file, match at %.0f%%, warm cache, q=%v\n\n",
+	fmt.Fprintf(stdout, "grep xyzzy on %s, %.4g MB file, match at %.0f%%, warm cache, q=%v\n\n",
 		*fsName, *sizeMB, *at*100, *firstOnly)
 	for _, useSLEDs := range []bool{false, true} {
-		// Re-warm between modes.
-		f, _ := sys.Open("/data/testfile")
-		io.Copy(io.Discard, f)
-		f.Close()
-
-		sys.ResetStats()
-		start := sys.Now()
-		matches, err := grepapp.Run(sys.Env(useSLEDs), "/data/testfile", "xyzzy",
-			grepapp.Options{FirstOnly: *firstOnly, LineNumbers: *lineNumbers})
+		var matches []grepapp.Match
+		mode, secs, err := demo.Timed(sys, path, useSLEDs, func(env *appenv.Env) (err error) {
+			matches, err = grepapp.Run(env, path, "xyzzy",
+				grepapp.Options{FirstOnly: *firstOnly, LineNumbers: *lineNumbers})
+			return err
+		})
 		if err != nil {
-			fatal(err)
+			return demo.Fail(fs, 1, err)
 		}
-		elapsed := float64(sys.Now()-start) / float64(simclock.Second)
-		mode := "without SLEDs"
-		if useSLEDs {
-			mode = "with SLEDs   "
-		}
-		fmt.Printf("%s  %2d match(es)   %8.3fs elapsed  %7d faults\n",
-			mode, len(matches), elapsed, sys.Stats().Faults)
+		fmt.Fprintf(stdout, "%s  %2d match(es)   %8.3fs elapsed  %7d faults\n",
+			mode, len(matches), secs, sys.Stats().Faults)
 		for _, m := range matches {
 			if *lineNumbers {
-				fmt.Printf("    %d (offset %d): %q\n", m.LineNo, m.Offset, m.Line)
+				fmt.Fprintf(stdout, "    %d (offset %d): %q\n", m.LineNo, m.Offset, m.Line)
 			} else {
-				fmt.Printf("    offset %d: %q\n", m.Offset, m.Line)
+				fmt.Fprintf(stdout, "    offset %d: %q\n", m.Offset, m.Line)
 			}
 		}
 	}
+	return 0
 }
 
-// cliSeed passes the -seed flag through as this invocation's
-// reproducibility root: rerunning with the same flag regenerates the
-// same file content.
-//
-//sledlint:seed
-func cliSeed(seed uint64) uint64 { return seed }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "slgrep:", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

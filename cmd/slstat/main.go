@@ -9,53 +9,48 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"sleds"
+	"sleds/cmd/internal/demo"
 	"sleds/internal/apps/gmcapp"
 )
 
-func main() {
-	fsName := flag.String("fs", "ext2", "file system: ext2 | cdrom | nfs | tape")
-	sizeMB := flag.Float64("size", 24, "file size in MB")
-	warm := flag.Float64("warm", 0.5, "fraction of the file tail to warm into cache")
-	flag.Parse()
-
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("slstat", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fsName := fs.String("fs", "ext2", "file system: ext2 | cdrom | nfs | tape")
+	sizeMB := fs.Float64("size", 24, "file size in MB")
+	warm := fs.Float64("warm", 0.5, "fraction of the file tail to warm into cache")
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
+	dev, ok := sleds.DeviceNames[*fsName]
+	if !ok {
+		return demo.Fail(fs, 2, fmt.Errorf("unknown file system %q", *fsName))
+	}
+	if !(*warm >= 0 && *warm <= 1) {
+		return demo.Fail(fs, 2, fmt.Errorf("-warm %g: must be in [0, 1]", *warm))
+	}
 	sys, err := sleds.NewSystem(sleds.Config{CacheBytes: 44 << 20})
 	if err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
-	dev := sleds.OnDisk
-	switch *fsName {
-	case "ext2":
-	case "cdrom":
-		dev = sleds.OnCDROM
-	case "nfs":
-		dev = sleds.OnNFS
-	case "tape":
-		dev = sleds.OnTape
-	default:
-		fatal(fmt.Errorf("unknown file system %q", *fsName))
-	}
+	const path = "/data/testfile"
 	size := int64(*sizeMB * (1 << 20))
-	if err := sys.CreateTextFile("/data/testfile", dev, 42, size); err != nil {
-		fatal(err)
+	if err := sys.CreateTextFile(path, dev, 42, size); err != nil {
+		return demo.Fail(fs, 1, err)
 	}
-	if *warm > 0 {
-		f, _ := sys.Open("/data/testfile")
-		n := int64(*warm * float64(size))
-		buf := make([]byte, n)
-		f.ReadAt(buf, size-n)
-		f.Close()
+	if err := demo.Warm(sys, path, size-int64(*warm*float64(size))); err != nil {
+		return demo.Fail(fs, 1, err)
 	}
-	r, err := gmcapp.Properties(sys.Env(true), "/data/testfile")
+	r, err := gmcapp.Properties(sys.Env(true), path)
 	if err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
-	fmt.Print(r.Render())
+	fmt.Fprint(stdout, r.Render())
+	return 0
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "slstat:", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

@@ -14,88 +14,54 @@ import (
 	"os"
 
 	"sleds"
+	"sleds/cmd/internal/demo"
+	"sleds/internal/apps/appenv"
 	"sleds/internal/apps/wcapp"
-	"sleds/internal/simclock"
 )
 
-func main() {
-	fsName := flag.String("fs", "ext2", "file system: ext2 | cdrom | nfs | tape")
-	sizeMB := flag.Float64("size", 96, "file size in MB")
-	cacheMB := flag.Float64("cache", 44, "file cache size in MB")
-	seed := flag.Uint64("seed", 42, "content seed")
-	both := flag.Bool("sleds", true, "also run the SLEDs-aware pass")
-	flag.Parse()
-
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("slwc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	fsName := fs.String("fs", "ext2", "file system: ext2 | cdrom | nfs | tape")
+	sizeMB := fs.Float64("size", 96, "file size in MB")
+	cacheMB := fs.Float64("cache", 44, "file cache size in MB")
+	seed := fs.Uint64("seed", 42, "content seed")
+	both := fs.Bool("sleds", true, "also run the SLEDs-aware pass")
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
+	dev, ok := sleds.DeviceNames[*fsName]
+	if !ok {
+		return demo.Fail(fs, 2, fmt.Errorf("unknown file system %q", *fsName))
+	}
+	if !(*cacheMB > 0) {
+		return demo.Fail(fs, 2, fmt.Errorf("-cache %g: must be positive", *cacheMB))
+	}
 	sys, err := sleds.NewSystem(sleds.Config{CacheBytes: int64(*cacheMB * (1 << 20))})
 	if err != nil {
-		fatal(err)
+		return demo.Fail(fs, 1, err)
 	}
-	dev, err := deviceFor(*fsName)
-	if err != nil {
-		fatal(err)
+	const path = "/data/testfile"
+	if err := sys.CreateTextFile(path, dev, demo.Seed(*seed), int64(*sizeMB*(1<<20))); err != nil {
+		return demo.Fail(fs, 1, err)
 	}
-	size := int64(*sizeMB * (1 << 20))
-	if err := sys.CreateTextFile("/data/testfile", dev, cliSeed(*seed), size); err != nil {
-		fatal(err)
-	}
-
-	// Warm the cache with one linear pass, as the experiments do.
-	f, err := sys.Open("/data/testfile")
-	if err != nil {
-		fatal(err)
-	}
-	io.Copy(io.Discard, f)
-	f.Close()
-
-	fmt.Printf("wc on %s, %.4g MB file, %.4g MB cache, warm\n\n", *fsName, *sizeMB, *cacheMB)
-	runOnce := func(useSLEDs bool) {
-		sys.ResetStats()
-		start := sys.Now()
-		res, err := wcapp.Run(sys.Env(useSLEDs), "/data/testfile")
+	fmt.Fprintf(stdout, "wc on %s, %.4g MB file, %.4g MB cache, warm\n\n", *fsName, *sizeMB, *cacheMB)
+	for _, useSLEDs := range []bool{false, true} {
+		if useSLEDs && !*both {
+			break
+		}
+		var res wcapp.Result
+		mode, secs, err := demo.Timed(sys, path, useSLEDs, func(env *appenv.Env) (err error) {
+			res, err = wcapp.Run(env, path)
+			return err
+		})
 		if err != nil {
-			fatal(err)
+			return demo.Fail(fs, 1, err)
 		}
-		elapsed := sys.Now() - start
-		mode := "without SLEDs"
-		if useSLEDs {
-			mode = "with SLEDs   "
-		}
-		fmt.Printf("%s  %9d lines %9d words %10d bytes   %8.3fs elapsed  %7d faults\n",
-			mode, res.Lines, res.Words, res.Bytes,
-			float64(elapsed)/float64(simclock.Second), sys.Stats().Faults)
+		fmt.Fprintf(stdout, "%s  %9d lines %9d words %10d bytes   %8.3fs elapsed  %7d faults\n",
+			mode, res.Lines, res.Words, res.Bytes, secs, sys.Stats().Faults)
 	}
-	runOnce(false)
-	if *both {
-		// Re-warm so the second mode sees the same starting state.
-		f, _ := sys.Open("/data/testfile")
-		io.Copy(io.Discard, f)
-		f.Close()
-		runOnce(true)
-	}
+	return 0
 }
 
-func deviceFor(name string) (sleds.StandardDevice, error) {
-	switch name {
-	case "ext2":
-		return sleds.OnDisk, nil
-	case "cdrom":
-		return sleds.OnCDROM, nil
-	case "nfs":
-		return sleds.OnNFS, nil
-	case "tape":
-		return sleds.OnTape, nil
-	}
-	return 0, fmt.Errorf("unknown file system %q", name)
-}
-
-// cliSeed passes the -seed flag through as this invocation's
-// reproducibility root: rerunning with the same flag regenerates the
-// same file content.
-//
-//sledlint:seed
-func cliSeed(seed uint64) uint64 { return seed }
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "slwc:", err)
-	os.Exit(1)
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }

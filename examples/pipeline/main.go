@@ -96,11 +96,7 @@ func run(useSLEDs, useHints bool) (float64, int64, error) {
 		p.Finish()
 	} else {
 		for off := int64(0); off < fileBytes; off += chunk {
-			n := chunk
-			if off+n > fileBytes {
-				n = fileBytes - off
-			}
-			plan = append(plan, span{off, n})
+			plan = append(plan, span{off, min(chunk, fileBytes-off)})
 		}
 	}
 

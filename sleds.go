@@ -100,6 +100,9 @@ const (
 // StandardDevice selects one of the devices a default System boots with.
 type StandardDevice int
 
+// DeviceNames maps the file-system names the command-line tools accept to devices.
+var DeviceNames = map[string]StandardDevice{"ext2": OnDisk, "cdrom": OnCDROM, "nfs": OnNFS, "tape": OnTape}
+
 // Config parameterises a System. The zero value gives the paper's Unix
 // utilities machine: 4 KiB pages, ~44 MB of file cache, Table 2 device
 // characteristics, LRU replacement.
@@ -225,18 +228,23 @@ func (s *System) MkdirAll(path string) error { return s.k.MkdirAll(path) }
 // CreateTextFile creates a deterministic pseudo-text file of the given
 // size on the device. The same seed always produces the same bytes.
 func (s *System) CreateTextFile(path string, on StandardDevice, seed uint64, size int64) error {
-	_, err := s.k.Create(path, s.Device(on), workload.NewText(seed, size, s.k.PageSize()))
-	return err
+	return s.CreateTextFileWithMatches(path, on, seed, size, "")
 }
 
 // CreateTextFileWithMatches creates a pseudo-text file with a line
 // containing needle spliced in at each of the given byte offsets (the
 // generator itself never produces the needle, so these are the only
-// occurrences). Used to stage grep experiments.
+// occurrences). Used to stage grep experiments. A negative size, a file
+// too small for a match line and overlapping match lines are errors.
 func (s *System) CreateTextFileWithMatches(path string, on StandardDevice, seed uint64, size int64, needle string, offsets ...int64) error {
+	if size < 0 {
+		return fmt.Errorf("sleds: negative file size %d", size)
+	}
 	c := workload.NewText(seed, size, s.k.PageSize())
 	for _, off := range offsets {
-		workload.PlantMatch(c, off, needle)
+		if err := workload.TryPlantMatch(c, off, needle); err != nil {
+			return err
+		}
 	}
 	_, err := s.k.Create(path, s.Device(on), c)
 	return err

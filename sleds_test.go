@@ -43,6 +43,34 @@ func TestBadConfig(t *testing.T) {
 	}
 }
 
+// TestBadTextFilesAreErrors: bad text-file geometry from a caller is an
+// error, not a panic.
+func TestBadTextFilesAreErrors(t *testing.T) {
+	sys := newSystem(t, small())
+	for _, c := range []struct {
+		name    string
+		size    int64
+		offsets []int64 // nil: CreateTextFile
+	}{
+		{"negative size", -1, nil},
+		{"no room for a match line", 0, []int64{0}},
+		{"overlapping match lines", 8 << 10, []int64{100, 120}},
+	} {
+		var err error
+		if c.offsets == nil {
+			err = sys.CreateTextFile("/data/"+c.name, sleds.OnDisk, 1, c.size)
+		} else {
+			err = sys.CreateTextFileWithMatches("/data/"+c.name, sleds.OnDisk, 1, c.size, "xyzzy", c.offsets...)
+		}
+		if err == nil {
+			t.Errorf("%s: created", c.name)
+		}
+		if _, err := sys.Stat("/data/" + c.name); err == nil {
+			t.Errorf("%s: a file was left behind", c.name)
+		}
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	sys := newSystem(t, small())
 	if err := sys.CreateTextFile("/data/f", sleds.OnDisk, 42, 32<<10*8); err != nil {
