@@ -13,7 +13,7 @@ BENCH_SNAPSHOT = BENCH_41.json
 # A literal comma, for use inside $(call ...) arguments.
 comma := ,
 
-.PHONY: build vet fmt staticcheck lint lint-debt test race fuzz-smoke bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke perf-smoke ci
+.PHONY: build vet fmt staticcheck lint lint-debt test race fuzz-smoke bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke paper-check perf-smoke ci
 
 build:
 	$(GO) build ./...
@@ -169,6 +169,19 @@ faults-smoke: vet
 	$(GO) run ./cmd/sledsbench -scale quick -exp efaults,ablation-zones -runs 2 -faults heavy > /dev/null
 	@echo "faults-smoke: efaults and ablation-zones completed with heavy injection on every device"
 
+# paper-check regenerates the whole evaluation at paper scale (every
+# experiment in "all", -workers 0 = one per core) and fails unless stdout
+# equals the committed experiments_paper_scale.txt. It is the one check of
+# what quick scale never reaches: files past the 16 MiB generated-page
+# store, the 44 MB cache, 128 MB files and ehsm's stage at full size. About
+# 3 min of wall time on 2 cores; the output goes to a fresh mktemp -d
+# directory, named in the last line.
+paper-check:
+	d=$$(mktemp -d -t sledsbench-paper.XXXXXX) && \
+	$(GO) run ./cmd/sledsbench -scale paper -workers 0 > $$d/paper.txt && \
+	diff experiments_paper_scale.txt $$d/paper.txt && \
+	echo "paper-check: paper scale equal to experiments_paper_scale.txt (output in $$d)"
+
 # perf-smoke is the only target that compiles cmd/sledsperf: the
 # benchmark is a nested module (its own go.mod), so `./...` in build,
 # vet, test and lint never reaches it, yet it calls core, experiments and
@@ -178,4 +191,4 @@ faults-smoke: vet
 perf-smoke:
 	cd cmd/sledsperf && $(GO) vet . && $(GO) test . && $(GO) run . -smoke
 
-ci: build vet fmt staticcheck lint test race fuzz-smoke bench-smoke bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke perf-smoke
+ci: build vet fmt staticcheck lint test race fuzz-smoke bench-smoke bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke paper-check perf-smoke

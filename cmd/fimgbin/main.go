@@ -6,6 +6,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"sleds/internal/apps/appenv"
 	"sleds/internal/apps/fitsapp"
 	"sleds/internal/fits"
+	"sleds/internal/vfs"
 )
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -37,6 +39,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	if err != nil {
 		return demo.Fail(fs, 1, err)
+	}
+	// Fimgbin checks -factor by fitsapp's own rule before it opens a file:
+	// asked about a path that names none, it fails with ErrNotExist exactly
+	// when the factor is good.
+	if _, err := fitsapp.Fimgbin(sys.Env(false), "/none", "/none", *factor, sys.Device(sleds.OnDisk)); !errors.Is(err, vfs.ErrNotExist) {
+		return demo.Fail(fs, 2, err)
 	}
 	const img = "/data/img.fits"
 	if err := sys.CreateFITSImage(img, sleds.OnDisk, 7, *width, *height); err != nil {

@@ -20,6 +20,7 @@ func TestRun(t *testing.T) {
 		{"f16", "-width 256 -height 1024 -cache 0.25 -factor 16", 0, ""},
 		{"cache-1", "-cache -1", 2, "fimgbin: -cache -1: must be positive"},
 		{"cacheNaN", "-cache NaN", 2, "fimgbin: -cache NaN: must be positive"},
+		{"factor3", "-factor 3", 2, "fimgbin: fitsapp: reduction factor 3 is not the square of a side in [2, 255]"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder

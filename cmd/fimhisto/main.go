@@ -7,6 +7,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -16,6 +17,7 @@ import (
 	"sleds/cmd/internal/demo"
 	"sleds/internal/apps/appenv"
 	"sleds/internal/apps/fitsapp"
+	"sleds/internal/vfs"
 )
 
 func run(args []string, stdout, stderr io.Writer) int {
@@ -37,6 +39,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	})
 	if err != nil {
 		return demo.Fail(fs, 1, err)
+	}
+	// Fimhisto checks -bins by fitsapp's own rule before it opens a file:
+	// asked about a path that names none, it fails with ErrNotExist exactly
+	// when the count is good.
+	if _, err := fitsapp.Fimhisto(sys.Env(false), "/none", "/none", *bins, sys.Device(sleds.OnDisk)); !errors.Is(err, vfs.ErrNotExist) {
+		return demo.Fail(fs, 2, err)
 	}
 	const img = "/data/img.fits"
 	if err := sys.CreateFITSImage(img, sleds.OnDisk, 7, *width, *height); err != nil {

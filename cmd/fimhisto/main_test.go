@@ -19,6 +19,7 @@ func TestRun(t *testing.T) {
 		{"small", "-width 256 -height 1024 -cache 0.25 -bins 16", 0, ""},
 		{"cache0", "-cache 0", 2, "fimhisto: -cache 0: must be positive"},
 		{"width0", "-width 0", 1, "fimhisto: fits: bad dimensions"},
+		{"bins0", "-bins 0", 2, "fimhisto: fitsapp: bad bin count 0"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			var stdout, stderr strings.Builder

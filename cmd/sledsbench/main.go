@@ -102,6 +102,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "sledsbench: "+format+"\n", a...)
 		return code
 	}
+	for _, name := range []string{"runs", "workers", "fleet"} {
+		if v := fs.Lookup(name).Value.(flag.Getter).Get().(int); v < 0 {
+			return fail(2, "-%s %d: must not be negative", name, v)
+		}
+	}
 
 	if *list {
 		ids := experiments.IDs()

@@ -58,6 +58,22 @@ func TestUnknownIDExits2NamingTheValidIDs(t *testing.T) {
 	}
 }
 
+// TestBadFlagsExit2: a flag out of range is a usage error, reported before
+// the first stdout byte.
+func TestBadFlagsExit2(t *testing.T) {
+	for _, c := range []struct{ args, stderr string }{
+		{"-scale huge", `sledsbench: unknown scale "huge"`},
+		{"-runs -1", "sledsbench: -runs -1: must not be negative"},
+		{"-fleet -3", "sledsbench: -fleet -3: must not be negative"},
+		{"-workers -2", "sledsbench: -workers -2: must not be negative"},
+	} {
+		code, stdout, stderr := bench(append(strings.Fields(c.args), "-exp", "t2")...)
+		if code != 2 || stdout != "" || !strings.Contains(stderr, c.stderr) {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 2, no stdout, stderr %q", c.args, code, stdout, stderr, c.stderr)
+		}
+	}
+}
+
 // TestSharedSweepSubsetAndCSV drives the one sweep two ids share: -exp f8
 // prints fig8 alone, and -exp f7,f8 -csv writes both figures from a single
 // run of the sweep (one host-time note on stderr).

@@ -8,9 +8,7 @@ import (
 	"testing"
 
 	"sleds/internal/apps/appenv"
-	"sleds/internal/core"
-	"sleds/internal/device"
-	"sleds/internal/lmbench"
+	"sleds/internal/machine"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
@@ -19,38 +17,21 @@ import (
 const PageSize = 4096
 
 // Machine is a booted test machine.
-type Machine struct {
-	K     *vfs.Kernel
-	Disk  device.ID
-	CDROM device.ID
-	NFS   device.ID
-	Table *core.Table
-}
+type Machine struct{ *machine.Machine }
 
-// New boots a machine with the given cache size (in pages) and a
-// calibrated sleds table.
+// New boots the standard Unix-profile machine with the given cache size
+// (in pages) and a calibrated sleds table.
 func New(t testing.TB, cachePages int) *Machine {
 	t.Helper()
-	mem := device.NewMem(device.Table2MemConfig(0))
-	k := vfs.NewKernel(vfs.Config{PageSize: PageSize, CachePages: cachePages, MemDevice: mem})
-	k.AttachDevice(mem)
-	disk := k.AttachDevice(device.NewDisk(device.Table2DiskConfig(1)))
-	cdrom := k.AttachDevice(device.NewCDROM(device.DefaultCDROMConfig(2)))
-	nfs := k.AttachDevice(device.NewNFS(device.DefaultNFSConfig(3)))
-	if err := k.MkdirAll("/data"); err != nil {
-		t.Fatal(err)
-	}
-	tab, err := lmbench.Calibrate(k.Clock, mem, k.Devices.All())
+	m, err := machine.Boot(vfs.Config{PageSize: PageSize, CachePages: cachePages}, machine.Unix)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Machine{K: k, Disk: disk, CDROM: cdrom, NFS: nfs, Table: tab}
+	return &Machine{m}
 }
 
 // Env returns an application environment with the SLEDs switch set.
-func (m *Machine) Env(useSLEDs bool) *appenv.Env {
-	return &appenv.Env{K: m.K, Table: m.Table, UseSLEDs: useSLEDs}
-}
+func (m *Machine) Env(useSLEDs bool) *appenv.Env { return m.Machine.Env(useSLEDs, 0) }
 
 // TextFile creates a pseudo-text file on the disk.
 func (m *Machine) TextFile(t testing.TB, path string, seed uint64, size int64) *workload.Content {

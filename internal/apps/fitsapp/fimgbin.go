@@ -9,10 +9,10 @@ import (
 	"sleds/internal/fits"
 )
 
-// Fimgbin rebins the image at inPath with a rectangular boxcar filter and
-// writes the result to outPath. factor is the data reduction factor
-// (typically 4 or 16, as in the paper): the boxcar is sqrt(factor) on a
-// side, so a factor of 4 averages 2x2 blocks.
+// Fimgbin rebins the image at inPath with a rectangular boxcar filter into
+// outPath. factor is the data reduction factor (4 or 16 in the paper): the
+// boxcar is sqrt(factor) on a side. A factor that is not the square of a
+// side in [2, maxSide] is an error before any file is opened.
 //
 // The rebinning is order-independent — each pixel contributes to exactly
 // one output accumulator — which is what makes the SLEDs reordered read

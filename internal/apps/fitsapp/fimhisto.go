@@ -187,11 +187,11 @@ func binPixels(counts []int64, table []uint16, min int16, px []byte) {
 	}
 }
 
-// Fimhisto copies the image at inPath to outPath and appends a histogram
-// of the pixel values with the given number of bins. It returns the
-// histogram. The three passes mirror the original: (1) copy the file,
-// (2) scan with format conversion to find the value range, (3) bin the
-// values and append the histogram to the output.
+// Fimhisto copies the image at inPath to outPath, appends a histogram of
+// its pixel values in the given number of bins and returns it; a bad bin
+// count is an error before any file is opened. The three passes mirror the
+// original: (1) copy the file, (2) scan with format conversion to find the
+// value range, (3) bin the values and append the histogram to the output.
 func Fimhisto(env *appenv.Env, inPath, outPath string, bins int, outDev device.ID) (Histogram, error) {
 	if bins <= 0 || bins > 1<<16 { // one per int16 value at most: binTable's bins are uint16
 		return Histogram{}, fmt.Errorf("fitsapp: bad bin count %d", bins)

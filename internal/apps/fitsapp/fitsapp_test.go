@@ -2,12 +2,14 @@ package fitsapp
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"runtime"
 	"testing"
 
 	"sleds/internal/apps/apptest"
 	"sleds/internal/fits"
+	"sleds/internal/vfs"
 	"sleds/internal/workload"
 )
 
@@ -220,6 +222,31 @@ func TestFimgbinSLEDsMatchesLinear(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("pixel %d differs: %d vs %d", i, a[i], b[i])
+		}
+	}
+}
+
+// TestArgumentCheckedBeforeOpen holds the contract fimhisto's and fimgbin's
+// command lines rely on to check their flags by fitsapp's own rule: a bad
+// bin count or factor is reported before any file is opened, so on a path
+// that names no file a good one fails with ErrNotExist and a bad one not.
+func TestArgumentCheckedBeforeOpen(t *testing.T) {
+	m := apptest.New(t, 16)
+	fimhisto := func(bins int) error {
+		_, err := Fimhisto(m.Env(false), "/none", "/none", bins, m.Disk)
+		return err
+	}
+	fimgbin := func(factor int) error {
+		_, err := Fimgbin(m.Env(false), "/none", "/none", factor, m.Disk)
+		return err
+	}
+	for _, c := range []struct {
+		run  func(int) error
+		arg  int
+		good bool
+	}{{fimhisto, 64, true}, {fimhisto, 0, false}, {fimhisto, 1<<16 + 1, false}, {fimgbin, 16, true}, {fimgbin, 3, false}} {
+		if err := c.run(c.arg); errors.Is(err, vfs.ErrNotExist) != c.good {
+			t.Errorf("argument %d: err %v; want ErrNotExist %v", c.arg, err, c.good)
 		}
 	}
 }

@@ -3,97 +3,70 @@ package experiments
 import (
 	"fmt"
 
-	"sleds/internal/apps/appenv"
-	"sleds/internal/core"
 	"sleds/internal/device"
 	"sleds/internal/faults"
-	"sleds/internal/lmbench"
+	"sleds/internal/machine"
 	"sleds/internal/simclock"
 	"sleds/internal/stats"
 	"sleds/internal/vfs"
 )
 
 // Profile selects which of the paper's two test machines to model.
-type Profile int
+type Profile = machine.Profile
 
 // Machine profiles.
 const (
 	// ProfileUnix is the Table 2 machine (Unix utility experiments).
-	ProfileUnix Profile = iota
+	ProfileUnix = machine.Unix
 	// ProfileLHEA is the Table 3 machine (LHEASOFT experiments): faster
 	// memory, slower disk.
-	ProfileLHEA
+	ProfileLHEA = machine.LHEA
 )
 
 // Machine is one booted simulated machine with a calibrated sleds table.
 type Machine struct {
-	K     *vfs.Kernel
-	Table *core.Table
-	Mem   device.Device
-	Disk  device.ID
-	CDROM device.ID
-	NFS   device.ID
-	Tape  device.ID
+	*machine.Machine
 
 	// Injectors maps device IDs to the fault injectors interposed over
 	// them (empty on a healthy machine).
 	Injectors map[device.ID]*faults.Injector
 }
 
-// newKernel builds cfg's kernel over a memory device of the given shape,
-// with nothing else attached: the start of every machine an experiment
-// boots, and so the one place cfg is validated. Jitter is seeded from
-// cfg.Seed, so pass the point's derived configuration.
-func newKernel(cfg Config, memCfg device.MemConfig) (*vfs.Kernel, device.Device) {
+// kernelConfig is cfg's kernel, its memory device not yet chosen: the
+// start of every machine an experiment boots, and so the one place cfg is
+// validated. Jitter is seeded from cfg.Seed, so pass the point's derived
+// configuration.
+func kernelConfig(cfg Config) vfs.Config {
 	cfg.validate()
-	mem := device.NewMem(memCfg)
-	k := vfs.NewKernel(vfs.Config{
+	return vfs.Config{
 		PageSize:       cfg.PageSize,
 		CachePages:     cfg.CachePages,
 		Policy:         cfg.Policy,
 		ReadaheadPages: cfg.ReadaheadPages,
-		MemDevice:      mem,
 		JitterSeed:     cfg.Seed,
 		JitterFrac:     cfg.JitterFrac,
 		HostMem:        cfg.mem,
-	})
-	k.AttachDevice(mem)
-	return k, mem
+	}
 }
 
-// BootMachine builds and calibrates a machine for the given profile.
+// newKernel builds cfg's kernel over a memory device of the given shape,
+// with nothing else attached.
+func newKernel(cfg Config, memCfg device.MemConfig) (*vfs.Kernel, device.Device) {
+	kc := kernelConfig(cfg)
+	kc.MemDevice = device.NewMem(memCfg)
+	k := vfs.NewKernel(kc)
+	k.AttachDevice(kc.MemDevice)
+	return k, kc.MemDevice
+}
+
+// BootMachine boots the profile's standard machine (machine.Boot) and,
+// when cfg names a fault profile, injects it over every device.
 func BootMachine(cfg Config, profile Profile) (*Machine, error) {
-	var memCfg device.MemConfig
-	var diskCfg device.DiskConfig
-	switch profile {
-	case ProfileUnix:
-		memCfg = device.Table2MemConfig(0)
-		diskCfg = device.Table2DiskConfig(1)
-	case ProfileLHEA:
-		memCfg = device.Table3MemConfig(0)
-		diskCfg = device.Table3DiskConfig(1)
-	default:
-		return nil, fmt.Errorf("experiments: unknown profile %d", profile)
-	}
-	k, mem := newKernel(cfg, memCfg)
-	m := &Machine{K: k, Mem: mem}
-	m.Disk = k.AttachDevice(device.NewDisk(diskCfg))
-	m.CDROM = k.AttachDevice(device.NewCDROM(device.DefaultCDROMConfig(2)))
-	m.NFS = k.AttachDevice(device.NewNFS(device.DefaultNFSConfig(3)))
-	m.Tape = k.AttachDevice(device.NewTapeLibrary(device.DefaultTapeLibraryConfig(4)))
-	if err := k.MkdirAll("/data"); err != nil {
-		return nil, err
-	}
-	tab, err := lmbench.Calibrate(k.Clock, mem, k.Devices.All())
+	mm, err := machine.Boot(kernelConfig(cfg), profile)
 	if err != nil {
 		return nil, err
 	}
-	m.Table = tab
-	// Every device fault the kernel's retry loop observes feeds the
-	// table's health state, degrading that device's SLED estimates.
-	k.SetFaultObserver(func(f *device.Fault) {
-		tab.ObserveFault(f.Dev, f.Extra, k.Clock.Now())
-	})
+	m := &Machine{Machine: mm}
 	// Global fault injection (make faults-smoke, sledsbench -faults) wraps
 	// every non-memory device AFTER calibration, so the table holds the
 	// healthy estimates injection then degrades — as on a real machine,
@@ -137,11 +110,6 @@ func (m *Machine) DeviceByName(name string) (device.ID, error) {
 	default:
 		return 0, fmt.Errorf("experiments: unknown file system %q", name)
 	}
-}
-
-// Env builds an application environment on this machine.
-func (m *Machine) Env(useSLEDs bool, bufSize int64) *appenv.Env {
-	return &appenv.Env{K: m.K, Table: m.Table, UseSLEDs: useSLEDs, BufSize: bufSize}
 }
 
 // measured runs fn once discarded (cache warm-up) and then cfg.Runs times,

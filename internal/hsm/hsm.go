@@ -14,15 +14,16 @@
 // The stager plugs into the simulated kernel via vfs.Kernel.SetStager: RAM
 // page-cache misses on tape-resident files flow through Fetch, which
 // serves staged blocks from disk and migrates unstaged ones tape -> disk
-// (charging both the tape read and the disk write). Staging capacity is
-// bounded; blocks are evicted LRU, with tape as the authority (staging is
-// read-only, so eviction is free).
+// (charging both the tape read and the disk write). The stage is a page
+// cache (internal/cache) of bounded capacity, one page per block, evicted
+// LRU with tape as the authority (staging is read-only, so eviction is
+// free).
 package hsm
 
 import (
-	"container/list"
 	"fmt"
 
+	"sleds/internal/cache"
 	"sleds/internal/device"
 	"sleds/internal/vfs"
 )
@@ -42,30 +43,20 @@ type Config struct {
 	Capacity int64
 }
 
-// blockKey identifies one staged block of one file.
-type blockKey struct {
-	ino   vfs.Ino
-	block int64 // index of blockSize units within the file's tape extent
-}
-
-// stagedBlock is a resident migration-cache block.
-type stagedBlock struct {
-	key     blockKey
-	diskOff int64 // where in the migration area the block lives
-}
-
 // Stager is the migrating HSM layer.
 type Stager struct {
 	k         *vfs.Kernel
 	cfg       Config
 	blockSize int64 // blockPages pages
 
+	// stage is the migration cache: one page per staged block, keyed
+	// {ino, block} and evicted LRU. A page holds no data: it is an empty
+	// slice of tags whose position names the block's slot in the
+	// migration area, and its eviction hands that slot back to free.
+	stage     *cache.Cache
+	tags      []byte
 	areaStart int64 // disk offset of the migration area
-	slots     int   // total block slots
-	freeSlots []int64
-
-	lru   *list.List // *stagedBlock, front = most recently used
-	index map[blockKey]*list.Element
+	free      []int // free slots, the last taken first
 }
 
 // New reserves the migration area on the disk and returns the stager,
@@ -80,31 +71,28 @@ func New(k *vfs.Kernel, cfg Config) (*Stager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("hsm: reserving migration area: %w", err)
 	}
-	s := &Stager{
-		k:         k,
-		cfg:       cfg,
-		blockSize: blockSize,
-		areaStart: area,
-		slots:     slots,
-		lru:       list.New(),
-		index:     make(map[blockKey]*list.Element),
-	}
+	s := &Stager{k: k, cfg: cfg, blockSize: blockSize, tags: make([]byte, slots), areaStart: area}
+	s.stage = cache.New(slots, cache.LRU, func(_ cache.Key, tag []byte, _ bool) {
+		s.free = append(s.free, s.slot(tag))
+	})
 	for i := 0; i < slots; i++ {
-		s.freeSlots = append(s.freeSlots, area+int64(i)*blockSize)
+		s.free = append(s.free, i)
 	}
 	k.SetStager(s, cfg.Tape)
 	return s, nil
 }
 
+// slot is the migration-area slot a staged block's tag names.
+func (s *Stager) slot(tag []byte) int { return len(s.tags) - cap(tag) }
+
 // IsStaged reports whether the block containing devOff of the inode is in
 // the migration cache (without touching recency).
 func (s *Stager) IsStaged(ino *vfs.Inode, devOff int64) bool {
-	_, ok := s.index[s.keyFor(ino, devOff)]
-	return ok
+	return s.stage.Contains(s.keyFor(ino, devOff))
 }
 
-func (s *Stager) keyFor(ino *vfs.Inode, devOff int64) blockKey {
-	return blockKey{ino: ino.Ino(), block: (devOff - ino.Extent()) / s.blockSize}
+func (s *Stager) keyFor(ino *vfs.Inode, devOff int64) cache.Key {
+	return cache.Key{File: uint64(ino.Ino()), Page: (devOff - ino.Extent()) / s.blockSize}
 }
 
 // DeviceFor implements vfs.Stager.
@@ -130,7 +118,7 @@ func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 	end := devOff + length
 	for off := devOff; off < end; {
 		key := s.keyFor(ino, off)
-		blockStart := ino.Extent() + key.block*s.blockSize
+		blockStart := ino.Extent() + key.Page*s.blockSize
 		blockEnd := blockStart + s.blockSize
 		// Clamp the block to the file's tape extent end is unnecessary:
 		// reads never extend past the file, and staging a ragged tail
@@ -140,59 +128,41 @@ func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 			readEnd = blockEnd
 		}
 
-		if e, ok := s.index[key]; ok {
+		if tag, ok := s.stage.Get(key); ok {
 			// Staged: read the needed range from the migration area.
-			b := e.Value.(*stagedBlock)
-			if err := device.ReadErr(disk, s.k.Clock, b.diskOff+(off-blockStart), readEnd-off); err != nil {
+			slotOff := s.areaStart + int64(s.slot(tag))*s.blockSize
+			if err := device.ReadErr(disk, s.k.Clock, slotOff+(off-blockStart), readEnd-off); err != nil {
 				return err
 			}
-			s.lru.MoveToFront(e)
 		} else {
 			// Migrate the whole block from tape, then it is in the disk
 			// cache (the migration write itself makes the bytes
 			// available; no extra disk read is charged).
-			slot, err := s.takeSlot(ino, key.block)
-			if err != nil {
-				return err
+			if len(s.free) == 0 {
+				if err := s.stage.EvictOne(); err != nil {
+					return err
+				}
 			}
+			slot := s.free[len(s.free)-1]
+			s.free = s.free[:len(s.free)-1]
 			migrateLen := s.blockSize
 			if blockEnd > ino.Extent()+ino.Size() {
 				// Ragged final block: only the file's bytes exist.
 				migrateLen = ino.Extent() + ino.Size() - blockStart
 			}
 			if err := device.ReadErr(tape, s.k.Clock, blockStart, migrateLen); err != nil {
-				s.freeSlots = append(s.freeSlots, slot)
+				s.free = append(s.free, slot)
 				return err
 			}
-			if err := device.WriteErr(disk, s.k.Clock, slot, migrateLen); err != nil {
-				s.freeSlots = append(s.freeSlots, slot)
+			if err := device.WriteErr(disk, s.k.Clock, s.areaStart+int64(slot)*s.blockSize, migrateLen); err != nil {
+				s.free = append(s.free, slot)
 				return err
 			}
-			e := s.lru.PushFront(&stagedBlock{key: key, diskOff: slot})
-			s.index[key] = e
+			if err := s.stage.Insert(key, s.tags[slot:slot], false); err != nil {
+				return err
+			}
 		}
 		off = readEnd
 	}
 	return nil
-}
-
-// takeSlot returns a free migration slot, evicting the LRU block if none.
-// The error (no slots and nothing to evict) is defensive — New guarantees
-// at least one slot — but reported with context instead of panicking now
-// that the fetch path is fallible.
-func (s *Stager) takeSlot(ino *vfs.Inode, block int64) (int64, error) {
-	if n := len(s.freeSlots); n > 0 {
-		slot := s.freeSlots[n-1]
-		s.freeSlots = s.freeSlots[:n-1]
-		return slot, nil
-	}
-	victim := s.lru.Back()
-	if victim == nil {
-		return 0, fmt.Errorf("hsm: staging ino %d block %d: no slots and nothing to evict (%d slots, capacity %d)",
-			ino.Ino(), block, s.slots, s.cfg.Capacity)
-	}
-	b := victim.Value.(*stagedBlock)
-	s.lru.Remove(victim)
-	delete(s.index, b.key)
-	return b.diskOff, nil
 }

@@ -298,13 +298,7 @@ func (o *pageOp) ensureResident(remaining int64, resumed bool, accErr error) (da
 	}
 	for ; o.q < o.page+o.cluster; o.q++ {
 		if !resumed {
-			q := cache.Key{File: file, Page: o.q}
-			if k.cache.Contains(q) {
-				// Another stream brought the page in while the read was in
-				// flight; a write's newer bytes must not be overwritten.
-				continue
-			}
-			o.ins = insertion{key: q, data: k.loadPage(f.ino, o.q)}
+			o.ins = insertion{key: cache.Key{File: file, Page: o.q}, data: k.loadPage(f.ino, o.q)}
 		}
 		blocked, err := o.insert(resumed, accErr)
 		if blocked {

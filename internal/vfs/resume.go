@@ -414,7 +414,9 @@ func (o *pageOp) insert(resumed bool, accErr error) (blocked bool, err error) {
 	k, key := o.k, o.ins.key
 	for {
 		if !resumed {
-			if !o.ins.dirty && k.cache.Contains(key) { // filled, maybe written, while this fill waited
+			// Filled, maybe written, by another stream while this fill's
+			// read or eviction waited: the resident bytes stand.
+			if !o.ins.dirty && k.cache.Contains(key) {
 				k.hostMem().put(o.ins.data)
 				return false, nil
 			}

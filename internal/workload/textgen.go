@@ -134,12 +134,15 @@ const matchLineWidth = 64
 
 // TryPlantMatch splices a line containing needle so that it covers byte
 // offset off, clamping off so the line fits inside the content. It
-// returns an error when the content is too small to hold a whole match
-// line at all (under matchLineWidth bytes), or when the clamped splice
-// overlaps a previously planted line.
+// returns an error when the content is under matchLineWidth bytes, the
+// needle over matchLineWidth-2, or the clamped splice overlaps a
+// previously planted line.
 func TryPlantMatch(c *Content, off int64, needle string) error {
 	if c.Size() < matchLineWidth {
 		return fmt.Errorf("workload: content of %d bytes cannot hold a %d-byte match line", c.Size(), matchLineWidth)
+	}
+	if len(needle) > matchLineWidth-2 {
+		return fmt.Errorf("workload: a %d-byte match line cannot hold a %d-byte needle", matchLineWidth, len(needle))
 	}
 	if off > c.Size()-matchLineWidth {
 		off = c.Size() - matchLineWidth

@@ -33,7 +33,7 @@ import (
 	"sleds/internal/device"
 	"sleds/internal/fits"
 	"sleds/internal/hsm"
-	"sleds/internal/lmbench"
+	"sleds/internal/machine"
 	"sleds/internal/simclock"
 	"sleds/internal/sledlib"
 	"sleds/internal/vfs"
@@ -123,18 +123,16 @@ type Config struct {
 	// LHEAProfile selects the paper's Table 3 machine (faster memory,
 	// slower disk) instead of the Table 2 one.
 	LHEAProfile bool
-	// WithHSM interposes a migrating tape->disk stager on tape files,
+	// HSMStageBytes interposes a migrating tape->disk stager on tape files,
 	// with the given staging capacity in bytes (0 disables).
 	HSMStageBytes int64
 }
 
 // System is a booted simulated machine with a calibrated sleds table.
 type System struct {
-	k      *vfs.Kernel
-	tab    *core.Table
-	mem    device.Device
-	ids    [4]device.ID
-	stager *hsm.Stager
+	k   *vfs.Kernel
+	tab *core.Table
+	ids [4]device.ID
 }
 
 // NewSystem boots a machine: memory + disk + CD-ROM + NFS + tape devices,
@@ -150,48 +148,27 @@ func NewSystem(cfg Config) (*System, error) {
 	if cfg.CacheBytes < int64(cfg.PageSize) {
 		return nil, fmt.Errorf("sleds: cache of %d bytes below one page", cfg.CacheBytes)
 	}
-	var memCfg device.MemConfig
-	var diskCfg device.DiskConfig
+	profile := machine.Unix
 	if cfg.LHEAProfile {
-		memCfg, diskCfg = device.Table3MemConfig(0), device.Table3DiskConfig(1)
-	} else {
-		memCfg, diskCfg = device.Table2MemConfig(0), device.Table2DiskConfig(1)
+		profile = machine.LHEA
 	}
-	mem := device.NewMem(memCfg)
-	k := vfs.NewKernel(vfs.Config{
+	m, err := machine.Boot(vfs.Config{
 		PageSize:       cfg.PageSize,
 		CachePages:     int(cfg.CacheBytes / int64(cfg.PageSize)),
 		Policy:         cfg.Policy,
 		ReadaheadPages: cfg.ReadaheadPages,
-		MemDevice:      mem,
 		JitterSeed:     cfg.JitterSeed,
 		JitterFrac:     cfg.JitterFrac,
-	})
-	k.AttachDevice(mem)
-	s := &System{k: k, mem: mem}
-	s.ids[OnDisk] = k.AttachDevice(device.NewDisk(diskCfg))
-	s.ids[OnCDROM] = k.AttachDevice(device.NewCDROM(device.DefaultCDROMConfig(2)))
-	s.ids[OnNFS] = k.AttachDevice(device.NewNFS(device.DefaultNFSConfig(3)))
-	s.ids[OnTape] = k.AttachDevice(device.NewTapeLibrary(device.DefaultTapeLibraryConfig(4)))
-	if err := k.MkdirAll("/data"); err != nil {
-		return nil, err
-	}
-	if cfg.HSMStageBytes > 0 {
-		stager, err := hsm.New(k, hsm.Config{
-			Tape:     s.ids[OnTape],
-			Disk:     s.ids[OnDisk],
-			Capacity: cfg.HSMStageBytes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.stager = stager
-	}
-	tab, err := lmbench.Calibrate(k.Clock, mem, k.Devices.All())
+	}, profile)
 	if err != nil {
 		return nil, err
 	}
-	s.tab = tab
+	s := &System{k: m.K, tab: m.Table, ids: [4]device.ID{m.Disk, m.CDROM, m.NFS, m.Tape}}
+	if cfg.HSMStageBytes > 0 {
+		if _, err := hsm.New(m.K, hsm.Config{Tape: m.Tape, Disk: m.Disk, Capacity: cfg.HSMStageBytes}); err != nil {
+			return nil, err
+		}
+	}
 	return s, nil
 }
 
@@ -246,8 +223,7 @@ func (s *System) CreateTextFileWithMatches(path string, on StandardDevice, seed 
 			return err
 		}
 	}
-	_, err := s.k.Create(path, s.Device(on), c)
-	return err
+	return s.create(path, on, c)
 }
 
 // CreateFITSImage creates a synthetic FITS image (16-bit pixels) of the
@@ -257,13 +233,21 @@ func (s *System) CreateFITSImage(path string, on StandardDevice, seed uint64, wi
 	if err != nil {
 		return err
 	}
-	_, err = s.k.Create(path, s.Device(on), fits.NewContent(im, seed, s.k.PageSize()))
-	return err
+	return s.create(path, on, fits.NewContent(im, seed, s.k.PageSize()))
 }
 
 // CreateEmptyFile creates a zero-length writable file on the device.
 func (s *System) CreateEmptyFile(path string, on StandardDevice) error {
-	_, err := s.k.CreateEmpty(path, s.Device(on))
+	return s.create(path, on, workload.New(0, s.k.PageSize(), nil))
+}
+
+// create makes a file of content c on the device. An unknown role is an
+// error here, where Device panics.
+func (s *System) create(path string, on StandardDevice, c *workload.Content) error {
+	if on < OnDisk || on > OnTape {
+		return fmt.Errorf("sleds: unknown standard device %d", on)
+	}
+	_, err := s.k.Create(path, s.Device(on), c)
 	return err
 }
 

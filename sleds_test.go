@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"strings"
 	"testing"
 
 	"sleds"
@@ -43,26 +44,29 @@ func TestBadConfig(t *testing.T) {
 	}
 }
 
-// TestBadTextFilesAreErrors: bad text-file geometry from a caller is an
-// error, not a panic.
+// TestBadTextFilesAreErrors: bad file geometry or an unknown device from a
+// caller is an error, not a panic, and leaves no file behind.
 func TestBadTextFilesAreErrors(t *testing.T) {
 	sys := newSystem(t, small())
 	for _, c := range []struct {
-		name    string
-		size    int64
-		offsets []int64 // nil: CreateTextFile
+		name   string
+		create func(path string) error
 	}{
-		{"negative size", -1, nil},
-		{"no room for a match line", 0, []int64{0}},
-		{"overlapping match lines", 8 << 10, []int64{100, 120}},
+		{"negative size", func(p string) error { return sys.CreateTextFile(p, sleds.OnDisk, 1, -1) }},
+		{"no room for a match line", func(p string) error {
+			return sys.CreateTextFileWithMatches(p, sleds.OnDisk, 1, 0, "xyzzy", 0)
+		}},
+		{"overlapping match lines", func(p string) error {
+			return sys.CreateTextFileWithMatches(p, sleds.OnDisk, 1, 8<<10, "xyzzy", 100, 120)
+		}},
+		{"needle wider than a match line", func(p string) error {
+			return sys.CreateTextFileWithMatches(p, sleds.OnDisk, 1, 8<<10, strings.Repeat("x", 63), 100)
+		}},
+		{"text on an unknown device", func(p string) error { return sys.CreateTextFile(p, sleds.StandardDevice(7), 1, 8<<10) }},
+		{"image on an unknown device", func(p string) error { return sys.CreateFITSImage(p, sleds.StandardDevice(-1), 1, 16, 16) }},
+		{"empty file on an unknown device", func(p string) error { return sys.CreateEmptyFile(p, sleds.OnTape+1) }},
 	} {
-		var err error
-		if c.offsets == nil {
-			err = sys.CreateTextFile("/data/"+c.name, sleds.OnDisk, 1, c.size)
-		} else {
-			err = sys.CreateTextFileWithMatches("/data/"+c.name, sleds.OnDisk, 1, c.size, "xyzzy", c.offsets...)
-		}
-		if err == nil {
+		if err := c.create("/data/" + c.name); err == nil {
 			t.Errorf("%s: created", c.name)
 		}
 		if _, err := sys.Stat("/data/" + c.name); err == nil {
