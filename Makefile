@@ -8,7 +8,7 @@ STATICCHECK_VERSION ?= 2025.1
 # BENCH_SNAPSHOT is the committed snapshot bench-json writes and
 # bench-compare gates against.
 BENCH_PKGS = ./internal/core ./internal/cache ./internal/iosched ./internal/trace ./internal/fleet ./internal/workload ./internal/vfs ./internal/experiments ./internal/apps/wcapp ./internal/apps/grepapp ./internal/apps/fitsapp ./internal/fits
-BENCH_SNAPSHOT = BENCH_41.json
+BENCH_SNAPSHOT = BENCH_48.json
 
 # A literal comma, for use inside $(call ...) arguments.
 comma := ,

@@ -148,9 +148,47 @@ var arenaPoints = []struct {
 	}},
 }
 
+// dirtyWithOtherKeys leaves in hm's store the arena points' file seeds under
+// other keys: FITS content of a text seed, text of the FITS seed, and the
+// text seeds at twice the page size, each read whole.
+func dirtyWithOtherKeys(cfg Config, hm *vfs.HostMem) error {
+	im, err := imageForSize(cfg.Sizes[2])
+	if err != nil {
+		return err
+	}
+	size, ps := cfg.Sizes[len(cfg.Sizes)-1], cfg.PageSize
+	groups := [][]*workload.Content{
+		{fits.NewContent(im, fileSeed(cfg, "arena-wc", 0), ps), workload.NewText(fileSeed(cfg, "arena-fim", 0), im.FileSize(), ps)},
+		{
+			workload.NewText(fileSeed(cfg, "arena-wc", 0), size, 2*ps),
+			workload.NewText(fileSeed(cfg, "arena-two", 0), size, 2*ps),
+			workload.NewText(fileSeed(cfg, "arena-two", 1), size, 2*ps),
+		},
+	}
+	for _, files := range groups {
+		pcfg := cfg
+		pcfg.PageSize, pcfg.mem = files[0].PageSize(), hm
+		k, _ := newKernel(pcfg, device.Table2MemConfig(0))
+		disk := k.AttachDevice(device.NewDisk(device.Table2DiskConfig(1)))
+		for i, c := range files {
+			path := fmt.Sprintf("/f%d", i)
+			if _, err := k.Create(path, disk, c); err != nil {
+				return err
+			}
+			if _, err := digestFile(k, path); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // TestPointOnDirtyArena: every point shape gives the same bytes, run stats
-// and virtual time on an arena of its own and on one that every other
-// shape — other content, other file sizes, other page size — used first.
+// and virtual time on an arena of its own; on one that every other shape —
+// other content, other file sizes, other page size — used first; on one
+// whose store already holds the point's files under their keys, as the
+// pair's other mode leaves it; and on one holding files of the same seeds
+// under other keys.
 func TestPointOnDirtyArena(t *testing.T) {
 	cfg := tinyConfig()
 	fresh := make([]string, len(arenaPoints))
@@ -189,12 +227,77 @@ func TestPointOnDirtyArena(t *testing.T) {
 			}
 		}
 	}
+	for i, p := range arenaPoints {
+		pcfg := cfg
+		pcfg.mem = new(vfs.HostMem)
+		if _, err := p.run(pcfg); err != nil {
+			t.Fatal(err)
+		}
+		pcfg.mem.Reset()
+		if got, err := p.run(pcfg); err != nil || got != fresh[i] {
+			t.Errorf("%s on an arena keeping its files: %v\n got  %s\n want %s", p.name, err, got, fresh[i])
+		}
+		pcfg.mem = new(vfs.HostMem)
+		if err := dirtyWithOtherKeys(cfg, pcfg.mem); err != nil {
+			t.Fatal(err)
+		}
+		pcfg.mem.Reset()
+		if got, err := p.run(pcfg); err != nil || got != fresh[i] {
+			t.Errorf("%s on an arena keeping its seeds under other keys: %v\n got  %s\n want %s", p.name, err, got, fresh[i])
+		}
+	}
+}
+
+// TestGridsShareArenas: a second grid at the same worker count takes the
+// first one's arena, and neither grid's points generate a page the pair's
+// first point already generated.
+func TestGridsShareArenas(t *testing.T) {
+	cfg := tinyConfig()
+	cfg.Workers = 1
+	key := workload.Key{Gen: "text", Seed: fileSeed(cfg, "arena-grids", 0), PageSize: cfg.PageSize}
+	size := cfg.Sizes[len(cfg.Sizes)-1]
+	type seen struct {
+		mem       *vfs.HostMem
+		generated int
+		digest    [sha256.Size]byte
+	}
+	grid := func() []seen {
+		out, err := RunGrid(cfg, []int{1, len(modeNames)}, func(cfg Config, at []int) (seen, error) {
+			r := seen{mem: cfg.mem}
+			gen := workload.TextGen(key.Seed)
+			c := workload.NewKeyed(key, size, func(p int64, buf []byte) { r.generated++; gen(p, buf) })
+			k, _ := newKernel(cfg.forPoint("arena-grids", at...), device.Table2MemConfig(0))
+			disk := k.AttachDevice(device.NewDisk(device.Table2DiskConfig(1)))
+			if _, err := k.Create("/f", disk, c); err != nil {
+				return r, err
+			}
+			var err error
+			r.digest, err = digestFile(k, "/f")
+			return r, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	first := grid()
+	if want := int(size) / cfg.PageSize; first[0].generated != want {
+		t.Fatalf("the pair's first point generated %d pages, want %d", first[0].generated, want)
+	}
+	for i, r := range append(first[1:], grid()...) {
+		if r.mem != first[0].mem {
+			t.Errorf("point %d ran on another arena than the first grid's", i+1)
+		}
+		if r.generated != 0 || r.digest != first[0].digest {
+			t.Errorf("point %d generated %d pages (want 0) and read digest %x (want %x)", i+1, r.generated, r.digest[:6], first[0].digest[:6])
+		}
+	}
 }
 
 // TestArenaBounded: after a sweep, each worker's arena holds no more than
 // one point ever had out at once — page buffers for the caches' frames and
 // the page in flight, and frame arenas for the caches alive together — and
-// a store within its budget.
+// a store within the budget storeBudget derives from the config.
 func TestArenaBounded(t *testing.T) {
 	cfg := tinyConfig()
 	cfg.Workers = 2
@@ -228,12 +331,29 @@ func TestArenaBounded(t *testing.T) {
 		if most := (cfg.CachePages + 1) + (cfg.CachePages/2 + 1); frames > most {
 			t.Errorf("arena holds %d cache frames after %d points, want <= %d", frames, served, most)
 		}
-		if store > workload.StoreBudget {
-			t.Errorf("arena holds %d bytes of store, budget %d", store, workload.StoreBudget)
+		if budget := storeBudget(cfg, cfg.Workers); store > budget {
+			t.Errorf("arena holds %d bytes of store, budget %d", store, budget)
 		}
 	}
 	if points != n {
 		t.Errorf("arenas served %d points, want %d", points, n)
+	}
+	// The budgets alone, at worker counts no test starts: every paper-scale
+	// swept file whole at 1 and 2 workers, at most 512 MiB together unless
+	// workload.StoreBudget each is more, and today's budget at quick scale.
+	paper := PaperConfig()
+	largest := paper.Sizes[len(paper.Sizes)-1]
+	for _, workers := range []int{1, 2, 64} {
+		b := storeBudget(paper, workers)
+		if total := int64(b) * int64(workers); b < workload.StoreBudget || total > max(512<<20, int64(workers)*workload.StoreBudget) {
+			t.Errorf("paper scale at %d workers: %d bytes of store each, %d together", workers, b, total)
+		}
+		if workers <= 2 && int64(b) < largest {
+			t.Errorf("paper scale at %d workers: budget %d cannot keep a %d-byte file whole", workers, b, largest)
+		}
+		if q := storeBudget(QuickConfig(), workers); q != workload.StoreBudget {
+			t.Errorf("quick scale at %d workers: budget %d, want %d", workers, q, workload.StoreBudget)
+		}
 	}
 }
 

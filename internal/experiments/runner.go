@@ -27,10 +27,12 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 
 	"sleds/internal/splitmix"
 	"sleds/internal/vfs"
+	"sleds/internal/workload"
 )
 
 // poolSize clamps the configured worker count (<= 0 selects GOMAXPROCS)
@@ -42,14 +44,25 @@ func poolSize(workers, n int) int {
 	return max(1, min(workers, n))
 }
 
+// spare holds the arenas of finished grids for the next grid's workers, under
+// spareMu: the one way an arena passes from one goroutine to another.
+var spare []*vfs.HostMem
+var spareMu sync.Mutex
+
+// storeBudget is each of a grid's workers' store budget: the largest swept
+// file, at most 512 MiB over the workers, at least workload.StoreBudget.
+func storeBudget(cfg Config, workers int) int {
+	return max(workload.StoreBudget, int(min(slices.Max(append([]int64{0}, cfg.Sizes...)), 512<<20/int64(workers))))
+}
+
 // RunGrid runs point at every coordinate tuple of the grid whose axis
 // lengths are dims — at[i] is the i-th coordinate, the last axis varies
 // fastest — on a pool of cfg.Workers workers, and returns the results in
 // that order: workers may finish in any order, but slot i always holds
 // point i, which is what keeps parallel output identical to serial
 // output. A point's cfg is the sweep's on its worker's arena (vfs.HostMem),
-// Reset before every point; it is the one thing a worker's points share,
-// and no byte of it is read across a Reset.
+// spare's latest, at storeBudget, Reset before every point and spared again
+// after a grid that succeeds; of it only keyed store pages outlive a Reset.
 //
 // A panicking point becomes its error, naming its coordinates, rather than
 // crashing or hanging the sweep; every point is attempted, and the error
@@ -68,14 +81,23 @@ func RunGrid[T any](cfg Config, dims []int, point func(cfg Config, at []int) (T,
 	errs := make([]error, n)
 	idx := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < poolSize(cfg.Workers, n); w++ {
+	workers := poolSize(cfg.Workers, n)
+	spareMu.Lock()
+	arenas := slices.Clone(spare[max(0, len(spare)-workers):])
+	spare = spare[:len(spare)-len(arenas)]
+	spareMu.Unlock()
+	for len(arenas) < workers {
+		arenas = append(arenas, new(vfs.HostMem))
+	}
+	for _, mem := range arenas {
+		mem.SetStoreBudget(storeBudget(cfg, workers))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			pcfg := cfg
-			pcfg.mem = new(vfs.HostMem)
+			pcfg.mem = mem
 			for i := range idx {
-				pcfg.mem.Reset()
+				mem.Reset()
 				out[i], errs[i] = runPoint(pcfg, dims, i, point)
 			}
 		}()
@@ -87,9 +109,12 @@ func RunGrid[T any](cfg Config, dims []int, point func(cfg Config, at []int) (T,
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return nil, err // the arenas of a failed grid are left to the collector
 		}
 	}
+	spareMu.Lock()
+	spare = append(spare, arenas...)
+	spareMu.Unlock()
 	return out, nil
 }
 

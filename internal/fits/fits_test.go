@@ -5,6 +5,8 @@ import (
 	"math/big"
 	"testing"
 	"testing/quick"
+
+	"sleds/internal/workload"
 )
 
 func TestHeaderRoundTrip(t *testing.T) {
@@ -216,4 +218,38 @@ func FuzzParseHeader(f *testing.F) {
 			t.Fatalf("%+v: a data unit ending at %v overflows a file offset", im, end)
 		}
 	})
+}
+
+// TestKeysKeepSameSeedContentApart: text and FITS content, FITS content of
+// two geometries and text of two page sizes, all from one seed and all of
+// the same page count, never read each other's pages from a store that
+// keeps every one of them across Resets.
+func TestKeysKeepSameSeedContentApart(t *testing.T) {
+	const seed = 7
+	wide, err := NewImage(128, 64, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tall, err := NewImage(64, 128, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	size := wide.FileSize() // tall's too: the same pixel count
+	contents := []func() *workload.Content{
+		func() *workload.Content { return NewContent(wide, seed, 4096) },
+		func() *workload.Content { return NewContent(tall, seed, 4096) },
+		func() *workload.Content { return workload.NewText(seed, size, 4096) },
+		func() *workload.Content { return workload.NewText(seed, 2*size, 8192) },
+	}
+	var store workload.Store
+	for round := 0; round < 2; round++ {
+		for i, mk := range contents {
+			store.Reset()
+			c := mk()
+			c.KeepIn(&store)
+			if !bytes.Equal(c.ReadAll(), mk().ReadAll()) {
+				t.Fatalf("round %d: content %d reads another content's pages through the store", round, i)
+			}
+		}
+	}
 }

@@ -69,7 +69,9 @@ func genPage(buf []byte, pageStart int64, header []byte, dataOffset, dataEnd int
 	}
 }
 
-// NewContent builds workload content holding a synthetic FITS image.
+// NewContent builds workload content holding a synthetic FITS image, keyed
+// by everything Gen reads.
 func NewContent(im Image, seed uint64, pageSize int) *workload.Content {
-	return workload.New(im.FileSize(), pageSize, Gen(im, seed, pageSize))
+	key := workload.Key{Gen: "fits", Seed: seed, PageSize: pageSize, Shape: [5]int64{int64(im.Width), int64(im.Height), int64(im.BitPix), im.DataOffset, im.DataBytes}}
+	return workload.NewKeyed(key, im.FileSize(), Gen(im, seed, pageSize))
 }

@@ -8,11 +8,12 @@ import (
 // HostMem is the host memory a kernel works in that is worth more than the
 // kernel (DESIGN.md, "What a grid point costs the host twice"): the page
 // buffers its cache fills, the cache's storage, the store its files keep
-// generated and written pages in, and fimgbin's sums. A sweep hands one arena
-// to the machines of successive grid points (Config.HostMem), Reset between
-// them; the zero value is empty. Nothing in it carries meaning across Reset,
-// and a kernel booted before one (the next kernel fills its buffers) panics
-// on its next I/O or residency query. One goroutine; kernels share buffers.
+// generated and written pages in, and fimgbin's sums. A sweep worker hands
+// one arena to the machines of successive points and grids (Config.HostMem),
+// Reset between them; the zero value is empty. Only keyed store pages carry
+// meaning across Reset, and a kernel booted before one (the next kernel fills
+// its buffers) panics on its next I/O or residency query. One goroutine at a
+// time; kernels share buffers.
 type HostMem struct {
 	pageSize   int
 	bufs, free [][]byte       // every page buffer made; those in no cache
@@ -30,6 +31,9 @@ func (m *HostMem) Reset() {
 	m.store.Reset()
 	m.epoch++
 }
+
+// SetStoreBudget bounds the bytes the store keeps (workload.Store.SetBudget).
+func (m *HostMem) SetStoreBudget(n int) { m.store.SetBudget(n) }
 
 // Held reports the page buffers, cache frames and store bytes the arena holds.
 func (m *HostMem) Held() (bufs, frames, store int) {

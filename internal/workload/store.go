@@ -1,25 +1,51 @@
 package workload
 
-// StoreBudget bounds the bytes of generated pages one Store keeps: whole
-// files of the quick-scale size sweep, a prefix at paper scale.
+// StoreBudget bounds the bytes of generated pages a Store keeps unless
+// SetBudget raises it: whole files of the quick-scale size sweep.
 const StoreBudget = 16 << 20
 
-// Store is host memory Contents keep generated pages in (DESIGN.md, "What a
-// grid point costs the host twice"): one flat slab, of which a Content
-// leases slots at its first read for the raw generator output of its pages
-// [0, n) — a static set, since a cyclic scan defeats LRU. A lease lasts
-// until Reset, which hands the slab on uncleared: a slot means something
-// only under its Content's filled-bit, at the epoch of the lease. Written
-// pages it lends one by one, and keeps those given back across Resets.
-type Store struct {
-	slab  []byte   // grown on demand up to StoreBudget, kept across Resets
-	used  int      // bytes of slab leased since the last Reset
-	epoch uint64   // Resets so far
-	pages [][]byte // written pages Release gave back, for the next write
+// Key names a generator's output exactly: Gen the generator, Shape what else
+// it reads besides seed, page size and page. The zero Key keys nothing.
+type Key struct {
+	Gen      string
+	Seed     uint64
+	PageSize int
+	Shape    [5]int64
 }
 
-// Reset ends every lease: Contents holding one go back to generating.
-func (s *Store) Reset() { s.used, s.epoch = 0, s.epoch+1 }
+// Store is host memory Contents keep generated pages in (DESIGN.md, "What a
+// grid point costs the host twice"): a slab of leases, each gen's output for
+// a Content's pages [0, n) from its first read (a static set: a cyclic scan
+// defeats LRU). A keyed lease outlives Reset for an equal key and extent to
+// claim; unclaimed since, it is dropped before the slab grows. Written pages
+// it lends one by one, and keeps those given back across Resets.
+type Store struct {
+	slab   []byte   // grown on demand up to the budget, kept across Resets
+	budget int      // 0: StoreBudget
+	leases []*lease // in slab order
+	used   int64    // slab bytes up to the end of the last lease
+	epoch  uint64   // Resets so far
+	pages  [][]byte // written pages Release gave back, for the next write
+}
+
+// lease is the slab's bytes [base, base+size), a slot per page of one key.
+type lease struct {
+	key               Key
+	pages, base, size int64    // pages: the generated extent it was taken for
+	filled            []uint64 // bit p: slot p holds gen(p)
+	epoch             uint64   // the store's epoch at the last claim
+}
+
+// Reset ends every lease: Contents holding one go back to generating, and
+// only a later Content of equal key can claim it again.
+func (s *Store) Reset() { s.epoch++ }
+
+// SetBudget bounds the slab at max(n, StoreBudget) bytes, dropping a larger one.
+func (s *Store) SetBudget(n int) {
+	if s.budget = max(n, StoreBudget); len(s.slab) > s.budget {
+		s.slab, s.leases, s.used, s.epoch = nil, nil, 0, s.epoch+1
+	}
+}
 
 // Held returns the bytes of host memory the store holds.
 func (s *Store) Held() int { return len(s.slab) }
@@ -30,7 +56,7 @@ func (s *Store) Held() int { return len(s.slab) }
 func (c *Content) KeepIn(s *Store) {
 	c.mem = s
 	if c.gen != nil {
-		c.store, c.epoch, c.filled = s, s.epoch, nil
+		c.store, c.epoch, c.lease = s, s.epoch, nil
 	}
 }
 
@@ -44,36 +70,62 @@ func (c *Content) slot(page int64) []byte {
 		c.store = nil // not kept, or Reset since KeepIn: the slots are someone else's
 		return nil
 	}
-	if c.filled == nil && !c.leaseSlots() || page >= c.slots {
+	off := page * int64(c.pageSize)
+	if c.lease == nil && !c.leaseSlots() || off >= c.lease.size {
 		return nil
 	}
-	off := c.base + page*int64(c.pageSize)
-	slot := s.slab[off : off+int64(c.pageSize)]
-	if w, bit := page>>6, uint64(1)<<(page&63); c.filled[w]&bit == 0 {
+	slot := s.slab[c.lease.base+off : c.lease.base+off+int64(c.pageSize)]
+	if w, bit := page>>6, uint64(1)<<(page&63); c.lease.filled[w]&bit == 0 {
 		c.gen(page, slot)
-		c.filled[w] |= bit
+		c.lease.filled[w] |= bit
 	}
 	return slot
 }
 
-// leaseSlots claims slots for as long a prefix of the generated extent as
-// the budget has room for, growing the slab; false (for good) if none.
+// leaseSlots claims an equal key's lease, or leases slots for as long a prefix
+// of the generated extent as the budget has room for; false (for good) if none.
 func (c *Content) leaseSlots() bool {
 	s, ps := c.store, int64(c.pageSize)
-	n := min((c.genSize+ps-1)/ps, (StoreBudget-int64(s.used))/ps)
+	pages := (c.genSize + ps - 1) / ps
+	for _, l := range s.leases {
+		if c.key != (Key{}) && l.key == c.key && l.pages == pages {
+			l.epoch, c.lease = s.epoch, l
+			return true
+		}
+	}
+	budget := int64(max(s.budget, StoreBudget))
+	if s.used+pages*ps > int64(cap(s.slab)) { // before the slab grows
+		s.makeRoom()
+	}
+	base := s.used
+	n := min(pages, (budget-base)/ps)
 	if n <= 0 {
 		c.store = nil
 		return false
 	}
-	need := s.used + int(n*ps)
-	if held := s.slab; cap(s.slab) < need { // leases hold offsets: it can move
-		s.slab = make([]byte, min(StoreBudget, max(2*len(held), need)))
-		copy(s.slab, held[:s.used])
+	if held := s.slab; int64(cap(held)) < base+n*ps { // leases hold offsets: it can move
+		s.slab = make([]byte, min(budget, max(2*int64(len(held)), base+n*ps)))
+		copy(s.slab, held[:base])
 	}
-	//sledlint:allow hotalloc -- once per file: one bit per kept page
-	c.base, c.slots, c.filled = int64(s.used), n, make([]uint64, (n+63)/64)
-	s.used = need
+	//sledlint:allow hotalloc -- once per file: the lease and one bit per kept page
+	c.lease = &lease{key: c.key, pages: pages, base: base, size: n * ps, filled: make([]uint64, (n+63)/64), epoch: s.epoch}
+	s.leases, s.used = append(s.leases, c.lease), base+n*ps
 	return true
+}
+
+// makeRoom drops the leases nothing claimed since the last Reset and moves
+// the rest, in order, to the front of the slab.
+func (s *Store) makeRoom() {
+	kept := s.leases[:0]
+	s.used = 0
+	for _, l := range s.leases {
+		if l.epoch == s.epoch {
+			copy(s.slab[s.used:], s.slab[l.base:l.base+l.size])
+			l.base, s.used = s.used, s.used+l.size
+			kept = append(kept, l)
+		}
+	}
+	s.leases = kept
 }
 
 // page lends a buffer of n bytes, contents unspecified, for a written page.

@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"sleds/internal/splitmix"
@@ -35,40 +36,70 @@ func (g *countingGen) gen(page int64, buf []byte) {
 }
 
 // leaveBudget leases all of the store's budget but keep pages to a ballast
-// content, which is how a test gets a small store without a knob.
+// content, which is how a test gets a small store without a knob. The
+// ballast is keyed: after a Reset it claims its lease again.
 func leaveBudget(s *Store, keep int64) {
-	ballast := New(StoreBudget-keep*storePage, storePage, newCountingGen(0).gen)
+	ballast := NewKeyed(Key{Gen: "ballast", PageSize: storePage}, StoreBudget-keep*storePage, newCountingGen(0).gen)
 	ballast.KeepIn(s)
 	ballast.ReadPage(0, make([]byte, storePage))
 }
+
+// countKey keys a countingGen's output: equal ids generate equal pages.
+func countKey(id int64) Key { return Key{Gen: "count", Seed: uint64(id), PageSize: storePage} }
 
 // TestStoreDifferential drives one content that keeps its pages and one
 // that does not through the same seeded interleaving of reads, writes,
 // resizes and splices, at a store budget of nothing, three pages and the
 // whole file, and compares every byte of every step. The store is reused
-// across trials, so each starts on a slab the one before left dirty.
+// across trials, so each starts on a slab the one before left dirty. Keyed,
+// trials 2k and 2k+1 share a key, as the two modes of a grid point's pair
+// do, and four keys take turns: where the store keeps anything, trials claim
+// leases an earlier trial took, wrote and spliced over, before a Reset.
 func TestStoreDifferential(t *testing.T) {
-	for _, keep := range []int64{0, 3, -1} {
-		keep := keep
-		t.Run(fmt.Sprintf("keep=%d", keep), func(t *testing.T) {
-			store := new(Store)
-			for seed := uint64(1); seed <= 60; seed++ {
-				store.Reset()
-				if keep >= 0 {
-					leaveBudget(store, keep)
-				}
-				//sledlint:allow seedflow -- differential test: trials are numbered 1..60 and each number is its op stream's seed
-				runStoreTrial(t, store, seed)
+	for _, keyed := range []bool{false, true} {
+		for _, keep := range []int64{0, 3, -1} {
+			keyed, keep := keyed, keep
+			name := fmt.Sprintf("keep=%d", keep)
+			if keyed {
+				name = "keyed-" + name
 			}
-		})
+			t.Run(name, func(t *testing.T) {
+				store, claims := new(Store), 0
+				for seed := uint64(1); seed <= 60; seed++ {
+					store.Reset()
+					if keep >= 0 {
+						leaveBudget(store, keep)
+					}
+					//sledlint:allow seedflow -- differential test: trials are numbered 1..60 and each number is its op stream's seed
+					if runStoreTrial(t, store, seed, keyed) {
+						claims++
+					}
+				}
+				if keyed && keep != 0 && claims == 0 {
+					t.Error("no keyed trial claimed an earlier trial's lease")
+				}
+			})
+		}
 	}
 }
 
-func runStoreTrial(t *testing.T, store *Store, seed uint64) {
+// runStoreTrial reports whether the kept content claimed a lease that was
+// in the store before the trial.
+func runStoreTrial(t *testing.T, store *Store, seed uint64, keyed bool) (claimed bool) {
+	before := slices.Clone(store.leases)
 	rng := testRNG(seed)
+	id := int64(seed)
+	if keyed {
+		id = int64(seed / 2 % 4)
+		rng = testRNG(id + 100) // one size per key, so its leases are claimed
+	}
 	size := (2+rng.Int64n(9))*storePage + rng.Int64n(storePage)
-	plain := New(size, storePage, newCountingGen(int64(seed)).gen)
-	kept := New(size, storePage, newCountingGen(int64(seed)).gen)
+	rng = testRNG(seed)
+	plain := New(size, storePage, newCountingGen(id).gen)
+	kept := New(size, storePage, newCountingGen(id).gen)
+	if keyed {
+		kept = NewKeyed(countKey(id), size, newCountingGen(id).gen)
+	}
 	kept.KeepIn(store)
 
 	a, b := make([]byte, storePage), make([]byte, storePage)
@@ -135,6 +166,7 @@ func runStoreTrial(t *testing.T, store *Store, seed uint64) {
 	if !bytes.Equal(plain.ReadAll(), kept.ReadAll()) {
 		t.Fatalf("seed %d: ReadAll differs with the store", seed)
 	}
+	return slices.Contains(before, kept.lease)
 }
 
 // TestStoreGeneratesOnce is what the store is for: a kept page is generated
@@ -208,6 +240,143 @@ func TestStoreLeaseEndsAtReset(t *testing.T) {
 	u.ReadAll()
 	if unread.calls[0] != 2 {
 		t.Errorf("content first read after the Reset generated page 0 %d times in 2 reads: it must not lease from an epoch it was not created in", unread.calls[0])
+	}
+}
+
+// TestStoreKeyedLeaseOutlivesReset: a content created after a Reset with
+// the key of an earlier one generates none of the pages the earlier one
+// generated, and reads its own splices, not the earlier one's splices or
+// writes.
+func TestStoreKeyedLeaseOutlivesReset(t *testing.T) {
+	const pages = 6
+	store := new(Store)
+	earlier, later := newCountingGen(1), newCountingGen(1)
+	a := NewKeyed(countKey(1), pages*storePage, earlier.gen)
+	a.KeepIn(store)
+	for p := int64(0); p < pages-1; p++ { // all but the last page
+		a.ReadPage(p, make([]byte, storePage))
+	}
+	if err := a.TryInsertAt(storePage+3, []byte("earlier splice")); err != nil {
+		t.Fatal(err)
+	}
+	a.WritePage(2, bytes.Repeat([]byte{'w'}, storePage))
+
+	store.Reset()
+	b := NewKeyed(countKey(1), pages*storePage, later.gen)
+	b.KeepIn(store)
+	if err := b.TryInsertAt(4*storePage+1, []byte("later splice")); err != nil {
+		t.Fatal(err)
+	}
+	want := New(pages*storePage, storePage, newCountingGen(1).gen)
+	if err := want.TryInsertAt(4*storePage+1, []byte("later splice")); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(b.ReadAll(), want.ReadAll()) {
+		t.Fatal("content that claimed a lease reads other bytes than the same content without a store")
+	}
+	for p, n := range later.calls {
+		if p < pages-1 || n != 1 {
+			t.Errorf("page %d generated %d times after the Reset, want only the page the earlier content never read, once", p, n)
+		}
+	}
+}
+
+// TestStoreKeysAreExact: contents that differ only in key never share slots:
+// after a Reset, each claims its own lease and none of the others'.
+func TestStoreKeysAreExact(t *testing.T) {
+	const size = 5 * storePage
+	keys := []Key{
+		countKey(1),
+		{Gen: "other", Seed: 1, PageSize: storePage},
+		{Gen: "count", Seed: 1, PageSize: storePage, Shape: [5]int64{1}},
+		{Gen: "count", Seed: 2, PageSize: storePage},
+	}
+	store := new(Store)
+	for round := 0; round < 2; round++ {
+		store.Reset()
+		for i, key := range keys {
+			g := newCountingGen(int64(10 + i))
+			c := NewKeyed(key, size, g.gen)
+			c.KeepIn(store)
+			if !bytes.Equal(c.ReadAll(), New(size, storePage, newCountingGen(int64(10+i)).gen).ReadAll()) {
+				t.Fatalf("round %d: key %+v reads another key's pages", round, key)
+			}
+			if want := 1 - round; len(g.calls) != 5*want {
+				t.Errorf("round %d: key %+v generated %d pages, want %d", round, key, len(g.calls), 5*want)
+			}
+		}
+	}
+}
+
+// TestStoreDropsUnclaimedLeases: a lease nothing claimed since the Reset
+// makes room for a new file, and neither the content that held it nor one
+// that would have claimed it reads the new file's bytes from its old slots:
+// both generate again.
+func TestStoreDropsUnclaimedLeases(t *testing.T) {
+	const pages = StoreBudget / storePage / 2
+	store := new(Store)
+	firstGen := newCountingGen(1)
+	first := NewKeyed(countKey(1), pages*storePage, firstGen.gen)
+	first.KeepIn(store)
+	want := first.ReadAll()
+	store.Reset()
+	for id := int64(2); id <= 3; id++ { // together they need the first's room
+		c := NewKeyed(countKey(id), pages*storePage, newCountingGen(id).gen)
+		c.KeepIn(store)
+		c.ReadAll()
+	}
+	if got := store.Held(); got != StoreBudget {
+		t.Fatalf("store holds %d bytes, want the %d-byte budget", got, StoreBudget)
+	}
+	if !bytes.Equal(first.ReadAll(), want) || firstGen.calls[0] != 2 {
+		t.Fatalf("content read after its lease was dropped did not generate its own bytes (page 0 generated %d times)", firstGen.calls[0])
+	}
+	again := newCountingGen(1)
+	c := NewKeyed(countKey(1), pages*storePage, again.gen)
+	c.KeepIn(store)
+	if !bytes.Equal(c.ReadAll(), New(pages*storePage, storePage, newCountingGen(1).gen).ReadAll()) {
+		t.Fatal("content whose lease was dropped reads another content's bytes")
+	}
+	if len(again.calls) != pages {
+		t.Errorf("content whose lease was dropped generated %d of %d pages", len(again.calls), pages)
+	}
+	store.Reset()
+	later := newCountingGen(3)
+	c = NewKeyed(countKey(3), pages*storePage, later.gen)
+	c.KeepIn(store)
+	c.ReadAll()
+	if len(later.calls) != 0 {
+		t.Errorf("the lease taken after the drop was not kept: %d pages generated", len(later.calls))
+	}
+}
+
+// TestStoreMovesClaimedLeases: making room moves a lease claimed since the
+// Reset to the front of the slab, bytes and all, so its content reads on
+// without generating, and the new lease does not overlap it.
+func TestStoreMovesClaimedLeases(t *testing.T) {
+	const quarter = StoreBudget / storePage / 4
+	store := new(Store)
+	for id := int64(1); id <= 2; id++ { // the first lease ends up dropped, the second moved
+		c := NewKeyed(countKey(id), quarter*storePage, newCountingGen(id).gen)
+		c.KeepIn(store)
+		c.ReadAll()
+	}
+	store.Reset()
+	movedGen := newCountingGen(2)
+	moved := NewKeyed(countKey(2), quarter*storePage, movedGen.gen)
+	moved.KeepIn(store)
+	moved.ReadPage(0, make([]byte, storePage)) // claims
+	big := NewKeyed(countKey(3), 3*quarter*storePage, newCountingGen(3).gen)
+	big.KeepIn(store)
+	big.ReadAll()
+	if !bytes.Equal(moved.ReadAll(), New(quarter*storePage, storePage, newCountingGen(2).gen).ReadAll()) {
+		t.Fatal("a lease moved to make room reads other bytes")
+	}
+	if len(movedGen.calls) != 0 {
+		t.Errorf("a lease moved to make room generated %d pages", len(movedGen.calls))
+	}
+	if !bytes.Equal(big.ReadAll(), New(3*quarter*storePage, storePage, newCountingGen(3).gen).ReadAll()) {
+		t.Fatal("the lease made room for reads other bytes")
 	}
 }
 

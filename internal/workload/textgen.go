@@ -108,7 +108,7 @@ func textPage(seed uint64, page int64, buf []byte) {
 
 // NewText creates pseudo-text content of the given size.
 func NewText(seed uint64, size int64, pageSize int) *Content {
-	return New(size, pageSize, TextGen(seed))
+	return NewKeyed(Key{Gen: "text", Seed: seed, PageSize: pageSize}, size, TextGen(seed))
 }
 
 // MatchLine builds a full text line embedding needle, padded to exactly
