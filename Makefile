@@ -35,7 +35,7 @@ staticcheck:
 
 # lint runs sledlint, the in-repo determinism and dataflow linter
 # (cmd/sledlint): the syntactic rules (wallclock, mapiter, simtime)
-# plus the inter-procedural ones (seedflow, errflow, hotalloc), over the
+# plus the inter-procedural ones (seedflow, errflow), over the
 # whole module; sledlint always loads test files. Any finding fails; the
 # one way to accept one is //sledlint:allow <rule> -- <reason> at the
 # site, and `make lint-debt` lists them all.

@@ -1,7 +1,6 @@
 // Command sledlint is the repository's determinism linter: a
 // multichecker enforcing the simulation's virtual-time,
-// reproducibility, error-path, and zero-allocation invariants as
-// compile-time rules.
+// reproducibility and error-path invariants as compile-time rules.
 //
 // Usage:
 //
@@ -30,8 +29,6 @@
 //	errflow    errors from ReadErr/WriteErr and transitively fallible
 //	           helpers must be returned, checked, or discarded with a
 //	           reasoned directive
-//	hotalloc   //sledlint:hotpath functions and their callees must be
-//	           free of allocation sites
 package main
 
 import (
@@ -42,7 +39,6 @@ import (
 	"sleds/internal/lint/analysis"
 	"sleds/internal/lint/driver"
 	"sleds/internal/lint/errflow"
-	"sleds/internal/lint/hotalloc"
 	"sleds/internal/lint/mapiter"
 	"sleds/internal/lint/seedflow"
 	"sleds/internal/lint/simtime"
@@ -52,7 +48,6 @@ import (
 // Analyzers is the suite, in reporting-name order.
 var Analyzers = []*analysis.Analyzer{
 	errflow.Analyzer,
-	hotalloc.Analyzer,
 	mapiter.Analyzer,
 	seedflow.Analyzer,
 	simtime.Analyzer,

@@ -193,7 +193,7 @@ func (s *Scan) exit(err error) iosched.Op {
 // newline — so a line with two hits is visited once and the lines between
 // hits are counted, never split. No line holds a pattern with a '\n' in it.
 //
-//sledlint:hotpath
+// TestMatchingLinesAllocsZero pins it at 0 allocs.
 func matchingLines(body, pat []byte, visit func(start int, before int64, line []byte) bool) bool {
 	if bytes.IndexByte(pat, '\n') >= 0 {
 		return true

@@ -124,10 +124,8 @@ func (m *sledMemo) entry(ino vfs.Ino) *memoEntry {
 		m.n = 0
 	}
 	for vfs.Ino(len(m.byIno)) <= ino {
-		//sledlint:allow hotalloc -- first-use growth: the index reaches the highest queried inode number once
 		m.byIno = append(m.byIno, nil)
 	}
-	//sledlint:allow hotalloc -- first query of a file only: the entry and its buffers are allocated once and reused across every later rebuild
 	e := &memoEntry{}
 	m.byIno[ino] = e
 	m.n++
@@ -139,8 +137,6 @@ func (m *sledMemo) entry(ino vfs.Ino) *memoEntry {
 // When the samples match the previous run's bit for bit, the previous
 // output is replayed with a copy (never aliased: callers own dst and
 // recycle it across files).
-//
-//sledlint:hotpath
 func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	resEpoch := k.ResidencyEpoch(n)
 	e := m.entry(n.Ino())
@@ -159,10 +155,10 @@ func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]S
 	}
 	if same {
 		m.stats.FastCopies++
-		return copySLEDs(dst, e.out), nil
+		return append(dst[:0], e.out...), nil
 	}
 	out := e.overlay(dst)
-	e.out = copySLEDs(e.out, out)
+	e.out = append(e.out[:0], out...)
 	e.haveOut = true
 	return out, nil
 }
@@ -173,8 +169,6 @@ func (m *sledMemo) query(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]S
 // over the device's zones. It consults no load or health state — the
 // overlay owns that — and never fails: a device with no table entry gets
 // zero-entry segments, and sampleDevices reports it.
-//
-//sledlint:hotpath
 func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) {
 	size := n.Size()
 	ps := int64(k.PageSize())
@@ -285,8 +279,6 @@ func (t *Table) buildSkeleton(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) {
 // per-page scan would reach, which keeps the stateful health decay
 // advancing identically (a fully resident file samples nothing and cannot
 // fail). It reports whether e.out is still the overlay of these samples.
-//
-//sledlint:hotpath
 func (t *Table) sampleDevices(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) (bool, error) {
 	now := k.Clock.Now()
 	same := e.haveOut
@@ -311,8 +303,6 @@ func (t *Table) sampleDevices(e *memoEntry, k *vfs.Kernel, n *vfs.Inode) (bool, 
 
 // overlay turns e's skeleton into the SLED vector under e.samples,
 // coalescing contiguous sections whose estimates come out equal.
-//
-//sledlint:hotpath
 func (e *memoEntry) overlay(dst []SLED) []SLED {
 	out := dst[:0]
 	if cap(out) < len(e.segs) {
@@ -332,16 +322,4 @@ func (e *memoEntry) overlay(dst []SLED) []SLED {
 		}
 	}
 	return out
-}
-
-// copySLEDs copies src into dst's storage, growing it only when too small.
-//
-//sledlint:hotpath
-func copySLEDs(dst, src []SLED) []SLED {
-	if cap(dst) < len(src) {
-		dst = make([]SLED, len(src))
-	}
-	dst = dst[:len(src)]
-	copy(dst, src)
-	return dst
 }

@@ -478,9 +478,7 @@ func Query(k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 //
 // The steady-state path is allocation-free on both routes
 // (BenchmarkQueryAppend and BenchmarkQueryAppendCold pin allocs/op at
-// zero); hotalloc enforces the same statically.
-//
-//sledlint:hotpath
+// zero; TestMemoWarmAllocsZero and TestUncachedAllocsZero in go test).
 func QueryAppend(dst []SLED, k *vfs.Kernel, t *Table, n *vfs.Inode) ([]SLED, error) {
 	if n.IsDir() {
 		return nil, fmt.Errorf("core: %q is a directory", n.Name())
@@ -583,8 +581,6 @@ func TotalDeliveryTime(sleds []SLED, plan Plan) float64 {
 // byte's transfer time at its section's bandwidth, and the lowest
 // confidence among the overlapped sections. ok is false when no section
 // overlaps the range.
-//
-//sledlint:hotpath
 func RangeDelivery(sleds []SLED, off, n int64) (sec, conf float64, ok bool) {
 	end := off + n
 	conf = 1

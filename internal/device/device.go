@@ -113,20 +113,44 @@ type FallibleDevice interface {
 // ReadErr reads through the fallible path when the device supports it and
 // the infallible path (never failing) otherwise.
 func ReadErr(d Device, c *simclock.Clock, off, length int64) error {
-	if fd, ok := d.(FallibleDevice); ok {
-		return fd.ReadErr(c, off, length)
-	}
-	d.Read(c, off, length)
-	return nil
+	return newHandle(d).ReadErr(c, off, length)
 }
 
 // WriteErr writes through the fallible path when the device supports it
 // and the infallible path otherwise.
 func WriteErr(d Device, c *simclock.Clock, off, length int64) error {
-	if fd, ok := d.(FallibleDevice); ok {
-		return fd.WriteErr(c, off, length)
+	return newHandle(d).WriteErr(c, off, length)
+}
+
+// Handle is a device with its fallible path resolved once. ReadErr and
+// WriteErr above assert FallibleDevice on every call, and Go fills a call
+// site's assertion cache lazily, allocating on a refill; a per-access
+// caller takes a Handle from Registry.Handle instead.
+type Handle struct {
+	Device
+	fallible FallibleDevice // Device itself, or nil when it cannot fail
+}
+
+func newHandle(d Device) Handle {
+	fd, _ := d.(FallibleDevice)
+	return Handle{Device: d, fallible: fd}
+}
+
+// ReadErr reads through the device's fallible path when it has one.
+func (h Handle) ReadErr(c *simclock.Clock, off, length int64) error {
+	if h.fallible != nil {
+		return h.fallible.ReadErr(c, off, length)
 	}
-	d.Write(c, off, length)
+	h.Read(c, off, length)
+	return nil
+}
+
+// WriteErr writes through the device's fallible path when it has one.
+func (h Handle) WriteErr(c *simclock.Clock, off, length int64) error {
+	if h.fallible != nil {
+		return h.fallible.WriteErr(c, off, length)
+	}
+	h.Write(c, off, length)
 	return nil
 }
 
@@ -181,7 +205,7 @@ func (f *Fault) Error() string {
 
 // Registry tracks the devices attached to a simulated machine.
 type Registry struct {
-	devices []Device
+	devices []Handle
 }
 
 // NewRegistry returns an empty registry.
@@ -195,7 +219,7 @@ func (r *Registry) Attach(d Device) ID {
 	if got := d.Info().ID; got != id {
 		panic(fmt.Sprintf("device: attaching %q with ID %d as ID %d", d.Info().Name, got, id))
 	}
-	r.devices = append(r.devices, d)
+	r.devices = append(r.devices, newHandle(d))
 	return id
 }
 
@@ -217,13 +241,16 @@ func (r *Registry) Replace(id ID, d Device) Device {
 	if got := d.Info().ID; got != id {
 		panic(fmt.Sprintf("device: replacing ID %d with %q reporting ID %d", id, d.Info().Name, got))
 	}
-	old := r.devices[id]
-	r.devices[id] = d
+	old := r.devices[id].Device
+	r.devices[id] = newHandle(d)
 	return old
 }
 
 // Get returns the device with the given ID.
-func (r *Registry) Get(id ID) Device {
+func (r *Registry) Get(id ID) Device { return r.Handle(id).Device }
+
+// Handle returns the device with the given ID and its fallible path.
+func (r *Registry) Handle(id ID) Handle {
 	if id < 0 || int(id) >= len(r.devices) {
 		panic(fmt.Sprintf("device: unknown device ID %d", id))
 	}
@@ -236,7 +263,9 @@ func (r *Registry) Len() int { return len(r.devices) }
 // All returns the attached devices in ID order. The slice is a copy.
 func (r *Registry) All() []Device {
 	out := make([]Device, len(r.devices))
-	copy(out, r.devices)
+	for i, h := range r.devices {
+		out[i] = h.Device
+	}
 	return out
 }
 

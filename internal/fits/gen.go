@@ -49,8 +49,6 @@ func Gen(im Image, seed uint64, pageSize int) workload.PageGen {
 // genPage fills buf with the file's bytes from pageStart on: header bytes,
 // zeros up to dataOffset, pixels up to dataEnd, zero padding after. Only
 // the part outside the pixels is cleared; every pixel byte is written.
-//
-//sledlint:hotpath
 func genPage(buf []byte, pageStart int64, header []byte, dataOffset, dataEnd int64, seed uint64) {
 	n := int64(len(buf))
 	lo := min(max(dataOffset-pageStart, 0), n)

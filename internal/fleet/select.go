@@ -68,8 +68,6 @@ type Selection struct {
 // the replica's residency and the table config are unchanged (the common
 // case between faults): only the O(devices) dynamic overlay re-runs, so
 // estimating all replicas stays cheap even on heavily fragmented files.
-//
-//sledlint:hotpath
 func (f *Fleet) estimateReplica(r *Replica, off, n int64) (estimate, error) {
 	sleds, err := core.QueryAppend(f.scratch, f.k, f.tab, r.inode)
 	if err != nil {
@@ -125,8 +123,6 @@ func (f *Fleet) Select(off, n int64, now simclock.Duration) (Selection, error) {
 // number of selections. All tie-breaks are by ascending replica index:
 // selection is a pure function of (estimates, pick counter), so
 // schedules are deterministic.
-//
-//sledlint:hotpath
 func (f *Fleet) selectFrom(attempts []int, off, n int64) (Selection, error) {
 	nr := len(f.replicas)
 	// Estimate every eligible replica, counting the healthy (at or above

@@ -88,7 +88,7 @@ type hedgeState struct {
 // devQueue is the engine-side state of one queued device.
 type devQueue struct {
 	id    device.ID
-	dev   device.Device // the unwrapped underlying device
+	dev   device.Handle // the unwrapped underlying device
 	sched Scheduler
 
 	clock        *simclock.Clock // the device's own service timeline
@@ -154,8 +154,7 @@ func (e *Engine) Queue(id device.ID, sched Scheduler) {
 	if e.queueOf(id) != nil {
 		panic(fmt.Sprintf("iosched: device %d already queued", id))
 	}
-	raw := e.k.Devices.Get(id)
-	dq := &devQueue{id: id, dev: raw, sched: sched, clock: simclock.New()}
+	dq := &devQueue{id: id, dev: e.k.Devices.Handle(id), sched: sched, clock: simclock.New()}
 	for int(id) >= len(e.queues) {
 		e.queues = append(e.queues, nil)
 	}
@@ -509,7 +508,7 @@ func (e *Engine) runStream(st *stream, t simclock.Duration) {
 			if dq == nil {
 				// An unqueued primary completes in place (as in deviceStep
 				// outside a queue): nothing to hedge against.
-				err := device.ReadErr(e.k.Devices.Get(op.dev), &st.clock, op.off, op.length)
+				err := e.k.Devices.Handle(op.dev).ReadErr(&st.clock, op.off, op.length)
 				st.res = Result{Err: err, Dev: op.dev}
 				continue
 			}
@@ -576,9 +575,9 @@ func (e *Engine) dispatch(dq *devQueue, t simclock.Duration) {
 	}
 	dq.clock.AdvanceTo(t)
 	if r.Write {
-		r.Err = device.WriteErr(dq.dev, dq.clock, r.Off, r.Length)
+		r.Err = dq.dev.WriteErr(dq.clock, r.Off, r.Length)
 	} else {
-		r.Err = device.ReadErr(dq.dev, dq.clock, r.Off, r.Length)
+		r.Err = dq.dev.ReadErr(dq.clock, r.Off, r.Length)
 	}
 	dq.inflight = r
 	dq.inflightDone = dq.clock.Now()
@@ -615,8 +614,6 @@ func (e *Engine) Base() simclock.Duration { return e.base }
 // QueueDepth implements core.Load: the number of requests waiting (not
 // yet dispatched) at the device, excluding cancelled hedge losers that
 // will be dropped, not serviced. Unqueued devices report 0.
-//
-//sledlint:hotpath
 func (e *Engine) QueueDepth(id device.ID) int {
 	dq := e.queueOf(id)
 	if dq == nil {
@@ -628,8 +625,6 @@ func (e *Engine) QueueDepth(id device.ID) int {
 // InFlightRemaining implements core.Load: the remaining service time of
 // the request the device is currently working on, as seen from virtual
 // time now. Idle or unqueued devices report 0.
-//
-//sledlint:hotpath
 func (e *Engine) InFlightRemaining(id device.ID, now simclock.Duration) simclock.Duration {
 	dq := e.queueOf(id)
 	if dq == nil || dq.inflight == nil {
@@ -683,7 +678,7 @@ func (q *QueuedDevice) Write(c *simclock.Clock, off, length int64) {
 // ReadErr implements device.FallibleDevice.
 func (q *QueuedDevice) ReadErr(c *simclock.Clock, off, length int64) error {
 	if !q.e.running {
-		return device.ReadErr(q.dq.dev, c, off, length)
+		return q.dq.dev.ReadErr(c, off, length)
 	}
 	return q.e.submit(c, q.dq.id, off, length, false)
 }
@@ -691,7 +686,7 @@ func (q *QueuedDevice) ReadErr(c *simclock.Clock, off, length int64) error {
 // WriteErr implements device.FallibleDevice.
 func (q *QueuedDevice) WriteErr(c *simclock.Clock, off, length int64) error {
 	if !q.e.running {
-		return device.WriteErr(q.dq.dev, c, off, length)
+		return q.dq.dev.WriteErr(c, off, length)
 	}
 	return q.e.submit(c, q.dq.id, off, length, true)
 }

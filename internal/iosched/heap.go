@@ -76,9 +76,7 @@ func eventLess(a, b *engineEvent) bool {
 // their read completes first; the pop checks the stream's hedge state.
 type eventHeap []engineEvent
 
-//sledlint:hotpath
 func (h *eventHeap) push(ev engineEvent) {
-	//sledlint:allow hotalloc -- first-use growth: the engine keeps the heap's storage across events and Runs, so it grows only to the deepest the run gets
 	*h = append(*h, ev)
 	s := *h
 	i := len(s) - 1
@@ -92,7 +90,6 @@ func (h *eventHeap) push(ev engineEvent) {
 	}
 }
 
-//sledlint:hotpath
 func (h *eventHeap) pop() engineEvent {
 	s := *h
 	top := s[0]

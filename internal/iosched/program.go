@@ -168,7 +168,7 @@ func (op *Op) start(k *vfs.Kernel) vfs.IOStep {
 // deviceStep wraps one raw device read as an IOStep, so queued devices
 // can suspend it like any kernel I/O.
 func deviceStep(k *vfs.Kernel, id device.ID, off, length int64) vfs.IOStep {
-	err := device.ReadErr(k.Devices.Get(id), k.Clock, off, length)
+	err := k.Devices.Handle(id).ReadErr(k.Clock, off, length)
 	if errors.Is(err, vfs.ErrBlocked) {
 		return vfs.BlockedStep(func(devErr error) vfs.IOStep { return vfs.DoneStep(0, devErr) })
 	}

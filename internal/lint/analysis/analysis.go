@@ -72,13 +72,6 @@ type Pass struct {
 	// in the run's dependency closure.
 	Graph *callgraph.Graph
 
-	// Suppressions indexes this package's //sledlint:allow directives.
-	// The driver applies them to diagnostics after the pass; analyzers
-	// that *summarize* code into facts (hotalloc's allocation sites)
-	// also consult them directly, so a reasoned directive at a site
-	// excludes it from cross-package reports too.
-	Suppressions *Suppressions
-
 	// Report receives each diagnostic. The driver installs a
 	// collector here; analyzers normally call Reportf instead.
 	Report func(Diagnostic)

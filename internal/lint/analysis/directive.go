@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -24,23 +25,22 @@ import (
 // DirectivePrefix is the comment prefix shared by all analyzers.
 const DirectivePrefix = "//sledlint:allow"
 
-// Annotation markers. Alongside the allow directive, two positive
-// markers classify functions for the dataflow analyzers:
+// Annotation markers. Alongside the allow directive, one positive
+// marker classifies functions for seedflow:
 //
-//	//sledlint:seed     this function is a trusted seed source: its
-//	                    result may seed RNG constructors, and its own
-//	                    body is exempt from seedflow (the root of a
-//	                    derivation chain has nothing upstream to check).
-//	//sledlint:hotpath  this function is a pinned zero-allocation hot
-//	                    path: hotalloc rejects allocation sites in it
-//	                    and in every non-annotated module-local callee.
+//	//sledlint:seed  this function is a trusted seed source: its result
+//	                 may seed RNG constructors, and its own body is
+//	                 exempt from seedflow (the root of a derivation chain
+//	                 has nothing upstream to check).
 //
 // Markers go in the function's doc comment, one per line, with
-// optional trailing prose after the marker word.
+// optional trailing prose after the marker word. Any other
+// //sledlint:<word> comment is a finding (see CollectSuppressions), so
+// a marker whose rule is gone cannot linger.
 
 // HasMarker reports whether the doc comment carries the given marker
-// ("seed", "hotpath"). A marker line is "//sledlint:<marker>" exactly
-// or followed by whitespace.
+// ("seed"). A marker line is "//sledlint:<marker>" exactly or followed
+// by whitespace.
 func HasMarker(doc *ast.CommentGroup, marker string) bool {
 	if doc == nil {
 		return false
@@ -102,23 +102,42 @@ type Suppressions struct {
 	// spans maps file name -> analyzer name -> covered line spans.
 	spans map[string]map[string][]lineSpan
 
-	// Malformed holds one diagnostic per syntactically invalid
-	// directive (missing "--", empty reason, no analyzer names).
-	// These are real findings: they are reported by the driver under
-	// the analyzer name "directive" and cannot be self-suppressed.
+	// Malformed holds one diagnostic per invalid directive (missing
+	// "--", empty reason, no analyzer names, an analyzer the suite does
+	// not run) and per unknown //sledlint:<word> marker. These are real
+	// findings: they are reported by the driver under the analyzer name
+	// "directive" and cannot be self-suppressed.
 	Malformed []Diagnostic
 }
 
-// CollectSuppressions scans the files' comments for directives.
-func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
+// CollectSuppressions scans the files' comments for directives. A
+// directive that names an analyzer outside suite, and a marker other
+// than allow and seed, mute nothing and are reported as malformed: each
+// is a typo or the leftover of a rule that is gone.
+func CollectSuppressions(fset *token.FileSet, files []*ast.File, suite []*Analyzer) *Suppressions {
 	s := &Suppressions{spans: make(map[string]map[string][]lineSpan)}
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, DirectivePrefix) {
+				word, ok := strings.CutPrefix(c.Text, "//sledlint:")
+				if !ok {
 					continue
 				}
-				names, bad := parseDirective(c.Text)
+				if i := strings.IndexAny(word, " \t"); i >= 0 {
+					word = word[:i]
+				}
+				var names []string
+				var bad string
+				switch word {
+				case "seed":
+					continue
+				case "allow":
+					if names, bad = parseDirective(c.Text); bad == "" {
+						bad = unknownAnalyzer(names, suite)
+					}
+				default:
+					bad = "unknown marker //sledlint:" + word + "; the markers are allow and seed"
+				}
 				if bad != "" {
 					s.Malformed = append(s.Malformed, Diagnostic{
 						Analyzer: "directive",
@@ -141,6 +160,17 @@ func CollectSuppressions(fset *token.FileSet, files []*ast.File) *Suppressions {
 		}
 	}
 	return s
+}
+
+// unknownAnalyzer describes the first of names that no analyzer in suite
+// carries, or returns "" when the suite runs them all.
+func unknownAnalyzer(names []string, suite []*Analyzer) string {
+	for _, name := range names {
+		if !slices.ContainsFunc(suite, func(a *Analyzer) bool { return a.Name == name }) {
+			return DirectivePrefix + " names " + name + ", which is no analyzer in the suite"
+		}
+	}
+	return ""
 }
 
 // parseDirective splits the text after the prefix into analyzer names

@@ -56,7 +56,7 @@ func TestSuppressionSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := CollectSuppressions(fset, []*ast.File{f})
+	s := CollectSuppressions(fset, []*ast.File{f}, []*Analyzer{{Name: "demo"}})
 	if len(s.Malformed) != 0 {
 		t.Fatalf("unexpected malformed directives: %v", s.Malformed)
 	}

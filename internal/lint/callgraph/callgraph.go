@@ -1,6 +1,6 @@
 // Package callgraph builds a deterministic static call graph over
 // type-checked packages, the shared substrate for sledlint's
-// inter-procedural analyzers (seedflow, errflow, hotalloc).
+// inter-procedural analyzers (seedflow, errflow).
 //
 // The graph is intentionally simple: one node per declared function or
 // method (*types.Func), one edge per statically resolvable call site.

@@ -86,11 +86,13 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, w io.Writer, opts Op
 
 // Analyze applies every analyzer to roots and returns the diagnostics
 // reported in roots that no //sledlint:allow directive covers, plus one
-// per malformed directive. The roots' module-local dependency closure is
-// analyzed first, in topological order over one fact store and one call
-// graph, with only the fact-producing analyzers run there and their
-// diagnostics discarded. A finding in a _test.go file is kept only from
-// an analyzer that opts in (Analyzer.Tests).
+// per malformed directive, per directive naming an analyzer that is not
+// in analyzers, and per marker other than allow and seed. The roots'
+// module-local dependency closure is analyzed first, in topological order
+// over one fact store and one call graph, with only the fact-producing
+// analyzers run there and their diagnostics discarded. A finding in a
+// _test.go file is kept only from an analyzer that opts in
+// (Analyzer.Tests).
 func Analyze(analyzers []*analysis.Analyzer, roots []*load.Package, fset *token.FileSet) ([]analysis.Diagnostic, error) {
 	target := make(map[*load.Package]bool, len(roots))
 	for _, p := range roots {
@@ -106,7 +108,6 @@ func Analyze(analyzers []*analysis.Analyzer, roots []*load.Package, fset *token.
 
 	var all []analysis.Diagnostic
 	for _, p := range closure {
-		sup := analysis.CollectSuppressions(fset, p.Files)
 		externalTest := p.Test && strings.HasSuffix(p.Path, "_test")
 		var diags []analysis.Diagnostic
 		for _, a := range analyzers {
@@ -127,22 +128,22 @@ func Analyze(analyzers []*analysis.Analyzer, roots []*load.Package, fset *token.
 				}
 			}
 			pass := &analysis.Pass{
-				Analyzer:     a,
-				Fset:         fset,
-				Files:        p.Files,
-				Pkg:          p.Types,
-				PkgPath:      p.Path,
-				TypesInfo:    p.Info,
-				Facts:        facts,
-				Graph:        graph,
-				Suppressions: sup,
-				Report:       report,
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     p.Files,
+				Pkg:       p.Types,
+				PkgPath:   p.Path,
+				TypesInfo: p.Info,
+				Facts:     facts,
+				Graph:     graph,
+				Report:    report,
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, p.Path, err)
 			}
 		}
 		if target[p] {
+			sup := analysis.CollectSuppressions(fset, p.Files, analyzers)
 			all = append(all, sup.Filter(fset, diags)...)
 		}
 	}

@@ -58,6 +58,21 @@ func TestFindingsExitOneAndTextFormat(t *testing.T) {
 	}
 }
 
+// TestStaleDirectives: a directive for an analyzer the suite does not
+// run and a marker no rule reads are findings, so a deleted rule's
+// annotations cannot outlive it.
+func TestStaleDirectives(t *testing.T) {
+	var out bytes.Buffer
+	code := driver.Run(
+		[]*analysis.Analyzer{seedflow.Analyzer, simtime.Analyzer},
+		[]string{"./testdata/src/stale"}, &out, driver.Options{})
+	want := "testdata/src/stale/stale.go:7:1: unknown marker //sledlint:pure; the markers are allow and seed (directive)\n" +
+		"testdata/src/stale/stale.go:9:2: //sledlint:allow names panicpath, which is no analyzer in the suite (directive)\n"
+	if code != driver.ExitFindings || out.String() != want {
+		t.Fatalf("exit %d, output\n%s\nwant exit %d and\n%s", code, out.String(), driver.ExitFindings, want)
+	}
+}
+
 func TestBadPatternExitsTwo(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(

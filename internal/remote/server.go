@@ -56,8 +56,6 @@ func (s *Server) CachedPages() int { return s.cache.Len() }
 // CachedBytes reports how many bytes of [off, off+n) the server's cache
 // holds right now, without touching recency — the basis for a client-side
 // estimate of what a read through this server would cost.
-//
-//sledlint:hotpath
 func (s *Server) CachedBytes(off, n int64) int64 {
 	if s.CachedPages() == 0 {
 		return 0

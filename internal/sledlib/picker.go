@@ -151,9 +151,7 @@ func PickInit(k *vfs.Kernel, tab *core.Table, f *vfs.File, opts Options) (*Picke
 
 // NextRead returns the next advised read location and size
 // (sleds_pick_next_read). io.EOF-style: ErrFinished when exhausted.
-// Called once per read in every driver loop: pinned allocation-free.
-//
-//sledlint:hotpath
+// Called once per read in every driver loop; it allocates nothing.
 func (p *Picker) NextRead() (off, n int64, err error) {
 	if p.finished || p.next >= len(p.chunks) {
 		return 0, 0, ErrFinished

@@ -195,15 +195,11 @@ func (t *Trace) Index() *StreamIndex {
 
 // Streams returns the indexed stream IDs in ascending order. The caller
 // must not modify the returned slice.
-//
-//sledlint:hotpath
 func (x *StreamIndex) Streams() []int { return x.ids }
 
 // Records returns the record indices of the i-th indexed stream (the
 // stream at Streams()[i]), in trace order. The caller must not modify the
 // returned slice.
-//
-//sledlint:hotpath
 func (x *StreamIndex) Records(i int) []int { return x.recs[i] }
 
 // Span returns the virtual-time extent of the trace: the first and last

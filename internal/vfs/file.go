@@ -184,8 +184,6 @@ func (f *File) pageIn(off, n int64, chargeCopy bool) IOStep {
 // readLoop is the read: validation on entry, then one page per turn, each
 // made resident (the only place the read can suspend) and copied out, or
 // cleared for a zero page, unless the read is a page-in (p nil).
-//
-//sledlint:hotpath
 func (o *pageOp) readLoop(resumed bool, accErr error) (blocked bool, n int64, err error) {
 	k, f := o.k, o.f
 	ps := int64(k.cfg.PageSize)
@@ -264,8 +262,6 @@ func (o *pageOp) setPage(ps int64) {
 //
 // A device fault is retried per the kernel's retry policy; the returned
 // error (wrapping ErrIO) means the policy gave up.
-//
-//sledlint:hotpath
 func (o *pageOp) ensureResident(remaining int64, resumed bool, accErr error) (data []byte, blocked bool, err error) {
 	k, f := o.k, o.f
 	file := uint64(f.ino.ino)
@@ -366,7 +362,7 @@ func (k *Kernel) absentRun(n *Inode, page, limit int64) int64 {
 // inside one.
 func (k *Kernel) readAccess(n *Inode, page, run int64) access {
 	ps := int64(k.cfg.PageSize)
-	a := access{dev: k.Devices.Get(n.dev), off: n.extent + page*ps, length: run * ps}
+	a := access{dev: n.dev, off: n.extent + page*ps, length: run * ps}
 	if k.stager != nil && k.stagedDevs[n.dev] {
 		a.staged = n
 	}
@@ -381,8 +377,6 @@ func (f *File) WriteAt(p []byte, off int64) (int, error) {
 
 // writeLoop is the write; its suspension points are the read-modify-write
 // page fault and write-backs of pages its insertions evict.
-//
-//sledlint:hotpath
 func (o *pageOp) writeLoop(resumed bool, accErr error) (blocked bool, n int64, err error) {
 	k, f := o.k, o.f
 	ps := int64(k.cfg.PageSize)

@@ -221,6 +221,10 @@ func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	point()() // the arena grows to what a point needs
 	scan := point()
+	// One P, as testing.AllocsPerRun measures: MemStats counts every
+	// goroutine, and the runtime's own (the GC's mark worker, the
+	// scavenger's timers) allocate now and then beside the scan.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	scan() // the first fill of this kernel's cache
@@ -233,5 +237,44 @@ func TestArenaSteadyStateAllocatesNothing(t *testing.T) {
 	}
 	if bufs, frames, store := hm.Held(); bufs > 8+1 || frames > 8+1 || store != pages*testPage {
 		t.Errorf("arena holds %d page buffers, %d frames, %d store bytes; want <= 9, <= 9, %d", bufs, frames, store, pages*testPage)
+	}
+}
+
+// TestArenaSteadyStateWriteAllocatesNothing: overwriting a file eight
+// times the cache's size on a reused arena — every page dirtied, evicted
+// and written back to the device — allocates nothing once the file's
+// pages have been written once.
+func TestArenaSteadyStateWriteAllocatesNothing(t *testing.T) {
+	const pages = 64
+	hm := new(HostMem)
+	page := bytes.Repeat([]byte("w"), testPage)
+	point := func() (*Kernel, func()) {
+		hm.Reset()
+		k, disk := arenaMachine(t, hm, testPage, 8)
+		if _, err := k.Create("/d/f", disk, workload.NewText(5, pages*testPage, testPage)); err != nil {
+			t.Fatal(err)
+		}
+		f, err := k.Open("/d/f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		overwrite := func() {
+			for p := int64(0); p < pages; p++ {
+				if _, err := f.WriteAt(page, p*testPage); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		overwrite() // the file's written pages, lent by the store
+		return k, overwrite
+	}
+	point() // the arena grows to what a point needs
+	k, overwrite := point()
+	before := k.RunStats().PagesWrittenDev
+	if n := testing.AllocsPerRun(1, overwrite); n != 0 {
+		t.Errorf("an overwrite on a reused arena allocated %v times, want 0", n)
+	}
+	if wrote := k.RunStats().PagesWrittenDev - before; wrote < 2*(pages-8) {
+		t.Errorf("two overwrites wrote back %d pages, want >= %d", wrote, 2*(pages-8))
 	}
 }

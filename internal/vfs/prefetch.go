@@ -51,15 +51,14 @@ func (f *File) WillNeed(off, n int64) {
 // is dropped: advice is advisory, and a demand read will retry the pages.
 func (k *Kernel) prefetch(n *Inode, page, run int64) {
 	read := k.readAccess(n, page, run)
-	id := read.dev.Info().ID
 	scratch := simclock.New()
-	scratch.AdvanceTo(max(k.Clock.Now(), k.busyUntil[id]))
+	scratch.AdvanceTo(max(k.Clock.Now(), k.busyUntil[read.dev]))
 	saved := k.Clock
 	k.SetClock(scratch)
 	err := k.deviceAccess(read)
 	k.SetClock(saved)
 	completion := scratch.Now()
-	k.busyUntil[id] = completion // busy for failed attempts too
+	k.busyUntil[read.dev] = completion // busy for failed attempts too
 	if err != nil {
 		return
 	}

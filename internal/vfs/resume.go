@@ -125,7 +125,7 @@ const (
 // access is one logical device access under the kernel's retry policy:
 // what to issue, and how far the policy has got.
 type access struct {
-	dev         device.Device
+	dev         device.ID
 	staged      *Inode // non-nil: fetch through the stager on this file's behalf
 	off, length int64
 	write       bool
@@ -144,8 +144,6 @@ type access struct {
 // the policy gives up the access fails with a wrapped ErrIO. Non-fault
 // errors pass through untouched. Resumed, err is the outcome of the
 // attempt that suspended.
-//
-//sledlint:hotpath
 func (k *Kernel) runAccess(a *access, resumed bool, err error) (blocked bool, _ error) {
 	if !resumed {
 		a.attempt = 0
@@ -156,11 +154,11 @@ func (k *Kernel) runAccess(a *access, resumed bool, err error) (blocked bool, _ 
 			a.attempt++
 			switch {
 			case a.write:
-				err = device.WriteErr(a.dev, k.Clock, a.off, a.length)
+				err = k.Devices.Handle(a.dev).WriteErr(k.Clock, a.off, a.length)
 			case a.staged != nil:
 				err = k.stager.Fetch(a.staged, a.off, a.length)
 			default:
-				err = device.ReadErr(a.dev, k.Clock, a.off, a.length)
+				err = k.Devices.Handle(a.dev).ReadErr(k.Clock, a.off, a.length)
 			}
 			if errors.Is(err, ErrBlocked) {
 				return true, nil
@@ -301,8 +299,6 @@ func (o *pageOp) start() IOStep {
 // in flight, and once the access is over re-enters the operation. A
 // finished operation's record is zeroed, so it holds no buffer or file,
 // and returned to the kernel for the next suspension.
-//
-//sledlint:hotpath
 func (o *pageOp) resume(devErr error) IOStep {
 	var n int64
 	blocked, err := o.k.runAccess(&o.acc, true, devErr)
@@ -319,8 +315,6 @@ func (o *pageOp) resume(devErr error) IOStep {
 }
 
 // run is the read or write loop, entered fresh or resumed.
-//
-//sledlint:hotpath
 func (o *pageOp) run(resumed bool, accErr error) (blocked bool, n int64, err error) {
 	if o.write {
 		blocked, n, err = o.writeLoop(resumed, accErr)
@@ -336,13 +330,11 @@ func (o *pageOp) run(resumed bool, accErr error) (blocked bool, n int64, err err
 // writePage stores page data into the inode's content and starts the
 // charged device write. The caller accounts the outcome with wrotePage once
 // the access is over.
-//
-//sledlint:hotpath
 func (o *pageOp) writePage(ino *Inode, page int64, data []byte) (blocked bool, err error) {
 	k := o.k
 	ino.content.WritePage(page, data)
 	o.acc = access{
-		dev:     k.Devices.Get(ino.dev),
+		dev:     ino.dev,
 		off:     ino.extent + page*int64(k.cfg.PageSize),
 		length:  int64(len(data)),
 		write:   true,
@@ -375,8 +367,6 @@ func (k *Kernel) writePageToDevice(ino *Inode, page int64, data []byte) error {
 // otherwise dropped. A page's buffer is recycled as soon as writePage has
 // copied it into the file's content: the device write needs only its
 // length.
-//
-//sledlint:hotpath
 func (o *pageOp) drain(resumed bool, accErr error) (blocked bool) {
 	k := o.k
 	for {
@@ -408,8 +398,6 @@ func (k *Kernel) drainWritebacksSync() {
 // before the new page goes in. This preserves the cache state the blocking
 // engine exposed mid-write-back — the victim gone, the new page not yet
 // resident — so concurrent streams observe identical residency.
-//
-//sledlint:hotpath
 func (o *pageOp) insert(resumed bool, accErr error) (blocked bool, err error) {
 	k, key := o.k, o.ins.key
 	for {

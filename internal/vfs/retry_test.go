@@ -75,8 +75,8 @@ func flakyKernel(t *testing.T, failFor int) (*Kernel, *flakyDev, device.ID) {
 // k starts after the failed attempts' costs plus the exponential backoff
 // 10, 20, 40, 80 ms.
 func TestRetryBackoffGoldenTrace(t *testing.T) {
-	k, fd, _ := flakyKernel(t, 4)
-	err := k.deviceAccess(access{dev: fd, length: testPage})
+	k, fd, id := flakyKernel(t, 4)
+	err := k.deviceAccess(access{dev: id, length: testPage})
 	if err != nil {
 		t.Fatalf("access with 4 faults failed: %v", err)
 	}
@@ -107,8 +107,8 @@ func TestRetryBackoffGoldenTrace(t *testing.T) {
 // TestRetryExhaustionSurfacesEIO: when the device out-fails the policy,
 // the access ends in a wrapped ErrIO after exactly five attempts.
 func TestRetryExhaustionSurfacesEIO(t *testing.T) {
-	k, fd, _ := flakyKernel(t, 5)
-	err := k.deviceAccess(access{dev: fd, length: testPage})
+	k, fd, id := flakyKernel(t, 5)
+	err := k.deviceAccess(access{dev: id, length: testPage})
 	if !errors.Is(err, ErrIO) {
 		t.Fatalf("exhausted retries returned %v, want wrapped ErrIO", err)
 	}
@@ -208,10 +208,10 @@ func TestWritebackEIOCounted(t *testing.T) {
 // attempt with the fault's own Extra, which is what feeds the sleds
 // health state.
 func TestFaultObserverSeesEveryFault(t *testing.T) {
-	k, fd, _ := flakyKernel(t, 3)
+	k, fd, id := flakyKernel(t, 3)
 	var seen []simclock.Duration
 	k.SetFaultObserver(func(f *device.Fault) { seen = append(seen, f.Extra) })
-	if err := k.deviceAccess(access{dev: fd, length: testPage}); err != nil {
+	if err := k.deviceAccess(access{dev: id, length: testPage}); err != nil {
 		t.Fatal(err)
 	}
 	if len(seen) != 3 {

@@ -62,8 +62,6 @@ func (c *Content) KeepIn(s *Store) {
 
 // slot returns the kept copy of gen's output for the page, generated on
 // first use, or nil: nothing kept, lease void, or page past the kept prefix.
-//
-//sledlint:hotpath
 func (c *Content) slot(page int64) []byte {
 	s := c.store
 	if s == nil || c.epoch != s.epoch {
@@ -107,7 +105,6 @@ func (c *Content) leaseSlots() bool {
 		s.slab = make([]byte, min(budget, max(2*int64(len(held)), base+n*ps)))
 		copy(s.slab, held[:base])
 	}
-	//sledlint:allow hotalloc -- once per file: the lease and one bit per kept page
 	c.lease = &lease{key: c.key, pages: pages, base: base, size: n * ps, filled: make([]uint64, (n+63)/64), epoch: s.epoch}
 	s.leases, s.used = append(s.leases, c.lease), base+n*ps
 	return true

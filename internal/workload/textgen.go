@@ -66,8 +66,6 @@ func breakLine(lineLen int, state *uint64) bool {
 // it copies the word's slot and lets what follows overwrite the padding;
 // in the last few bytes of the buffer, where a slot would overrun, it
 // copies the word alone, cut short at the buffer's end.
-//
-//sledlint:hotpath
 func textPage(seed uint64, page int64, buf []byte) {
 	state := seed ^ (uint64(page)+1)*splitmix.Gamma
 	// Warm the stream so adjacent pages decorrelate.

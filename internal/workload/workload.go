@@ -173,19 +173,12 @@ func (c *Content) ZeroPage(page int64) bool {
 func (c *Content) applyFragments(page int64, buf []byte) {
 	pageStart := page * int64(c.pageSize)
 	pageEnd := pageStart + int64(c.pageSize)
-	// Fragments are sorted and disjoint; binary-search the first that ends
-	// past the page start. The search is written out because ReadPage is on
-	// the kernel's page-fill hot path and sledlint's hotalloc counts a
-	// capturing closure passed to sort.Search as an allocation.
-	i, hi := 0, len(c.frags)
-	for i < hi {
-		mid := int(uint(i+hi) >> 1)
-		if f := c.frags[mid]; f.off+int64(len(f.data)) > pageStart {
-			hi = mid
-		} else {
-			i = mid + 1
-		}
-	}
+	// Fragments are sorted and disjoint; start at the first that ends past
+	// the page start.
+	i := sort.Search(len(c.frags), func(i int) bool {
+		f := c.frags[i]
+		return f.off+int64(len(f.data)) > pageStart
+	})
 	for ; i < len(c.frags); i++ {
 		f := c.frags[i]
 		if f.off >= pageEnd {
