@@ -161,13 +161,14 @@ fleet-smoke:
 	$(call workers-diff,efleet,-exp efleet,experiments_quick_efleet.txt,fleet-smoke: efleet)
 
 # faults-smoke drives the fault-injection path end to end: the efaults
-# experiment, and ablation-zones (the one experiment that probes a device
-# with lmbench after boot), at quick scale with the heavy profile stacked
-# over every device of every machine. Every injected fault must be retried
-# or surfaced as EIO — a panic anywhere on the fault path fails the target.
+# experiment, ablation-zones (the one experiment that probes a device with
+# lmbench after boot) and ehsm (a stager's own tape and disk accesses), at
+# quick scale with the heavy profile stacked over every device of every
+# machine. Every injected fault must be retried or surfaced as EIO — a
+# panic anywhere on the fault path fails the target.
 faults-smoke: vet
-	$(GO) run ./cmd/sledsbench -scale quick -exp efaults,ablation-zones -runs 2 -faults heavy > /dev/null
-	@echo "faults-smoke: efaults and ablation-zones completed with heavy injection on every device"
+	$(GO) run ./cmd/sledsbench -scale quick -exp efaults,ablation-zones,ehsm -runs 2 -faults heavy > /dev/null
+	@echo "faults-smoke: efaults, ablation-zones and ehsm completed with heavy injection on every device"
 
 # paper-check regenerates the whole evaluation at paper scale (every
 # experiment in "all", -workers 0 = one per core) and fails unless stdout

@@ -7,6 +7,7 @@ import (
 	"sleds/internal/apps/wcapp"
 	"sleds/internal/cache"
 	"sleds/internal/core"
+	"sleds/internal/faults"
 	"sleds/internal/lmbench"
 	"sleds/internal/sledlib"
 	"sleds/internal/vfs"
@@ -218,8 +219,8 @@ func AblationZones(cfg Config) (Figure, error) {
 		return Figure{}, err
 	}
 	disk := m.K.Devices.Get(m.Disk)
-	if inj := m.Injectors[m.Disk]; inj != nil {
-		// Zone probes measure the healthy device (Machine.InjectFaults);
+	if inj, ok := disk.(*faults.Injector); ok {
+		// Zone probes measure the healthy device (injectFaults);
 		// the cold read below still goes through the injector.
 		disk = inj.Underlying()
 	}

@@ -61,11 +61,11 @@ func TestBootMachine(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, fs := range []string{"ext2", "cdrom", "nfs", "tape"} {
-		if _, err := m.DeviceByName(fs); err != nil {
-			t.Fatalf("DeviceByName(%s): %v", fs, err)
+		if _, err := deviceByName(m, fs); err != nil {
+			t.Fatalf("deviceByName(%s): %v", fs, err)
 		}
 	}
-	if _, err := m.DeviceByName("bogus"); err == nil {
+	if _, err := deviceByName(m, "bogus"); err == nil {
 		t.Fatalf("bogus fs accepted")
 	}
 	if _, err := BootMachine(tinyConfig(), Profile(9)); err == nil {

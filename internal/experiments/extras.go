@@ -105,7 +105,7 @@ func EFind(cfg Config) (FindReport, error) {
 		}
 	}
 	mk := func(path, fs string, seed uint64) error {
-		dev, err := m.DeviceByName(fs)
+		dev, err := deviceByName(m, fs)
 		if err != nil {
 			return err
 		}

@@ -273,7 +273,7 @@ func EAccuracy(cfg Config) (Figure, error) {
 		// Place the file mid-device: the table entry models average
 		// positioning and a representative zone, so a file at offset
 		// zero (no seek, fastest zone) would bias the comparison.
-		dev, err := m.DeviceByName(fs)
+		dev, err := deviceByName(m, fs)
 		if err != nil {
 			return Point{}, err
 		}

@@ -24,13 +24,7 @@ const (
 )
 
 // Machine is one booted simulated machine with a calibrated sleds table.
-type Machine struct {
-	*machine.Machine
-
-	// Injectors maps device IDs to the fault injectors interposed over
-	// them (empty on a healthy machine).
-	Injectors map[device.ID]*faults.Injector
-}
+type Machine = machine.Machine
 
 // kernelConfig is cfg's kernel, its memory device not yet chosen: the
 // start of every machine an experiment boots, and so the one place cfg is
@@ -62,11 +56,10 @@ func newKernel(cfg Config, memCfg device.MemConfig) (*vfs.Kernel, device.Device)
 // BootMachine boots the profile's standard machine (machine.Boot) and,
 // when cfg names a fault profile, injects it over every device.
 func BootMachine(cfg Config, profile Profile) (*Machine, error) {
-	mm, err := machine.Boot(kernelConfig(cfg), profile)
+	m, err := machine.Boot(kernelConfig(cfg), profile)
 	if err != nil {
 		return nil, err
 	}
-	m := &Machine{Machine: mm}
 	// Global fault injection (make faults-smoke, sledsbench -faults) wraps
 	// every non-memory device AFTER calibration, so the table holds the
 	// healthy estimates injection then degrades — as on a real machine,
@@ -77,27 +70,22 @@ func BootMachine(cfg Config, profile Profile) (*Machine, error) {
 			if !ok {
 				return nil, fmt.Errorf("experiments: unknown fault profile %q", cfg.FaultProfile)
 			}
-			m.InjectFaults(id, fcfg)
+			injectFaults(m, id, fcfg)
 		}
 	}
 	return m, nil
 }
 
-// InjectFaults interposes a fault injector over the registered device
-// (device.Registry.Replace) and returns it for stats inspection. Call
-// only after calibration: probes must measure the healthy device.
-func (m *Machine) InjectFaults(id device.ID, fcfg faults.Config) *faults.Injector {
-	wrapped, inj := faults.Wrap(m.K.Devices.Get(id), fcfg)
+// injectFaults interposes a fault injector over the registered device
+// (device.Registry.Replace). Call only after calibration: probes must
+// measure the healthy device.
+func injectFaults(m *Machine, id device.ID, fcfg faults.Config) {
+	wrapped, _ := faults.Wrap(m.K.Devices.Get(id), fcfg)
 	m.K.Devices.Replace(id, wrapped)
-	if m.Injectors == nil {
-		m.Injectors = make(map[device.ID]*faults.Injector)
-	}
-	m.Injectors[id] = inj
-	return inj
 }
 
-// DeviceByName maps the experiment file-system names to devices.
-func (m *Machine) DeviceByName(name string) (device.ID, error) {
+// deviceByName maps the experiment file-system names to devices.
+func deviceByName(m *Machine, name string) (device.ID, error) {
 	switch name {
 	case "ext2":
 		return m.Disk, nil

@@ -63,7 +63,7 @@ func TestWarmRangeSurfacesErrIO(t *testing.T) {
 	}
 	m.K.DropCaches()
 	// Every request starts a fault episode far longer than the retry budget.
-	m.InjectFaults(m.NFS, faults.Config{Seed: 7, PFault: 1, MaxConsecutive: 1000})
+	injectFaults(m, m.NFS, faults.Config{Seed: 7, PFault: 1, MaxConsecutive: 1000})
 	if err := warmRange(m.K, "/data/testfile", size/2, size/2, (*vfs.File).PageIn); !errors.Is(err, vfs.ErrIO) {
 		t.Fatalf("warm-up on a dead device returned %v, want ErrIO", err)
 	}

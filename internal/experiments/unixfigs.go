@@ -17,7 +17,7 @@ const needleBase = "xyzzy"
 
 // textFileOn creates the test file for one experiment point.
 func textFileOn(m *Machine, fs string, seed uint64, size int64, pageSize int) (*workload.Content, error) {
-	dev, err := m.DeviceByName(fs)
+	dev, err := deviceByName(m, fs)
 	if err != nil {
 		return nil, err
 	}

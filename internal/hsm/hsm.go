@@ -14,7 +14,8 @@
 // The stager plugs into the simulated kernel via vfs.Kernel.SetStager: RAM
 // page-cache misses on tape-resident files flow through Fetch, which
 // serves staged blocks from disk and migrates unstaged ones tape -> disk
-// (charging both the tape read and the disk write). The stage is a page
+// (charging both the tape read and the disk write), each device access
+// retried on its own under the kernel's retry policy. The stage is a page
 // cache (internal/cache) of bounded capacity, one page per block, evicted
 // LRU with tape as the authority (staging is read-only, so eviction is
 // free).
@@ -104,17 +105,14 @@ func (s *Stager) DeviceFor(ino *vfs.Inode, devOff int64) device.ID {
 }
 
 // Fetch implements vfs.Stager: serve each touched block from the disk
-// stage, migrating it from tape first if needed. A fault on the tape or
-// disk surfaces as the error; blocks migrated before the fault stay
-// staged, so the kernel's retry of the fetch serves them from disk and
-// resumes migration at the failed block.
+// stage, migrating it from tape first if needed. Each tape read, disk
+// read and disk write is its own access under the kernel's retry policy
+// (vfs.Kernel.Access), so a fault is retried where it happens instead of
+// re-running the reads of blocks already served.
 func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 	if length <= 0 {
 		return nil
 	}
-	disk := s.k.Devices.Get(s.cfg.Disk)
-	tape := s.k.Devices.Get(s.cfg.Tape)
-
 	end := devOff + length
 	for off := devOff; off < end; {
 		key := s.keyFor(ino, off)
@@ -131,7 +129,7 @@ func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 		if tag, ok := s.stage.Get(key); ok {
 			// Staged: read the needed range from the migration area.
 			slotOff := s.areaStart + int64(s.slot(tag))*s.blockSize
-			if err := device.ReadErr(disk, s.k.Clock, slotOff+(off-blockStart), readEnd-off); err != nil {
+			if err := s.k.Access(s.cfg.Disk, slotOff+(off-blockStart), readEnd-off, false); err != nil {
 				return err
 			}
 		} else {
@@ -150,11 +148,11 @@ func (s *Stager) Fetch(ino *vfs.Inode, devOff, length int64) error {
 				// Ragged final block: only the file's bytes exist.
 				migrateLen = ino.Extent() + ino.Size() - blockStart
 			}
-			if err := device.ReadErr(tape, s.k.Clock, blockStart, migrateLen); err != nil {
+			if err := s.k.Access(s.cfg.Tape, blockStart, migrateLen, false); err != nil {
 				s.free = append(s.free, slot)
 				return err
 			}
-			if err := device.WriteErr(disk, s.k.Clock, s.areaStart+int64(slot)*s.blockSize, migrateLen); err != nil {
+			if err := s.k.Access(s.cfg.Disk, s.areaStart+int64(slot)*s.blockSize, migrateLen, true); err != nil {
 				s.free = append(s.free, slot)
 				return err
 			}

@@ -6,6 +6,7 @@ import (
 
 	"sleds/internal/core"
 	"sleds/internal/device"
+	"sleds/internal/faults"
 	"sleds/internal/lmbench"
 	"sleds/internal/vfs"
 	"sleds/internal/workload"
@@ -23,8 +24,14 @@ type fixture struct {
 
 func newFixture(t testing.TB, capacityBlocks int) *fixture {
 	t.Helper()
+	return newFixtureCache(t, capacityBlocks, 16)
+}
+
+// newFixtureCache is newFixture with a page cache of cachePages pages.
+func newFixtureCache(t testing.TB, capacityBlocks, cachePages int) *fixture {
+	t.Helper()
 	mem := device.NewMem(device.DefaultMemConfig(0))
-	k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: 16, MemDevice: mem})
+	k := vfs.NewKernel(vfs.Config{PageSize: testPage, CachePages: cachePages, MemDevice: mem})
 	k.AttachDevice(mem)
 	disk := k.AttachDevice(device.NewDisk(device.DefaultDiskConfig(1)))
 	tcfg := device.DefaultTapeLibraryConfig(2)
@@ -110,6 +117,42 @@ func TestDataCorrectThroughMigration(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("byte %d corrupted through HSM", i)
 		}
+	}
+}
+
+// TestStagedFetchRetriesEachAccess reads a fully staged file in one
+// fetch of eight blocks over a disk that faults often but never twice in a
+// row. Each staged-block read is retried on its own, so a fault costs one
+// retry; re-running the whole fetch instead re-reads every block with a
+// fresh fault draw and runs out of attempts.
+func TestStagedFetchRetriesEachAccess(t *testing.T) {
+	const blocks = 8
+	fx := newFixtureCache(t, blocks, 2*blocks*blockPages)
+	size := int64(blocks * blockPages * testPage)
+	fx.tapeFile(t, "/hsm/f", 5, size)
+	f, err := fx.k.Open("/hsm/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, size)
+	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		t.Fatal(err)
+	}
+	if fx.stager.StagedBlocks() != blocks {
+		t.Fatalf("staged blocks = %d, want %d", fx.stager.StagedBlocks(), blocks)
+	}
+	fx.k.DropCaches()
+
+	wrapped, _ := faults.Wrap(fx.k.Devices.Get(fx.disk), faults.Config{Seed: 11, PFault: 0.3, MaxConsecutive: 1})
+	fx.k.Devices.Replace(fx.disk, wrapped)
+	fx.k.ResetRunStats()
+	if _, err := f.ReadAt(buf, 0); err != nil && err != io.EOF {
+		t.Fatalf("staged read under faults: %v", err)
+	}
+	st := fx.k.RunStats()
+	if st.EIOs != 0 || st.DeviceFaults == 0 {
+		t.Fatalf("EIOs = %d, device faults = %d; want 0 EIOs and some faults", st.EIOs, st.DeviceFaults)
 	}
 }
 

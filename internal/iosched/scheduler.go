@@ -73,15 +73,12 @@ type Scheduler interface {
 }
 
 // FCFS and Deadline's expiry check answer every Pick from the arrival
-// heap's minimum. SSTF's offset index answers one only when every queued
-// request has arrived (maxArrival <= now). Under the engine that does not
-// always hold: a device dispatches at the earliest queued arrival, and
-// streams submit requests stamped with their own clocks, which can run
-// ahead of the event being processed, so a Pick can find requests still
-// in the future. Then SSTF falls back to the linear scan the policy was
-// first written as, preserving its exact tie-breaks. It is the only
-// general-case scan left, and it is not rare: nearestEligible shows in CPU
-// profiles of escale's 10,000-stream runs.
+// heap's minimum, SSTF from its offset index. A Pick can find requests
+// still in the future: a device dispatches at the earliest queued arrival,
+// and streams submit requests stamped with their own clocks, which can run
+// ahead of the event being processed. SSTF's walk outward from the head
+// skips them, so one path serves every Pick; FuzzSchedulers holds it, pick
+// for pick, to the linear scan the policy was first written as.
 
 // arrivalEntry is one arrival heap slot: the request with its (Arrival,
 // seq) key copied inline, so a sift compares without following a pointer.
@@ -188,20 +185,25 @@ func (x *offIndex) remove(r *Request) {
 	*x = s[:len(s)-1]
 }
 
-// nearest returns the SSTF pick assuming every entry is eligible: minimum
-// |Off - pos|, ties to the lower offset, then seq. The two candidates are
-// the first request of the lowest-offset run at or above pos and the
-// first request of the run just below it.
-func (x offIndex) nearest(pos int64) *Request {
+// nearest returns the SSTF pick among requests with Arrival <= now, nil
+// if none is eligible: minimum |Off - pos|, ties to the lower offset, then
+// seq. It walks outward from pos. Rightward, the first eligible request is
+// the lowest seq at the lowest eligible offset at or above pos; leftward,
+// the walk stops below the first offset holding an eligible request, and
+// the last one it took there has that offset's lowest seq.
+func (x offIndex) nearest(now simclock.Duration, pos int64) *Request {
 	i := sort.Search(len(x), func(i int) bool { return x[i].Off >= pos })
 	var left, right *Request
-	if i < len(x) {
-		right = x[i] // first of its Off run: lowest seq at that offset
+	for _, r := range x[i:] {
+		if r.Arrival <= now {
+			right = r
+			break
+		}
 	}
-	if i > 0 {
-		lo := x[i-1].Off
-		j := sort.Search(i, func(j int) bool { return x[j].Off >= lo })
-		left = x[j]
+	for j := i - 1; j >= 0 && (left == nil || x[j].Off == left.Off); j-- {
+		if x[j].Arrival <= now {
+			left = x[j]
+		}
 	}
 	switch {
 	case right == nil:
@@ -216,28 +218,6 @@ func (x offIndex) nearest(pos int64) *Request {
 	}
 	// dl < dr, or a distance tie — which the lower offset (left) wins.
 	return left
-}
-
-// nearestEligible is the general-case SSTF scan over arrivals <= now,
-// with the same (distance, Off, seq) tie-break as nearest.
-func (x offIndex) nearestEligible(now simclock.Duration, pos int64) *Request {
-	var best *Request
-	var bestDist int64
-	for _, r := range x {
-		if r.Arrival > now {
-			continue
-		}
-		d := r.Off - pos
-		if d < 0 {
-			d = -d
-		}
-		if best == nil || d < bestDist ||
-			(d == bestDist && (r.Off < best.Off ||
-				(r.Off == best.Off && r.seq < best.seq))) {
-			best, bestDist = r, d
-		}
-	}
-	return best
 }
 
 // arrivals is the queue core every policy embeds: the (Arrival, seq) heap
@@ -292,8 +272,7 @@ func (s *FCFS) Pick(now simclock.Duration, pos int64) *Request {
 // cylinders, since cylinders are a linear slicing of the byte space).
 type SSTF struct {
 	arrivals
-	x          offIndex
-	maxArrival simclock.Duration // high-water arrival: gates the indexed fast path
+	x offIndex
 }
 
 // NewSSTF returns a shortest-seek-time-first scheduler.
@@ -303,21 +282,13 @@ func NewSSTF() *SSTF { return &SSTF{} }
 func (s *SSTF) Add(r *Request) {
 	s.arrivals.Add(r)
 	s.x.insert(r)
-	if r.Arrival > s.maxArrival {
-		s.maxArrival = r.Arrival
-	}
 }
 
 // Pick implements Scheduler: minimum |Off - pos|, ties to the lower
 // offset (ascending sweep), then seq.
 func (s *SSTF) Pick(now simclock.Duration, pos int64) *Request {
-	if s.n == 0 {
-		return nil
-	}
-	var r *Request
-	if s.maxArrival <= now {
-		r = s.x.nearest(pos)
-	} else if r = s.x.nearestEligible(now, pos); r == nil {
+	r := s.x.nearest(now, pos)
+	if r == nil {
 		return nil
 	}
 	return s.take(r)

@@ -363,7 +363,7 @@ func (k *Kernel) absentRun(n *Inode, page, limit int64) int64 {
 func (k *Kernel) readAccess(n *Inode, page, run int64) access {
 	ps := int64(k.cfg.PageSize)
 	a := access{dev: n.dev, off: n.extent + page*ps, length: run * ps}
-	if k.stager != nil && k.stagedDevs[n.dev] {
+	if k.DeviceStaged(n.dev) {
 		a.staged = n
 	}
 	return a

@@ -101,10 +101,11 @@ type Kernel struct {
 	// order from 1 and never reused, and a removed file's slot is nil.
 	inodes []*Inode
 
-	// stager, when set, intercepts device reads for files on the devices
-	// in stagedDevs (an HSM layer migrating tape blocks to a disk cache).
-	stager     Stager
-	stagedDevs map[device.ID]bool
+	// stager, when set, intercepts device reads for files on stagedDev
+	// (an HSM layer migrating tape blocks to a disk cache, or a remote
+	// mount).
+	stager    Stager
+	stagedDev device.ID
 
 	// Asynchronous prefetch state: per-device background timelines and
 	// in-flight pages (see prefetch.go).
@@ -216,7 +217,7 @@ func (k *Kernel) ResidencyEpoch(n *Inode) uint64 {
 // stager (HSM or remote mount), i.e. whether DeviceForPage may differ
 // from the inode's own device for files living on it.
 func (k *Kernel) DeviceStaged(id device.ID) bool {
-	return k.stager != nil && k.stagedDevs[id]
+	return k.stager != nil && k.stagedDev == id
 }
 
 // AttachDevice adds a device to the machine.
@@ -313,29 +314,24 @@ func (k *Kernel) allocExtent(id device.ID, size int64) (int64, error) {
 type Stager interface {
 	// Fetch charges the virtual-time cost of making [devOff, devOff+n) of
 	// the file's backing bytes available for copying into the page cache,
-	// migrating between levels as needed. A fault on an underlying device
-	// surfaces as the error (the kernel's retry policy then re-runs the
-	// whole fetch; already-migrated blocks are simply served from the
-	// stage on the retry).
+	// migrating between levels as needed. A stager that makes device
+	// accesses of its own runs each through Kernel.Access, so a fault is
+	// retried where it happens; an error it returns ends the fetch.
 	Fetch(ino *Inode, devOff, length int64) error
 	// DeviceFor reports the device the byte at devOff would currently be
 	// served from.
 	DeviceFor(ino *Inode, devOff int64) device.ID
 }
 
-// SetStager interposes s on reads from files living on the given devices.
-func (k *Kernel) SetStager(s Stager, devs ...device.ID) {
-	k.stager = s
-	k.stagedDevs = make(map[device.ID]bool, len(devs))
-	for _, d := range devs {
-		k.stagedDevs[d] = true
-	}
+// SetStager interposes s on reads from files living on dev.
+func (k *Kernel) SetStager(s Stager, dev device.ID) {
+	k.stager, k.stagedDev = s, dev
 }
 
 // DeviceForPage reports which device currently backs the given page: the
 // inode's device, or whatever level the stager has it at.
 func (k *Kernel) DeviceForPage(n *Inode, page int64) device.ID {
-	if k.stager != nil && k.stagedDevs[n.dev] {
+	if k.DeviceStaged(n.dev) {
 		return k.stager.DeviceFor(n, n.extent+page*int64(k.cfg.PageSize))
 	}
 	return n.dev

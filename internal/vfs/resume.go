@@ -200,11 +200,17 @@ func (k *Kernel) runAccess(a *access, resumed bool, err error) (blocked bool, _ 
 }
 
 // deviceAccess runs one uncharged access synchronously: the retry policy
-// alone, for prefetch's background timeline.
+// alone, for prefetch's background timeline and a stager's own accesses.
 func (k *Kernel) deviceAccess(a access) error {
 	blocked, err := k.runAccess(&a, false, nil)
 	mustNotBlock(blocked, "device access")
 	return err
+}
+
+// Access runs one uncharged n-byte access at off on dev under the retry
+// policy: a stager's device reads and writes within a Fetch.
+func (k *Kernel) Access(dev device.ID, off, n int64, write bool) error {
+	return k.deviceAccess(access{dev: dev, off: off, length: n, write: write})
 }
 
 // wbItem is one dirty page waiting to be written back after eviction.
