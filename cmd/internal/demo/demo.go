@@ -1,6 +1,6 @@
-// Package demo holds what the single-point command-line tools share: the
-// warm pass before a measurement, the timed with/without-SLEDs run, the
-// -seed root, and how a tool reports a usage or run error.
+// Package demo holds what the command-line tools share: the warm pass
+// before a measurement, the timed with/without-SLEDs run, and how a tool
+// reports a usage or run error.
 package demo
 
 import (
@@ -63,9 +63,3 @@ func Fail(fs *flag.FlagSet, code int, err error) int {
 	fmt.Fprintf(fs.Output(), "%s: %v\n", fs.Name(), err)
 	return code
 }
-
-// Seed passes a -seed flag through as the invocation's reproducibility
-// root: rerunning with the same flag regenerates the same file content.
-//
-//sledlint:seed
-func Seed(seed uint64) uint64 { return seed }

@@ -19,12 +19,12 @@ import (
 	"os"
 	"time"
 
+	"sleds/cmd/internal/demo"
 	"sleds/internal/simclock"
 	"sleds/internal/trace"
 )
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: sledstrace <command> [flags] [file]
+const usage = `usage: sledstrace <command> [flags] [file]
 
 commands:
   gen       generate a trace (writes to -o or stdout)
@@ -33,48 +33,44 @@ commands:
   classes   list the workload classes, one per line, with descriptions
 
 run "sledstrace <command> -h" for the command's flags
-`)
-	os.Exit(2)
-}
+`
 
-func main() {
-	if len(os.Args) < 2 {
-		usage()
+func run(args []string, stdout, stderr io.Writer) int {
+	if len(args) == 0 {
+		fmt.Fprint(stderr, usage)
+		return 2
 	}
-	switch os.Args[1] {
+	switch args[0] {
 	case "gen":
-		cmdGen(os.Args[2:])
+		return gen(args[1:], stdout, stderr)
 	case "inspect":
-		cmdInspect(os.Args[2:])
+		return inspect(args[1:], stdout, stderr)
 	case "validate":
-		cmdValidate(os.Args[2:])
+		return validate(args[1:], stdout, stderr)
 	case "classes":
 		for _, c := range trace.Classes() {
-			fmt.Printf("%-8s %s\n", c, trace.ClassDoc(c))
+			fmt.Fprintf(stdout, "%-8s %s\n", c, trace.ClassDoc(c))
 		}
+		return 0
 	case "-h", "--help", "help":
-		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "sledstrace: unknown command %q\n", os.Args[1])
-		usage()
+		fmt.Fprint(stderr, usage)
+		return 0
 	}
+	fmt.Fprintf(stderr, "sledstrace: unknown command %q\n%s", args[0], usage)
+	return 2
 }
 
-// fail prints the error and exits with the given code.
-func fail(code int, format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "sledstrace: "+format+"\n", args...)
-	os.Exit(code)
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// flags returns a subcommand's flag set, reporting to stderr.
+func flags(cmd string, stderr io.Writer) *flag.FlagSet {
+	fs := flag.NewFlagSet("sledstrace "+cmd, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	return fs
 }
 
-// cliSeed passes the -seed flag through as this invocation's
-// reproducibility root: the value is recorded in the trace header, so
-// any generated trace can be regenerated from its own metadata.
-//
-//sledlint:seed
-func cliSeed(seed uint64) uint64 { return seed }
-
-func cmdGen(args []string) {
-	fs := flag.NewFlagSet("gen", flag.ExitOnError)
+func gen(args []string, stdout, stderr io.Writer) int {
+	fs := flags("gen", stderr)
 	class := fs.String("class", "oltp", "workload class (see: sledstrace classes)")
 	seed := fs.Uint64("seed", 1, "generator seed")
 	streams := fs.Int("streams", 0, "concurrent streams (0 = class default)")
@@ -85,12 +81,14 @@ func cmdGen(args []string) {
 	interarrival := fs.Duration("interarrival", 0, "mean interarrival within a stream (0 = default)")
 	writeFrac := fs.Float64("write-frac", -1, "write fraction for class mixed (-1 = default)")
 	out := fs.String("o", "", "output file (empty = stdout)")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
 	if fs.NArg() != 0 {
-		fail(2, "gen takes no positional arguments, got %q", fs.Args())
+		return demo.Fail(fs, 2, fmt.Errorf("gen takes no positional arguments, got %q", fs.Args()))
 	}
 
-	p := trace.DefaultParams(cliSeed(*seed))
+	p := trace.DefaultParams(*seed)
 	if *streams > 0 {
 		p.Streams = *streams
 	}
@@ -120,61 +118,73 @@ func cmdGen(args []string) {
 		if trace.ClassDoc(*class) == "" {
 			code = 2
 		}
-		fail(code, "%v", err)
+		return demo.Fail(fs, code, err)
 	}
-	w := io.Writer(os.Stdout)
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(1, "%v", err)
-		}
-		defer f.Close()
-		w = f
+	if *out == "" {
+		err = trace.Encode(stdout, tr)
+	} else {
+		err = encodeFile(*out, tr)
 	}
-	if err := trace.Encode(w, tr); err != nil {
-		fail(1, "%v", err)
+	if err != nil {
+		return demo.Fail(fs, 1, err)
 	}
+	return 0
 }
 
-// open returns the input reader for inspect/validate: the named file, or
-// stdin for "-" or no argument.
-func open(fs *flag.FlagSet) io.ReadCloser {
-	switch fs.NArg() {
-	case 0:
-		return os.Stdin
-	case 1:
-		if fs.Arg(0) == "-" {
-			return os.Stdin
-		}
+// encodeFile writes tr to the named file. A write that fails only when
+// the file is closed is still a failure.
+func encodeFile(path string, tr *trace.Trace) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	err = trace.Encode(f, tr)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+// decode reads the trace inspect and validate work on: the named file, or
+// stdin for "-" or no argument. On failure it also returns the exit code.
+func decode(fs *flag.FlagSet) (*trace.Trace, int, error) {
+	r := io.Reader(os.Stdin)
+	switch {
+	case fs.NArg() > 1:
+		return nil, 2, fmt.Errorf("want one trace file, got %q", fs.Args())
+	case fs.NArg() == 1 && fs.Arg(0) != "-":
 		f, err := os.Open(fs.Arg(0))
 		if err != nil {
-			fail(1, "%v", err)
+			return nil, 1, err
 		}
-		return f
-	default:
-		fail(2, "want one trace file, got %q", fs.Args())
-		panic("unreachable")
+		defer f.Close()
+		r = f
 	}
-}
-
-func cmdInspect(args []string) {
-	fs := flag.NewFlagSet("inspect", flag.ExitOnError)
-	fs.Parse(args)
-	r := open(fs)
-	defer r.Close()
 	tr, err := trace.Decode(r)
 	if err != nil {
-		fail(1, "%v", err)
+		return nil, 1, fmt.Errorf("invalid: %w", err)
 	}
-	fmt.Printf("format: sledtrace/%d\n", trace.Version)
-	fmt.Printf("files: %d\n", len(tr.Files))
+	return tr, 0, nil
+}
+
+func inspect(args []string, stdout, stderr io.Writer) int {
+	fs := flags("inspect", stderr)
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
+	tr, code, err := decode(fs)
+	if err != nil {
+		return demo.Fail(fs, code, err)
+	}
+	fmt.Fprintf(stdout, "format: sledtrace/%d\n", trace.Version)
+	fmt.Fprintf(stdout, "files: %d\n", len(tr.Files))
 	var total int64
 	for i, f := range tr.Files {
-		fmt.Printf("  f%d: %d bytes\n", i, f.Size)
+		fmt.Fprintf(stdout, "  f%d: %d bytes\n", i, f.Size)
 		total += f.Size
 	}
-	fmt.Printf("total file bytes: %d\n", total)
-	fmt.Printf("records: %d\n", len(tr.Records))
+	fmt.Fprintf(stdout, "total file bytes: %d\n", total)
+	fmt.Fprintf(stdout, "records: %d\n", len(tr.Records))
 	var reads, writes int
 	var bytes int64
 	for _, rec := range tr.Records {
@@ -185,31 +195,33 @@ func cmdInspect(args []string) {
 		}
 		bytes += rec.Len
 	}
-	fmt.Printf("  reads: %d, writes: %d, op bytes: %d\n", reads, writes, bytes)
+	fmt.Fprintf(stdout, "  reads: %d, writes: %d, op bytes: %d\n", reads, writes, bytes)
 	first, last := tr.Span()
-	fmt.Printf("span: %v .. %v\n", time.Duration(first), time.Duration(last))
+	fmt.Fprintf(stdout, "span: %v .. %v\n", time.Duration(first), time.Duration(last))
 	idx := tr.Index()
-	fmt.Printf("streams: %d\n", len(idx.Streams()))
+	fmt.Fprintf(stdout, "streams: %d\n", len(idx.Streams()))
 	for i, id := range idx.Streams() {
-		fmt.Printf("  s%d: %d records\n", id, len(idx.Records(i)))
+		fmt.Fprintf(stdout, "  s%d: %d records\n", id, len(idx.Records(i)))
 	}
+	return 0
 }
 
-func cmdValidate(args []string) {
-	fs := flag.NewFlagSet("validate", flag.ExitOnError)
+func validate(args []string, stdout, stderr io.Writer) int {
+	fs := flags("validate", stderr)
 	quiet := fs.Bool("q", false, "print nothing; report by exit status only")
-	fs.Parse(args)
-	r := open(fs)
-	defer r.Close()
-	tr, err := trace.Decode(r)
-	if err != nil {
-		if *quiet {
-			os.Exit(1)
-		}
-		fail(1, "invalid: %v", err)
+	if err := fs.Parse(args); err != nil {
+		return demo.ParseExit(err)
+	}
+	tr, code, err := decode(fs)
+	switch {
+	case err != nil && *quiet:
+		return code
+	case err != nil:
+		return demo.Fail(fs, code, err)
 	}
 	if !*quiet {
-		fmt.Printf("valid: %d files, %d records, %d streams\n",
+		fmt.Fprintf(stdout, "valid: %d files, %d records, %d streams\n",
 			len(tr.Files), len(tr.Records), len(tr.Streams()))
 	}
+	return 0
 }

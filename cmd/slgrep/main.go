@@ -47,7 +47,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	const path = "/data/testfile"
 	size := int64(*sizeMB * (1 << 20))
-	if err := sys.CreateTextFileWithMatches(path, dev, demo.Seed(*seed), size,
+	if err := sys.CreateTextFileWithMatches(path, dev, *seed, size,
 		"xyzzy", int64(*at*float64(size))); err != nil {
 		return demo.Fail(fs, 1, err)
 	}

@@ -42,7 +42,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return demo.Fail(fs, 1, err)
 	}
 	const path = "/data/testfile"
-	if err := sys.CreateTextFile(path, dev, demo.Seed(*seed), int64(*sizeMB*(1<<20))); err != nil {
+	if err := sys.CreateTextFile(path, dev, *seed, int64(*sizeMB*(1<<20))); err != nil {
 		return demo.Fail(fs, 1, err)
 	}
 	fmt.Fprintf(stdout, "wc on %s, %.4g MB file, %.4g MB cache, warm\n\n", *fsName, *sizeMB, *cacheMB)

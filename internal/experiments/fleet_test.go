@@ -1,8 +1,11 @@
 package experiments
 
 import (
+	"errors"
 	"strings"
 	"testing"
+
+	"sleds/internal/vfs"
 )
 
 // efleetReport runs the quick-scale grid once and shares it across the
@@ -99,4 +102,21 @@ func TestEFleetRenderShape(t *testing.T) {
 			t.Errorf("scenario %q appears %d times, want >= %d:\n%s", scen, got, len(efleetPolicies), out)
 		}
 	}
+}
+
+// TestEFleetSurfacesPointErrors: a point that cannot set up its fleet —
+// here, a file larger than a replica's 4 GiB disk — ends the efleet entry
+// with that error instead of a report of the cells that ran.
+func TestEFleetSurfacesPointErrors(t *testing.T) {
+	cfg := microConfig()
+	cfg.PageSize = 32 << 20 // the 256-page fleet file is 8 GiB
+	for _, e := range registry() {
+		if e.IDs[0] == "efleet" {
+			if _, err := e.Run(cfg, nil, 0); !errors.Is(err, vfs.ErrNoSpace) {
+				t.Fatalf("efleet with an oversized file: err = %v, want one wrapping vfs.ErrNoSpace", err)
+			}
+			return
+		}
+	}
+	t.Fatal("no efleet entry in the registry")
 }

@@ -141,10 +141,10 @@ func runPoint[T any](cfg Config, dims []int, i int, point func(Config, []int) (T
 // through SplitMix64 so nearby points get unrelated seeds instead of the
 // correlated streams that base+offset arithmetic produces.
 //
-// This is the declared root of the repository's seed-derivation chains:
-// seedflow accepts any seed that traces here.
-//
-//sledlint:seed
+// Every experiment's point seeds derive here. TestPointSeedCollisionFree
+// lists each seed label with the coordinates its sweep passes, and
+// TestParallelMatchesSerial fails when a point's seed depends on anything
+// but these inputs.
 func PointSeed(base int64, exp string, idxs ...int) int64 {
 	h := splitmix.Mix(uint64(base) ^ splitmix.Gamma)
 	for i := 0; i < len(exp); i++ {

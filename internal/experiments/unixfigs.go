@@ -160,7 +160,6 @@ func grepFirstPoint(cfg Config, exp, fs string, sizeIdx int, size int64, mode, r
 	if err != nil {
 		return nil, err
 	}
-	//sledlint:allow seedflow -- content must derive from (sweep seed, size) only, never the point jitter: a with/without pair has to read identical files
 	c, err := textFileOn(m, fs, uint64(cfg.Seed)+uint64(size), size, cfg.PageSize)
 	if err != nil {
 		return nil, err

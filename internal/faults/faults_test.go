@@ -253,13 +253,39 @@ func TestSpikesAdvanceClockWithoutFailing(t *testing.T) {
 }
 
 func TestInfalliblePathPanicsOnFault(t *testing.T) {
-	d, _ := newInjected(mkDisk, Config{Seed: 1, PFault: 1, MaxConsecutive: 1})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("infallible Read on a faulted device did not panic")
-		}
-	}()
-	d.Read(simclock.New(), 0, 4096)
+	for _, c := range []struct {
+		name   string
+		access func(device.Device)
+	}{
+		{"Read", func(d device.Device) { d.Read(simclock.New(), 0, 4096) }},
+		{"Write", func(d device.Device) { d.Write(simclock.New(), 0, 4096) }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			d, _ := newInjected(mkDisk, Config{Seed: 1, PFault: 1, MaxConsecutive: 1})
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("infallible %s on a faulted device did not panic", c.name)
+				}
+			}()
+			c.access(d)
+		})
+	}
+}
+
+// TestStackedInjectorPassesInnerFaults: an injector that perturbs nothing
+// over one that fails every access returns the inner fault on both
+// fallible paths.
+func TestStackedInjectorPassesInnerFaults(t *testing.T) {
+	inner, _ := newInjected(mkDisk, Config{Seed: 1, PFault: 1, MaxConsecutive: 1 << 20})
+	outer, _ := Wrap(inner, Config{Seed: 2})
+	c := simclock.New()
+	var f *device.Fault
+	if err := device.ReadErr(outer, c, 0, 4096); !errors.As(err, &f) {
+		t.Errorf("ReadErr through the outer injector: %v, want the inner *device.Fault", err)
+	}
+	if err := device.WriteErr(outer, c, 0, 4096); !errors.As(err, &f) {
+		t.Errorf("WriteErr through the outer injector: %v, want the inner *device.Fault", err)
+	}
 }
 
 func TestProfileConfig(t *testing.T) {

@@ -1,6 +1,7 @@
 package hsm
 
 import (
+	"errors"
 	"io"
 	"testing"
 
@@ -153,6 +154,66 @@ func TestStagedFetchRetriesEachAccess(t *testing.T) {
 	st := fx.k.RunStats()
 	if st.EIOs != 0 || st.DeviceFaults == 0 {
 		t.Fatalf("EIOs = %d, device faults = %d; want 0 EIOs and some faults", st.EIOs, st.DeviceFaults)
+	}
+}
+
+// failEvery wraps dev in an injector whose episodes outlast the kernel's
+// attempts per request, so every access to it surfaces as EIO.
+func (fx *fixture) failEvery(dev device.ID) {
+	wrapped, _ := faults.Wrap(fx.k.Devices.Get(dev), faults.Config{Seed: 1, PFault: 1, MaxConsecutive: 1 << 20})
+	fx.k.Devices.Replace(dev, wrapped)
+}
+
+// TestStageFaultsSurface: a device of the hierarchy that fails every
+// attempt ends the read in an error wrapping vfs.ErrIO, whether it is the
+// stage disk under a staged read, the stage disk under a migration write,
+// or the tape under a migration read. A failed migration stages nothing
+// and hands its slot back.
+func TestStageFaultsSurface(t *testing.T) {
+	const blocks = 4
+	size := int64(blocks * blockPages * testPage)
+	for _, c := range []struct {
+		name   string
+		staged bool // read the file once before the device fails
+		tape   bool // fail the tape rather than the stage disk
+	}{
+		{"staged read", true, false},
+		{"migration write", false, false},
+		{"migration read", false, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			fx := newFixture(t, blocks)
+			fx.tapeFile(t, "/hsm/f", 7, size)
+			f, err := fx.k.Open("/hsm/f")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			buf := make([]byte, blockPages*testPage)
+			if c.staged {
+				if _, err := f.ReadAt(buf, 0); err != nil {
+					t.Fatal(err)
+				}
+				fx.k.DropCaches()
+			}
+			failed := fx.disk
+			if c.tape {
+				failed = fx.tape
+			}
+			fx.failEvery(failed)
+			if _, err := f.ReadAt(buf, 0); !errors.Is(err, vfs.ErrIO) {
+				t.Fatalf("read over a failing device: err = %v, want one wrapping vfs.ErrIO", err)
+			}
+			if c.staged {
+				return
+			}
+			if got := fx.stager.StagedBlocks(); got != 0 {
+				t.Errorf("a failed migration staged %d blocks", got)
+			}
+			if got := len(fx.stager.free); got != blocks {
+				t.Errorf("%d free slots after a failed migration, want all %d", got, blocks)
+			}
+		})
 	}
 }
 

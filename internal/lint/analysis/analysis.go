@@ -6,11 +6,11 @@
 // network (the CI container is offline except for the pinned
 // staticcheck fetch), so the real x/tools module cannot be a
 // dependency. This package mirrors the x/tools API surface that the
-// sledlint analyzers need — Analyzer, Pass, Diagnostic, Reportf, and
-// object facts (facts.go) for the inter-procedural rules — so that
-// migrating to the upstream framework later is a mechanical import swap,
-// not a rewrite. Dependencies between analyzers and suggested fixes are
-// omitted: no rule consumes another's result or proposes an edit.
+// sledlint analyzers need — Analyzer, Pass, Diagnostic and Reportf —
+// so that migrating to the upstream framework later is a mechanical
+// import swap, not a rewrite. Facts, dependencies between analyzers and
+// suggested fixes are omitted: every rule is syntactic, none consumes
+// another's result, and none proposes an edit.
 package analysis
 
 import (
@@ -19,8 +19,6 @@ import (
 	"go/token"
 	"go/types"
 	"strings"
-
-	"sleds/internal/lint/callgraph"
 )
 
 // Analyzer describes one sledlint rule: a named, documented check that
@@ -38,13 +36,6 @@ type Analyzer struct {
 	// reporting findings through pass.Reportf.
 	Run func(*Pass) error
 
-	// UsesFacts marks inter-procedural analyzers. The driver runs them
-	// over dependency packages outside the requested patterns (with
-	// diagnostics discarded) so their per-function summaries exist
-	// before dependents are checked; purely syntactic analyzers skip
-	// that extra work.
-	UsesFacts bool
-
 	// Tests opts the analyzer into _test.go files, which the driver
 	// always loads. Rules whose violations are only meaningful in
 	// simulator code (simtime's duration literals, say) leave it false
@@ -53,7 +44,7 @@ type Analyzer struct {
 }
 
 // Pass carries one type-checked package through one analyzer. It is
-// the x/tools analysis.Pass, minus result passing.
+// the x/tools analysis.Pass, minus facts and result passing.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
@@ -62,29 +53,9 @@ type Pass struct {
 	PkgPath   string // import path; types.Package.Path is unset for ad-hoc testdata loads
 	TypesInfo *types.Info
 
-	// Facts is the run-wide fact store. The driver guarantees that
-	// when this pass runs, every module-local package this one imports
-	// has already been analyzed, so facts on imported objects are
-	// present.
-	Facts *FactSet
-
-	// Graph is the deterministic static call graph over every package
-	// in the run's dependency closure.
-	Graph *callgraph.Graph
-
 	// Report receives each diagnostic. The driver installs a
 	// collector here; analyzers normally call Reportf instead.
 	Report func(Diagnostic)
-}
-
-// ExportObjectFact records fact for obj in the run's fact store.
-func (p *Pass) ExportObjectFact(obj types.Object, fact Fact) {
-	p.Facts.ExportObjectFact(obj, fact)
-}
-
-// ImportObjectFact copies obj's fact of ptr's type into *ptr.
-func (p *Pass) ImportObjectFact(obj types.Object, ptr Fact) bool {
-	return p.Facts.ImportObjectFact(obj, ptr)
 }
 
 // Reportf reports a finding at pos.

@@ -21,42 +21,13 @@ import (
 // offending line) and the line immediately below it (standalone comment
 // above the offending statement), so each accepted finding carries its
 // own reason.
+//
+// allow is the only marker: any other //sledlint:<word> comment is a
+// finding (see CollectSuppressions), so a marker whose rule is gone
+// cannot linger.
 
 // DirectivePrefix is the comment prefix shared by all analyzers.
 const DirectivePrefix = "//sledlint:allow"
-
-// Annotation markers. Alongside the allow directive, one positive
-// marker classifies functions for seedflow:
-//
-//	//sledlint:seed  this function is a trusted seed source: its result
-//	                 may seed RNG constructors, and its own body is
-//	                 exempt from seedflow (the root of a derivation chain
-//	                 has nothing upstream to check).
-//
-// Markers go in the function's doc comment, one per line, with
-// optional trailing prose after the marker word. Any other
-// //sledlint:<word> comment is a finding (see CollectSuppressions), so
-// a marker whose rule is gone cannot linger.
-
-// HasMarker reports whether the doc comment carries the given marker
-// ("seed"). A marker line is "//sledlint:<marker>" exactly or followed
-// by whitespace.
-func HasMarker(doc *ast.CommentGroup, marker string) bool {
-	if doc == nil {
-		return false
-	}
-	prefix := "//sledlint:" + marker
-	for _, c := range doc.List {
-		if !strings.HasPrefix(c.Text, prefix) {
-			continue
-		}
-		rest := strings.TrimPrefix(c.Text, prefix)
-		if rest == "" || rest[0] == ' ' || rest[0] == '\t' {
-			return true
-		}
-	}
-	return false
-}
 
 // Directive is one well-formed //sledlint:allow occurrence — the unit
 // of the debt report (`sledlint -debt`), which makes every accepted
@@ -112,8 +83,8 @@ type Suppressions struct {
 
 // CollectSuppressions scans the files' comments for directives. A
 // directive that names an analyzer outside suite, and a marker other
-// than allow and seed, mute nothing and are reported as malformed: each
-// is a typo or the leftover of a rule that is gone.
+// than allow, mute nothing and are reported as malformed: each is a
+// typo or the leftover of a rule that is gone.
 func CollectSuppressions(fset *token.FileSet, files []*ast.File, suite []*Analyzer) *Suppressions {
 	s := &Suppressions{spans: make(map[string]map[string][]lineSpan)}
 	for _, f := range files {
@@ -128,15 +99,12 @@ func CollectSuppressions(fset *token.FileSet, files []*ast.File, suite []*Analyz
 				}
 				var names []string
 				var bad string
-				switch word {
-				case "seed":
-					continue
-				case "allow":
+				if word == "allow" {
 					if names, bad = parseDirective(c.Text); bad == "" {
 						bad = unknownAnalyzer(names, suite)
 					}
-				default:
-					bad = "unknown marker //sledlint:" + word + "; the markers are allow and seed"
+				} else {
+					bad = "unknown marker //sledlint:" + word + "; the only marker is allow"
 				}
 				if bad != "" {
 					s.Malformed = append(s.Malformed, Diagnostic{

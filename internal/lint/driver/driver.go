@@ -5,15 +5,10 @@
 // binary, and so the analyzer golden tests (internal/lint/linttest) run
 // the same analysis loop through Analyze.
 //
-// The driver provides the inter-procedural substrate: it analyzes the
-// module-local dependency closure of the matched packages in
-// topological order, sharing one fact store and one call graph, so an
-// analyzer checking package P can import facts exported while its
-// dependencies were analyzed (dependency packages run with their
-// diagnostics discarded — only matched packages report). Output is one
-// file:line:col line per finding. The one way to accept a finding is a
-// //sledlint:allow directive next to the code; -debt enumerates every
-// directive with its reason.
+// Every rule is syntactic, so each matched package is analyzed on its
+// own. Output is one file:line:col line per finding. The one way to
+// accept a finding is a //sledlint:allow directive next to the code;
+// -debt enumerates every directive with its reason.
 package driver
 
 import (
@@ -26,7 +21,6 @@ import (
 	"strings"
 
 	"sleds/internal/lint/analysis"
-	"sleds/internal/lint/callgraph"
 	"sleds/internal/lint/load"
 )
 
@@ -84,49 +78,21 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, w io.Writer, opts Op
 	return ExitClean
 }
 
-// Analyze applies every analyzer to roots and returns the diagnostics
-// reported in roots that no //sledlint:allow directive covers, plus one
-// per malformed directive, per directive naming an analyzer that is not
-// in analyzers, and per marker other than allow and seed. The roots'
-// module-local dependency closure is analyzed first, in topological order
-// over one fact store and one call graph, with only the fact-producing
-// analyzers run there and their diagnostics discarded. A finding in a
-// _test.go file is kept only from an analyzer that opts in
-// (Analyzer.Tests).
-func Analyze(analyzers []*analysis.Analyzer, roots []*load.Package, fset *token.FileSet) ([]analysis.Diagnostic, error) {
-	target := make(map[*load.Package]bool, len(roots))
-	for _, p := range roots {
-		target[p] = true
-	}
-	closure := load.Closure(roots)
-
-	facts := analysis.NewFactSet()
-	graph := callgraph.New()
-	for _, p := range closure {
-		graph.AddPackage(p.Files, p.Info)
-	}
-
+// Analyze applies every analyzer to pkgs and returns the diagnostics
+// that no //sledlint:allow directive covers, plus one per malformed
+// directive, per directive naming an analyzer that is not in analyzers,
+// and per marker other than allow. A finding in a _test.go file is kept
+// only from an analyzer that opts in (Analyzer.Tests).
+func Analyze(analyzers []*analysis.Analyzer, pkgs []*load.Package, fset *token.FileSet) ([]analysis.Diagnostic, error) {
 	var all []analysis.Diagnostic
-	for _, p := range closure {
+	for _, p := range pkgs {
 		externalTest := p.Test && strings.HasSuffix(p.Path, "_test")
 		var diags []analysis.Diagnostic
 		for _, a := range analyzers {
-			if !target[p] && !a.UsesFacts {
-				continue // dependency package: only fact producers run
-			}
 			if externalTest && !a.Tests {
 				continue // every file is a test file; nothing to keep
 			}
-			report := func(analysis.Diagnostic) {}
-			if target[p] {
-				keepTests := a.Tests
-				report = func(d analysis.Diagnostic) {
-					if !keepTests && isTestFile(fset, d.Pos) {
-						return
-					}
-					diags = append(diags, d)
-				}
-			}
+			keepTests := a.Tests
 			pass := &analysis.Pass{
 				Analyzer:  a,
 				Fset:      fset,
@@ -134,18 +100,18 @@ func Analyze(analyzers []*analysis.Analyzer, roots []*load.Package, fset *token.
 				Pkg:       p.Types,
 				PkgPath:   p.Path,
 				TypesInfo: p.Info,
-				Facts:     facts,
-				Graph:     graph,
-				Report:    report,
+				Report: func(d analysis.Diagnostic) {
+					if keepTests || !isTestFile(fset, d.Pos) {
+						diags = append(diags, d)
+					}
+				},
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, p.Path, err)
 			}
 		}
-		if target[p] {
-			sup := analysis.CollectSuppressions(fset, p.Files, analyzers)
-			all = append(all, sup.Filter(fset, diags)...)
-		}
+		sup := analysis.CollectSuppressions(fset, p.Files, analyzers)
+		all = append(all, sup.Filter(fset, diags)...)
 	}
 	return all, nil
 }

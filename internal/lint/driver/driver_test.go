@@ -8,8 +8,8 @@ import (
 
 	"sleds/internal/lint/analysis"
 	"sleds/internal/lint/driver"
-	"sleds/internal/lint/seedflow"
 	"sleds/internal/lint/simtime"
+	"sleds/internal/lint/wallclock"
 )
 
 // The driver's testdata packages are addressed by explicit relative
@@ -19,7 +19,7 @@ import (
 func TestCleanTreeExitsZero(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{seedflow.Analyzer, simtime.Analyzer},
+		[]*analysis.Analyzer{simtime.Analyzer, wallclock.Analyzer},
 		[]string{"./testdata/src/clean"}, &out, driver.Options{})
 	if code != driver.ExitClean {
 		t.Fatalf("exit = %d, want %d; output:\n%s", code, driver.ExitClean, out.String())
@@ -35,17 +35,17 @@ func TestCleanTreeExitsZero(t *testing.T) {
 func TestFindingsExitOneAndTextFormat(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{seedflow.Analyzer, simtime.Analyzer},
+		[]*analysis.Analyzer{simtime.Analyzer, wallclock.Analyzer},
 		[]string{"./testdata/src/dirty"}, &out, driver.Options{})
 	if code != driver.ExitFindings {
 		t.Fatalf("exit = %d, want %d; output:\n%s", code, driver.ExitFindings, out.String())
 	}
-	// rand.Seed on line 10 precedes the simtime literal on line 11 and
-	// the rand.Int63 draw on line 12.
+	// time.Now on line 7 precedes the simtime literal on line 8 and the
+	// time.Since on line 9.
 	want := []string{
-		`^testdata/src/dirty/dirty\.go:10:2: rand\.Seed .+ \(seedflow\)$`,
-		`^testdata/src/dirty/dirty\.go:11:28: time\.Duration\(500\) .+ \(simtime\)$`,
-		`^testdata/src/dirty/dirty\.go:12:30: rand\.Int63 .+ \(seedflow\)$`,
+		`^testdata/src/dirty/dirty\.go:7:11: time\.Now .+ \(wallclock\)$`,
+		`^testdata/src/dirty/dirty\.go:8:28: time\.Duration\(500\) .+ \(simtime\)$`,
+		`^testdata/src/dirty/dirty\.go:9:16: time\.Since .+ \(wallclock\)$`,
 	}
 	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
 	if len(lines) != len(want) {
@@ -64,9 +64,9 @@ func TestFindingsExitOneAndTextFormat(t *testing.T) {
 func TestStaleDirectives(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{seedflow.Analyzer, simtime.Analyzer},
+		[]*analysis.Analyzer{simtime.Analyzer, wallclock.Analyzer},
 		[]string{"./testdata/src/stale"}, &out, driver.Options{})
-	want := "testdata/src/stale/stale.go:7:1: unknown marker //sledlint:pure; the markers are allow and seed (directive)\n" +
+	want := "testdata/src/stale/stale.go:7:1: unknown marker //sledlint:pure; the only marker is allow (directive)\n" +
 		"testdata/src/stale/stale.go:9:2: //sledlint:allow names panicpath, which is no analyzer in the suite (directive)\n"
 	if code != driver.ExitFindings || out.String() != want {
 		t.Fatalf("exit %d, output\n%s\nwant exit %d and\n%s", code, out.String(), driver.ExitFindings, want)
@@ -76,7 +76,7 @@ func TestStaleDirectives(t *testing.T) {
 func TestBadPatternExitsTwo(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
-		[]*analysis.Analyzer{seedflow.Analyzer},
+		[]*analysis.Analyzer{wallclock.Analyzer},
 		[]string{"./does-not-exist"}, &out, driver.Options{})
 	if code != driver.ExitError {
 		t.Fatalf("exit = %d, want %d", code, driver.ExitError)

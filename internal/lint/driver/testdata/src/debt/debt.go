@@ -2,11 +2,11 @@
 // driver tests can pin the -debt report shape.
 package debt
 
-import "math/rand"
+import "time"
 
-// Sample draws from the global source under a reasoned directive: the
-// finding is muted, the directive is inventory.
-func Sample() int64 {
-	//sledlint:allow seedflow -- fixture: the debt report test needs one reasoned entry
-	return rand.Int63()
+// Stamp reads the host clock under a reasoned directive: the finding is
+// muted, the directive is inventory.
+func Stamp() time.Time {
+	//sledlint:allow wallclock -- fixture: the debt report test needs one reasoned entry
+	return time.Now()
 }

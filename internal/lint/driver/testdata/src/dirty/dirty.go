@@ -1,13 +1,10 @@
 package dirty
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Two deliberate violations, one per analyzer the driver test runs.
 func Sample(d time.Duration) time.Duration {
-	rand.Seed(42)
+	start := time.Now()
 	wait := d + time.Duration(500)
-	return wait + time.Duration(rand.Int63())
+	return wait + time.Since(start)
 }

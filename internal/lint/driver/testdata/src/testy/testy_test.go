@@ -1,19 +1,18 @@
 package testy
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 )
 
-// TestAnswer seeds the global source — a test-helper violation seedflow,
+// TestAnswer reads the host clock — a test-helper violation wallclock,
 // which opts into test files, reports — and converts a raw literal to a
 // Duration, which simtime, scoped to simulator code, does not.
 func TestAnswer(t *testing.T) {
-	rand.Seed(7)
+	start := time.Now()
 	_ = time.Duration(500)
-	//sledlint:allow seedflow -- fixture: a directive in a test file is inventory too
-	if Answer()+rand.Intn(1) != 42 {
+	//sledlint:allow wallclock -- fixture: a directive in a test file is inventory too
+	if Answer() != 42 || time.Since(start) < 0 {
 		t.Fatal("wrong answer")
 	}
 }

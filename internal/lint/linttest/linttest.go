@@ -33,11 +33,6 @@ var wantExprRe = regexp.MustCompile("`([^`]*)`")
 // the shared suppression pass — and checks the result against the
 // package's `// want` annotations. It returns the kept diagnostics so
 // callers can make extra assertions.
-//
-// The testdata package's module-local imports (which may be other
-// testdata packages, addressed by their real module paths) are analyzed
-// first with diagnostics discarded, so inter-procedural analyzers see
-// the same cross-package facts they see under sledlint.
 func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) []analysis.Diagnostic {
 	t.Helper()
 	pkg, fset, err := load.Dir(dir, importPath)

@@ -36,13 +36,6 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	// Imports lists the module-local packages this one imports,
-	// sorted by path. The driver walks it to assemble the dependency
-	// closure and analyze packages in topological order, which is what
-	// makes cross-package facts sound: a function's summary always
-	// exists before any caller in another package is checked.
-	Imports []*Package
-
 	// Test marks a package that includes _test.go files: either the
 	// in-package augmentation (same Path, test files merged in) or the
 	// external test package (Path carries a "_test" suffix). Test
@@ -128,43 +121,6 @@ func Packages(dir string, patterns ...string) ([]*Package, *token.FileSet, error
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
 	return pkgs, fset, nil
-}
-
-// Closure returns the module-local dependency closure of roots in
-// deterministic topological order: every package appears after all of
-// its Imports, with ties broken by import path. Analyzing packages in
-// this order is what makes cross-package facts sound — by the time a
-// package is checked, summaries for everything it calls exist.
-func Closure(roots []*Package) []*Package {
-	var out []*Package
-	state := make(map[*Package]int) // 0 unvisited, 1 visiting, 2 done
-	var visit func(p *Package)
-	visit = func(p *Package) {
-		if state[p] != 0 {
-			return // Go forbids import cycles, so "visiting" can't recur
-		}
-		state[p] = 1
-		deps := append([]*Package(nil), p.Imports...)
-		sort.Slice(deps, func(i, j int) bool { return deps[i].Path < deps[j].Path })
-		for _, d := range deps {
-			visit(d)
-		}
-		state[p] = 2
-		out = append(out, p)
-	}
-	sorted := append([]*Package(nil), roots...)
-	sort.Slice(sorted, func(i, j int) bool {
-		if sorted[i].Path != sorted[j].Path {
-			return sorted[i].Path < sorted[j].Path
-		}
-		// A pristine package sorts before its test-augmented twin, so
-		// facts exported on the build other packages import exist first.
-		return !sorted[i].Test && sorted[j].Test
-	})
-	for _, r := range sorted {
-		visit(r)
-	}
-	return out
 }
 
 // Dir loads a single directory as the given import path. The lint
@@ -292,7 +248,7 @@ func (im *moduleImporter) loadDir(dir, path string) (*Package, error) {
 
 // checkFiles parses and type-checks the named files of dir as one
 // package under the given import path, resolving its module-local
-// Imports through the importer cache. It does not cache the result:
+// imports through the importer cache. It does not cache the result:
 // loadDir owns the cache for pristine builds, while test-augmented
 // variants stay out of it.
 func (im *moduleImporter) checkFiles(dir, path string, names []string) (*Package, error) {
@@ -315,23 +271,5 @@ func (im *moduleImporter) checkFiles(dir, path string, names []string) (*Package
 	if err != nil {
 		return nil, fmt.Errorf("typecheck %s: %v", path, err)
 	}
-	p := &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}
-
-	// Type-checking above resolved every module-local import through
-	// loadDir, so each one is in the cache now; link them.
-	seen := make(map[string]bool)
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			ipath := strings.Trim(spec.Path.Value, `"`)
-			if seen[ipath] {
-				continue
-			}
-			seen[ipath] = true
-			if dep, ok := im.cache[ipath]; ok {
-				p.Imports = append(p.Imports, dep)
-			}
-		}
-	}
-	sort.Slice(p.Imports, func(i, j int) bool { return p.Imports[i].Path < p.Imports[j].Path })
-	return p, nil
+	return &Package{Path: path, Dir: dir, Files: files, Types: tpkg, Info: info}, nil
 }

@@ -78,47 +78,20 @@ func TestTestsMode(t *testing.T) {
 
 	// The external package imports tiny: that edge must be the
 	// pristine build, not the augmented one.
-	var pristine *Package
-	for _, d := range ext.Imports {
-		if d.Path == tinyPath {
+	var pristine *types.Package
+	for _, d := range ext.Types.Imports() {
+		if d.Path() == tinyPath {
 			pristine = d
 		}
 	}
 	if pristine == nil {
 		t.Fatal("external test package does not import tiny")
 	}
-	if pristine == aug || pristine.Test {
+	if pristine == aug.Types {
 		t.Fatal("import edge resolved to the augmented variant")
 	}
-	if pristine.Types.Scope().Lookup("helperAnswer") != nil {
+	if pristine.Scope().Lookup("helperAnswer") != nil {
 		t.Fatal("pristine import sees a test-only symbol")
-	}
-
-	// Closure ordering: deps strictly before dependents — the pristine
-	// build the external package imports must be analyzed (its facts
-	// exported) before the external package is checked. Deterministic
-	// across calls.
-	cl := Closure(pkgs)
-	idx := make(map[*Package]int, len(cl))
-	for i, p := range cl {
-		idx[p] = i
-	}
-	if len(cl) != 3 {
-		t.Fatalf("closure has %d packages, want 3", len(cl))
-	}
-	if idx[pristine] > idx[ext] {
-		t.Fatalf("closure order: pristine=%d after external=%d", idx[pristine], idx[ext])
-	}
-	for i := 0; i < 3; i++ {
-		again := Closure(pkgs)
-		if len(again) != len(cl) {
-			t.Fatalf("closure length changed: %d vs %d", len(again), len(cl))
-		}
-		for j := range cl {
-			if again[j] != cl[j] {
-				t.Fatalf("closure order differs at %d on repeat %d", j, i)
-			}
-		}
 	}
 }
 

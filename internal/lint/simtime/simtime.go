@@ -12,15 +12,19 @@
 //   - an integer literal assigned to a Duration field in a composite
 //     literal: RetryPolicy{Backoff: 10000000}.
 //
-// Zero is exempt — 0 is the same instant in every unit. The fix is a
-// unit expression (10*simclock.Millisecond), which the type checker
-// folds to the same constant.
+// Zero is exempt — 0 is the same instant in every unit. Each finding
+// states the value the literal has (10000000 is 10ms) and the unit
+// expression that spells it (10*simclock.Millisecond), which the type
+// checker folds to the same constant.
 package simtime
 
 import (
+	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
+	"time"
 
 	"sleds/internal/lint/analysis"
 )
@@ -53,7 +57,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() {
 		if len(call.Args) == 1 && isDuration(tv.Type) {
 			if lit := intLiteral(call.Args[0]); lit != nil {
-				pass.Reportf(lit.Pos(), "time.Duration(%s) converts a raw integer (nanoseconds?); use a unit expression like %s*simclock.Millisecond", lit.Value, lit.Value)
+				pass.Reportf(lit.Pos(), "time.Duration(%s) converts a raw integer: %s", types.ExprString(call.Args[0]), spelled(pass, call.Args[0]))
 			}
 		}
 		return
@@ -82,7 +86,7 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 			}
 		}
 		if isDuration(pt) {
-			pass.Reportf(lit.Pos(), "raw integer %s passed as time.Duration (argument %d of %s); use a unit expression like %s*simclock.Millisecond", lit.Value, i+1, callName(call), lit.Value)
+			pass.Reportf(lit.Pos(), "raw integer %s passed as time.Duration (argument %d of %s): %s", types.ExprString(arg), i+1, callName(call), spelled(pass, arg))
 		}
 	}
 }
@@ -106,9 +110,33 @@ func checkComposite(pass *analysis.Pass, lit *ast.CompositeLit) {
 			continue
 		}
 		if il := intLiteral(kv.Value); il != nil {
-			pass.Reportf(il.Pos(), "raw integer %s assigned to time.Duration field %s; use a unit expression like %s*simclock.Millisecond", il.Value, key.Name, il.Value)
+			pass.Reportf(il.Pos(), "raw integer %s assigned to time.Duration field %s: %s", types.ExprString(kv.Value), key.Name, spelled(pass, kv.Value))
 		}
 	}
+}
+
+// units are simclock's, largest first.
+var units = []struct {
+	d    time.Duration
+	name string
+}{
+	{time.Second, "Second"},
+	{time.Millisecond, "Millisecond"},
+	{time.Microsecond, "Microsecond"},
+	{time.Nanosecond, "Nanosecond"},
+}
+
+// spelled states the value of the constant expression e as a Duration
+// and the unit expression that writes it in the largest simclock unit
+// dividing it: "it is 50µs; write 50*simclock.Microsecond".
+func spelled(pass *analysis.Pass, e ast.Expr) string {
+	n, _ := constant.Int64Val(constant.ToInt(pass.TypesInfo.Types[e].Value))
+	d := time.Duration(n)
+	i := 0
+	for d%units[i].d != 0 { // the last unit, a nanosecond, divides every d
+		i++
+	}
+	return fmt.Sprintf("it is %v; write %d*simclock.%s", d, d/units[i].d, units[i].name)
 }
 
 func typeOf(pass *analysis.Pass, e ast.Expr) types.Type {

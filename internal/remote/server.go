@@ -168,10 +168,10 @@ func NewServerDevice(srv *Server) *ServerDevice {
 // Info implements device.Device.
 func (d *ServerDevice) Info() device.Info { return d.info }
 
-// Read is the calibration path; it has no error channel, and a fault
-// during it still costs the time the fallible path would have charged.
+// Read is the calibration path lmbench drives; it has no error channel,
+// and a fault during it still costs the time the fallible path would
+// have charged.
 func (d *ServerDevice) Read(c *simclock.Clock, off, n int64) {
-	//sledlint:allow errflow -- infallible device.Device path: lmbench drives it with no error channel; a fault still charges the fallible path's time
 	_ = d.srv.ReadFresh(c, off, n)
 }
 
@@ -181,8 +181,8 @@ func (d *ServerDevice) ReadErr(c *simclock.Clock, off, n int64) error {
 }
 
 // Write charges a synchronous remote write through the infallible path.
+// It has no error channel; faults surface through WriteErr.
 func (d *ServerDevice) Write(c *simclock.Clock, off, n int64) {
-	//sledlint:allow errflow -- infallible device.Device path: it charges time but has no error channel; faults surface through WriteErr
 	_ = d.srv.WriteThrough(c, off, n)
 }
 

@@ -433,7 +433,6 @@ func TestExactlyOnceProperty(t *testing.T) {
 		if size <= 0 {
 			size = 1
 		}
-		//sledlint:allow seedflow -- property test: the invariant must hold for arbitrary content seeds drawn by testing/quick
 		file := m.textFile(t, "/d/f", uint64(pagesRaw), size)
 		defer file.Close()
 		// Touch an arbitrary stretch.
@@ -477,7 +476,6 @@ func TestLatencyOrderMonotoneProperty(t *testing.T) {
 	f := func(pagesRaw, touchA, touchB uint8) bool {
 		pages := int64(pagesRaw%16) + 2
 		m := newMachine(t, 6)
-		//sledlint:allow seedflow -- property test: the invariant must hold for arbitrary content seeds drawn by testing/quick
 		file := m.textFile(t, "/d/f", uint64(pagesRaw)+1, pages*testPage)
 		defer file.Close()
 		// Touch two arbitrary stretches.

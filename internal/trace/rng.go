@@ -1,10 +1,9 @@
 package trace
 
-// Seeded randomness for the generators. The module bans math/rand
-// (sledlint's seedflow rule): every stochastic choice here comes from an
-// explicit splitmix64 stream owned by one generator call, so identical
-// parameters produce identical traces on every machine, at every worker
-// count, in any call order.
+// Seeded randomness for the generators: every stochastic choice here
+// comes from an explicit splitmix64 stream owned by one generator call,
+// so identical parameters produce identical traces on every machine, at
+// every worker count, in any call order.
 
 import (
 	"math"

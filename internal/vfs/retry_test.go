@@ -4,6 +4,7 @@ import (
 	"errors"
 	"testing"
 
+	"sleds/internal/cache"
 	"sleds/internal/device"
 	"sleds/internal/simclock"
 	"sleds/internal/workload"
@@ -202,6 +203,16 @@ func TestWritebackEIOCounted(t *testing.T) {
 	if st.WritebackEIOs != 1 {
 		t.Errorf("writeback EIOs = %d, want 1", st.WritebackEIOs)
 	}
+	// Eviction writes dirty pages back asynchronously: the writes that
+	// evict them succeed, and each failed write-back is counted.
+	for page := int64(1); page <= 80; page++ {
+		if _, err := f.WriteAt(make([]byte, testPage), page*testPage); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := k.RunStats().WritebackEIOs; got <= st.WritebackEIOs {
+		t.Errorf("writeback EIOs = %d after evicting dirty pages to a dead device, want more than %d", got, st.WritebackEIOs)
+	}
 }
 
 // TestFaultObserverSeesEveryFault: the observer fires once per failed
@@ -221,5 +232,80 @@ func TestFaultObserverSeesEveryFault(t *testing.T) {
 		if extra != fd.extra {
 			t.Errorf("fault %d extra %v, want %v", i, extra, fd.extra)
 		}
+	}
+}
+
+// brokenFrom is a disk whose reads fail from the n-th on, with an error
+// that is no device fault, so the kernel passes it through untried.
+type brokenFrom struct {
+	device.Device
+	n, reads int
+}
+
+var errBroken = errors.New("broken")
+
+func (d *brokenFrom) ReadErr(c *simclock.Clock, off, length int64) error {
+	if d.reads++; d.reads >= d.n {
+		return errBroken
+	}
+	d.Read(c, off, length)
+	return nil
+}
+
+func (d *brokenFrom) WriteErr(c *simclock.Clock, off, length int64) error {
+	d.Write(c, off, length)
+	return nil
+}
+
+// TestRefaultErrorSurfaces: under CLOCK, inserting a cluster can evict
+// the cluster's own first page, and the read faults that page again. A
+// failure of that second fault is the read's error.
+func TestRefaultErrorSurfaces(t *testing.T) {
+	mem := device.NewMem(device.DefaultMemConfig(0))
+	k := NewKernel(Config{PageSize: testPage, CachePages: 3, ReadaheadPages: 1, Policy: cache.Clock, MemDevice: mem})
+	k.AttachDevice(mem)
+	disk := &brokenFrom{Device: device.NewDisk(device.DefaultDiskConfig(1)), n: 1 << 30}
+	id := k.AttachDevice(disk)
+	if err := k.MkdirAll("/data"); err != nil {
+		t.Fatal(err)
+	}
+	mustCreateText(t, k, "/data/f", id, 1, 8*testPage)
+	f, err := k.Open("/data/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	buf := make([]byte, testPage)
+	for page := int64(0); page < 2; page++ {
+		if _, err := f.ReadAt(buf, page*testPage); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The third read's cluster read succeeds and its refault is the next
+	// device read.
+	disk.n = disk.reads + 2
+	if _, err := f.ReadAt(buf, 2*testPage); !errors.Is(err, errBroken) {
+		t.Fatalf("read whose refault failed: err = %v, want errBroken", err)
+	}
+	if disk.reads != disk.n {
+		t.Fatalf("%d device reads, want %d: the read did not fault its first page twice", disk.reads, disk.n)
+	}
+}
+
+// TestPartialOverwriteReadErrorSurfaces: a write of part of a page that is
+// not resident reads the page first, and a failure of that read is the
+// write's error.
+func TestPartialOverwriteReadErrorSurfaces(t *testing.T) {
+	k, _, _, _ := testMachine(t, 8)
+	disk := &brokenFrom{Device: device.NewDisk(device.DefaultDiskConfig(4)), n: 1}
+	id := k.AttachDevice(disk)
+	mustCreateText(t, k, "/data/f", id, 1, 4*testPage)
+	f, err := k.Open("/data/f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if n, err := f.WriteAt([]byte("partial"), testPage+5); !errors.Is(err, errBroken) || n != 0 {
+		t.Fatalf("partial overwrite over a failing read: n = %d, err = %v; want 0, errBroken", n, err)
 	}
 }

@@ -779,7 +779,6 @@ func TestFaultBoundsProperty(t *testing.T) {
 	f := func(sizeRaw uint8) bool {
 		pages := int64(sizeRaw%16) + 1
 		k, disk, _, _ := testMachine(t, 32)
-		//sledlint:allow seedflow -- property test: the invariant must hold for arbitrary content seeds drawn by testing/quick
 		mustCreateText(t, k, "/data/f", disk, uint64(sizeRaw), pages*testPage)
 		file, _ := k.Open("/data/f")
 		defer file.Close()

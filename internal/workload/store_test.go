@@ -70,7 +70,6 @@ func TestStoreDifferential(t *testing.T) {
 					if keep >= 0 {
 						leaveBudget(store, keep)
 					}
-					//sledlint:allow seedflow -- differential test: trials are numbered 1..60 and each number is its op stream's seed
 					if runStoreTrial(t, store, seed, keyed) {
 						claims++
 					}
