@@ -61,8 +61,9 @@ race:
 # fimhisto's pixel kernels against their oracles (FuzzPixelKernels in
 # internal/apps/fitsapp), the FITS header parser (FuzzParseHeader in
 # internal/fits: no panic, no overflowing geometry) and the I/O schedulers
-# against their linear-scan oracles (FuzzSchedulers in internal/iosched),
-# each for a short, fixed time. The seeded corpora already run under `test`;
+# against their linear-scan oracles (FuzzSchedulers in internal/iosched)
+# and wc's 64-byte classifier against its byte loop (FuzzCount in
+# internal/apps/wcapp), each for a short, fixed time. The seeded corpora already run under `test`;
 # this explores beyond them. Each input that widens coverage is minimised
 # before fuzzing goes on, by default for up to a minute, which would spend
 # the whole run on the first one.
@@ -72,6 +73,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz=FuzzPixelKernels -fuzztime=15s -fuzzminimizetime=1s ./internal/apps/fitsapp
 	$(GO) test -run='^$$' -fuzz=FuzzParseHeader -fuzztime=15s -fuzzminimizetime=1s ./internal/fits
 	$(GO) test -run='^$$' -fuzz=FuzzSchedulers -fuzztime=15s -fuzzminimizetime=1s ./internal/iosched
+	$(GO) test -run='^$$' -fuzz=FuzzCount -fuzztime=15s -fuzzminimizetime=1s ./internal/apps/wcapp
 
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .

@@ -64,40 +64,40 @@ var nonSpace = func() (ns [256]uint8) {
 // lanes repeats a byte value in every lane of a uint64.
 const lanes = 0x0101010101010101
 
-var newline = []byte{'\n'}
+// nonSpaceBits classifies b[0:8]: bit k is set iff b[k] is non-space.
+// x7 is each lane's low seven bits, so a lane sum never carries into the
+// next lane and its top bit answers one comparison: a byte is non-space
+// iff it is not ' ', not 0 and not in [9,13] (x7+0x77 tops out from 9,
+// x7+0x72 from 14), or is 0x80 and above. The multiply moves lane k's top
+// bit to bit 56+k, its partial products on distinct bits (DESIGN.md).
+func nonSpaceBits(b []byte) uint64 {
+	x := binary.LittleEndian.Uint64(b)
+	x7 := x & (0x7f * lanes)
+	ns := (((x7^0x20*lanes)+0x7f*lanes)&(x7+0x7f*lanes)&(^(x7+0x77*lanes)|(x7+0x72*lanes)) | x) & (0x80 * lanes)
+	return ns * 0x0002040810204081 >> 56
+}
 
 // count is wc's classification loop, written once for both read orders.
-// inWord is nonSpace of the byte before p (0 at the start of a file or of
-// a chunk counted in isolation) and last is nonSpace of p's final byte:
-// a word starts at every byte that is non-space after one that was not.
-//
-// Eight bytes are classified per step, one per lane of a little-endian
-// load. x7 is each lane's low seven bits, so a lane sum never carries into
-// the next lane and its top bit answers one comparison: a byte is non-space
-// iff it is not ' ', not 0 and not in [9,13] (x7+0x77 tops out from 9,
-// x7+0x72 from 14) — or is 0x80 and above, whatever its low bits look
-// like. Word starts are the lanes set in ns and not in ns moved up a lane,
-// the previous word's last lane carried in. The table loop takes the tail.
-//
-// BenchmarkCount/kernel pins it at 0 allocs/op.
+// inWord is nonSpace of the byte before p (0 at a file's or an isolated
+// chunk's start), last that of p's final byte: a word starts at each
+// non-space byte after one that was not. A 64-byte step counts the bits of
+// m (one per byte) not in m<<1, the last block's top bit carried in; the
+// table loop takes the tail. BenchmarkCount/kernel pins it at 0 allocs/op.
 func count(p []byte, inWord uint8) (lines, words int64, last uint8) {
-	lines = int64(bytes.Count(p, newline))
-	carry := uint64(inWord) << 7
-	i := 0
-	for ; i+8 <= len(p); i += 8 {
-		x := binary.LittleEndian.Uint64(p[i:])
-		x7 := x & (0x7f * lanes)
-		ns := (((x7^0x20*lanes)+0x7f*lanes)&(x7+0x7f*lanes)&(^(x7+0x77*lanes)|(x7+0x72*lanes)) | x) & (0x80 * lanes)
-		words += int64(bits.OnesCount64(ns &^ (ns<<8 | carry)))
-		carry = ns >> 56
+	lines = int64(bytes.Count(p, []byte{'\n'}))
+	carry := uint64(inWord)
+	for ; len(p) >= 64; p = p[64:] {
+		b := (*[64]byte)(p)
+		m := nonSpaceBits(b[0:]) | nonSpaceBits(b[8:])<<8 | nonSpaceBits(b[16:])<<16 | nonSpaceBits(b[24:])<<24 |
+			nonSpaceBits(b[32:])<<32 | nonSpaceBits(b[40:])<<40 | nonSpaceBits(b[48:])<<48 | nonSpaceBits(b[56:])<<56
+		words += int64(bits.OnesCount64(m &^ (m<<1 | carry)))
+		carry = m >> 63
 	}
-	inWord = uint8(carry >> 7)
-	for _, c := range p[i:] {
-		ns := nonSpace[c]
-		words += int64(ns &^ inWord)
-		inWord = ns
+	for _, c := range p {
+		words += int64(uint64(nonSpace[c]) &^ carry)
+		carry = uint64(nonSpace[c])
 	}
-	return lines, words, inWord
+	return lines, words, uint8(carry)
 }
 
 // countChunk counts a chunk in isolation: words are space->nonspace

@@ -2,6 +2,7 @@ package wcapp
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -263,21 +264,42 @@ func TestCountMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCountLanes drives the eight-at-a-time classifier through every
-// length 0..40 at every start offset 0..15 of one backing array — unaligned
-// loads, every tail length, the carry across every 8-byte seam — over the
-// alphabets a lane formula gets wrong first: nothing but separators, high
-// bytes whose low seven bits look like separators, and the control bytes
-// either side of each separator range. Then every split of a 64-byte buffer.
-func TestCountLanes(t *testing.T) {
-	alphabets := []string{
-		" \t\n\v\f\r\x00",
-		"\x80\x89\x8a\x8d\xa0\xff\x20\x0a",
-		"\x01\x08\x0e\x1f\x21\x7f\x80",
+// laneAlphabets are the inputs a lane formula gets wrong first: nothing but
+// separators, high bytes whose low seven bits look like separators, and the
+// control bytes either side of each separator range.
+var laneAlphabets = []string{
+	" \t\n\v\f\r\x00",
+	"\x80\x89\x8a\x8d\xa0\xff\x20\x0a",
+	"\x01\x08\x0e\x1f\x21\x7f\x80",
+}
+
+// checkCountFrom compares count(data, inWord) with refCount, which sees
+// data as if preceded by a separator.
+func checkCountFrom(t *testing.T, data []byte, inWord uint8) {
+	t.Helper()
+	want := refCount(data)
+	if inWord == 1 && len(data) > 0 && !isSpace(data[0]) {
+		want.Words-- // the first word began before data
 	}
+	wantLast := inWord
+	if len(data) > 0 {
+		wantLast = nonSpace[data[len(data)-1]]
+	}
+	if l, w, last := count(data, inWord); l != want.Lines || w != want.Words || last != wantLast {
+		t.Fatalf("count(%q, %d) = %d lines %d words last %d, want %d %d %d",
+			data, inWord, l, w, last, want.Lines, want.Words, wantLast)
+	}
+}
+
+// TestCountLanes drives the 64-byte step through every length 0..191 at
+// every start offset 0..63 of one backing array, from both inWord values:
+// unaligned loads, two whole blocks, every tail length, and the carry
+// across every 8-byte and 64-byte seam, over laneAlphabets. Then every
+// split of a 192-byte buffer, and words placed on a block seam.
+func TestCountLanes(t *testing.T) {
 	rng := trace.NewRNG(23)
-	backing := make([]byte, 15+40)
-	for _, alphabet := range alphabets {
+	backing := make([]byte, 63+191)
+	for _, alphabet := range laneAlphabets {
 		for round := 0; round < 8; round++ {
 			for i := range backing {
 				backing[i] = alphabet[rng.Int64n(int64(len(alphabet)))]
@@ -285,34 +307,70 @@ func TestCountLanes(t *testing.T) {
 					backing[i] = ' ' // mixed in, so words start and end
 				}
 			}
-			for start := 0; start <= 15; start++ {
-				for n := 0; n <= 40; n++ {
-					data := backing[start : start+n]
-					want := refCount(data)
-					for _, inWord := range []uint8{0, 1} {
-						wantWords := want.Words
-						if inWord == 1 && n > 0 && !isSpace(data[0]) {
-							wantWords-- // the first word began before data
-						}
-						wantLast := inWord
-						if n > 0 {
-							wantLast = nonSpace[data[n-1]]
-						}
-						l, w, last := count(data, inWord)
-						if l != want.Lines || w != wantWords || last != wantLast {
-							t.Fatalf("count(%q at +%d, %d) = %d lines %d words last %d, want %d %d %d",
-								data, start, inWord, l, w, last, want.Lines, wantWords, wantLast)
-						}
-					}
+			for start := 0; start <= 63; start++ {
+				for n := 0; n <= 191; n++ {
+					checkCountFrom(t, backing[start:start+n], 0)
+					checkCountFrom(t, backing[start:start+n], 1)
 				}
 			}
 		}
-		buf := make([]byte, 64)
+		buf := make([]byte, 192)
 		for i := range buf {
 			buf[i] = alphabet[rng.Int64n(int64(len(alphabet)))]
 		}
 		checkCount(t, buf)
 	}
+	// Words on the seam between two blocks, which only the carried top bit
+	// of the first block links, with their hand counts.
+	for _, tc := range []struct {
+		nonSpace []int // indexes of the 128 bytes that are not ' '
+		words    int64
+	}{
+		{[]int{62, 63, 64, 65}, 1}, // one word straddles the seam
+		{[]int{63, 65}, 2},         // non-space ends a block, space starts the next
+		{[]int{62, 64}, 2},         // space ends a block, non-space starts the next
+		{[]int{0, 63, 64, 127}, 3}, // the first and last bytes, and a straddling pair
+	} {
+		data := bytes.Repeat([]byte{' '}, 128)
+		for _, i := range tc.nonSpace {
+			data[i] = 'x'
+		}
+		if _, w, _ := count(data, 0); w != tc.words {
+			t.Errorf("count with non-space at %v = %d words, want %d", tc.nonSpace, w, tc.words)
+		}
+		checkCount(t, data)
+	}
+}
+
+// FuzzCount checks that count over the data whole and over two halves
+// chained through last, and countChunk over the whole, agree with refCount.
+func FuzzCount(f *testing.F) {
+	for i, alphabet := range laneAlphabets {
+		f.Add([]byte(strings.Repeat(alphabet, 24)), uint16(64+i), i%2 == 0)
+		f.Add([]byte(strings.Repeat(alphabet+"ab", 12)), uint16(63), i%2 == 1)
+	}
+	f.Fuzz(func(t *testing.T, data []byte, split uint16, inWord bool) {
+		s := int(split) % (len(data) + 1)
+		var in uint8
+		if inWord {
+			in = 1
+		}
+		want := refCount(data)
+		l, w, sns, ens := countChunk(data)
+		if l != want.Lines || w != want.Words ||
+			sns != (len(data) > 0 && !isSpace(data[0])) || ens != (len(data) > 0 && !isSpace(data[len(data)-1])) {
+			t.Fatalf("countChunk(%q) = %d,%d,%v,%v, want %d lines %d words", data, l, w, sns, ens, want.Lines, want.Words)
+		}
+		checkCountFrom(t, data, in)
+		if in == 1 && len(data) > 0 && !isSpace(data[0]) {
+			want.Words-- // the first word began before data
+		}
+		l1, w1, mid := count(data[:s], in)
+		l2, w2, _ := count(data[s:], mid)
+		if l1+l2 != want.Lines || w1+w2 != want.Words {
+			t.Fatalf("count(%q, %d) split at %d = %d lines %d words, want %d %d", data, in, s, l1+l2, w1+w2, want.Lines, want.Words)
+		}
+	})
 }
 
 var countSink int64

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -200,6 +201,19 @@ func TestFig11And12Shape(t *testing.T) {
 	}
 	if maxR < 2 {
 		t.Errorf("max grep -q speedup %v < 2", maxR)
+	}
+}
+
+// TestFig13NeedsTwoSizes: Fig13 takes the size below the middle of the
+// list, which does not exist for fewer than two sizes.
+func TestFig13NeedsTwoSizes(t *testing.T) {
+	for _, n := range []int{0, 1} {
+		cfg := tinyConfig()
+		cfg.Sizes = cfg.Sizes[:n]
+		_, err := Fig13(cfg)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("got %d", n)) {
+			t.Errorf("Fig13 over %d sizes: err = %v, want one naming the size count", n, err)
+		}
 	}
 }
 

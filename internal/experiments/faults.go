@@ -122,7 +122,7 @@ func efaultsPoint(cfg Config, sizeIdx, col int) (efaultsCell, error) {
 
 	m.Table.SetHealthHalfLife(efaultsHalfLife)
 	if degraded {
-		injectFaults(m, m.NFS, faults.Config{
+		injectFaults(m.K, m.NFS, faults.Config{
 			Seed:           PointSeed(cfg.Seed, "efaults-inj", sizeIdx),
 			PFault:         efaultsPFault,
 			MaxConsecutive: efaultsMaxConsecutive,
@@ -253,7 +253,7 @@ func efaultsDemo(cfg Config, r *FaultsReport) error {
 		return err
 	}
 
-	injectFaults(m, m.NFS, faults.Config{
+	injectFaults(m.K, m.NFS, faults.Config{
 		Seed:           PointSeed(cfg.Seed, "efaults-demo-inj", 0),
 		PFault:         efaultsPFault,
 		MaxConsecutive: efaultsMaxConsecutive,

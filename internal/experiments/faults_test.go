@@ -106,7 +106,8 @@ func TestEFaultsRoutesAroundDegradedDevice(t *testing.T) {
 // point error by RunGrid, fails the test. The entries that must complete
 // under a profile have tests of their own:
 // TestEFaultsSurvivesGlobalFaultProfile and
-// TestAblationZonesUnderGlobalFaultProfile.
+// TestAblationZonesUnderGlobalFaultProfile; TestEFleetHonoursFaultProfile
+// checks that efleet's replicas take the profile at all.
 func TestEveryExperimentUnderFaultProfiles(t *testing.T) {
 	for _, e := range registry() {
 		name := strings.Join(e.IDs, "+")

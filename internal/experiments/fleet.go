@@ -253,6 +253,13 @@ func efleetPoint(pcfg Config, scen efleetScenario, policy fleet.Policy, replicas
 		return efleetCell{}, err
 	}
 	fl.SetTable(tab)
+	// Like BootMachine, -faults wraps the replicas after calibration; the
+	// degraded scenario's own injector stacks over replica 0's.
+	for i := 0; i < fl.Replicas(); i++ {
+		if err := injectProfile(k, pcfg, fl.Replica(i).Dev); err != nil {
+			return efleetCell{}, err
+		}
+	}
 	ps := int64(pcfg.PageSize)
 	recLen := efleetRecordPages * ps
 	if err := fl.CreateFile("/fleet", fileSeed(pcfg, "efleet-file", 0), efleetFilePages*ps); err != nil {
@@ -266,9 +273,7 @@ func efleetPoint(pcfg Config, scen efleetScenario, policy fleet.Policy, replicas
 	}
 	k.ResetDeviceState()
 	if fc := scen.injectReplica0; fc != nil {
-		id := fl.Replica(0).Dev
-		wrapped, _ := faults.Wrap(k.Devices.Get(id), *fc)
-		k.Devices.Replace(id, wrapped)
+		injectFaults(k, fl.Replica(0).Dev, *fc)
 	}
 
 	e := iosched.NewEngine(k)

@@ -120,3 +120,21 @@ func TestEFleetSurfacesPointErrors(t *testing.T) {
 	}
 	t.Fatal("no efleet entry in the registry")
 }
+
+// TestEFleetHonoursFaultProfile is the efleet/heavy row of
+// TestEveryExperimentUnderFaultProfiles with its report read: -faults
+// wraps every replica, so the scenarios that install no injector of their
+// own see faults too.
+func TestEFleetHonoursFaultProfile(t *testing.T) {
+	cfg := microConfig()
+	cfg.FaultProfile = "heavy"
+	rep, err := EFleet(cfg, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rep.Rows {
+		if row.Scenario != "degraded" && row.Cell.faults+row.Cell.errs == 0 {
+			t.Errorf("(%s, %s) under -faults heavy: no fault injected", row.Scenario, row.Policy)
+		}
+	}
+}

@@ -64,24 +64,34 @@ func BootMachine(cfg Config, profile Profile) (*Machine, error) {
 	// every non-memory device AFTER calibration, so the table holds the
 	// healthy estimates injection then degrades — as on a real machine,
 	// where lmbench ran before the hardware started failing.
-	if cfg.FaultProfile != "" && cfg.FaultProfile != "off" {
-		for _, id := range []device.ID{m.Disk, m.CDROM, m.NFS, m.Tape} {
-			fcfg, ok := faults.ProfileConfig(cfg.FaultProfile, PointSeed(cfg.Seed, "faults", int(id)))
-			if !ok {
-				return nil, fmt.Errorf("experiments: unknown fault profile %q", cfg.FaultProfile)
-			}
-			injectFaults(m, id, fcfg)
-		}
+	if err := injectProfile(m.K, cfg, m.Disk, m.CDROM, m.NFS, m.Tape); err != nil {
+		return nil, err
 	}
 	return m, nil
+}
+
+// injectProfile wraps each of ids in cfg's fault profile, if it names one,
+// seeded per device from cfg's seed. Call only after calibration.
+func injectProfile(k *vfs.Kernel, cfg Config, ids ...device.ID) error {
+	if cfg.FaultProfile == "" || cfg.FaultProfile == "off" {
+		return nil
+	}
+	for _, id := range ids {
+		fcfg, ok := faults.ProfileConfig(cfg.FaultProfile, PointSeed(cfg.Seed, "faults", int(id)))
+		if !ok {
+			return fmt.Errorf("experiments: unknown fault profile %q", cfg.FaultProfile)
+		}
+		injectFaults(k, id, fcfg)
+	}
+	return nil
 }
 
 // injectFaults interposes a fault injector over the registered device
 // (device.Registry.Replace). Call only after calibration: probes must
 // measure the healthy device.
-func injectFaults(m *Machine, id device.ID, fcfg faults.Config) {
-	wrapped, _ := faults.Wrap(m.K.Devices.Get(id), fcfg)
-	m.K.Devices.Replace(id, wrapped)
+func injectFaults(k *vfs.Kernel, id device.ID, fcfg faults.Config) {
+	wrapped, _ := faults.Wrap(k.Devices.Get(id), fcfg)
+	k.Devices.Replace(id, wrapped)
 }
 
 // deviceByName maps the experiment file-system names to devices.

@@ -164,8 +164,8 @@ func TestPointSeedCollisionFree(t *testing.T) {
 		return s
 	}
 	// A booted machine (BootMachine) under -faults seeds one injector per
-	// device from its own seed; the newKernel sweeps (eremote, escale,
-	// efleet) wrap nothing.
+	// device from its own seed, as efleet does per replica (devices 1..4
+	// after the memory device); eremote and escale wrap nothing.
 	faultSeeds := func(machine int64) {
 		for _, dev := range []int{1, 2, 3, 4} {
 			derive(machine, "faults", dev)
@@ -265,6 +265,7 @@ func TestPointSeedCollisionFree(t *testing.T) {
 	}
 	for si, scen := range efleetScenarios {
 		kernel := derive(cfg.Seed, "efleet", si)
+		faultSeeds(kernel)
 		derive(kernel, "efleet-file", 0)
 		if scen == "degraded" {
 			derive(kernel, "efleet-inj")

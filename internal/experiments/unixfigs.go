@@ -224,6 +224,9 @@ func Fig11And12(cfg Config) (Figure, Figure, error) {
 // for the mid-sweep file size (the paper's 64 MB point on the full-scale
 // sweep).
 func Fig13(cfg Config) (Figure, error) {
+	if len(cfg.Sizes) < 2 {
+		return Figure{}, fmt.Errorf("experiments: fig13 takes the middle of at least 2 sizes, got %d", len(cfg.Sizes))
+	}
 	size := cfg.Sizes[len(cfg.Sizes)/2-1]
 	runs := cfg.CDFRuns
 	if runs <= 0 {
