@@ -13,7 +13,7 @@ BENCH_SNAPSHOT = BENCH_48.json
 # A literal comma, for use inside $(call ...) arguments.
 comma := ,
 
-.PHONY: build vet fmt staticcheck lint lint-debt test race fuzz-smoke bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke paper-check perf-smoke ci
+.PHONY: build vet fmt staticcheck lint test race fuzz-smoke bench bench-smoke bench-json bench-compare scale-smoke determinism faults-smoke trace-smoke fleet-smoke paper-check perf-smoke ci
 
 build:
 	$(GO) build ./...
@@ -36,18 +36,10 @@ staticcheck:
 # lint runs sledlint, the in-repo determinism linter (cmd/sledlint): its
 # three syntactic rules (wallclock, mapiter, simtime) over the whole
 # module; sledlint always loads test files, and wallclock reports there
-# too. Any finding fails; the one way to accept one is
-# //sledlint:allow <rule> -- <reason> at the site, and `make lint-debt`
-# lists them all.
+# too. Any finding fails, and no comment mutes one: a finding is fixed
+# at its site, or the rule's scope is narrowed in its analyzer.
 lint:
 	$(GO) run ./cmd/sledlint ./...
-
-# lint-debt inventories every //sledlint:allow directive with its
-# reason — the full cost of the suppression mechanism, in one page. A
-# directive for a rule the suite does not run fails `make lint`, so the
-# inventory names only wallclock, mapiter and simtime.
-lint-debt:
-	$(GO) run ./cmd/sledlint -debt ./...
 
 test:
 	$(GO) test ./...

@@ -4,18 +4,15 @@
 //
 // Usage:
 //
-//	sledlint [-debt] [packages...]
+//	sledlint [packages...]
 //
 // With no packages it checks ./... . Test files are always loaded; the
 // rule that holds in tests too (wallclock) reports there. Exit status is
 // 0 when the tree is clean, 1 when any rule fired, 2 on load or usage
 // errors. Output is one finding per line in
-// file:line:col: message (analyzer) form.
+// file:line:col: message (analyzer) form. No comment mutes a finding.
 //
-// -debt prints every //sledlint:allow directive with its reason and
-// exits clean; the directive is the only way to accept a finding.
-//
-// Rules (each honors //sledlint:allow <rule> -- <reason>):
+// Rules:
 //
 //	wallclock  no time.Now/Sleep/timers outside cmd/
 //	mapiter    no map-iteration order reaching output
@@ -42,9 +39,8 @@ var Analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	debt := flag.Bool("debt", false, "report every //sledlint:allow directive and exit clean")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: sledlint [-debt] [packages...]\n\nrules:\n")
+		fmt.Fprintf(os.Stderr, "usage: sledlint [packages...]\n\nrules:\n")
 		for _, a := range Analyzers {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
@@ -54,5 +50,5 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	os.Exit(driver.Run(Analyzers, patterns, os.Stdout, driver.Options{Debt: *debt}))
+	os.Exit(driver.Run(Analyzers, patterns, os.Stdout, driver.Options{}))
 }

@@ -90,6 +90,52 @@ func TestRegistryOrderMatchesGolden(t *testing.T) {
 	}
 }
 
+// TestPaperScaleFirstRows checks the paper-scale golden inside tier-1, at
+// the scale only it reaches (a 44 MB cache, 8..128 MB files): each paper
+// figure, run at PaperConfig over the first of its sizes, renders the
+// golden's header, column line and first row. The point seeds follow the
+// size index, so a prefix of the sizes reproduces the golden's rows for it.
+// Figure 13 keeps the whole list: it plots one size, the middle one.
+func TestPaperScaleFirstRows(t *testing.T) {
+	golden, err := os.ReadFile("../../experiments_paper_scale.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstRows := func(text string) string {
+		lines := strings.SplitAfterN(text, "\n", 4)
+		return strings.Join(lines[:min(3, len(lines))], "")
+	}
+	paper := PaperConfig()
+	// One worker: every worker's arena keeps fig13's 64 MB file for the
+	// package's later grids, so a second one adds about 120 MB to the
+	// package's peak RSS.
+	paper.Workers = 1
+	for _, e := range registry() {
+		cfg := paper
+		switch e.IDs[0] {
+		case "f13":
+		case "f7", "f9", "f10", "f11", "f14", "f15", "f15x16":
+			cfg.Sizes = paper.Sizes[:1]
+		default:
+			continue
+		}
+		arts, err := e.Run(cfg, nil, 0)
+		if err != nil {
+			t.Fatalf("%v: %v", e.IDs, err)
+		}
+		for _, a := range arts {
+			header := "== " + goldenHeader(a.ID) + ":"
+			_, section, ok := strings.Cut(string(golden), "\n"+header)
+			if !ok {
+				t.Fatalf("the paper-scale golden has no %q section", header)
+			}
+			if got, want := firstRows(a.Text), firstRows(header+section); got != want {
+				t.Errorf("%s at paper scale renders\n%sthe golden has\n%s", a.ID, got, want)
+			}
+		}
+	}
+}
+
 func TestRegistrySelectors(t *testing.T) {
 	var outside []string
 	inAll := map[string]bool{}

@@ -24,8 +24,8 @@ import (
 // Analyzer describes one sledlint rule: a named, documented check that
 // runs once per package.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and in
-	// //sledlint:allow directives. Lower-case, no spaces.
+	// Name identifies the analyzer in diagnostics. Lower-case, no
+	// spaces.
 	Name string
 
 	// Doc is the analyzer's help text. The first line is a one-line

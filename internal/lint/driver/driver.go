@@ -6,9 +6,9 @@
 // the same analysis loop through Analyze.
 //
 // Every rule is syntactic, so each matched package is analyzed on its
-// own. Output is one file:line:col line per finding. The one way to
-// accept a finding is a //sledlint:allow directive next to the code;
-// -debt enumerates every directive with its reason.
+// own. Output is one file:line:col line per finding. No comment mutes a
+// finding: it is fixed at its site, or the rule's scope is narrowed in
+// its analyzer.
 package driver
 
 import (
@@ -34,11 +34,6 @@ const (
 // Options configures one run.
 type Options struct {
 	Dir string // working directory for go list; "" = process cwd
-
-	// Debt switches the run to the directive report: every well-formed
-	// //sledlint:allow in the matched packages, with its rule list and
-	// reason. Informational; always exits clean.
-	Debt bool
 }
 
 // finding is one diagnostic resolved to a repo-relative position, the
@@ -59,16 +54,12 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, w io.Writer, opts Op
 		fmt.Fprintf(w, "sledlint: %v\n", err)
 		return ExitError
 	}
-	base := baseDir(opts)
-	if opts.Debt {
-		return debtReport(pkgs, fset, w, base)
-	}
 	diags, err := Analyze(analyzers, pkgs, fset)
 	if err != nil {
 		fmt.Fprintf(w, "sledlint: %v\n", err)
 		return ExitError
 	}
-	out := renderable(fset, diags, base)
+	out := renderable(fset, diags, baseDir(opts))
 	for _, d := range out {
 		fmt.Fprintf(w, "%s:%d:%d: %s (%s)\n", d.File, d.Line, d.Col, d.Message, d.Analyzer)
 	}
@@ -78,16 +69,13 @@ func Run(analyzers []*analysis.Analyzer, patterns []string, w io.Writer, opts Op
 	return ExitClean
 }
 
-// Analyze applies every analyzer to pkgs and returns the diagnostics
-// that no //sledlint:allow directive covers, plus one per malformed
-// directive, per directive naming an analyzer that is not in analyzers,
-// and per marker other than allow. A finding in a _test.go file is kept
-// only from an analyzer that opts in (Analyzer.Tests).
+// Analyze applies every analyzer to pkgs and returns their diagnostics.
+// A finding in a _test.go file is kept only from an analyzer that opts
+// in (Analyzer.Tests).
 func Analyze(analyzers []*analysis.Analyzer, pkgs []*load.Package, fset *token.FileSet) ([]analysis.Diagnostic, error) {
-	var all []analysis.Diagnostic
+	var diags []analysis.Diagnostic
 	for _, p := range pkgs {
 		externalTest := p.Test && strings.HasSuffix(p.Path, "_test")
-		var diags []analysis.Diagnostic
 		for _, a := range analyzers {
 			if externalTest && !a.Tests {
 				continue // every file is a test file; nothing to keep
@@ -110,10 +98,8 @@ func Analyze(analyzers []*analysis.Analyzer, pkgs []*load.Package, fset *token.F
 				return nil, fmt.Errorf("%s on %s: %v", a.Name, p.Path, err)
 			}
 		}
-		sup := analysis.CollectSuppressions(fset, p.Files, analyzers)
-		all = append(all, sup.Filter(fset, diags)...)
 	}
-	return all, nil
+	return diags, nil
 }
 
 func isTestFile(fset *token.FileSet, pos token.Pos) bool {

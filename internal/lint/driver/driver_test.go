@@ -58,18 +58,21 @@ func TestFindingsExitOneAndTextFormat(t *testing.T) {
 	}
 }
 
-// TestStaleDirectives: a directive for an analyzer the suite does not
-// run and a marker no rule reads are findings, so a deleted rule's
-// annotations cannot outlive it.
-func TestStaleDirectives(t *testing.T) {
+// TestTestsMode: test files are always loaded, and Analyzer.Tests picks
+// the rules that report there — wallclock's findings in testy_test.go
+// are kept, simtime's is not.
+func TestTestsMode(t *testing.T) {
 	var out bytes.Buffer
 	code := driver.Run(
 		[]*analysis.Analyzer{simtime.Analyzer, wallclock.Analyzer},
-		[]string{"./testdata/src/stale"}, &out, driver.Options{})
-	want := "testdata/src/stale/stale.go:7:1: unknown marker //sledlint:pure; the only marker is allow (directive)\n" +
-		"testdata/src/stale/stale.go:9:2: //sledlint:allow names panicpath, which is no analyzer in the suite (directive)\n"
-	if code != driver.ExitFindings || out.String() != want {
-		t.Fatalf("exit %d, output\n%s\nwant exit %d and\n%s", code, out.String(), driver.ExitFindings, want)
+		[]string{"./testdata/src/testy"}, &out, driver.Options{})
+	if code != driver.ExitFindings {
+		t.Fatalf("the test-file violation was missed: exit %d\n%s", code, out.String())
+	}
+	want := regexp.MustCompile(`^testdata/src/testy/testy_test\.go:12:11: time\.Now .+ \(wallclock\)\n` +
+		`testdata/src/testy/testy_test\.go:14:23: time\.Since .+ \(wallclock\)\n$`)
+	if !want.MatchString(out.String()) {
+		t.Fatalf("want exactly the time.Now and time.Since findings, got:\n%s", out.String())
 	}
 }
 

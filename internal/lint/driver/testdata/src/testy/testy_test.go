@@ -11,7 +11,6 @@ import (
 func TestAnswer(t *testing.T) {
 	start := time.Now()
 	_ = time.Duration(500)
-	//sledlint:allow wallclock -- fixture: a directive in a test file is inventory too
 	if Answer() != 42 || time.Since(start) < 0 {
 		t.Fatal("wrong answer")
 	}

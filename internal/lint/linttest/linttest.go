@@ -1,17 +1,15 @@
 // Package linttest is a self-contained stand-in for
 // golang.org/x/tools/go/analysis/analysistest (unavailable offline;
 // see internal/lint/analysis). It runs one analyzer over an annotated
-// testdata package and compares the diagnostics — after the shared
-// //sledlint:allow suppression pass — against `// want` comments:
+// testdata package and compares the diagnostics against `// want`
+// comments:
 //
 //	time.Sleep(d) // want `time\.Sleep`
 //
 // Each `// want` comment holds one or more backquoted regular
 // expressions, all of which must be matched by distinct diagnostics on
 // that line. Diagnostics with no matching expectation, and
-// expectations with no matching diagnostic, fail the test. Malformed
-// suppression directives surface as diagnostics of the analyzer
-// "directive", so missing-reason cases are asserted the same way.
+// expectations with no matching diagnostic, fail the test.
 package linttest
 
 import (
@@ -29,17 +27,16 @@ var wantRe = regexp.MustCompile("(?://|/\\*) want (`[^`]*`(?: `[^`]*`)*)")
 var wantExprRe = regexp.MustCompile("`([^`]*)`")
 
 // Run loads dir as a package with the given import path, applies the
-// analyzer through driver.Analyze — the loop sledlint itself runs, with
-// the shared suppression pass — and checks the result against the
-// package's `// want` annotations. It returns the kept diagnostics so
-// callers can make extra assertions.
+// analyzer through driver.Analyze — the loop sledlint itself runs — and
+// checks the result against the package's `// want` annotations. It
+// returns the diagnostics so callers can make extra assertions.
 func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) []analysis.Diagnostic {
 	t.Helper()
 	pkg, fset, err := load.Dir(dir, importPath)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
-	kept, err := driver.Analyze([]*analysis.Analyzer{a}, []*load.Package{pkg}, fset)
+	diags, err := driver.Analyze([]*analysis.Analyzer{a}, []*load.Package{pkg}, fset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,8 +67,8 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) []analysis.
 		}
 	}
 
-	sort.Slice(kept, func(i, j int) bool { return kept[i].Pos < kept[j].Pos })
-	for _, d := range kept {
+	sort.Slice(diags, func(i, j int) bool { return diags[i].Pos < diags[j].Pos })
+	for _, d := range diags {
 		pos := fset.Position(d.Pos)
 		k := key{pos.Filename, pos.Line}
 		matched := -1
@@ -92,7 +89,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) []analysis.
 			t.Errorf("%s:%d: expected diagnostic matching %q, got none", k.file, k.line, re)
 		}
 	}
-	return kept
+	return diags
 }
 
 func position(fset *token.FileSet, pos token.Pos) string {

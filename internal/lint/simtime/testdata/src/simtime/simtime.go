@@ -42,17 +42,8 @@ func ok() {
 	take(clockArith)
 }
 
-func suppressed() {
+// An allow comment is an ordinary comment: it mutes nothing.
+func allowMutesNothing() {
 	//sledlint:allow simtime -- literal is a calibrated nanosecond table entry
-	take(1234)
-}
-
-func missingReason() {
-	//sledlint:allow simtime // want `malformed`
-	take(99) // want `raw integer 99 passed as time\.Duration`
-}
-
-func emptyReason() {
-	/* want `empty reason` */ //sledlint:allow simtime --
-	take(77)                  // want `raw integer 77 passed as time\.Duration`
+	take(1234) // want `^raw integer 1234 passed as time\.Duration \(argument 1 of take\): it is 1\.234µs; write 1234\*simclock\.Nanosecond$`
 }

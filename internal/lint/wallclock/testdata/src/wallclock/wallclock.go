@@ -16,21 +16,8 @@ func ok() time.Duration {
 	return d + time.Duration(float64(time.Second)*0.5)
 }
 
-func suppressedSameLine() {
-	_ = time.Now() //sledlint:allow wallclock -- boot banner only; host time never reaches stdout
-}
-
-func suppressedLineAbove() {
+// An allow comment is an ordinary comment: it mutes nothing.
+func allowMutesNothing() {
 	//sledlint:allow wallclock -- measuring the harness itself, not the simulation
-	_ = time.Now()
-}
-
-func missingReason() {
-	//sledlint:allow wallclock // want `malformed`
 	_ = time.Now() // want `time\.Now reads the host clock`
-}
-
-func emptyReason() {
-	/* want `empty reason` */ //sledlint:allow wallclock --
-	_ = time.Now()            // want `time\.Now reads the host clock`
 }
